@@ -285,7 +285,7 @@ func TestUnparkWakesPromptly(t *testing.T) {
 	// a post racing park must still execute quickly. Before the fix,
 	// unpark read the parked flag before park stored it and the post
 	// waited out the full timeout.
-	r := startRuntime(t, Config{Cores: 1, IdleSpins: 1, ParkTimeout: 10 * time.Second})
+	r := startRuntime(t, Config{Cores: 1, ParkTimeout: 10 * time.Second})
 	done := make(chan struct{}, 1)
 	h := r.Register("wake", func(ctx *Ctx) { done <- struct{}{} })
 	for i := 0; i < 50; i++ {

@@ -402,6 +402,45 @@ func BenchmarkRuntimeColorPingPong(b *testing.B) {
 	<-done
 }
 
+// BenchmarkWakeLatency is the wake-up path alone: one post onto an idle
+// runtime, timed from the Post call to the handler's first instruction.
+// Each post waits until the target worker has gone back to park (its
+// park counter moved and no wake token is pending), so a sample pays a
+// real unpark; the Pin variant prices the OS-thread lock Config.Pin
+// needs.
+func BenchmarkWakeLatency(b *testing.B) {
+	for _, pin := range []bool{false, true} {
+		b.Run(fmt.Sprintf("pin=%v", pin), func(b *testing.B) {
+			r, err := New(Config{Cores: 2, Pin: pin})
+			if err != nil {
+				b.Fatal(err)
+			}
+			entered := make(chan time.Time, 1)
+			h := r.Register("wake", func(ctx *Ctx) { entered <- time.Now() })
+			if err := r.Start(); err != nil {
+				b.Fatal(err)
+			}
+			defer r.Stop()
+			target := r.cores[r.table.Hash(1)]
+			var total time.Duration
+			parks := int64(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for target.stats.parks.Load() == parks || len(target.wake) != 0 {
+					runtime.Gosched()
+				}
+				parks = target.stats.parks.Load()
+				start := time.Now()
+				if err := r.Post(h, 1, nil); err != nil {
+					b.Fatal(err)
+				}
+				total += (<-entered).Sub(start)
+			}
+			b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "wake-ns")
+		})
+	}
+}
+
 // metricsSink prevents dead-code elimination in simBench closures.
 var metricsSink *metrics.Run
 

@@ -86,7 +86,15 @@ type Config struct {
 	Cores int
 	// Policy selects the scheduling configuration (default PolicyMelyWS).
 	Policy Policy
-	// Pin requests best-effort CPU pinning of the workers (Linux).
+	// Pin requests best-effort CPU pinning of the workers (Linux). A
+	// pinned worker is locked to an OS thread, because sched_setaffinity
+	// acts on threads, and waking a parked locked thread is a futex wake
+	// plus a processor hand-off where an unpinned worker is a run-queue
+	// insert: ~12µs against ~1µs from Post to handler entry
+	// (BenchmarkWakeLatency), ~68µs against ~21µs for a request through
+	// parked workers on a 2-CPU loopback host (sws_closed lat_p50_us).
+	// Pin buys cache locality under sustained load and pays for it in
+	// wake-up latency on a mostly idle server.
 	Pin bool
 	// BatchThreshold caps consecutive same-color events on a core
 	// (default 10, the paper's setting). Only meaningful for Mely
@@ -95,11 +103,13 @@ type Config struct {
 	// StealCostSeed seeds the steal-cost estimate before the runtime
 	// has measured real steals (default 2µs).
 	StealCostSeed time.Duration
-	// IdleSpins is how many failed work-finding rounds a worker spins
-	// through before parking (default 4).
-	IdleSpins int
-	// ParkTimeout bounds a parked worker's sleep so missed wakeups
-	// self-heal (default 500µs).
+	// ParkTimeout is the longest sleep of a worker that found neither
+	// local work nor anything to steal (default 500µs). A parked worker
+	// wakes on a post to its core, on a timer armed ahead of its wheel's
+	// earliest deadline, and on Stop — none of these wait for the
+	// timeout. Nothing wakes it for work queued on another core, so the
+	// timeout (with StealBackoff beneath it) is the interval at which an
+	// idle worker re-probes its neighbors for something to steal.
 	ParkTimeout time.Duration
 	// MaxStealColors caps how many colors one steal attempt migrates.
 	// Batch stealing takes up to half the victim's stealable colors in
@@ -115,8 +125,8 @@ type Config struct {
 	// further fruitless round doubles the pause up to ParkTimeout, and
 	// any success resets it — throttling steal storms when many cores
 	// go idle together. 0 means the 10µs default; negative disables
-	// the backoff entirely — every post-spin park lasts the full
-	// ParkTimeout regardless of the failure streak.
+	// the backoff entirely — every park lasts the full ParkTimeout
+	// regardless of the failure streak.
 	StealBackoff time.Duration
 	// TimerTick is the granularity of the per-core timing wheels behind
 	// PostAfter/PostAt/PostEvery (default 1ms): timers fire on the next
@@ -270,9 +280,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StealCostSeed == 0 {
 		c.StealCostSeed = 2 * time.Microsecond
-	}
-	if c.IdleSpins == 0 {
-		c.IdleSpins = 4
 	}
 	if c.ParkTimeout == 0 {
 		c.ParkTimeout = 500 * time.Microsecond

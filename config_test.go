@@ -57,7 +57,7 @@ func TestSingleColorStealOptOut(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	if cfg.Cores <= 0 || cfg.BatchThreshold != 10 ||
-		cfg.StealCostSeed <= 0 || cfg.ParkTimeout <= 0 || cfg.IdleSpins <= 0 ||
+		cfg.StealCostSeed <= 0 || cfg.ParkTimeout <= 0 ||
 		cfg.StealBackoff <= 0 || cfg.TimerTick <= 0 || cfg.TimerWheelLevels <= 0 {
 		t.Fatalf("defaults incomplete: %+v", cfg)
 	}

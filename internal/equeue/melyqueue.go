@@ -188,7 +188,18 @@ func (q *CoreQueue) ReleaseColorQueue(cq *ColorQueue) {
 // ColorQueue empties it is unlinked; emptied reports that (so platforms
 // can charge the removal cost and release ownership).
 func (q *CoreQueue) PopNext() (e *Event, emptied *ColorQueue) {
-	cq := q.head
+	e, cq := q.PopNextFrom()
+	if cq != nil && cq.count == 0 {
+		emptied = cq
+	}
+	return e, emptied
+}
+
+// PopNextFrom is PopNext reporting the ColorQueue the event came from
+// whether or not the pop emptied it (an emptied queue, Len() == 0, has
+// been unlinked).
+func (q *CoreQueue) PopNextFrom() (e *Event, cq *ColorQueue) {
+	cq = q.head
 	if cq == nil {
 		return nil, nil
 	}
@@ -207,10 +218,10 @@ func (q *CoreQueue) PopNext() (e *Event, emptied *ColorQueue) {
 		q.unlinkColor(cq)
 		q.steal.remove(cq)
 		q.batchCount = 0
-		return e, cq
+	} else {
+		q.steal.reclassify(cq)
 	}
-	q.steal.reclassify(cq)
-	return e, nil
+	return e, cq
 }
 
 // StealBase mimics the Libasync-smp color choice on the Mely layout (used

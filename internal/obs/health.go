@@ -215,6 +215,14 @@ func detectDrift(points []TSPoint, cfg HealthConfig) (Anomaly, bool) {
 	}, true
 }
 
+// imbalanceMinEvents is the evidence steal imbalance needs besides its
+// rate floor: the hottest core's failed steals + backoff parks counted
+// in the window itself. Rates are counts over the window length, so in
+// a millisecond window (a short ObsInterval, or a late collector tick
+// followed by a punctual one) two events on one core and a 500µs park
+// on the other read as thousands per second against zero.
+const imbalanceMinEvents = 32
+
 // detectImbalance checks the newest window's per-core failed-steal +
 // backoff-park rates for one core towering over the rest.
 func detectImbalance(cur *TSPoint, cfg HealthConfig) (Anomaly, bool) {
@@ -229,7 +237,7 @@ func detectImbalance(cur *TSPoint, cfg HealthConfig) (Anomaly, bool) {
 			maxRate, maxCore = r, i
 		}
 	}
-	if maxRate < cfg.ImbalanceFloor {
+	if maxRate < cfg.ImbalanceFloor || maxRate*cur.WindowSeconds < imbalanceMinEvents {
 		return Anomaly{}, false
 	}
 	others := (sum - maxRate) / float64(len(cur.Cores)-1)

@@ -138,6 +138,20 @@ func TestStealImbalanceDetector(t *testing.T) {
 	if hasKind(rep, AnomalyStealImbalance) {
 		t.Fatalf("sub-floor skew fired imbalance: %v", kinds(rep))
 	}
+
+	// A handful of events in a sub-millisecond window is a huge rate
+	// against a parked neighbor's zero, and no evidence of anything.
+	short := rampSamples(10, func(i int, s *TSSample) {
+		if i == 10 {
+			s.MonoNanos -= 1e9 - 300e3 // a late tick, then a punctual one
+			s.Cores[0].FailedSteals = 90 + 6
+			s.Cores[1].FailedSteals = 90
+		}
+	})
+	rep = EvaluateHealth(short, HealthConfig{})
+	if hasKind(rep, AnomalyStealImbalance) {
+		t.Fatalf("6 failed steals in a 300µs window fired imbalance: %v", kinds(rep))
+	}
 }
 
 func TestSpillGrowthDetector(t *testing.T) {

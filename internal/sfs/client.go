@@ -12,14 +12,19 @@ import (
 // count sheds separately from hard failures.
 var ErrOverloaded = errors.New("sfs: server overloaded")
 
+// clientReadBytes is the least room a connection read is offered.
+const clientReadBytes = 64 << 10
+
 // Client reads files from an SFS server over one persistent connection,
 // with a read-ahead window like the multio benchmark. Client is not
 // safe for concurrent use; run one per goroutine (as multio runs one
 // per load machine).
 type Client struct {
-	conn  net.Conn
-	keys  Keys
+	conn net.Conn
+	keys Keys
+	// buf holds bytes read off the connection; buf[rd:] is unconsumed.
 	buf   []byte
+	rd    int
 	next  uint32
 	chunk uint32
 	ahead int
@@ -51,24 +56,18 @@ func (c *Client) SetReadAhead(n int) {
 }
 
 // ReadFile fetches a whole file, issuing chunked READs with the
-// read-ahead window and verifying/decrypting every response.
+// read-ahead window; every response is verified, then decrypted
+// straight into its place in the result.
 func (c *Client) ReadFile(path string, size int) ([]byte, error) {
-	out := make([]byte, 0, size)
-	type pending struct{ offset uint64 }
-	inflight := make(map[uint32]pending, c.ahead)
+	out := make([]byte, size)
+	inflight := make(map[uint32]uint64, c.ahead) // request id → offset
 
 	var (
 		sendOff uint64
-		done    bool
-		chunks  = make(map[uint64][]byte)
-		recvOff uint64
+		end     int // highest byte of out written
 	)
 	send := func() error {
-		if done || len(inflight) >= c.ahead {
-			return nil
-		}
-		if sendOff >= uint64(size) {
-			done = true
+		if len(inflight) >= c.ahead || sendOff >= uint64(size) {
 			return nil
 		}
 		id := c.next
@@ -77,7 +76,7 @@ func (c *Client) ReadFile(path string, size int) ([]byte, error) {
 		if _, err := c.conn.Write(req); err != nil {
 			return err
 		}
-		inflight[id] = pending{offset: sendOff}
+		inflight[id] = sendOff
 		sendOff += uint64(c.chunk)
 		return nil
 	}
@@ -88,71 +87,76 @@ func (c *Client) ReadFile(path string, size int) ([]byte, error) {
 	}
 
 	for len(inflight) > 0 {
-		resp, err := c.readResponse()
+		payload, err := c.readFrame()
 		if err != nil {
 			return nil, err
 		}
-		p, ok := inflight[resp.ReqID]
+		resp, nonce, ct, err := verify(&c.keys, payload)
+		if err != nil {
+			return nil, err
+		}
+		off, ok := inflight[resp.ReqID]
 		if !ok {
 			return nil, fmt.Errorf("sfs: unexpected response id %d", resp.ReqID)
 		}
 		delete(inflight, resp.ReqID)
 		if resp.Status == statusOverloaded {
-			return nil, fmt.Errorf("%w (offset %d)", ErrOverloaded, p.offset)
+			return nil, fmt.Errorf("%w (offset %d)", ErrOverloaded, off)
 		}
 		if resp.Status != statusOK {
-			return nil, fmt.Errorf("sfs: server status %d for offset %d", resp.Status, p.offset)
+			return nil, fmt.Errorf("sfs: server status %d for offset %d", resp.Status, off)
 		}
-		chunks[p.offset] = resp.Data
-		// Reassemble in order.
-		for {
-			data, ok := chunks[recvOff]
-			if !ok {
-				break
-			}
-			delete(chunks, recvOff)
-			out = append(out, data...)
-			recvOff += uint64(c.chunk)
+		// Requests start below size, so off indexes out; a last chunk
+		// reaching past size is cut there.
+		dst := out[off:]
+		if len(dst) > len(ct) {
+			dst = dst[:len(ct)]
+		}
+		if err := decrypt(&c.keys, nonce, dst, ct); err != nil {
+			return nil, err
+		}
+		if e := int(off) + len(dst); e > end {
+			end = e
 		}
 		if err := send(); err != nil {
 			return nil, err
 		}
 	}
-	if len(out) > size {
-		out = out[:size]
-	}
-	return out, nil
+	return out[:end], nil
 }
 
-// readResponse reads and opens one framed response.
-func (c *Client) readResponse() (Response, error) {
-	var r Response
+// readFrame returns the payload of the next framed response. It aliases
+// the client's read buffer and is valid until the next call.
+func (c *Client) readFrame() ([]byte, error) {
 	for {
-		frames, rest, err := SplitFrames(c.buf)
+		frames, _, err := SplitFrames(c.buf[c.rd:])
 		if err != nil {
-			return r, err
+			return nil, err
 		}
 		if len(frames) > 0 {
-			// Open the first frame before compacting: the frame
-			// aliases c.buf and compaction overwrites its bytes.
-			frame := frames[0]
-			resp, err := Open(&c.keys, frame)
-			consumed := 4 + len(frame)
-			c.buf = append(c.buf[:0], c.buf[consumed:]...)
-			return resp, err
+			c.rd += 4 + len(frames[0])
+			return frames[0], nil
 		}
-		_ = rest
-		tmp := make([]byte, 64<<10)
-		n, err := c.conn.Read(tmp)
+		// Make room for one more read: slide the unconsumed bytes to
+		// the front once the tail runs short, and grow only when a
+		// frame is larger than the buffer.
+		if cap(c.buf)-len(c.buf) < clientReadBytes {
+			unread, dst := c.buf[c.rd:], c.buf[:0]
+			if cap(c.buf)-len(unread) < clientReadBytes {
+				dst = make([]byte, 0, 2*cap(c.buf)+clientReadBytes)
+			}
+			c.buf, c.rd = append(dst, unread...), 0
+		}
+		n, err := c.conn.Read(c.buf[len(c.buf):cap(c.buf)])
+		c.buf = c.buf[:len(c.buf)+n]
 		if n > 0 {
-			c.buf = append(c.buf, tmp[:n]...)
 			continue
 		}
 		if err != nil {
 			if err == io.EOF {
-				return r, io.ErrUnexpectedEOF
+				return nil, io.ErrUnexpectedEOF
 			}
-			return r, err
+			return nil, err
 		}
 	}
 }
@@ -162,5 +166,5 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 // FrameSize reports the wire size of a sealed chunk of dataLen bytes.
 func FrameSize(dataLen int) int {
-	return 4 + 1 + 4 + 1 + nonceBytes + 4 + dataLen + macBytes
+	return 4 + respHeaderBytes + dataLen + macBytes
 }

@@ -109,61 +109,90 @@ type Response struct {
 	Data   []byte
 }
 
+// respHeaderBytes is the response payload up to the ciphertext:
+// type(1) reqID(4) status(1) nonce(16) ctLen(4).
+const respHeaderBytes = 1 + 4 + 1 + nonceBytes + 4
+
 // Seal encrypts and authenticates a response. The nonce must be unique
 // per key; the server uses a counter.
 func Seal(k *Keys, reqID uint32, status byte, nonce [nonceBytes]byte, plaintext []byte) ([]byte, error) {
+	return sealInto(nil, k, reqID, status, nonce, plaintext)
+}
+
+// sealInto is Seal building the frame in buf's storage when it is large
+// enough: the ciphertext is written straight to its place in the frame
+// and the MAC appended behind it, so a chunk costs no copy beyond the
+// encryption itself. buf must not overlap plaintext.
+func sealInto(buf []byte, k *Keys, reqID uint32, status byte, nonce [nonceBytes]byte, plaintext []byte) ([]byte, error) {
 	block, err := aes.NewCipher(k.enc[:])
 	if err != nil {
 		return nil, err
 	}
-	ct := make([]byte, len(plaintext))
+	n := FrameSize(len(plaintext))
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	frame := buf[:4]
+	binary.BigEndian.PutUint32(frame, uint32(n-4))
+	frame = append(frame, typeResponse)
+	frame = binary.BigEndian.AppendUint32(frame, reqID)
+	frame = append(frame, status)
+	frame = append(frame, nonce[:]...)
+	frame = binary.BigEndian.AppendUint32(frame, uint32(len(plaintext)))
+	ct := frame[len(frame) : len(frame)+len(plaintext)]
 	cipher.NewCTR(block, nonce[:]).XORKeyStream(ct, plaintext)
-
-	payload := make([]byte, 0, 1+4+1+nonceBytes+4+len(ct)+macBytes)
-	payload = append(payload, typeResponse)
-	payload = binary.BigEndian.AppendUint32(payload, reqID)
-	payload = append(payload, status)
-	payload = append(payload, nonce[:]...)
-	payload = binary.BigEndian.AppendUint32(payload, uint32(len(ct)))
-	payload = append(payload, ct...)
+	frame = frame[:len(frame)+len(ct)]
 
 	mac := hmac.New(sha256.New, k.mac[:])
-	mac.Write(payload)
-	payload = mac.Sum(payload)
-	return appendFrame(nil, payload), nil
+	mac.Write(frame[4:])
+	return mac.Sum(frame), nil
 }
 
 // Open verifies and decrypts a response payload.
 func Open(k *Keys, payload []byte) (Response, error) {
-	var r Response
-	if len(payload) < 1+4+1+nonceBytes+4+macBytes || payload[0] != typeResponse {
-		return r, ErrBadFrame
+	r, nonce, ct, err := verify(k, payload)
+	if err != nil {
+		return r, err
+	}
+	r.Data = make([]byte, len(ct))
+	return r, decrypt(k, nonce, r.Data, ct)
+}
+
+// verify authenticates a response payload and splits it: the returned
+// Response has no Data yet, nonce and ct alias payload.
+func verify(k *Keys, payload []byte) (r Response, nonce, ct []byte, err error) {
+	if len(payload) < respHeaderBytes+macBytes || payload[0] != typeResponse {
+		return r, nil, nil, ErrBadFrame
 	}
 	body := payload[:len(payload)-macBytes]
 	tag := payload[len(payload)-macBytes:]
 	mac := hmac.New(sha256.New, k.mac[:])
 	mac.Write(body)
-	if !hmac.Equal(tag, mac.Sum(nil)) {
-		return r, ErrBadMAC
+	var sum [macBytes]byte
+	if !hmac.Equal(tag, mac.Sum(sum[:0])) {
+		return r, nil, nil, ErrBadMAC
 	}
 
 	r.ReqID = binary.BigEndian.Uint32(body[1:5])
 	r.Status = body[5]
-	var nonce [nonceBytes]byte
-	copy(nonce[:], body[6:6+nonceBytes])
-	ctLen := int(binary.BigEndian.Uint32(body[6+nonceBytes : 10+nonceBytes]))
-	ct := body[10+nonceBytes:]
+	nonce = body[6 : 6+nonceBytes]
+	ctLen := int(binary.BigEndian.Uint32(body[6+nonceBytes : respHeaderBytes]))
+	ct = body[respHeaderBytes:]
 	if len(ct) != ctLen {
-		return r, ErrBadFrame
+		return r, nil, nil, ErrBadFrame
 	}
+	return r, nonce, ct, nil
+}
 
+// decrypt writes the plaintext of ct[:len(dst)] to dst, which must not
+// overlap ct.
+func decrypt(k *Keys, nonce, dst, ct []byte) error {
 	block, err := aes.NewCipher(k.enc[:])
 	if err != nil {
-		return r, err
+		return err
 	}
-	r.Data = make([]byte, len(ct))
-	cipher.NewCTR(block, nonce[:]).XORKeyStream(r.Data, ct)
-	return r, nil
+	cipher.NewCTR(block, nonce).XORKeyStream(dst, ct[:len(dst)])
+	return nil
 }
 
 // appendFrame appends a length-prefixed frame.

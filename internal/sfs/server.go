@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 
 	"github.com/melyruntime/mely"
@@ -57,10 +58,16 @@ type cryptoJob struct {
 	data   []byte
 }
 
+// sendJob carries a sealed frame from Crypto to Send. Jobs are recycled
+// with their frame storage (sendJobs): once Conn.Send returns the frame
+// is free again, because both netpoll backends copy whatever the kernel
+// did not take.
 type sendJob struct {
 	conn  *netpoll.Conn
 	frame []byte
 }
+
+var sendJobs = sync.Pool{New: func() any { return new(sendJob) }}
 
 // sfsConnState buffers partial frames per connection. Decode runs under
 // the default color, so a single goroutine... rather, a single color
@@ -85,8 +92,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 
 	s.hSend = s.rt.Register("sfs.Send", func(ctx *mely.Ctx) {
 		job := ctx.Data().(*sendJob)
-		if err := job.conn.Send(job.frame); err != nil {
-			job.conn.Shutdown()
+		conn := job.conn
+		err := conn.Send(job.frame)
+		job.conn = nil
+		sendJobs.Put(job)
+		if err != nil {
+			conn.Shutdown()
 			return
 		}
 		s.sent.Add(1)
@@ -96,12 +107,15 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		job := ctx.Data().(*cryptoJob)
 		var nonce [nonceBytes]byte
 		binary.BigEndian.PutUint64(nonce[:8], s.nonce.Add(1))
-		frame, err := Seal(&s.keys, job.reqID, job.status, nonce, job.data)
+		out := sendJobs.Get().(*sendJob)
+		frame, err := sealInto(out.frame, &s.keys, job.reqID, job.status, nonce, job.data)
 		if err != nil {
+			sendJobs.Put(out)
 			job.conn.Shutdown()
 			return
 		}
-		if err := ctx.Post(s.hSend, mely.DefaultColor, &sendJob{conn: job.conn, frame: frame}); err != nil {
+		out.conn, out.frame = job.conn, frame
+		if err := ctx.Post(s.hSend, mely.DefaultColor, out); err != nil {
 			job.conn.Shutdown()
 		}
 	}, mely.WithPenalty(cfg.CryptoPenalty))

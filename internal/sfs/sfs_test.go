@@ -243,3 +243,74 @@ func TestSealOpenProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSealOpenLeaveInputsIntact: callers seal one plaintext and open one
+// frame over and over; neither call may write to what it was given, and
+// sealing into recycled storage must produce the same bytes as a fresh
+// Seal whatever the storage held before.
+func TestSealOpenLeaveInputsIntact(t *testing.T) {
+	keys := DeriveKeys(psk)
+	plain := make([]byte, 4<<10)
+	rand.New(rand.NewSource(3)).Read(plain)
+	plainCopy := append([]byte(nil), plain...)
+	nonce := [nonceBytes]byte{7}
+
+	frame, err := Seal(&keys, 9, statusOK, nonce, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain, plainCopy) {
+		t.Fatal("Seal wrote to its plaintext")
+	}
+	if len(frame) != FrameSize(len(plain)) {
+		t.Fatalf("frame is %d bytes, FrameSize says %d", len(frame), FrameSize(len(plain)))
+	}
+	dirty := bytes.Repeat([]byte{0xAA}, len(frame)+100)
+	again, err := sealInto(dirty, &keys, 9, statusOK, nonce, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, frame) {
+		t.Fatal("sealing into recycled storage changed the frame")
+	}
+	if &again[0] != &dirty[0] {
+		t.Fatal("sealInto did not reuse storage that was large enough")
+	}
+
+	frameCopy := append([]byte(nil), frame...)
+	for i := 0; i < 2; i++ {
+		resp, err := Open(&keys, frame[4:])
+		if err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
+		if !bytes.Equal(resp.Data, plain) || !bytes.Equal(frame, frameCopy) {
+			t.Fatalf("open %d: wrong plaintext or frame written to", i)
+		}
+	}
+}
+
+// TestReadFileSizes: chunks are decrypted straight into the result, so
+// the sizes that do not line up with the chunk grid are the risky ones —
+// a size short of the file cuts the last chunk, a size past it (within
+// the same chunk) returns the file.
+func TestReadFileSizes(t *testing.T) {
+	content := make([]byte, 40<<10+123)
+	rand.New(rand.NewSource(4)).Read(content)
+	srv := startServer(t, map[string][]byte{"/f": content})
+	client, err := Dial(srv.Addr().String(), psk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	client.SetChunk(16 << 10)
+	for _, size := range []int{0, 1, 16 << 10, 16<<10 + 1, len(content) - 5, len(content), len(content) + 900} {
+		got, err := client.ReadFile("/f", size)
+		if err != nil {
+			t.Fatalf("size %d: %v", size, err)
+		}
+		want := content[:min(size, len(content))]
+		if !bytes.Equal(got, want) {
+			t.Fatalf("size %d: got %d bytes, want %d, or contents differ", size, len(got), len(want))
+		}
+	}
+}

@@ -12,8 +12,12 @@ import (
 	"sync/atomic"
 )
 
-// spinsBeforeYield bounds the busy-wait between scheduler yields.
-const spinsBeforeYield = 128
+// spinsBeforeYield bounds the busy-wait between scheduler yields. It is
+// sized to outlast the longest critical section the runtime holds the
+// lock for (a 32-event batch delivery, about 5µs): a contender that
+// yields sooner gives its processor away on every collision, and with
+// goroutine workers a producer and a worker then run in lock-step.
+const spinsBeforeYield = 4096
 
 // Lock is a TTAS spinlock padded to its own cache line so that locks of
 // neighboring cores do not false-share.

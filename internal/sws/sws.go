@@ -339,15 +339,18 @@ func (s *Server) writeResponse(ctx *mely.Ctx) {
 	if s.trace != nil { // guard: the concatenation must not cost the hot path
 		s.trace(job.state.conn, "respond "+status)
 	}
+	// Counted before the write and taken back if it fails: a client
+	// holding reply n must never read Served() < n.
+	s.served.Add(1)
 	// Send writes through the netpoll backend: on epoll, bytes the
 	// kernel buffer rejects queue per connection and drain on EPOLLOUT
 	// under this same color — a slow reader exerts backpressure without
 	// blocking the worker.
 	if err := job.state.conn.Send(resp); err != nil {
+		s.served.Add(-1)
 		job.state.conn.Shutdown()
 		return
 	}
-	s.served.Add(1)
 	if job.close {
 		job.state.conn.Shutdown()
 	}

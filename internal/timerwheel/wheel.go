@@ -295,10 +295,12 @@ func (w *Wheel) Add(e *Entry) (earlier bool) {
 		w.mu.Unlock()
 		return false
 	}
-	before := w.nextDue.Load()
+	// Read When under the lock: once it is released the owner may fire
+	// the entry, and a periodic entry's Rearm rewrites the deadline.
+	earlier = e.When < w.nextDue.Load()
 	w.addLocked(e)
 	w.mu.Unlock()
-	return e.When < before
+	return earlier
 }
 
 // Advance processes every tick up to now, appending each expired entry

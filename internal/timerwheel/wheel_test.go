@@ -378,6 +378,37 @@ func TestPeriodicRearmLoop(t *testing.T) {
 	}
 }
 
+// TestAddRacesRearm: a periodic entry is re-armed and re-added by
+// whoever fired it while the wheel it lands on belongs to another
+// worker, which may fire it again — and rewrite its deadline — the
+// moment Add releases the wheel lock. Add must be done with the entry by
+// then. Meaningful under -race, where a late read of When is reported.
+func TestAddRacesRearm(t *testing.T) {
+	w := New(tick, 3)
+	rearmed := make(chan *Entry, 1)
+	adder := make(chan struct{})
+	go func() {
+		defer close(adder)
+		for e := range rearmed {
+			w.Add(e)
+		}
+	}()
+	rearmed <- NewEntry(1, 0, nil, ms(1), ms(1))
+	var buf []*Entry
+	for now, fires := ms(1), 0; fires < 5000; now += ms(1) {
+		buf = w.Advance(now, buf[:0])
+		for _, e := range buf {
+			fires++
+			if !e.Rearm(now + e.Period) {
+				t.Fatal("rearm of a firing periodic entry must succeed")
+			}
+			rearmed <- e
+		}
+	}
+	close(rearmed)
+	<-adder
+}
+
 func TestOneLevelWheelNeverFiresEarly(t *testing.T) {
 	// A one-level wheel has no higher level to park beyond-horizon
 	// deadlines in: every slot turn must re-check the true deadline

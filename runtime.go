@@ -121,6 +121,17 @@ type rcore struct {
 
 	wake chan struct{}
 
+	// runCQ is the ColorQueue the running color's event was popped from
+	// (Mely layout; nil when nothing runs). A thief never takes the
+	// running color and its lease cannot expire, so until the next pop
+	// this queue is the color's tabled queue on this core, and a
+	// continuation of the color is pushed to it without a color-table
+	// round trip (deliverLocked). That holds for a queue the pop emptied
+	// as well: it stays tabled for the one handler execution, and the
+	// next popLocal (or clearRunning) retires it if the handler did not
+	// re-link it. Non-nil only while hasRunning; guarded by lock.
+	runCQ *equeue.ColorQueue
+
 	// wheel is the core's timing wheel: timers for colors owned here are
 	// armed here, harvested by this worker, and migrate with their color.
 	wheel *timerwheel.Wheel
@@ -690,12 +701,22 @@ func (r *Runtime) enqueue(ev *equeue.Event) {
 // deliverLocked is the single lease-protocol delivery step, shared by
 // the per-event path (enqueue) and the batch path (deliverGroup). The
 // caller holds c.lock and resolved owner == c.id for ev's color. It
-// re-checks ownership against the table, applies the lease re-home
+// re-checks ownership against the table (except for a continuation of
+// the running color, which cannot have moved), applies the lease re-home
 // rule, and pushes on success, returning the ColorQueue pushed to (nil
 // for the list layout). ok=false means the color moved — stolen away,
 // or its expired lease was just re-homed here — and the caller must
 // re-route the event.
 func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) (*equeue.ColorQueue, bool) {
+	if cq := c.runCQ; cq != nil && cq.Color() == ev.Color {
+		// The running color continues itself: no ownership re-check is
+		// needed, a running color can neither be stolen nor lose its
+		// lease (see rcore.runCQ).
+		if c.mely.Push(cq, ev) {
+			c.stats.colorQueueChurns.Add(1)
+		}
+		return cq, true
+	}
 	if home := r.table.Hash(ev.Color); owner == home {
 		// Home delivery, the common case: one stripe hop re-checks
 		// ownership and installs the queue (see DeliverHome).
@@ -770,12 +791,15 @@ func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) (*equeue.
 	}
 }
 
-// worker is the per-core scheduling loop.
+// worker is the per-core scheduling loop. It is an ordinary goroutine,
+// so waking it is a run-queue insert; only Config.Pin wires it to an OS
+// thread (sched_setaffinity acts on threads), which turns every wake-up
+// of a parked worker into a thread hand-off.
 func (r *Runtime) worker(c *rcore) {
 	defer r.wg.Done()
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
 	if r.cfg.Pin {
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
 		_ = affinity.Pin(c.id) // best effort; unpinned is correct, just less local
 	}
 
@@ -801,24 +825,20 @@ func (r *Runtime) worker(c *rcore) {
 			continue
 		}
 		idle++
-		if idle <= r.cfg.IdleSpins {
-			runtime.Gosched()
-			continue
-		}
 		// Adaptive steal throttling: when probes keep failing — the
 		// steal-storm shape, many cores idle and hammering the same few
 		// victim locks — park for exponentially growing slices
 		// (StealBackoff, 2x per fruitless round, capped at ParkTimeout)
 		// instead of a full ParkTimeout, so a lone idle worker reacts
-		// fast while a stampede quiets itself. An unpark (new work) or
-		// any successful round resets the streak.
+		// fast while a stampede quiets itself. Any successful round
+		// resets the streak.
 		d := r.cfg.ParkTimeout
 		if r.cfg.StealBackoff > 0 {
 			// Double per fruitless round, stopping at the ParkTimeout
 			// ceiling — doubling instead of shifting by the streak so a
 			// large StealBackoff cannot overflow into a negative park.
 			bd := r.cfg.StealBackoff
-			for i := r.cfg.IdleSpins + 1; i < idle && bd < d; i++ {
+			for i := 1; i < idle && bd < d; i++ {
 				bd <<= 1
 			}
 			if bd < d {
@@ -832,7 +852,55 @@ func (r *Runtime) worker(c *rcore) {
 			continue // a timer is already due; harvest instead of parking
 		}
 		c.stats.parks.Add(1)
-		c.park(d)
+		r.park(c, d)
+	}
+}
+
+// park puts the worker to sleep for at most d, or until a wake token
+// arrives.
+func (r *Runtime) park(c *rcore, d time.Duration) {
+	r.clearRunning(c)
+	// A wake token may already be buffered: a post landed after our last
+	// queue scan (every unpark sends unconditionally, so the token
+	// cannot be missed the way a parked-flag handshake could if unpark
+	// read the flag before park stored it). Consume it and return to
+	// re-scan instead of sleeping.
+	select {
+	case <-c.wake:
+		return
+	default:
+	}
+	// One reusable timer per core: parks are the worker's steady idle
+	// state and a fresh time.NewTimer per park was a measurable
+	// allocation on the idle path. The stop-and-drain before Reset
+	// clears a stale expiry from a wake-interrupted park; a value that
+	// slips through at worst ends one future park early, which is always
+	// safe here (the loop just re-scans).
+	if c.parkTimer == nil {
+		c.parkTimer = time.NewTimer(d)
+	} else {
+		if !c.parkTimer.Stop() {
+			select {
+			case <-c.parkTimer.C:
+			default:
+			}
+		}
+		c.parkTimer.Reset(d)
+	}
+	select {
+	case <-c.wake:
+	case <-c.parkTimer.C:
+	}
+}
+
+// unpark deposits a wake token unconditionally (non-blocking, buffered
+// chan of one): if the worker is awake the token makes its next park
+// return immediately, closing the missed-wakeup window. Callers publish
+// the work the worker should find first.
+func (c *rcore) unpark() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -848,12 +916,10 @@ func (r *Runtime) popLocal(c *rcore) *equeue.Event {
 		if r.pol.TimeLeft {
 			c.mely.SetStealCost(r.stealMon.Estimate())
 		}
-		var emptied *equeue.ColorQueue
-		ev, emptied = c.mely.PopNext()
-		if emptied != nil {
-			r.table.ClearQueue(emptied.Color(), emptied)
-			c.mely.ReleaseColorQueue(emptied)
-			c.stats.colorQueueChurns.Add(1)
+		r.retireRunCQ(c)
+		ev, c.runCQ = c.mely.PopNextFrom()
+		if c.runCQ != nil && c.runCQ.Len() == 0 {
+			c.stats.colorQueueChurns.Add(1) // the pop unlinked it
 		}
 		c.qlen.Store(int32(c.mely.Len()))
 		c.stealLen.Store(int32(c.mely.Stealing().Len()))
@@ -951,56 +1017,22 @@ func (c *rcore) syncDiskLen() {
 
 // clearRunning marks the worker as not executing (before stealing or
 // parking) so its last color becomes stealable again.
-func (c *rcore) clearRunning() {
+func (r *Runtime) clearRunning(c *rcore) {
 	c.lock.Lock()
 	c.hasRunning = false
+	r.retireRunCQ(c) // only valid while its color runs
 	c.lock.Unlock()
 }
 
-func (c *rcore) park(d time.Duration) {
-	c.clearRunning()
-	// A wake token may already be buffered: a post landed after our last
-	// queue scan (every unpark sends unconditionally, so the token
-	// cannot be missed the way the old parked-flag handshake could —
-	// unpark used to read the flag before park stored it, and a post in
-	// that window waited out the full ParkTimeout). Consume it and
-	// return to re-scan instead of sleeping.
-	select {
-	case <-c.wake:
-		return
-	default:
+// retireRunCQ forgets the running color's cached queue; one that its
+// last pop drained and no continuation re-linked also leaves the color
+// table and returns to the pool. Caller holds c.lock.
+func (r *Runtime) retireRunCQ(c *rcore) {
+	if cq := c.runCQ; cq != nil && cq.Len() == 0 {
+		r.table.ClearQueue(cq.Color(), cq)
+		c.mely.ReleaseColorQueue(cq)
 	}
-	// One reusable timer per core: parks are the worker's steady idle
-	// state and a fresh time.NewTimer per park was a measurable
-	// allocation on the idle path. The stop-and-drain before Reset
-	// clears a stale expiry from a wake-interrupted park; a value that
-	// slips through at worst ends one future park early, which is always
-	// safe here (the loop just re-scans).
-	if c.parkTimer == nil {
-		c.parkTimer = time.NewTimer(d)
-	} else {
-		if !c.parkTimer.Stop() {
-			select {
-			case <-c.parkTimer.C:
-			default:
-			}
-		}
-		c.parkTimer.Reset(d)
-	}
-	select {
-	case <-c.wake:
-	case <-c.parkTimer.C:
-	}
-}
-
-// unpark deposits a wake token unconditionally (non-blocking, buffered
-// chan of one): if the worker is awake the token makes its next park
-// return immediately, closing the missed-wakeup window.
-func (c *rcore) unpark() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
+	c.runCQ = nil
 }
 
 // rcoreView adapts a locked rcore to policy.VictimView.
@@ -1046,7 +1078,7 @@ func (v rcoreView) Stealing() *equeue.StealingQueue {
 // stealOnce runs one pass of the workstealing algorithm (Figure 2 plus
 // the configured heuristics) and reports whether work was migrated.
 func (r *Runtime) stealOnce(c *rcore) bool {
-	c.clearRunning()
+	r.clearRunning(c)
 	c.stats.stealAttempts.Add(1)
 	start := time.Now()
 
@@ -1059,6 +1091,9 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 	}
 	order := r.pol.VictimOrder(c.id, c.lenBuf, r.topo, c.victimBuf)
 
+	// unworthy records that some victim had events queued and none worth
+	// the current steal-cost estimate.
+	unworthy := false
 	for _, vid := range order {
 		v := r.cores[vid]
 		// Heuristic policies screen victims with the unlocked
@@ -1068,6 +1103,7 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 				continue
 			}
 			if r.pol.TimeLeft && v.stealLen.Load() == 0 {
+				unworthy = true
 				continue
 			}
 		}
@@ -1178,7 +1214,7 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 			c.stats.remoteSteals.Add(1)
 		}
 		c.stats.stealNanos.Add(dt)
-		r.stealMon.Observe(dt)
+		r.observeSteal(dt)
 		if len(colors) > 1 && len(r.cores) > 2 {
 			// The batch brought home more colors than one worker can
 			// drain at once; one wakeup lets a parked neighbor steal
@@ -1196,7 +1232,36 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 	}
 
 	c.stats.failedSteals.Add(1)
+	if unworthy {
+		r.decayStealCost()
+	}
 	return false
+}
+
+// stealSampleClamp bounds a measured steal fed to the monitor to this
+// multiple of the current estimate: the estimate still climbs to any
+// real cost within a few steals (+3/8 per clamped sample), but no single
+// outlier prices every color out.
+const stealSampleClamp = 4
+
+// observeSteal feeds one measured steal to the cost monitor. A thief
+// descheduled mid-steal measures its time off the CPU, not the steal,
+// hence the clamp.
+func (r *Runtime) observeSteal(dt int64) {
+	r.stealMon.Observe(min(dt, stealSampleClamp*r.stealMon.Estimate()))
+}
+
+// decayStealCost pulls the steal-cost estimate 1/64 of the way back to
+// StealCostSeed. It runs when a probe found work queued but nothing
+// worth the estimate: steals are the estimate's only corrective
+// samples, so an estimate too high to allow any would otherwise stand
+// for the runtime's life. (The monitor's own average takes an eighth of
+// the eighth fed here.)
+func (r *Runtime) decayStealCost() {
+	est, seed := r.stealMon.Estimate(), r.cfg.StealCostSeed.Nanoseconds()
+	if est > seed {
+		r.stealMon.Observe(est - (est-seed)>>3)
+	}
 }
 
 // Ctx is the execution context of a running handler.

@@ -123,14 +123,17 @@ func TestTimerReset(t *testing.T) {
 	r := startRuntime(t, Config{Cores: 1})
 	var fired atomic.Int64
 	h := r.Register("reset", func(ctx *Ctx) { fired.Add(1) })
-	tm, err := r.PostAfter(h, 3, 30*time.Millisecond, nil)
+	// The deadline is 15 sleeps away so that a test goroutine kept off a
+	// loaded 2-CPU host for a few of them still resets an armed timer.
+	const keepAlive = 150 * time.Millisecond
+	tm, err := r.PostAfter(h, 3, keepAlive, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Keep-alive: push the deadline out a few times, then let it fire.
 	for i := 0; i < 3; i++ {
 		time.Sleep(10 * time.Millisecond)
-		if !tm.Reset(30 * time.Millisecond) {
+		if !tm.Reset(keepAlive) {
 			t.Fatalf("Reset %d of an armed timer failed", i)
 		}
 	}
