@@ -37,10 +37,12 @@ type BatchEvent struct {
 // Saturated first or use PostBatchEdge where the edge-backpressure
 // contract applies.
 func (r *Runtime) PostBatch(batch []BatchEvent) error {
-	return r.postBatch(batch, true, 0, 0)
+	return r.postBatch(batch, nil, true)
 }
 
-func (r *Runtime) postBatch(batch []BatchEvent, external bool, ptrace, pspan uint64) error {
+// postBatch is PostBatch with the posting handler context (nil outside
+// a handler) and the external mark; see Runtime.post for both.
+func (r *Runtime) postBatch(batch []BatchEvent, from *Ctx, external bool) error {
 	n := len(batch)
 	if n == 0 {
 		return nil
@@ -64,7 +66,7 @@ func (r *Runtime) postBatch(batch []BatchEvent, external bool, ptrace, pspan uin
 			}
 		}
 		for _, be := range batch {
-			if err := r.post(nil, be.Handler, be.Color, be.Data, external, ptrace, pspan); err != nil {
+			if err := r.post(nil, from, be.Handler, be.Color, be.Data, external); err != nil {
 				return err
 			}
 		}
@@ -87,12 +89,19 @@ func (r *Runtime) postBatch(batch []BatchEvent, external bool, ptrace, pspan uin
 	)
 	s := r.scratch.Get().(*batchScratch)
 	s.prepare(n, len(r.cores))
-	var nextSpan uint64
+	var ptrace, pspan uint64
+	if from != nil {
+		ptrace, pspan = from.ev.TraceID, from.ev.SpanID
+	}
+	// One atomic each for the whole batch: reserve a block of span ids
+	// and of sample ticks and hand them out sequentially (ids need only
+	// be unique per runtime, not dense in post order across posters).
+	var nextSpan, tick uint64
 	if r.traceOn {
-		// One atomic for the whole batch: reserve a block of span ids
-		// and hand them out sequentially (ids need only be unique per
-		// runtime, not dense in post order across posters).
 		nextSpan = r.traceSeq.Add(uint64(n)) - uint64(n) + 1
+	}
+	if r.obsOn {
+		tick = r.obsSeq.Add(uint64(n)) - uint64(n)
 	}
 	// With no color deviated anywhere, Owner == Hash for every color:
 	// resolution is pure math and the color→owner memo is unnecessary
@@ -107,7 +116,7 @@ func (r *Runtime) postBatch(batch []BatchEvent, external bool, ptrace, pspan uin
 				return unknownHandlerError(be.Handler)
 			}
 			lastID = be.Handler.id
-			lastCost = r.estimate(int32(idx))
+			lastCost = hs[idx].estimate()
 			lastPen = r.pol.EffectivePenalty(hs[idx].penalty)
 		}
 		ev := &slab[i]
@@ -117,7 +126,7 @@ func (r *Runtime) postBatch(batch []BatchEvent, external bool, ptrace, pspan uin
 		ev.Penalty = lastPen
 		ev.Slab = true
 		ev.Data = be.Data
-		if r.obsOn && r.obsSeq.Add(1)&r.obsMask == 0 {
+		if tick++; r.obsOn && tick&r.obsMask == 0 {
 			ev.PostNanos = r.now()
 		}
 		if r.traceOn {
@@ -339,5 +348,5 @@ func (r *Runtime) deliverGroup(owner int, slab []equeue.Event, next []int32, hea
 // blocked by an overload bound. With tracing on, every entry of the
 // batch becomes a child span of the posting handler's event.
 func (ctx *Ctx) PostBatch(batch []BatchEvent) error {
-	return ctx.r.postBatch(batch, false, ctx.ev.TraceID, ctx.ev.SpanID)
+	return ctx.r.postBatch(batch, ctx, false)
 }

@@ -12,6 +12,7 @@ package mely
 // (post/execute throughput and steal latency) at the end.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -300,6 +301,68 @@ func BenchmarkRuntimePostBatch(b *testing.B) {
 	}
 	b.Run("post", func(b *testing.B) { run(b, false) })
 	b.Run("batch64", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkChainTwoCores is the dev-loop reading of the per-event hot
+// path (the perf ledger's events_chain in 2 s): waves of 4096 roots over
+// 1024 colors spread evenly on 2 cores, posted by PostBatch in 64-event
+// chunks, each root running a 3-stage same-color chain of no-op handlers
+// that continue with Ctx.Post; the producer drains between waves. It
+// reports ns and allocations per handler execution (the root slabs are
+// the only steady-state allocation).
+func BenchmarkChainTwoCores(b *testing.B) {
+	const (
+		nColors   = 1024
+		waveRoots = 4096
+		chunk     = 64
+		stages    = 3
+	)
+	r, err := New(Config{Cores: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var hs [stages]Handler
+	for i := stages - 1; i >= 0; i-- {
+		next := Handler{}
+		if i < stages-1 {
+			next = hs[i+1]
+		}
+		hs[i] = r.Register("stage", func(ctx *Ctx) {
+			if next != (Handler{}) {
+				if err := ctx.Post(next, ctx.Color(), ctx.Data()); err != nil {
+					b.Error(err)
+				}
+			}
+		})
+	}
+	colors := append(colorsOn(r, 0, nColors/2), colorsOn(r, 1, nColors/2)...)
+	batch := make([]BatchEvent, waveRoots)
+	for i := range batch {
+		batch[i] = BatchEvent{Handler: hs[0], Color: colors[i%nColors]}
+	}
+	if err := r.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer r.Stop()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	done := 0
+	for ; done < b.N; done += waveRoots * stages {
+		for j := 0; j < waveRoots; j += chunk {
+			if err := r.PostBatch(batch[j : j+chunk]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := r.Drain(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	// Whole waves run, so the count executed is b.N rounded up to one.
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(done), "ns/event")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(done), "allocs/event")
 }
 
 // BenchmarkUnbalancedSteal measures the real runtime's steal-path

@@ -3,6 +3,7 @@ package mely
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"github.com/melyruntime/mely/internal/policy"
@@ -144,7 +145,11 @@ type Config struct {
 	// every ObsSampleRate posted events carries a timestamp from post to
 	// execution, feeding the per-core queue-delay and execution-time
 	// histograms (Stats.Cores[i].QueueDelayHist / ExecTimeHist) and the
-	// per-color delay attribution. Rounded up to a power of two. 0 means
+	// per-color delay attribution. The one-in-N count runs per posting
+	// core for posts made on a worker (Ctx.Post, timer firings, spill
+	// reloads) and on one shared sequence for every other poster, so
+	// each posting source is sampled at the rate on its own. Rounded up
+	// to a power of two. 0 means
 	// the default of 64 (≈1.6% of events, within noise of the posting
 	// hot path); 1 samples every event; negative disables the latency
 	// histograms entirely.
@@ -393,7 +398,7 @@ func (c Config) validate() error {
 // detectTopology discovers the host hierarchy, falling back to a flat
 // layout truncated or extended to n cores.
 func detectTopology(n int) *topology.Topology {
-	if topo, err := topology.FromSysFS("/sys/devices/system/cpu"); err == nil && topo.NumCores() >= n {
+	if topo, err := sysTopology(); err == nil && topo.NumCores() >= n {
 		if topo.NumCores() == n {
 			return topo
 		}
@@ -410,3 +415,11 @@ func detectTopology(n int) *topology.Topology {
 	}
 	return topology.Uniform(n)
 }
+
+// sysTopology reads the machine's cache and package layout from sysfs
+// once per process: the hardware does not change under a running
+// program, a Topology is read-only after construction, and the read
+// (a few dozen small files, ~0.6 ms) was most of what New cost.
+var sysTopology = sync.OnceValues(func() (*topology.Topology, error) {
+	return topology.FromSysFS("/sys/devices/system/cpu")
+})

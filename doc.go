@@ -219,6 +219,23 @@
 // counts the shortened parks. A negative StealBackoff makes every park
 // last ParkTimeout.
 //
+// The hot path. An event that a handler posts as a continuation of its
+// own color writes, from post to completion, no word another core
+// writes except its core's spinlock: the worker draws span ids from a
+// block it reserved, counts the one-in-ObsSampleRate latency sample on
+// its own counter, recycles events through its own free stack, feeds a
+// handler's shared profile the mean of every 16 executions it ran (at
+// once while the handler has no estimate), and the running event hands
+// its pending count — what Drain waits on — to that continuation
+// instead of adding one and subtracting one. An execution reads the
+// monotonic clock twice and everything timed (profile, stall stamp,
+// latency sample, flight recorder) uses those two readings. Posts from
+// outside a handler have no core and keep the runtime-wide sequences,
+// which PostBatch reserves once per batch. docs/architecture.md
+// tabulates the shared writes per posting path and states why Drain
+// stays exact; BenchmarkChainTwoCores is the two-second reading of this
+// path.
+//
 // The simulated counterpart of this runtime (internal/sim) executes the
 // same queue structures and policies on a modeled 8-core machine and
 // regenerates every table and figure of the paper: see cmd/melybench

@@ -105,11 +105,10 @@ func (t *colorDelayTable) snapshot() []ColorDelay {
 
 // observeExec is the execution-side half of the latency sampling and
 // the flight recorder's exec record. Called by execute only when the
-// event is sampled or the recorder is on; start is the execution start
-// already measured for the profiler, so the instrumentation adds no
-// clock reads.
-func (r *Runtime) observeExec(c *rcore, ev *equeue.Event, start time.Time, elapsed int64) {
-	startRel := start.Sub(r.epoch).Nanoseconds()
+// event is sampled or the recorder is on; startRel is the execution
+// start (runtime-epoch nanoseconds) already measured for the profiler,
+// so the instrumentation adds no clock reads.
+func (r *Runtime) observeExec(c *rcore, ev *equeue.Event, startRel, elapsed int64) {
 	if post := ev.PostNanos; post != 0 {
 		d := startRel - post
 		if d < 0 {

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -319,6 +320,111 @@ func TestObsSamplingRateOne(t *testing.T) {
 	}
 	if attributed != n {
 		t.Errorf("attributed samples = %d, want %d (3 colors fit in top-%d)", attributed, n, ColorTopK)
+	}
+}
+
+// TestObsSamplingShare: every posting path ticks a sampling sequence
+// exactly once per event — the worker's own for Ctx.Post, timer firings
+// and reloads, the shared one (reserved per batch by PostBatch) for
+// everyone else — so on each path the sampled share of executed events
+// stays within 20 % of 1/ObsSampleRate.
+func TestObsSamplingShare(t *testing.T) {
+	const rate, events = 16, 32000
+	paths := []struct {
+		name string
+		cfg  Config // a bounded one is started only after posting
+		post func(t *testing.T, r *Runtime, h Handler, colors []Color)
+	}{
+		{"Post", Config{}, func(t *testing.T, r *Runtime, h Handler, colors []Color) {
+			for i := 0; i < events; i++ {
+				if err := r.Post(h, colors[i%len(colors)], 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"PostBatch", Config{}, func(t *testing.T, r *Runtime, h Handler, colors []Color) {
+			// 50-event batches: no multiple of the rate, so a per-batch
+			// restart of the sequence would show.
+			batch := make([]BatchEvent, 50)
+			for i := range batch {
+				batch[i] = BatchEvent{Handler: h, Color: colors[i%len(colors)], Data: 0}
+			}
+			for i := 0; i < events/len(batch); i++ {
+				if err := r.PostBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"Ctx.Post", Config{}, func(t *testing.T, r *Runtime, h Handler, colors []Color) {
+			// h re-posts itself Data more times: 64 chains on both cores.
+			for i := 0; i < 64; i++ {
+				if err := r.Post(h, colors[i%len(colors)], events/64-1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"timers", Config{}, func(t *testing.T, r *Runtime, h Handler, colors []Color) {
+			for i := 0; i < events; i++ {
+				if _, err := r.PostAfter(h, colors[i%len(colors)], 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		// Posted before Start, so all but the first 64 events go to disk
+		// and come back through a worker's reload.
+		{"spill", Config{MaxQueuedEvents: 64, OverloadPolicy: OverloadSpill}, func(t *testing.T, r *Runtime, h Handler, colors []Color) {
+			for i := 0; i < events; i++ {
+				if err := r.Post(h, colors[i%8], 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			cfg := p.cfg
+			cfg.Cores, cfg.ObsSampleRate = 2, rate
+			r := newRuntime(t, cfg)
+			t.Cleanup(r.Stop)
+			if !r.Bounded() {
+				if err := r.Start(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var ran atomic.Int64
+			var h Handler
+			h = r.Register("work", func(ctx *Ctx) {
+				defer ran.Add(1)
+				if n := ctx.Data().(int); n > 0 {
+					if err := ctx.Post(h, ctx.Color(), n-1); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			p.post(t, r, h, append(colorsOn(r, 0, 32), colorsOn(r, 1, 32)...))
+			if r.Bounded() {
+				if err := r.Start(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Armed timers are not pending events yet: wait for the count.
+			for deadline := time.Now().Add(60 * time.Second); ran.Load() < events && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			drain(t, r)
+			st := r.Stats()
+			tot := st.Total()
+			if tot.Events != events {
+				t.Fatalf("%d events ran, want %d", tot.Events, events)
+			}
+			if r.Bounded() && st.ReloadedEvents != events-64 {
+				t.Fatalf("%d of %d events took the disk round trip, want all but 64", st.ReloadedEvents, events)
+			}
+			got, want := float64(tot.QueueDelayHist.Count()), float64(events)/rate
+			if got < 0.8*want || got > 1.2*want {
+				t.Errorf("%v of %d events sampled, want %v +-20%%", got, events, want)
+			}
+		})
 	}
 }
 

@@ -158,7 +158,7 @@ func (p SpillSyncPolicy) internal() spillq.SyncPolicy {
 // runtime makes posters wait for queue space, and ctx bounds that wait.
 // Under every other configuration it behaves exactly like Post.
 func (r *Runtime) PostContext(ctx context.Context, h Handler, color Color, data any) error {
-	return r.post(ctx, h, color, data, true, 0, 0)
+	return r.post(ctx, nil, h, color, data, true)
 }
 
 // PostEdge posts an event that is never rejected or blocked by an
@@ -171,13 +171,13 @@ func (r *Runtime) PostContext(ctx context.Context, h Handler, color Color, data 
 // blocking would only lose or deadlock. Everything else should use
 // Post, which the bounds actually govern.
 func (r *Runtime) PostEdge(h Handler, color Color, data any) error {
-	return r.post(nil, h, color, data, false, 0, 0)
+	return r.post(nil, nil, h, color, data, false)
 }
 
 // PostBatchEdge is PostEdge's batch form (see PostBatch for the
 // delivery semantics).
 func (r *Runtime) PostBatchEdge(batch []BatchEvent) error {
-	return r.postBatch(batch, false, 0, 0)
+	return r.postBatch(batch, nil, false)
 }
 
 // Bounded reports whether the runtime enforces overload bounds
@@ -396,7 +396,7 @@ func (a *admission) adoptRecovered(color equeue.Color, n, cost int64) {
 	st.reloading = true
 	s.mu.Unlock()
 	a.r.syncSpillMirror(color, n, cost)
-	a.reload(color)
+	a.reload(nil, color)
 }
 
 // close shuts the spill store down and releases blocked posters.
@@ -653,8 +653,9 @@ func (a *admission) wakeBlocked() {
 // the gauge decrement, the Block-policy wake, the low-water reload
 // trigger for its color, and the starved-color pickup that runs on any
 // completion once global headroom exists. Called by the workers after
-// every handler execution on a bounded runtime.
-func (a *admission) noteExec(color equeue.Color) {
+// every handler execution on a bounded runtime; c is the calling
+// worker's core (reloaded events are built on it, see buildEvent).
+func (a *admission) noteExec(c *rcore, color equeue.Color) {
 	a.queued.Add(-1)
 	if a.blockWaiters.Load() > 0 {
 		a.wakeBlocked()
@@ -696,11 +697,11 @@ func (a *admission) noteExec(color equeue.Color) {
 		}
 		s.mu.Unlock()
 		if doReload {
-			a.reload(color)
+			a.reload(c, color)
 		}
 	}
 	if a.starvedN.Load() > 0 && a.headroom() {
-		a.reloadStarved()
+		a.reloadStarved(c)
 	}
 }
 
@@ -723,7 +724,7 @@ func (a *admission) markStarvedLocked(st *colorAdm, color equeue.Color) {
 // drained while the machine was at its bound cannot be stranded on
 // disk: some in-memory event must complete before headroom appears,
 // and that completion lands here.
-func (a *admission) reloadStarved() {
+func (a *admission) reloadStarved(c *rcore) {
 	a.starvedMu.Lock()
 	var color equeue.Color
 	var have bool
@@ -751,7 +752,7 @@ func (a *admission) reloadStarved() {
 	}
 	st.reloading = true
 	s.mu.Unlock()
-	a.reload(color)
+	a.reload(c, color)
 }
 
 // reload drains one color's disk tail back into the in-memory queues:
@@ -765,8 +766,9 @@ func (a *admission) reloadStarved() {
 // empty AND delivered). Disk reads happen outside the shard mutex —
 // st.reloading serializes readers per color, and appenders reserve
 // st.disk before touching the store, so a read can at worst come up
-// short (an append in flight), never inconsistent.
-func (a *admission) reload(color equeue.Color) {
+// short (an append in flight), never inconsistent. c is the core whose
+// worker is calling, nil when the caller is no worker.
+func (a *admission) reload(c *rcore, color equeue.Color) {
 	var buf []spillq.Record
 	for {
 		s := a.shard(color)
@@ -818,7 +820,7 @@ func (a *admission) reload(color equeue.Color) {
 			// sequentially consistent: either it saw the mark, or we
 			// see its decrement here).
 			if a.starvedN.Load() > 0 && a.headroom() {
-				a.reloadStarved()
+				a.reloadStarved(c)
 			}
 			return
 		}
@@ -882,7 +884,7 @@ func (a *admission) reload(color equeue.Color) {
 		a.reloaded.Add(n)
 		a.r.traceAux(obs.KindReload, 0, uint64(color), uint32(clampUint32(n)))
 		for i := range buf {
-			a.r.enqueue(a.r.eventFromRecord(&buf[i]))
+			a.r.enqueue(a.r.eventFromRecord(c, &buf[i]))
 		}
 		a.r.syncSpillMirror(color, diskAfter, costAfter)
 
@@ -913,8 +915,9 @@ func (a *admission) reload(color equeue.Color) {
 // a reload racing the in-flight write sees st.disk > 0 with the store
 // still short, comes up empty, and defers back to us: the post-append
 // section below re-triggers the reload, so a record landing on a color
-// whose memory already drained is never stranded.
-func (a *admission) appendRecord(color equeue.Color, rec spillq.Record) error {
+// whose memory already drained is never stranded. c is the core whose
+// worker is calling, nil when the caller is no worker.
+func (a *admission) appendRecord(c *rcore, color equeue.Color, rec spillq.Record) error {
 	w := weightedSpillCost(rec.Cost, rec.Penalty)
 	s := a.shard(color)
 	s.mu.Lock()
@@ -962,7 +965,7 @@ func (a *admission) appendRecord(color equeue.Color, rec spillq.Record) error {
 	s.mu.Unlock()
 	a.r.syncSpillMirror(color, disk, cost)
 	if doReload {
-		a.reload(color)
+		a.reload(c, color)
 	}
 	return nil
 }
@@ -1008,13 +1011,14 @@ func spillDepthBucket(d int64) int {
 // spillPost routes one disk-admitted external post: encode, count,
 // append. Unencodable payloads and store failures fall back to an
 // in-memory delivery (counted in SpillErrors) — overshooting the bound
-// beats losing the event.
-func (r *Runtime) spillPost(hs []handlerEntry, idx int32, color Color, data any, ptrace, pspan uint64) error {
+// beats losing the event. c is the core whose worker is posting, nil when
+// the poster is no worker.
+func (r *Runtime) spillPost(c *rcore, hs []handlerEntry, idx int32, color Color, data any, ptrace, pspan uint64) error {
 	tag, payload, ok := encodeSpillPayload(data)
 	if !ok {
 		r.adm.spillErrs.Add(1)
 		r.adm.forceMemory(equeue.Color(color))
-		ev, err := r.buildEvent(hs, Handler{id: idx + 1}, color, data, ptrace, pspan)
+		ev, err := r.buildEvent(c, hs, Handler{id: idx + 1}, color, data, ptrace, pspan)
 		if err != nil {
 			return err
 		}
@@ -1025,7 +1029,7 @@ func (r *Runtime) spillPost(hs []handlerEntry, idx int32, color Color, data any,
 	rec := spillq.Record{
 		Handler: idx,
 		Color:   uint64(color),
-		Cost:    r.estimate(idx),
+		Cost:    hs[idx].estimate(),
 		Penalty: r.pol.EffectivePenalty(hs[idx].penalty),
 		Tag:     tag,
 		Payload: payload,
@@ -1035,7 +1039,7 @@ func (r *Runtime) spillPost(hs []handlerEntry, idx int32, color Color, data any,
 		// full lineage to disk: the reloaded event is the SAME hop, not
 		// a new one, and melytrace sees one span spanning the disk
 		// round-trip.
-		span := r.traceSeq.Add(1)
+		span := r.newSpan(c)
 		rec.SpanID = span
 		if ptrace != 0 {
 			rec.TraceID, rec.ParentSpan = ptrace, pspan
@@ -1044,10 +1048,10 @@ func (r *Runtime) spillPost(hs []handlerEntry, idx int32, color Color, data any,
 		}
 	}
 	r.pending.Add(1)
-	if err := r.adm.appendRecord(equeue.Color(color), rec); err != nil {
+	if err := r.adm.appendRecord(c, equeue.Color(color), rec); err != nil {
 		r.adm.spillErrs.Add(1)
 		r.adm.forceMemory(equeue.Color(color))
-		ev, berr := r.buildEvent(hs, Handler{id: idx + 1}, color, data, ptrace, pspan)
+		ev, berr := r.buildEvent(c, hs, Handler{id: idx + 1}, color, data, ptrace, pspan)
 		if berr != nil {
 			r.pending.Add(-1)
 			return berr
@@ -1059,8 +1063,8 @@ func (r *Runtime) spillPost(hs []handlerEntry, idx int32, color Color, data any,
 
 // spillBuilt is spillPost for an already-materialized event (timer
 // firings): the event is released back to the pool once its record is
-// on disk.
-func (r *Runtime) spillBuilt(ev *equeue.Event) {
+// on disk. c is the core of the worker that fired the timer.
+func (r *Runtime) spillBuilt(c *rcore, ev *equeue.Event) {
 	tag, payload, ok := encodeSpillPayload(ev.Data)
 	if !ok {
 		r.adm.spillErrs.Add(1)
@@ -1081,14 +1085,14 @@ func (r *Runtime) spillBuilt(ev *equeue.Event) {
 		ParentSpan: ev.ParentSpan,
 	}
 	r.pending.Add(1)
-	if err := r.adm.appendRecord(ev.Color, rec); err != nil {
+	if err := r.adm.appendRecord(c, ev.Color, rec); err != nil {
 		r.adm.spillErrs.Add(1)
 		r.adm.forceMemory(ev.Color)
 		r.enqueue(ev)
 		return
 	}
 	*ev = equeue.Event{}
-	r.evPool.Put(ev)
+	r.recycleEvent(c, ev)
 }
 
 // eventFromRecord rebuilds a pooled event from a reloaded record. The
@@ -1096,8 +1100,8 @@ func (r *Runtime) spillBuilt(ev *equeue.Event) {
 // measured from its reload, not its original post — the disk dwell is
 // observable separately (SpilledEvents/SpilledNow), and folding it in
 // would let one spill burst dominate the delay histogram for good.
-func (r *Runtime) eventFromRecord(rec *spillq.Record) *equeue.Event {
-	ev := r.evPool.Get().(*equeue.Event)
+func (r *Runtime) eventFromRecord(c *rcore, rec *spillq.Record) *equeue.Event {
+	ev := r.newEvent(c)
 	*ev = equeue.Event{
 		Handler:    equeue.HandlerID(rec.Handler),
 		Color:      equeue.Color(rec.Color),
@@ -1108,7 +1112,7 @@ func (r *Runtime) eventFromRecord(rec *spillq.Record) *equeue.Event {
 		SpanID:     rec.SpanID,
 		ParentSpan: rec.ParentSpan,
 	}
-	if r.obsOn && r.obsSeq.Add(1)&r.obsMask == 0 {
+	if r.obsOn && r.sampleTick(c) {
 		ev.PostNanos = r.now()
 	}
 	return ev

@@ -66,7 +66,27 @@ type handlerEntry struct {
 	fn        HandlerFunc
 	penalty   int32
 	annotated time.Duration
+	// prof is the handler's execution-time profile. It rides in the entry
+	// so the copy-on-write handler table publishes it with the handler:
+	// whoever can see handler i can see its profile, also while Register
+	// runs beside the workers.
+	prof *profile.HandlerProfile
 }
+
+// Sizes of the worker-owned posting state (see rcore).
+const (
+	// profFeedEvery is how many executions of one handler a worker
+	// averages in its own memory before it feeds the shared profile.
+	profFeedEvery = 16
+	// spanBlockSize is how many span ids a worker reserves from traceSeq
+	// at a time.
+	spanBlockSize = 1024
+	// coreFreeMax bounds a worker's event free stack.
+	coreFreeMax = 256
+)
+
+// profAcc is one worker's unfed execution time of one handler.
+type profAcc struct{ sum, n int64 }
 
 // rstats are per-core counters, atomics so Stats can snapshot while
 // workers run.
@@ -153,7 +173,21 @@ type rcore struct {
 	// path's only heap allocation; one event executes at a time per
 	// worker, and a Ctx was never valid past the handler's return (its
 	// event is zeroed and pooled), so reuse is invisible to handlers.
-	ctx   Ctx
+	ctx Ctx
+
+	// Posting state of this core's worker. Only the worker touches it, so
+	// what a handler posts, a timer fires or a reload brings back on this
+	// core writes no word another core writes: span ids come from a block
+	// reserved from traceSeq ((spanNext, spanEnd]), the one-in-
+	// ObsSampleRate latency sample from obsTick, events from the free
+	// stack (execute refills it; evPool takes the overflow), and prof
+	// holds the execution times not yet fed to the shared handler
+	// profiles, by handler id.
+	spanNext, spanEnd uint64
+	obsTick           uint64
+	free              []*equeue.Event
+	prof              []profAcc
+
 	stats rstats
 
 	// ring is the core's flight-recorder buffer (nil when
@@ -192,7 +226,6 @@ type Runtime struct {
 	handlers atomic.Pointer[[]handlerEntry]
 	regMu    sync.Mutex
 
-	profiles *profile.Table
 	stealMon *profile.StealCostMonitor
 
 	started atomic.Bool
@@ -325,7 +358,6 @@ func New(cfg Config) (*Runtime, error) {
 		pol:      pol,
 		topo:     detectTopology(cfg.Cores),
 		table:    equeue.NewColorTable(cfg.Cores),
-		profiles: profile.NewTable(0),
 		stealMon: profile.NewStealCostMonitor(cfg.StealCostSeed.Nanoseconds()),
 		epoch:    time.Now(),
 	}
@@ -361,6 +393,7 @@ func New(cfg Config) (*Runtime, error) {
 			stealBuf:  make([]*equeue.ColorQueue, 0, stealCap),
 			colorBuf:  make([]equeue.Color, 0, stealCap),
 			setBuf:    make([]equeue.EventSet, 0, stealCap),
+			free:      make([]*equeue.Event, 0, coreFreeMax),
 		}
 		c.wheel.Owner = i
 		if cfg.TraceRing > 0 {
@@ -390,9 +423,12 @@ func New(cfg Config) (*Runtime, error) {
 // Register adds a handler. Registration is allowed at any time, also
 // while the runtime runs.
 func (r *Runtime) Register(name string, fn HandlerFunc, opts ...HandlerOption) Handler {
-	entry := handlerEntry{name: name, fn: fn, penalty: 1}
+	entry := handlerEntry{name: name, fn: fn, penalty: 1, prof: &profile.HandlerProfile{}}
 	for _, o := range opts {
 		o.apply(&entry)
+	}
+	if entry.annotated > 0 {
+		entry.prof.Annotate(entry.annotated.Nanoseconds())
 	}
 	r.regMu.Lock()
 	defer r.regMu.Unlock()
@@ -401,12 +437,7 @@ func (r *Runtime) Register(name string, fn HandlerFunc, opts ...HandlerOption) H
 	copy(next, old)
 	next[len(old)] = entry
 	r.handlers.Store(&next)
-	r.profiles.Grow(len(next))
-	idx := len(next) - 1
-	if entry.annotated > 0 {
-		r.profiles.Handler(idx).Annotate(entry.annotated.Nanoseconds())
-	}
-	return Handler{id: int32(idx) + 1}
+	return Handler{id: int32(len(next))}
 }
 
 // Start launches the worker goroutines.
@@ -568,19 +599,27 @@ func (r *Runtime) wakeDrainers() {
 // for queue space (see PostContext to bound the wait), or spilling the
 // color's tail to disk.
 func (r *Runtime) Post(h Handler, color Color, data any) error {
-	return r.post(nil, h, color, data, true, 0, 0)
+	return r.post(nil, nil, h, color, data, true)
 }
 
 // post is the shared delivery path behind Post, PostContext, Ctx.Post,
 // and the bounded-runtime leg of PostBatch. external marks posts from
 // outside handler context: only those can be rejected or blocked (a
 // rejected or blocked continuation would wedge the workers — see
-// OverloadPolicy's decision table). ptrace/pspan are the causal parent
-// (the trace and span of the event whose handler is posting); zero
-// makes the new event a trace root.
-func (r *Runtime) post(ctx context.Context, h Handler, color Color, data any, external bool, ptrace, pspan uint64) error {
+// OverloadPolicy's decision table). from is the handler context that is
+// posting (nil outside a handler): its event is the causal parent of the
+// new one — without it the new event is a trace root — and its core's
+// worker-owned posting state stands in for the runtime-wide counters.
+func (r *Runtime) post(ctx context.Context, from *Ctx, h Handler, color Color, data any, external bool) error {
 	if r.stopped.Load() {
 		return ErrStopped
+	}
+	var (
+		c             *rcore
+		ptrace, pspan uint64
+	)
+	if from != nil {
+		c, ptrace, pspan = from.core, from.ev.TraceID, from.ev.SpanID
 	}
 	hs := *r.handlers.Load()
 	if a := r.adm; a != nil {
@@ -593,14 +632,25 @@ func (r *Runtime) post(ctx context.Context, h Handler, color Color, data any, ex
 			return err
 		}
 		if route == routeDisk {
-			return r.spillPost(hs, int32(idx), color, data, ptrace, pspan)
+			return r.spillPost(c, hs, int32(idx), color, data, ptrace, pspan)
 		}
 	}
-	ev, err := r.buildEvent(hs, h, color, data, ptrace, pspan)
+	ev, err := r.buildEvent(c, hs, h, color, data, ptrace, pspan)
 	if err != nil {
 		return err
 	}
-	r.pending.Add(1)
+	if from != nil && !from.handedOn && ev.Color == from.ev.Color {
+		// The pending hand-off: a continuation of the running color takes
+		// over the running event's pending count instead of adding its
+		// own — execute then skips the decrement. The child cannot
+		// complete before the parent returns (a running color is neither
+		// executed elsewhere nor stolen), so the count never reads zero
+		// while either is unfinished and Drain stays exact. One hand-off
+		// per execution; every other post counts for itself.
+		from.handedOn = true
+	} else {
+		r.pending.Add(1)
+	}
 	r.enqueue(ev)
 	return nil
 }
@@ -610,30 +660,31 @@ func unknownHandlerError(h Handler) error {
 }
 
 // buildEvent validates the handler and materializes a pooled event.
-// ptrace/pspan are the causal parent's identifiers (zero = root): with
-// tracing on the event gets its own span id, inheriting the parent's
-// trace or founding a new one.
-func (r *Runtime) buildEvent(hs []handlerEntry, h Handler, color Color, data any, ptrace, pspan uint64) (*equeue.Event, error) {
+// c is the core whose worker is calling (nil off-worker; see newEvent,
+// sampleTick and newSpan). ptrace/pspan are the causal parent's
+// identifiers (zero = root): with tracing on the event gets its own
+// span id, inheriting the parent's trace or founding a new one.
+func (r *Runtime) buildEvent(c *rcore, hs []handlerEntry, h Handler, color Color, data any, ptrace, pspan uint64) (*equeue.Event, error) {
 	idx := int(h.id) - 1
 	if idx < 0 || idx >= len(hs) {
 		return nil, unknownHandlerError(h)
 	}
 	entry := &hs[idx]
-	ev := r.evPool.Get().(*equeue.Event)
+	ev := r.newEvent(c)
 	*ev = equeue.Event{
 		Handler: equeue.HandlerID(idx),
 		Color:   equeue.Color(color),
-		Cost:    r.estimate(int32(idx)),
+		Cost:    entry.estimate(),
 		Penalty: r.pol.EffectivePenalty(entry.penalty),
 		Data:    data,
 	}
-	if r.obsOn && r.obsSeq.Add(1)&r.obsMask == 0 {
+	if r.obsOn && r.sampleTick(c) {
 		// Sampled for latency observation: the stamp rides to execution,
 		// where the queue delay is measured (see observeExec).
 		ev.PostNanos = r.now()
 	}
 	if r.traceOn {
-		span := r.traceSeq.Add(1)
+		span := r.newSpan(c)
 		ev.SpanID = span
 		if ptrace != 0 {
 			ev.TraceID, ev.ParentSpan = ptrace, pspan
@@ -644,10 +695,60 @@ func (r *Runtime) buildEvent(hs []handlerEntry, h Handler, color Color, data any
 	return ev, nil
 }
 
+// newEvent takes an event off the calling worker's free stack, or from
+// the shared pool when that is empty or the caller is no worker (c nil).
+func (r *Runtime) newEvent(c *rcore) *equeue.Event {
+	if c != nil {
+		if n := len(c.free); n > 0 {
+			ev := c.free[n-1]
+			c.free[n-1] = nil
+			c.free = c.free[:n-1]
+			return ev
+		}
+	}
+	return r.evPool.Get().(*equeue.Event)
+}
+
+// recycleEvent takes back a zeroed event that newEvent handed out: onto
+// the calling worker's free stack while there is room, else to the pool.
+func (r *Runtime) recycleEvent(c *rcore, ev *equeue.Event) {
+	if len(c.free) < coreFreeMax {
+		c.free = append(c.free, ev)
+	} else {
+		r.evPool.Put(ev)
+	}
+}
+
+// sampleTick counts one post and reports whether it is the one in
+// ObsSampleRate sampled for latency: a worker counts the posts it makes
+// on its own core, every other poster on the shared sequence.
+func (r *Runtime) sampleTick(c *rcore) bool {
+	if c != nil {
+		c.obsTick++
+		return c.obsTick&r.obsMask == 0
+	}
+	return r.obsSeq.Add(1)&r.obsMask == 0
+}
+
+// newSpan allocates a span id, unique per runtime: a worker draws from
+// the block it reserved from traceSeq (as PostBatch reserves one per
+// batch), everyone else from traceSeq directly.
+func (r *Runtime) newSpan(c *rcore) uint64 {
+	if c == nil {
+		return r.traceSeq.Add(1)
+	}
+	if c.spanNext == c.spanEnd {
+		c.spanEnd = r.traceSeq.Add(spanBlockSize)
+		c.spanNext = c.spanEnd - spanBlockSize
+	}
+	c.spanNext++
+	return c.spanNext
+}
+
 // estimate is the profiled per-execution cost in nanoseconds, the
 // time-left heuristic's currency on the real platform.
-func (r *Runtime) estimate(h int32) int64 {
-	est := r.profiles.Handler(int(h)).Estimate()
+func (e *handlerEntry) estimate() int64 {
+	est := e.prof.Estimate()
 	if est <= 0 {
 		est = 1 // unprofiled handlers look cheap until measured
 	}
@@ -938,7 +1039,11 @@ func (r *Runtime) popLocal(c *rcore) *equeue.Event {
 func (r *Runtime) execute(c *rcore, ev *equeue.Event) {
 	hs := *r.handlers.Load()
 	entry := &hs[ev.Handler]
-	start := time.Now()
+	// One monotonic read at each end: the stall stamp, the profiler, the
+	// latency sample and the flight recorder all take the epoch-relative
+	// value as it is.
+	start := r.now()
+	handedOn := false
 	if entry.fn != nil {
 		if r.stallOn {
 			// Progress stamp for the stall watchdog: the descriptive
@@ -947,21 +1052,22 @@ func (r *Runtime) execute(c *rcore, ev *equeue.Event) {
 			c.execTrace.Store(ev.TraceID)
 			c.execSpan.Store(ev.SpanID)
 			c.execHandler.Store(int32(ev.Handler))
-			c.execStart.Store(start.Sub(r.epoch).Nanoseconds())
+			c.execStart.Store(start)
 		}
 		c.ctx = Ctx{r: r, core: c, ev: ev}
 		runHandler(entry, &c.ctx, &c.stats)
+		handedOn = c.ctx.handedOn
 		c.ctx.ev = nil // the event is about to be zeroed and pooled
 		if r.stallOn {
 			c.execStart.Store(0)
 			c.stalled.Store(false) // the episode (if any) ended with the handler
 		}
 	}
-	elapsed := time.Since(start).Nanoseconds()
+	elapsed := r.now() - start
 	if elapsed < 1 {
 		elapsed = 1
 	}
-	r.profiles.Handler(int(ev.Handler)).Observe(elapsed)
+	c.feedProfile(ev.Handler, entry.prof, elapsed)
 	c.stats.events.Add(1)
 	c.stats.execNanos.Add(elapsed)
 	if ev.Stolen {
@@ -975,7 +1081,7 @@ func (r *Runtime) execute(c *rcore, ev *equeue.Event) {
 	slabbed := ev.Slab
 	*ev = equeue.Event{} // release the payload reference promptly either way
 	if !slabbed {
-		r.evPool.Put(ev)
+		r.recycleEvent(c, ev)
 	}
 	if a := r.adm; a != nil {
 		// Overload accounting: the queued-events gauge drops, blocked
@@ -983,10 +1089,31 @@ func (r *Runtime) execute(c *rcore, ev *equeue.Event) {
 		// low-water mark pulls the next batch back from disk. Runs
 		// before the pending decrement so Drain cannot observe zero
 		// while this color still has a disk tail to reload.
-		a.noteExec(color)
+		a.noteExec(c, color)
 	}
-	if r.pending.Add(-1) == 0 && r.drainWaiters.Load() > 0 {
+	// An event that handed its pending count to a continuation (see post)
+	// has none left to give back.
+	if !handedOn && r.pending.Add(-1) == 0 && r.drainWaiters.Load() > 0 {
 		r.wakeDrainers()
+	}
+}
+
+// feedProfile accounts one execution of handler h to its profile p. The
+// time accumulates in the worker's own memory and reaches the shared
+// profile as a mean every profFeedEvery executions, so cores running one
+// handler do not CAS one word per event; while the handler has no
+// estimate yet the sample goes through at once, so the first execution
+// seeds it.
+func (c *rcore) feedProfile(h equeue.HandlerID, p *profile.HandlerProfile, elapsed int64) {
+	if int(h) >= len(c.prof) {
+		c.prof = append(c.prof, make([]profAcc, int(h)+1-len(c.prof))...)
+	}
+	acc := &c.prof[h]
+	acc.sum += elapsed
+	acc.n++
+	if acc.n == profFeedEvery || p.Estimate() == 0 {
+		p.Observe(acc.sum / acc.n)
+		*acc = profAcc{}
 	}
 }
 
@@ -1080,7 +1207,7 @@ func (v rcoreView) Stealing() *equeue.StealingQueue {
 func (r *Runtime) stealOnce(c *rcore) bool {
 	r.clearRunning(c)
 	c.stats.stealAttempts.Add(1)
-	start := time.Now()
+	start := r.now()
 
 	// Rank victims by effective depth: in-memory events plus the
 	// mirrored spill backlog of the colors linked there, so a victim
@@ -1202,10 +1329,9 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 		// re-resolves ownership — they just cost a remote post.
 		r.migrateTimersOnSteal(c, v, colors)
 
-		dt := time.Since(start).Nanoseconds()
+		dt := r.now() - start
 		if c.ring != nil {
-			c.ring.Append(obs.KindSteal, start.Sub(r.epoch).Nanoseconds(), dt,
-				uint64(vid), uint32(len(colors)))
+			c.ring.Append(obs.KindSteal, start, dt, uint64(vid), uint32(len(colors)))
 		}
 		c.stats.steals.Add(1)
 		c.stats.stolenColors.Add(int64(len(colors)))
@@ -1264,11 +1390,17 @@ func (r *Runtime) decayStealCost() {
 	}
 }
 
-// Ctx is the execution context of a running handler.
+// Ctx is the execution context of a running handler. It is valid until
+// the handler returns and belongs to the handler's goroutine: posting
+// through it uses the executing core's worker-owned state, so a handler
+// must not hand it to another goroutine (use Runtime.Post there).
 type Ctx struct {
 	r    *Runtime
 	core *rcore
 	ev   *equeue.Event
+	// handedOn records that this execution gave its pending count to a
+	// same-color continuation (see Runtime.post).
+	handedOn bool
 }
 
 // Post registers a follow-up event. It is an internal continuation:
@@ -1278,7 +1410,7 @@ type Ctx struct {
 // inherits this event's causal lineage (same trace, parented on this
 // span) when tracing is on.
 func (ctx *Ctx) Post(h Handler, color Color, data any) error {
-	return ctx.r.post(nil, h, color, data, false, ctx.ev.TraceID, ctx.ev.SpanID)
+	return ctx.r.post(nil, ctx, h, color, data, false)
 }
 
 // Data returns the event's payload.

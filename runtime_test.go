@@ -240,7 +240,7 @@ func TestPenaltyAnnotationFlows(t *testing.T) {
 func TestCostAnnotationPinsProfile(t *testing.T) {
 	r := newRuntime(t, Config{Cores: 1})
 	h := r.Register("fixed", func(ctx *Ctx) {}, WithCostEstimate(5*time.Millisecond))
-	if got := r.profiles.Handler(int(h.id) - 1).Estimate(); got != (5 * time.Millisecond).Nanoseconds() {
+	if got := (*r.handlers.Load())[h.id-1].prof.Estimate(); got != (5 * time.Millisecond).Nanoseconds() {
 		t.Fatalf("annotated estimate = %d", got)
 	}
 }
@@ -254,7 +254,7 @@ func TestProfileLearnsOnline(t *testing.T) {
 		}
 	}
 	drain(t, r)
-	if est := r.profiles.Handler(int(h.id) - 1).Estimate(); est < (100 * time.Microsecond).Nanoseconds() {
+	if est := (*r.handlers.Load())[h.id-1].prof.Estimate(); est < (100 * time.Microsecond).Nanoseconds() {
 		t.Fatalf("online estimate %dns did not learn a ~1ms handler", est)
 	}
 }

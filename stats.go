@@ -293,7 +293,8 @@ func (c CoreStats) MeanStealBatch() float64 {
 //	Cores[i].ExecTimeHist     histogram  sampled handler time (power-of-two)
 //	Cores[i].TopColorDelays   estimate   top-K per-color sampled delay attribution
 //	StealCostEstimate         estimate   monitored cost of one steal
-//	Pending                   gauge      posted-but-not-completed events
+//	Pending                   gauge      posted-but-not-completed events (0 only when
+//	                                     nothing is unfinished; see the field)
 //	StalledCores              gauge      cores currently stuck past StallThreshold
 //	TimersCanceled            counter    firings averted by Cancel
 //	PollWakeups               counter    poll wait returns (all sources)
@@ -325,7 +326,12 @@ type Stats struct {
 	// StealCostEstimate is the monitored cost of one steal, the
 	// threshold the time-left heuristic steals against.
 	StealCostEstimate time.Duration
-	// Pending counts posted-but-not-completed events.
+	// Pending counts posted-but-not-completed events. It is zero only
+	// when nothing is unfinished, but may read one lower than the number
+	// of unfinished events per currently executing handler that handed
+	// its count to a continuation of its own color (the parent is then
+	// still running while only the child is counted; see the hand-off
+	// rule in docs/architecture.md).
 	Pending int64
 	// StalledCores is the number of cores currently stuck in a handler
 	// past Config.StallThreshold, as of the watchdog's last check (0

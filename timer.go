@@ -183,7 +183,7 @@ func (r *Runtime) fireTimer(c *rcore, e *timerwheel.Entry, now int64) {
 	// unregister, so buildEvent cannot fail here. The fired event
 	// inherits the arming span's lineage (zeros when armed outside a
 	// handler, making the firing a trace root).
-	ev, err := r.buildEvent(*r.handlers.Load(), Handler{id: e.Handler + 1}, Color(e.Color), e.Data, e.TraceID, e.SpanID)
+	ev, err := r.buildEvent(c, *r.handlers.Load(), Handler{id: e.Handler + 1}, Color(e.Color), e.Data, e.TraceID, e.SpanID)
 	if err != nil {
 		return
 	}
@@ -198,7 +198,7 @@ func (r *Runtime) fireTimer(c *rcore, e *timerwheel.Entry, now int64) {
 		// blocked, but a spilling color's FIFO discipline still routes
 		// the event to the disk tail.
 		if a.admitInternal(equeue.Color(e.Color)) == routeDisk {
-			r.spillBuilt(ev)
+			r.spillBuilt(c, ev)
 		} else {
 			r.pending.Add(1)
 			r.enqueue(ev)

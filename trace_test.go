@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/melyruntime/mely/internal/equeue"
 	"github.com/melyruntime/mely/internal/obs"
 )
 
@@ -296,7 +297,8 @@ func TestTraceLineageSurvivesRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := rt1.post(nil, hWork, color, 200, false, parentTrace, parentSpan); err != nil {
+	parent := &Ctx{r: rt1, ev: &equeue.Event{TraceID: parentTrace, SpanID: parentSpan}}
+	if err := rt1.post(nil, parent, hWork, color, 200, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := rt1.Stats().SpilledEvents; got != 2 {
