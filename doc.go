@@ -129,7 +129,9 @@
 // through Conn.Send, which gives real backpressure — bytes the kernel
 // buffer rejects are queued per connection (bounded by
 // MaxPendingWriteBytes) and drained on EPOLLOUT under the
-// connection's color, with WriteStalls counting the stalls. On other
+// connection's color, with WriteStalls counting the stalls. Conn.Sendv
+// is Send for several buffers in one writev(2), which is how sws
+// answers a pipelined burst with one system call. On other
 // platforms (or with Backend: BackendPumps) the portable pump backend
 // substitutes one goroutine per listener and per connection; event
 // semantics are identical — the sws parity suite asserts equal

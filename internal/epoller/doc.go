@@ -1,7 +1,7 @@
 // Package epoller is a thin reactor layer over raw Linux epoll: an
 // edge-triggered epoll instance with 64-bit event tokens, a wake pipe
 // for out-of-band kicks, and the non-blocking descriptor operations
-// (accept4, read, write) a readiness loop needs, all via the syscall
+// (accept4, read, write, writev) a readiness loop needs, all via the syscall
 // package with no cgo and no extra dependencies.
 //
 // It exists so the mely runtime can own the event loop the way the

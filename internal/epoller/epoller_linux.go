@@ -8,6 +8,7 @@ import (
 	"os"
 	"sync"
 	"syscall"
+	"unsafe"
 )
 
 // Supported reports whether this platform has the raw epoll reactor.
@@ -392,6 +393,56 @@ func Write(fd int, p []byte) (int, error) {
 		}
 	}
 	return written, nil
+}
+
+// maxIovecs is the most buffers one writev(2) carries here. The kernel
+// takes up to IOV_MAX (1024); 64 keeps the vector on the stack.
+const maxIovecs = 64
+
+// Writev writes bufs, in order, to a non-blocking descriptor with
+// writev(2): one system call per 64 non-empty buffers instead of one
+// per buffer. It returns the bytes written across all of bufs; a short
+// count with ErrWouldBlock means the kernel buffer filled mid-vector.
+// bufs and its elements are not modified.
+func Writev(fd int, bufs [][]byte) (int, error) {
+	var iov [maxIovecs]syscall.Iovec
+	written := 0
+	skip := 0 // bytes of bufs[0] already written
+	for {
+		n, off := 0, skip
+		for _, b := range bufs {
+			b, off = b[off:], 0
+			if len(b) == 0 {
+				continue
+			}
+			if n == len(iov) {
+				break
+			}
+			iov[n].Base = &b[0]
+			iov[n].SetLen(len(b))
+			n++
+		}
+		if n == 0 {
+			return written, nil
+		}
+		r, _, errno := syscall.Syscall(syscall.SYS_WRITEV, uintptr(fd), uintptr(unsafe.Pointer(&iov[0])), uintptr(n))
+		switch errno {
+		case 0:
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return written, ErrWouldBlock
+		default:
+			return written, errno
+		}
+		written += int(r)
+		// Drop what was written from the front of bufs.
+		skip += int(r)
+		for len(bufs) > 0 && skip >= len(bufs[0]) {
+			skip -= len(bufs[0])
+			bufs = bufs[1:]
+		}
+	}
 }
 
 // CloseFd closes a raw descriptor.

@@ -528,8 +528,15 @@ func (ec *epollConn) drainLocked() (closeAfter bool) {
 // mean the peer has stopped reading — the connection is shut down
 // instead of buffering without bound.
 func (ec *epollConn) send(p []byte) error {
+	one := [1][]byte{p}
+	return ec.sendv(one[:])
+}
+
+// sendv implements Conn.Sendv, and Send as its one-buffer case: the
+// EAGAIN, pending-queue and budget handling exists once.
+func (ec *epollConn) sendv(bufs [][]byte) error {
 	ec.wmu.Lock()
-	err, closeAfter := ec.sendLocked(p)
+	err, closeAfter := ec.sendLocked(bufs)
 	ec.wmu.Unlock()
 	if closeAfter {
 		ec.conn.Shutdown() // outside wmu: see drainWritable
@@ -537,36 +544,54 @@ func (ec *epollConn) send(p []byte) error {
 	return err
 }
 
-func (ec *epollConn) sendLocked(p []byte) (err error, closeAfter bool) {
+func (ec *epollConn) sendLocked(bufs [][]byte) (err error, closeAfter bool) {
 	if ec.fdDead {
 		return net.ErrClosed, false
 	}
 	if len(ec.pending) > 0 {
 		// Already backlogged: order behind the queue.
-		return ec.queueLocked(p)
+		return ec.queueLocked(bufs, 0)
 	}
-	n, werr := epoller.Write(ec.fd, p)
+	var n int
+	var werr error
+	if len(bufs) == 1 {
+		n, werr = epoller.Write(ec.fd, bufs[0]) // Send: plain write(2)
+	} else {
+		n, werr = epoller.Writev(ec.fd, bufs)
+	}
 	switch {
 	case werr == nil:
 		return nil, false
 	case errors.Is(werr, epoller.ErrWouldBlock):
-		return ec.queueLocked(p[n:])
+		return ec.queueLocked(bufs, n)
 	default:
 		return werr, false
 	}
 }
 
-// queueLocked appends to the pending buffer and ensures EPOLLOUT is
-// armed. Caller holds wmu; a true closeAfter asks it to Shutdown once
-// wmu is released. Every send that lands here counts one WriteStall —
-// both the first EAGAIN and the sends queueing behind an existing
-// backlog fell back to the pending queue.
-func (ec *epollConn) queueLocked(p []byte) (err error, closeAfter bool) {
+// queueLocked copies bufs, less their first skip bytes (already
+// written), onto the pending buffer and ensures EPOLLOUT is armed.
+// Caller holds wmu; a true closeAfter asks it to Shutdown once wmu is
+// released. Every send that lands here counts one WriteStall — both the
+// first EAGAIN and the sends queueing behind an existing backlog fell
+// back to the pending queue.
+func (ec *epollConn) queueLocked(bufs [][]byte, skip int) (err error, closeAfter bool) {
 	ec.shard.be.writeStalls.Add(1)
-	if len(ec.pending)+len(p) > ec.shard.be.s.cfg.MaxPendingWriteBytes {
-		return fmt.Errorf("netpoll: pending-write budget exceeded (%d bytes)", len(ec.pending)+len(p)), true
+	total := len(ec.pending) - skip
+	for _, b := range bufs {
+		total += len(b)
 	}
-	ec.pending = append(ec.pending, p...)
+	if total > ec.shard.be.s.cfg.MaxPendingWriteBytes {
+		return fmt.Errorf("netpoll: pending-write budget exceeded (%d bytes)", total), true
+	}
+	for _, b := range bufs {
+		if skip >= len(b) {
+			skip -= len(b)
+			continue
+		}
+		ec.pending = append(ec.pending, b[skip:]...)
+		skip = 0
+	}
 	if !ec.wantWrite {
 		ec.wantWrite = true
 		_ = ec.shard.p.Mod(ec.fd, ec.token, true, true)

@@ -3,6 +3,7 @@
 package netpoll
 
 import (
+	"bytes"
 	"net"
 	"runtime"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"github.com/melyruntime/mely"
+	"github.com/melyruntime/mely/internal/epoller"
 )
 
 // raiseNoFile lifts RLIMIT_NOFILE to want descriptors (best effort).
@@ -169,5 +171,121 @@ func TestShardDistribution(t *testing.T) {
 	}
 	if populated < 2 {
 		t.Fatalf("8 conns landed on %d of 4 shards", populated)
+	}
+}
+
+// looseConn is an epollConn over one end of a Unix socketpair, with a
+// poller but no reactor and no server: the test plays both, calling
+// drainLocked where an EPOLLOUT event would. sndbuf shrinks the socket
+// so a few KiB fill it.
+func looseConn(t *testing.T, budget int) (ec *epollConn, peer int) {
+	t.Helper()
+	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM|syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { syscall.Close(fds[0]); syscall.Close(fds[1]) })
+	_ = syscall.SetsockoptInt(fds[0], syscall.SOL_SOCKET, syscall.SO_SNDBUF, 4096)
+	p, err := epoller.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Release)
+	if err := p.Add(fds[0], 1, true, false); err != nil {
+		t.Fatal(err)
+	}
+	be := &epollBackend{s: &Server{cfg: Config{MaxPendingWriteBytes: budget}}}
+	sh := &pollShard{be: be, p: p, conns: map[uint64]*epollConn{}}
+	ec = &epollConn{shard: sh, fd: fds[0], token: 1}
+	ec.conn = &Conn{be: ec}
+	return ec, fds[1]
+}
+
+// TestQueueRemainderAtEveryOffset: whatever prefix of a Sendv the
+// kernel took — ending inside a buffer, on a boundary, before an empty
+// element — the pending queue receives exactly the rest.
+func TestQueueRemainderAtEveryOffset(t *testing.T) {
+	bufs := [][]byte{[]byte("aaaa"), nil, []byte("b"), []byte("cccccc"), {}, []byte("dd")}
+	all := bytes.Join(bufs, nil)
+	for skip := 0; skip <= len(all); skip++ {
+		ec, _ := looseConn(t, 1<<20)
+		ec.pending = []byte("old")
+		if err, closeAfter := ec.queueLocked(bufs, skip); err != nil || closeAfter {
+			t.Fatalf("skip %d: queueLocked = %v, %v", skip, err, closeAfter)
+		}
+		if want := "old" + string(all[skip:]); string(ec.pending) != want {
+			t.Fatalf("skip %d: pending = %q, want %q", skip, ec.pending, want)
+		}
+		if !ec.wantWrite {
+			t.Fatalf("skip %d: EPOLLOUT not armed", skip)
+		}
+	}
+}
+
+// TestSendvShortWrite: a Sendv that overruns a tiny socket buffer is
+// cut wherever the kernel pleases; the remainder waits in pending,
+// later sends queue behind it, and the peer reads one ordered stream.
+// Buffer sizes are co-prime with anything the kernel rounds to, so over
+// the rounds the cut lands at many offsets of many buffers.
+func TestSendvShortWrite(t *testing.T) {
+	ec, peer := looseConn(t, 1<<20)
+	var want, got []byte
+	drain := func() {
+		buf := make([]byte, 64<<10)
+		for {
+			n, err := epoller.Read(peer, buf)
+			got = append(got, buf[:n]...)
+			if err != nil {
+				return // ErrWouldBlock: empty for now
+			}
+		}
+	}
+	for round := 0; round < 40; round++ {
+		var bufs [][]byte
+		for i := 0; i < 16; i++ {
+			b := bytes.Repeat([]byte{byte(round*16 + i)}, 611+37*i+round)
+			bufs = append(bufs, b)
+			want = append(want, b...)
+		}
+		if err := ec.sendv(bufs); err != nil {
+			t.Fatalf("round %d: sendv: %v", round, err)
+		}
+		tail := []byte{0xff, byte(round)}
+		want = append(want, tail...)
+		if err := ec.send(tail); err != nil { // behind the backlog, not past it
+			t.Fatalf("round %d: send: %v", round, err)
+		}
+		for len(ec.pending) > 0 {
+			drain()
+			ec.wmu.Lock()
+			closeAfter := ec.drainLocked()
+			ec.wmu.Unlock()
+			if closeAfter {
+				t.Fatalf("round %d: drain failed", round)
+			}
+		}
+		if ec.wantWrite {
+			t.Fatalf("round %d: EPOLLOUT still armed on an empty queue", round)
+		}
+	}
+	drain()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("stream differs: read %d bytes, want %d", len(got), len(want))
+	}
+	if stalls := ec.shard.be.writeStalls.Load(); stalls < 40 {
+		t.Fatalf("write stalls = %d: the socket buffer never filled, nothing was tested", stalls)
+	}
+}
+
+// TestSendvPastBudgetShutsDown: a Sendv whose remainder does not fit
+// the pending budget is refused whole and the connection shut down.
+func TestSendvPastBudgetShutsDown(t *testing.T) {
+	ec, _ := looseConn(t, 8<<10)
+	big := bytes.Repeat([]byte("x"), 64<<10)
+	if err := ec.sendv([][]byte{big, big}); err == nil {
+		t.Fatal("Sendv past the budget succeeded")
+	}
+	if !ec.conn.IsClosed() || len(ec.pending) != 0 {
+		t.Fatalf("closed = %v, pending = %d bytes", ec.conn.IsClosed(), len(ec.pending))
 	}
 }

@@ -99,6 +99,8 @@ func EpollSupported() bool { return epoller.Supported }
 type connBackend interface {
 	// send writes with the backend's backpressure semantics.
 	send(p []byte) error
+	// sendv is send for several buffers, gathered into one write.
+	sendv(bufs [][]byte) error
 	// beginShutdown initiates teardown; called exactly once (via
 	// Conn.closeOnce).
 	beginShutdown()
@@ -149,6 +151,24 @@ func (c *Conn) Send(p []byte) error {
 		return net.ErrClosed
 	}
 	return c.be.send(p)
+}
+
+// Sendv is Send for several buffers at once: they go out in order as
+// if concatenated, but in a single gathering write — writev(2) on the
+// epoll backend (one system call per 64 buffers), net.Buffers on the
+// pump backend — with no byte copied unless the kernel buffer fills.
+// Backpressure is Send's: on epoll the part the kernel would not take
+// is copied into the pending queue and drained on writability, against
+// the same MaxPendingWriteBytes budget, counted as one write stall.
+// Empty elements are skipped. The elements of bufs may be re-sliced by
+// the call (the pump backend consumes them as it writes), so the
+// caller must refill bufs before sending it again; the bytes they point
+// at are never modified and not retained.
+func (c *Conn) Sendv(bufs [][]byte) error {
+	if c.closed.Load() {
+		return net.ErrClosed
+	}
+	return c.be.sendv(bufs)
 }
 
 // Write is Send in io.Writer shape, for code written against the old

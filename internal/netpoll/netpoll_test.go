@@ -1,8 +1,11 @@
 package netpoll
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"flag"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -72,8 +75,8 @@ func startHarness(t *testing.T, backend Backend, maxConns int, dataColor func(*C
 
 	h := &harness{rt: rt}
 	onAccept := rt.Register("accept", func(ctx *mely.Ctx) {
+		h.lastConn.Store(ctx.Data().(*Conn)) // before the count: accept == n implies lastConn is set
 		h.accept.Add(1)
-		h.lastConn.Store(ctx.Data().(*Conn))
 	})
 	onData := rt.Register("data", func(ctx *mely.Ctx) {
 		msg := ctx.Data().(*Message)
@@ -145,9 +148,9 @@ func TestEchoRoundTrip(t *testing.T) {
 		if string(buf) != "ping" {
 			t.Fatalf("echo = %q", buf)
 		}
-		if h.accept.Load() != 1 {
-			t.Fatalf("accepts = %d", h.accept.Load())
-		}
+		// OnAccept runs under color 1 and the echo under the connection's
+		// color: nothing orders them, so the accept may still be queued.
+		waitFor(t, func() bool { return h.accept.Load() == 1 })
 		// Address parity across backends: LocalAddr is the connected
 		// socket's address (matching the listener here), RemoteAddr is
 		// the dialing client.
@@ -590,5 +593,106 @@ func TestDataFinCoalescedTeardown(t *testing.T) {
 		}
 		waitFor(t, func() bool { return h.closed.Load() == conns })
 		waitFor(t, func() bool { return h.srv.Live() == 0 })
+	})
+}
+
+// startSender serves with an OnData handler that answers every read by
+// calling reply on the connection, and returns a dialed client.
+func startSender(t *testing.T, backend Backend, reply func(*Conn) error) net.Conn {
+	t.Helper()
+	rt, err := mely.New(mely.Config{Cores: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Stop)
+	onData := rt.Register("data", func(ctx *mely.Ctx) {
+		msg := ctx.Data().(*Message)
+		msg.Release()
+		if err := reply(msg.Conn); err != nil {
+			t.Errorf("reply: %v", err)
+			msg.Conn.Shutdown()
+		}
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(ln, Config{
+		Runtime:     rt,
+		OnAccept:    rt.Register("accept", func(ctx *mely.Ctx) {}),
+		AcceptColor: 1,
+		OnData:      onData,
+		Backend:     backend,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	return conn
+}
+
+// TestSendvDeliversInOrder: the buffers of one Sendv arrive as their
+// concatenation, empty elements included, and a Send after it stays
+// behind it.
+func TestSendvDeliversInOrder(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, backend Backend) {
+		var want []byte
+		build := func() [][]byte { // Sendv may consume its argument: a fresh one per call
+			want = want[:0]
+			var bufs [][]byte
+			for i, size := range []int{1100, 0, 1, 70000, 0, 0, 333} {
+				b := bytes.Repeat([]byte{byte('a' + i)}, size)
+				bufs = append(bufs, b)
+				want = append(want, b...)
+			}
+			want = append(want, "tail"...)
+			return bufs
+		}
+		bufs := build()
+		conn := startSender(t, backend, func(c *Conn) error {
+			if err := c.Sendv(bufs); err != nil {
+				return err
+			}
+			if err := c.Sendv(nil); err != nil { // nothing to send is not an error
+				return err
+			}
+			return c.Send([]byte("tail"))
+		})
+		if _, err := conn.Write([]byte("go")); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(want))
+		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if _, err := io.ReadFull(conn, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("Sendv bytes differ from the concatenation of its buffers")
+		}
+	})
+}
+
+func TestSendvAfterShutdown(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, backend Backend) {
+		h := startHarness(t, backend, 0, nil)
+		conn, err := net.Dial("tcp", h.srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		waitFor(t, func() bool { return h.lastConn.Load() != nil })
+		srvConn := h.lastConn.Load().(*Conn)
+		srvConn.Shutdown()
+		if err := srvConn.Sendv([][]byte{[]byte("late"), []byte("r")}); !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("Sendv after Shutdown = %v, want net.ErrClosed", err)
+		}
 	})
 }

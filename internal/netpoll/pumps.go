@@ -56,6 +56,14 @@ func (p *pumpConn) send(b []byte) error {
 	return err
 }
 
+// sendv hands the buffers to net.Buffers, which issues one writev(2) on
+// a TCP connection (and consumes bufs as it goes).
+func (p *pumpConn) sendv(bufs [][]byte) error {
+	nb := net.Buffers(bufs)
+	_, err := nb.WriteTo(p.nc)
+	return err
+}
+
 // beginShutdown closes the socket; the read pump notices and runs the
 // teardown path.
 func (p *pumpConn) beginShutdown()       { _ = p.nc.Close() }

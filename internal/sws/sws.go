@@ -22,6 +22,30 @@
 // the paper. Responses go out through Conn.Send, so a slow reader's
 // backpressure queues bytes per connection instead of blocking a
 // worker.
+//
+// Two rules hold per connection. Order: every response — 200, 404,
+// 400, 503 — leaves in request order. A response ParseRequest decides
+// itself (400 for a bad request, 503 under ShedOverload) is answered
+// in place only when no earlier response of the connection is still on
+// its way to WriteResponse (connState.inflight); otherwise it takes the
+// same two hops behind them. A request that closes the connection ends
+// the parsing: nothing after it is answered.
+//
+// One write per read: ParseRequest posts each request one step behind
+// its parse, marked more when the next complete request of the same
+// read has been parsed. WriteResponse appends a more response's
+// prebuilt slice to the connection's gather (no byte is copied) and the
+// first response without more sends the lot with one Conn.Sendv — one
+// writev(2) for a pipelined burst instead of one write(2) per reply. A
+// read holding one request never touches the gather: its response is a
+// plain Send. A held response always has a flusher, because (1) more is
+// set only after the next request of the pass exists, and each pass
+// ends by releasing its last request without more, and (2) the
+// connection's color is FIFO, so that last response reaches
+// WriteResponse after every response marked more before it. (A pass cut
+// short by a failed post shuts the connection down, which needs no
+// flush.) The gather is also sent whenever it reaches 64 slices or
+// 64 KiB.
 package sws
 
 import (
@@ -99,7 +123,8 @@ type Server struct {
 	overloadShed atomic.Int64
 
 	// trace, when non-nil, observes each connection's logical handler
-	// events (accept, request, respond, idle-reap, dec). It is test
+	// events (accept, request, respond, flush n — a gathered write of n
+	// responses — idle-reap, dec). It is test
 	// instrumentation — the backend parity suite asserts that the pump
 	// and epoll backends produce identical traces — and must be set
 	// before Serve.
@@ -122,7 +147,28 @@ type connState struct {
 	// lastActivity is the last time request bytes arrived from the
 	// client; the idle reaper compares it against IdleTimeout.
 	lastActivity time.Time
+	// inflight counts responses posted down the chain and not yet at
+	// WriteResponse; a 400 or 503 may be answered in place only at zero.
+	inflight int
+	// closing is set by the request that closes the connection (bad,
+	// HTTP/1.0, Connection: close): nothing after it is parsed.
+	closing bool
+	// gather holds the prebuilt responses of the current read's earlier
+	// requests (respondJob.more) until the read's last response sends
+	// them all with one Sendv; gatherBytes is their total length and
+	// gatherServed how many of them Served has counted.
+	gather       [][]byte
+	gatherBytes  int
+	gatherServed int64
 }
+
+// A gather is sent early once it holds this much: 64 slices is one
+// writev(2) on the epoll backend, and 64 KiB bounds what a connection
+// holds back while the rest of its read is still in the pipeline.
+const (
+	maxGatherSlices = 64
+	maxGatherBytes  = 64 << 10
+)
 
 // parseJob carries a message through the request pipeline. The parser
 // releases the message's pooled buffer once its bytes are copied into
@@ -132,11 +178,26 @@ type parseJob struct {
 	msg   *netpoll.Message
 }
 
+// respondJob is one response on its way to the client: path names the
+// file to look up, unless pre says the response is already decided.
 type respondJob struct {
 	state *connState
 	path  string
+	pre   preResolved
 	close bool
+	// more says a later response of the same read follows this one down
+	// the chain, so this one may wait in the gather for it.
+	more bool
 }
+
+// preResolved marks a response parseRequest decided on its own.
+type preResolved uint8
+
+const (
+	preNone        preResolved = iota
+	preBadRequest              // 400
+	preUnavailable             // 503, shed under overload
+)
 
 // New builds the server and registers its handlers.
 func New(cfg Config) (*Server, error) {
@@ -260,52 +321,80 @@ func connStateOf(c *netpoll.Conn) *connState {
 }
 
 // parseRequest accumulates bytes and extracts complete HTTP requests.
+// Each request's job is released one step behind its parse: with
+// more=true once the next complete request of this read has been
+// parsed, with more=false at the end of the pass. So more is a fact,
+// and every response held back in the gather is followed, under this
+// colour, by the response that sends it.
 func (s *Server) parseRequest(ctx *mely.Ctx) {
 	job := ctx.Data().(*parseJob)
 	st := job.state
+	if st.closing {
+		job.msg.Release() // a closing request has been seen: the rest is not answered
+		return
+	}
 	st.buf.Write(job.msg.Data)
 	job.msg.Release()            // bytes copied; recycle the read buffer
 	st.lastActivity = time.Now() // color-serialized with the idle reaper
-	for {
+	var held *respondJob         // parsed, not yet released
+	for !st.closing {
 		raw := st.buf.Bytes()
 		end := bytes.Index(raw, []byte("\r\n\r\n"))
 		if end < 0 {
-			if st.buf.Len() > 64<<10 {
-				st.conn.Shutdown() // oversized request head
-			}
-			return
+			break
 		}
 		head := raw[:end]
 		st.buf.Next(end + 4)
 
 		path, keepAlive, ok := parseHead(head)
-		if !ok {
+		next := &respondJob{state: st, path: path, close: !keepAlive}
+		switch {
+		case !ok:
 			s.traceEvent(st.conn, "bad-request")
-			_ = ctx.Post(s.hWrite, ctx.Color(), &respondJob{state: st, path: "", close: true})
-			return
-		}
-		if s.shedOverload && s.rt.Saturated(ctx.Color()) {
-			// HTTP-layer load shedding: answer 503 right here instead of
-			// queuing three more pipeline events on a saturated runtime.
-			// The response goes out directly (Send has its own
-			// backpressure), so the overload sheds work instead of
-			// adding it.
+			next.pre, next.close = preBadRequest, true
+		case s.shedOverload && s.rt.Saturated(ctx.Color()):
+			// HTTP-layer load shedding: a 503 instead of a lookup. With
+			// nothing of this connection in the pipeline it is answered
+			// right here, so the overload sheds work instead of adding it.
 			s.overloadShed.Add(1)
 			s.traceEvent(st.conn, "shed")
-			if err := st.conn.Send(s.unavailable); err != nil || !keepAlive {
-				st.conn.Shutdown()
-				return
-			}
-			continue
-		}
-		if s.trace != nil { // guard: the concatenation must not cost the hot path
+			next.pre = preUnavailable
+		case s.trace != nil: // guard: the concatenation must not cost the hot path
 			s.trace(st.conn, "request "+path)
 		}
-		if err := ctx.Post(s.hCache, ctx.Color(), &respondJob{state: st, path: path, close: !keepAlive}); err != nil {
-			st.conn.Shutdown()
+		if held != nil && !s.release(ctx, held, true) {
 			return
 		}
+		held = next
+		st.closing = next.close
 	}
+	if held != nil && !s.release(ctx, held, false) {
+		return
+	}
+	if st.closing {
+		st.buf.Reset()
+	} else if st.buf.Len() > 64<<10 {
+		st.conn.Shutdown() // oversized request head
+	}
+}
+
+// release sends a parsed request on: down Figure 6's chain, or — a
+// pre-resolved response with no earlier response of its connection
+// still in the chain to overtake — answered in place. It reports false
+// after shutting the connection down because the post failed.
+func (s *Server) release(ctx *mely.Ctx, job *respondJob, more bool) bool {
+	st := job.state
+	job.more = more
+	if job.pre != preNone && st.inflight == 0 {
+		s.respond(job)
+		return true
+	}
+	st.inflight++
+	if err := ctx.Post(s.hCache, ctx.Color(), job); err != nil {
+		st.conn.Shutdown()
+		return false
+	}
+	return true
 }
 
 // checkInCache resolves the prebuilt response.
@@ -322,38 +411,77 @@ func (s *Server) checkInCache(ctx *mely.Ctx) {
 // writeResponse sends the prebuilt bytes.
 func (s *Server) writeResponse(ctx *mely.Ctx) {
 	job := ctx.Data().(*respondJob)
+	job.state.inflight--
+	s.respond(job)
+}
+
+// respond writes job's response, or holds it for the write that ends
+// its read. Responses of one connection reach it in request order.
+func (s *Server) respond(job *respondJob) {
+	st := job.state
 	var resp []byte
 	status := "200"
-	switch {
-	case job.path == "":
-		resp = s.badRequest
-		status = "400"
+	switch job.pre {
+	case preBadRequest:
+		resp, status = s.badRequest, "400"
+	case preUnavailable:
+		resp, status = s.unavailable, "503"
 	default:
 		if built, ok := s.built[job.path]; ok {
 			resp = built
 		} else {
-			resp = s.notFound
-			status = "404"
+			resp, status = s.notFound, "404"
 		}
 	}
 	if s.trace != nil { // guard: the concatenation must not cost the hot path
-		s.trace(job.state.conn, "respond "+status)
+		s.trace(st.conn, "respond "+status)
 	}
 	// Counted before the write and taken back if it fails: a client
-	// holding reply n must never read Served() < n.
-	s.served.Add(1)
-	// Send writes through the netpoll backend: on epoll, bytes the
-	// kernel buffer rejects queue per connection and drain on EPOLLOUT
-	// under this same color — a slow reader exerts backpressure without
-	// blocking the worker.
-	if err := job.state.conn.Send(resp); err != nil {
-		s.served.Add(-1)
-		job.state.conn.Shutdown()
+	// holding reply n must never read Served() < n. (A shed 503 counts
+	// in OverloadShed instead.)
+	var served int64
+	if job.pre != preUnavailable {
+		served = 1
+		s.served.Add(1)
+	}
+	var err error
+	if job.more || len(st.gather) > 0 {
+		st.gather = append(st.gather, resp)
+		st.gatherBytes += len(resp)
+		st.gatherServed += served
+		if job.more && len(st.gather) < maxGatherSlices && st.gatherBytes < maxGatherBytes {
+			return // a later response of this read sends it
+		}
+		served = st.gatherServed
+		err = s.flush(st)
+	} else {
+		// The only response of its read. Send writes through the netpoll
+		// backend: on epoll, bytes the kernel buffer rejects queue per
+		// connection and drain on EPOLLOUT under this same color — a slow
+		// reader exerts backpressure without blocking the worker.
+		err = st.conn.Send(resp)
+	}
+	if err != nil {
+		s.served.Add(-served)
+		st.conn.Shutdown()
 		return
 	}
 	if job.close {
-		job.state.conn.Shutdown()
+		st.conn.Shutdown()
 	}
+}
+
+// flush sends the gathered responses with one Sendv (same backpressure
+// as Send) and empties the gather, keeping the slice of slices for the
+// next burst (what its stale elements point at is the server's prebuilt
+// responses, which outlive the connection anyway).
+func (s *Server) flush(st *connState) error {
+	if s.trace != nil {
+		s.trace(st.conn, "flush "+strconv.Itoa(len(st.gather)))
+	}
+	err := st.conn.Sendv(st.gather)
+	st.gather, st.gatherBytes, st.gatherServed = st.gather[:0], 0, 0
+	return err
 }
 
 // Served reports the number of responses written.
@@ -379,31 +507,35 @@ func (s *Server) NetBackend() netpoll.Backend { return s.srv.Backend() }
 // Close stops accepting and closes all connections.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// parseHead parses an HTTP/1.x request head (request line + headers).
+var (
+	crlf       = []byte("\r\n")
+	connection = []byte("Connection")
+	closeToken = []byte("close")
+	keepToken  = []byte("keep-alive")
+)
+
+// parseHead parses an HTTP/1.x request head (request line + headers),
+// scanning it in place: the path string is its only allocation.
 func parseHead(head []byte) (path string, keepAlive, ok bool) {
-	lines := bytes.Split(head, []byte("\r\n"))
-	if len(lines) == 0 {
-		return "", false, false
+	line, headers, _ := bytes.Cut(head, crlf)
+	method, rest, _ := bytes.Cut(line, []byte(" "))
+	target, version, found := bytes.Cut(rest, []byte(" "))
+	if !found || len(target) == 0 || string(method) != "GET" {
+		return "", false, false // an empty target is what a doubled space parses to
 	}
-	parts := bytes.SplitN(lines[0], []byte(" "), 3)
-	if len(parts) != 3 || string(parts[0]) != "GET" {
-		return "", false, false
-	}
-	path = string(parts[1])
-	version := string(parts[2])
-	keepAlive = version == "HTTP/1.1" // 1.1 default: persistent
-	for _, ln := range lines[1:] {
-		k, v, found := bytes.Cut(ln, []byte(":"))
-		if !found {
+	path = string(target)
+	keepAlive = string(version) == "HTTP/1.1" // 1.1 default: persistent
+	for len(headers) > 0 {
+		line, headers, _ = bytes.Cut(headers, crlf)
+		k, v, found := bytes.Cut(line, []byte(":"))
+		if !found || !bytes.EqualFold(bytes.TrimSpace(k), connection) {
 			continue
 		}
-		if bytes.EqualFold(bytes.TrimSpace(k), []byte("Connection")) {
-			switch string(bytes.ToLower(bytes.TrimSpace(v))) {
-			case "close":
-				keepAlive = false
-			case "keep-alive":
-				keepAlive = true
-			}
+		switch v = bytes.TrimSpace(v); {
+		case bytes.EqualFold(v, closeToken):
+			keepAlive = false
+		case bytes.EqualFold(v, keepToken):
+			keepAlive = true
 		}
 	}
 	return path, keepAlive, true

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -46,7 +45,14 @@ func startServer(t *testing.T, files map[string][]byte, maxClients int) *Server 
 // filled in); trace, when non-nil, is installed before Serve.
 func startServerCfg(t *testing.T, cfg Config, trace func(*netpoll.Conn, string)) *Server {
 	t.Helper()
-	rt, err := mely.New(mely.Config{Cores: 2, TimerTick: time.Millisecond})
+	return startServerOn(t, mely.Config{Cores: 2, TimerTick: time.Millisecond}, cfg, trace, nil)
+}
+
+// startServerOn is startServerCfg on a runtime built from rtCfg,
+// serving on ln (nil: a fresh loopback listener).
+func startServerOn(t *testing.T, rtCfg mely.Config, cfg Config, trace func(*netpoll.Conn, string), ln net.Listener) *Server {
+	t.Helper()
+	rt, err := mely.New(rtCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +66,10 @@ func startServerCfg(t *testing.T, cfg Config, trace func(*netpoll.Conn, string))
 		t.Fatal(err)
 	}
 	srv.trace = trace
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	if ln == nil {
+		if ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := srv.Serve(ln); err != nil {
 		t.Fatal(err)
@@ -293,6 +300,65 @@ func TestParseHead(t *testing.T) {
 		if ok != tt.wantOK || (ok && (path != tt.wantPath || ka != tt.wantKeepAlive)) {
 			t.Errorf("parseHead(%q) = (%q,%v,%v), want (%q,%v,%v)",
 				tt.give, path, ka, ok, tt.wantPath, tt.wantKeepAlive, tt.wantOK)
+		}
+	}
+}
+
+// parseHeadBySplit is parseHead as it was before it scanned in place
+// (bytes.Split over the lines, SplitN over the request line): the
+// reference the in-place scanner is held to.
+func parseHeadBySplit(head []byte) (path string, keepAlive, ok bool) {
+	lines := bytes.Split(head, []byte("\r\n"))
+	parts := bytes.SplitN(lines[0], []byte(" "), 3)
+	if len(parts) != 3 || string(parts[0]) != "GET" || len(parts[1]) == 0 {
+		return "", false, false // (an empty path was a 400 one hop later, in WriteResponse)
+	}
+	path = string(parts[1])
+	keepAlive = string(parts[2]) == "HTTP/1.1"
+	for _, ln := range lines[1:] {
+		k, v, found := bytes.Cut(ln, []byte(":"))
+		if !found {
+			continue
+		}
+		if bytes.EqualFold(bytes.TrimSpace(k), []byte("Connection")) {
+			switch string(bytes.ToLower(bytes.TrimSpace(v))) {
+			case "close":
+				keepAlive = false
+			case "keep-alive":
+				keepAlive = true
+			}
+		}
+	}
+	return path, keepAlive, true
+}
+
+// TestParseHeadOddSpacingAndCase crosses odd request lines with odd
+// header blocks — doubled and missing spaces, tabs, case, stray CRs,
+// bare LFs, repeated and look-alike headers — and holds parseHead to
+// the Split-based parser on every combination.
+func TestParseHeadOddSpacingAndCase(t *testing.T) {
+	requestLines := []string{
+		"GET /x HTTP/1.1", "GET /x HTTP/1.0", "GET /x HTTP/1.1 ", "GET /x  HTTP/1.1", "GET  /x HTTP/1.1",
+		" GET /x HTTP/1.1", "GET /x", "GET /x ", "GET", "GET ", "", " ", "get /x HTTP/1.1", "POST /x HTTP/1.1",
+		"GET /a%20b?q=1&r=2 HTTP/1.1", "GET /x HTTP/1.1 trailing words", "GET /x http/1.1", "GET\t/x\tHTTP/1.1",
+		"GET /x HTTP/1.1\r", "GET /x HTTP/1.1\nConnection: close",
+	}
+	headerBlocks := []string{
+		"", "\r\n", "\r\nHost: a", "\r\nConnection: close", "\r\nconnection:close", "\r\nCONNECTION :  Close  ",
+		"\r\nConnection:\tKeep-Alive\t", "\r\nConnection: KEEP-ALIVE", "\r\nConnection: closed",
+		"\r\nConnection: close, TE", "\r\nX-Connection: close", "\r\nConnection close", "\r\nConnection:",
+		"\r\n: close", "\r\nNo colon here\r\nConnection: close", "\r\nConnection: close\r\nConnection: keep-alive",
+		"\r\nConnection: keep-alive\r\nHost: a\r\nConnection: close", "\r\nConnection: close\r", "\r\n\r\nConnection: close",
+		"\r\nHost: a:b:c\r\nConnection:  close", "\nConnection: close", "\r\n Connection: close", "\r\nConnection: clo se",
+	}
+	for _, rl := range requestLines {
+		for _, hb := range headerBlocks {
+			head := rl + hb
+			path, ka, ok := parseHead([]byte(head))
+			wantPath, wantKA, wantOK := parseHeadBySplit([]byte(head))
+			if ok != wantOK || path != wantPath || ka != wantKA {
+				t.Errorf("parseHead(%q) = (%q,%v,%v), want (%q,%v,%v)", head, path, ka, ok, wantPath, wantKA, wantOK)
+			}
 		}
 	}
 }
@@ -581,73 +647,5 @@ func TestBackendParityGoldenTraces(t *testing.T) {
 	}
 	if pumpsServed != epollServed {
 		t.Fatalf("served diverges: pumps %d, epoll %d", pumpsServed, epollServed)
-	}
-}
-
-// benchServer is startServerCfg without *testing.T plumbing, for
-// benchmarks.
-func benchServer(b *testing.B, backend netpoll.Backend) *Server {
-	b.Helper()
-	rt, err := mely.New(mely.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := rt.Start(); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(rt.Stop)
-	body := bytes.Repeat([]byte("x"), 1024)
-	srv, err := New(Config{Runtime: rt, Files: map[string][]byte{"/f": body}, Backend: backend})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := srv.Serve(ln); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = srv.Close() })
-	return srv
-}
-
-// BenchmarkSWSThroughput measures end-to-end request throughput with
-// 64 concurrent keep-alive connections, per backend — the acceptance
-// comparison for the epoll reactor (it must be at least as fast as the
-// pump backend at this concurrency).
-func BenchmarkSWSThroughput(b *testing.B) {
-	backends := []netpoll.Backend{netpoll.BackendPumps}
-	if netpoll.EpollSupported() {
-		backends = append(backends, netpoll.BackendEpoll)
-	}
-	for _, backend := range backends {
-		b.Run(backend.String(), func(b *testing.B) {
-			srv := benchServer(b, backend)
-			const conns = 64
-			// RunParallel spawns parallelism*GOMAXPROCS goroutines; size
-			// it for 64 concurrent client connections.
-			b.SetParallelism((conns + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0))
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				conn, err := net.Dial("tcp", srv.Addr().String())
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				for pb.Next() {
-					if _, err := fmt.Fprintf(conn, "GET /f HTTP/1.1\r\nHost: b\r\n\r\n"); err != nil {
-						b.Error(err)
-						return
-					}
-					if err := skipResponse(br, 1024); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
 	}
 }
