@@ -325,13 +325,7 @@ func (r *Runtime) deliverGroup(owner int, slab []equeue.Event, next []int32, hea
 		lastCol, lastCQ, haveColor = ev.Color, cq, true
 		delivered++
 	}
-	if c.list != nil {
-		c.qlen.Store(int32(c.list.Len()))
-	} else {
-		c.qlen.Store(int32(c.mely.Len()))
-		c.stealLen.Store(int32(c.mely.Stealing().Len()))
-	}
-	c.syncDiskLen()
+	c.syncLens()
 	if delivered > 0 {
 		c.stats.postedHere.Add(int64(delivered))
 		c.stats.batchedEvents.Add(int64(delivered))

@@ -223,20 +223,26 @@
 //
 // The hot path. An event that a handler posts as a continuation of its
 // own color writes, from post to completion, no word another core
-// writes except its core's spinlock: the worker draws span ids from a
+// writes — not even its core's spinlock while nothing else was
+// delivered to that color (on the Mely layout the worker detaches the
+// running color's batch when it pops and works it, and the
+// continuations its handlers append, as a private run; after
+// BatchThreshold events, with other work queued, the rest goes back to
+// the front of the color's queue): the worker draws span ids from a
 // block it reserved, counts the one-in-ObsSampleRate latency sample on
 // its own counter, recycles events through its own free stack, feeds a
 // handler's shared profile the mean of every 16 executions it ran (at
 // once while the handler has no estimate), and the running event hands
 // its pending count — what Drain waits on — to that continuation
 // instead of adding one and subtracting one. An execution reads the
-// monotonic clock twice and everything timed (profile, stall stamp,
-// latency sample, flight recorder) uses those two readings. Posts from
-// outside a handler have no core and keep the runtime-wide sequences,
-// which PostBatch reserves once per batch. docs/architecture.md
-// tabulates the shared writes per posting path and states why Drain
-// stays exact; BenchmarkChainTwoCores is the two-second reading of this
-// path.
+// monotonic clock twice — once when it comes straight off the run, its
+// start being the previous event's end — and everything timed (profile,
+// stall stamp, latency sample, flight recorder) uses those readings.
+// Posts from outside a handler have no core and keep the runtime-wide
+// sequences, which PostBatch reserves once per batch.
+// docs/architecture.md tabulates the shared writes per posting path and
+// states why Drain stays exact and the private run keeps per-color
+// order; BenchmarkChainTwoCores is the two-second reading of this path.
 //
 // The simulated counterpart of this runtime (internal/sim) executes the
 // same queue structures and policies on a modeled 8-core machine and

@@ -58,6 +58,15 @@ func (cq *ColorQueue) SpillBacklog() (int, int64) { return cq.spilled, cq.spille
 // Drain removes and returns the head event, or nil.
 func (cq *ColorQueue) Drain() *Event { return cq.popFront() }
 
+// Append adds an event at the tail of a detached queue (see PopRun);
+// linked queues take theirs through CoreQueue.Push.
+func (cq *ColorQueue) Append(e *Event) {
+	if cq.inCore || cq.color != e.Color {
+		panic("equeue: Append to a linked ColorQueue or one of different color")
+	}
+	cq.pushBack(e)
+}
+
 func (cq *ColorQueue) pushBack(e *Event) {
 	e.next = nil
 	e.prev = cq.tail
@@ -203,17 +212,20 @@ func (q *CoreQueue) PopNextFrom() (e *Event, cq *ColorQueue) {
 	if cq == nil {
 		return nil, nil
 	}
-	threshold := q.BatchThreshold
-	if threshold <= 0 {
-		threshold = DefaultBatchThreshold
-	}
-	if q.batchCount >= threshold && cq.cqNext != nil {
+	if q.batchCount >= q.threshold() && cq.cqNext != nil {
 		q.rotate()
 		cq = q.head
 	}
 	e = cq.popFront()
 	q.nevents--
 	q.batchCount++
+	q.popped(cq)
+	return e, cq
+}
+
+// popped settles the CoreQueue after events left the front of cq: an
+// emptied queue goes out of it, ending the batch.
+func (q *CoreQueue) popped(cq *ColorQueue) {
 	if cq.count == 0 {
 		q.unlinkColor(cq)
 		q.steal.remove(cq)
@@ -221,7 +233,66 @@ func (q *CoreQueue) PopNextFrom() (e *Event, cq *ColorQueue) {
 	} else {
 		q.steal.reclassify(cq)
 	}
-	return e, cq
+}
+
+// PopRun detaches the rest of the current batch into run, an empty,
+// unlinked ColorQueue that takes cq's color: the private part of a split
+// queue, which nothing of the CoreQueue's accounting (Len, the
+// StealingQueue) covers, so whoever owns it works it — Drain, Append —
+// without the CoreQueue's synchronization. cq is the queue the preceding
+// PopNextFrom returned, and the events moved are exactly those the next
+// calls of PopNextFrom would return before a rotation falls due: the
+// front of cq, as many as BatchThreshold still allows. The CoreQueue is
+// left as those calls would leave it (an emptied cq is unlinked).
+func (q *CoreQueue) PopRun(cq, run *ColorQueue) {
+	if run.count != 0 || run.inCore {
+		panic("equeue: PopRun into a ColorQueue in use")
+	}
+	if cq.count != 0 && cq != q.head {
+		panic("equeue: PopRun on a ColorQueue that is not being popped")
+	}
+	run.color = cq.color
+	k := min(q.threshold()-q.batchCount, cq.count)
+	if k <= 0 {
+		return
+	}
+	q.nevents -= k
+	q.batchCount += k
+	for ; k > 0; k-- {
+		run.pushBack(cq.popFront())
+	}
+	q.popped(cq)
+}
+
+// PushFrontRun puts what is left of a run back in front of cq's events,
+// in order, and empties the run. The run's batch counts as spent: an
+// unlinked cq is re-linked at the tail of the CoreQueue, and if cq
+// stands at the head the next PopNextFrom rotates past it as soon as
+// another color is queued behind it. It reports whether cq had to be
+// linked.
+func (q *CoreQueue) PushFrontRun(cq, run *ColorQueue) (linked bool) {
+	if run.color != cq.color {
+		panic("equeue: run put back on ColorQueue of different color")
+	}
+	if run.count == 0 {
+		return false
+	}
+	if !cq.inCore {
+		q.linkColor(cq)
+		linked = true
+	}
+	q.MergeFront(cq, run)
+	if q.head == cq {
+		q.batchCount = q.threshold()
+	}
+	return linked
+}
+
+func (q *CoreQueue) threshold() int {
+	if q.BatchThreshold <= 0 {
+		return DefaultBatchThreshold
+	}
+	return q.BatchThreshold
 }
 
 // StealBase mimics the Libasync-smp color choice on the Mely layout (used

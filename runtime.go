@@ -131,7 +131,8 @@ type rcore struct {
 	running    equeue.Color
 	hasRunning bool
 
-	// qlen/stealLen mirror queue sizes for unlocked victim screening.
+	// qlen/stealLen mirror queue sizes for unlocked victim screening (the
+	// running color's private run is in neither, see run).
 	qlen     atomic.Int32
 	stealLen atomic.Int32
 	// diskLen mirrors the summed spill backlog of the colors linked on
@@ -144,13 +145,27 @@ type rcore struct {
 	// runCQ is the ColorQueue the running color's event was popped from
 	// (Mely layout; nil when nothing runs). A thief never takes the
 	// running color and its lease cannot expire, so until the next pop
-	// this queue is the color's tabled queue on this core, and a
-	// continuation of the color is pushed to it without a color-table
-	// round trip (deliverLocked). That holds for a queue the pop emptied
-	// as well: it stays tabled for the one handler execution, and the
-	// next popLocal (or clearRunning) retires it if the handler did not
-	// re-link it. Non-nil only while hasRunning; guarded by lock.
+	// this queue is the color's tabled queue on this core — the public
+	// part of the color, where everyone but its worker delivers, without
+	// a color-table round trip (deliverLocked). That holds for a queue
+	// the pop emptied as well: it stays tabled while the run lasts, and
+	// the next popLocal (or clearRunning) retires it if nothing re-linked
+	// it. Non-nil only while hasRunning; guarded by lock.
 	runCQ *equeue.ColorQueue
+	// run is the private part of the running color (Mely layout): the
+	// events popLocal detached from runCQ behind the one it returned.
+	// Only this worker could have popped them (a running color is neither
+	// stolen nor re-homed), so it executes them without lock (runColor);
+	// runLeft is how many of them the color's batch still covers.
+	// Worker-owned.
+	run     *equeue.ColorQueue
+	runLeft int
+	// runOpen lets the running handler append its own continuations to
+	// run (Runtime.post): true only while runCQ has been empty since the
+	// pop, so that an event appended to run precedes nothing delivered
+	// before it. Stored under lock — by popLocal, and by deliverLocked
+	// when it pushes into runCQ — and loaded by the worker without it.
+	runOpen atomic.Bool
 
 	// wheel is the core's timing wheel: timers for colors owned here are
 	// armed here, harvested by this worker, and migrate with their color.
@@ -404,6 +419,7 @@ func New(cfg Config) (*Runtime, error) {
 		} else {
 			c.mely = equeue.NewCoreQueue(cfg.StealCostSeed.Nanoseconds())
 			c.mely.BatchThreshold = cfg.BatchThreshold
+			c.run = c.mely.NewColorQueue(0)
 		}
 		r.cores[i] = c
 	}
@@ -639,7 +655,8 @@ func (r *Runtime) post(ctx context.Context, from *Ctx, h Handler, color Color, d
 	if err != nil {
 		return err
 	}
-	if from != nil && !from.handedOn && ev.Color == from.ev.Color {
+	continues := from != nil && ev.Color == from.ev.Color
+	if continues && !from.handedOn {
 		// The pending hand-off: a continuation of the running color takes
 		// over the running event's pending count instead of adding its
 		// own — execute then skips the decrement. The child cannot
@@ -650,6 +667,15 @@ func (r *Runtime) post(ctx context.Context, from *Ctx, h Handler, color Color, d
 		from.handedOn = true
 	} else {
 		r.pending.Add(1)
+	}
+	if continues && c.runOpen.Load() {
+		// The private run: nothing was delivered to the running color's
+		// queue since its worker emptied it, so the continuation is next
+		// in line whichever list holds it, and the worker's own needs no
+		// lock, no mirror and no wake-up (see rcore.runOpen).
+		c.run.Append(ev)
+		c.notePosted(ev)
+		return nil
 	}
 	r.enqueue(ev)
 	return nil
@@ -781,21 +807,21 @@ func (r *Runtime) enqueue(ev *equeue.Event) {
 			c.lock.Unlock()
 			continue
 		}
-		if c.list != nil {
-			c.qlen.Store(int32(c.list.Len()))
-		} else {
-			c.qlen.Store(int32(c.mely.Len()))
-			c.stealLen.Store(int32(c.mely.Stealing().Len()))
-		}
-		c.syncDiskLen()
-		c.stats.postedHere.Add(1)
-		if ev.PostNanos != 0 && c.ring != nil {
-			c.ring.AppendFlow(obs.KindPost, ev.PostNanos, 0, uint64(ev.Color), uint32(ev.Handler),
-				ev.TraceID, ev.SpanID, ev.ParentSpan)
-		}
+		c.syncLens()
+		c.notePosted(ev)
 		c.lock.Unlock()
 		c.unpark()
 		return
+	}
+}
+
+// notePosted accounts one event delivered to core c: Stats.PostedHere
+// and, for an event sampled for latency, the flight recorder's post record.
+func (c *rcore) notePosted(ev *equeue.Event) {
+	c.stats.postedHere.Add(1)
+	if ev.PostNanos != 0 && c.ring != nil {
+		c.ring.AppendFlow(obs.KindPost, ev.PostNanos, 0, uint64(ev.Color), uint32(ev.Handler),
+			ev.TraceID, ev.SpanID, ev.ParentSpan)
 	}
 }
 
@@ -812,7 +838,9 @@ func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) (*equeue.
 	if cq := c.runCQ; cq != nil && cq.Color() == ev.Color {
 		// The running color continues itself: no ownership re-check is
 		// needed, a running color can neither be stolen nor lose its
-		// lease (see rcore.runCQ).
+		// lease (see rcore.runCQ). From here on the color's own
+		// continuations must queue behind this event (see rcore.runOpen).
+		c.runOpen.Store(false)
 		if c.mely.Push(cq, ev) {
 			c.stats.colorQueueChurns.Add(1)
 		}
@@ -917,7 +945,7 @@ func (r *Runtime) worker(c *rcore) {
 			continue
 		}
 		if ev := r.popLocal(c); ev != nil {
-			r.execute(c, ev)
+			r.runColor(c, ev)
 			idle = 0
 			continue
 		}
@@ -1006,26 +1034,30 @@ func (c *rcore) unpark() {
 }
 
 // popLocal dequeues the next event of c's queue, maintaining the
-// running color for thieves.
+// running color for thieves. On the Mely layout it also detaches the
+// rest of the color's batch into c.run (see runColor).
 func (r *Runtime) popLocal(c *rcore) *equeue.Event {
 	c.lock.Lock()
 	var ev *equeue.Event
 	if c.list != nil {
 		ev = c.list.PopFront()
-		c.qlen.Store(int32(c.list.Len()))
 	} else {
 		if r.pol.TimeLeft {
 			c.mely.SetStealCost(r.stealMon.Estimate())
 		}
 		r.retireRunCQ(c)
 		ev, c.runCQ = c.mely.PopNextFrom()
-		if c.runCQ != nil && c.runCQ.Len() == 0 {
-			c.stats.colorQueueChurns.Add(1) // the pop unlinked it
+		open := false
+		if cq := c.runCQ; cq != nil {
+			c.mely.PopRun(cq, c.run)
+			c.runLeft = r.cfg.BatchThreshold - 1
+			if open = cq.Len() == 0; open {
+				c.stats.colorQueueChurns.Add(1) // the pop unlinked it
+			}
 		}
-		c.qlen.Store(int32(c.mely.Len()))
-		c.stealLen.Store(int32(c.mely.Stealing().Len()))
+		c.runOpen.Store(open)
 	}
-	c.syncDiskLen()
+	c.syncLens()
 	if ev != nil {
 		c.running, c.hasRunning = ev.Color, true
 	}
@@ -1033,16 +1065,49 @@ func (r *Runtime) popLocal(c *rcore) *equeue.Event {
 	return ev
 }
 
+// runColor executes ev and then the running color's private run: the
+// events popLocal detached behind ev plus the continuations the handlers
+// append while the run's tail is open (Runtime.post). The run costs no
+// lock round trip; the color still yields as before — due timers are
+// harvested between every two events, and once BatchThreshold events ran
+// back to back with other work queued on the core, the rest goes back to
+// the front of the color's queue and the core rotates. A stop drops what
+// is left, like everything else still queued.
+func (r *Runtime) runColor(c *rcore, ev *equeue.Event) {
+	end := r.execute(c, ev, 0)
+	for c.run != nil && c.run.Len() > 0 && !r.stopped.Load() {
+		if c.runLeft <= 0 && c.qlen.Load() > 0 {
+			c.lock.Lock()
+			if c.mely.PushFrontRun(c.runCQ, c.run) {
+				c.stats.colorQueueChurns.Add(1)
+			}
+			c.syncLens()
+			c.lock.Unlock()
+			return
+		}
+		c.runLeft--
+		if r.harvestTimers(c) > 0 || r.adm != nil {
+			end = 0 // a firing, or noteExec's reload, ran since that stamp
+		}
+		end = r.execute(c, c.run.Drain(), end)
+	}
+}
+
 // execute runs the handler and feeds the profiler. A panicking handler
 // is contained: the event is dropped, the panic counted, and the worker
-// lives on (one bad event must not take down the whole core).
-func (r *Runtime) execute(c *rcore, ev *equeue.Event) {
+// lives on (one bad event must not take down the whole core). start is
+// the event's start stamp when the caller has one — the end stamp
+// execute returned for the event before, with nothing but its retire in
+// between (runColor) — and 0 to read the clock.
+func (r *Runtime) execute(c *rcore, ev *equeue.Event, start int64) (end int64) {
 	hs := *r.handlers.Load()
 	entry := &hs[ev.Handler]
-	// One monotonic read at each end: the stall stamp, the profiler, the
-	// latency sample and the flight recorder all take the epoch-relative
-	// value as it is.
-	start := r.now()
+	// One monotonic read at each end (the start's may be the previous
+	// event's end): the stall stamp, the profiler, the latency sample and
+	// the flight recorder all take the epoch-relative value as it is.
+	if start == 0 {
+		start = r.now()
+	}
 	handedOn := false
 	if entry.fn != nil {
 		if r.stallOn {
@@ -1063,7 +1128,8 @@ func (r *Runtime) execute(c *rcore, ev *equeue.Event) {
 			c.stalled.Store(false) // the episode (if any) ended with the handler
 		}
 	}
-	elapsed := r.now() - start
+	end = r.now()
+	elapsed := end - start
 	if elapsed < 1 {
 		elapsed = 1
 	}
@@ -1096,6 +1162,7 @@ func (r *Runtime) execute(c *rcore, ev *equeue.Event) {
 	if !handedOn && r.pending.Add(-1) == 0 && r.drainWaiters.Load() > 0 {
 		r.wakeDrainers()
 	}
+	return end
 }
 
 // feedProfile accounts one execution of handler h to its profile p. The
@@ -1125,6 +1192,18 @@ func runHandler(entry *handlerEntry, ctx *Ctx, stats *rstats) {
 		}
 	}()
 	entry.fn(ctx)
+}
+
+// syncLens refreshes the unlocked mirrors thieves screen and rank victims
+// by — qlen, stealLen, diskLen — from the queues. Caller holds c.lock.
+func (c *rcore) syncLens() {
+	if c.list != nil {
+		c.qlen.Store(int32(c.list.Len()))
+	} else {
+		c.qlen.Store(int32(c.mely.Len()))
+		c.stealLen.Store(int32(c.mely.Stealing().Len()))
+	}
+	c.syncDiskLen()
 }
 
 // syncDiskLen refreshes the unlocked spill-backlog mirror from the
@@ -1271,11 +1350,7 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 			// a two-step publish would expose a detached queue to
 			// posters that already see the new owner.
 			r.table.BeginMigrationBatch(colors, c.id, inTransitMarker)
-			if v.mely != nil {
-				v.stealLen.Store(int32(v.mely.Stealing().Len()))
-			}
-			v.qlen.Store(int32(rcoreView{v}.QueuedEvents()))
-			v.syncDiskLen()
+			v.syncLens()
 		}
 		v.lock.Unlock()
 		if len(colors) == 0 {
@@ -1295,7 +1370,6 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 				sets[i].MarkStolen()
 				c.list.AppendSet(sets[i])
 			}
-			c.qlen.Store(int32(c.list.Len()))
 			for _, color := range colors {
 				if r.table.Queue(color) == inTransitMarker {
 					r.table.SetQueue(color, nil)
@@ -1316,10 +1390,8 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 					r.table.SetQueue(color, cq)
 				}
 			}
-			c.qlen.Store(int32(c.mely.Len()))
-			c.stealLen.Store(int32(c.mely.Stealing().Len()))
 		}
-		c.syncDiskLen()
+		c.syncLens()
 		c.lock.Unlock()
 
 		// The stolen colors' pending timers migrate with them (the

@@ -186,7 +186,11 @@ func (s *PollSample) add(o PollSample) {
 
 // CoreStats is a snapshot of one worker's counters.
 type CoreStats struct {
-	// Events executed on this core and their total handler time.
+	// Events executed on this core and their total handler time. An
+	// event that came straight off the running color's private run
+	// (Mely layout) is timed from the end stamp of the event before it,
+	// so its time includes that event's retire bookkeeping — tens of
+	// nanoseconds; the same holds for ExecTimeHist and StolenTime.
 	Events   int64
 	ExecTime time.Duration
 	// Steals performed by this core (RemoteSteals crossed a cache
@@ -225,7 +229,10 @@ type CoreStats struct {
 	// Stalls counts stall-watchdog episodes on this core: handlers that
 	// executed past Config.StallThreshold (0 with the watchdog off).
 	Stalls int64
-	// Queued is the instantaneous queue length.
+	// Queued is the instantaneous queue length. On the Mely layout it
+	// leaves out the running color's private run: the at most
+	// BatchThreshold-1 events the worker detached behind the one it is
+	// executing, plus the continuations that handler chain appended.
 	Queued int
 	// TimersFired counts timers this core's wheel expired; TimerLagHist
 	// is the firing-lag histogram (harvest time minus deadline) with
@@ -357,7 +364,9 @@ type Stats struct {
 
 	// Overload-control counters, all zero on unbounded runtimes.
 	// QueuedEvents is the in-memory queued-event gauge the bounds are
-	// enforced against; SpilledNow is the on-disk backlog gauge.
+	// enforced against (on an unbounded runtime the sum of the cores'
+	// Queued, which leaves out each running color's private run);
+	// SpilledNow is the on-disk backlog gauge.
 	// SpilledEvents/ReloadedEvents count traffic through the spill
 	// store (equal once a burst has fully drained); RejectedPosts and
 	// BlockedPosts count the Reject and Block policies' interventions;
