@@ -288,18 +288,14 @@ func (r *Runtime) deliverGroup(owner int, slab []equeue.Event, next []int32, hea
 		failed []equeue.Color
 	)
 	c.lock.Lock()
-	if c.mely != nil && r.pol.TimeLeft {
-		c.mely.SetStealCost(r.stealMon.Estimate())
+	if r.pol.TimeLeft {
+		c.Mely().SetStealCost(r.stealMon.Estimate())
 	}
 	for i := head; i >= 0; i = next[i] {
 		ev := &slab[i]
 		if haveColor && ev.Color == lastCol {
-			if c.list != nil {
-				c.list.PushBack(ev)
-			} else {
-				if c.mely.Push(lastCQ, ev) {
-					c.stats.colorQueueChurns.Add(1)
-				}
+			if c.Push(lastCQ, ev) {
+				c.stats.colorQueueChurns.Add(1)
 			}
 			delivered++
 			continue

@@ -67,18 +67,22 @@
 //
 // # Batch stealing and steal throttling
 //
-// The paper's steal protocol migrates exactly one color per successful
-// attempt; this runtime batches by default: one attempt takes up to
-// half the victim's stealable colors — worthy ones first under the
-// time-left heuristic — capped by Config.MaxStealColors (default 8),
-// all inside a single victim-lock critical section whose color leases
-// are published in one pass over the color table's stripes. The fixed
-// steal costs (victim lock transfer, can_be_stolen, migration setup)
-// are paid once per batch instead of once per color, the steal-side
-// mirror of PostBatch; set MaxStealColors to 1 for the paper's
-// single-color protocol. Stats exposes the accounting: StolenColors,
-// the per-steal batch-size histogram (StealBatchHist), and the
-// attempt/success counters.
+// There is one steal transaction (docs/architecture.md "The steal
+// transaction"), shared with the simulator through internal/equeue and
+// internal/policy and the same on both queue layouts: screen the victim,
+// lock it, can_be_stolen, detach a set of colors, publish their leases,
+// lock ourselves, adopt the set. How many colors the set may hold is its
+// budget. The paper's protocol migrates exactly one color per successful
+// attempt — budget 1; this runtime's default budget is up to half the
+// victim's stealable colors — worthy ones first under the time-left
+// heuristic — capped by Config.MaxStealColors (default 8), all inside
+// the single victim-lock critical section, the color leases published in
+// one pass over the color table's stripes. The fixed steal costs (victim
+// lock transfer, can_be_stolen, migration setup) are then paid once per
+// batch instead of once per color, the steal-side mirror of PostBatch;
+// set MaxStealColors to 1 for the paper's single-color protocol. Stats
+// exposes the accounting: StolenColors, the per-steal batch-size
+// histogram (StealBatchHist), and the attempt/success counters.
 //
 // # Timers and color affinity
 //

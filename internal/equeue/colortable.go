@@ -149,7 +149,7 @@ func (t *ColorTable) SetOwner(c Color, core int) {
 }
 
 // setOwnerLocked is the owner/deviation bookkeeping shared by SetOwner
-// and BeginMigration. Callers hold s.mu.
+// and BeginMigrationBatch. Callers hold s.mu.
 func (t *ColorTable) setOwnerLocked(s *tableShard, c Color, core int) {
 	if core == t.Hash(c) {
 		if _, ok := s.owner[c]; ok {
@@ -172,31 +172,18 @@ func (t *ColorTable) setOwnerLocked(s *tableShard, c Color, core int) {
 // resolve a whole batch's owners without touching a single stripe.
 func (t *ColorTable) AnyDeviated() bool { return t.deviated.Load() != 0 }
 
-// BeginMigration publishes a steal in ONE stripe acquisition: the thief
-// becomes the owner and marker replaces the (just detached) queue
-// entry, atomically with respect to every table reader. Publishing
-// these in two steps would let a poster observe owner=thief while the
-// detached ColorQueue is still tabled — it would push into that queue
-// and link it on the thief before Adopt, which panics. Called under the
-// victim's core lock.
-func (t *ColorTable) BeginMigration(c Color, thief int, marker *ColorQueue) {
-	s := t.shard(c)
-	s.mu.Lock()
-	t.setOwnerLocked(s, c, thief)
-	s.queues[c] = marker
-	s.mu.Unlock()
-}
-
-// BeginMigrationBatch publishes a batch steal: every color gets the
-// BeginMigration treatment (thief becomes owner, marker replaces the
-// queue entry, atomically per stripe), but colors striped into the same
-// shard are published under ONE stripe acquisition — the table-side
-// amortization of batch stealing. Each color is still atomic with
-// respect to readers; the batch as a whole is not, which is fine: each
-// color's queue was already detached under the victim's lock, so a
-// poster observing color i migrated and color j not yet simply retries
-// j against the victim until its turn lands. Called under the victim's
-// core lock.
+// BeginMigrationBatch publishes a steal: for every color the thief
+// becomes the owner and marker replaces the (just detached) queue entry,
+// atomically with respect to every table reader — publishing the two in
+// separate steps would let a poster observe owner=thief while the
+// detached ColorQueue is still tabled, push into it and link it on the
+// thief before Adopt, which panics. Colors striped into the same shard
+// are published under ONE stripe acquisition, the table-side
+// amortization of batch stealing. The batch as a whole is not atomic,
+// which is fine: each color's queue was already detached under the
+// victim's lock, so a poster observing color i migrated and color j not
+// yet simply retries j against the victim until its turn lands. Called
+// under the victim's core lock.
 func (t *ColorTable) BeginMigrationBatch(colors []Color, thief int, marker *ColorQueue) {
 	// One pass per distinct stripe: the first color of a stripe
 	// publishes every later color sharing it. A 256-bit stamp marks

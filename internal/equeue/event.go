@@ -10,11 +10,17 @@
 //     a partially ordered StealingQueue (three time-left intervals) indexes
 //     the colors that are currently worth stealing. Steal extraction is O(1).
 //
+// Core is what a platform holds per core: a queue of one of the two
+// families plus the color being executed. It implements the victim view
+// the steal policy inspects, and it carries the layout-neutral halves of
+// the steal transaction — Detach a StealSet from a victim, Adopt it on the
+// thief — so that neither platform's steal routine tests for a layout.
+//
 // The queues carry no locking and no clock: both the discrete-event
-// simulator (internal/sim) and the real runtime (internal/runtime) drive
-// the same structures under their own synchronization, which keeps the
-// reproduction honest — the algorithm that is measured is the algorithm
-// that runs.
+// simulator (internal/sim) and the real runtime (package mely) embed Core
+// and drive the same structures under their own synchronization, which
+// keeps the reproduction honest — the algorithm that is measured is the
+// algorithm that runs.
 package equeue
 
 // Color is an event-coloring annotation. Two events with different colors

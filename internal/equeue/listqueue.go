@@ -3,7 +3,8 @@ package equeue
 // ListQueue is the Libasync-smp event queue: a single FIFO, per core,
 // holding events of every color assigned to that core. The runtime thread
 // pops from the head; producers (any core) append to the tail; thieves
-// extract all events of one color, which requires walking the list.
+// extract all events of the colors they chose, which requires walking the
+// list.
 //
 // Per the paper's footnote 1, the runtime maintains a counter of pending
 // events for each color so that a steal scan can stop as soon as the last
@@ -145,39 +146,21 @@ func (q *ListQueue) unlink(e *Event) {
 	}
 }
 
-// ChooseColorToSteal implements the Libasync-smp choose_colors_to_steal
-// function: select the first color (in queue order) that (i) is not the
-// color currently being processed on the victim core and (ii) is
-// associated with no more than half of the queued events. It returns the
-// chosen color, whether one was found, and the number of list links
-// scanned for cost accounting.
+// ChooseColorsToSteal implements the Libasync-smp choose_colors_to_steal
+// function: select, in queue order, up to max distinct colors that are
+// (i) not the color being processed on the victim and (ii) each
+// associated with no more than half of the queued events. An idle victim
+// keeps at least one color (see CanBeStolen); a mid-event victim keeps its
+// running color. It returns the chosen colors appended to buf[:0] and the
+// number of list links scanned, for cost accounting.
 //
-// The scan covers the whole queue: evaluating condition (ii) requires
-// per-color occurrence counts, which Libasync-smp's choose pass tallies
-// by walking the list. This is what the paper measures — a steal on a
-// Web-server queue of 1000+ pending events costs ~197 Kcycles, i.e. the
-// full queue at ~190 cycles per scanned event — and it is the O(n) cost
-// Mely's color-queues eliminate.
-func (q *ListQueue) ChooseColorToSteal(running Color, hasRunning bool) (c Color, ok bool, scanned int) {
-	half := (q.count + q.spilledTotal) / 2
-	for e := q.head; e != nil; e = e.next {
-		if hasRunning && e.Color == running {
-			continue
-		}
-		if q.effectivePending(e.Color) <= half || q.count == 1 {
-			return e.Color, true, q.count
-		}
-	}
-	return 0, false, q.count
-}
-
-// ChooseColorsToSteal is the batch form of ChooseColorToSteal: select,
-// in queue order, up to max distinct colors that are (i) not the color
-// being processed on the victim and (ii) each associated with no more
-// than half of the queued events. An idle victim keeps at least one
-// color (see CanBeStolen); a mid-event victim keeps its running color.
-// It returns the chosen colors appended to buf[:0] and the links
-// scanned for cost accounting.
+// The scan is charged for the whole queue however early the choice
+// completes: evaluating condition (ii) requires per-color occurrence
+// counts, which Libasync-smp's choose pass tallies by walking the list.
+// This is what the paper measures — a steal on a Web-server queue of 1000+
+// pending events costs ~197 Kcycles, i.e. the full queue at ~190 cycles
+// per scanned event — and it is the O(n) cost Mely's color-queues
+// eliminate.
 func (q *ListQueue) ChooseColorsToSteal(running Color, hasRunning bool, max int, buf []Color) (colors []Color, scanned int) {
 	// The running color is skipped below, so a mid-event victim may lose
 	// every queued color; an idle one keeps at least one.
@@ -191,7 +174,6 @@ func (q *ListQueue) ChooseColorsToSteal(running Color, hasRunning bool, max int,
 	half := (q.count + q.spilledTotal) / 2
 	buf = buf[:0]
 	for e := q.head; e != nil && len(buf) < max; e = e.next {
-		scanned++
 		if hasRunning && e.Color == running {
 			continue
 		}
@@ -209,16 +191,16 @@ func (q *ListQueue) ChooseColorsToSteal(running Color, hasRunning bool, max int,
 			buf = append(buf, e.Color)
 		}
 	}
-	return buf, scanned
+	return buf, q.count
 }
 
-// ExtractColorSet implements the batched construct_event_set: remove
-// every event whose color appears in colors, preserving order, in ONE
-// scan of the list — the per-steal amortization a batch steal buys on
-// this layout, where per-color extraction would re-walk the queue once
-// per color. sets[i] receives the events of colors[i]; the scan stops
-// as soon as the last pending event of the chosen colors has been
-// extracted (per-color counters, footnote 1 of the paper).
+// ExtractColorSet implements construct_event_set: remove every event
+// whose color appears in colors, preserving order, in ONE scan of the
+// list — the per-steal amortization a batch steal buys on this layout,
+// where per-color extraction would re-walk the queue once per color.
+// sets[i] receives the events of colors[i]; the scan stops as soon as the
+// last pending event of the chosen colors has been extracted (per-color
+// counters, footnote 1 of the paper), which may still be the whole queue.
 func (q *ListQueue) ExtractColorSet(colors []Color, sets []EventSet) (out []EventSet, scanned int) {
 	sets = sets[:0]
 	remaining := 0
@@ -242,25 +224,6 @@ func (q *ListQueue) ExtractColorSet(colors []Color, sets []EventSet) (out []Even
 	return sets, scanned
 }
 
-// ExtractColor implements construct_event_set: remove every event of color
-// c, preserving order, and return them as a chain along with the number of
-// links scanned. Thanks to the per-color pending counter the scan stops at
-// the last event of the color (which may still be the whole queue).
-func (q *ListQueue) ExtractColor(c Color) (set EventSet, scanned int) {
-	remaining := q.pending[c]
-	for e := q.head; e != nil && remaining > 0; {
-		next := e.next
-		scanned++
-		if e.Color == c {
-			q.unlink(e)
-			set.pushBack(e)
-			remaining--
-		}
-		e = next
-	}
-	return set, scanned
-}
-
 // AppendSet implements migrate for the list layout: append a stolen set.
 func (q *ListQueue) AppendSet(set EventSet) {
 	for e := set.head; e != nil; {
@@ -280,9 +243,6 @@ type EventSet struct {
 
 // Len reports the number of events in the set.
 func (s *EventSet) Len() int { return s.count }
-
-// Empty reports whether the set holds no events.
-func (s *EventSet) Empty() bool { return s.count == 0 }
 
 // Cost reports the summed (unweighted) processing cost of the set.
 func (s *EventSet) Cost() int64 { return s.cost }

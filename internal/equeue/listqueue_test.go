@@ -74,15 +74,30 @@ func TestListQueuePendingCost(t *testing.T) {
 	}
 }
 
+// chooseOne is choose_colors_to_steal at the paper's budget of one color.
+func chooseOne(q *ListQueue, running Color, hasRunning bool) (c Color, ok bool, scanned int) {
+	colors, scanned := q.ChooseColorsToSteal(running, hasRunning, 1, nil)
+	if len(colors) == 0 {
+		return 0, false, scanned
+	}
+	return colors[0], true, scanned
+}
+
+// extractOne is construct_event_set for a single color.
+func extractOne(q *ListQueue, c Color) (EventSet, int) {
+	sets, scanned := q.ExtractColorSet([]Color{c}, nil)
+	return sets[0], scanned
+}
+
 func TestChooseColorToStealSkipsRunning(t *testing.T) {
 	q := NewListQueue()
 	q.PushBack(ev(7, 1))
 	q.PushBack(ev(8, 1))
 	q.PushBack(ev(7, 1))
 	q.PushBack(ev(8, 1))
-	c, ok, scanned := q.ChooseColorToSteal(7, true)
+	c, ok, scanned := chooseOne(q, 7, true)
 	if !ok || c != 8 {
-		t.Fatalf("ChooseColorToSteal = (%d,%v), want (8,true)", c, ok)
+		t.Fatalf("choice = (%d,%v), want (8,true)", c, ok)
 	}
 	if scanned != 4 {
 		t.Errorf("scanned = %d, want 4 (choose tallies the whole queue)", scanned)
@@ -96,9 +111,9 @@ func TestChooseColorToStealHalfRule(t *testing.T) {
 	q.PushBack(ev(3, 1))
 	q.PushBack(ev(3, 1))
 	q.PushBack(ev(4, 1))
-	c, ok, _ := q.ChooseColorToSteal(0, false)
+	c, ok, _ := chooseOne(q, 0, false)
 	if !ok || c != 4 {
-		t.Fatalf("ChooseColorToSteal = (%d,%v), want (4,true)", c, ok)
+		t.Fatalf("choice = (%d,%v), want (4,true)", c, ok)
 	}
 }
 
@@ -107,7 +122,7 @@ func TestChooseColorToStealNoCandidate(t *testing.T) {
 	q.PushBack(ev(3, 1))
 	q.PushBack(ev(3, 1))
 	q.PushBack(ev(3, 1))
-	if _, ok, _ := q.ChooseColorToSteal(3, true); ok {
+	if _, ok, _ := chooseOne(q, 3, true); ok {
 		t.Fatal("only the running color is queued; no candidate expected")
 	}
 }
@@ -117,7 +132,7 @@ func TestChooseColorToStealSingleEvent(t *testing.T) {
 	// when its color is not running.
 	q := NewListQueue()
 	q.PushBack(ev(9, 1))
-	c, ok, _ := q.ChooseColorToSteal(1, true)
+	c, ok, _ := chooseOne(q, 1, true)
 	if !ok || c != 9 {
 		t.Fatalf("single-event steal = (%d,%v), want (9,true)", c, ok)
 	}
@@ -132,7 +147,7 @@ func TestExtractColorPreservesOrderAndStopsEarly(t *testing.T) {
 	q.PushBack(b)
 	q.PushBack(ev(6, 0))
 	q.PushBack(ev(6, 0))
-	set, scanned := q.ExtractColor(5)
+	set, scanned := extractOne(q, 5)
 	if set.Len() != 2 {
 		t.Fatalf("set.Len = %d, want 2", set.Len())
 	}
@@ -155,7 +170,7 @@ func TestExtractColorFullScanWhenLast(t *testing.T) {
 	q.PushBack(ev(6, 0))
 	q.PushBack(ev(6, 0))
 	q.PushBack(ev(5, 1))
-	_, scanned := q.ExtractColor(5)
+	_, scanned := extractOne(q, 5)
 	if scanned != 3 {
 		t.Errorf("scanned = %d, want 3 (color at tail forces full scan)", scanned)
 	}
@@ -167,7 +182,7 @@ func TestAppendSetMigration(t *testing.T) {
 		victim.PushBack(ev(1, int64(i)))
 		victim.PushBack(ev(2, int64(i)))
 	}
-	set, _ := victim.ExtractColor(2)
+	set, _ := extractOne(victim, 2)
 	set.MarkStolen()
 	thief.AppendSet(set)
 	if thief.Len() != 4 || thief.Pending(2) != 4 {
@@ -188,7 +203,7 @@ func TestEventSetCost(t *testing.T) {
 	q := NewListQueue()
 	q.PushBack(ev(1, 100))
 	q.PushBack(ev(1, 200))
-	set, _ := q.ExtractColor(1)
+	set, _ := extractOne(q, 1)
 	if set.Cost() != 300 {
 		t.Errorf("set.Cost = %d, want 300", set.Cost())
 	}
@@ -221,7 +236,7 @@ func TestListQueueConservation(t *testing.T) {
 				}
 			case 2: // extract a color
 				c := Color(rng.Intn(5))
-				set, _ := q.ExtractColor(c)
+				set, _ := extractOne(q, c)
 				if set.Len() != perColor[c] {
 					return false
 				}

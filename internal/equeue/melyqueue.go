@@ -295,45 +295,13 @@ func (q *CoreQueue) threshold() int {
 	return q.BatchThreshold
 }
 
-// StealBase mimics the Libasync-smp color choice on the Mely layout (used
-// for the "Mely - base WS" configurations): walk the CoreQueue and pick
-// the first color that is not running and holds fewer than half of the
-// core's pending events. It returns the unlinked ColorQueue (the stolen
-// set), plus the number of ColorQueues inspected for cost accounting.
-func (q *CoreQueue) StealBase(running Color, hasRunning bool) (cq *ColorQueue, inspected int) {
-	half := q.nevents / 2
-	for c := q.head; c != nil; c = c.cqNext {
-		inspected++
-		if hasRunning && c.color == running {
-			continue
-		}
-		if c.count <= half || q.ncolors == 1 {
-			q.detach(c)
-			return c, inspected
-		}
-	}
-	return nil, inspected
-}
-
-// StealWorthy implements the time-left steal: take the most valuable
-// worthy color from the StealingQueue that is not the running color.
-// It returns the unlinked ColorQueue or nil.
-func (q *CoreQueue) StealWorthy(running Color, hasRunning bool) *ColorQueue {
-	cq := q.steal.top(running, hasRunning)
-	if cq == nil {
-		return nil
-	}
-	q.detach(cq)
-	return cq
-}
-
-// StealWorthySet is the batch form of StealWorthy: it detaches up to
-// max worthy ColorQueues (richest time-left intervals first, never the
-// running color) in one pass and returns them appended to buf[:0]. An
-// idle victim always keeps at least one color — stealing its last color
-// cannot add parallelism, it only moves the work — whereas a victim
-// mid-event keeps its running color instead, so every queued color is
-// fair game.
+// StealWorthySet implements the time-left steal: it detaches up to max
+// worthy ColorQueues (richest time-left intervals first, never the
+// running color) in one pass over the StealingQueue and returns them
+// appended to buf[:0]. An idle victim always keeps at least one color —
+// stealing its last color cannot add parallelism, it only moves the
+// work — whereas a victim mid-event keeps its running color instead, so
+// every queued color is fair game.
 func (q *CoreQueue) StealWorthySet(running Color, hasRunning bool, max int, buf []*ColorQueue) []*ColorQueue {
 	buf = q.steal.CollectWorthy(running, hasRunning, max, buf[:0])
 	buf = buf[:q.capTake(len(buf), hasRunning)]
@@ -343,10 +311,11 @@ func (q *CoreQueue) StealWorthySet(running Color, hasRunning bool, max int, buf 
 	return buf
 }
 
-// StealBaseSet is the batch form of StealBase: walk the CoreQueue and
-// detach up to max colors that are not running and hold no more than
-// half of the core's pending events, keeping one color on an idle
-// victim. inspected counts ColorQueues examined, for cost accounting.
+// StealBaseSet mimics the Libasync-smp color choice on the Mely layout
+// (the "Mely - base WS" configurations): walk the CoreQueue and detach up
+// to max colors that are not running and hold no more than half of the
+// core's pending events, keeping one color on an idle victim. inspected
+// counts ColorQueues examined, for cost accounting.
 func (q *CoreQueue) StealBaseSet(running Color, hasRunning bool, max int, buf []*ColorQueue) (set []*ColorQueue, inspected int) {
 	half := q.nevents / 2
 	buf = buf[:0]

@@ -103,6 +103,24 @@ func TestPushReportsLinking(t *testing.T) {
 	}
 }
 
+// stealBaseOne is StealBaseSet at the paper's budget of one color.
+func stealBaseOne(q *CoreQueue, running Color, hasRunning bool) (cq *ColorQueue, inspected int) {
+	set, inspected := q.StealBaseSet(running, hasRunning, 1, nil)
+	if len(set) == 0 {
+		return nil, inspected
+	}
+	return set[0], inspected
+}
+
+// stealWorthyOne is StealWorthySet at the paper's budget of one color.
+func stealWorthyOne(q *CoreQueue, running Color, hasRunning bool) *ColorQueue {
+	set := q.StealWorthySet(running, hasRunning, 1, nil)
+	if len(set) == 0 {
+		return nil
+	}
+	return set[0]
+}
+
 func TestStealBaseHalfRule(t *testing.T) {
 	q := NewCoreQueue(100)
 	table := map[Color]*ColorQueue{}
@@ -111,7 +129,7 @@ func TestStealBaseHalfRule(t *testing.T) {
 	}
 	pushNew(q, table, ev(2, 1))
 	// Color 1 holds 3 of 4 events: skip it; steal color 2.
-	cq, inspected := q.StealBase(0, false)
+	cq, inspected := stealBaseOne(q, 0, false)
 	if cq == nil || cq.Color() != 2 {
 		t.Fatalf("StealBase stole %v, want color 2", cq)
 	}
@@ -128,7 +146,7 @@ func TestStealBaseSkipsRunningColor(t *testing.T) {
 	table := map[Color]*ColorQueue{}
 	pushNew(q, table, ev(1, 1))
 	pushNew(q, table, ev(2, 1))
-	cq, _ := q.StealBase(1, true)
+	cq, _ := stealBaseOne(q, 1, true)
 	if cq == nil || cq.Color() != 2 {
 		t.Fatalf("StealBase must skip the running color, stole %v", cq)
 	}
@@ -141,19 +159,19 @@ func TestStealWorthyPrefersHighestInterval(t *testing.T) {
 	pushNew(q, table, ev(2, 5000)) // interval 2 [1600,...)
 	pushNew(q, table, ev(3, 600))  // interval 1 [400,1600)
 	pushNew(q, table, ev(4, 50))   // not worthy
-	cq := q.StealWorthy(0, false)
+	cq := stealWorthyOne(q, 0, false)
 	if cq == nil || cq.Color() != 2 {
 		t.Fatalf("StealWorthy should take the highest interval (color 2), got %v", cq)
 	}
-	cq = q.StealWorthy(0, false)
+	cq = stealWorthyOne(q, 0, false)
 	if cq == nil || cq.Color() != 3 {
 		t.Fatalf("next StealWorthy should take color 3, got %v", cq)
 	}
-	cq = q.StealWorthy(0, false)
+	cq = stealWorthyOne(q, 0, false)
 	if cq == nil || cq.Color() != 1 {
 		t.Fatalf("next StealWorthy should take color 1, got %v", cq)
 	}
-	if cq = q.StealWorthy(0, false); cq != nil {
+	if cq = stealWorthyOne(q, 0, false); cq != nil {
 		t.Fatalf("color 4 (cost 50 <= stealCost 100) must not be stolen, got %v", cq)
 	}
 }
@@ -162,11 +180,11 @@ func TestStealWorthySkipsRunning(t *testing.T) {
 	q := NewCoreQueue(10)
 	table := map[Color]*ColorQueue{}
 	pushNew(q, table, ev(1, 500))
-	if cq := q.StealWorthy(1, true); cq != nil {
+	if cq := stealWorthyOne(q, 1, true); cq != nil {
 		t.Fatal("the running color must never be stolen")
 	}
 	pushNew(q, table, ev(2, 300))
-	cq := q.StealWorthy(1, true)
+	cq := stealWorthyOne(q, 1, true)
 	if cq == nil || cq.Color() != 2 {
 		t.Fatalf("StealWorthy = %v, want color 2", cq)
 	}
@@ -179,7 +197,7 @@ func TestAdoptMigration(t *testing.T) {
 	pushNew(victim, table, ev(1, 100))
 	pushNew(victim, table, ev(1, 100))
 	pushNew(victim, table, ev(2, 100))
-	cq, _ := victim.StealBase(0, false)
+	cq, _ := stealBaseOne(victim, 0, false)
 	if cq == nil {
 		t.Fatal("no steal candidate")
 	}
@@ -191,8 +209,9 @@ func TestAdoptMigration(t *testing.T) {
 	if victim.Len()+thief.Len() != 3 {
 		t.Fatal("steal must conserve events")
 	}
-	// The adopted queue must be stealable from the thief as well.
-	if cq2 := thief.StealWorthy(0, false); cq2 == nil {
+	// The adopted queue must be stealable from the thief as well (mid-event:
+	// an idle thief would keep its only color).
+	if cq2 := stealWorthyOne(thief, 99, true); cq2 == nil {
 		t.Fatal("adopted worthy ColorQueue must enter the thief's StealingQueue")
 	}
 }
@@ -211,7 +230,7 @@ func TestPenaltyWeightingInWorthiness(t *testing.T) {
 	if q.Stealing().Len() != 1 {
 		t.Fatal("low-penalty expensive color must be worthy")
 	}
-	if cq := q.StealWorthy(0, false); cq == nil || cq.Color() != 2 {
+	if cq := stealWorthyOne(q, 0, false); cq == nil || cq.Color() != 2 {
 		t.Fatalf("StealWorthy must prefer the penalty-free color, got %v", cq)
 	}
 }
@@ -298,7 +317,7 @@ func TestCoreQueueConservation(t *testing.T) {
 					}
 				}
 			case 2:
-				if cq, _ := victim.StealBase(0, false); cq != nil {
+				if cq, _ := stealBaseOne(victim, 0, false); cq != nil {
 					delete(vTable, cq.Color())
 					if old, dup := tTable[cq.Color()]; dup && old.inCore {
 						// Merge: a color can only live in one place;
@@ -367,7 +386,7 @@ func TestMergeFront(t *testing.T) {
 	pushNew(victim, vTable, ev(7, 200))
 	pushNew(victim, vTable, ev(8, 50))
 	pushNew(victim, vTable, ev(8, 60))
-	stolen, _ := victim.StealBase(0, false)
+	stolen, _ := stealBaseOne(victim, 0, false)
 	if stolen == nil || stolen.Color() != 7 {
 		t.Fatalf("expected to steal color 7, got %v", stolen)
 	}
@@ -401,7 +420,7 @@ func TestMergeFrontIntoEmptyDst(t *testing.T) {
 	vTable := map[Color]*ColorQueue{}
 	pushNew(victim, vTable, ev(3, 10))
 	pushNew(victim, vTable, ev(4, 20))
-	stolen, _ := victim.StealBase(0, false)
+	stolen, _ := stealBaseOne(victim, 0, false)
 
 	dst := thief.NewColorQueue(stolen.Color())
 	thief.Push(dst, ev(stolen.Color(), 5))

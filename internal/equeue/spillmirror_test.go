@@ -40,7 +40,7 @@ func TestSpillBacklogTravelsOnSteal(t *testing.T) {
 	victim.Push(cq, &Event{Color: 5, Cost: 10})
 	victim.SetSpillBacklog(cq, 64, 6400)
 
-	stolen := victim.StealWorthy(0, false)
+	stolen := stealWorthyOne(victim, 99, true) // mid-event: an idle victim keeps its last color
 	if stolen != cq {
 		t.Fatalf("expected the spill-backed color to be stolen")
 	}
@@ -83,7 +83,7 @@ func TestListQueueSpillWeighting(t *testing.T) {
 
 	// Without spill accounting color 1 (3 of 5 events > half) is
 	// skipped and color 2 chosen — the pre-spill behavior.
-	c, ok, _ := q.ChooseColorToSteal(0, false)
+	c, ok, _ := chooseOne(q, 0, false)
 	if !ok || c != 2 {
 		t.Fatalf("pre-spill choice = (%v, %v), want color 2", c, ok)
 	}
@@ -95,7 +95,7 @@ func TestListQueueSpillWeighting(t *testing.T) {
 	// Effective: color 1 holds 103 of 105 (> half, skipped), color 2
 	// holds 2 — still color 2, but now for the effective-size reason;
 	// and with color 2 gone, color 1 must still be refusable.
-	c, ok, _ = q.ChooseColorToSteal(0, false)
+	c, ok, _ = chooseOne(q, 0, false)
 	if !ok || c != 2 {
 		t.Fatalf("spill-weighted choice = (%v, %v), want color 2", c, ok)
 	}
@@ -105,7 +105,7 @@ func TestListQueueSpillWeighting(t *testing.T) {
 	// stealable in queue order.
 	q.SetSpillBacklog(1, 0)
 	q.SetSpillBacklog(2, 100)
-	c, ok, _ = q.ChooseColorToSteal(0, false)
+	c, ok, _ = chooseOne(q, 0, false)
 	if !ok || c != 1 {
 		t.Fatalf("rebalanced choice = (%v, %v), want color 1", c, ok)
 	}
@@ -172,9 +172,9 @@ func TestSpillBacklogTotalAggregate(t *testing.T) {
 
 	// The backlog travels on a steal: the victim's total drops, the
 	// thief's rises by the stolen color's mirror.
-	stolen := q.StealWorthy(0, false)
+	stolen := stealWorthyOne(q, 0, false)
 	if stolen != a {
-		t.Fatalf("StealWorthy = %v, want color 1's queue", stolen)
+		t.Fatalf("stole %v, want color 1's queue", stolen)
 	}
 	if got := q.SpillBacklogTotal(); got != 25 {
 		t.Fatalf("victim total after steal = %d, want 25", got)

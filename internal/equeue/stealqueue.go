@@ -104,34 +104,26 @@ func (s *StealingQueue) remove(cq *ColorQueue) {
 	s.size--
 }
 
-// top returns the best steal candidate: the first ColorQueue of the
-// highest non-empty interval whose color is not the running color. It
+// HasWorthy reports whether a steal candidate exists (time-left
+// can_be_stolen): some worthy color other than the running one. It
 // inspects at most two entries per interval (the running color can block
-// only the head).
-func (s *StealingQueue) top(running Color, hasRunning bool) *ColorQueue {
+// only one).
+func (s *StealingQueue) HasWorthy(running Color, hasRunning bool) bool {
 	for i := s.numLevels() - 1; i >= 0; i-- {
 		for cq := s.intervals[i].head; cq != nil; cq = cq.sqNext {
-			if hasRunning && cq.color == running {
-				continue
+			if !hasRunning || cq.color != running {
+				return true
 			}
-			return cq
 		}
 	}
-	return nil
-}
-
-// HasWorthy reports whether a steal candidate exists (time-left
-// can_be_stolen): some worthy color other than the running one.
-func (s *StealingQueue) HasWorthy(running Color, hasRunning bool) bool {
-	return s.top(running, hasRunning) != nil
+	return false
 }
 
 // CollectWorthy appends to buf up to max steal candidates, richest
 // intervals first, skipping the running color, and returns the filled
-// slice. It is the multi-pop counterpart of top: a batch steal selects
-// its whole set in one pass over the intervals instead of re-walking
-// the queue once per stolen color. The entries stay linked; the caller
-// detaches the ones it actually migrates.
+// slice: a steal selects its whole set in one pass over the intervals
+// instead of re-walking the queue once per stolen color. The entries stay
+// linked; the caller detaches the ones it actually migrates.
 func (s *StealingQueue) CollectWorthy(running Color, hasRunning bool, max int, buf []*ColorQueue) []*ColorQueue {
 	for i := s.numLevels() - 1; i >= 0 && len(buf) < max; i-- {
 		for cq := s.intervals[i].head; cq != nil && len(buf) < max; cq = cq.sqNext {

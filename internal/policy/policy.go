@@ -75,15 +75,16 @@ type Config struct {
 	// to influence choices.
 	PenaltyAware bool
 
-	// BatchSteal lets one steal attempt migrate several colors under a
-	// single victim-lock critical section (up to half the victim's
-	// stealable colors, capped by MaxStealColors) — the steal-side
-	// analogue of batched posting: per-color lock, table, and wakeup
-	// costs amortize over the batch. The paper's protocol migrates
-	// exactly one color per steal, so the preset constructors below
-	// all leave this off (and the simulator's regenerated tables
-	// depend on that); the real runtime layers it on top of whichever
-	// policy is selected unless mely.Config.MaxStealColors is 1.
+	// BatchSteal raises the budget of one steal attempt (StealBudget)
+	// from one color to up to half the victim's stealable colors, capped
+	// by MaxStealColors — the steal-side analogue of batched posting:
+	// per-color lock, table, and wakeup costs amortize over the batch.
+	// There is one steal routine either way; the paper's protocol, which
+	// migrates exactly one color per steal, is its budget-1 case, so the
+	// preset constructors below all leave this off (and the simulator's
+	// regenerated tables depend on that); the real runtime turns it on
+	// for whichever policy is selected unless mely.Config.MaxStealColors
+	// is 1.
 	BatchSteal bool
 	// MaxStealColors caps the colors one batch steal may migrate
 	// (0 = DefaultMaxStealColors). Only meaningful with BatchSteal.
@@ -257,11 +258,12 @@ func (c Config) VictimOrder(self int, queueLens []int, topo *topology.Topology, 
 	return buf
 }
 
-// VictimView is what a steal decision may inspect about a locked victim,
-// implemented by both platforms over their per-core state.
+// VictimView is what a steal decision may inspect about a locked victim;
+// *equeue.Core, which both platforms embed in their per-core state,
+// implements it.
 type VictimView interface {
-	// QueuedEvents is the victim's total pending event count.
-	QueuedEvents() int
+	// Len is the victim's total pending event count.
+	Len() int
 	// DistinctColors is the number of colors with pending events.
 	DistinctColors() int
 	// RunningColor reports the color being executed, if any.
@@ -269,9 +271,9 @@ type VictimView interface {
 	// HasColorOtherThan reports whether some pending color differs
 	// from c (O(1) in both layouts thanks to the per-color counters).
 	HasColorOtherThan(c equeue.Color) bool
-	// Stealing returns the victim's StealingQueue (Mely layout only;
-	// nil for the list layout).
-	Stealing() *equeue.StealingQueue
+	// HasWorthy reports whether the victim's StealingQueue holds a color
+	// other than the running one (never on the list layout).
+	HasWorthy() bool
 }
 
 // StealBudget returns how many colors one steal attempt may migrate
@@ -289,40 +291,22 @@ func (c Config) StealBudget(stealable int) int {
 	if limit <= 0 {
 		limit = DefaultMaxStealColors
 	}
-	if budget > limit {
-		budget = limit
-	}
-	if budget < 1 {
-		budget = 1
-	}
-	return budget
+	return max(1, min(budget, limit))
 }
 
-// SelectStealSet picks and detaches the set of colors one steal
-// attempt migrates from a locked Mely victim: up to StealBudget colors,
-// worthy ones first under time-left (richest intervals first,
-// penalty-aware through the cumulative costs the queues maintain), or
-// base-eligible colors otherwise. The victim's running color is never
-// taken, and an idle victim always keeps its last color. inspected
-// counts ColorQueues examined (base mode), for platform cost
-// accounting. The returned queues are unlinked; the caller owns their
-// migration.
-func (c Config) SelectStealSet(q *equeue.CoreQueue, running equeue.Color, hasRunning bool, buf []*equeue.ColorQueue) (set []*equeue.ColorQueue, inspected int) {
+// SelectStealSet picks and detaches, into set, the colors one steal
+// attempt migrates from a locked victim that passed CanBeStolen: up to
+// StealBudget colors, worthy ones first under time-left (richest
+// intervals first, penalty-aware through the cumulative costs the queues
+// maintain), or base-eligible colors otherwise. The victim's running
+// color is never taken, and an idle victim always keeps its last color.
+// The returned counts are what the selection walked and unlinked, for
+// platform cost accounting; the caller owns the set's migration.
+func (c Config) SelectStealSet(v *equeue.Core, set *equeue.StealSet) equeue.StealWork {
 	if c.Steal == StealHeuristic && c.TimeLeft {
-		budget := c.StealBudget(q.Stealing().Len())
-		return q.StealWorthySet(running, hasRunning, budget, buf), 0
+		return v.Detach(true, c.StealBudget(v.WorthyColors()), set)
 	}
-	budget := c.StealBudget(q.Colors())
-	return q.StealBaseSet(running, hasRunning, budget, buf)
-}
-
-// SelectStealColors is SelectStealSet for the list layout: choose up to
-// StealBudget colors by the base rules (not running, each at most half
-// the queue, last color kept on an idle victim). The caller extracts
-// the events (ExtractColorSet) under the same lock hold. scanned counts
-// list links visited by the choice pass.
-func (c Config) SelectStealColors(q *equeue.ListQueue, running equeue.Color, hasRunning bool, buf []equeue.Color) (colors []equeue.Color, scanned int) {
-	return q.ChooseColorsToSteal(running, hasRunning, c.StealBudget(q.DistinctColors()), buf)
+	return v.Detach(false, c.StealBudget(v.DistinctColors()), set)
 }
 
 // CanBeStolen is Figure 2's can_be_stolen, refined per heuristics:
@@ -341,7 +325,7 @@ func (c Config) SelectStealColors(q *equeue.ListQueue, running equeue.Color, has
 // a color indefinitely without anyone executing it.)
 func (c Config) CanBeStolen(v VictimView) bool {
 	running, hasRunning := v.RunningColor()
-	if v.QueuedEvents() == 0 {
+	if v.Len() == 0 {
 		return false
 	}
 	eligible := false
@@ -354,8 +338,7 @@ func (c Config) CanBeStolen(v VictimView) bool {
 		return false
 	}
 	if c.Steal == StealHeuristic && c.TimeLeft {
-		sq := v.Stealing()
-		return sq != nil && sq.HasWorthy(running, hasRunning)
+		return v.HasWorthy()
 	}
 	return true
 }

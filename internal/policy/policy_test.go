@@ -152,11 +152,13 @@ type fakeVictim struct {
 	sq         *equeue.StealingQueue
 }
 
-func (f *fakeVictim) QueuedEvents() int                     { return f.queued }
+func (f *fakeVictim) Len() int                              { return f.queued }
 func (f *fakeVictim) DistinctColors() int                   { return f.colors }
 func (f *fakeVictim) RunningColor() (equeue.Color, bool)    { return f.running, f.hasRunning }
 func (f *fakeVictim) HasColorOtherThan(c equeue.Color) bool { return f.other }
-func (f *fakeVictim) Stealing() *equeue.StealingQueue       { return f.sq }
+func (f *fakeVictim) HasWorthy() bool {
+	return f.sq != nil && f.sq.HasWorthy(f.running, f.hasRunning)
+}
 
 func TestCanBeStolenBase(t *testing.T) {
 	cfg := LibasyncWS()
@@ -273,15 +275,18 @@ func TestStealBudget(t *testing.T) {
 	}
 }
 
-// buildVictimQueue fills a CoreQueue with n worthy colors (1..n), each
-// holding one event far above the steal-cost threshold.
-func buildVictimQueue(n int) *equeue.CoreQueue {
-	q := equeue.NewCoreQueue(100)
+// The per-core state both platforms embed is the victim view.
+var _ VictimView = (*equeue.Core)(nil)
+
+// buildVictim fills a Mely core with n worthy colors (1..n), each holding
+// one event far above the steal-cost threshold.
+func buildVictim(n int) *equeue.Core {
+	v := equeue.NewCore(false, 100, 0)
 	for c := 1; c <= n; c++ {
-		cq := q.NewColorQueue(equeue.Color(c))
-		q.Push(cq, &equeue.Event{Color: equeue.Color(c), Cost: 1_000_000, Penalty: 1})
+		color := equeue.Color(c)
+		v.Push(v.NewColorQueue(color), &equeue.Event{Color: color, Cost: 1_000_000, Penalty: 1})
 	}
-	return q
+	return &v
 }
 
 func TestSelectStealSetNeverTakesRunningOrLastColor(t *testing.T) {
@@ -293,30 +298,35 @@ func TestSelectStealSetNeverTakesRunningOrLastColor(t *testing.T) {
 		{"base", func() Config { c := MelyBaseWS(); c.BatchSteal = true; return c }()},
 	} {
 		// Idle victim: the set must leave at least one color behind.
-		q := buildVictimQueue(4)
-		set, _ := mode.cfg.SelectStealSet(q, 0, false, nil)
-		if len(set) == 0 {
+		var set equeue.StealSet
+		v := buildVictim(4)
+		mode.cfg.SelectStealSet(v, &set)
+		if len(set.Colors) == 0 {
 			t.Fatalf("%s: nothing stolen from a 4-color victim", mode.name)
 		}
-		if q.Colors() < 1 {
-			t.Fatalf("%s: victim lost its last color (left %d)", mode.name, q.Colors())
+		if v.DistinctColors() < 1 {
+			t.Fatalf("%s: victim lost its last color (left %d)", mode.name, v.DistinctColors())
 		}
 
 		// Mid-event victim: the running color must never be in the set,
 		// but every other color may go.
-		q = buildVictimQueue(4)
+		v = buildVictim(4)
 		running := equeue.Color(2)
-		set, _ = mode.cfg.SelectStealSet(q, running, true, nil)
-		for _, cq := range set {
-			if cq.Color() == running {
+		v.SetRunning(running)
+		mode.cfg.SelectStealSet(v, &set)
+		if len(set.Colors) == 0 {
+			t.Fatalf("%s: nothing stolen from a mid-event victim", mode.name)
+		}
+		for _, c := range set.Colors {
+			if c == running {
 				t.Fatalf("%s: stole the running color", mode.name)
 			}
 		}
 
 		// Idle single-color victim: nothing to take.
-		q = buildVictimQueue(1)
-		set, _ = mode.cfg.SelectStealSet(q, 0, false, nil)
-		if len(set) != 0 {
+		v = buildVictim(1)
+		mode.cfg.SelectStealSet(v, &set)
+		if len(set.Colors) != 0 {
 			t.Fatalf("%s: stole the last color of an idle victim", mode.name)
 		}
 	}
@@ -325,40 +335,50 @@ func TestSelectStealSetNeverTakesRunningOrLastColor(t *testing.T) {
 func TestSelectStealSetHonorsBudget(t *testing.T) {
 	cfg := MelyTimeLeftWS()
 	cfg.BatchSteal = true
-	q := buildVictimQueue(12)
-	set, _ := cfg.SelectStealSet(q, 0, false, nil)
-	if len(set) != 6 { // half of 12 worthy colors
-		t.Fatalf("batch size = %d, want 6", len(set))
+	var set equeue.StealSet
+	v := buildVictim(12)
+	w := cfg.SelectStealSet(v, &set)
+	if len(set.Colors) != 6 { // half of 12 worthy colors
+		t.Fatalf("batch size = %d, want 6", len(set.Colors))
 	}
-	if q.Colors() != 6 {
-		t.Fatalf("victim keeps %d colors, want 6", q.Colors())
+	if w.Unlinked != 6 || w.Inspected != 6 || w.Scanned != 0 {
+		t.Fatalf("work = %+v, want 6 inspected, 6 unlinked", w)
 	}
-	// Without BatchSteal the same call degenerates to the paper's
-	// single-color steal.
+	if v.DistinctColors() != 6 {
+		t.Fatalf("victim keeps %d colors, want 6", v.DistinctColors())
+	}
+	// Without BatchSteal the same call is the paper's single-color steal.
 	cfg.BatchSteal = false
-	q = buildVictimQueue(12)
-	set, _ = cfg.SelectStealSet(q, 0, false, nil)
-	if len(set) != 1 {
-		t.Fatalf("single-color batch size = %d, want 1", len(set))
+	v = buildVictim(12)
+	cfg.SelectStealSet(v, &set)
+	if len(set.Colors) != 1 {
+		t.Fatalf("single-color batch size = %d, want 1", len(set.Colors))
 	}
 }
 
 func TestSelectStealColorsListLayout(t *testing.T) {
 	cfg := LibasyncWS()
 	cfg.BatchSteal = true
-	q := equeue.NewListQueue()
+	v := equeue.NewCore(true, 0, 0)
 	for c := 1; c <= 6; c++ {
-		q.PushBack(&equeue.Event{Color: equeue.Color(c), Cost: 100, Penalty: 1})
+		v.Push(nil, &equeue.Event{Color: equeue.Color(c), Cost: 100, Penalty: 1})
 	}
 	// Idle victim: at most half the colors (budget 3), never all six.
-	colors, _ := cfg.SelectStealColors(q, 0, false, nil)
-	if len(colors) != 3 {
-		t.Fatalf("chose %d colors, want 3", len(colors))
+	var set equeue.StealSet
+	w := cfg.SelectStealSet(&v, &set)
+	if len(set.Colors) != 3 {
+		t.Fatalf("chose %d colors, want 3", len(set.Colors))
+	}
+	// The choose pass is charged the whole queue (6 links), the
+	// extraction stops at the third chosen event.
+	if w.Scanned != 6+3 || w.Inspected != 0 || w.Unlinked != 0 {
+		t.Fatalf("work = %+v, want 9 links scanned", w)
 	}
 	// Running color excluded even when eligible by counts.
-	colors, _ = cfg.SelectStealColors(q, 2, true, nil)
-	for _, c := range colors {
-		if c == 2 {
+	v.SetRunning(5)
+	cfg.SelectStealSet(&v, &set)
+	for _, c := range set.Colors {
+		if c == 5 {
 			t.Fatal("chose the running color")
 		}
 	}

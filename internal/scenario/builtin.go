@@ -1,133 +1,39 @@
 package scenario
 
-import "fmt"
+import (
+	"fmt"
 
-// Builtins returns the canonical gate scenarios, in gate-entry order:
-// the five legacy hand-written scenarios first (their records keep the
-// exact BENCH_baseline.json keys and order they always had), then the
+	"github.com/melyruntime/mely/scenarios"
+)
+
+// gateOrder is the gate-entry order of the builtin scenarios: the five
+// legacy scenarios first (their records keep the exact
+// BENCH_baseline.json keys and order they always had), then the
 // fault-injection scenarios the declarative harness adds, newest last
-// (so a baseline regeneration is append-only). Each builtin
-// has a committed twin under scenarios/ — a parity test asserts the
-// parsed files equal these literals, which is what makes a file-driven
-// `melybench -topology-dir scenarios` run and the code-driven
-// bench.GateSuite bit-identical.
+// (so a baseline regeneration is append-only).
+var gateOrder = []string{
+	"unbalanced", "penalty", "timer", "connscale",
+	"overload", "overload-slowdisk", "overload-recover",
+}
+
+// Builtins returns the canonical gate scenarios, in gate-entry order,
+// parsed from the spec files under scenarios/ (embedded in the binary) —
+// the same files `melybench -topology-dir scenarios` loads, which is what
+// makes that run and the code-driven bench.GateSuite one suite.
 func Builtins() []*Spec {
-	return []*Spec{
-		{
-			Name:        "unbalanced",
-			Description: "Paper unbalanced microbenchmark: 98% short events, 2% long, all posted on core 0",
-			Engine:      "sim",
-			Sim: &SimSpec{
-				Workload: "unbalanced",
-				Policies: []string{"mely", "mely-baseWS", "mely+timeleft-WS", "mely+timeleft-WS+batchsteal"},
-			},
-			Phases: []PhaseSpec{
-				{Name: "warmup", Cycles: 50_000_000},
-				{Name: "measure", Cycles: 500_000_000, Measure: true},
-			},
-		},
-		{
-			Name:        "penalty",
-			Description: "Paper penalty microbenchmark: cache-bound B chains with ws_penalty annotations",
-			Engine:      "sim",
-			Sim: &SimSpec{
-				Workload: "penalty",
-				Policies: []string{"mely-baseWS", "mely+timeleft+penalty-WS"},
-			},
-			Phases: []PhaseSpec{
-				{Name: "warmup", Cycles: 20_000_000},
-				{Name: "measure", Cycles: 200_000_000, Measure: true},
-			},
-		},
-		{
-			Name:        "timer",
-			Description: "Deadline-driven closed loop: 48 thinking clients, colors skewed onto core 0",
-			Engine:      "sim",
-			Sim: &SimSpec{
-				Workload: "timer",
-				Policies: []string{"mely", "mely+timeleft-WS"},
-			},
-			Phases: []PhaseSpec{
-				{Name: "warmup", Cycles: 20_000_000},
-				{Name: "measure", Cycles: 200_000_000, Measure: true},
-			},
-		},
-		{
-			Name:        "connscale",
-			Description: "C10K-style mostly-idle connections: 10k colors, ~2.5% active at any instant",
-			Engine:      "sim",
-			Sim: &SimSpec{
-				Workload: "connscale",
-				Policies: []string{"mely", "mely+timeleft-WS"},
-			},
-			Phases: []PhaseSpec{
-				{Name: "warmup", Cycles: 20_000_000},
-				{Name: "measure", Cycles: 200_000_000, Measure: true},
-			},
-		},
-		{
-			Name:        "overload",
-			Description: "Open-loop 2x overload with bounded queues + disk spill (zero-loss asserted)",
-			Engine:      "sim",
-			Sim: &SimSpec{
-				Workload: "overload",
-				Policies: []string{"mely", "mely+timeleft-WS"},
-			},
-			Phases: []PhaseSpec{
-				{Name: "warmup", Cycles: 2_000_000},
-				{Name: "measure", Cycles: 20_000_000, Measure: true},
-				{Name: "drain", Drain: true},
-			},
-			SLOs: []SLOSpec{
-				{Phase: "drain", ZeroLoss: true},
-				{Phase: "drain", MaxInMem: 1024},
-			},
-		},
-		{
-			Name: "overload-slowdisk",
-			Description: "Overload burst on a slow spill disk: every append and reload batch pays " +
-				"extra latency, and the zero-loss contract must still hold",
-			Engine: "sim",
-			Sim: &SimSpec{
-				Workload: "overload",
-				Policies: []string{"mely", "mely+timeleft-WS"},
-			},
-			Faults: []FaultSpec{
-				{Type: "spill-disk-latency", ExtraCycles: 1200},
-			},
-			Phases: []PhaseSpec{
-				{Name: "warmup", Cycles: 2_000_000},
-				{Name: "measure", Cycles: 20_000_000, Measure: true},
-				{Name: "drain", Drain: true},
-			},
-			SLOs: []SLOSpec{
-				{Phase: "drain", ZeroLoss: true},
-				{Phase: "drain", MaxInMem: 1024},
-			},
-		},
-		{
-			Name: "overload-recover",
-			Description: "Overload burst interrupted by a crash at the 500th spilled record: the store " +
-				"reopens with recovery (SyncAlways) and the zero-loss contract must hold across the restart",
-			Engine: "sim",
-			Sim: &SimSpec{
-				Workload: "overload",
-				Policies: []string{"mely", "mely+timeleft-WS"},
-			},
-			Faults: []FaultSpec{
-				{Type: "spill-crash-restart", AtSpilled: 500},
-			},
-			Phases: []PhaseSpec{
-				{Name: "warmup", Cycles: 2_000_000},
-				{Name: "measure", Cycles: 20_000_000, Measure: true},
-				{Name: "drain", Drain: true},
-			},
-			SLOs: []SLOSpec{
-				{Phase: "drain", ZeroLoss: true},
-				{Phase: "drain", MaxInMem: 1024},
-			},
-		},
+	specs := make([]*Spec, len(gateOrder))
+	for i, name := range gateOrder {
+		data, err := scenarios.Files.ReadFile(name + ".yaml")
+		if err == nil {
+			specs[i], err = Parse(data, false)
+		}
+		if err != nil {
+			// A committed gate spec that does not parse is a bug in the
+			// tree (TestBuiltinsValidate), not an input error.
+			panic(fmt.Sprintf("scenario: builtin %s: %v", name, err))
+		}
 	}
+	return specs
 }
 
 // Builtin returns one canonical scenario by name.

@@ -169,12 +169,9 @@ type core struct {
 	clock int64
 	lock  simLock
 
-	list *equeue.ListQueue
-	mely *equeue.CoreQueue
-
-	running    equeue.Color
-	hasRunning bool
-	idle       bool
+	// The queue (in the configured layout) and the running color.
+	equeue.Core
+	idle bool
 
 	// executing holds an event whose cost has been charged but whose
 	// handler has not yet run. The handler runs at the core's next
@@ -186,10 +183,8 @@ type core struct {
 
 	stats     *metrics.Core
 	victimBuf []int
-	// Batch-steal scratch (mirrors the real runtime's per-core buffers).
-	cqBuf    []*equeue.ColorQueue
-	colorBuf []equeue.Color
-	setBuf   []equeue.EventSet
+	// stealSet is the scratch steal set of this core's attempts.
+	stealSet equeue.StealSet
 }
 
 // Engine simulates one runtime configuration on one machine.
@@ -207,6 +202,9 @@ type Engine struct {
 	run      *metrics.Run
 	rng      *rand.Rand
 	pool     equeue.Pool
+
+	// enqueueCost/dequeueCost are the layout's queue-operation prices.
+	enqueueCost, dequeueCost int64
 
 	pending   int
 	stopped   bool
@@ -253,26 +251,17 @@ func New(cfg Config) (*Engine, error) {
 		queueLen: make([]int, n),
 		nextData: 1,
 	}
-	stealCap := cfg.Policy.MaxStealColors
-	if stealCap <= 0 {
-		stealCap = policy.DefaultMaxStealColors
+	list := cfg.Policy.Layout == policy.ListLayout
+	e.enqueueCost, e.dequeueCost = e.params.EnqueueMely, e.params.DequeueMely
+	if list {
+		e.enqueueCost, e.dequeueCost = e.params.EnqueueList, e.params.DequeueList
 	}
 	e.cores = make([]*core, n)
 	for i := 0; i < n; i++ {
 		c := &core{id: i, stats: &e.run.Cores[i], victimBuf: make([]int, 0, n)}
-		if cfg.Policy.BatchSteal {
-			c.cqBuf = make([]*equeue.ColorQueue, 0, stealCap)
-			c.colorBuf = make([]equeue.Color, 0, stealCap)
-			c.setBuf = make([]equeue.EventSet, 0, stealCap)
-		}
-		if cfg.Policy.Layout == policy.ListLayout {
-			c.list = equeue.NewListQueue()
-		} else {
-			c.mely = equeue.NewCoreQueue(cfg.Params.StealCostSeed)
-			c.mely.BatchThreshold = cfg.Params.BatchThreshold
-			if cfg.Params.StealIntervals > 0 {
-				c.mely.Stealing().SetIntervals(cfg.Params.StealIntervals)
-			}
+		c.Core = equeue.NewCore(list, cfg.Params.StealCostSeed, cfg.Params.BatchThreshold)
+		if !list && cfg.Params.StealIntervals > 0 {
+			c.Mely().Stealing().SetIntervals(cfg.Params.StealIntervals)
 		}
 		e.cores[i] = c
 	}
@@ -397,18 +386,11 @@ func (e *Engine) anyExecuting() bool {
 
 func (e *Engine) anyQueued() bool {
 	for _, c := range e.cores {
-		if e.coreLen(c) > 0 {
+		if c.Len() > 0 {
 			return true
 		}
 	}
 	return false
-}
-
-func (e *Engine) coreLen(c *core) int {
-	if c.list != nil {
-		return c.list.Len()
-	}
-	return c.mely.Len()
 }
 
 // step performs one atomic action for core c.
@@ -423,11 +405,11 @@ func (e *Engine) step(c *core) {
 		e.finishOne(c)
 		return
 	}
-	if e.coreLen(c) > 0 {
+	if c.Len() > 0 {
 		e.startOne(c)
 		return
 	}
-	c.hasRunning = false
+	c.ClearRunning()
 	if e.pol.Steal != policy.StealNone && e.stealAttempt(c) {
 		return
 	}
@@ -444,22 +426,15 @@ func (e *Engine) startOne(c *core) {
 
 	// Dequeue under the core's own lock.
 	e.lockAcquire(c, c)
-	var ev *equeue.Event
-	if c.list != nil {
-		ev = c.list.PopFront()
-		c.clock += e.params.DequeueList
-	} else {
-		if e.pol.TimeLeft {
-			c.mely.SetStealCost(e.stealMon.Estimate())
-		}
-		var emptied *equeue.ColorQueue
-		ev, emptied = c.mely.PopNext()
-		c.clock += e.params.DequeueMely
-		if emptied != nil {
-			c.clock += e.params.ColorQueueUnlink
-			e.table.SetQueue(emptied.Color(), nil)
-			c.mely.ReleaseColorQueue(emptied)
-		}
+	if e.pol.TimeLeft {
+		c.Mely().SetStealCost(e.stealMon.Estimate())
+	}
+	ev, emptied := c.PopNext()
+	c.clock += e.dequeueCost
+	if emptied != nil {
+		c.clock += e.params.ColorQueueUnlink
+		e.table.SetQueue(emptied.Color(), nil)
+		c.Mely().ReleaseColorQueue(emptied)
 	}
 	e.lockRelease(c, c, c.clock)
 	if ev == nil {
@@ -469,11 +444,11 @@ func (e *Engine) startOne(c *core) {
 		return
 	}
 	e.pending--
-	e.queueLen[c.id] = e.coreLen(c)
+	e.queueLen[c.id] = c.Len()
 	c.stats.QueueCycles += c.clock - start
 
 	// Execute.
-	c.running, c.hasRunning = ev.Color, true
+	c.SetRunning(ev.Color)
 	objSize := ev.DataSize
 	if objSize == 0 {
 		objSize = ev.Footprint
@@ -525,14 +500,14 @@ func (e *Engine) finishOne(c *core) {
 }
 
 // stealAttempt runs the workstealing routine of Figure 2 (with the
-// configured heuristics) and reports whether events were migrated.
-// Batch stealing diverts to stealAttemptBatch; the single-color path
-// below is untouched by it, so every paper configuration replays the
-// exact cycle-for-cycle schedule it always has.
+// configured heuristics) and reports whether events were migrated. One
+// victim-lock critical section selects and detaches up to
+// policy.StealBudget colors — one, the paper's protocol, unless batch
+// stealing raises the budget — and one self-lock hold adopts them.
+// Per-color costs (scan/inspect/unlink/link) are charged per color, the
+// fixed ones — victim lock transfer, can_be_stolen, migrate setup — once
+// per steal: exactly the amortization a larger budget buys.
 func (e *Engine) stealAttempt(c *core) bool {
-	if e.pol.BatchSteal {
-		return e.stealAttemptBatch(c)
-	}
 	c.idle = false
 	c.stats.StealAttempts++
 	t0 := c.clock
@@ -540,16 +515,17 @@ func (e *Engine) stealAttempt(c *core) bool {
 	c.clock += e.params.StealSetup
 
 	order := e.pol.VictimOrder(c.id, e.queueLen, e.topo, c.victimBuf)
+	set := &c.stealSet
 	for _, vid := range order {
 		v := e.cores[vid]
 		// The heuristic policies pre-screen victims with cheap unlocked
 		// reads; the base algorithm locks blindly — one of the two
 		// naivetes the paper calls out.
 		if e.pol.Steal == policy.StealHeuristic {
-			if e.coreLen(v) == 0 {
+			if v.Len() == 0 {
 				continue
 			}
-			if e.pol.TimeLeft && v.mely.Stealing().Len() == 0 {
+			if e.pol.TimeLeft && v.WorthyColors() == 0 {
 				continue
 			}
 		}
@@ -557,67 +533,36 @@ func (e *Engine) stealAttempt(c *core) bool {
 		heldFrom := c.clock
 		c.clock += e.params.InspectVictim
 
-		var (
-			set    equeue.EventSet
-			cq     *equeue.ColorQueue
-			stolen bool
-			color  equeue.Color
-		)
-		if e.pol.CanBeStolen(victimView{v}) {
-			if v.list != nil {
-				var ok bool
-				var scanned int
-				color, ok, scanned = v.list.ChooseColorToSteal(v.running, v.hasRunning)
-				c.clock += int64(scanned) * e.params.ScanPerEvent
-				if ok {
-					var scanned2 int
-					set, scanned2 = v.list.ExtractColor(color)
-					c.clock += int64(scanned2) * e.params.ScanPerEvent
-					stolen = !set.Empty()
-				}
-			} else {
-				if e.pol.TimeLeft {
-					v.mely.SetStealCost(e.stealMon.Estimate())
-					cq = v.mely.StealWorthy(v.running, v.hasRunning)
-					c.clock += e.params.CQInspect
-				} else {
-					var inspected int
-					cq, inspected = v.mely.StealBase(v.running, v.hasRunning)
-					c.clock += int64(inspected) * e.params.CQInspect
-				}
-				if cq != nil {
-					c.clock += e.params.ColorQueueUnlink
-					color = cq.Color()
-					stolen = true
-				}
+		set.Colors = set.Colors[:0]
+		if e.pol.CanBeStolen(&v.Core) {
+			if e.pol.TimeLeft {
+				v.Mely().SetStealCost(e.stealMon.Estimate())
 			}
+			w := e.pol.SelectStealSet(&v.Core, set)
+			c.clock += int64(w.Scanned)*e.params.ScanPerEvent +
+				int64(w.Inspected)*e.params.CQInspect +
+				int64(w.Unlinked)*e.params.ColorQueueUnlink
 		}
 		e.lockRelease(c, v, heldFrom)
-		if !stolen {
+		if len(set.Colors) == 0 {
 			continue
 		}
 
-		// Migrate into our own queue and take ownership of the color.
-		e.queueLen[vid] = e.coreLen(v)
+		// Migrate into our own queue and take ownership of every color.
+		e.queueLen[vid] = v.Len()
 		waited += e.lockAcquire(c, c)
 		mHeld := c.clock
-		c.clock += e.params.MigrateBase
-		e.table.SetOwner(color, c.id)
-		if c.list != nil {
-			set.MarkStolen()
-			c.list.AppendSet(set)
-		} else {
-			cq.MarkStolen()
-			c.mely.Adopt(cq)
-			c.clock += e.params.ColorQueueLink
-			e.table.SetQueue(color, cq)
+		c.clock += e.params.MigrateBase + int64(c.Adopt(set))*e.params.ColorQueueLink
+		for i, color := range set.Colors {
+			e.table.SetOwner(color, c.id)
+			e.table.SetQueue(color, set.Queue(i))
 		}
 		e.lockRelease(c, c, mHeld)
-		e.queueLen[c.id] = e.coreLen(c)
+		e.queueLen[c.id] = c.Len()
 
 		dt := c.clock - t0
 		c.stats.Steals++
-		c.stats.StolenColors++
+		c.stats.StolenColors += int64(len(set.Colors))
 		if !e.topo.SharesCache(c.id, vid) {
 			c.stats.RemoteSteals++
 		}
@@ -629,141 +574,17 @@ func (e *Engine) stealAttempt(c *core) bool {
 		// worthiness threshold balloon under load.
 		e.stealMon.Observe(dt - waited)
 		if e.cfg.Trace != nil {
+			what := fmt.Sprintf("steal from core %d", vid)
+			if n := len(set.Colors); n > 1 {
+				what = fmt.Sprintf("steal %d colors from core %d", n, vid)
+			}
 			e.cfg.Trace(TraceEvent{
 				Kind:    TraceSteal,
 				Core:    c.id,
 				Start:   t0,
 				End:     c.clock,
-				Color:   color,
-				Handler: fmt.Sprintf("steal from core %d", vid),
-			})
-		}
-		return true
-	}
-
-	c.stats.FailedSteals++
-	dt := c.clock - t0
-	c.stats.FailedStealCycles += dt
-	c.stats.BusyCycles += dt
-	if e.cfg.Trace != nil && dt > 0 {
-		e.cfg.Trace(TraceEvent{
-			Kind:  TraceFailedSteal,
-			Core:  c.id,
-			Start: t0,
-			End:   c.clock,
-		})
-	}
-	return false
-}
-
-// stealAttemptBatch is stealAttempt with the batch protocol: one
-// victim-lock critical section selects and detaches up to
-// policy.StealBudget colors, their leases are published in one table
-// pass, and one self-lock hold adopts them all. Costs mirror the
-// single path per color (scan/inspect/unlink/link) while the fixed
-// costs — victim lock transfer, can_be_stolen, migrate setup — are
-// paid once per batch: exactly the amortization being modeled.
-func (e *Engine) stealAttemptBatch(c *core) bool {
-	c.idle = false
-	c.stats.StealAttempts++
-	t0 := c.clock
-	var waited int64
-	c.clock += e.params.StealSetup
-
-	order := e.pol.VictimOrder(c.id, e.queueLen, e.topo, c.victimBuf)
-	for _, vid := range order {
-		v := e.cores[vid]
-		if e.pol.Steal == policy.StealHeuristic {
-			if e.coreLen(v) == 0 {
-				continue
-			}
-			if e.pol.TimeLeft && v.mely.Stealing().Len() == 0 {
-				continue
-			}
-		}
-		waited += e.lockAcquire(c, v)
-		heldFrom := c.clock
-		c.clock += e.params.InspectVictim
-
-		var (
-			sets   []equeue.EventSet
-			cqs    []*equeue.ColorQueue
-			colors []equeue.Color
-		)
-		if e.pol.CanBeStolen(victimView{v}) {
-			if v.list != nil {
-				var scanned int
-				colors, scanned = e.pol.SelectStealColors(v.list, v.running, v.hasRunning, c.colorBuf)
-				c.clock += int64(scanned) * e.params.ScanPerEvent
-				if len(colors) > 0 {
-					var scanned2 int
-					sets, scanned2 = v.list.ExtractColorSet(colors, c.setBuf)
-					c.clock += int64(scanned2) * e.params.ScanPerEvent
-				}
-			} else {
-				var inspected int
-				if e.pol.TimeLeft {
-					v.mely.SetStealCost(e.stealMon.Estimate())
-				}
-				cqs, inspected = e.pol.SelectStealSet(v.mely, v.running, v.hasRunning, c.cqBuf)
-				if inspected == 0 {
-					// Time-left selection is interval-indexed: one
-					// lookup per taken color, one for an empty probe.
-					inspected = len(cqs)
-					if inspected == 0 {
-						inspected = 1
-					}
-				}
-				c.clock += int64(inspected) * e.params.CQInspect
-				c.clock += int64(len(cqs)) * e.params.ColorQueueUnlink
-				colors = c.colorBuf[:0]
-				for _, cq := range cqs {
-					colors = append(colors, cq.Color())
-				}
-			}
-		}
-		e.lockRelease(c, v, heldFrom)
-		if len(colors) == 0 {
-			continue
-		}
-
-		// Migrate the whole batch and take ownership of every color.
-		e.queueLen[vid] = e.coreLen(v)
-		waited += e.lockAcquire(c, c)
-		mHeld := c.clock
-		c.clock += e.params.MigrateBase
-		for i, color := range colors {
-			e.table.SetOwner(color, c.id)
-			if c.list != nil {
-				sets[i].MarkStolen()
-				c.list.AppendSet(sets[i])
-			} else {
-				cqs[i].MarkStolen()
-				c.mely.Adopt(cqs[i])
-				c.clock += e.params.ColorQueueLink
-				e.table.SetQueue(color, cqs[i])
-			}
-		}
-		e.lockRelease(c, c, mHeld)
-		e.queueLen[c.id] = e.coreLen(c)
-
-		dt := c.clock - t0
-		c.stats.Steals++
-		c.stats.StolenColors += int64(len(colors))
-		if !e.topo.SharesCache(c.id, vid) {
-			c.stats.RemoteSteals++
-		}
-		c.stats.StealCycles += dt
-		c.stats.BusyCycles += dt
-		e.stealMon.Observe(dt - waited)
-		if e.cfg.Trace != nil {
-			e.cfg.Trace(TraceEvent{
-				Kind:    TraceSteal,
-				Core:    c.id,
-				Start:   t0,
-				End:     c.clock,
-				Color:   colors[0],
-				Handler: fmt.Sprintf("steal %d colors from core %d", len(colors), vid),
+				Color:   set.Colors[0],
+				Handler: what,
 			})
 		}
 		return true
@@ -809,16 +630,27 @@ func (e *Engine) lockRelease(c, target *core, heldFrom int64) {
 	}
 }
 
-// post enqueues ev on the owner of its color (or an explicit target).
-func (e *Engine) post(from *core, explicit int, ev Ev) {
-	h := &e.handlers[ev.Handler]
-	if ev.Cost == 0 {
-		ev.Cost = h.opts.DefaultCost
-	}
+// newEvent returns the queued form of ev, a pooled event with handler h's
+// default cost filled in; Est and Penalty are the caller's to set.
+func (e *Engine) newEvent(h *handlerEntry, ev Ev) *equeue.Event {
 	event := e.pool.Get()
 	event.Handler = ev.Handler
 	event.Color = ev.Color
 	event.Cost = ev.Cost
+	if event.Cost == 0 {
+		event.Cost = h.opts.DefaultCost
+	}
+	event.Footprint = ev.Footprint
+	event.DataSize = ev.DataSize
+	event.DataID = ev.DataID
+	event.Data = ev.Data
+	return event
+}
+
+// post enqueues ev on the owner of its color (or an explicit target).
+func (e *Engine) post(from *core, explicit int, ev Ev) {
+	h := &e.handlers[ev.Handler]
+	event := e.newEvent(h, ev)
 	if h.opts.DynamicEstimate {
 		event.Est = e.profiles.Handler(int(ev.Handler)).Estimate()
 		if event.Est == 0 {
@@ -830,37 +662,22 @@ func (e *Engine) post(from *core, explicit int, ev Ev) {
 		penalty = h.autoPenalty()
 	}
 	event.Penalty = e.pol.EffectivePenalty(penalty)
-	event.Footprint = ev.Footprint
-	event.DataSize = ev.DataSize
-	event.DataID = ev.DataID
-	event.Data = ev.Data
 
 	owner := e.resolveOwner(ev.Color, explicit)
 	target := e.cores[owner]
 
 	e.lockAcquire(from, target)
 	heldFrom := from.clock
-	if target.list != nil {
-		target.list.PushBack(event)
-		from.clock += e.params.EnqueueList
-	} else {
-		if e.pol.TimeLeft {
-			target.mely.SetStealCost(e.stealMon.Estimate())
-		}
-		cq := e.table.Queue(ev.Color)
-		if cq == nil {
-			cq = target.mely.NewColorQueue(ev.Color)
-			e.table.SetQueue(ev.Color, cq)
-		}
-		linked := target.mely.Push(cq, event)
-		from.clock += e.params.EnqueueMely
-		if linked {
-			from.clock += e.params.ColorQueueLink
-		}
+	if e.pol.TimeLeft {
+		target.Mely().SetStealCost(e.stealMon.Estimate())
+	}
+	from.clock += e.enqueueCost
+	if target.Push(target.QueueFor(e.table, ev.Color), event) {
+		from.clock += e.params.ColorQueueLink
 	}
 	e.lockRelease(from, target, heldFrom)
 	e.pending++
-	e.queueLen[owner] = e.coreLen(target)
+	e.queueLen[owner] = target.Len()
 
 	// Wake an idle target: it would have observed the event at post
 	// time had it kept spinning.
@@ -900,15 +717,7 @@ func (e *Engine) resolveOwner(col equeue.Color, explicit int) int {
 // colorLive reports whether color c has pending events or is executing
 // on the given owner core.
 func (e *Engine) colorLive(col equeue.Color, owner int) bool {
-	c := e.cores[owner]
-	if c.hasRunning && c.running == col {
-		return true
-	}
-	if c.list != nil {
-		return c.list.Pending(col) > 0
-	}
-	cq := e.table.Queue(col)
-	return cq != nil && cq.Len() > 0
+	return e.cores[owner].ColorLive(col, e.table.Queue(col))
 }
 
 // quiesce synchronizes clocks and invokes the OnQuiescent hook.
@@ -925,7 +734,7 @@ func (e *Engine) quiesce(horizon int64) {
 			c.clock = maxClock
 		}
 		c.idle = true
-		c.hasRunning = false
+		c.ClearRunning()
 	}
 	if maxClock >= horizon {
 		return // horizon reached; caller decides whether to continue
@@ -962,46 +771,6 @@ func (e *Engine) chargeAccess(c *core, id uint64, objSize, touched int64) int64 
 		e.busFreeAt = start + occupied
 	}
 	return cycles
-}
-
-// victimView adapts a core to policy.VictimView.
-type victimView struct{ c *core }
-
-func (v victimView) QueuedEvents() int {
-	if v.c.list != nil {
-		return v.c.list.Len()
-	}
-	return v.c.mely.Len()
-}
-
-func (v victimView) DistinctColors() int {
-	if v.c.list != nil {
-		return v.c.list.DistinctColors()
-	}
-	return v.c.mely.Colors()
-}
-
-func (v victimView) RunningColor() (equeue.Color, bool) {
-	return v.c.running, v.c.hasRunning
-}
-
-func (v victimView) HasColorOtherThan(col equeue.Color) bool {
-	if v.DistinctColors() >= 2 {
-		return true
-	}
-	if v.c.list != nil {
-		first, ok := v.c.list.FirstColor()
-		return ok && first != col
-	}
-	first, ok := v.c.mely.FirstColor()
-	return ok && first != col
-}
-
-func (v victimView) Stealing() *equeue.StealingQueue {
-	if v.c.mely == nil {
-		return nil
-	}
-	return v.c.mely.Stealing()
 }
 
 // Ctx is the execution context passed to simulated handlers.

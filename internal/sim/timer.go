@@ -71,33 +71,14 @@ func (e *Engine) deliverDue() {
 // runtime-side cost when it runs).
 func (e *Engine) inject(ev Ev) {
 	h := &e.handlers[ev.Handler]
-	if ev.Cost == 0 {
-		ev.Cost = h.opts.DefaultCost
-	}
-	event := e.pool.Get()
-	event.Handler = ev.Handler
-	event.Color = ev.Color
-	event.Cost = ev.Cost
+	event := e.newEvent(h, ev)
 	event.Penalty = e.pol.EffectivePenalty(h.opts.Penalty)
-	event.Footprint = ev.Footprint
-	event.DataSize = ev.DataSize
-	event.DataID = ev.DataID
-	event.Data = ev.Data
 
 	owner := e.table.OwnerHint(ev.Color) // single-threaded: identical to Owner, skips the stripe lock
 	target := e.cores[owner]
-	if target.list != nil {
-		target.list.PushBack(event)
-	} else {
-		cq := e.table.Queue(ev.Color)
-		if cq == nil {
-			cq = target.mely.NewColorQueue(ev.Color)
-			e.table.SetQueue(ev.Color, cq)
-		}
-		target.mely.Push(cq, event)
-	}
+	target.Push(target.QueueFor(e.table, ev.Color), event)
 	e.pending++
-	e.queueLen[owner] = e.coreLen(target)
+	e.queueLen[owner] = target.Len()
 	target.idle = false
 }
 

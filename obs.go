@@ -255,15 +255,12 @@ func (r *Runtime) noteStall(c *rcore, now, elapsed int64) {
 	r.stallMu.Lock()
 	r.lastStallStack = buf
 	r.stallMu.Unlock()
-	if p := r.cfg.StallDumpPath; p != "" {
-		// Automatic flight-recorder dump: the trace context around the
-		// stall survives even if the operator has to kill the process.
-		_ = obs.DumpToFile(p, r.DumpTrace)
-	}
 	if r.cfg.IncidentDir != "" {
 		// Profile-on-anomaly unification: a stall episode captures the
-		// same evidence bundle the health engine's detectors do, under
-		// the same rate limit.
+		// same evidence bundle the health engine's detectors do — the
+		// flight-recorder dump among it, so the trace context around the
+		// stall survives even if the process must be killed — under the
+		// same rate limit.
 		r.captureIncidentAsync("stall", nil)
 	}
 }

@@ -1132,10 +1132,8 @@ func (r *Runtime) syncSpillMirror(color equeue.Color, n int64, cost int64) {
 			c.lock.Unlock()
 			continue // stolen between resolution and lock; retry
 		}
-		if c.list != nil {
-			c.list.SetSpillBacklog(color, int(n))
-		} else if cq := r.table.Queue(color); cq != nil && cq != inTransitMarker {
-			c.mely.SetSpillBacklog(cq, int(n), cost)
+		if cq := r.table.Queue(color); cq != inTransitMarker {
+			c.SetSpillBacklog(color, cq, int(n), cost)
 		}
 		c.syncDiskLen()
 		c.lock.Unlock()

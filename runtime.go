@@ -121,15 +121,22 @@ type rcore struct {
 	id   int
 	lock spinlock.Lock
 
-	// Exactly one of list/mely is non-nil; both are guarded by lock.
-	list *equeue.ListQueue
-	mely *equeue.CoreQueue
+	// The event queue, in the policy's layout, and the running color;
+	// guarded by lock. The running color stays set between events and is
+	// cleared when the worker demonstrably stops executing — stealing or
+	// parking — mirroring the simulator.
+	equeue.Core
 
-	// running is the color being executed (guarded by lock; it stays
-	// set between events and is cleared when the worker demonstrably
-	// stops executing — stealing or parking — mirroring the simulator).
-	running    equeue.Color
-	hasRunning bool
+	// runCQ is the ColorQueue the running color's event was popped from
+	// (Mely layout; nil when nothing runs). A thief never takes the
+	// running color and its lease cannot expire, so until the next pop
+	// this queue is the color's tabled queue on this core — the public
+	// part of the color, where everyone but its worker delivers, without
+	// a color-table round trip (deliverLocked). That holds for a queue
+	// the pop emptied as well: it stays tabled while the run lasts, and
+	// the next popLocal (or clearRunning) retires it if nothing re-linked
+	// it. Non-nil only while a color is running; guarded by lock.
+	runCQ *equeue.ColorQueue
 
 	// qlen/stealLen mirror queue sizes for unlocked victim screening (the
 	// running color's private run is in neither, see run).
@@ -142,31 +149,6 @@ type rcore struct {
 
 	wake chan struct{}
 
-	// runCQ is the ColorQueue the running color's event was popped from
-	// (Mely layout; nil when nothing runs). A thief never takes the
-	// running color and its lease cannot expire, so until the next pop
-	// this queue is the color's tabled queue on this core — the public
-	// part of the color, where everyone but its worker delivers, without
-	// a color-table round trip (deliverLocked). That holds for a queue
-	// the pop emptied as well: it stays tabled while the run lasts, and
-	// the next popLocal (or clearRunning) retires it if nothing re-linked
-	// it. Non-nil only while hasRunning; guarded by lock.
-	runCQ *equeue.ColorQueue
-	// run is the private part of the running color (Mely layout): the
-	// events popLocal detached from runCQ behind the one it returned.
-	// Only this worker could have popped them (a running color is neither
-	// stolen nor re-homed), so it executes them without lock (runColor);
-	// runLeft is how many of them the color's batch still covers.
-	// Worker-owned.
-	run     *equeue.ColorQueue
-	runLeft int
-	// runOpen lets the running handler append its own continuations to
-	// run (Runtime.post): true only while runCQ has been empty since the
-	// pop, so that an event appended to run precedes nothing delivered
-	// before it. Stored under lock — by popLocal, and by deliverLocked
-	// when it pushes into runCQ — and loaded by the worker without it.
-	runOpen atomic.Bool
-
 	// wheel is the core's timing wheel: timers for colors owned here are
 	// armed here, harvested by this worker, and migrate with their color.
 	wheel *timerwheel.Wheel
@@ -176,10 +158,9 @@ type rcore struct {
 
 	victimBuf []int
 	lenBuf    []int
-	// Batch-steal scratch, reused across attempts (worker-owned).
-	stealBuf []*equeue.ColorQueue
-	colorBuf []equeue.Color
-	setBuf   []equeue.EventSet
+	// stealSet is the steal set of this worker's attempts, reused across
+	// them (worker-owned).
+	stealSet equeue.StealSet
 	// Timer scratch (worker-owned): harvest and steal-migration buffers.
 	timerBuf []*timerwheel.Entry
 	entryBuf []*timerwheel.Entry
@@ -189,6 +170,22 @@ type rcore struct {
 	// worker, and a Ctx was never valid past the handler's return (its
 	// event is zeroed and pooled), so reuse is invisible to handlers.
 	ctx Ctx
+
+	// run is the private part of the running color (Mely layout): the
+	// events popLocal detached from runCQ behind the one it returned.
+	// Only this worker could have popped them (a running color is neither
+	// stolen nor re-homed), so it executes them without lock (runColor);
+	// runLeft is how many of them the color's batch still covers.
+	// Worker-owned and written per event, hence down here: off the cache
+	// lines of the fields above, which posters and thieves read.
+	run     *equeue.ColorQueue
+	runLeft int
+	// runOpen lets the running handler append its own continuations to
+	// run (Runtime.post): true only while runCQ has been empty since the
+	// pop, so that an event appended to run precedes nothing delivered
+	// before it. Stored under lock — by popLocal, and by deliverLocked
+	// when it pushes into runCQ — and loaded by the worker without it.
+	runOpen atomic.Bool
 
 	// Posting state of this core's worker. Only the worker touches it, so
 	// what a handler posts, a timer fires or a reload brings back on this
@@ -251,24 +248,12 @@ type Runtime struct {
 	lifeMu sync.Mutex
 	wg     sync.WaitGroup
 
-	// pending counts posted-but-not-completed events (Drain). Drain
-	// waiters subscribe to drainCh; workers close it when pending hits
-	// zero, so an idle drain costs nothing (no polling). drainWaiters
-	// keeps the zero-crossing check off the execute hot path when
-	// nobody is draining.
-	pending      atomic.Int64
-	drainWaiters atomic.Int32
-	drainMu      sync.Mutex
-	drainCh      chan struct{}
-
 	evPool sync.Pool
 	// scratch pools PostBatch working memory (see batchScratch).
 	scratch sync.Pool
 
-	// epoch anchors the monotonic timer clock (see Runtime.now);
-	// timersCanceled counts averted firings runtime-wide.
-	epoch          time.Time
-	timersCanceled atomic.Int64
+	// epoch anchors the monotonic timer clock (see Runtime.now).
+	epoch time.Time
 
 	// pollSources are readiness-event sources (e.g. netpoll's epoll
 	// backend) whose counters Stats folds into its Poll* fields;
@@ -323,6 +308,20 @@ type Runtime struct {
 	incidentBusy bool
 	lastIncident time.Time
 	incidents    atomic.Int64
+
+	// pending counts posted-but-not-completed events (Drain). Drain
+	// waiters subscribe to drainCh; workers close it when pending hits
+	// zero, so an idle drain costs nothing (no polling). drainWaiters
+	// keeps the zero-crossing check off the execute hot path when
+	// nobody is draining. timersCanceled counts averted firings
+	// runtime-wide. Every poster and worker writes these counters: they
+	// sit down here beside fields nobody reads per event, not on the
+	// cache lines of stopped, stealMon, handlers or epoch.
+	pending        atomic.Int64
+	drainWaiters   atomic.Int32
+	drainMu        sync.Mutex
+	drainCh        chan struct{}
+	timersCanceled atomic.Int64
 }
 
 // AddPollSource registers a readiness-event source whose sample is
@@ -393,10 +392,6 @@ func New(cfg Config) (*Runtime, error) {
 	r.stallOn = cfg.StallThreshold > 0
 	empty := make([]handlerEntry, 0, 16)
 	r.handlers.Store(&empty)
-	stealCap := pol.MaxStealColors
-	if stealCap <= 0 {
-		stealCap = policy.DefaultMaxStealColors
-	}
 	r.cores = make([]*rcore, cfg.Cores)
 	for i := range r.cores {
 		c := &rcore{
@@ -405,22 +400,14 @@ func New(cfg Config) (*Runtime, error) {
 			wheel:     timerwheel.New(cfg.TimerTick, cfg.TimerWheelLevels),
 			victimBuf: make([]int, 0, cfg.Cores),
 			lenBuf:    make([]int, cfg.Cores),
-			stealBuf:  make([]*equeue.ColorQueue, 0, stealCap),
-			colorBuf:  make([]equeue.Color, 0, stealCap),
-			setBuf:    make([]equeue.EventSet, 0, stealCap),
 			free:      make([]*equeue.Event, 0, coreFreeMax),
 		}
 		c.wheel.Owner = i
 		if cfg.TraceRing > 0 {
 			c.ring = obs.NewRing(cfg.TraceRing)
 		}
-		if pol.Layout == policy.ListLayout {
-			c.list = equeue.NewListQueue()
-		} else {
-			c.mely = equeue.NewCoreQueue(cfg.StealCostSeed.Nanoseconds())
-			c.mely.BatchThreshold = cfg.BatchThreshold
-			c.run = c.mely.NewColorQueue(0)
-		}
+		c.Core = equeue.NewCore(pol.Layout == policy.ListLayout, cfg.StealCostSeed.Nanoseconds(), cfg.BatchThreshold)
+		c.run = c.NewColorQueue(0) // nil on the list layout: no private run
 		r.cores[i] = c
 	}
 	if cfg.MaxQueuedEvents > 0 || cfg.MaxQueuedPerColor > 0 {
@@ -798,8 +785,8 @@ func (r *Runtime) enqueue(ev *equeue.Event) {
 		owner := r.table.OwnerHint(ev.Color)
 		c := r.cores[owner]
 		c.lock.Lock()
-		if c.mely != nil && r.pol.TimeLeft {
-			c.mely.SetStealCost(r.stealMon.Estimate())
+		if r.pol.TimeLeft {
+			c.Mely().SetStealCost(r.stealMon.Estimate())
 		}
 		if _, ok := r.deliverLocked(c, owner, ev); !ok {
 			// Stolen between the read and the lock, or the lease just
@@ -835,29 +822,30 @@ func (c *rcore) notePosted(ev *equeue.Event) {
 // or its expired lease was just re-homed here — and the caller must
 // re-route the event.
 func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) (*equeue.ColorQueue, bool) {
+	m := c.Mely() // called directly on this path: it runs once per event
 	if cq := c.runCQ; cq != nil && cq.Color() == ev.Color {
 		// The running color continues itself: no ownership re-check is
 		// needed, a running color can neither be stolen nor lose its
 		// lease (see rcore.runCQ). From here on the color's own
 		// continuations must queue behind this event (see rcore.runOpen).
 		c.runOpen.Store(false)
-		if c.mely.Push(cq, ev) {
+		if m.Push(cq, ev) {
 			c.stats.colorQueueChurns.Add(1)
 		}
 		return cq, true
 	}
-	if home := r.table.Hash(ev.Color); owner == home {
+	home := r.table.Hash(ev.Color)
+	if owner == home {
 		// Home delivery, the common case: one stripe hop re-checks
 		// ownership and installs the queue (see DeliverHome).
-		if c.list != nil {
-			cq, _, ok := r.table.DeliverHome(ev.Color, nil)
-			if !ok || cq == inTransitMarker {
+		if m == nil { // the list layout tables no queues
+			if cq, _, ok := r.table.DeliverHome(ev.Color, nil); !ok || cq == inTransitMarker {
 				return nil, false // stolen, or in transit: wait it out
 			}
-			c.list.PushBack(ev)
+			c.Push(nil, ev)
 			return nil, true
 		}
-		fresh := c.mely.NewColorQueue(ev.Color)
+		fresh := m.NewColorQueue(ev.Color)
 		cq, installed, ok := r.table.DeliverHome(ev.Color, fresh)
 		if !ok || cq == inTransitMarker {
 			// Stolen since resolution, or mid-migration. A color in
@@ -866,58 +854,45 @@ func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) (*equeue.
 			// would erase the in-transit state and make the new queue
 			// stealable before the first thief lands, letting a second
 			// steal interleave and split the color across two cores.
-			c.mely.ReleaseColorQueue(fresh)
+			m.ReleaseColorQueue(fresh)
 			return nil, false
 		}
 		if !installed {
-			c.mely.ReleaseColorQueue(fresh)
+			m.ReleaseColorQueue(fresh)
 		}
-		if c.mely.Push(cq, ev) {
-			c.stats.colorQueueChurns.Add(1)
-		}
-		return cq, true
-	} else {
-		// Away-from-home (leased) delivery: re-check owner and fetch
-		// the queue in one hop, then apply the lease re-home rule.
-		curOwner, cq := r.table.OwnerAndQueue(ev.Color)
-		if curOwner != owner {
-			return nil, false
-		}
-		if cq == inTransitMarker {
-			return nil, false // in transit: wait for adoption (see above)
-		}
-		live := (c.hasRunning && c.running == ev.Color)
-		if !live {
-			if c.list != nil {
-				live = c.list.Pending(ev.Color) > 0
-			} else {
-				live = cq != nil && cq.Len() > 0
-			}
-		}
-		if !live {
-			// Lease expired: re-home; the caller retries at home. The
-			// color's pending timers follow its lease (the re-home half
-			// of timer color-affinity).
-			r.table.SetOwner(ev.Color, home)
-			r.migrateTimersOnReHome(c, ev.Color, home)
-			if c.ring != nil {
-				c.ring.Append(obs.KindReHome, r.now(), 0, uint64(ev.Color), uint32(home))
-			}
-			return nil, false
-		}
-		if c.list != nil {
-			c.list.PushBack(ev)
-			return nil, true
-		}
-		if cq == nil {
-			cq = c.mely.NewColorQueue(ev.Color)
-			r.table.SetQueue(ev.Color, cq)
-		}
-		if c.mely.Push(cq, ev) {
+		if m.Push(cq, ev) {
 			c.stats.colorQueueChurns.Add(1)
 		}
 		return cq, true
 	}
+	// Away-from-home (leased) delivery: re-check owner and fetch the
+	// queue in one hop, then apply the lease re-home rule.
+	curOwner, cq := r.table.OwnerAndQueue(ev.Color)
+	if curOwner != owner {
+		return nil, false
+	}
+	if cq == inTransitMarker {
+		return nil, false // in transit: wait for adoption (see above)
+	}
+	if !c.ColorLive(ev.Color, cq) {
+		// Lease expired: re-home; the caller retries at home. The
+		// color's pending timers follow its lease (the re-home half
+		// of timer color-affinity).
+		r.table.SetOwner(ev.Color, home)
+		r.migrateTimersOnReHome(c, ev.Color, home)
+		if c.ring != nil {
+			c.ring.Append(obs.KindReHome, r.now(), 0, uint64(ev.Color), uint32(home))
+		}
+		return nil, false
+	}
+	if cq == nil && m != nil {
+		cq = m.NewColorQueue(ev.Color)
+		r.table.SetQueue(ev.Color, cq)
+	}
+	if c.Push(cq, ev) {
+		c.stats.colorQueueChurns.Add(1)
+	}
+	return cq, true
 }
 
 // worker is the per-core scheduling loop. It is an ordinary goroutine,
@@ -1039,17 +1014,17 @@ func (c *rcore) unpark() {
 func (r *Runtime) popLocal(c *rcore) *equeue.Event {
 	c.lock.Lock()
 	var ev *equeue.Event
-	if c.list != nil {
-		ev = c.list.PopFront()
+	if m := c.Mely(); m == nil {
+		ev, _ = c.PopNext()
 	} else {
 		if r.pol.TimeLeft {
-			c.mely.SetStealCost(r.stealMon.Estimate())
+			m.SetStealCost(r.stealMon.Estimate())
 		}
 		r.retireRunCQ(c)
-		ev, c.runCQ = c.mely.PopNextFrom()
+		ev, c.runCQ = m.PopNextFrom()
 		open := false
 		if cq := c.runCQ; cq != nil {
-			c.mely.PopRun(cq, c.run)
+			m.PopRun(cq, c.run)
 			c.runLeft = r.cfg.BatchThreshold - 1
 			if open = cq.Len() == 0; open {
 				c.stats.colorQueueChurns.Add(1) // the pop unlinked it
@@ -1059,7 +1034,7 @@ func (r *Runtime) popLocal(c *rcore) *equeue.Event {
 	}
 	c.syncLens()
 	if ev != nil {
-		c.running, c.hasRunning = ev.Color, true
+		c.SetRunning(ev.Color)
 	}
 	c.lock.Unlock()
 	return ev
@@ -1078,7 +1053,7 @@ func (r *Runtime) runColor(c *rcore, ev *equeue.Event) {
 	for c.run != nil && c.run.Len() > 0 && !r.stopped.Load() {
 		if c.runLeft <= 0 && c.qlen.Load() > 0 {
 			c.lock.Lock()
-			if c.mely.PushFrontRun(c.runCQ, c.run) {
+			if c.Mely().PushFrontRun(c.runCQ, c.run) {
 				c.stats.colorQueueChurns.Add(1)
 			}
 			c.syncLens()
@@ -1197,12 +1172,8 @@ func runHandler(entry *handlerEntry, ctx *Ctx, stats *rstats) {
 // syncLens refreshes the unlocked mirrors thieves screen and rank victims
 // by — qlen, stealLen, diskLen — from the queues. Caller holds c.lock.
 func (c *rcore) syncLens() {
-	if c.list != nil {
-		c.qlen.Store(int32(c.list.Len()))
-	} else {
-		c.qlen.Store(int32(c.mely.Len()))
-		c.stealLen.Store(int32(c.mely.Stealing().Len()))
-	}
+	c.qlen.Store(int32(c.Len()))
+	c.stealLen.Store(int32(c.WorthyColors()))
 	c.syncDiskLen()
 }
 
@@ -1210,13 +1181,7 @@ func (c *rcore) syncLens() {
 // queue aggregate. Caller holds c.lock. Guarded so runs without spill
 // never pay the atomic store (the aggregate and the mirror both stay 0).
 func (c *rcore) syncDiskLen() {
-	var t int
-	if c.list != nil {
-		t = c.list.SpillBacklogTotal()
-	} else {
-		t = c.mely.SpillBacklogTotal()
-	}
-	if t != 0 || c.diskLen.Load() != 0 {
+	if t := c.SpillBacklogTotal(); t != 0 || c.diskLen.Load() != 0 {
 		c.diskLen.Store(int32(t))
 	}
 }
@@ -1225,7 +1190,7 @@ func (c *rcore) syncDiskLen() {
 // parking) so its last color becomes stealable again.
 func (r *Runtime) clearRunning(c *rcore) {
 	c.lock.Lock()
-	c.hasRunning = false
+	c.ClearRunning()
 	r.retireRunCQ(c) // only valid while its color runs
 	c.lock.Unlock()
 }
@@ -1236,49 +1201,9 @@ func (r *Runtime) clearRunning(c *rcore) {
 func (r *Runtime) retireRunCQ(c *rcore) {
 	if cq := c.runCQ; cq != nil && cq.Len() == 0 {
 		r.table.ClearQueue(cq.Color(), cq)
-		c.mely.ReleaseColorQueue(cq)
+		c.Mely().ReleaseColorQueue(cq)
 	}
 	c.runCQ = nil
-}
-
-// rcoreView adapts a locked rcore to policy.VictimView.
-type rcoreView struct{ c *rcore }
-
-func (v rcoreView) QueuedEvents() int {
-	if v.c.list != nil {
-		return v.c.list.Len()
-	}
-	return v.c.mely.Len()
-}
-
-func (v rcoreView) DistinctColors() int {
-	if v.c.list != nil {
-		return v.c.list.DistinctColors()
-	}
-	return v.c.mely.Colors()
-}
-
-func (v rcoreView) RunningColor() (equeue.Color, bool) {
-	return v.c.running, v.c.hasRunning
-}
-
-func (v rcoreView) HasColorOtherThan(col equeue.Color) bool {
-	if v.DistinctColors() >= 2 {
-		return true
-	}
-	if v.c.list != nil {
-		first, ok := v.c.list.FirstColor()
-		return ok && first != col
-	}
-	first, ok := v.c.mely.FirstColor()
-	return ok && first != col
-}
-
-func (v rcoreView) Stealing() *equeue.StealingQueue {
-	if v.c.mely == nil {
-		return nil
-	}
-	return v.c.mely.Stealing()
 }
 
 // stealOnce runs one pass of the workstealing algorithm (Figure 2 plus
@@ -1296,6 +1221,7 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 		c.lenBuf[i] = int(v.qlen.Load()) + int(v.diskLen.Load())
 	}
 	order := r.pol.VictimOrder(c.id, c.lenBuf, r.topo, c.victimBuf)
+	set := &c.stealSet
 
 	// unworthy records that some victim had events queued and none worth
 	// the current steal-cost estimate.
@@ -1315,31 +1241,17 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 		}
 
 		// One victim-lock critical section selects and detaches the
-		// whole steal set (a single color unless batch stealing is on)
-		// and publishes every lease in one table pass.
+		// whole steal set (a single color when the budget is one) and
+		// publishes every lease in one table pass.
 		v.lock.Lock()
-		var (
-			sets   []equeue.EventSet
-			cqs    []*equeue.ColorQueue
-			colors []equeue.Color
-		)
-		if r.pol.CanBeStolen(rcoreView{v}) {
-			if v.list != nil {
-				colors, _ = r.pol.SelectStealColors(v.list, v.running, v.hasRunning, c.colorBuf)
-				if len(colors) > 0 {
-					sets, _ = v.list.ExtractColorSet(colors, c.setBuf)
-				}
-			} else {
-				if r.pol.TimeLeft {
-					v.mely.SetStealCost(r.stealMon.Estimate())
-				}
-				cqs, _ = r.pol.SelectStealSet(v.mely, v.running, v.hasRunning, c.stealBuf)
-				colors = c.colorBuf[:0]
-				for _, cq := range cqs {
-					colors = append(colors, cq.Color())
-				}
+		set.Colors = set.Colors[:0]
+		if r.pol.CanBeStolen(&v.Core) {
+			if r.pol.TimeLeft {
+				v.Mely().SetStealCost(r.stealMon.Estimate())
 			}
+			r.pol.SelectStealSet(&v.Core, set)
 		}
+		colors := set.Colors
 		if len(colors) > 0 {
 			// Ownership moves under the victim's lock; posters that
 			// race will retry against our core. The transit marker
@@ -1357,40 +1269,25 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 			continue
 		}
 
-		// Migrate the whole batch into our own queue under one
-		// self-lock hold. Between BeginMigrationBatch and here the
-		// table holds the in-transit marker for every stolen color and
-		// every delivery backs off (deliverLocked), so the markers are
-		// necessarily still in place: no poster can have installed a
-		// queue over one, and no second thief can have found anything
-		// of these colors to steal.
+		// Migrate the whole set into our own queue under one self-lock
+		// hold. Between BeginMigrationBatch and here the table holds the
+		// in-transit marker for every stolen color and every delivery
+		// backs off (deliverLocked), so the markers are necessarily still
+		// in place: no poster can have installed a queue over one, and no
+		// second thief can have found anything of these colors to steal.
+		// Tabling each color's queue (nil on the list layout) retires it.
 		c.lock.Lock()
-		if c.list != nil {
-			for i := range sets {
-				sets[i].MarkStolen()
-				c.list.AppendSet(sets[i])
+		for i, color := range colors {
+			if existing := r.table.Queue(color); existing != nil && existing != inTransitMarker {
+				// Defense in depth: unreachable under the protocol
+				// above, but if a queue ever did appear during
+				// transit, merging oldest-first is the safe recovery.
+				c.MergeStolen(set, i, existing)
+				continue
 			}
-			for _, color := range colors {
-				if r.table.Queue(color) == inTransitMarker {
-					r.table.SetQueue(color, nil)
-				}
-			}
-		} else {
-			for _, cq := range cqs {
-				cq.MarkStolen()
-				color := cq.Color()
-				if existing := r.table.Queue(color); existing != nil && existing != inTransitMarker {
-					// Defense in depth: unreachable under the protocol
-					// above, but if a queue ever did appear during
-					// transit, merging oldest-first is the safe recovery.
-					c.mely.MergeFront(existing, cq)
-					c.mely.ReleaseColorQueue(cq)
-				} else {
-					c.mely.Adopt(cq)
-					r.table.SetQueue(color, cq)
-				}
-			}
+			r.table.SetQueue(color, set.Queue(i))
 		}
+		c.Adopt(set)
 		c.syncLens()
 		c.lock.Unlock()
 

@@ -435,7 +435,7 @@ func TestOwnershipLeaseRevertsOnDrain(t *testing.T) {
 	}
 	c := r.cores[2]
 	c.lock.Lock()
-	qlen := c.mely.Len()
+	qlen := c.Mely().Len()
 	c.lock.Unlock()
 	if qlen != 1 {
 		t.Fatalf("event not queued on the hash core (len=%d)", qlen)
@@ -451,8 +451,8 @@ func TestOwnershipLeaseHeldWhileLive(t *testing.T) {
 	// table entry, under the core's lock.
 	c1 := r.cores[1]
 	c1.lock.Lock()
-	cq := c1.mely.NewColorQueue(equeue.Color(col))
-	c1.mely.Push(cq, &equeue.Event{Color: equeue.Color(col), Cost: 1, Penalty: 1})
+	cq := c1.Mely().NewColorQueue(equeue.Color(col))
+	c1.Mely().Push(cq, &equeue.Event{Color: equeue.Color(col), Cost: 1, Penalty: 1})
 	r.table.SetQueue(equeue.Color(col), cq)
 	r.table.SetOwner(equeue.Color(col), 1)
 	c1.lock.Unlock()
@@ -464,7 +464,7 @@ func TestOwnershipLeaseHeldWhileLive(t *testing.T) {
 		t.Fatalf("live color re-homed to core %d, want 1", got)
 	}
 	c1.lock.Lock()
-	qlen := c1.mely.Len()
+	qlen := c1.Mely().Len()
 	c1.lock.Unlock()
 	if qlen != 2 {
 		t.Fatalf("post did not follow the live lease (len=%d)", qlen)

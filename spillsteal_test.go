@@ -18,19 +18,19 @@ import (
 // exactly as stealOnce does (same mirrors, same VictimOrder call).
 func TestStealVictimRankingIncludesSpillBacklog(t *testing.T) {
 	fill := func(id int, color equeue.Color, n int) (*rcore, *equeue.ColorQueue) {
-		c := &rcore{id: id, mely: equeue.NewCoreQueue(1000)}
-		cq := c.mely.NewColorQueue(color)
+		c := &rcore{id: id, Core: equeue.NewCore(false, 1000, 0)}
+		cq := c.Mely().NewColorQueue(color)
 		for i := 0; i < n; i++ {
-			c.mely.Push(cq, &equeue.Event{Color: color, Cost: 10})
+			c.Mely().Push(cq, &equeue.Event{Color: color, Cost: 10})
 		}
-		c.qlen.Store(int32(c.mely.Len()))
+		c.qlen.Store(int32(c.Mely().Len()))
 		c.syncDiskLen()
 		return c, cq
 	}
 	// Core 1: five events in memory. Core 2: one in memory, 100 on disk.
 	a, _ := fill(1, 11, 5)
 	b, bq := fill(2, 22, 1)
-	b.mely.SetSpillBacklog(bq, 100, 10_000)
+	b.Mely().SetSpillBacklog(bq, 100, 10_000)
 	b.syncDiskLen()
 
 	thief := &rcore{id: 0, lenBuf: make([]int, 3), victimBuf: make([]int, 0, 3)}
@@ -48,7 +48,7 @@ func TestStealVictimRankingIncludesSpillBacklog(t *testing.T) {
 
 	// Clearing the backlog flips the ranking back to the memory-heavy
 	// victim — the mirror must not leave residue behind.
-	b.mely.SetSpillBacklog(bq, 0, 0)
+	b.Mely().SetSpillBacklog(bq, 0, 0)
 	b.syncDiskLen()
 	if order := rank(); order[0] != 1 {
 		t.Fatalf("victim order after clear = %v, want core 1 first", order)

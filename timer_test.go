@@ -286,7 +286,8 @@ func TestTimersSurviveStealMigration(t *testing.T) {
 	waitFor(t, 10*time.Second, "blocker to occupy core 0", func() bool {
 		c := r.cores[0]
 		c.lock.Lock()
-		running := c.hasRunning && c.running == equeue.Color(blocker)
+		col, running := c.RunningColor()
+		running = running && col == equeue.Color(blocker)
 		c.lock.Unlock()
 		return running
 	})
@@ -394,7 +395,7 @@ func TestTimersAcrossReHome(t *testing.T) {
 	waitFor(t, 10*time.Second, "the migrant color to drain on the thief", func() bool {
 		c := r.cores[1]
 		c.lock.Lock()
-		live := c.hasRunning && c.running == equeue.Color(migrant)
+		live := c.ColorLive(equeue.Color(migrant), nil)
 		c.lock.Unlock()
 		return !live && r.table.Queue(equeue.Color(migrant)) == nil
 	})
