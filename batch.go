@@ -55,14 +55,11 @@ func (r *Runtime) postBatch(batch []BatchEvent, from *Ctx, external bool) error 
 		// Bounded runtimes take the per-event path: admission is a
 		// per-color decision (a spilling color's entries must hit the
 		// disk tail in batch order while its neighbors go to memory),
-		// so the one-lock-per-core delivery does not apply. Unknown
-		// handlers still reject the whole batch before anything is
-		// enqueued; an overload rejection mid-batch, however, returns
-		// with the earlier entries already posted — bounded producers
-		// that need all-or-nothing should check Saturated first.
+		// so the one-lock-per-core delivery does not apply. Only the
+		// unknown-handler check stays all-or-nothing (see PostBatch).
 		for _, be := range batch {
-			if idx := int(be.Handler.id) - 1; idx < 0 || idx >= len(hs) {
-				return unknownHandlerError(be.Handler)
+			if _, err := lookupHandler(hs, be.Handler); err != nil {
+				return err
 			}
 		}
 		for _, be := range batch {
@@ -79,30 +76,21 @@ func (r *Runtime) postBatch(batch []BatchEvent, from *Ctx, external bool) error 
 	// last event retires. Until the delivery loop below nothing is
 	// published, so a bad entry mid-build rejects the batch atomically
 	// with no unwinding (the slab is simply dropped). Batches are
-	// typically handler-homogeneous, so the profiled cost and effective
-	// penalty are re-priced only when the handler changes.
+	// typically handler-homogeneous, so the handler is looked up only
+	// when it changes.
 	slab := make([]equeue.Event, n)
 	var (
-		lastID   int32 = -1 // impossible id: the first entry always validates
-		lastCost int64
-		lastPen  int32
+		lastID int32 = -1 // impossible id: the first entry always validates
+		entry  *handlerEntry
+		err    error
 	)
 	s := r.scratch.Get().(*batchScratch)
 	s.prepare(n, len(r.cores))
-	var ptrace, pspan uint64
-	if from != nil {
-		ptrace, pspan = from.ev.TraceID, from.ev.SpanID
-	}
-	// One atomic each for the whole batch: reserve a block of span ids
-	// and of sample ticks and hand them out sequentially (ids need only
-	// be unique per runtime, not dense in post order across posters).
-	var nextSpan, tick uint64
-	if r.traceOn {
-		nextSpan = r.traceSeq.Add(uint64(n)) - uint64(n) + 1
-	}
-	if r.obsOn {
-		tick = r.obsSeq.Add(uint64(n)) - uint64(n)
-	}
+	// Outside a handler, one atomic each for the whole batch reserves its
+	// sample ticks and its span ids.
+	c, ptrace, pspan := from.origin()
+	var lone idSource
+	ids := r.idsOn(c, n, &lone)
 	// With no color deviated anywhere, Owner == Hash for every color:
 	// resolution is pure math and the color→owner memo is unnecessary
 	// (grouping by Hash is deterministic, so one color still cannot
@@ -110,34 +98,16 @@ func (r *Runtime) postBatch(batch []BatchEvent, from *Ctx, external bool) error 
 	allHome := !r.table.AnyDeviated()
 	for i, be := range batch {
 		if be.Handler.id != lastID {
-			idx := int(be.Handler.id) - 1
-			if idx < 0 || idx >= len(hs) {
+			if entry, err = lookupHandler(hs, be.Handler); err != nil {
 				r.scratch.Put(s)
-				return unknownHandlerError(be.Handler)
+				return err
 			}
 			lastID = be.Handler.id
-			lastCost = hs[idx].estimate()
-			lastPen = r.pol.EffectivePenalty(hs[idx].penalty)
 		}
 		ev := &slab[i]
-		ev.Handler = equeue.HandlerID(be.Handler.id - 1)
-		ev.Color = equeue.Color(be.Color)
-		ev.Cost = lastCost
-		ev.Penalty = lastPen
+		// Each entry posted outside a handler founds its own trace.
+		r.stamp(ev, ids, entry, be.Color, be.Data, ptrace, pspan)
 		ev.Slab = true
-		ev.Data = be.Data
-		if tick++; r.obsOn && tick&r.obsMask == 0 {
-			ev.PostNanos = r.now()
-		}
-		if r.traceOn {
-			ev.SpanID = nextSpan
-			if ptrace != 0 {
-				ev.TraceID, ev.ParentSpan = ptrace, pspan
-			} else {
-				ev.TraceID = nextSpan // each external batch entry founds its own trace
-			}
-			nextSpan++
-		}
 
 		// Group by owning core without moving events: per-core index
 		// chains in batch order. The owner is resolved once per
@@ -297,33 +267,32 @@ func (r *Runtime) deliverGroup(owner int, slab []equeue.Event, next []int32, hea
 			if c.Push(lastCQ, ev) {
 				c.stats.colorQueueChurns.Add(1)
 			}
-			delivered++
-			continue
-		}
-		diverted := false
-		for _, f := range failed {
-			if f == ev.Color {
-				diverted = true
-				break
+		} else {
+			diverted := false
+			for _, f := range failed {
+				if f == ev.Color {
+					diverted = true
+					break
+				}
 			}
+			if diverted {
+				retries = append(retries, ev)
+				continue
+			}
+			cq, ok := r.deliverLocked(c, owner, ev)
+			if !ok {
+				haveColor = false
+				failed = append(failed, ev.Color)
+				retries = append(retries, ev)
+				continue
+			}
+			lastCol, lastCQ, haveColor = ev.Color, cq, true
 		}
-		if diverted {
-			retries = append(retries, ev)
-			continue
-		}
-		cq, ok := r.deliverLocked(c, owner, ev)
-		if !ok {
-			haveColor = false
-			failed = append(failed, ev.Color)
-			retries = append(retries, ev)
-			continue
-		}
-		lastCol, lastCQ, haveColor = ev.Color, cq, true
+		c.notePosted(ev)
 		delivered++
 	}
 	c.syncLens()
 	if delivered > 0 {
-		c.stats.postedHere.Add(int64(delivered))
 		c.stats.batchedEvents.Add(int64(delivered))
 	}
 	c.lock.Unlock()

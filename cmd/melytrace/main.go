@@ -47,25 +47,6 @@ func main() {
 	}
 }
 
-func parsePolicy(name string) (policy.Config, error) {
-	switch strings.ToLower(name) {
-	case "melyws", "":
-		return policy.MelyWS(), nil
-	case "mely":
-		return policy.Mely(), nil
-	case "melybasews":
-		return policy.MelyBaseWS(), nil
-	case "melytimeleft":
-		return policy.MelyTimeLeftWS(), nil
-	case "libasync":
-		return policy.Libasync(), nil
-	case "libasyncws":
-		return policy.LibasyncWS(), nil
-	default:
-		return policy.Config{}, fmt.Errorf("unknown policy %q", name)
-	}
-}
-
 func run() error {
 	var (
 		workloadName = flag.String("workload", "unbalanced", "unbalanced|penalty|ce|sws|sfs")
@@ -91,10 +72,12 @@ func run() error {
 		return runFlow(*flow, *traceID)
 	}
 
-	pol, err := parsePolicy(*policyName)
-	if err != nil {
-		return err
+	i := policy.Lookup(*policyName)
+	if i < 0 {
+		return fmt.Errorf("unknown policy %q (%s)", *policyName, policy.Aliases())
 	}
+	pol := policy.Presets[i].Config
+	var err error
 	topo := topology.IntelXeonE5410()
 	params := sim.DefaultParams()
 	rec := trace.NewRecorder(params.CyclesPerSecond)

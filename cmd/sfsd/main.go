@@ -10,15 +10,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"os"
 	"os/signal"
-	"time"
 
 	"github.com/melyruntime/mely"
-	"github.com/melyruntime/mely/internal/obs"
+	"github.com/melyruntime/mely/internal/rtflags"
 	"github.com/melyruntime/mely/internal/sfs"
 )
 
@@ -31,95 +29,21 @@ func main() {
 
 func run() error {
 	var (
-		listen         = flag.String("listen", ":4460", "listen address")
-		fileMB         = flag.Int("file-mb", 200, "size of the served file in MiB (the paper reads 200 MB)")
-		psk            = flag.String("psk", "", "pre-shared secret (required)")
-		cores          = flag.Int("cores", 0, "worker cores (0 = GOMAXPROCS)")
-		pin            = flag.Bool("pin", false, "pin workers to CPUs (Linux)")
-		maxQueued      = flag.Int("max-queued", 0, "bound on total queued events (0 = unbounded)")
-		maxQueuedColor = flag.Int("max-queued-color", 0, "bound on queued events per color (0 = unbounded)")
-		overload       = flag.String("overload", "reject", "overload policy when bounded: reject, block, spill")
-		spillDir       = flag.String("spill-dir", "", "directory for spilled event queues (overload=spill)")
-		spillSync      = flag.String("spill-sync", "none", "spill durability policy: none|interval|always")
-		spillRecover   = flag.Bool("spill-recover", false, "recover spilled backlogs from -spill-dir at startup and keep them across restarts (needs -overload spill and an explicit -spill-dir)")
-		shedOverload   = flag.Bool("shed-overload", false, "answer READs with OVERLOADED while the runtime is saturated instead of queuing crypto work (needs -max-queued or -max-queued-color)")
-		debugAddr      = flag.String("debug-addr", "", "serve /metrics, /debug/pprof/*, and /debug/trace on this side address (empty = off)")
-		scrapeEvery    = flag.Duration("debug-scrape-interval", 250*time.Millisecond, "cache the rendered /metrics payload this long, so aggressive scrapers share one stats snapshot per window (0 = default 250ms, negative = no caching)")
-		traceDump      = flag.String("trace-dump", "", "write the flight-recorder trace (Chrome JSON) to this file at exit and on SIGQUIT, with .health.json and .timeseries.json siblings")
-		stallAfter     = flag.Duration("stall-threshold", 0, "flag a handler stuck longer than this (0 = watchdog off)")
-		obsEvery       = flag.Duration("obs-interval", 0, "sample a runtime-wide stats snapshot into the fixed-memory timeseries ring this often; arms /debug/timeseries, /debug/health, the mely_*_rate gauges, and the anomaly detectors (0 = off)")
-		obsHistory     = flag.Int("obs-history", 0, "timeseries ring capacity in samples (0 = default 240)")
-		targetDelay    = flag.Duration("target-queue-delay", 0, "queue-delay budget for the adaptive-bounds recommendation (mely_recommended_max_queued) and the drift detector's absolute target (0 = off)")
-		incidentDir    = flag.String("incident-dir", "", "capture a bounded incident bundle (CPU profile, trace, health, timeseries) into a timestamped directory here on each fresh anomaly (empty = off; needs -obs-interval)")
-		incidentGap    = flag.Duration("incident-min-gap", 0, "minimum spacing between incident captures (0 = default 30s)")
+		listen       = flag.String("listen", ":4460", "listen address")
+		fileMB       = flag.Int("file-mb", 200, "size of the served file in MiB (the paper reads 200 MB)")
+		psk          = flag.String("psk", "", "pre-shared secret (required)")
+		shedOverload = flag.Bool("shed-overload", false, "answer READs with OVERLOADED while the runtime is saturated instead of queuing crypto work (needs -max-queued or -max-queued-color)")
+		rtf          = rtflags.Bind(flag.CommandLine)
 	)
 	flag.Parse()
 	if *psk == "" {
 		return fmt.Errorf("a -psk is required")
 	}
-	opol, err := mely.ParseOverloadPolicy(*overload)
+	rt, closeRT, err := rtf.New(mely.PolicyMelyWS, "sfsd")
 	if err != nil {
 		return err
 	}
-	spol, err := mely.ParseSpillSyncPolicy(*spillSync)
-	if err != nil {
-		return err
-	}
-
-	rt, err := mely.New(mely.Config{
-		Cores:             *cores,
-		Policy:            mely.PolicyMelyWS,
-		Pin:               *pin,
-		MaxQueuedEvents:   *maxQueued,
-		MaxQueuedPerColor: *maxQueuedColor,
-		OverloadPolicy:    opol,
-		SpillDir:          *spillDir,
-		SpillSync:         spol,
-		SpillRecover:      *spillRecover,
-		StallThreshold:    *stallAfter,
-		ObsInterval:       *obsEvery,
-		ObsHistory:        *obsHistory,
-		TargetQueueDelay:  *targetDelay,
-		IncidentDir:       *incidentDir,
-		IncidentMinGap:    *incidentGap,
-	})
-	if err != nil {
-		return err
-	}
-	defer rt.Close()
-
-	if *debugAddr != "" {
-		dbg, err := obs.StartDebugServer(*debugAddr, obs.MuxConfig{
-			Metrics: rt.WriteMetrics, Trace: rt.DumpTrace,
-			TimeSeries: rt.WriteTimeSeries, Health: rt.WriteHealth,
-			MinScrapeInterval: *scrapeEvery,
-		})
-		if err != nil {
-			return err
-		}
-		defer dbg.Close()
-		fmt.Printf("sfsd: debug endpoints on http://%s/metrics\n", dbg.Addr())
-	}
-	if *traceDump != "" {
-		logf := func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "sfsd: "+format+"\n", args...)
-		}
-		dumps := []obs.NamedDump{
-			{Path: *traceDump, Dump: rt.DumpTrace},
-			{Path: obs.SiblingPath(*traceDump, "health"), Dump: func(w io.Writer) error {
-				_, err := rt.WriteHealth(w)
-				return err
-			}},
-			{Path: obs.SiblingPath(*traceDump, "timeseries"), Dump: rt.WriteTimeSeries},
-		}
-		stopSig := obs.DumpOnSIGQUIT(dumps, logf)
-		defer stopSig()
-		defer func() {
-			if err := obs.DumpBundle(dumps); err != nil {
-				logf("flight-recorder dump failed: %v", err)
-			}
-		}()
-	}
+	defer closeRT()
 
 	if *shedOverload && !rt.Bounded() {
 		return fmt.Errorf("-shed-overload needs a bounded runtime (-max-queued or -max-queued-color)")

@@ -9,16 +9,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"github.com/melyruntime/mely"
 	"github.com/melyruntime/mely/internal/netpoll"
-	"github.com/melyruntime/mely/internal/obs"
+	"github.com/melyruntime/mely/internal/rtflags"
 	"github.com/melyruntime/mely/internal/sws"
 )
 
@@ -29,67 +27,20 @@ func main() {
 	}
 }
 
-func parsePolicy(name string) (mely.Policy, error) {
-	switch strings.ToLower(name) {
-	case "melyws", "":
-		return mely.PolicyMelyWS, nil
-	case "mely":
-		return mely.PolicyMely, nil
-	case "melybasews":
-		return mely.PolicyMelyBaseWS, nil
-	case "libasync":
-		return mely.PolicyLibasync, nil
-	case "libasyncws":
-		return mely.PolicyLibasyncWS, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q (melyws|mely|melybasews|libasync|libasyncws)", name)
-	}
-}
-
-// traceDumpBundle is the -trace-dump artifact set: the flight-recorder
-// trace plus health-report and timeseries-window siblings, written
-// together at exit and on SIGQUIT.
-func traceDumpBundle(rt *mely.Runtime, path string) []obs.NamedDump {
-	return []obs.NamedDump{
-		{Path: path, Dump: rt.DumpTrace},
-		{Path: obs.SiblingPath(path, "health"), Dump: func(w io.Writer) error {
-			_, err := rt.WriteHealth(w)
-			return err
-		}},
-		{Path: obs.SiblingPath(path, "timeseries"), Dump: rt.WriteTimeSeries},
-	}
-}
-
 func run() error {
 	var (
 		listen      = flag.String("listen", ":8080", "listen address")
 		nfiles      = flag.Int("files", 150, "number of distinct files to serve")
 		size        = flag.Int("size", 1024, "file size in bytes (the paper serves 1 KB files)")
-		cores       = flag.Int("cores", 0, "worker cores (0 = GOMAXPROCS)")
-		policyName  = flag.String("policy", "melyws", "scheduling policy")
+		policyName  = flag.String("policy", "melyws", "scheduling policy: melyws|mely|melybasews|melytimeleftws|melypenaltyws|melylocalityws|libasync|libasyncws")
 		maxClients  = flag.Int("max-clients", 0, "simultaneous client limit (0 = unlimited)")
-		pin         = flag.Bool("pin", false, "pin workers to CPUs (Linux)")
 		idleTimeout = flag.Duration("idle-timeout", 60*time.Second, "reap connections idle this long (0 = never)")
 		backendName = flag.String("backend", "auto", "netpoll backend: auto (epoll on Linux, pumps elsewhere), epoll, pumps")
 		shards      = flag.Int("poller-shards", 0, "epoll reactor shards (0 = NumCPU)")
-		maxQueued   = flag.Int("max-queued", 0, "bound on in-memory queued events (0 = unlimited)")
-		maxPerColor = flag.Int("max-queued-color", 0, "per-color bound on queued events (0 = unlimited)")
-		overload    = flag.String("overload", "reject", "overload policy once a bound is hit: reject|block|spill")
-		spillDir    = flag.String("spill-dir", "", "spill segment directory (empty = private temp dir; used by -overload spill)")
-		spillSync   = flag.String("spill-sync", "none", "spill durability policy: none|interval|always")
-		spillRec    = flag.Bool("spill-recover", false, "recover spilled backlogs from -spill-dir at startup and keep them across restarts (needs -overload spill and an explicit -spill-dir)")
 		shed        = flag.Bool("shed-overload", false, "answer 503 while the runtime is saturated (needs -max-queued)")
-		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /debug/pprof/*, and /debug/trace on this side address (empty = off)")
-		scrapeEvery = flag.Duration("debug-scrape-interval", 250*time.Millisecond, "cache the rendered /metrics payload this long, so aggressive scrapers share one stats snapshot per window (0 = default 250ms, negative = no caching)")
-		traceDump   = flag.String("trace-dump", "", "write the flight-recorder trace (Chrome JSON) to this file at exit and on SIGQUIT, with .health.json and .timeseries.json siblings")
-		stallAfter  = flag.Duration("stall-threshold", 0, "flag a handler stuck longer than this: a stall record with the goroutine stack lands in the flight recorder and mely_stalled_cores goes up (0 = watchdog off)")
-		obsEvery    = flag.Duration("obs-interval", 0, "sample a runtime-wide stats snapshot into the fixed-memory timeseries ring this often; arms /debug/timeseries, /debug/health, the mely_*_rate gauges, and the anomaly detectors (0 = off)")
-		obsHistory  = flag.Int("obs-history", 0, "timeseries ring capacity in samples (0 = default 240)")
-		targetDelay = flag.Duration("target-queue-delay", 0, "queue-delay budget for the adaptive-bounds recommendation (mely_recommended_max_queued) and the drift detector's absolute target (0 = off)")
-		incidentDir = flag.String("incident-dir", "", "capture a bounded incident bundle (CPU profile, trace, health, timeseries) into a timestamped directory here on each fresh anomaly (empty = off; needs -obs-interval)")
-		incidentGap = flag.Duration("incident-min-gap", 0, "minimum spacing between incident captures (0 = default 30s)")
 		injectStall = flag.Duration("inject-stall", 0, "FAULT INJECTION: sleep this long inside every -inject-stall-every'th request handler, for drilling the stall watchdog and health detectors (0 = off)")
 		injectEvery = flag.Int("inject-stall-every", 32, "stall every Nth request when -inject-stall is set")
+		rtf         = rtflags.Bind(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -98,63 +49,15 @@ func run() error {
 		return err
 	}
 
-	pol, err := parsePolicy(*policyName)
+	pol, err := mely.ParsePolicy(*policyName)
 	if err != nil {
 		return err
 	}
-	overloadPol, err := mely.ParseOverloadPolicy(*overload)
+	rt, closeRT, err := rtf.New(pol, "sws")
 	if err != nil {
 		return err
 	}
-	syncPol, err := mely.ParseSpillSyncPolicy(*spillSync)
-	if err != nil {
-		return err
-	}
-	rt, err := mely.New(mely.Config{
-		Cores: *cores, Policy: pol, Pin: *pin,
-		MaxQueuedEvents:   *maxQueued,
-		MaxQueuedPerColor: *maxPerColor,
-		OverloadPolicy:    overloadPol,
-		SpillDir:          *spillDir,
-		SpillSync:         syncPol,
-		SpillRecover:      *spillRec,
-		StallThreshold:    *stallAfter,
-		ObsInterval:       *obsEvery,
-		ObsHistory:        *obsHistory,
-		TargetQueueDelay:  *targetDelay,
-		IncidentDir:       *incidentDir,
-		IncidentMinGap:    *incidentGap,
-	})
-	if err != nil {
-		return err
-	}
-	defer rt.Close()
-
-	if *debugAddr != "" {
-		dbg, err := obs.StartDebugServer(*debugAddr, obs.MuxConfig{
-			Metrics: rt.WriteMetrics, Trace: rt.DumpTrace,
-			TimeSeries: rt.WriteTimeSeries, Health: rt.WriteHealth,
-			MinScrapeInterval: *scrapeEvery,
-		})
-		if err != nil {
-			return err
-		}
-		defer dbg.Close()
-		fmt.Printf("sws: debug endpoints on http://%s/metrics\n", dbg.Addr())
-	}
-	if *traceDump != "" {
-		logf := func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "sws: "+format+"\n", args...)
-		}
-		dumps := traceDumpBundle(rt, *traceDump)
-		stopSig := obs.DumpOnSIGQUIT(dumps, logf)
-		defer stopSig()
-		defer func() {
-			if err := obs.DumpBundle(dumps); err != nil {
-				logf("flight-recorder dump failed: %v", err)
-			}
-		}()
-	}
+	defer closeRT()
 
 	files := make(map[string][]byte, *nfiles)
 	for i := 0; i < *nfiles; i++ {
@@ -180,7 +83,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("sws: serving %d files of %d bytes on %s (policy %s, %d cores, %s backend)\n",
-		*nfiles, *size, srv.Addr(), pol, *cores, srv.NetBackend())
+		*nfiles, *size, srv.Addr(), pol, rtf.Config.Cores, srv.NetBackend())
 
 	// Run ties the lifecycle to the interrupt signal: on ^C the server
 	// stops accepting, then the runtime drains and stops.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/melyruntime/mely/internal/policy"
-	"github.com/melyruntime/mely/internal/timerwheel"
 	"github.com/melyruntime/mely/internal/topology"
 )
 
@@ -57,26 +56,27 @@ const (
 func (p Policy) String() string { return p.internal().String() }
 
 func (p Policy) internal() policy.Config {
-	switch p {
-	case PolicyMelyWS, 0:
-		return policy.MelyWS()
-	case PolicyMely:
-		return policy.Mely()
-	case PolicyMelyBaseWS:
-		return policy.MelyBaseWS()
-	case PolicyMelyTimeLeftWS:
-		return policy.MelyTimeLeftWS()
-	case PolicyMelyPenaltyWS:
-		return policy.MelyPenaltyWS()
-	case PolicyMelyLocalityWS:
-		return policy.MelyLocalityWS()
-	case PolicyLibasync:
-		return policy.Libasync()
-	case PolicyLibasyncWS:
-		return policy.LibasyncWS()
-	default:
+	if p == 0 {
+		p = PolicyMelyWS
+	}
+	if p < 0 || int(p) > len(policy.Presets) {
 		return policy.Config{}
 	}
+	return policy.Presets[p-1].Config // the table is in this enum's order
+}
+
+// ParsePolicy parses a policy name in either spelling, case-insensitively:
+// the one-word alias (melyws, mely, melybasews, melytimeleftws,
+// melypenaltyws, melylocalityws, libasync, libasyncws) or the paper-style
+// name Policy.String prints (mely+timeleft-WS). "" is PolicyMelyWS.
+func ParsePolicy(s string) (Policy, error) {
+	if s == "" {
+		return PolicyMelyWS, nil
+	}
+	if i := policy.Lookup(s); i >= 0 {
+		return Policy(i + 1), nil
+	}
+	return 0, fmt.Errorf("mely: unknown policy %q (%s)", s, policy.Aliases())
 }
 
 // Config configures a Runtime. The zero value is ready for production:
@@ -133,13 +133,12 @@ type Config struct {
 	// PostAfter/PostAt/PostEvery (default 1ms): timers fire on the next
 	// tick at or after their deadline, so the tick bounds the structural
 	// firing lag. Finer ticks buy resolution at the cost of more wheel
-	// positions to walk on an idle core.
+	// positions to walk on an idle core. The wheels are four levels
+	// deep (timerwheel.DefaultLevels), each level multiplying the
+	// horizon by 64: 1ms ticks cover ~4.7 hours before deadlines park in
+	// the top level and pay extra cascades (still correct, just
+	// costlier).
 	TimerTick time.Duration
-	// TimerWheelLevels is the depth of the timing-wheel hierarchy
-	// (default 4). Each level multiplies the horizon by 64: four levels
-	// of 1ms ticks cover ~4.7 hours before deadlines park in the top
-	// level and pay extra cascades (still correct, just costlier).
-	TimerWheelLevels int
 
 	// ObsSampleRate is the live-observability sampling period: one in
 	// every ObsSampleRate posted events carries a timestamp from post to
@@ -244,19 +243,11 @@ type Config struct {
 	// deleted at Stop; with SpillRecover they are scanned, repaired,
 	// and reloaded instead (see docs/spillq-format.md).
 	SpillDir string
-	// SpillSegmentBytes is the roll threshold of the spill segment
-	// files (default 256 KiB): also the granularity at which consumed
-	// disk space is returned.
-	SpillSegmentBytes int
 	// SpillSync selects when spilled records reach stable storage
 	// (default SpillSyncNone: only at segment seal). See the
 	// SpillSyncPolicy constants for the loss-window/throughput
 	// trade-off each policy buys.
 	SpillSync SpillSyncPolicy
-	// SpillSyncEvery is the SpillSyncInterval period (default 100ms):
-	// the upper bound on how much spilled state one crash can lose
-	// under that policy. Ignored by the other policies.
-	SpillSyncEvery time.Duration
 	// SpillRecover makes the spill store durable across restarts:
 	// Open recovers surviving segments in SpillDir instead of deleting
 	// them (torn tails truncated at the last CRC-valid record), the
@@ -289,9 +280,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TimerTick == 0 {
 		c.TimerTick = time.Millisecond
-	}
-	if c.TimerWheelLevels == 0 {
-		c.TimerWheelLevels = 4
 	}
 	if c.ObsSampleRate == 0 {
 		c.ObsSampleRate = 64
@@ -331,10 +319,6 @@ func (c Config) validate() error {
 	if c.TimerTick > 0 && c.TimerTick < 10*time.Microsecond {
 		return fmt.Errorf("mely: timer tick %v below the 10µs floor", c.TimerTick)
 	}
-	if c.TimerWheelLevels < 0 || c.TimerWheelLevels > timerwheel.MaxLevels {
-		return fmt.Errorf("mely: timer wheel levels %d out of range [1, %d]",
-			c.TimerWheelLevels, timerwheel.MaxLevels)
-	}
 	if c.ObsSampleRate > 1<<30 {
 		return fmt.Errorf("mely: obs sample rate %d too large", c.ObsSampleRate)
 	}
@@ -363,9 +347,6 @@ func (c Config) validate() error {
 	if c.MaxQueuedEvents < 0 || c.MaxQueuedPerColor < 0 {
 		return fmt.Errorf("mely: negative queue bound")
 	}
-	if c.SpillSegmentBytes < 0 {
-		return fmt.Errorf("mely: negative spill segment size")
-	}
 	switch c.OverloadPolicy {
 	case OverloadReject, OverloadBlock, OverloadSpill:
 	default:
@@ -375,9 +356,6 @@ func (c Config) validate() error {
 	case SpillSyncNone, SpillSyncInterval, SpillSyncAlways:
 	default:
 		return fmt.Errorf("mely: invalid spill sync policy %d", int(c.SpillSync))
-	}
-	if c.SpillSyncEvery < 0 {
-		return fmt.Errorf("mely: negative spill sync interval")
 	}
 	if c.SpillRecover {
 		if c.OverloadPolicy != OverloadSpill {

@@ -1,6 +1,9 @@
 package mely
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestDetectTopologyFallback(t *testing.T) {
 	for _, n := range []int{1, 2, 8, 64} {
@@ -26,6 +29,46 @@ func TestPolicyStrings(t *testing.T) {
 		if got := tt.pol.String(); got != tt.want {
 			t.Errorf("Policy(%d).String() = %q, want %q", tt.pol, got, tt.want)
 		}
+	}
+}
+
+// TestParsePolicy pins the one policy table (internal/policy.Presets) to
+// the Policy constants: each parses from its alias and from the name it
+// prints, in any case.
+func TestParsePolicy(t *testing.T) {
+	tests := []struct {
+		pol              Policy
+		alias, canonical string
+	}{
+		{PolicyMelyWS, "melyws", "mely+locality+timeleft+penalty-WS"},
+		{PolicyMely, "mely", "mely"},
+		{PolicyMelyBaseWS, "melybasews", "mely-baseWS"},
+		{PolicyMelyTimeLeftWS, "melytimeleftws", "mely+timeleft-WS"},
+		{PolicyMelyPenaltyWS, "melypenaltyws", "mely+timeleft+penalty-WS"},
+		{PolicyMelyLocalityWS, "melylocalityws", "mely+locality-WS"},
+		{PolicyLibasync, "libasync", "libasync"},
+		{PolicyLibasyncWS, "libasyncws", "libasync-WS"},
+	}
+	for _, tt := range tests {
+		if got := tt.pol.String(); got != tt.canonical {
+			t.Errorf("Policy(%d).String() = %q, want %q", tt.pol, got, tt.canonical)
+		}
+		for _, name := range []string{tt.alias, strings.ToUpper(tt.alias), tt.canonical, strings.ToLower(tt.canonical)} {
+			if got, err := ParsePolicy(name); err != nil || got != tt.pol {
+				t.Errorf("ParsePolicy(%q) = %d, %v, want %d", name, got, err, tt.pol)
+			}
+		}
+	}
+	if got, err := ParsePolicy(""); err != nil || got != PolicyMelyWS {
+		t.Errorf(`ParsePolicy("") = %d, %v, want the default PolicyMelyWS`, got, err)
+	}
+	for _, name := range []string{"melytimeleft", "mely+penalty-WS", "fifo"} {
+		if _, err := ParsePolicy(name); err == nil {
+			t.Errorf("ParsePolicy(%q) succeeded", name)
+		}
+	}
+	if _, err := New(Config{Cores: 1, Policy: PolicyLibasyncWS + 1}); err == nil {
+		t.Error("New accepted a policy past the table")
 	}
 }
 
@@ -58,7 +101,7 @@ func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	if cfg.Cores <= 0 || cfg.BatchThreshold != 10 ||
 		cfg.StealCostSeed <= 0 || cfg.ParkTimeout <= 0 ||
-		cfg.StealBackoff <= 0 || cfg.TimerTick <= 0 || cfg.TimerWheelLevels <= 0 {
+		cfg.StealBackoff <= 0 || cfg.TimerTick <= 0 {
 		t.Fatalf("defaults incomplete: %+v", cfg)
 	}
 }
@@ -75,11 +118,5 @@ func TestConfigRejectsBadTimerKnobs(t *testing.T) {
 	}
 	if _, err := New(Config{Cores: 1, TimerTick: 1}); err == nil {
 		t.Fatal("sub-floor TimerTick must be rejected")
-	}
-	if _, err := New(Config{Cores: 1, TimerWheelLevels: 99}); err == nil {
-		t.Fatal("excessive TimerWheelLevels must be rejected")
-	}
-	if _, err := New(Config{Cores: 1, TimerWheelLevels: -1}); err == nil {
-		t.Fatal("negative TimerWheelLevels must be rejected")
 	}
 }

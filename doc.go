@@ -100,9 +100,8 @@
 // harvest folded into the worker loop, and a parked worker sleeps only
 // until min(park timeout, its wheel's next deadline). Config.TimerTick
 // (default 1ms) is the granularity — timers fire on the first tick at
-// or after their deadline — and Config.TimerWheelLevels (default 4)
-// sets the hierarchy depth (64 slots per level; deadlines beyond the
-// horizon cascade, so any duration is legal).
+// or after their deadline; the hierarchy is four levels of 64 slots,
+// and deadlines beyond its horizon cascade, so any duration is legal.
 //
 // Timers are color-affine: an entry is armed on the wheel of the core
 // that owns its color, and when a steal or a lease re-home migrates the
@@ -184,9 +183,9 @@
 //
 // The spill store can also be a durability boundary. Config.SpillSync
 // picks when appended records reach stable storage (SpillSyncNone:
-// only at segment seal; SpillSyncInterval: at most once per
-// Config.SpillSyncEvery; SpillSyncAlways: every append batch, with
-// failed batches rolled back), and Config.SpillRecover turns startup
+// only at segment seal; SpillSyncInterval: at most once per 100 ms;
+// SpillSyncAlways: every append batch, with failed batches rolled
+// back), and Config.SpillRecover turns startup
 // from delete-orphans into crash recovery: New scans SpillDir,
 // truncates torn tails at the last CRC-valid record, reloads intact
 // backlogs into each owning color's FIFO, and Stop keeps unconsumed
@@ -225,28 +224,28 @@
 // counts the shortened parks. A negative StealBackoff makes every park
 // last ParkTimeout.
 //
-// The hot path. An event that a handler posts as a continuation of its
-// own color writes, from post to completion, no word another core
-// writes — not even its core's spinlock while nothing else was
-// delivered to that color (on the Mely layout the worker detaches the
-// running color's batch when it pops and works it, and the
-// continuations its handlers append, as a private run; after
-// BatchThreshold events, with other work queued, the rest goes back to
-// the front of the color's queue): the worker draws span ids from a
-// block it reserved, counts the one-in-ObsSampleRate latency sample on
-// its own counter, recycles events through its own free stack, feeds a
-// handler's shared profile the mean of every 16 executions it ran (at
-// once while the handler has no estimate), and the running event hands
-// its pending count — what Drain waits on — to that continuation
-// instead of adding one and subtracting one. An execution reads the
-// monotonic clock twice — once when it comes straight off the run, its
-// start being the previous event's end — and everything timed (profile,
-// stall stamp, latency sample, flight recorder) uses those readings.
-// Posts from outside a handler have no core and keep the runtime-wide
-// sequences, which PostBatch reserves once per batch.
-// docs/architecture.md tabulates the shared writes per posting path and
-// states why Drain stays exact and the private run keeps per-color
-// order; BenchmarkChainTwoCores is the two-second reading of this path.
+// The hot path. Every event comes in the same way — validate the handler,
+// admit, stamp, then deliver to the color's owner or spill (Runtime.post;
+// PostBatch, timer firings and spill reloads are built from the same
+// steps) — and posters differ only in where the stamp draws its
+// one-in-ObsSampleRate sample tick and its span id: a handler from
+// counters its worker owns, a poster outside one from the runtime-wide
+// sequences, one atomic each per Post or per PostBatch. An event that a
+// handler posts as a continuation of its own color therefore writes, from
+// post to completion, no word another core writes: events recycle through
+// the worker's free stack, a handler's shared profile is fed the mean of
+// every 16 executions, the running event hands its pending count — what
+// Drain waits on — to the continuation, and while nothing else was
+// delivered to the color not even the core's spinlock is taken (on the
+// Mely layout the worker detaches the running color's batch when it pops
+// and works it, with the continuations appended meanwhile, as a private
+// run of at most BatchThreshold events while other work is queued). An
+// execution reads the monotonic clock twice — once straight off the run —
+// and profile, stall stamp, latency sample and flight recorder all use
+// those readings. docs/architecture.md has the way in step by step, the
+// shared writes per posting path, and why Drain stays exact and the
+// private run keeps per-color order; BenchmarkChainTwoCores is the
+// two-second reading of this path.
 //
 // The simulated counterpart of this runtime (internal/sim) executes the
 // same queue structures and policies on a modeled 8-core machine and

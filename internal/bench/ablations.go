@@ -422,7 +422,7 @@ func AMD16Locality(opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.AddRow(configName(pol), f0(run.KEventsPerSecond()), f1(run.L2MissesPerEvent()),
+		r.AddRow(pol.Label(), f0(run.KEventsPerSecond()), f1(run.L2MissesPerEvent()),
 			f0(float64(run.Total().RemoteSteals)))
 	}
 	r.AddNote("the paper evaluates on the 8-core Xeon; this extension checks the heuristics on the")
@@ -461,7 +461,7 @@ func Stability(opt Options) (*Report, error) {
 			}
 			ce.Observe(c.KEventsPerSecond())
 		}
-		r.AddRow(configName(pol),
+		r.AddRow(pol.Label(),
 			f0(unb.Mean()), f2(unb.RelStdDevPercent())+"%",
 			f0(ce.Mean()), f2(ce.RelStdDevPercent())+"%")
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/melyruntime/mely/internal/metrics"
-	"github.com/melyruntime/mely/internal/policy"
 	"github.com/melyruntime/mely/internal/scenario"
 	"github.com/melyruntime/mely/internal/sim"
 	"github.com/melyruntime/mely/internal/topology"
@@ -104,28 +103,4 @@ func ByID(id string) (Experiment, error) {
 // measureBuilt runs the standard warmup/measure protocol on an engine.
 func measureBuilt(eng *sim.Engine, warm, win int64) *metrics.Run {
 	return sim.Measure(eng, warm, win)
-}
-
-// configName prints a policy configuration the way the paper's tables
-// name them.
-func configName(pol policy.Config) string {
-	switch pol.String() {
-	case "libasync":
-		return "Libasync-smp"
-	case "libasync-WS":
-		return "Libasync-smp - WS"
-	case "mely":
-		return "Mely"
-	case "mely-baseWS":
-		return "Mely - base WS"
-	case "mely+timeleft-WS":
-		return "Mely - time-aware WS"
-	case "mely+timeleft+penalty-WS":
-		return "Mely - penalty-aware WS"
-	case "mely+locality-WS":
-		return "Mely - locality-aware WS"
-	case "mely+locality+timeleft+penalty-WS":
-		return "Mely - WS"
-	}
-	return pol.String()
 }

@@ -42,7 +42,7 @@ func ConnScaleScenario(opt Options) (*Report, error) {
 			return nil, err
 		}
 		t := run.Total()
-		r.AddRow(configName(pol), f0(run.KEventsPerSecond()),
+		r.AddRow(pol.Label(), f0(run.KEventsPerSecond()),
 			f0(float64(t.Steals)), f0(float64(t.StolenColors)))
 	}
 	r.AddNote("every connection is a color that fires one 5k-cycle request then thinks ~2M cycles (sim")

@@ -58,7 +58,7 @@ func Fig3(opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.AddRow(configName(pol), f1(mb), paper[configName(pol)])
+		r.AddRow(pol.Label(), f1(mb), paper[pol.Label()])
 	}
 	return r, nil
 }
@@ -150,7 +150,7 @@ func Fig8(opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.AddRow(configName(pol), f1(mb), paper[configName(pol)])
+		r.AddRow(pol.Label(), f1(mb), paper[pol.Label()])
 	}
 	return r, nil
 }

@@ -48,7 +48,7 @@ func OverloadScenario(opt Options) (*Report, error) {
 			return nil, err
 		}
 		t := run.Total()
-		r.AddRow(configName(pol), f0(run.KEventsPerSecond()),
+		r.AddRow(pol.Label(), f0(run.KEventsPerSecond()),
 			f0(run.Payload["overload_spilled"]), f0(run.Payload["overload_reloaded"]),
 			f0(run.Payload["overload_max_inmem"]), f0(float64(t.Steals)))
 	}

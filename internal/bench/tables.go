@@ -139,7 +139,7 @@ func Table3(opt Options) (*Report, error) {
 		if run.Total().Steals > 0 {
 			cost = f0(run.StealCostCycles())
 		}
-		name := configName(pol)
+		name := pol.Label()
 		r.AddRow(name, f0(run.KEventsPerSecond()), f2(run.LockingTimePercent())+"%", cost, paper[name])
 	}
 	r.AddNote("paper WS costs: Libasync-smp 28329 cycles, Mely base 2261 cycles")
@@ -172,7 +172,7 @@ func Table4(opt Options) (*Report, error) {
 		if run.Total().Steals > 0 {
 			stolen = f0(run.StolenTimeCycles())
 		}
-		name := configName(pol)
+		name := pol.Label()
 		p := paper[name]
 		r.AddRow(name, f0(run.KEventsPerSecond()), stolen, p[0], p[1])
 	}
@@ -201,7 +201,7 @@ func Table5(opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		name := configName(pol)
+		name := pol.Label()
 		p := paper[name]
 		r.AddRow(name, f0(run.KEventsPerSecond()), f1(run.L2MissesPerEvent()), p[0], p[1])
 	}
@@ -231,7 +231,7 @@ func Table6(opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		name := configName(pol)
+		name := pol.Label()
 		p := paper[name]
 		r.AddRow(name, f0(run.KEventsPerSecond()), f1(run.L2MissesPerEvent()), p[0], p[1])
 	}

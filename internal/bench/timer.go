@@ -43,7 +43,7 @@ func TimerScenario(opt Options) (*Report, error) {
 			return nil, err
 		}
 		t := run.Total()
-		r.AddRow(configName(pol), f0(run.KEventsPerSecond()),
+		r.AddRow(pol.Label(), f0(run.KEventsPerSecond()),
 			f0(float64(t.Steals)), f0(float64(t.StolenColors)))
 	}
 	r.AddNote("every request re-arrives as a timed event after a think pause (the sim timer heap; the")

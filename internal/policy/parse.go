@@ -39,9 +39,9 @@ func Parse(name string) (Config, error) {
 		c.Layout, c.Steal = MelyLayout, StealHeuristic
 		// The canonical flag order is locality, timeleft, penalty (see
 		// baseName); parse in that order so round-trips are exact.
-		flags, c.Locality = cutFlag(flags, "+locality")
-		flags, c.TimeLeft = cutFlag(flags, "+timeleft")
-		flags, c.PenaltyAware = cutFlag(flags, "+penalty")
+		flags, c.Locality = strings.CutPrefix(flags, "+locality")
+		flags, c.TimeLeft = strings.CutPrefix(flags, "+timeleft")
+		flags, c.PenaltyAware = strings.CutPrefix(flags, "+penalty")
 		if flags != "" || (!c.Locality && !c.TimeLeft && !c.PenaltyAware) {
 			return Config{}, fmt.Errorf("policy: unknown configuration %q", orig)
 		}
@@ -52,6 +52,54 @@ func Parse(name string) (Config, error) {
 	return c, nil
 }
 
-func cutFlag(s, flag string) (string, bool) {
-	return strings.CutPrefix(s, flag)
+// Preset is one of the eight configurations the paper evaluates, with the
+// two other names it goes by; its canonical name is Config.String().
+type Preset struct {
+	Config Config
+	Alias  string // the one-word flag spelling
+	Label  string // the paper's tables
+}
+
+// Presets lists the paper's configurations, in the order of the runtime's
+// mely.Policy constants. Every place that names a policy reads this table.
+var Presets = [...]Preset{
+	{MelyWS(), "melyws", "Mely - WS"},
+	{Mely(), "mely", "Mely"},
+	{MelyBaseWS(), "melybasews", "Mely - base WS"},
+	{MelyTimeLeftWS(), "melytimeleftws", "Mely - time-aware WS"},
+	{MelyPenaltyWS(), "melypenaltyws", "Mely - penalty-aware WS"},
+	{MelyLocalityWS(), "melylocalityws", "Mely - locality-aware WS"},
+	{Libasync(), "libasync", "Libasync-smp"},
+	{LibasyncWS(), "libasyncws", "Libasync-smp - WS"},
+}
+
+// Lookup returns the index in Presets of the configuration name names, by
+// alias or by canonical name, case-insensitively; -1 when there is none.
+func Lookup(name string) int {
+	for i, p := range Presets {
+		if strings.EqualFold(name, p.Alias) || strings.EqualFold(name, p.Config.String()) {
+			return i
+		}
+	}
+	return -1
+}
+
+// Aliases is the "a|b|c" list of preset aliases, for usage messages.
+func Aliases() string {
+	names := make([]string, len(Presets))
+	for i, p := range Presets {
+		names[i] = p.Alias
+	}
+	return strings.Join(names, "|")
+}
+
+// Label names a configuration the way the paper's tables do; one that is
+// not in them keeps its canonical name.
+func (c Config) Label() string {
+	for _, p := range Presets {
+		if p.Config == c {
+			return p.Label
+		}
+	}
+	return c.String()
 }

@@ -9,20 +9,25 @@ import (
 )
 
 func TestPresetsValidate(t *testing.T) {
-	presets := map[string]Config{
-		"libasync":      Libasync(),
-		"libasync-WS":   LibasyncWS(),
-		"mely":          Mely(),
-		"mely-baseWS":   MelyBaseWS(),
-		"mely-timeleft": MelyTimeLeftWS(),
-		"mely-penalty":  MelyPenaltyWS(),
-		"mely-locality": MelyLocalityWS(),
-		"mely-WS":       MelyWS(),
+	if len(Presets) != 8 {
+		t.Fatalf("%d presets, the paper evaluates 8", len(Presets))
 	}
-	for name, cfg := range presets {
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("%s: %v", name, err)
+	for i, p := range Presets {
+		if err := p.Config.Validate(); err != nil {
+			t.Errorf("%s: %v", p.Alias, err)
 		}
+		if Lookup(p.Alias) != i || Lookup(p.Config.String()) != i {
+			t.Errorf("%s / %s do not look up preset %d", p.Alias, p.Config, i)
+		}
+		if got := p.Config.Label(); got != p.Label {
+			t.Errorf("%s: Label() = %q, want %q", p.Alias, got, p.Label)
+		}
+	}
+	// Outside the table: no index, and the canonical name as label.
+	batch := MelyTimeLeftWS()
+	batch.BatchSteal = true
+	if Lookup(batch.String()) != -1 || batch.Label() != "mely+timeleft-WS+batchsteal" {
+		t.Errorf("%s: Lookup %d, Label %q", batch, Lookup(batch.String()), batch.Label())
 	}
 }
 

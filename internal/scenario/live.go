@@ -39,32 +39,6 @@ const (
 	liveHealthPoll  = 100 * time.Millisecond
 )
 
-// parseLivePolicy maps a spec policy name to a mely.Policy. Both the
-// cmd/sws-style short aliases (melyws, melybasews, ...) and the
-// paper-style spellings the sim engine uses (mely+timeleft-WS, ...) are
-// accepted, so one spec vocabulary drives both engines.
-func parseLivePolicy(name string) (mely.Policy, error) {
-	switch strings.ToLower(name) {
-	case "", "melyws", "mely+locality+timeleft+penalty-ws":
-		return mely.PolicyMelyWS, nil
-	case "mely":
-		return mely.PolicyMely, nil
-	case "melybasews", "mely-basews":
-		return mely.PolicyMelyBaseWS, nil
-	case "melytimeleftws", "mely+timeleft-ws":
-		return mely.PolicyMelyTimeLeftWS, nil
-	case "melypenaltyws", "mely+timeleft+penalty-ws":
-		return mely.PolicyMelyPenaltyWS, nil
-	case "melylocalityws", "mely+locality-ws":
-		return mely.PolicyMelyLocalityWS, nil
-	case "libasync":
-		return mely.PolicyLibasync, nil
-	case "libasyncws", "libasync-ws":
-		return mely.PolicyLibasyncWS, nil
-	}
-	return 0, fmt.Errorf("%w: live policy %q", ErrUnknownPolicy, name)
-}
-
 // liveConfigName is the Config key a live record gates under: the first
 // server's policy, normalized to the short alias spelling.
 func liveConfigName(s *Spec) string {
@@ -119,15 +93,11 @@ func (ls *liveServer) close() {
 
 // buildLiveServer materializes one ServerSpec on a loopback listener.
 func buildLiveServer(s *Spec, sv *ServerSpec) (*liveServer, error) {
-	pol, err := parseLivePolicy(sv.Policy)
+	pol, err := mely.ParsePolicy(sv.Policy)
 	if err != nil {
 		return nil, err
 	}
-	overload := sv.Overload
-	if overload == "" {
-		overload = "reject"
-	}
-	opol, err := mely.ParseOverloadPolicy(overload)
+	opol, err := mely.ParseOverloadPolicy(sv.Overload)
 	if err != nil {
 		return nil, err
 	}

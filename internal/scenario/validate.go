@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"time"
 
+	"github.com/melyruntime/mely"
 	"github.com/melyruntime/mely/internal/policy"
 )
 
@@ -240,10 +241,8 @@ func (s *Spec) validateLive(fail func(string, error, string, ...any), phases map
 		if !overloadPolicies[sv.Overload] {
 			fail(field+".overload", ErrUnknownBackend, "%q (want reject, block, or spill)", sv.Overload)
 		}
-		if sv.Policy != "" {
-			if _, err := parseLivePolicy(sv.Policy); err != nil {
-				fail(field+".policy", ErrUnknownPolicy, "%v", err)
-			}
+		if _, err := mely.ParsePolicy(sv.Policy); err != nil {
+			fail(field+".policy", ErrUnknownPolicy, "%v", err)
 		}
 		if sv.Cores < 0 || sv.Files < 0 || sv.FileBytes < 0 || sv.MaxClients < 0 ||
 			sv.MaxQueued < 0 || sv.MaxQueuedColor < 0 || sv.PollerShards < 0 || sv.CryptoPenalty < 0 {

@@ -323,67 +323,69 @@ func TestObsSamplingRateOne(t *testing.T) {
 	}
 }
 
-// TestObsSamplingShare: every posting path ticks a sampling sequence
-// exactly once per event — the worker's own for Ctx.Post, timer firings
-// and reloads, the shared one (reserved per batch by PostBatch) for
-// everyone else — so on each path the sampled share of executed events
-// stays within 20 % of 1/ObsSampleRate.
-func TestObsSamplingShare(t *testing.T) {
-	const rate, events = 16, 32000
-	paths := []struct {
-		name string
-		cfg  Config // a bounded one is started only after posting
-		post func(t *testing.T, r *Runtime, h Handler, colors []Color)
-	}{
-		{"Post", Config{}, func(t *testing.T, r *Runtime, h Handler, colors []Color) {
-			for i := 0; i < events; i++ {
-				if err := r.Post(h, colors[i%len(colors)], 0); err != nil {
-					t.Fatal(err)
-				}
+// postingPaths are the ways an event enters the runtime, each posting
+// events events of handler h — which re-posts itself Data more times —
+// over colors.
+var postingPaths = []struct {
+	name string
+	cfg  Config // a bounded one is started only after posting
+	post func(t *testing.T, r *Runtime, h Handler, colors []Color, events int)
+}{
+	{"Post", Config{}, func(t *testing.T, r *Runtime, h Handler, colors []Color, events int) {
+		for i := 0; i < events; i++ {
+			if err := r.Post(h, colors[i%len(colors)], 0); err != nil {
+				t.Fatal(err)
 			}
-		}},
-		{"PostBatch", Config{}, func(t *testing.T, r *Runtime, h Handler, colors []Color) {
-			// 50-event batches: no multiple of the rate, so a per-batch
-			// restart of the sequence would show.
-			batch := make([]BatchEvent, 50)
-			for i := range batch {
-				batch[i] = BatchEvent{Handler: h, Color: colors[i%len(colors)], Data: 0}
+		}
+	}},
+	{"PostBatch", Config{}, func(t *testing.T, r *Runtime, h Handler, colors []Color, events int) {
+		// 50-event batches: no multiple of the rate, so a per-batch
+		// restart of the sequence would show.
+		batch := make([]BatchEvent, 50)
+		for i := range batch {
+			batch[i] = BatchEvent{Handler: h, Color: colors[i%len(colors)], Data: 0}
+		}
+		for i := 0; i < events/len(batch); i++ {
+			if err := r.PostBatch(batch); err != nil {
+				t.Fatal(err)
 			}
-			for i := 0; i < events/len(batch); i++ {
-				if err := r.PostBatch(batch); err != nil {
-					t.Fatal(err)
-				}
+		}
+	}},
+	{"Ctx.Post", Config{}, func(t *testing.T, r *Runtime, h Handler, colors []Color, events int) {
+		// 64 chains on both cores.
+		for i := 0; i < 64; i++ {
+			if err := r.Post(h, colors[i%len(colors)], events/64-1); err != nil {
+				t.Fatal(err)
 			}
-		}},
-		{"Ctx.Post", Config{}, func(t *testing.T, r *Runtime, h Handler, colors []Color) {
-			// h re-posts itself Data more times: 64 chains on both cores.
-			for i := 0; i < 64; i++ {
-				if err := r.Post(h, colors[i%len(colors)], events/64-1); err != nil {
-					t.Fatal(err)
-				}
+		}
+	}},
+	{"timers", Config{}, func(t *testing.T, r *Runtime, h Handler, colors []Color, events int) {
+		for i := 0; i < events; i++ {
+			if _, err := r.PostAfter(h, colors[i%len(colors)], 0, 0); err != nil {
+				t.Fatal(err)
 			}
-		}},
-		{"timers", Config{}, func(t *testing.T, r *Runtime, h Handler, colors []Color) {
-			for i := 0; i < events; i++ {
-				if _, err := r.PostAfter(h, colors[i%len(colors)], 0, 0); err != nil {
-					t.Fatal(err)
-				}
+		}
+	}},
+	// Posted before Start, so all but the first 64 events go to disk
+	// and come back through a worker's reload.
+	{"spill", Config{MaxQueuedEvents: 64, OverloadPolicy: OverloadSpill}, func(t *testing.T, r *Runtime, h Handler, colors []Color, events int) {
+		for i := 0; i < events; i++ {
+			if err := r.Post(h, colors[i%8], 0); err != nil {
+				t.Fatal(err)
 			}
-		}},
-		// Posted before Start, so all but the first 64 events go to disk
-		// and come back through a worker's reload.
-		{"spill", Config{MaxQueuedEvents: 64, OverloadPolicy: OverloadSpill}, func(t *testing.T, r *Runtime, h Handler, colors []Color) {
-			for i := 0; i < events; i++ {
-				if err := r.Post(h, colors[i%8], 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}},
-	}
-	for _, p := range paths {
+		}
+	}},
+}
+
+// runPostingPaths runs every posting path on its own two-core runtime —
+// cfg over the path's own — until its events have executed and drained,
+// then hands the runtime to check.
+func runPostingPaths(t *testing.T, cfg Config, events int, check func(t *testing.T, r *Runtime)) {
+	for _, p := range postingPaths {
 		t.Run(p.name, func(t *testing.T) {
-			cfg := p.cfg
-			cfg.Cores, cfg.ObsSampleRate = 2, rate
+			cfg := cfg
+			cfg.Cores = 2
+			cfg.MaxQueuedEvents, cfg.OverloadPolicy = p.cfg.MaxQueuedEvents, p.cfg.OverloadPolicy
 			r := newRuntime(t, cfg)
 			t.Cleanup(r.Stop)
 			if !r.Bounded() {
@@ -401,31 +403,72 @@ func TestObsSamplingShare(t *testing.T) {
 					}
 				}
 			})
-			p.post(t, r, h, append(colorsOn(r, 0, 32), colorsOn(r, 1, 32)...))
+			p.post(t, r, h, append(colorsOn(r, 0, 32), colorsOn(r, 1, 32)...), events)
 			if r.Bounded() {
 				if err := r.Start(); err != nil {
 					t.Fatal(err)
 				}
 			}
 			// Armed timers are not pending events yet: wait for the count.
-			for deadline := time.Now().Add(60 * time.Second); ran.Load() < events && time.Now().Before(deadline); {
+			for deadline := time.Now().Add(60 * time.Second); ran.Load() < int64(events) && time.Now().Before(deadline); {
 				time.Sleep(time.Millisecond)
 			}
 			drain(t, r)
 			st := r.Stats()
-			tot := st.Total()
-			if tot.Events != events {
-				t.Fatalf("%d events ran, want %d", tot.Events, events)
+			if n := st.Total().Events; n != int64(events) {
+				t.Fatalf("%d events ran, want %d", n, events)
 			}
-			if r.Bounded() && st.ReloadedEvents != events-64 {
+			if r.Bounded() && st.ReloadedEvents != int64(events-64) {
 				t.Fatalf("%d of %d events took the disk round trip, want all but 64", st.ReloadedEvents, events)
 			}
-			got, want := float64(tot.QueueDelayHist.Count()), float64(events)/rate
-			if got < 0.8*want || got > 1.2*want {
-				t.Errorf("%v of %d events sampled, want %v +-20%%", got, events, want)
-			}
+			check(t, r)
 		})
 	}
+}
+
+// TestObsSamplingShare: every posting path ticks a sampling sequence
+// exactly once per event — the worker's own for Ctx.Post, timer firings
+// and reloads, the shared one (reserved per batch by PostBatch) for
+// everyone else — so on each path the sampled share of executed events
+// stays within 20 % of 1/ObsSampleRate.
+func TestObsSamplingShare(t *testing.T) {
+	const rate, events = 16, 32000
+	runPostingPaths(t, Config{ObsSampleRate: rate}, events, func(t *testing.T, r *Runtime) {
+		got, want := float64(r.Stats().Total().QueueDelayHist.Count()), float64(events)/rate
+		if got < 0.8*want || got > 1.2*want {
+			t.Errorf("%v of %d events sampled, want %v +-20%%", got, events, want)
+		}
+	})
+}
+
+// TestPostRecordOnEveryPath: whichever way a sampled event came in, the
+// flight recorder holds the instant it entered its queue — a post record
+// written at delivery, or the timer firing — so melytrace reads its queue
+// delay off the trace. PostBatch deliveries used to write none.
+func TestPostRecordOnEveryPath(t *testing.T) {
+	const events = 3200
+	runPostingPaths(t, Config{ObsSampleRate: 1, TraceRing: 1 << 14}, events, func(t *testing.T, r *Runtime) {
+		var buf bytes.Buffer
+		if err := r.DumpTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		idx, err := obs.ParseFlowDump(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(idx.Spans) != events {
+			t.Fatalf("%d executed spans in the dump, want %d", len(idx.Spans), events)
+		}
+		missing := 0
+		for _, s := range idx.Spans {
+			if s.PostTs < 0 {
+				missing++
+			}
+		}
+		if missing > 0 {
+			t.Errorf("%d of %d executed spans have no post or timer instant", missing, events)
+		}
+	})
 }
 
 // TestObsDisabled: negative knobs must shut both pillars off — no

@@ -76,18 +76,14 @@ func (p OverloadPolicy) String() string {
 }
 
 // ParseOverloadPolicy parses an overload policy name
-// (reject|block|spill).
+// (reject|block|spill, as String prints them; "" is OverloadReject).
 func ParseOverloadPolicy(s string) (OverloadPolicy, error) {
-	switch strings.ToLower(s) {
-	case "reject", "":
-		return OverloadReject, nil
-	case "block":
-		return OverloadBlock, nil
-	case "spill":
-		return OverloadSpill, nil
-	default:
-		return 0, fmt.Errorf("mely: unknown overload policy %q (reject|block|spill)", s)
+	for p := OverloadReject; p <= OverloadSpill; p++ {
+		if s == "" || strings.EqualFold(s, p.String()) {
+			return p, nil
+		}
 	}
+	return 0, fmt.Errorf("mely: unknown overload policy %q (reject|block|spill)", s)
 }
 
 // SpillSyncPolicy selects when spilled records reach stable storage
@@ -98,60 +94,34 @@ func ParseOverloadPolicy(s string) (OverloadPolicy, error) {
 // deploy.
 type SpillSyncPolicy int
 
+// The values are the store's (spillq.SyncPolicy).
 const (
 	// SpillSyncNone (the default) syncs only when a segment fills and
 	// seals: a crash can lose each spilling color's open tail, up to
-	// ~SpillSegmentBytes of records per color.
-	SpillSyncNone SpillSyncPolicy = iota
+	// one segment (256 KiB) of records per color.
+	SpillSyncNone = SpillSyncPolicy(spillq.SyncNone)
 	// SpillSyncInterval additionally syncs the open tail at most once
-	// per Config.SpillSyncEvery: a crash loses at most one interval's
-	// appends per color.
-	SpillSyncInterval
+	// per 100 ms: a crash loses at most one interval's appends per
+	// color.
+	SpillSyncInterval = SpillSyncPolicy(spillq.SyncInterval)
 	// SpillSyncAlways syncs every spilled batch before the append
 	// returns: zero loss window — a record accepted onto disk survives
 	// any crash — at a large throughput cost (one msync per append;
 	// see BenchmarkSpillAppend and the README's tuning table).
-	SpillSyncAlways
+	SpillSyncAlways = SpillSyncPolicy(spillq.SyncAlways)
 )
 
-func (p SpillSyncPolicy) String() string {
-	switch p {
-	case SpillSyncNone:
-		return "none"
-	case SpillSyncInterval:
-		return "interval"
-	case SpillSyncAlways:
-		return "always"
-	default:
-		return fmt.Sprintf("SpillSyncPolicy(%d)", int(p))
-	}
-}
+func (p SpillSyncPolicy) String() string { return spillq.SyncPolicy(p).String() }
 
 // ParseSpillSyncPolicy parses a spill sync policy name
-// (none|interval|always).
+// (none|interval|always, as String prints them; "" is SpillSyncNone).
 func ParseSpillSyncPolicy(s string) (SpillSyncPolicy, error) {
-	switch strings.ToLower(s) {
-	case "none", "":
-		return SpillSyncNone, nil
-	case "interval":
-		return SpillSyncInterval, nil
-	case "always":
-		return SpillSyncAlways, nil
-	default:
-		return 0, fmt.Errorf("mely: unknown spill sync policy %q (none|interval|always)", s)
+	for p := SpillSyncNone; p <= SpillSyncAlways; p++ {
+		if s == "" || strings.EqualFold(s, p.String()) {
+			return p, nil
+		}
 	}
-}
-
-// internal maps the public enum onto the store's.
-func (p SpillSyncPolicy) internal() spillq.SyncPolicy {
-	switch p {
-	case SpillSyncInterval:
-		return spillq.SyncInterval
-	case SpillSyncAlways:
-		return spillq.SyncAlways
-	default:
-		return spillq.SyncNone
-	}
+	return 0, fmt.Errorf("mely: unknown spill sync policy %q (none|interval|always)", s)
 }
 
 // PostContext is Post with cancellation: under OverloadBlock a bounded
@@ -332,11 +302,11 @@ func newAdmission(r *Runtime, cfg Config) (*admission, error) {
 			dir = tmp
 			a.ownDir = true
 		}
+		// Segment size and sync interval are the store's defaults
+		// (256 KiB, 100 ms).
 		opts := spillq.Options{
-			SegmentBytes: cfg.SpillSegmentBytes,
-			Sync:         cfg.SpillSync.internal(),
-			SyncEvery:    cfg.SpillSyncEvery,
-			Recover:      cfg.SpillRecover,
+			Sync:    spillq.SyncPolicy(cfg.SpillSync),
+			Recover: cfg.SpillRecover,
 		}
 		// Recovery: the store replays surviving record headers during
 		// Open (per-color FIFO order); aggregate them per color here,
@@ -385,11 +355,7 @@ func (a *admission) adoptRecovered(color equeue.Color, n, cost int64) {
 	a.r.pending.Add(n)
 	s := a.shard(color)
 	s.mu.Lock()
-	st := s.colors[color]
-	if st == nil {
-		st = &colorAdm{}
-		s.colors[color] = st
-	}
+	st := s.state(color)
 	st.disk += n
 	st.diskCost += cost
 	st.spilling = true
@@ -428,6 +394,17 @@ func (a *admission) headroom() bool {
 	return a.maxTotal <= 0 || a.queued.Load() < a.maxTotal
 }
 
+// state returns color's admission state, created on first use. Caller
+// holds s.mu.
+func (s *admShard) state(color equeue.Color) *colorAdm {
+	st := s.colors[color]
+	if st == nil {
+		st = &colorAdm{}
+		s.colors[color] = st
+	}
+	return st
+}
+
 // admit is the admission decision for one event about to be posted.
 // routeMemory means the event was reserved against the bounds (the
 // caller must enqueue it); routeDisk means the caller must append it
@@ -443,15 +420,7 @@ func (a *admission) admit(ctx context.Context, color equeue.Color, external bool
 			// Global bound only, Reject or Block: no per-color state.
 			q := a.queued.Load()
 			if a.maxTotal > 0 && q >= a.maxTotal && external {
-				if a.policy == OverloadReject {
-					a.rejected.Add(1)
-					return 0, ErrOverloaded
-				}
-				if !countedBlock {
-					a.blocked.Add(1)
-					countedBlock = true
-				}
-				if err := a.waitBelow(ctx, a.headroom); err != nil {
+				if err := a.refuse(ctx, &countedBlock, a.headroom); err != nil {
 					return 0, err
 				}
 				continue
@@ -468,11 +437,7 @@ func (a *admission) admit(ctx context.Context, color equeue.Color, external bool
 		spilling := st != nil && st.spilling
 		overColor := a.maxPerColor > 0 && st != nil && st.mem >= a.maxPerColor
 		if a.policy == OverloadSpill && (spilling || overColor) {
-			if st == nil {
-				st = &colorAdm{}
-				s.colors[color] = st
-			}
-			st.spilling = true
+			st.spilling = true // either test found the color's state
 			s.mu.Unlock()
 			return routeDisk, nil
 		}
@@ -480,15 +445,7 @@ func (a *admission) admit(ctx context.Context, color equeue.Color, external bool
 			// Reject/Block at the per-color bound (no global slot was
 			// consumed).
 			s.mu.Unlock()
-			if a.policy == OverloadReject {
-				a.rejected.Add(1)
-				return 0, ErrOverloaded
-			}
-			if !countedBlock {
-				a.blocked.Add(1)
-				countedBlock = true
-			}
-			err := a.waitBelow(ctx, func() bool {
+			err := a.refuse(ctx, &countedBlock, func() bool {
 				if !a.headroom() {
 					return false
 				}
@@ -505,27 +462,15 @@ func (a *admission) admit(ctx context.Context, color equeue.Color, external bool
 		}
 		// Global reservation, CAS-strict: concurrent posters on other
 		// shards cannot jointly overshoot the bound.
-		if !a.reserveGlobal() {
+		if a.claimGlobal(1) == 0 {
 			if a.policy == OverloadSpill {
-				if st == nil {
-					st = &colorAdm{}
-					s.colors[color] = st
-				}
-				st.spilling = true
+				s.state(color).spilling = true
 				s.mu.Unlock()
 				return routeDisk, nil
 			}
 			if external {
 				s.mu.Unlock()
-				if a.policy == OverloadReject {
-					a.rejected.Add(1)
-					return 0, ErrOverloaded
-				}
-				if !countedBlock {
-					a.blocked.Add(1)
-					countedBlock = true
-				}
-				if err := a.waitBelow(ctx, a.headroom); err != nil {
+				if err := a.refuse(ctx, &countedBlock, a.headroom); err != nil {
 					return 0, err
 				}
 				continue
@@ -534,21 +479,25 @@ func (a *admission) admit(ctx context.Context, color equeue.Color, external bool
 			// the bound rather than wedging a worker.
 			a.queued.Add(1)
 		}
-		if st == nil {
-			st = &colorAdm{}
-			s.colors[color] = st
-		}
-		st.mem++
+		s.state(color).mem++
 		s.mu.Unlock()
 		return routeMemory, nil
 	}
 }
 
-// reserveGlobal claims one in-memory slot against MaxQueuedEvents,
-// strictly (CAS): false means the bound is full and nothing was
-// claimed.
-func (a *admission) reserveGlobal() bool {
-	return a.claimGlobal(1) == 1
+// refuse is what an external post gets at a bound: ErrOverloaded under
+// OverloadReject; under OverloadBlock a wait for check to pass, counted
+// once per post (*counted), after which nil means "re-try admission".
+func (a *admission) refuse(ctx context.Context, counted *bool, check func() bool) error {
+	if a.policy == OverloadReject {
+		a.rejected.Add(1)
+		return ErrOverloaded
+	}
+	if !*counted {
+		a.blocked.Add(1)
+		*counted = true
+	}
+	return a.waitBelow(ctx, check)
 }
 
 // claimGlobal claims up to want in-memory slots against
@@ -574,14 +523,6 @@ func (a *admission) claimGlobal(want int64) int64 {
 	}
 }
 
-// admitInternal routes an internally-materialized event (timer firing):
-// never rejected, never blocked, but a spilling color's tail discipline
-// still applies.
-func (a *admission) admitInternal(color equeue.Color) admRoute {
-	route, _ := a.admit(nil, color, false)
-	return route
-}
-
 // forceMemory reserves an event against the gauges without a bound
 // check: the fallback when a spill-routed event turns out not to be
 // encodable (or the store fails) and losing it would be worse than
@@ -596,11 +537,7 @@ func (a *admission) forceMemory(color equeue.Color) {
 	if a.trackColors {
 		s := a.shard(color)
 		s.mu.Lock()
-		st := s.colors[color]
-		if st == nil {
-			st = &colorAdm{}
-			s.colors[color] = st
-		}
+		st := s.state(color)
 		st.mem++
 		if st.spilling && st.disk == 0 && !st.reloading {
 			st.spilling = false
@@ -654,7 +591,7 @@ func (a *admission) wakeBlocked() {
 // trigger for its color, and the starved-color pickup that runs on any
 // completion once global headroom exists. Called by the workers after
 // every handler execution on a bounded runtime; c is the calling
-// worker's core (reloaded events are built on it, see buildEvent).
+// worker's core (reloaded events are built on it, see eventFromRecord).
 func (a *admission) noteExec(c *rcore, color equeue.Color) {
 	a.queued.Add(-1)
 	if a.blockWaiters.Load() > 0 {
@@ -883,22 +820,17 @@ func (a *admission) reload(c *rcore, color equeue.Color) {
 		// queues.
 		a.reloaded.Add(n)
 		a.r.traceAux(obs.KindReload, 0, uint64(color), uint32(clampUint32(n)))
+		var lone idSource
+		ids := a.r.idsOn(c, len(buf), &lone)
 		for i := range buf {
-			a.r.enqueue(a.r.eventFromRecord(c, &buf[i]))
+			a.r.enqueue(a.r.eventFromRecord(c, ids, &buf[i]))
 		}
 		a.r.syncSpillMirror(color, diskAfter, costAfter)
 
+		// Go around while the color sits at its low-water mark with a
+		// tail left, and once more to retire a tail that is empty.
 		s.mu.Lock()
-		if st.disk == 0 {
-			st.spilling = false
-			st.reloading = false
-			if st.mem == 0 {
-				delete(s.colors, color)
-			}
-			s.mu.Unlock()
-			return
-		}
-		if st.mem > a.lowWater {
+		if st.disk > 0 && st.mem > a.lowWater {
 			st.reloading = false
 			s.mu.Unlock()
 			return
@@ -921,11 +853,7 @@ func (a *admission) appendRecord(c *rcore, color equeue.Color, rec spillq.Record
 	w := weightedSpillCost(rec.Cost, rec.Penalty)
 	s := a.shard(color)
 	s.mu.Lock()
-	st := s.colors[color]
-	if st == nil {
-		st = &colorAdm{}
-		s.colors[color] = st
-	}
+	st := s.state(color)
 	st.spilling = true
 	st.disk++
 	st.diskCost += w
@@ -970,18 +898,10 @@ func (a *admission) appendRecord(c *rcore, color equeue.Color, rec spillq.Record
 	return nil
 }
 
-// weightedSpillCost mirrors equeue.Event.WeightedCost for a spilled
-// record: the penalty-weighted cost the steal worthiness accounting
-// uses.
+// weightedSpillCost is equeue.Event.WeightedCost for a spilled record:
+// the penalty-weighted cost the steal worthiness accounting uses.
 func weightedSpillCost(cost int64, penalty int32) int64 {
-	if penalty <= 1 {
-		return cost
-	}
-	w := cost / int64(penalty)
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return (&equeue.Event{Cost: cost, Penalty: penalty}).WeightedCost()
 }
 
 // SpillDepthBuckets is the length of the spill-depth histogram in
@@ -1008,91 +928,43 @@ func spillDepthBucket(d int64) int {
 	}
 }
 
-// spillPost routes one disk-admitted external post: encode, count,
-// append. Unencodable payloads and store failures fall back to an
-// in-memory delivery (counted in SpillErrors) — overshooting the bound
-// beats losing the event. c is the core whose worker is posting, nil when
-// the poster is no worker.
-func (r *Runtime) spillPost(c *rcore, hs []handlerEntry, idx int32, color Color, data any, ptrace, pspan uint64) error {
-	tag, payload, ok := encodeSpillPayload(data)
-	if !ok {
-		r.adm.spillErrs.Add(1)
-		r.adm.forceMemory(equeue.Color(color))
-		ev, err := r.buildEvent(c, hs, Handler{id: idx + 1}, color, data, ptrace, pspan)
-		if err != nil {
-			return err
-		}
-		r.pending.Add(1)
-		r.enqueue(ev)
-		return nil
-	}
-	rec := spillq.Record{
-		Handler: idx,
-		Color:   uint64(color),
-		Cost:    hs[idx].estimate(),
-		Penalty: r.pol.EffectivePenalty(hs[idx].penalty),
-		Tag:     tag,
-		Payload: payload,
-	}
-	if r.traceOn {
-		// The span is minted at spill time so the record carries its
-		// full lineage to disk: the reloaded event is the SAME hop, not
-		// a new one, and melytrace sees one span spanning the disk
-		// round-trip.
-		span := r.newSpan(c)
-		rec.SpanID = span
-		if ptrace != 0 {
-			rec.TraceID, rec.ParentSpan = ptrace, pspan
-		} else {
-			rec.TraceID = span
-		}
-	}
+// spill moves a stamped, disk-routed event onto its color's spill tail.
+// ev stays the caller's — a stack value for a post, which therefore takes
+// nothing from the pool — and only its fields are read. An unencodable
+// payload or a store failure falls back to an in-memory delivery of a
+// copy (counted in SpillErrors): overshooting the bound beats losing the
+// event. c is the core whose worker is posting, nil when the poster is no
+// worker.
+func (r *Runtime) spill(c *rcore, ev *equeue.Event) {
+	a := r.adm
+	// Counted before the append: a reload may run the event before
+	// appendRecord returns.
 	r.pending.Add(1)
-	if err := r.adm.appendRecord(c, equeue.Color(color), rec); err != nil {
-		r.adm.spillErrs.Add(1)
-		r.adm.forceMemory(equeue.Color(color))
-		ev, berr := r.buildEvent(c, hs, Handler{id: idx + 1}, color, data, ptrace, pspan)
-		if berr != nil {
-			r.pending.Add(-1)
-			return berr
+	if tag, payload, ok := encodeSpillPayload(ev.Data); ok {
+		// The record carries the span minted at post time to disk, so the
+		// reloaded event is the SAME hop, not a new one, and melytrace
+		// sees one span spanning the disk round-trip. The latency-sample
+		// stamp stays behind (see eventFromRecord).
+		err := a.appendRecord(c, ev.Color, spillq.Record{
+			Handler:    int32(ev.Handler),
+			Color:      uint64(ev.Color),
+			Cost:       ev.Cost,
+			Penalty:    ev.Penalty,
+			Tag:        tag,
+			Payload:    payload,
+			TraceID:    ev.TraceID,
+			SpanID:     ev.SpanID,
+			ParentSpan: ev.ParentSpan,
+		})
+		if err == nil {
+			return
 		}
-		r.enqueue(ev)
 	}
-	return nil
-}
-
-// spillBuilt is spillPost for an already-materialized event (timer
-// firings): the event is released back to the pool once its record is
-// on disk. c is the core of the worker that fired the timer.
-func (r *Runtime) spillBuilt(c *rcore, ev *equeue.Event) {
-	tag, payload, ok := encodeSpillPayload(ev.Data)
-	if !ok {
-		r.adm.spillErrs.Add(1)
-		r.adm.forceMemory(ev.Color)
-		r.pending.Add(1)
-		r.enqueue(ev)
-		return
-	}
-	rec := spillq.Record{
-		Handler:    int32(ev.Handler),
-		Color:      uint64(ev.Color),
-		Cost:       ev.Cost,
-		Penalty:    ev.Penalty,
-		Tag:        tag,
-		Payload:    payload,
-		TraceID:    ev.TraceID,
-		SpanID:     ev.SpanID,
-		ParentSpan: ev.ParentSpan,
-	}
-	r.pending.Add(1)
-	if err := r.adm.appendRecord(c, ev.Color, rec); err != nil {
-		r.adm.spillErrs.Add(1)
-		r.adm.forceMemory(ev.Color)
-		r.enqueue(ev)
-		return
-	}
-	*ev = equeue.Event{}
-	r.recycleEvent(c, ev)
+	a.spillErrs.Add(1)
+	a.forceMemory(ev.Color)
+	mem := r.newEvent(c)
+	*mem = *ev
+	r.enqueue(mem)
 }
 
 // eventFromRecord rebuilds a pooled event from a reloaded record. The
@@ -1100,7 +972,7 @@ func (r *Runtime) spillBuilt(c *rcore, ev *equeue.Event) {
 // measured from its reload, not its original post — the disk dwell is
 // observable separately (SpilledEvents/SpilledNow), and folding it in
 // would let one spill burst dominate the delay histogram for good.
-func (r *Runtime) eventFromRecord(c *rcore, rec *spillq.Record) *equeue.Event {
+func (r *Runtime) eventFromRecord(c *rcore, ids *idSource, rec *spillq.Record) *equeue.Event {
 	ev := r.newEvent(c)
 	*ev = equeue.Event{
 		Handler:    equeue.HandlerID(rec.Handler),
@@ -1112,7 +984,7 @@ func (r *Runtime) eventFromRecord(c *rcore, rec *spillq.Record) *equeue.Event {
 		SpanID:     rec.SpanID,
 		ParentSpan: rec.ParentSpan,
 	}
-	if r.obsOn && r.sampleTick(c) {
+	if r.sampleTick(ids) {
 		ev.PostNanos = r.now()
 	}
 	return ev
@@ -1169,26 +1041,18 @@ func encodeSpillPayload(data any) (tag uint8, b []byte, ok bool) {
 	case string:
 		return spillTagString, []byte(v), true
 	case int64:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		return spillTagInt64, buf[:], true
+		return spillTagInt64, binary.LittleEndian.AppendUint64(nil, uint64(v)), true
 	case int:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		return spillTagInt, buf[:], true
+		return spillTagInt, binary.LittleEndian.AppendUint64(nil, uint64(v)), true
 	case uint64:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		return spillTagUint64, buf[:], true
+		return spillTagUint64, binary.LittleEndian.AppendUint64(nil, v), true
 	case bool:
 		if v {
 			return spillTagBool, []byte{1}, true
 		}
 		return spillTagBool, []byte{0}, true
 	case float64:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		return spillTagFloat64, buf[:], true
+		return spillTagFloat64, binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)), true
 	default:
 		return 0, nil, false
 	}

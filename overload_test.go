@@ -392,6 +392,54 @@ func TestOverloadSpillUnencodablePayload(t *testing.T) {
 	}
 }
 
+// TestSpillFallbackWithoutCore: a post from outside any worker that is
+// routed to disk and cannot get there — its payload does not encode, or
+// the store refuses the append — is delivered in memory instead: one
+// SpillErrors, counted once in Pending and QueuedEvents, the color not
+// left reading as spilling, and Drain exact.
+func TestSpillFallbackWithoutCore(t *testing.T) {
+	type opaque struct{ n int }
+	for _, tc := range []struct {
+		name    string
+		payload any
+		breakIt func(r *Runtime)
+	}{
+		{"unencodable payload", &opaque{1}, func(*Runtime) {}},
+		{"store append fails", 1, func(r *Runtime) { r.adm.store.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRuntime(t, Config{Cores: 1, MaxQueuedEvents: 2, OverloadPolicy: OverloadSpill})
+			defer r.Close()
+			var ran atomic.Int64
+			h := r.Register("work", func(ctx *Ctx) { ran.Add(1) })
+			for i := 0; i < 2; i++ { // fill the bound before starting
+				if err := r.Post(h, 1, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.breakIt(r)
+			if err := r.Post(h, 1, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			s := r.Stats()
+			if s.SpillErrors != 1 || s.SpilledEvents != 0 || s.Pending != 3 || s.QueuedEvents != 3 {
+				t.Fatalf("after the fallback: SpillErrors=%d SpilledEvents=%d Pending=%d QueuedEvents=%d, want 1 0 3 3",
+					s.SpillErrors, s.SpilledEvents, s.Pending, s.QueuedEvents)
+			}
+			if err := r.Start(); err != nil {
+				t.Fatal(err)
+			}
+			drain(t, r)
+			if ran.Load() != 3 || r.pending.Load() != 0 {
+				t.Fatalf("Drain returned with %d of 3 events run, pending %d", ran.Load(), r.pending.Load())
+			}
+			if r.Saturated(1) {
+				t.Fatal("color still reads saturated: the spilling flag outlived a backlog that never reached the disk")
+			}
+		})
+	}
+}
+
 // TestOverloadSpillCrashOrphanCleanup: stale segment files in an
 // explicit SpillDir are removed when the runtime opens it.
 func TestOverloadSpillCrashOrphanCleanup(t *testing.T) {

@@ -62,6 +62,7 @@ func (c costOption) apply(h *handlerEntry) { h.annotated = time.Duration(c) }
 func WithCostEstimate(d time.Duration) HandlerOption { return costOption(d) }
 
 type handlerEntry struct {
+	id        equeue.HandlerID // index in the handler table
 	name      string
 	fn        HandlerFunc
 	penalty   int32
@@ -189,16 +190,14 @@ type rcore struct {
 
 	// Posting state of this core's worker. Only the worker touches it, so
 	// what a handler posts, a timer fires or a reload brings back on this
-	// core writes no word another core writes: span ids come from a block
-	// reserved from traceSeq ((spanNext, spanEnd]), the one-in-
-	// ObsSampleRate latency sample from obsTick, events from the free
-	// stack (execute refills it; evPool takes the overflow), and prof
-	// holds the execution times not yet fed to the shared handler
-	// profiles, by handler id.
-	spanNext, spanEnd uint64
-	obsTick           uint64
-	free              []*equeue.Event
-	prof              []profAcc
+	// core writes no word another core writes: sample ticks and span ids
+	// come from ids (refilled from traceSeq a block at a time), events
+	// from the free stack (execute refills it; evPool takes the
+	// overflow), and prof holds the execution times not yet fed to the
+	// shared handler profiles, by handler id.
+	ids  idSource
+	free []*equeue.Event
+	prof []profAcc
 
 	stats rstats
 
@@ -229,7 +228,12 @@ var inTransitMarker = new(equeue.ColorQueue)
 
 // Runtime is the real multicore event-coloring runtime.
 type Runtime struct {
-	cfg   Config
+	cfg Config
+	// lastIncident (see incidentMu) makes up for the 24 bytes Config lost
+	// in PR 18: the fields below stay on the cache lines they were
+	// measured on (see pending for what a shift costs).
+	lastIncident time.Time
+
 	pol   policy.Config
 	topo  *topology.Topology
 	table *equeue.ColorTable
@@ -303,25 +307,25 @@ type Runtime struct {
 	// rate-limit state (Config.IncidentDir), shared by the collector
 	// and the stall watchdog.
 	collector *tsCollector
+	// timersCanceled counts averted firings runtime-wide: written per
+	// Cancel, so it sits on this line of cold fields, off pending's.
+	timersCanceled atomic.Int64
 
 	incidentMu   sync.Mutex
 	incidentBusy bool
-	lastIncident time.Time
 	incidents    atomic.Int64
 
 	// pending counts posted-but-not-completed events (Drain). Drain
 	// waiters subscribe to drainCh; workers close it when pending hits
 	// zero, so an idle drain costs nothing (no polling). drainWaiters
 	// keeps the zero-crossing check off the execute hot path when
-	// nobody is draining. timersCanceled counts averted firings
-	// runtime-wide. Every poster and worker writes these counters: they
-	// sit down here beside fields nobody reads per event, not on the
+	// nobody is draining. Every poster and worker writes pending: it
+	// sits down here beside fields nobody reads per event, not on the
 	// cache lines of stopped, stealMon, handlers or epoch.
-	pending        atomic.Int64
-	drainWaiters   atomic.Int32
-	drainMu        sync.Mutex
-	drainCh        chan struct{}
-	timersCanceled atomic.Int64
+	pending      atomic.Int64
+	drainWaiters atomic.Int32
+	drainMu      sync.Mutex
+	drainCh      chan struct{}
 }
 
 // AddPollSource registers a readiness-event source whose sample is
@@ -397,7 +401,7 @@ func New(cfg Config) (*Runtime, error) {
 		c := &rcore{
 			id:        i,
 			wake:      make(chan struct{}, 1),
-			wheel:     timerwheel.New(cfg.TimerTick, cfg.TimerWheelLevels),
+			wheel:     timerwheel.New(cfg.TimerTick, timerwheel.DefaultLevels),
 			victimBuf: make([]int, 0, cfg.Cores),
 			lenBuf:    make([]int, cfg.Cores),
 			free:      make([]*equeue.Event, 0, coreFreeMax),
@@ -438,6 +442,7 @@ func (r *Runtime) Register(name string, fn HandlerFunc, opts ...HandlerOption) H
 	old := *r.handlers.Load()
 	next := make([]handlerEntry, len(old)+1)
 	copy(next, old)
+	entry.id = equeue.HandlerID(len(old))
 	next[len(old)] = entry
 	r.handlers.Store(&next)
 	return Handler{id: int32(len(next))}
@@ -605,8 +610,9 @@ func (r *Runtime) Post(h Handler, color Color, data any) error {
 	return r.post(nil, nil, h, color, data, true)
 }
 
-// post is the shared delivery path behind Post, PostContext, Ctx.Post,
-// and the bounded-runtime leg of PostBatch. external marks posts from
+// post is the way in behind Post, PostContext, PostEdge, Ctx.Post and the
+// bounded leg of PostBatch: validate, admit, stamp, then deliver or spill
+// (docs/architecture.md "The way in"). external marks posts from
 // outside handler context: only those can be rejected or blocked (a
 // rejected or blocked continuation would wedge the workers — see
 // OverloadPolicy's decision table). from is the handler context that is
@@ -617,31 +623,27 @@ func (r *Runtime) post(ctx context.Context, from *Ctx, h Handler, color Color, d
 	if r.stopped.Load() {
 		return ErrStopped
 	}
-	var (
-		c             *rcore
-		ptrace, pspan uint64
-	)
-	if from != nil {
-		c, ptrace, pspan = from.core, from.ev.TraceID, from.ev.SpanID
-	}
-	hs := *r.handlers.Load()
-	if a := r.adm; a != nil {
-		idx := int(h.id) - 1
-		if idx < 0 || idx >= len(hs) {
-			return unknownHandlerError(h)
-		}
-		route, err := a.admit(ctx, equeue.Color(color), external)
-		if err != nil {
-			return err
-		}
-		if route == routeDisk {
-			return r.spillPost(c, hs, int32(idx), color, data, ptrace, pspan)
-		}
-	}
-	ev, err := r.buildEvent(c, hs, h, color, data, ptrace, pspan)
+	entry, err := lookupHandler(*r.handlers.Load(), h)
 	if err != nil {
 		return err
 	}
+	route, err := r.routeFor(ctx, equeue.Color(color), external)
+	if err != nil {
+		return err
+	}
+	c, ptrace, pspan := from.origin()
+	var lone idSource
+	ids := r.idsOn(c, 1, &lone)
+	if route == routeDisk {
+		// Stamped like any other post, but on the stack: the record goes
+		// to the color's disk tail and no event leaves the pool.
+		var ev equeue.Event
+		r.stamp(&ev, ids, entry, color, data, ptrace, pspan)
+		r.spill(c, &ev)
+		return nil
+	}
+	ev := r.newEvent(c)
+	r.stamp(ev, ids, entry, color, data, ptrace, pspan)
 	continues := from != nil && ev.Color == from.ev.Color
 	if continues && !from.handedOn {
 		// The pending hand-off: a continuation of the running color takes
@@ -668,36 +670,99 @@ func (r *Runtime) post(ctx context.Context, from *Ctx, h Handler, color Color, d
 	return nil
 }
 
+// lookupHandler is the one handler validation: every way in resolves its
+// Handler here, against one load of the handler table.
+func lookupHandler(hs []handlerEntry, h Handler) (*handlerEntry, error) {
+	if idx := int(h.id) - 1; idx >= 0 && idx < len(hs) {
+		return &hs[idx], nil
+	}
+	return nil, unknownHandlerError(h)
+}
+
 func unknownHandlerError(h Handler) error {
 	return fmt.Errorf("mely: unknown handler %d", h.id)
 }
 
-// buildEvent validates the handler and materializes a pooled event.
-// c is the core whose worker is calling (nil off-worker; see newEvent,
-// sampleTick and newSpan). ptrace/pspan are the causal parent's
-// identifiers (zero = root): with tracing on the event gets its own
+// routeFor is the admission step (admission.admit). An unbounded runtime
+// has no admission layer and sends everything to memory. It inlines in
+// this shape, just under the budget.
+func (r *Runtime) routeFor(ctx context.Context, color equeue.Color, external bool) (route admRoute, err error) {
+	if r.adm != nil {
+		route, err = r.adm.admit(ctx, color, external)
+	}
+	return route, err
+}
+
+// idSource is where a poster draws its one-in-ObsSampleRate sample ticks
+// and its span ids from: a worker's own (rcore.ids, whose span block
+// (spanNext, spanEnd] newSpan refills from traceSeq), or what idsOn cut
+// from the shared sequences for a poster that has no core.
+type idSource struct {
+	spanNext, spanEnd uint64
+	tick              uint64
+}
+
+// idsOn picks the id source of a poster about to post n events: the
+// worker-owned one of the core it runs on, or, for a poster with no core
+// (c nil), n ticks and n span ids cut from the runtime-wide sequences
+// into *lone — one atomic each however large n is (ids need only be
+// unique per runtime, not dense in post order across posters).
+func (r *Runtime) idsOn(c *rcore, n int, lone *idSource) *idSource {
+	if c != nil {
+		return &c.ids
+	}
+	k := uint64(n)
+	if r.obsOn {
+		lone.tick = r.obsSeq.Add(k) - k
+	}
+	if r.traceOn {
+		lone.spanEnd = r.traceSeq.Add(k)
+		lone.spanNext = lone.spanEnd - k
+	}
+	return lone
+}
+
+// sampleTick counts one post on s and reports whether it is the one in
+// ObsSampleRate sampled for latency.
+func (r *Runtime) sampleTick(s *idSource) bool {
+	if !r.obsOn {
+		return false
+	}
+	s.tick++
+	return s.tick&r.obsMask == 0
+}
+
+// newSpan draws a span id, unique per runtime, from s.
+func (r *Runtime) newSpan(s *idSource) uint64 {
+	if s.spanNext == s.spanEnd {
+		s.spanEnd = r.traceSeq.Add(spanBlockSize)
+		s.spanNext = s.spanEnd - spanBlockSize
+	}
+	s.spanNext++
+	return s.spanNext
+}
+
+// stamp fills a zeroed event for the handler lookupHandler resolved to
+// entry. It is the only writer of a posted event's cost, penalty,
+// latency-sample stamp and causal identifiers. ptrace/pspan name the
+// causal parent (zero = root): with tracing on the event gets its own
 // span id, inheriting the parent's trace or founding a new one.
-func (r *Runtime) buildEvent(c *rcore, hs []handlerEntry, h Handler, color Color, data any, ptrace, pspan uint64) (*equeue.Event, error) {
-	idx := int(h.id) - 1
-	if idx < 0 || idx >= len(hs) {
-		return nil, unknownHandlerError(h)
-	}
-	entry := &hs[idx]
-	ev := r.newEvent(c)
-	*ev = equeue.Event{
-		Handler: equeue.HandlerID(idx),
-		Color:   equeue.Color(color),
-		Cost:    entry.estimate(),
-		Penalty: r.pol.EffectivePenalty(entry.penalty),
-		Data:    data,
-	}
-	if r.obsOn && r.sampleTick(c) {
+func (r *Runtime) stamp(ev *equeue.Event, ids *idSource, entry *handlerEntry, color Color, data any, ptrace, pspan uint64) {
+	ev.Handler = entry.id
+	ev.Color = equeue.Color(color)
+	// The profiled cost of an execution in nanoseconds, the time-left
+	// heuristic's currency; an unprofiled handler looks cheap until
+	// measured.
+	ev.Cost = max(entry.prof.Estimate(), 1)
+	ev.Penalty = r.pol.EffectivePenalty(entry.penalty)
+	ev.Data = data
+	if r.sampleTick(ids) {
 		// Sampled for latency observation: the stamp rides to execution,
 		// where the queue delay is measured (see observeExec).
 		ev.PostNanos = r.now()
 	}
 	if r.traceOn {
-		span := r.newSpan(c)
+		span := r.newSpan(ids)
 		ev.SpanID = span
 		if ptrace != 0 {
 			ev.TraceID, ev.ParentSpan = ptrace, pspan
@@ -705,10 +770,9 @@ func (r *Runtime) buildEvent(c *rcore, hs []handlerEntry, h Handler, color Color
 			ev.TraceID = span // a root founds its trace under its own id
 		}
 	}
-	return ev, nil
 }
 
-// newEvent takes an event off the calling worker's free stack, or from
+// newEvent takes a zeroed event off the calling worker's free stack, or from
 // the shared pool when that is empty or the caller is no worker (c nil).
 func (r *Runtime) newEvent(c *rcore) *equeue.Event {
 	if c != nil {
@@ -730,42 +794,6 @@ func (r *Runtime) recycleEvent(c *rcore, ev *equeue.Event) {
 	} else {
 		r.evPool.Put(ev)
 	}
-}
-
-// sampleTick counts one post and reports whether it is the one in
-// ObsSampleRate sampled for latency: a worker counts the posts it makes
-// on its own core, every other poster on the shared sequence.
-func (r *Runtime) sampleTick(c *rcore) bool {
-	if c != nil {
-		c.obsTick++
-		return c.obsTick&r.obsMask == 0
-	}
-	return r.obsSeq.Add(1)&r.obsMask == 0
-}
-
-// newSpan allocates a span id, unique per runtime: a worker draws from
-// the block it reserved from traceSeq (as PostBatch reserves one per
-// batch), everyone else from traceSeq directly.
-func (r *Runtime) newSpan(c *rcore) uint64 {
-	if c == nil {
-		return r.traceSeq.Add(1)
-	}
-	if c.spanNext == c.spanEnd {
-		c.spanEnd = r.traceSeq.Add(spanBlockSize)
-		c.spanNext = c.spanEnd - spanBlockSize
-	}
-	c.spanNext++
-	return c.spanNext
-}
-
-// estimate is the profiled per-execution cost in nanoseconds, the
-// time-left heuristic's currency on the real platform.
-func (e *handlerEntry) estimate() int64 {
-	est := e.prof.Estimate()
-	if est <= 0 {
-		est = 1 // unprofiled handlers look cheap until measured
-	}
-	return est
 }
 
 // enqueue delivers an event to the current owner of its color,
@@ -1370,6 +1398,17 @@ type Ctx struct {
 	// handedOn records that this execution gave its pending count to a
 	// same-color continuation (see Runtime.post).
 	handedOn bool
+}
+
+// origin is what a post inherits from the handler context making it: the
+// core whose worker-owned posting state it uses and its causal parent's
+// ids. Outside a handler (ctx nil) there is no core and the event is a
+// trace root.
+func (ctx *Ctx) origin() (c *rcore, ptrace, pspan uint64) {
+	if ctx == nil {
+		return nil, 0, 0
+	}
+	return ctx.core, ctx.ev.TraceID, ctx.ev.SpanID
 }
 
 // Post registers a follow-up event. It is an internal continuation:

@@ -124,12 +124,11 @@ func (r *Runtime) postTimer(h Handler, color Color, when, period int64, data any
 	if r.stopped.Load() {
 		return nil, ErrStopped
 	}
-	hs := *r.handlers.Load()
-	idx := int(h.id) - 1
-	if idx < 0 || idx >= len(hs) {
-		return nil, unknownHandlerError(h)
+	entry, err := lookupHandler(*r.handlers.Load(), h)
+	if err != nil {
+		return nil, err
 	}
-	e := timerwheel.NewEntry(equeue.Color(color), int32(idx), data, when, period)
+	e := timerwheel.NewEntry(equeue.Color(color), int32(entry.id), data, when, period)
 	e.TraceID, e.SpanID = ptrace, pspan
 	r.armTimer(e)
 	return &Timer{r: r, e: e}, nil
@@ -180,29 +179,25 @@ func (r *Runtime) fireTimer(c *rcore, e *timerwheel.Entry, now int64) {
 	c.stats.timerLagHist[timerLagBucket(lag)].Add(1)
 
 	// The handler id was validated at arm time and handlers never
-	// unregister, so buildEvent cannot fail here. The fired event
-	// inherits the arming span's lineage (zeros when armed outside a
-	// handler, making the firing a trace root).
-	ev, err := r.buildEvent(c, *r.handlers.Load(), Handler{id: e.Handler + 1}, Color(e.Color), e.Data, e.TraceID, e.SpanID)
-	if err != nil {
-		return
-	}
+	// unregister. The fired event inherits the arming span's lineage
+	// (zeros when armed outside a handler, making the firing a trace
+	// root).
+	hs := *r.handlers.Load()
+	ev := r.newEvent(c)
+	r.stamp(ev, &c.ids, &hs[e.Handler], Color(e.Color), e.Data, e.TraceID, e.SpanID)
 	if c.ring != nil {
-		// Recorded after buildEvent so the firing instant carries the
-		// fired event's ids: melytrace treats it as the hop's enqueue
-		// timestamp for exact queue-delay measurement.
+		// The firing instant carries the fired event's ids: melytrace
+		// treats it as the hop's enqueue timestamp for exact queue-delay
+		// measurement.
 		c.ring.AppendFlow(obs.KindTimerFire, now, lag, uint64(e.Color), 1, ev.TraceID, ev.SpanID, ev.ParentSpan)
 	}
-	if a := r.adm; a != nil {
-		// Timer firings are internal continuations: never rejected or
-		// blocked, but a spilling color's FIFO discipline still routes
-		// the event to the disk tail.
-		if a.admitInternal(equeue.Color(e.Color)) == routeDisk {
-			r.spillBuilt(c, ev)
-		} else {
-			r.pending.Add(1)
-			r.enqueue(ev)
-		}
+	// Timer firings are internal continuations: never rejected or
+	// blocked, but a spilling color's FIFO discipline still routes the
+	// event to the disk tail.
+	if route, _ := r.routeFor(nil, ev.Color, false); route == routeDisk {
+		r.spill(c, ev)
+		*ev = equeue.Event{}
+		r.recycleEvent(c, ev)
 	} else {
 		r.pending.Add(1)
 		r.enqueue(ev)
