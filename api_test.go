@@ -281,11 +281,11 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 func TestUnparkWakesPromptly(t *testing.T) {
-	// Regression for the missed-wakeup window: with a long ParkTimeout,
+	// Regression for the missed-wakeup window: with a long park timeout,
 	// a post racing park must still execute quickly. Before the fix,
 	// unpark read the parked flag before park stored it and the post
 	// waited out the full timeout.
-	r := startRuntime(t, Config{Cores: 1, ParkTimeout: 10 * time.Second})
+	r := startRuntime(t, Config{Cores: 1, parkTimeout: 10 * time.Second})
 	done := make(chan struct{}, 1)
 	h := r.Register("wake", func(ctx *Ctx) { done <- struct{}{} })
 	for i := 0; i < 50; i++ {
@@ -308,7 +308,7 @@ func TestUnparkWakesPromptly(t *testing.T) {
 // densely as possible. Run with -race. Asserts conservation (every
 // event runs exactly once) and the color-serialization invariant.
 func TestShardCollisionLeaseStress(t *testing.T) {
-	r := startRuntime(t, Config{Cores: 4, Policy: PolicyMelyWS, ParkTimeout: 50 * time.Microsecond})
+	r := startRuntime(t, Config{Cores: 4, Policy: PolicyMelyWS, parkTimeout: 50 * time.Microsecond})
 
 	// Colors homing on core 0 AND sharing one shard.
 	shard := -1

@@ -101,17 +101,19 @@ type Config struct {
 	// (default 10, the paper's setting). Only meaningful for Mely
 	// layouts.
 	BatchThreshold int
-	// StealCostSeed seeds the steal-cost estimate before the runtime
-	// has measured real steals (default 2µs).
-	StealCostSeed time.Duration
-	// ParkTimeout is the longest sleep of a worker that found neither
-	// local work nor anything to steal (default 500µs). A parked worker
-	// wakes on a post to its core, on a timer armed ahead of its wheel's
+	// stealCostSeed seeds the steal-cost estimate before the runtime
+	// has measured real steals (2µs). It, parkTimeout and stealBackoff
+	// are constants to users of the package; they are fields so tests can
+	// make a park last an hour, or 50µs.
+	stealCostSeed time.Duration
+	// parkTimeout is the longest sleep of a worker that found neither
+	// local work nor anything to steal (500µs). A parked worker wakes on
+	// a post to its core, on a timer armed or reset ahead of its wheel's
 	// earliest deadline, and on Stop — none of these wait for the
 	// timeout. Nothing wakes it for work queued on another core, so the
-	// timeout (with StealBackoff beneath it) is the interval at which an
+	// timeout (with stealBackoff beneath it) is the interval at which an
 	// idle worker re-probes its neighbors for something to steal.
-	ParkTimeout time.Duration
+	parkTimeout time.Duration
 	// MaxStealColors caps how many colors one steal attempt migrates.
 	// Batch stealing takes up to half the victim's stealable colors in
 	// a single victim-lock critical section, amortizing the per-color
@@ -121,14 +123,12 @@ type Config struct {
 	// the whole batch detaches under one victim-lock hold, so the cap
 	// bounds that critical section.
 	MaxStealColors int
-	// StealBackoff is the initial pause of the exponential backoff a
-	// worker applies when consecutive steal probes find nothing: each
-	// further fruitless round doubles the pause up to ParkTimeout, and
-	// any success resets it — throttling steal storms when many cores
-	// go idle together. 0 means the 10µs default; negative disables
-	// the backoff entirely — every park lasts the full ParkTimeout
-	// regardless of the failure streak.
-	StealBackoff time.Duration
+	// stealBackoff is the initial pause (10µs) of the exponential
+	// backoff a worker applies when consecutive steal probes find
+	// nothing: each further fruitless round doubles the pause up to
+	// parkTimeout, and any success resets it — throttling steal storms
+	// when many cores go idle together.
+	stealBackoff time.Duration
 	// TimerTick is the granularity of the per-core timing wheels behind
 	// PostAfter/PostAt/PostEvery (default 1ms): timers fire on the next
 	// tick at or after their deadline, so the tick bounds the structural
@@ -269,14 +269,14 @@ func (c Config) withDefaults() Config {
 	if c.BatchThreshold == 0 {
 		c.BatchThreshold = 10
 	}
-	if c.StealCostSeed == 0 {
-		c.StealCostSeed = 2 * time.Microsecond
+	if c.stealCostSeed == 0 {
+		c.stealCostSeed = 2 * time.Microsecond
 	}
-	if c.ParkTimeout == 0 {
-		c.ParkTimeout = 500 * time.Microsecond
+	if c.parkTimeout == 0 {
+		c.parkTimeout = 500 * time.Microsecond
 	}
-	if c.StealBackoff == 0 {
-		c.StealBackoff = 10 * time.Microsecond
+	if c.stealBackoff == 0 {
+		c.stealBackoff = 10 * time.Microsecond
 	}
 	if c.TimerTick == 0 {
 		c.TimerTick = time.Millisecond

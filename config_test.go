@@ -100,8 +100,8 @@ func TestSingleColorStealOptOut(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	if cfg.Cores <= 0 || cfg.BatchThreshold != 10 ||
-		cfg.StealCostSeed <= 0 || cfg.ParkTimeout <= 0 ||
-		cfg.StealBackoff <= 0 || cfg.TimerTick <= 0 {
+		cfg.stealCostSeed <= 0 || cfg.parkTimeout <= 0 ||
+		cfg.stealBackoff <= 0 || cfg.TimerTick <= 0 {
 		t.Fatalf("defaults incomplete: %+v", cfg)
 	}
 }

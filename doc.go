@@ -84,7 +84,7 @@
 // exposes the accounting: StolenColors, the per-steal batch-size
 // histogram (StealBatchHist), and the attempt/success counters.
 //
-// # Timers and color affinity
+// # Timers
 //
 // PostAfter, PostAt, and PostEvery arm timers whose expiry is a normal
 // event post: after the deadline the handler is posted with the given
@@ -103,12 +103,12 @@
 // or after their deadline; the hierarchy is four levels of 64 slots,
 // and deadlines beyond its horizon cascade, so any duration is legal.
 //
-// Timers are color-affine: an entry is armed on the wheel of the core
-// that owns its color, and when a steal or a lease re-home migrates the
-// color, its pending timers migrate with it — expiry harvest stays
-// core-local. The affinity is purely a performance property: a firing
-// is delivered through the same ownership lease protocol as a Post, so
-// the serialization guarantee holds no matter where the entry sits.
+// Timers are color-serialized, not color-affine: an entry is armed on
+// the wheel of the core that owns its color and fires from that wheel —
+// a steal or a lease re-home moves the color's queue, never its timers.
+// A firing is delivered through the same ownership lease protocol as a
+// Post, to the color's owner at that moment, so the serialization
+// guarantee holds no matter where the entry sits.
 // The Timer handle is race-safe: exactly one of Cancel-returning-true
 // and the firing happens (a periodic timer canceled mid-firing still
 // delivers the in-flight occurrence, never another). Stats reports
@@ -208,8 +208,8 @@
 // Idle workers. A worker is a plain goroutine: one that finds no local
 // work and nothing to steal parks — it sleeps on a one-token wake
 // channel for at most the park duration, and no longer than its wheel's
-// earliest deadline. A post to its core, a timer armed ahead of that
-// deadline and Stop all wake it at once: the waker publishes its work,
+// earliest deadline. A post to its core, a timer armed or reset ahead of
+// that deadline and Stop all wake it at once: the waker publishes its work,
 // then drops a token without blocking. A token left for a worker that
 // was awake makes its next park return immediately to re-scan, so no
 // wake-up is lost. The wake-up is a Go run-queue insert unless
@@ -217,12 +217,10 @@
 // thread hand-off (~12µs against ~1µs, BenchmarkWakeLatency). Nothing
 // wakes a worker for work queued on another core, so parks are also the
 // steal-probe interval, and they back off: the first fruitless round
-// parks for Config.StealBackoff (default 10µs), each further one doubles
-// it up to Config.ParkTimeout (default 500µs), and any success resets
-// the streak. This throttles the steal storm that forms when many cores
-// go idle together and hammer the same few victim locks; BackoffParks
-// counts the shortened parks. A negative StealBackoff makes every park
-// last ParkTimeout.
+// parks for 10µs, each further one doubles it up to 500µs, and any
+// success resets the streak. This throttles the steal storm that forms
+// when many cores go idle together and hammer the same few victim locks;
+// BackoffParks counts the shortened parks.
 //
 // The hot path. Every event comes in the same way — validate the handler,
 // admit, stamp, then deliver to the color's owner or spill (Runtime.post;

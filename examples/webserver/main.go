@@ -36,7 +36,7 @@ func main() {
 		}
 		files[fmt.Sprintf("/file%d.bin", i)] = body
 	}
-	// Idle connections are reaped by the runtime's color-affine timers:
+	// Idle connections are reaped by the runtime's color-serialized timers:
 	// a PostAfter per connection, serialized with that connection's
 	// request handlers, no locks and no time.AfterFunc goroutines.
 	srv, err := sws.New(sws.Config{Runtime: rt, Files: files, IdleTimeout: 400 * time.Millisecond})

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // The tests in this file defend what the per-event hot path leans on:
@@ -403,4 +404,54 @@ func TestRegisterWhileRunning(t *testing.T) {
 	if got, want := ran.Load(), int64(2*chain+2*perGoroutine); got != want {
 		t.Fatalf("%d events ran, want %d", got, want)
 	}
+}
+
+// TestHotFieldLayout pins which fields may share a 64-byte cache line.
+// events_chain moves ±8 % on field order alone (PR 17), so a change that
+// adds, drops or resizes a field of rcore or Runtime has to keep the
+// words one side writes per event off the lines the other side reads.
+func TestHotFieldLayout(t *testing.T) {
+	type span struct {
+		name     string
+		off, len uintptr
+	}
+	disjoint := func(what string, a, b []span) {
+		t.Helper()
+		for _, x := range a {
+			for _, y := range b {
+				if x.off/64 <= (y.off+y.len-1)/64 && y.off/64 <= (x.off+x.len-1)/64 {
+					t.Errorf("%s: %s (offset %d, %d bytes) shares a cache line with %s (offset %d, %d bytes)",
+						what, x.name, x.off, x.len, y.name, y.off, y.len)
+				}
+			}
+		}
+	}
+	var c rcore
+	disjoint("rcore, worker-written against lock-guarded or poster-read",
+		[]span{
+			{"run", unsafe.Offsetof(c.run), unsafe.Sizeof(c.run)},
+			{"runLeft", unsafe.Offsetof(c.runLeft), unsafe.Sizeof(c.runLeft)},
+			{"runOpen", unsafe.Offsetof(c.runOpen), unsafe.Sizeof(c.runOpen)},
+			{"ids", unsafe.Offsetof(c.ids), unsafe.Sizeof(c.ids)},
+		},
+		[]span{
+			{"lock", unsafe.Offsetof(c.lock), unsafe.Sizeof(c.lock)},
+			{"Core", unsafe.Offsetof(c.Core), unsafe.Sizeof(c.Core)},
+			{"runCQ", unsafe.Offsetof(c.runCQ), unsafe.Sizeof(c.runCQ)},
+			{"qlen", unsafe.Offsetof(c.qlen), unsafe.Sizeof(c.qlen)},
+			{"stealLen", unsafe.Offsetof(c.stealLen), unsafe.Sizeof(c.stealLen)},
+			{"diskLen", unsafe.Offsetof(c.diskLen), unsafe.Sizeof(c.diskLen)},
+		})
+	var r Runtime
+	disjoint("Runtime, written per event against read per event",
+		[]span{
+			{"pending", unsafe.Offsetof(r.pending), unsafe.Sizeof(r.pending)},
+			{"drainWaiters", unsafe.Offsetof(r.drainWaiters), unsafe.Sizeof(r.drainWaiters)},
+		},
+		[]span{
+			{"stopped", unsafe.Offsetof(r.stopped), unsafe.Sizeof(r.stopped)},
+			{"stealMon", unsafe.Offsetof(r.stealMon), unsafe.Sizeof(r.stealMon)},
+			{"handlers", unsafe.Offsetof(r.handlers), unsafe.Sizeof(r.handlers)},
+			{"epoch", unsafe.Offsetof(r.epoch), unsafe.Sizeof(r.epoch)},
+		})
 }

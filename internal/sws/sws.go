@@ -70,7 +70,7 @@ type Config struct {
 	// MaxClients bounds simultaneous connections (0 = unlimited).
 	MaxClients int
 	// IdleTimeout reaps connections that stay silent for this long
-	// (0 = never). The reaper is a color-affine runtime timer per
+	// (0 = never). The reaper is a color-serialized runtime timer per
 	// connection (PostAfter under the connection's color), so it reads
 	// the connection's parser state with no locks: the timeout handler
 	// is serialized with the request handlers by construction.

@@ -447,7 +447,7 @@ func TestIdleTimeoutReapsSilentConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Say nothing: the color-affine reaper must close the connection
+	// Say nothing: the color-serialized reaper must close the connection
 	// (observed as EOF on our side) without any request ever parsed.
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	buf := make([]byte, 1)
@@ -460,22 +460,25 @@ func TestIdleTimeoutReapsSilentConnection(t *testing.T) {
 }
 
 func TestIdleTimeoutSparesActiveConnection(t *testing.T) {
-	srv := startServerIdle(t, map[string][]byte{"/f": []byte("z")}, 250*time.Millisecond)
+	// A request every tenth of the timeout: a loaded runner has to stall
+	// the client for 450ms before the budget runs out on a live connection.
+	const idle = 500 * time.Millisecond
+	srv := startServerIdle(t, map[string][]byte{"/f": []byte("z")}, idle)
 	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	// Keep requesting at half the timeout: activity resets the budget,
-	// so the connection must survive several timeout periods.
-	deadline := time.Now().Add(4 * 250 * time.Millisecond)
+	// Activity resets the budget, so the connection must survive several
+	// timeout periods.
+	deadline := time.Now().Add(3 * idle)
 	for time.Now().Before(deadline) {
 		status, _ := get(t, conn, br, "/f")
 		if !strings.Contains(status, "200") {
 			t.Fatalf("status = %q", status)
 		}
-		time.Sleep(100 * time.Millisecond)
+		time.Sleep(idle / 10)
 	}
 	if got := srv.IdleClosed(); got != 0 {
 		t.Fatalf("active connection reaped (IdleClosed = %d)", got)

@@ -7,24 +7,22 @@
 //   - Arm/cancel/reschedule are O(1); expiry is a batch harvest
 //     (Advance) the owning worker folds into its scheduling loop, so
 //     firing costs no goroutines and no per-timer allocations.
-//   - Entries are indexed by color: when a steal (or a lease re-home)
-//     migrates a color to another core, ExtractColors/AdoptAll move the
-//     color's pending timers to the new owner's wheel in O(pending),
-//     keeping expiry harvest core-local.
-//   - Cancel and Reschedule are race-safe against a concurrent harvest
-//     and against migration: entry state is a small atomic state
-//     machine (armed → firing → fired, or → canceled) and exactly one
-//     of Cancel/harvest wins.
+//   - An entry stays on the wheel it was added to until it fires or is
+//     canceled: a steal or a lease re-home moves a color's queue, never
+//     its timers. The platform routes the expiry to the color's owner
+//     when it fires, as it routes any post.
+//   - Cancel and Reschedule are race-safe against a concurrent harvest:
+//     entry state is a small atomic state machine (armed → firing →
+//     fired, or → canceled) and exactly one of Cancel/harvest wins.
 //
 // The wheel is clock-agnostic: all instants are int64 nanoseconds on a
 // monotonic clock the caller owns (the runtime uses one epoch for every
-// core's wheel, so deadlines compare across wheels and migration never
-// rebases them).
+// core's wheel, so a periodic entry re-armed on another wheel keeps its
+// deadlines).
 package timerwheel
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,9 +71,8 @@ type Entry struct {
 	When   int64
 	Period int64
 
-	// Color routes the expiry to the color's owning core and keys the
-	// migration index; Handler and Data are opaque payload for the
-	// platform firing the entry.
+	// Color routes the expiry to the color's owning core; Handler and
+	// Data are opaque payload for the platform firing the entry.
 	Color   equeue.Color
 	Handler int32
 	Data    any
@@ -92,9 +89,6 @@ type Entry struct {
 	// means the due list; -2 means unlinked.
 	next, prev  *Entry
 	level, slot int
-
-	// per-color ring links (circular).
-	cNext, cPrev *Entry
 }
 
 // NewEntry returns an armed, unlinked entry; Add links it into a wheel.
@@ -107,8 +101,8 @@ func NewEntry(color equeue.Color, handler int32, data any, when, period int64) *
 // State exposes the entry's lifecycle state (tests and introspection).
 func (e *Entry) State() int32 { return e.state.Load() }
 
-// CurrentWheel reports the wheel the entry is linked into, or nil while
-// it is firing, done, or mid-migration.
+// CurrentWheel reports the wheel the entry is linked into, or nil when
+// it is not yet added, firing, or done.
 func (e *Entry) CurrentWheel() *Wheel { return e.wheel.Load() }
 
 // Cancel stops the timer. It returns true when a scheduled firing was
@@ -141,10 +135,9 @@ func (e *Entry) Cancel() bool {
 	}
 }
 
-// detach best-effort unlinks a canceled entry from its current wheel.
-// If the entry is mid-migration (no wheel) it stays unlinked — every
-// path that re-links (AdoptAll, Add) drops non-armed entries, and a
-// canceled entry that slips through is reaped at harvest.
+// detach best-effort unlinks a canceled entry from its wheel. An entry
+// with no wheel is a periodic one between Rearm and Add, which drops
+// it; a canceled entry Add linked all the same is reaped at harvest.
 func (e *Entry) detach() {
 	w := e.wheel.Load()
 	if w == nil {
@@ -157,35 +150,33 @@ func (e *Entry) detach() {
 	w.mu.Unlock()
 }
 
-// Reschedule moves an armed entry's deadline. It returns false — and
-// changes nothing — when the entry is no longer armed (fired, firing,
-// or canceled): re-arming a completed timer is the platform's job, not
-// the wheel's. It spins out a concurrent migration (the unlinked window
-// between ExtractColors and AdoptAll is brief and lock-free).
-func (e *Entry) Reschedule(when int64) bool {
+// Reschedule moves a linked, armed entry's deadline. ok is false — and
+// nothing changed — when the entry is fired, firing (a periodic entry
+// until its re-arm is linked again), or canceled: re-arming a completed
+// timer is the platform's job, not the wheel's. earlier reports, as Add
+// does, that the wheel's earliest bound moved earlier and a parked
+// owner should be woken.
+func (e *Entry) Reschedule(when int64) (ok, earlier bool) {
 	for {
-		if e.state.Load() != StateArmed {
-			return false
-		}
 		w := e.wheel.Load()
 		if w == nil {
-			runtime.Gosched() // mid-migration; the adopter will link it
-			continue
+			return false, false
 		}
 		w.mu.Lock()
 		if e.wheel.Load() != w {
+			// Fired and re-armed elsewhere since the load (periodic).
 			w.mu.Unlock()
 			continue
 		}
 		if e.state.Load() != StateArmed {
 			w.mu.Unlock()
-			return false
+			return false, false
 		}
 		w.removeLocked(e)
 		e.When = when
-		w.addLocked(e)
+		earlier = w.addLocked(e)
 		w.mu.Unlock()
-		return true
+		return true, earlier
 	}
 }
 
@@ -198,7 +189,7 @@ func (e *Entry) FinishFire() { e.state.CompareAndSwap(StateFiring, StateFired) }
 
 // Rearm moves a harvested periodic entry back to armed with a new
 // deadline, failing if Cancel intervened during the firing. The caller
-// then Adds it to the (current) owner's wheel.
+// then Adds it to a wheel, not necessarily the one it fired from.
 func (e *Entry) Rearm(when int64) bool {
 	e.When = when
 	return e.state.CompareAndSwap(StateFiring, StateArmed)
@@ -226,8 +217,7 @@ type Wheel struct {
 	// were (re)inserted; the next Advance drains it.
 	due slotList
 
-	byColor map[equeue.Color]*Entry // head of each color's entry ring
-	count   int
+	count int
 
 	// nextDue is a conservative lower bound on the earliest deadline
 	// (none when empty): the real expiry may be later — a harvest then
@@ -252,11 +242,10 @@ func New(tick time.Duration, levels int) *Wheel {
 		levels = MaxLevels
 	}
 	w := &Wheel{
-		tick:    tick.Nanoseconds(),
-		levels:  levels,
-		slots:   make([][]slotList, levels),
-		occ:     make([]uint64, levels),
-		byColor: make(map[equeue.Color]*Entry),
+		tick:   tick.Nanoseconds(),
+		levels: levels,
+		slots:  make([][]slotList, levels),
+		occ:    make([]uint64, levels),
 	}
 	for l := range w.slots {
 		w.slots[l] = make([]slotList, numSlots)
@@ -285,8 +274,8 @@ func (w *Wheel) Len() int {
 // polls it every loop iteration.
 func (w *Wheel) NextDue() int64 { return w.nextDue.Load() }
 
-// Add links an armed entry (non-armed entries are dropped — the
-// canceled-during-migration case). It reports whether the wheel's
+// Add links an armed entry (a non-armed one is dropped: a periodic
+// entry canceled between Rearm and Add). It reports whether the wheel's
 // earliest bound moved earlier, in which case a parked owner should be
 // woken to re-fold its sleep.
 func (w *Wheel) Add(e *Entry) (earlier bool) {
@@ -295,10 +284,7 @@ func (w *Wheel) Add(e *Entry) (earlier bool) {
 		w.mu.Unlock()
 		return false
 	}
-	// Read When under the lock: once it is released the owner may fire
-	// the entry, and a periodic entry's Rearm rewrites the deadline.
-	earlier = e.When < w.nextDue.Load()
-	w.addLocked(e)
+	earlier = w.addLocked(e)
 	w.mu.Unlock()
 	return earlier
 }
@@ -348,58 +334,6 @@ func (w *Wheel) Advance(now int64, buf []*Entry) []*Entry {
 	return buf
 }
 
-// ExtractColors unlinks every armed entry of the given colors (the
-// steal-migration hook), appending them to buf for AdoptAll on the new
-// owner's wheel. Canceled stragglers are reaped. Extracted entries stay
-// armed but belong to no wheel until adopted.
-func (w *Wheel) ExtractColors(colors []equeue.Color, buf []*Entry) []*Entry {
-	w.mu.Lock()
-	for _, c := range colors {
-		buf = w.extractColorLocked(c, buf)
-	}
-	w.retightenLocked()
-	w.mu.Unlock()
-	return buf
-}
-
-// ExtractColor is ExtractColors for one color (the lease re-home hook).
-func (w *Wheel) ExtractColor(c equeue.Color, buf []*Entry) []*Entry {
-	w.mu.Lock()
-	buf = w.extractColorLocked(c, buf)
-	w.retightenLocked()
-	w.mu.Unlock()
-	return buf
-}
-
-// HasColor reports whether any entry of color c is linked here (one map
-// probe; used to skip the extract/adopt dance on timer-less colors).
-func (w *Wheel) HasColor(c equeue.Color) bool {
-	w.mu.Lock()
-	_, ok := w.byColor[c]
-	w.mu.Unlock()
-	return ok
-}
-
-// AdoptAll links extracted entries into this wheel, dropping any that
-// were canceled in transit. It reports whether the earliest bound moved
-// earlier (wake the owner).
-func (w *Wheel) AdoptAll(entries []*Entry) (earlier bool) {
-	if len(entries) == 0 {
-		return false
-	}
-	w.mu.Lock()
-	before := w.nextDue.Load()
-	for _, e := range entries {
-		if e.state.Load() != StateArmed {
-			continue
-		}
-		w.addLocked(e)
-	}
-	after := w.nextDue.Load()
-	w.mu.Unlock()
-	return after < before
-}
-
 // --- internals (all under mu) ---
 
 // tickOf rounds a deadline up to its tick: an entry may fire late by
@@ -408,19 +342,22 @@ func (w *Wheel) tickOf(when int64) int64 {
 	return (when + w.tick - 1) / w.tick
 }
 
-func (w *Wheel) addLocked(e *Entry) {
+// addLocked links e and reports whether it lowered the nextDue bound.
+// It reads When under the lock: once that is released the owner may fire
+// the entry, and a periodic entry's Rearm rewrites the deadline.
+func (w *Wheel) addLocked(e *Entry) (earlier bool) {
 	w.reinsertLocked(e)
-	w.linkColor(e)
 	e.wheel.Store(w)
 	w.count++
-	if e.When < w.nextDue.Load() {
+	if earlier = e.When < w.nextDue.Load(); earlier {
 		w.nextDue.Store(e.When)
 	}
+	return earlier
 }
 
 // reinsertLocked places an entry into the due list or its slot — the
 // shared placement step of a fresh Add and of a cascade re-place (which
-// leaves color ring, count, and wheel pointer untouched).
+// leaves count and wheel pointer untouched).
 func (w *Wheel) reinsertLocked(e *Entry) {
 	whenTick := w.tickOf(e.When)
 	delta := whenTick - w.cur
@@ -507,7 +444,6 @@ func (w *Wheel) harvestOne(e *Entry, buf []*Entry) []*Entry {
 		w.reinsertLocked(e)
 		return buf
 	}
-	w.unlinkColor(e)
 	w.count--
 	e.wheel.Store(nil)
 	if e.state.CompareAndSwap(StateArmed, StateFiring) {
@@ -516,48 +452,12 @@ func (w *Wheel) harvestOne(e *Entry, buf []*Entry) []*Entry {
 	return buf
 }
 
-func (w *Wheel) extractColorLocked(c equeue.Color, buf []*Entry) []*Entry {
-	head, ok := w.byColor[c]
-	if !ok {
-		return buf
-	}
-	delete(w.byColor, c)
-	e := head
-	for {
-		next := e.cNext
-		last := next == head
-		e.cNext, e.cPrev = nil, nil
-		w.removeFromListLocked(e)
-		w.count--
-		e.wheel.Store(nil)
-		if e.state.Load() == StateArmed {
-			buf = append(buf, e)
-		}
-		if last {
-			break
-		}
-		e = next
-	}
-	return buf
-}
-
-// removeLocked fully unlinks one entry (cancel path).
+// removeLocked unlinks one entry from its slot or the due list (cancel
+// and reschedule paths); the caller has checked e.wheel == w under mu,
+// so e is linked.
 func (w *Wheel) removeLocked(e *Entry) {
-	w.removeFromListLocked(e)
-	w.unlinkColor(e)
-	w.count--
-	e.wheel.Store(nil)
-}
-
-// removeFromListLocked unlinks e from its slot or due list.
-func (w *Wheel) removeFromListLocked(e *Entry) {
-	var s *slotList
-	switch {
-	case e.level == -2:
-		return
-	case e.level == -1:
-		s = &w.due
-	default:
+	s := &w.due
+	if e.level >= 0 {
 		s = &w.slots[e.level][e.slot]
 	}
 	if e.prev != nil {
@@ -575,6 +475,8 @@ func (w *Wheel) removeFromListLocked(e *Entry) {
 	}
 	e.next, e.prev = nil, nil
 	e.level = -2
+	w.count--
+	e.wheel.Store(nil)
 }
 
 func (w *Wheel) pushDue(e *Entry) {
@@ -599,34 +501,6 @@ func (w *Wheel) pushSlot(e *Entry, l, idx int) {
 	}
 	s.tail = e
 	w.occ[l] |= 1 << uint(idx)
-}
-
-func (w *Wheel) linkColor(e *Entry) {
-	head, ok := w.byColor[e.Color]
-	if !ok {
-		e.cNext, e.cPrev = e, e
-		w.byColor[e.Color] = e
-		return
-	}
-	tail := head.cPrev
-	tail.cNext, e.cPrev = e, tail
-	e.cNext, head.cPrev = head, e
-}
-
-func (w *Wheel) unlinkColor(e *Entry) {
-	if e.cNext == nil {
-		return
-	}
-	if e.cNext == e {
-		delete(w.byColor, e.Color)
-	} else {
-		e.cPrev.cNext = e.cNext
-		e.cNext.cPrev = e.cPrev
-		if w.byColor[e.Color] == e {
-			w.byColor[e.Color] = e.cNext
-		}
-	}
-	e.cNext, e.cPrev = nil, nil
 }
 
 // nextBoundaryTickLocked returns the earliest future tick at which a

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,84 +171,100 @@ func TestCancelRacingAdvance(t *testing.T) {
 	}
 }
 
+// TestRescheduleRacingAdvance moves deadlines back and forth under a
+// concurrent harvest: every entry fires exactly once, at the deadline of
+// its last successful Reschedule and never before it.
+func TestRescheduleRacingAdvance(t *testing.T) {
+	const n = 4000
+	w := New(tick, 3)
+	entries := make([]*Entry, n)
+	last := make([]int64, n) // deadline in force, written by the rescheduler only
+	for i := range entries {
+		last[i] = ms(int64(i % 8))
+		entries[i] = NewEntry(equeue.Color(i), 0, i, last[i], 0)
+		w.Add(entries[i])
+	}
+	var (
+		wg      sync.WaitGroup
+		clock   atomic.Int64
+		firedAt = make([]int64, n)
+		fires   = make([]int, n)
+	)
+	harvest := func(now int64) {
+		for _, e := range advanceAll(w, now) {
+			i := e.Data.(int)
+			firedAt[i] = now
+			fires[i]++
+			e.FinishFire()
+		}
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for now := int64(0); now <= ms(40); now += ms(1) {
+			clock.Store(now)
+			harvest(now)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(7))
+		for round := 0; round < 3; round++ {
+			for i, e := range entries {
+				when := clock.Load() + ms(int64(rng.Intn(12))) - ms(2)
+				if ok, _ := e.Reschedule(when); ok {
+					last[i] = when
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	harvest(ms(1000))
+	for i, e := range entries {
+		if fires[i] != 1 {
+			t.Fatalf("entry %d fired %d times", i, fires[i])
+		}
+		if e.When != last[i] || firedAt[i] < last[i] {
+			t.Fatalf("entry %d fired at %d with deadline %d; last successful Reschedule set %d",
+				i, firedAt[i], e.When, last[i])
+		}
+	}
+}
+
 func TestReschedule(t *testing.T) {
 	w := New(tick, 3)
 	e := NewEntry(1, 0, nil, ms(100), 0)
+	if ok, _ := e.Reschedule(ms(5)); ok {
+		t.Fatal("Reschedule of an entry on no wheel must fail")
+	}
 	w.Add(e)
-	if !e.Reschedule(ms(5)) {
-		t.Fatal("Reschedule of an armed entry must succeed")
+	if ok, earlier := e.Reschedule(ms(5)); !ok || !earlier {
+		t.Fatalf("Reschedule to an earlier deadline = %v, %v, want true, true", ok, earlier)
 	}
 	got := advanceAll(w, ms(5))
 	if len(got) != 1 {
 		t.Fatalf("rescheduled entry not harvested at the new deadline")
 	}
-	if e.Reschedule(ms(50)) {
+	if ok, _ := e.Reschedule(ms(50)); ok {
 		t.Fatal("Reschedule of a firing entry must fail")
 	}
 	e.FinishFire()
-	if e.Reschedule(ms(50)) {
+	if ok, _ := e.Reschedule(ms(50)); ok {
 		t.Fatal("Reschedule of a fired entry must fail")
 	}
 
-	// Rescheduling later must not leave a ghost at the old deadline.
+	// Rescheduling later must not leave a ghost at the old deadline, and
+	// is no reason to wake the owner.
 	l := NewEntry(2, 0, nil, ms(10), 0)
 	w.Add(l)
-	if !l.Reschedule(ms(200)) {
-		t.Fatal("reschedule later failed")
+	if ok, earlier := l.Reschedule(ms(200)); !ok || earlier {
+		t.Fatalf("Reschedule to a later deadline = %v, %v, want true, false", ok, earlier)
 	}
 	if got := advanceAll(w, ms(150)); len(got) != 0 {
 		t.Fatalf("entry fired at its abandoned deadline")
 	}
 	if got := advanceAll(w, ms(200)); len(got) != 1 {
 		t.Fatalf("entry missing at its moved deadline")
-	}
-}
-
-func TestExtractAdoptMigration(t *testing.T) {
-	src := New(tick, 3)
-	dst := New(tick, 3)
-	colors := []equeue.Color{7, 9}
-	var want []*Entry
-	for i := int64(0); i < 40; i++ {
-		c := colors[i%2]
-		e := NewEntry(c, 0, nil, ms(10+i), 0)
-		src.Add(e)
-		want = append(want, e)
-	}
-	stay := NewEntry(equeue.Color(1), 0, nil, ms(15), 0)
-	src.Add(stay)
-	canceled := NewEntry(colors[0], 0, nil, ms(30), 0)
-	src.Add(canceled)
-	canceled.Cancel()
-
-	moved := src.ExtractColors(colors, nil)
-	if len(moved) != len(want) {
-		t.Fatalf("extracted %d, want %d", len(moved), len(want))
-	}
-	if src.HasColor(colors[0]) || src.HasColor(colors[1]) {
-		t.Fatal("source still indexes extracted colors")
-	}
-	if !src.HasColor(1) {
-		t.Fatal("unrelated color lost")
-	}
-	if dst.AdoptAll(moved); dst.Len() != len(want) {
-		t.Fatalf("adopted %d, want %d", dst.Len(), len(want))
-	}
-	// Every migrated deadline fires on the destination on time.
-	fired := 0
-	for now := int64(0); now <= ms(60); now += ms(1) {
-		for _, e := range dst.Advance(now, nil) {
-			if now < e.When || now-e.When > ms(1) {
-				t.Fatalf("migrated entry fired off-deadline (when %d, now %d)", e.When, now)
-			}
-			fired++
-		}
-	}
-	if fired != len(want) {
-		t.Fatalf("fired %d migrated entries, want %d", fired, len(want))
-	}
-	if got := src.Advance(ms(60), nil); len(got) != 1 || got[0] != stay {
-		t.Fatalf("source should fire only the unmigrated color, got %d", len(got))
 	}
 }
 
@@ -314,8 +331,10 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		case op < 6 && len(live) > 0: // reschedule
 			r := live[rng.Intn(len(live))]
 			d := now + ms(int64(rng.Intn(3000)))
-			if !r.dead && r.e.Reschedule(d) {
-				r.deadline = d
+			if !r.dead {
+				if ok, _ := r.e.Reschedule(d); ok {
+					r.deadline = d
+				}
 			}
 		default: // advance
 			now += ms(int64(rng.Intn(200)))

@@ -151,7 +151,7 @@ type rcore struct {
 	wake chan struct{}
 
 	// wheel is the core's timing wheel: timers for colors owned here are
-	// armed here, harvested by this worker, and migrate with their color.
+	// armed here and harvested by this worker, wherever the color is then.
 	wheel *timerwheel.Wheel
 	// parkTimer is the reusable park sleep timer (one per core instead
 	// of a time.NewTimer allocation per park).
@@ -162,9 +162,19 @@ type rcore struct {
 	// stealSet is the steal set of this worker's attempts, reused across
 	// them (worker-owned).
 	stealSet equeue.StealSet
-	// Timer scratch (worker-owned): harvest and steal-migration buffers.
+	// timerBuf is the timer harvest buffer (worker-owned).
 	timerBuf []*timerwheel.Entry
-	entryBuf []*timerwheel.Entry
+	// Stall-watchdog progress stamps, written by the worker around each
+	// handler invocation (only when Config.StallThreshold is set) and
+	// read by the watchdog goroutine. execStart is the execution start
+	// (runtime-epoch nanoseconds; 0 = not executing); execTrace/
+	// execSpan/execHandler describe the running event. Three of them sit
+	// here, in the worker's block, execHandler and stalled at the end of
+	// the struct: every field from ctx to colorDelays keeps the cache
+	// line it was measured on (TestHotFieldLayout).
+	execStart atomic.Int64
+	execTrace atomic.Uint64
+	execSpan  atomic.Uint64
 	// ctx is the worker's reusable handler context. Handlers receive
 	// *Ctx, which escapes, so a per-event Ctx literal was the hot
 	// path's only heap allocation; one event executes at a time per
@@ -207,15 +217,9 @@ type rcore struct {
 	ring        *obs.Ring
 	colorDelays colorDelayTable
 
-	// Stall-watchdog progress stamps, written by the worker around each
-	// handler invocation (only when Config.StallThreshold is set) and
-	// read by the watchdog goroutine. execStart is the execution start
-	// (runtime-epoch nanoseconds; 0 = not executing); execTrace/
-	// execSpan/execHandler describe the running event; stalled marks an
-	// already-reported episode so one stuck handler emits one record.
-	execStart   atomic.Int64
-	execTrace   atomic.Uint64
-	execSpan    atomic.Uint64
+	// The rest of the stall-watchdog stamps (see execStart): the running
+	// event's handler, and stalled, which marks an already-reported
+	// episode so one stuck handler emits one record.
 	execHandler atomic.Int32
 	stalled     atomic.Bool
 }
@@ -376,7 +380,7 @@ func New(cfg Config) (*Runtime, error) {
 		pol:      pol,
 		topo:     detectTopology(cfg.Cores),
 		table:    equeue.NewColorTable(cfg.Cores),
-		stealMon: profile.NewStealCostMonitor(cfg.StealCostSeed.Nanoseconds()),
+		stealMon: profile.NewStealCostMonitor(cfg.stealCostSeed.Nanoseconds()),
 		epoch:    time.Now(),
 	}
 	r.evPool.New = func() any { return &equeue.Event{} }
@@ -410,7 +414,7 @@ func New(cfg Config) (*Runtime, error) {
 		if cfg.TraceRing > 0 {
 			c.ring = obs.NewRing(cfg.TraceRing)
 		}
-		c.Core = equeue.NewCore(pol.Layout == policy.ListLayout, cfg.StealCostSeed.Nanoseconds(), cfg.BatchThreshold)
+		c.Core = equeue.NewCore(pol.Layout == policy.ListLayout, cfg.stealCostSeed.Nanoseconds(), cfg.BatchThreshold)
 		c.run = c.NewColorQueue(0) // nil on the list layout: no private run
 		r.cores[i] = c
 	}
@@ -903,11 +907,8 @@ func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) (*equeue.
 		return nil, false // in transit: wait for adoption (see above)
 	}
 	if !c.ColorLive(ev.Color, cq) {
-		// Lease expired: re-home; the caller retries at home. The
-		// color's pending timers follow its lease (the re-home half
-		// of timer color-affinity).
+		// Lease expired: re-home; the caller retries at home.
 		r.table.SetOwner(ev.Color, home)
-		r.migrateTimersOnReHome(c, ev.Color, home)
 		if c.ring != nil {
 			c.ring.Append(obs.KindReHome, r.now(), 0, uint64(ev.Color), uint32(home))
 		}
@@ -960,23 +961,19 @@ func (r *Runtime) worker(c *rcore) {
 		// Adaptive steal throttling: when probes keep failing — the
 		// steal-storm shape, many cores idle and hammering the same few
 		// victim locks — park for exponentially growing slices
-		// (StealBackoff, 2x per fruitless round, capped at ParkTimeout)
-		// instead of a full ParkTimeout, so a lone idle worker reacts
+		// (stealBackoff, 2x per fruitless round, capped at parkTimeout)
+		// instead of a full parkTimeout, so a lone idle worker reacts
 		// fast while a stampede quiets itself. Any successful round
-		// resets the streak.
-		d := r.cfg.ParkTimeout
-		if r.cfg.StealBackoff > 0 {
-			// Double per fruitless round, stopping at the ParkTimeout
-			// ceiling — doubling instead of shifting by the streak so a
-			// large StealBackoff cannot overflow into a negative park.
-			bd := r.cfg.StealBackoff
-			for i := 1; i < idle && bd < d; i++ {
-				bd <<= 1
-			}
-			if bd < d {
-				d = bd
-				c.stats.backoffParks.Add(1)
-			}
+		// resets the streak. Doubling instead of shifting by the streak,
+		// so a large stealBackoff cannot overflow into a negative park.
+		d := r.cfg.parkTimeout
+		bd := r.cfg.stealBackoff
+		for i := 1; i < idle && bd < d; i++ {
+			bd <<= 1
+		}
+		if bd < d {
+			d = bd
+			c.stats.backoffParks.Add(1)
 		}
 		// Sleep no longer than the wheel's next expiry: the park is the
 		// timer resolution floor for an otherwise-idle core.
@@ -1319,13 +1316,6 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 		c.syncLens()
 		c.lock.Unlock()
 
-		// The stolen colors' pending timers migrate with them (the
-		// steal half of timer color-affinity): harvest stays local to
-		// the new owner. Entries cut loose here and re-armed against
-		// the victim by a racing poster still fire correctly — delivery
-		// re-resolves ownership — they just cost a remote post.
-		r.migrateTimersOnSteal(c, v, colors)
-
 		dt := r.now() - start
 		if c.ring != nil {
 			c.ring.Append(obs.KindSteal, start, dt, uint64(vid), uint32(len(colors)))
@@ -1375,13 +1365,13 @@ func (r *Runtime) observeSteal(dt int64) {
 }
 
 // decayStealCost pulls the steal-cost estimate 1/64 of the way back to
-// StealCostSeed. It runs when a probe found work queued but nothing
+// stealCostSeed. It runs when a probe found work queued but nothing
 // worth the estimate: steals are the estimate's only corrective
 // samples, so an estimate too high to allow any would otherwise stand
 // for the runtime's life. (The monitor's own average takes an eighth of
 // the eighth fed here.)
 func (r *Runtime) decayStealCost() {
-	est, seed := r.stealMon.Estimate(), r.cfg.StealCostSeed.Nanoseconds()
+	est, seed := r.stealMon.Estimate(), r.cfg.stealCostSeed.Nanoseconds()
 	if est > seed {
 		r.stealMon.Observe(est - (est-seed)>>3)
 	}

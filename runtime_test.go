@@ -477,7 +477,7 @@ func TestLeaseStealRaceStress(t *testing.T) {
 	// workers steal them back and forth. Every event must execute
 	// exactly once, with colors never split across cores (-race covers
 	// the memory side; the counter covers conservation).
-	r := startRuntime(t, Config{Cores: 4, Policy: PolicyMelyWS, ParkTimeout: 50 * time.Microsecond})
+	r := startRuntime(t, Config{Cores: 4, Policy: PolicyMelyWS, parkTimeout: 50 * time.Microsecond})
 	var count atomic.Int64
 	h := r.Register("burst", func(ctx *Ctx) {
 		count.Add(1)

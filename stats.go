@@ -213,7 +213,7 @@ type CoreStats struct {
 	StolenColors   int64
 	StealBatchHist [StealBatchBuckets]int64
 	// Parks counts idle sleeps; BackoffParks the subset shortened by
-	// the steal-throttling backoff (see Config.StealBackoff);
+	// the steal-throttling backoff (10µs doubling up to 500µs);
 	// PostedHere counts enqueues landing on this core; BatchedEvents
 	// counts the subset delivered through PostBatch's
 	// one-lock-per-core path; ColorQueueChurns counts ColorQueue
@@ -345,8 +345,8 @@ type Stats struct {
 	// with the watchdog off).
 	StalledCores int
 	// TimersCanceled counts timer firings averted by Cancel, runtime
-	// wide (a cancel is not attributable to one core: the entry may
-	// have migrated between wheels since it was armed).
+	// wide (Cancel runs on the caller's goroutine, not on the worker
+	// of the wheel holding the entry).
 	TimersCanceled int64
 	// PollWakeups, PollEvents, PollBatchHist, WriteStalls, and
 	// ReadPauses aggregate every registered readiness source

@@ -15,14 +15,16 @@ import (
 // against a concurrent expiry: exactly one of Cancel-returning-true and
 // the firing happens.
 //
-// Timers are color-affine: the entry lives on the timing wheel of the
-// core that owns the timer's color, and it migrates with the color when
-// a steal or a lease re-home moves it — so expiry stays a core-local
-// harvest. The affinity is a performance property, not a correctness
-// one: a fired timer's event is delivered through the same ownership
-// lease protocol as a Post, so the expiry handler runs under the full
-// single-color serialization guarantee no matter where the wheel
-// happened to be.
+// Timers are color-serialized, not color-affine: the entry lives on the
+// timing wheel of the core that owned its color when it was armed, and
+// stays there — a steal or a lease re-home moves the color's queue,
+// never its timers. That core's worker harvests it and the fired event
+// is delivered like any Post, to whoever owns the color then, so the
+// expiry handler runs under the full single-color serialization
+// guarantee wherever the wheel is. The price: a timer whose color was
+// stolen away does not fire on the thief while the arming core sits in
+// a long handler; it fires when that core next harvests (between every
+// two events) and its event crosses cores.
 type Timer struct {
 	r *Runtime
 	e *timerwheel.Entry
@@ -51,18 +53,17 @@ func (t *Timer) Cancel() bool {
 // firing and re-arms itself — arming a replacement would run two
 // series. This is the cheap keep-alive path: resetting an
 // idle-connection timeout on every request is one O(1) wheel operation,
-// no allocation.
+// no allocation, and no wake-up: only a deadline moved ahead of the
+// wheel's earliest cuts its worker's park short.
 func (t *Timer) Reset(d time.Duration) bool {
 	if d < 0 {
 		d = 0
 	}
-	if !t.e.Reschedule(t.r.now() + d.Nanoseconds()) {
-		return false
-	}
-	if w := t.e.CurrentWheel(); w != nil {
+	ok, earlier := t.e.Reschedule(t.r.now() + d.Nanoseconds())
+	if w := t.e.CurrentWheel(); earlier && w != nil { // no wheel: firing already
 		t.r.cores[w.Owner].unpark()
 	}
-	return true
+	return ok
 }
 
 // Fired reports whether a one-shot timer has delivered its event (it
@@ -109,8 +110,8 @@ func (ctx *Ctx) PostAfter(h Handler, color Color, d time.Duration, data any) (*T
 }
 
 // now is the runtime's monotonic timer clock: nanoseconds since the
-// runtime was built. One epoch for every core's wheel, so deadlines
-// compare across wheels and migration never rebases them.
+// runtime was built. One epoch for every core's wheel, so a periodic
+// timer re-armed on another wheel keeps its deadlines.
 func (r *Runtime) now() int64 { return time.Since(r.epoch).Nanoseconds() }
 
 func (r *Runtime) afterDeadline(d time.Duration) int64 {
@@ -134,9 +135,9 @@ func (r *Runtime) postTimer(h Handler, color Color, when, period int64, data any
 	return &Timer{r: r, e: e}, nil
 }
 
-// armTimer links an entry onto the wheel of its color's current owner
-// (best effort: a concurrent steal may move the color before the entry
-// lands, and the fire-time delivery re-resolves ownership anyway).
+// armTimer links an entry onto the wheel of its color's current owner,
+// where it stays until it fires: fireTimer resolves ownership again. A
+// periodic timer re-arms through here, so it follows its color lazily.
 func (r *Runtime) armTimer(e *timerwheel.Entry) {
 	c := r.cores[r.table.OwnerHint(e.Color)]
 	if c.wheel.Add(e) {
@@ -213,47 +214,6 @@ func (r *Runtime) fireTimer(c *rcore, e *timerwheel.Entry, now int64) {
 		}
 	} else {
 		e.FinishFire()
-	}
-}
-
-// migrateTimersOnSteal moves the pending timer entries of freshly
-// stolen colors from the victim's wheel onto the thief's — the timer
-// half of a color migration, so expiry harvest stays core-local. Runs
-// outside both core locks; entries armed concurrently against the old
-// owner are routed correctly at fire time regardless.
-func (r *Runtime) migrateTimersOnSteal(c, v *rcore, colors []equeue.Color) {
-	moved := false
-	for _, col := range colors {
-		if v.wheel.HasColor(col) {
-			moved = true
-			break
-		}
-	}
-	if !moved {
-		return
-	}
-	c.entryBuf = v.wheel.ExtractColors(colors, c.entryBuf[:0])
-	if c.wheel.AdoptAll(c.entryBuf) {
-		c.unpark()
-	}
-	for i := range c.entryBuf {
-		c.entryBuf[i] = nil
-	}
-}
-
-// migrateTimersOnReHome moves a re-homed color's pending timers from
-// the expiring-lease core onto the color's hash home. Called under the
-// leased core's lock by whichever poster trips the lease expiry (the
-// wheel mutexes are leaf locks, acquired one at a time), so it must not
-// touch the core's worker-owned scratch buffers; the allocation only
-// happens when the re-homed color actually has timers pending.
-func (r *Runtime) migrateTimersOnReHome(from *rcore, color equeue.Color, home int) {
-	if !from.wheel.HasColor(color) {
-		return
-	}
-	h := r.cores[home]
-	if h.wheel.AdoptAll(from.wheel.ExtractColor(color, nil)) {
-		h.unpark()
 	}
 }
 

@@ -259,27 +259,45 @@ func TestTimerCallbackSerializedWithEvents(t *testing.T) {
 	}
 }
 
-// TestTimersSurviveStealMigration pins a color-affine timer behind a
-// steal: core 0's worker is blocked on one color while a backlog of
-// other colors (with pending timers) accumulates there; the idle core
-// steals the backlog — and the timers must migrate with their colors
-// and still fire exactly once.
-func TestTimersSurviveStealMigration(t *testing.T) {
+// TestTimersFireAcrossSteal pins the one timer-routing rule: a steal
+// moves queues, not timers. Core 0's worker is blocked on one color
+// while a backlog of other colors (with pending timers) accumulates
+// there; the idle core steals the backlog, the timers stay on core 0's
+// wheel, and each fires from it exactly once — delivered to whichever
+// core owns the color then, serialized with the color's other events.
+func TestTimersFireAcrossSteal(t *testing.T) {
 	r := startRuntime(t, Config{Cores: 2, Policy: PolicyMelyWS, TimerTick: time.Millisecond})
 	release := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock() // a failed check must not leave Stop waiting on the blocker
 	hBlock := r.Register("block", func(ctx *Ctx) { <-release })
-	var fired atomic.Int64
-	ran := make(map[int]*atomic.Int32)
-	hWork := r.Register("work", func(ctx *Ctx) { time.Sleep(200 * time.Microsecond) },
-		WithCostEstimate(5*time.Millisecond))
-	hTimer := r.Register("timer", func(ctx *Ctx) {
-		ran[ctx.Data().(int)].Add(1)
-		fired.Add(1)
-	})
 
 	cols := colorsOn(r, 0, 5)
 	blocker := cols[0]
 	victims := cols[1:]
+	ran := make([]atomic.Int32, len(victims))
+	inColor := make([]atomic.Int32, len(victims)) // handlers inside each color right now
+	enter := func(ctx *Ctx, i int) {
+		if n := inColor[i].Add(1); n != 1 {
+			t.Errorf("color %d: %d handlers running at once", i, n)
+		}
+		if owner := r.table.Owner(equeue.Color(ctx.Color())); owner != ctx.CoreID() {
+			t.Errorf("color %d runs on core %d while core %d owns it", i, ctx.CoreID(), owner)
+		}
+	}
+	hWork := r.Register("work", func(ctx *Ctx) {
+		i := ctx.Data().(int)
+		enter(ctx, i)
+		time.Sleep(200 * time.Microsecond)
+		inColor[i].Add(-1)
+	}, WithCostEstimate(5*time.Millisecond))
+	hTimer := r.Register("timer", func(ctx *Ctx) {
+		i := ctx.Data().(int)
+		enter(ctx, i)
+		ran[i].Add(1)
+		inColor[i].Add(-1)
+	})
+
 	if err := r.Post(hBlock, blocker, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -291,80 +309,56 @@ func TestTimersSurviveStealMigration(t *testing.T) {
 		c.lock.Unlock()
 		return running
 	})
-	// Backlog plus timers on the victim colors, all homed on core 0.
-	for i := range victims {
-		ran[i] = new(atomic.Int32) // complete the map before any timer can fire
+	// Timers, then a backlog, on the victim colors, all homed on core 0
+	// (timers first: a color stolen already would arm on the thief).
+	for i, col := range victims {
+		if _, err := r.PostAfter(hTimer, col, 40*time.Millisecond, i); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i, col := range victims {
 		for j := 0; j < 20; j++ {
-			if err := r.Post(hWork, col, j); err != nil {
+			if err := r.Post(hWork, col, i); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if _, err := r.PostAfter(hTimer, col, 40*time.Millisecond, i); err != nil {
-			t.Fatal(err)
 		}
 	}
 	// The idle core 1 must batch-steal the worthy victim colors.
 	waitFor(t, 10*time.Second, "a steal to happen", func() bool {
 		return r.Stats().Cores[1].Steals > 0
 	})
-	close(release)
-	waitFor(t, 10*time.Second, "all migrated timers to fire", func() bool {
-		return fired.Load() == int64(len(victims))
+	if st := r.Stats(); st.Cores[0].TimersPending != len(victims) || st.Cores[1].TimersPending != 0 {
+		t.Fatalf("TimersPending after the steal = %d/%d, want %d/0: a steal touches no wheel",
+			st.Cores[0].TimersPending, st.Cores[1].TimersPending, len(victims))
+	}
+	unblock()
+	waitFor(t, 10*time.Second, "all timers to fire", func() bool {
+		n := 0
+		for i := range ran {
+			n += int(ran[i].Load())
+		}
+		return n >= len(victims)
 	})
+	drain(t, r)
 	for i := range victims {
 		if got := ran[i].Load(); got != 1 {
 			t.Fatalf("timer %d fired %d times, want exactly 1", i, got)
 		}
 	}
-	if st := r.Stats().Cores[1]; st.StolenColors == 0 {
-		t.Fatalf("no colors migrated; steal stats: %+v", st)
+	st := r.Stats()
+	if st.Cores[1].StolenColors == 0 {
+		t.Fatalf("no colors migrated; steal stats: %+v", st.Cores[1])
 	}
-	drain(t, r)
-}
-
-// TestTimerMigrationWhitebox drives the two migration hooks directly
-// (no scheduling timing involved): a steal moves a set of colors'
-// entries between wheels, a re-home moves one color's entries back.
-func TestTimerMigrationWhitebox(t *testing.T) {
-	r := newRuntime(t, Config{Cores: 2}) // never started: wheels stay put
-	h := r.Register("noop", func(ctx *Ctx) {})
-	cols := colorsOn(r, 0, 3)
-	for _, col := range cols {
-		if _, err := r.PostAfter(h, col, time.Hour, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	home, thief := r.cores[0], r.cores[1]
-	if home.wheel.Len() != 3 || thief.wheel.Len() != 0 {
-		t.Fatalf("arming landed %d/%d, want 3/0", home.wheel.Len(), thief.wheel.Len())
-	}
-	ecols := []equeue.Color{equeue.Color(cols[0]), equeue.Color(cols[1])}
-	r.migrateTimersOnSteal(thief, home, ecols)
-	if home.wheel.Len() != 1 || thief.wheel.Len() != 2 {
-		t.Fatalf("steal migrated %d/%d, want 1/2", home.wheel.Len(), thief.wheel.Len())
-	}
-	if !thief.wheel.HasColor(ecols[0]) || !thief.wheel.HasColor(ecols[1]) {
-		t.Fatal("thief wheel missing migrated colors")
-	}
-	r.migrateTimersOnReHome(thief, ecols[0], 0)
-	if !home.wheel.HasColor(ecols[0]) || thief.wheel.HasColor(ecols[0]) {
-		t.Fatal("re-home did not move the color's timers back")
-	}
-	if home.wheel.Len() != 2 || thief.wheel.Len() != 1 {
-		t.Fatalf("re-home left %d/%d, want 2/1", home.wheel.Len(), thief.wheel.Len())
-	}
-	// Stats gauge reflects armed entries across wheels.
-	if got := r.Stats().Total().TimersPending; got != 3 {
-		t.Fatalf("TimersPending = %d, want 3", got)
+	if st.Cores[0].TimersFired != int64(len(victims)) || st.Cores[1].TimersFired != 0 {
+		t.Fatalf("TimersFired = %d/%d, want %d/0: a timer fires from the wheel it was armed on",
+			st.Cores[0].TimersFired, st.Cores[1].TimersFired, len(victims))
 	}
 }
 
 // TestTimersAcrossReHome exercises the full lease cycle end to end:
 // a color is stolen away, drains on the thief, and a later post
-// re-homes it — while it still has an armed timer, which must follow
-// the lease and fire exactly once.
+// re-homes it — while it still has an armed timer, which must fire
+// exactly once.
 func TestTimersAcrossReHome(t *testing.T) {
 	r := startRuntime(t, Config{Cores: 2, Policy: PolicyMelyWS, TimerTick: time.Millisecond})
 	release := make(chan struct{})
@@ -391,7 +385,7 @@ func TestTimersAcrossReHome(t *testing.T) {
 		return r.table.Owner(equeue.Color(migrant)) == 1
 	})
 	// Let the thief drain the color, then post again: the delivery sees
-	// the expired lease and re-homes color and timer together.
+	// the expired lease and re-homes the color.
 	waitFor(t, 10*time.Second, "the migrant color to drain on the thief", func() bool {
 		c := r.cores[1]
 		c.lock.Lock()
@@ -406,7 +400,7 @@ func TestTimersAcrossReHome(t *testing.T) {
 		return r.table.Owner(equeue.Color(migrant)) == 0
 	})
 	close(release)
-	waitFor(t, 10*time.Second, "the re-homed timer to fire", func() bool {
+	waitFor(t, 10*time.Second, "the re-homed color's timer to fire", func() bool {
 		return fired.Load() == 1
 	})
 	drain(t, r)

@@ -19,20 +19,27 @@ func await(t *testing.T, ch <-chan struct{}, what string) {
 	}
 }
 
-// asleep reports whether every worker of r sits in park's sleep: nothing
-// queued, no wake token pending, and (parks being an hour long in this
-// file) a park counter that has stopped moving.
-func asleep(r *Runtime) bool {
+// asleep reports whether the workers of the given cores (all of r's when
+// none is named) sit in park's sleep: nothing queued, no wake token
+// pending, and (parks being an hour long in this file) a park counter
+// that has stopped moving.
+func asleep(r *Runtime, ids ...int) bool {
+	if len(ids) == 0 {
+		for i := range r.cores {
+			ids = append(ids, i)
+		}
+	}
 	parks := func() (n int64) {
-		for _, c := range r.Stats().Cores {
-			n += c.Parks
+		st := r.Stats()
+		for _, i := range ids {
+			n += st.Cores[i].Parks
 		}
 		return n
 	}
 	before := parks()
 	time.Sleep(2 * time.Millisecond)
-	for _, c := range r.cores {
-		if c.qlen.Load() != 0 || len(c.wake) != 0 {
+	for _, i := range ids {
+		if c := r.cores[i]; c.qlen.Load() != 0 || len(c.wake) != 0 {
 			return false
 		}
 	}
@@ -40,26 +47,29 @@ func asleep(r *Runtime) bool {
 }
 
 // TestNoLostWakeups is the stress test of the park/unpark protocol.
-// ParkTimeout and StealBackoff are an hour, so nothing self-heals: a
-// worker that parks past a post, a timer arm, a migrated timer or Stop
-// hangs the test into await's deadline. Every wake source is driven
-// against workers that are parked or just about to be.
+// parkTimeout and stealBackoff are an hour, so nothing self-heals: a
+// worker that parks past a post, a timer arm, the event of a timer fired
+// from another core's wheel or Stop hangs the test into await's
+// deadline. Every wake source is driven against workers that are parked
+// or just about to be.
 func TestNoLostWakeups(t *testing.T) {
 	for _, pol := range []Policy{PolicyMelyWS, PolicyLibasyncWS} {
 		t.Run(pol.String(), func(t *testing.T) {
 			r := startRuntime(t, Config{
 				Cores:        2,
 				Policy:       pol,
-				ParkTimeout:  time.Hour,
-				StealBackoff: time.Hour,
+				parkTimeout:  time.Hour,
+				stealBackoff: time.Hour,
 				TimerTick:    time.Millisecond,
 			})
-			on0, on1 := colorsOn(r, 0, 3), colorsOn(r, 1, 2)
+			on0, on1 := colorsOn(r, 0, 2), colorsOn(r, 1, 3)
 			done := make(chan struct{}, 1)
-			release := make(chan struct{})
-			var releaseOnce sync.Once
-			unblock := func() { releaseOnce.Do(func() { close(release) }) }
-			t.Cleanup(unblock) // runs before startRuntime's Stop, which waits for the handler
+			// One release per core: hBlock holds the worker it runs on.
+			release := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+			var releaseOnce [2]sync.Once
+			unblock := func(core int) { releaseOnce[core].Do(func() { close(release[core]) }) }
+			// Runs before startRuntime's Stop, which waits for the handlers.
+			t.Cleanup(func() { unblock(0); unblock(1) })
 
 			// Every handler is registered before the first post:
 			// registering against executing workers is not this test.
@@ -68,8 +78,10 @@ func TestNoLostWakeups(t *testing.T) {
 			blocked := make(chan struct{}, 1)
 			hBlock := r.Register("block", func(ctx *Ctx) {
 				blocked <- struct{}{}
-				<-release
+				<-release[ctx.CoreID()]
 			})
+			firedOn := make(chan int, 1)
+			hFired := r.Register("fired", func(ctx *Ctx) { firedOn <- ctx.CoreID() })
 			hWork := r.Register("work", func(ctx *Ctx) {}, WithCostEstimate(5*time.Millisecond))
 			var hHop Handler
 			hHop = r.Register("hop", func(ctx *Ctx) {
@@ -122,14 +134,16 @@ func TestNoLostWakeups(t *testing.T) {
 			}
 			await(t, done, "post from a handler on the other core")
 
-			// A steal carries a color's timer to the thief, which then
-			// parks against its own wheel: core 0 stays blocked, so only
-			// the thief's park bound can fire the timer.
-			blocker, migrant, bystander := on0[0], on0[1], on0[2]
-			if err := r.Post(hBlock, blocker, nil); err != nil {
+			// A steal moves queues, not timers: a timer fires from the
+			// wheel it was armed on and its event must wake the color's
+			// owner like any post. Core 0 steals migrant (homed on core 1)
+			// from a blocked core 1, then blocks itself, and the timer is
+			// armed under that lease: on core 0's wheel.
+			blocker0, blocker1, migrant, bystander := on0[0], on1[0], on1[1], on1[2]
+			if err := r.Post(hBlock, blocker1, nil); err != nil {
 				t.Fatal(err)
 			}
-			await(t, blocked, "core 0 to block")
+			await(t, blocked, "core 1 to block")
 			// Two queued colors: the base algorithm takes a color only
 			// while it holds at most half the victim's events.
 			for j := 0; j < 8; j++ {
@@ -142,24 +156,48 @@ func TestNoLostWakeups(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := r.PostAfter(hOnce, migrant, 50*time.Millisecond, nil); err != nil {
-				t.Fatal(err)
-			}
-			steals, fires := r.Stats().Cores[1].Steals, r.Stats().Cores[1].TimersFired
-			if err := r.Post(hOnce, on1[1], nil); err != nil { // wakes the thief-to-be
+			steals := r.Stats().Cores[0].Steals
+			if err := r.Post(hOnce, on0[1], nil); err != nil { // wakes the thief-to-be
 				t.Fatal(err)
 			}
 			await(t, done, "post to the idle core")
-			waitFor(t, 10*time.Second, "core 1 to steal the migrant color", func() bool {
-				return r.Stats().Cores[1].Steals > steals && r.table.Owner(equeue.Color(migrant)) == 1
+			waitFor(t, 10*time.Second, "core 0 to steal the migrant color", func() bool {
+				return r.Stats().Cores[0].Steals > steals && r.table.Owner(equeue.Color(migrant)) == 0
 			})
-			// The fired event follows the drained color's lease back to
-			// the blocked core 0, so the firing itself is the evidence.
-			waitFor(t, 10*time.Second, "the migrated timer to fire on the parked thief", func() bool {
-				return r.Stats().Cores[1].TimersFired > fires
-			})
-			unblock()
-			await(t, done, "the fired timer's event")
+			if err := r.Post(hBlock, blocker0, nil); err != nil {
+				t.Fatal(err)
+			}
+			await(t, blocked, "core 0 to block")
+			const after = 30 * time.Millisecond
+			timersFired := r.Stats().Total().TimersFired
+			if _, err := r.PostAfter(hFired, migrant, after, nil); err != nil {
+				t.Fatal(err)
+			}
+			if st := r.Stats(); st.Cores[0].TimersPending != 1 || st.Cores[1].TimersPending != 0 {
+				t.Fatalf("timer armed on wheels %d/%d, want 1/0",
+					st.Cores[0].TimersPending, st.Cores[1].TimersPending)
+			}
+			// Core 1 drains what is left and parks for an hour, its own
+			// wheel empty, straight through the deadline: the timer waits
+			// for core 0.
+			unblock(1)
+			time.Sleep(after + 10*time.Millisecond)
+			waitFor(t, 10*time.Second, "core 1 to park", func() bool { return asleep(r, 1) })
+			if n := r.Stats().Total().TimersFired; n != timersFired {
+				t.Fatalf("%d timers fired while the arming core was blocked", n-timersFired)
+			}
+			// Core 0 harvests the timer; the delivery finds the lease
+			// expired and re-homes the color. Only enqueue's unpark can
+			// wake core 1 for it.
+			unblock(0)
+			select {
+			case core := <-firedOn:
+				if core != 1 {
+					t.Fatalf("the timer's event ran on core %d, want the color's home, core 1", core)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatal("the fired timer's event: worker slept through a wake-up")
+			}
 			drain(t, r)
 
 			// Stop against two parked workers.
@@ -213,7 +251,7 @@ func TestStealCostOutlierDoesNotLockOutStealing(t *testing.T) {
 	// Clamp: neither the first measured steal nor a 5ms outlier after
 	// it moves the estimate by more than the clamp factor.
 	r, _ := setup(0)
-	seed := r.cfg.StealCostSeed.Nanoseconds()
+	seed := r.cfg.stealCostSeed.Nanoseconds()
 	if !r.stealOnce(r.cores[1]) {
 		t.Fatal("a 2ms color must be worth a 2µs steal")
 	}
@@ -241,4 +279,36 @@ func TestStealCostOutlierDoesNotLockOutStealing(t *testing.T) {
 		touch()
 	}
 	t.Logf("stolen again after %d probes, estimate %dns", probes, r.stealMon.Estimate())
+}
+
+// TestResetWakesOnlyForAnEarlierDeadline: the keep-alive use of Reset —
+// pushing a deadline out — must leave a parked worker asleep; only a
+// deadline moved ahead of the wheel's earliest bound is worth a wake-up.
+func TestResetWakesOnlyForAnEarlierDeadline(t *testing.T) {
+	r := startRuntime(t, Config{
+		Cores:        1,
+		parkTimeout:  time.Hour,
+		stealBackoff: time.Hour,
+		TimerTick:    time.Millisecond,
+	})
+	done := make(chan struct{}, 1)
+	h := r.Register("once", func(ctx *Ctx) { done <- struct{}{} })
+	tm, err := r.PostAfter(h, 1, time.Hour, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "the worker to park", func() bool { return asleep(r) })
+	parks := r.Stats().Cores[0].Parks
+	for i := 0; i < 100; i++ {
+		if !tm.Reset(2 * time.Hour) {
+			t.Fatal("Reset of an armed timer failed")
+		}
+	}
+	if !asleep(r) || r.Stats().Cores[0].Parks != parks {
+		t.Fatalf("Parks %d → %d: a deadline pushed out woke the worker", parks, r.Stats().Cores[0].Parks)
+	}
+	if !tm.Reset(2 * time.Millisecond) {
+		t.Fatal("Reset of an armed timer failed")
+	}
+	await(t, done, "Reset to an earlier deadline")
 }
