@@ -104,18 +104,7 @@ func run() error {
 type view struct {
 	addr    string
 	healthy bool // /debug/health status code
-	health  struct {
-		Enabled              bool  `json:"enabled"`
-		Healthy              bool  `json:"healthy"`
-		Windows              int   `json:"windows"`
-		TotalAnomalies       int64 `json:"total_anomalies"`
-		RecommendedMaxQueued int64 `json:"recommended_max_queued"`
-		Incidents            int64 `json:"incidents"`
-		Anomalies            []struct {
-			Kind   string `json:"kind"`
-			Detail string `json:"detail"`
-		} `json:"anomalies"`
-	}
+	health  obs.HealthReport
 	dump    obs.TSDump
 	samples map[string]float64
 }
@@ -244,7 +233,7 @@ func renderCoreTotals(w io.Writer, samples map[string]float64, color bool) {
 		if !strings.HasPrefix(key, "mely_events_total{") {
 			continue
 		}
-		core, err := strconv.Atoi(labelValue(key, "core"))
+		core, err := strconv.Atoi(obs.LabelValue(key, "core"))
 		if err != nil {
 			continue
 		}
@@ -276,14 +265,14 @@ func renderHotColors(w io.Writer, samples map[string]float64, topK int, color bo
 		if !strings.HasPrefix(key, "mely_color_delay_samples{") || val <= 0 {
 			continue
 		}
-		c := labelValue(key, "color")
+		c := obs.LabelValue(key, "color")
 		h := byColor[c]
 		if h == nil {
 			h = &hot{color: c}
 			byColor[c] = h
 		}
 		h.samples += val
-		mean := samples[`mely_color_delay_mean_seconds{`+labelKey(key)+`}`]
+		mean := samples["mely_color_delay_mean_seconds"+strings.TrimPrefix(key, "mely_color_delay_samples")]
 		h.delayXSamp += mean * val
 	}
 	if len(byColor) == 0 || topK <= 0 {
@@ -309,26 +298,6 @@ func renderHotColors(w io.Writer, samples map[string]float64, topK int, color bo
 			h.color, humanCount(h.samples), mean.Round(time.Microsecond)))
 	}
 	fmt.Fprintf(w, "  hot colors: %s\n", paint(ansiCyan, strings.Join(parts, "  "), color))
-}
-
-// labelKey returns the raw label body of a series key ({...} content).
-func labelKey(key string) string {
-	i := strings.IndexByte(key, '{')
-	if i < 0 {
-		return ""
-	}
-	return strings.TrimSuffix(key[i+1:], "}")
-}
-
-// labelValue extracts one label's value from a series key, or "".
-func labelValue(key, label string) string {
-	for _, kv := range strings.Split(labelKey(key), ",") {
-		k, v, ok := strings.Cut(kv, "=")
-		if ok && k == label {
-			return strings.Trim(v, `"`)
-		}
-	}
-	return ""
 }
 
 var barCells = []rune("▏▎▍▌▋▊▉█")

@@ -1,13 +1,14 @@
 // Command melytrace runs one of the paper's workloads on the simulator
 // with tracing enabled and writes a Chrome trace-event file: open it in
 // chrome://tracing or https://ui.perfetto.dev to watch the cores,
-// steals and color migrations on the virtual timeline.
+// steals and color migrations on the virtual timeline. The file is the
+// runtime's flight-recorder format (obs.WriteChrome), one track per
+// simulated core, so -validate-trace reads it like a live dump.
 //
 //	melytrace -workload unbalanced -policy melyws -cycles 20000000 -o trace.json
 //
-// Two auxiliary modes operate on live-runtime observability artifacts
-// instead of running the simulator (both used by CI's observability
-// job):
+// Three auxiliary modes operate on observability artifacts instead of
+// running the simulator (all used by CI's observability job):
 //
 //	melytrace -metrics-diff before.txt after.txt   # counter monotonicity between two /metrics scrapes
 //	melytrace -validate-trace dump.json            # flight-recorder dump sanity + span census
@@ -26,17 +27,18 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 
+	"github.com/melyruntime/mely/internal/equeue"
 	"github.com/melyruntime/mely/internal/obs"
 	"github.com/melyruntime/mely/internal/policy"
 	"github.com/melyruntime/mely/internal/sfsmodel"
 	"github.com/melyruntime/mely/internal/sim"
 	"github.com/melyruntime/mely/internal/swsmodel"
 	"github.com/melyruntime/mely/internal/topology"
-	"github.com/melyruntime/mely/internal/trace"
 	"github.com/melyruntime/mely/internal/workload"
 )
 
@@ -76,47 +78,74 @@ func run() error {
 	if i < 0 {
 		return fmt.Errorf("unknown policy %q (%s)", *policyName, policy.Aliases())
 	}
-	pol := policy.Presets[i].Config
-	var err error
-	topo := topology.IntelXeonE5410()
-	params := sim.DefaultParams()
-	rec := trace.NewRecorder(params.CyclesPerSecond)
-
-	var eng *sim.Engine
-	switch *workloadName {
-	case "unbalanced":
-		eng, err = workload.BuildUnbalanced(topo, pol, params, *seed,
-			workload.UnbalancedSpec{EventsPerRound: 2000})
-	case "penalty":
-		eng, err = workload.BuildPenalty(topo, pol, params, *seed, workload.PenaltySpec{})
-	case "ce":
-		eng, err = workload.BuildCacheEfficient(topo, pol, params, *seed,
-			workload.CacheEfficientSpec{APerCore: 20})
-	case "sws":
-		eng, err = swsmodel.Build(topo, pol, params, *seed, swsmodel.Spec{Clients: *clients})
-	case "sfs":
-		eng, err = sfsmodel.Build(topo, pol, params, *seed, sfsmodel.Spec{})
-	default:
-		return fmt.Errorf("unknown workload %q", *workloadName)
-	}
+	eng, err := buildWorkload(*workloadName, policy.Presets[i].Config, *seed, *clients)
 	if err != nil {
 		return err
 	}
-	eng.SetTrace(rec.Hook())
-	eng.RunUntil(*cycles)
-
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := rec.WriteJSON(f); err != nil {
+	c, err := traceSim(eng, *cycles, f)
+	if err != nil {
 		return err
 	}
 	fmt.Printf("melytrace: %d spans (%d exec, %d steals, %d failed steals) -> %s\n",
-		rec.Len(), rec.Count(sim.TraceExec), rec.Count(sim.TraceSteal),
-		rec.Count(sim.TraceFailedSteal), *out)
+		c.exec+c.steals+c.failed, c.exec, c.steals, c.failed, *out)
 	return nil
+}
+
+// buildWorkload builds one of the paper's workloads on the paper's
+// machine (the 8-core Xeon E5410) under the default cost model.
+func buildWorkload(name string, pol policy.Config, seed int64, clients int) (*sim.Engine, error) {
+	topo := topology.IntelXeonE5410()
+	params := sim.DefaultParams()
+	switch name {
+	case "unbalanced":
+		return workload.BuildUnbalanced(topo, pol, params, seed,
+			workload.UnbalancedSpec{EventsPerRound: 2000})
+	case "penalty":
+		return workload.BuildPenalty(topo, pol, params, seed, workload.PenaltySpec{})
+	case "ce":
+		return workload.BuildCacheEfficient(topo, pol, params, seed,
+			workload.CacheEfficientSpec{APerCore: 20})
+	case "sws":
+		return swsmodel.Build(topo, pol, params, seed, swsmodel.Spec{Clients: clients})
+	case "sfs":
+		return sfsmodel.Build(topo, pol, params, seed, sfsmodel.Spec{})
+	}
+	return nil, fmt.Errorf("unknown workload %q", name)
+}
+
+// simCensus counts the records of a traced simulator run by what they
+// show: handler executions, steals, and probe rounds that found nothing.
+type simCensus struct{ exec, steals, failed int }
+
+// traceSim runs eng for the given virtual cycles with the trace hook
+// installed and writes the run as a flight-recorder dump, one track
+// per simulated core.
+func traceSim(eng *sim.Engine, cycles int64, w io.Writer) (simCensus, error) {
+	var c simCensus
+	tracks := make([]obs.Track, eng.Topology().NumCores())
+	for i := range tracks {
+		tracks[i].Name = fmt.Sprintf("core %d", i)
+	}
+	eng.SetTrace(func(core int, ev obs.Event) {
+		switch {
+		case ev.Kind == obs.KindExec:
+			c.exec++
+		case ev.N > 0:
+			c.steals++
+		default:
+			c.failed++
+		}
+		tracks[core].Events = append(tracks[core].Events, ev)
+	})
+	eng.RunUntil(cycles)
+	return c, obs.WriteChrome(w, tracks, obs.ChromeConfig{HandlerName: func(id uint32) string {
+		return eng.HandlerName(equeue.HandlerID(id))
+	}})
 }
 
 // runMetricsDiff is CI's counter-monotonicity gate: given two /metrics
@@ -284,12 +313,7 @@ func runValidateTrace(path string) error {
 	if err != nil {
 		return err
 	}
-	var events []struct {
-		Name  string  `json:"name"`
-		Phase string  `json:"ph"`
-		Ts    float64 `json:"ts"`
-		TID   int     `json:"tid"`
-	}
+	var events []obs.ChromeEvent
 	if err := json.Unmarshal(raw, &events); err != nil {
 		return fmt.Errorf("%s is not a Chrome trace-event array: %w", path, err)
 	}
@@ -299,7 +323,7 @@ func runValidateTrace(path string) error {
 		if ev.Name == "" || ev.Phase == "" {
 			return fmt.Errorf("%s: event %d has no name/ph", path, i)
 		}
-		if ev.Ts < 0 {
+		if ev.TsMicros < 0 {
 			return fmt.Errorf("%s: event %d (%s) has negative timestamp", path, i, ev.Name)
 		}
 		byPhase[ev.Phase]++

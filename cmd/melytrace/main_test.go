@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"github.com/melyruntime/mely"
+	"github.com/melyruntime/mely/internal/policy"
 )
 
 // captureStdout runs fn with os.Stdout redirected into a pipe and
@@ -122,5 +125,103 @@ func TestRunFlowFailsOnBrokenChain(t *testing.T) {
 	}
 	if !strings.Contains(out, "missing parent") {
 		t.Errorf("output does not flag the orphan subtree:\n%s", out)
+	}
+}
+
+// TestSimRunIsAFlightRecorderDump runs the unbalanced workload with the
+// trace hook and checks the file melytrace writes for it: it is the
+// format -validate-trace accepts, it has one named track per simulated
+// core, exec spans on a core never overlap (the virtual timeline is
+// serial per core), and the spans it holds are the census the command
+// prints — executions, steals, fruitless steal rounds.
+func TestSimRunIsAFlightRecorderDump(t *testing.T) {
+	eng, err := buildWorkload("unbalanced", policy.MelyTimeLeftWS(), 7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sim.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	census, err := traceSim(eng, 5_000_000, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if census.exec == 0 || census.steals == 0 || census.failed == 0 {
+		t.Fatalf("census %+v: an imbalanced workload must execute, steal and probe in vain", census)
+	}
+
+	cores := eng.Topology().NumCores()
+	out, err := captureStdout(t, func() error { return runValidateTrace(path) })
+	if err != nil {
+		t.Fatalf("runValidateTrace: %v", err)
+	}
+	total := census.exec + census.steals + census.failed
+	if want := fmt.Sprintf("%d events on %d tracks (%d spans, 0 instants, %d metadata)",
+		total+cores, cores, total, cores); !strings.Contains(out, want) {
+		t.Errorf("validate printed %q, want it to contain %q", out, want)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name  string         `json:"name"`
+		Phase string         `json:"ph"`
+		Ts    float64        `json:"ts"`
+		Dur   float64        `json:"dur"`
+		TID   int            `json:"tid"`
+		Args  map[string]any `json:"args"`
+	}
+	if err := json.Unmarshal(raw, &events); err != nil {
+		t.Fatal(err)
+	}
+	var got simCensus
+	var stolen int
+	named := map[int]string{}
+	lastEnd := make([]float64, cores)
+	for _, ev := range events {
+		if ev.TID < 0 || ev.TID >= cores {
+			t.Fatalf("event %+v is on no simulated core", ev)
+		}
+		switch {
+		case ev.Phase == "M":
+			named[ev.TID], _ = ev.Args["name"].(string)
+		case ev.Name == "steal (failed)":
+			got.failed++
+		case strings.HasPrefix(ev.Name, "STEAL ×"):
+			got.steals++
+			if ev.Args["victim"] == float64(ev.TID) {
+				t.Errorf("core %d stole from itself: %+v", ev.TID, ev)
+			}
+		default:
+			got.exec++
+			if _, ok := ev.Args["color"]; !ok || strings.HasPrefix(ev.Name, "handler ") {
+				t.Fatalf("exec span %+v lost its color or its handler's name", ev)
+			}
+			if ev.Args["stolen"] == true {
+				stolen++
+			}
+			// Microsecond floats of abutting nanosecond stamps may
+			// differ in the last bit.
+			if ev.Ts+1e-6 < lastEnd[ev.TID] {
+				t.Fatalf("core %d: exec span at %vµs overlaps one ending at %vµs", ev.TID, ev.Ts, lastEnd[ev.TID])
+			}
+			lastEnd[ev.TID] = ev.Ts + ev.Dur
+		}
+	}
+	if got != census {
+		t.Errorf("file holds %+v, the run counted %+v", got, census)
+	}
+	if stolen == 0 {
+		t.Error("no exec span carries the stolen flag")
+	}
+	for c := 0; c < cores; c++ {
+		if want := fmt.Sprintf("core %d", c); named[c] != want {
+			t.Errorf("track %d is named %q, want %q", c, named[c], want)
+		}
 	}
 }

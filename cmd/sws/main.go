@@ -12,10 +12,12 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strconv"
 	"time"
 
 	"github.com/melyruntime/mely"
 	"github.com/melyruntime/mely/internal/netpoll"
+	"github.com/melyruntime/mely/internal/obs"
 	"github.com/melyruntime/mely/internal/rtflags"
 	"github.com/melyruntime/mely/internal/sws"
 )
@@ -98,19 +100,21 @@ func run() error {
 	stats := rt.Stats()
 	st := stats.Total()
 	fmt.Printf("sws: steals=%d (remote %d) stolen-events=%d\n", st.Steals, st.RemoteSteals, st.StolenEvents)
-	fmt.Printf("sws: timers fired=%d canceled=%d pending=%d lag-hist(≤100µs,≤1ms,≤2ms,≤10ms,≤100ms,>100ms)=%v\n",
-		st.TimersFired, stats.TimersCanceled, st.TimersPending, st.TimerLagHist)
+	count := func(n int64) string { return strconv.FormatInt(n, 10) }
+	fmt.Printf("sws: timers fired=%d canceled=%d pending=%d lag-hist(%s)=%v\n",
+		st.TimersFired, stats.TimersCanceled, st.TimersPending,
+		obs.TimerLagBounds.Legend(func(ns int64) string { return time.Duration(ns).String() }), st.TimerLagHist)
 	if stats.PollWakeups > 0 {
-		fmt.Printf("sws: poll wakeups=%d events=%d (%.1f events/wakeup) batch-hist(≤1,≤4,≤16,≤64,≤256,>256)=%v write-stalls=%d\n",
+		fmt.Printf("sws: poll wakeups=%d events=%d (%.1f events/wakeup) batch-hist(%s)=%v write-stalls=%d\n",
 			stats.PollWakeups, stats.PollEvents,
 			float64(stats.PollEvents)/float64(stats.PollWakeups),
-			stats.PollBatchHist, stats.WriteStalls)
+			obs.PollBatchBounds.Legend(count), stats.PollBatchHist, stats.WriteStalls)
 	}
 	if rt.Bounded() {
-		fmt.Printf("sws: overload: rejected=%d blocked=%d spilled=%d reloaded=%d spill-errors=%d read-pauses=%d shed503=%d spill-depth-hist(≤16,≤64,≤256,≤1k,≤4k,>4k)=%v\n",
+		fmt.Printf("sws: overload: rejected=%d blocked=%d spilled=%d reloaded=%d spill-errors=%d read-pauses=%d shed503=%d spill-depth-hist(%s)=%v\n",
 			stats.RejectedPosts, stats.BlockedPosts, stats.SpilledEvents,
 			stats.ReloadedEvents, stats.SpillErrors, stats.ReadPauses,
-			srv.OverloadShed(), stats.SpillDepthHist)
+			srv.OverloadShed(), obs.SpillDepthBounds.Legend(count), stats.SpillDepthHist)
 		if stats.SpillSyncs > 0 || stats.RecoveredEvents > 0 || stats.TornRecords > 0 {
 			fmt.Printf("sws: spill durability: syncs=%d recovered=%d torn=%d\n",
 				stats.SpillSyncs, stats.RecoveredEvents, stats.TornRecords)

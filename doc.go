@@ -203,7 +203,9 @@
 // SpilledNow gauges, SpilledEvents/ReloadedEvents traffic,
 // RejectedPosts, BlockedPosts, SpillErrors, the durability counters
 // SpillSyncs/RecoveredEvents/TornRecords, and the per-color
-// spill-depth histogram SpillDepthHist.
+// spill-depth histogram SpillDepthHist (its bucket bounds, like those of
+// StealBatchHist, TimerLagHist and PollBatchHist, are tabled in
+// docs/observability.md "Fixed-bucket histograms").
 //
 // Idle workers. A worker is a plain goroutine: one that finds no local
 // work and nothing to steal parks — it sleeps on a one-token wake

@@ -34,37 +34,14 @@ const (
 	AnomalyStallRecurrence = obs.AnomalyStallRecurrence
 )
 
-// Anomaly is one health detector firing: the kind (see the Anomaly*
-// constants), a human-readable detail, and the observed value vs the
-// limit it crossed (units depend on the kind).
-type Anomaly struct {
-	Kind   string    `json:"kind"`
-	Detail string    `json:"detail"`
-	Value  float64   `json:"value"`
-	Limit  float64   `json:"limit"`
-	At     time.Time `json:"at"`
-}
-
-// HealthReport is the runtime's self-assessment, re-evaluated every
-// ObsInterval by the collector. Healthy means no detector is firing
-// right now; TotalAnomalies counts episode starts over the runtime's
-// lifetime (the mely_anomalies_total counter). With the collector
-// disabled (ObsInterval 0) the report is Healthy with Enabled false.
-type HealthReport struct {
-	Enabled bool `json:"enabled"`
-	Healthy bool `json:"healthy"`
-	// Windows is how many derived windows the detectors saw.
-	Windows int `json:"windows"`
-	// TotalAnomalies counts fresh anomaly episodes since Start.
-	TotalAnomalies int64 `json:"total_anomalies"`
-	// RecommendedMaxQueued is the adaptive-bounds recommendation
-	// (Config.TargetQueueDelay); 0 when no target is set or the window
-	// is idle.
-	RecommendedMaxQueued int64 `json:"recommended_max_queued"`
-	// Incidents counts captured incident bundles (Config.IncidentDir).
-	Incidents int64     `json:"incidents"`
-	Anomalies []Anomaly `json:"anomalies,omitempty"`
-}
+// Anomaly is one health detector firing and HealthReport the runtime's
+// self-assessment, re-evaluated every ObsInterval by the collector and
+// served on /debug/health: the declarations are internal/obs's, aliased
+// so callers can name what Health, OnAnomaly and the endpoint hand them.
+type (
+	Anomaly      = obs.Anomaly
+	HealthReport = obs.HealthReport
+)
 
 // tsCollector is the per-runtime collector state: the ring, the health
 // configuration, and the episode bookkeeping. Built by Start when
@@ -85,7 +62,7 @@ type tsCollector struct {
 	scratch  obs.TSSample
 
 	mu     sync.Mutex
-	report obs.HealthReport
+	report HealthReport
 	firing map[string]bool
 
 	anomalies atomic.Int64
@@ -233,29 +210,13 @@ func (r *Runtime) Health() HealthReport {
 	return r.healthFrom(rep, col)
 }
 
-// healthFrom converts one detector evaluation into the public report.
-func (r *Runtime) healthFrom(rep obs.HealthReport, col *tsCollector) HealthReport {
-	out := HealthReport{
-		Enabled:              true,
-		Healthy:              rep.Healthy,
-		Windows:              rep.Windows,
-		TotalAnomalies:       col.anomalies.Load(),
-		RecommendedMaxQueued: rep.RecommendedMaxQueued,
-		Incidents:            r.incidents.Load(),
-	}
-	if len(rep.Anomalies) > 0 {
-		out.Anomalies = make([]Anomaly, len(rep.Anomalies))
-		for i, a := range rep.Anomalies {
-			out.Anomalies[i] = Anomaly{
-				Kind:   a.Kind,
-				Detail: a.Detail,
-				Value:  a.Value,
-				Limit:  a.Limit,
-				At:     time.Unix(0, a.WallNanos),
-			}
-		}
-	}
-	return out
+// healthFrom completes one detector evaluation with what only the
+// runtime knows: that it is watching, and its cumulative counts.
+func (r *Runtime) healthFrom(rep HealthReport, col *tsCollector) HealthReport {
+	rep.Enabled = true
+	rep.TotalAnomalies = col.anomalies.Load()
+	rep.Incidents = r.incidents.Load()
+	return rep
 }
 
 // WriteHealth renders the current health report as JSON and reports
@@ -263,9 +224,15 @@ func (r *Runtime) healthFrom(rep obs.HealthReport, col *tsCollector) HealthRepor
 // behind /debug/health (200 when healthy, 503 when not).
 func (r *Runtime) WriteHealth(w io.Writer) (healthy bool, err error) {
 	rep := r.Health()
+	return rep.Healthy, encodeHealth(w, rep)
+}
+
+// encodeHealth is the one rendering of a report: /debug/health and an
+// incident bundle's health.json.
+func encodeHealth(w io.Writer, rep HealthReport) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return rep.Healthy, enc.Encode(rep)
+	return enc.Encode(rep)
 }
 
 // WriteTimeSeries renders the retained metrics time series as JSON —
@@ -274,8 +241,7 @@ func (r *Runtime) WriteHealth(w io.Writer) (healthy bool, err error) {
 func (r *Runtime) WriteTimeSeries(w io.Writer) error {
 	col := r.collector
 	if col == nil {
-		_, err := io.WriteString(w, `{"interval_seconds":0,"history":0,"samples":0,"points":[]}`+"\n")
-		return err
+		return json.NewEncoder(w).Encode(obs.TSDump{Points: []obs.TSPoint{}})
 	}
 	return col.ring.WriteJSON(w)
 }
@@ -307,43 +273,24 @@ func (r *Runtime) captureIncidentReport(reason string, rep HealthReport) (string
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("mely: incident dir: %w", err)
 	}
-	writeFile := func(name string, render func(io.Writer) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		rerr := render(f)
-		cerr := f.Close()
-		if rerr != nil {
-			return rerr
-		}
-		return cerr
-	}
-	var firstErr error
-	note := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	note(writeFile("health.json", func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	}))
-	note(writeFile("timeseries.json", r.WriteTimeSeries))
-	note(writeFile("trace.json", r.DumpTrace))
-	note(writeFile("cpu.pprof", func(w io.Writer) error {
-		if err := pprof.StartCPUProfile(w); err != nil {
-			// Another profile is running (e.g. an operator's
-			// /debug/pprof/profile): keep the rest of the bundle.
+	in := func(name string) string { return filepath.Join(dir, name) }
+	err := obs.DumpBundle([]obs.NamedDump{
+		{Path: in("health.json"), Dump: func(w io.Writer) error { return encodeHealth(w, rep) }},
+		{Path: in("timeseries.json"), Dump: r.WriteTimeSeries},
+		{Path: in("trace.json"), Dump: r.DumpTrace},
+		{Path: in("cpu.pprof"), Dump: func(w io.Writer) error {
+			if err := pprof.StartCPUProfile(w); err != nil {
+				// Another profile is running (e.g. an operator's
+				// /debug/pprof/profile): keep the rest of the bundle.
+				return nil
+			}
+			time.Sleep(r.incidentProfileDur())
+			pprof.StopCPUProfile()
 			return nil
-		}
-		time.Sleep(r.incidentProfileDur())
-		pprof.StopCPUProfile()
-		return nil
-	}))
+		}},
+	})
 	r.incidents.Add(1)
-	return dir, firstErr
+	return dir, err
 }
 
 // incidentProfileDur bounds the profile burst: the obs interval

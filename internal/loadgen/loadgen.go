@@ -124,13 +124,16 @@ type Result struct {
 // memory.
 const latencySampleCap = 1 << 20
 
-// latencyRecorder accumulates request latencies across clients.
-type latencyRecorder struct {
+// LatencyRecorder accumulates request latencies across the client
+// goroutines of one load run, up to latencySampleCap samples. The zero
+// value is ready; a nil recorder drops what it is given.
+type LatencyRecorder struct {
 	mu      sync.Mutex
 	samples []time.Duration
 }
 
-func (l *latencyRecorder) add(batch []time.Duration) {
+// Add appends one client's batch of samples.
+func (l *LatencyRecorder) Add(batch []time.Duration) {
 	if l == nil || len(batch) == 0 {
 		return
 	}
@@ -144,20 +147,18 @@ func (l *latencyRecorder) add(batch []time.Duration) {
 	l.mu.Unlock()
 }
 
-// percentile returns the pth percentile (0 < p <= 100) of the sorted
-// samples.
-func (l *latencyRecorder) percentile(p float64) time.Duration {
+// Percentiles returns the P50 and P99 of the recorded samples (zero
+// when there are none). Call it once every client has finished.
+func (l *LatencyRecorder) Percentiles() (p50, p99 time.Duration) {
 	if len(l.samples) == 0 {
-		return 0
+		return 0, 0
 	}
-	idx := int(float64(len(l.samples))*p/100) - 1
-	if idx < 0 {
-		idx = 0
+	sort.Slice(l.samples, func(i, j int) bool { return l.samples[i] < l.samples[j] })
+	at := func(p float64) time.Duration {
+		idx := int(float64(len(l.samples))*p/100) - 1
+		return l.samples[min(max(idx, 0), len(l.samples)-1)]
 	}
-	if idx >= len(l.samples) {
-		idx = len(l.samples) - 1
-	}
-	return l.samples[idx]
+	return at(50), at(99)
 }
 
 // RunHTTP runs the closed-loop injection and aggregates the results.
@@ -177,10 +178,10 @@ func RunHTTP(ctx context.Context, cfg HTTPConfig) (Result, error) {
 		requests, errCount, connects, bytesRead atomic.Int64
 		wg                                      sync.WaitGroup
 		start                                   = make(chan struct{})
-		lat                                     *latencyRecorder
+		lat                                     *LatencyRecorder
 	)
 	if cfg.TrackLatency {
-		lat = &latencyRecorder{}
+		lat = &LatencyRecorder{}
 	}
 	for i := 0; i < cfg.Clients; i++ {
 		wg.Add(1)
@@ -226,9 +227,7 @@ func RunHTTP(ctx context.Context, cfg HTTPConfig) (Result, error) {
 		res.KRequestsPS = float64(res.Requests) / elapsed.Seconds() / 1000
 	}
 	if lat != nil {
-		sort.Slice(lat.samples, func(i, j int) bool { return lat.samples[i] < lat.samples[j] })
-		res.LatencyP50 = lat.percentile(50)
-		res.LatencyP99 = lat.percentile(99)
+		res.LatencyP50, res.LatencyP99 = lat.Percentiles()
 	}
 	return res, nil
 }
@@ -261,7 +260,7 @@ func holdIdleConns(ctx context.Context, cfg HTTPConfig, connects *atomic.Int64) 
 
 // runConnection performs up to RequestsPerConn requests on one
 // connection, returning the number completed and bytes read.
-func runConnection(ctx context.Context, cfg HTTPConfig, id int, lat *latencyRecorder) (int64, int64, error) {
+func runConnection(ctx context.Context, cfg HTTPConfig, id int, lat *LatencyRecorder) (int64, int64, error) {
 	d := net.Dialer{Timeout: cfg.DialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", cfg.Addr)
 	if err != nil {
@@ -285,7 +284,7 @@ func runConnection(ctx context.Context, cfg HTTPConfig, id int, lat *latencyReco
 	var done, read int64
 	var samples []time.Duration
 	if lat != nil {
-		defer func() { lat.add(samples) }()
+		defer func() { lat.Add(samples) }()
 	}
 	for i := 0; i < cfg.RequestsPerConn; i++ {
 		if ctx.Err() != nil {
@@ -326,13 +325,13 @@ func runConnection(ctx context.Context, cfg HTTPConfig, id int, lat *latencyReco
 // RequestsPerConn requests have been issued. A server shedding load
 // (503) still answers each request, so the response loop stays in
 // lockstep with the burst size.
-func runBurstConnection(ctx context.Context, cfg HTTPConfig, conn net.Conn, br *bufio.Reader, id int, lat *latencyRecorder) (int64, int64, error) {
+func runBurstConnection(ctx context.Context, cfg HTTPConfig, conn net.Conn, br *bufio.Reader, id int, lat *LatencyRecorder) (int64, int64, error) {
 	var done, read int64
 	issued := 0
 	var req bytes.Buffer
 	var samples []time.Duration
 	if lat != nil {
-		defer func() { lat.add(samples) }()
+		defer func() { lat.Add(samples) }()
 	}
 	for issued < cfg.RequestsPerConn {
 		if ctx.Err() != nil {

@@ -13,6 +13,7 @@ import (
 
 	"github.com/melyruntime/mely"
 	"github.com/melyruntime/mely/internal/epoller"
+	"github.com/melyruntime/mely/internal/obs"
 )
 
 // acceptToken is the reserved epoll token for the listening socket on
@@ -243,7 +244,7 @@ func (sh *pollShard) run() {
 		if n > 0 {
 			sh.wakeups.Add(1)
 			sh.harvested.Add(int64(n))
-			sh.batchHist[mely.PollBatchBucket(n)].Add(1)
+			sh.batchHist[obs.PollBatchBounds.Bucket(int64(n))].Add(1)
 			sh.be.s.cfg.Runtime.TracePollWakeup(n)
 		}
 

@@ -7,10 +7,12 @@ import (
 	"sort"
 )
 
-// chromeEvent mirrors internal/trace's entry shape — "X" complete
-// events plus "i" instants with microsecond timestamps — so live
-// flight-recorder dumps open in Perfetto exactly like simulator runs.
-type chromeEvent struct {
+// ChromeEvent is one entry of the Chrome trace-event JSON array: "X"
+// complete events, "i" instants, "M" track names and "s"/"f" flow
+// arrows, with microsecond timestamps. Live flight-recorder dumps and
+// simulator runs are both written through it, and ParseFlowDump and
+// melytrace -validate-trace read them back through it.
+type ChromeEvent struct {
 	Name     string         `json:"name"`
 	Phase    string         `json:"ph"`
 	Cat      string         `json:"cat,omitempty"`
@@ -24,7 +26,14 @@ type chromeEvent struct {
 	Args     map[string]any `json:"args,omitempty"`
 }
 
-// ChromeConfig parameterizes a flight-recorder dump.
+// Track is one row of a dump: a name ("core 0", "io/spill") and its
+// decoded records, oldest first. A track's index is its Chrome tid.
+type Track struct {
+	Name   string
+	Events []Event
+}
+
+// ChromeConfig parameterizes a dump.
 type ChromeConfig struct {
 	// HandlerName resolves a handler id to a span label; nil or an
 	// empty return falls back to "handler <id>".
@@ -42,21 +51,12 @@ func (c ChromeConfig) handlerName(id uint32) string {
 
 const microsPerNano = 1e-3
 
-// WriteChrome dumps per-core flight-recorder rings (track per core)
-// plus an optional auxiliary ring (spill/reload/poll track) as a Chrome
-// trace-event JSON array. Timestamps are nanoseconds since the
-// runtime's epoch, rendered in microseconds.
-func WriteChrome(w io.Writer, perCore []*Ring, aux *Ring, cfg ChromeConfig) error {
-	out := []chromeEvent{} // never nil: an empty dump must encode as []
-	var scratch []Event
-	addMeta := func(tid int, label string) {
-		out = append(out, chromeEvent{
-			Name:  "thread_name",
-			Phase: "M",
-			TID:   tid,
-			Args:  map[string]any{"name": label},
-		})
-	}
+// WriteChrome writes the tracks — a runtime's per-core rings plus its
+// auxiliary spill/reload/poll ring, or a simulator's per-core timeline —
+// as a Chrome trace-event JSON array. Timestamps are nanoseconds since
+// the run's epoch, rendered in microseconds.
+func WriteChrome(w io.Writer, tracks []Track, cfg ChromeConfig) error {
+	out := []ChromeEvent{} // never nil: an empty dump must encode as []
 	// Flow-arrow bookkeeping: an exec record whose Parent names another
 	// exec record's Span becomes a Perfetto flow edge, rendered as an
 	// arrow from the parent slice to the child slice across tracks.
@@ -84,11 +84,16 @@ func WriteChrome(w io.Writer, perCore []*Ring, aux *Ring, cfg ChromeConfig) erro
 	}
 	decode := func(tid int, evs []Event) {
 		for _, ev := range evs {
-			ce := chromeEvent{
+			ce := ChromeEvent{
 				Phase:    "X",
 				TsMicros: float64(ev.Ts) * microsPerNano,
 				DurUs:    float64(ev.Dur) * microsPerNano,
 				TID:      tid,
+			}
+			// Executions and steals are spans; every other record is a
+			// thread-scoped instant (its Dur, if any, rides in the args).
+			if ev.Kind != KindExec && ev.Kind != KindSteal {
+				ce.Phase, ce.Scope, ce.DurUs = "i", "t", 0
 			}
 			switch ev.Kind {
 			case KindExec:
@@ -106,29 +111,28 @@ func WriteChrome(w io.Writer, perCore []*Ring, aux *Ring, cfg ChromeConfig) erro
 					}
 				}
 			case KindSteal:
+				if ev.N == 0 {
+					ce.Name = "steal (failed)"
+					break
+				}
 				ce.Name = fmt.Sprintf("STEAL ×%d", ev.N)
 				ce.Args = map[string]any{"victim": ev.Arg, "colors": ev.N}
 			case KindPost:
 				ce.Name = "post " + cfg.handlerName(ev.N)
-				ce.Phase, ce.Scope, ce.DurUs = "i", "t", 0
 				ce.Args = map[string]any{"color": ev.Arg}
 				flowIDs(ev, ce.Args)
 			case KindReHome:
 				ce.Name = "re-home"
-				ce.Phase, ce.Scope, ce.DurUs = "i", "t", 0
 				ce.Args = map[string]any{"color": ev.Arg, "home": ev.N}
 			case KindSpill:
 				ce.Name = "spill"
-				ce.Phase, ce.Scope, ce.DurUs = "i", "t", 0
 				ce.Args = map[string]any{"color": ev.Arg, "disk_depth": ev.N}
 				flowIDs(ev, ce.Args)
 			case KindReload:
 				ce.Name = fmt.Sprintf("reload ×%d", ev.N)
-				ce.Phase, ce.Scope, ce.DurUs = "i", "t", 0
 				ce.Args = map[string]any{"color": ev.Arg}
 			case KindTimerFire:
 				ce.Name = "timer"
-				ce.Phase, ce.Scope, ce.DurUs = "i", "t", 0
 				ce.Args = map[string]any{
 					"color":  ev.Arg,
 					"lag_us": float64(ev.Dur) * microsPerNano,
@@ -136,10 +140,8 @@ func WriteChrome(w io.Writer, perCore []*Ring, aux *Ring, cfg ChromeConfig) erro
 				flowIDs(ev, ce.Args)
 			case KindPollWake:
 				ce.Name = fmt.Sprintf("poll ×%d", ev.N)
-				ce.Phase, ce.Scope, ce.DurUs = "i", "t", 0
 			case KindStall:
 				ce.Name = "STALL"
-				ce.Phase, ce.Scope, ce.DurUs = "i", "t", 0
 				ce.Args = map[string]any{
 					"core":       ev.Arg,
 					"handler":    ev.N,
@@ -152,19 +154,14 @@ func WriteChrome(w io.Writer, perCore []*Ring, aux *Ring, cfg ChromeConfig) erro
 			out = append(out, ce)
 		}
 	}
-	for core, r := range perCore {
-		if r == nil {
-			continue
-		}
-		addMeta(core, fmt.Sprintf("core %d", core))
-		scratch = r.Snapshot(scratch[:0])
-		decode(core, scratch)
-	}
-	if aux != nil {
-		tid := len(perCore)
-		addMeta(tid, "io/spill")
-		scratch = aux.Snapshot(scratch[:0])
-		decode(tid, scratch)
+	for tid, tr := range tracks {
+		out = append(out, ChromeEvent{
+			Name:  "thread_name",
+			Phase: "M",
+			TID:   tid,
+			Args:  map[string]any{"name": tr.Name},
+		})
+		decode(tid, tr.Events)
 	}
 	// Emit one flow "s"/"f" pair per parent→child edge whose parent
 	// exec record is still in the rings. The start point is clamped
@@ -185,9 +182,9 @@ func WriteChrome(w io.Writer, perCore []*Ring, aux *Ring, cfg ChromeConfig) erro
 		}
 		id := fmt.Sprintf("%x", e.child)
 		out = append(out,
-			chromeEvent{Name: "flow", Phase: "s", Cat: "flow", ID: id,
+			ChromeEvent{Name: "flow", Phase: "s", Cat: "flow", ID: id,
 				TsMicros: sTs, TID: loc.tid},
-			chromeEvent{Name: "flow", Phase: "f", Cat: "flow", ID: id, BindPt: "e",
+			ChromeEvent{Name: "flow", Phase: "f", Cat: "flow", ID: id, BindPt: "e",
 				TsMicros: e.childTs, TID: e.childTID})
 	}
 	// Perfetto tolerates unordered input, but sorted output diffs

@@ -58,14 +58,7 @@ func ParseFlowDump(r io.Reader) (*FlowIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	var events []struct {
-		Name  string         `json:"name"`
-		Phase string         `json:"ph"`
-		Ts    float64        `json:"ts"`
-		Dur   float64        `json:"dur"`
-		TID   int            `json:"tid"`
-		Args  map[string]any `json:"args"`
-	}
+	var events []ChromeEvent
 	if err := json.Unmarshal(raw, &events); err != nil {
 		return nil, fmt.Errorf("obs: flow dump is not a Chrome trace-event array: %w", err)
 	}
@@ -99,8 +92,8 @@ func ParseFlowDump(r io.Reader) (*FlowIndex, error) {
 				Color:   argU64(ev.Args, "color"),
 				Core:    ev.TID,
 				Stolen:  stolen,
-				Start:   ev.Ts,
-				End:     ev.Ts + ev.Dur,
+				Start:   ev.TsMicros,
+				End:     ev.TsMicros + ev.DurUs,
 				PostTs:  -1,
 			}
 		case "i":
@@ -112,8 +105,8 @@ func ParseFlowDump(r io.Reader) (*FlowIndex, error) {
 			if !strings.HasPrefix(ev.Name, "post ") && ev.Name != "timer" {
 				continue
 			}
-			if ts, ok := postTs[span]; !ok || ev.Ts < ts {
-				postTs[span] = ev.Ts
+			if ts, ok := postTs[span]; !ok || ev.TsMicros < ts {
+				postTs[span] = ev.TsMicros
 			}
 		}
 	}

@@ -27,108 +27,50 @@ const (
 	AnomalyStallRecurrence = "stall-recurrence"
 )
 
-// HealthConfig tunes the detectors. The zero value selects the
-// defaults noted on each field (applied by withDefaults), so callers
-// set only what they want to move.
+// HealthConfig is what a caller decides about the health engine; the
+// detectors' own thresholds are constants beside each detector.
 type HealthConfig struct {
-	// DriftFactor: queue-delay drift fires when the current window's
-	// p99 exceeds DriftFactor x the trailing-baseline median p99.
-	// Default 4 (two histogram buckets — below that is resolution
-	// noise).
-	DriftFactor float64
-	// DriftFloor: drift below this absolute p99 never fires, however
-	// large the ratio; an idle runtime jumping 500ns -> 4us is not an
-	// anomaly. Default 2ms.
-	DriftFloor time.Duration
-	// BaselineWindows caps how many trailing windows (before the
-	// current one) form the baseline median. Default 30.
-	BaselineWindows int
-	// MinBaselineWindows is how many trailing windows with traffic are
-	// needed before drift can fire at all. Default 3.
-	MinBaselineWindows int
-
-	// ImbalanceFactor: steal imbalance fires when the hottest core's
-	// failed-steal+backoff rate exceeds ImbalanceFactor x the mean of
-	// the other cores (plus one, so a single noisy core over an idle
-	// fleet still needs real volume). Default 8.
-	ImbalanceFactor float64
-	// ImbalanceFloor: the hottest core must also exceed this absolute
-	// rate (events/sec) for imbalance to fire. Default 1000/s.
-	ImbalanceFloor float64
-
-	// SpillGrowthWindows: spill growth fires when SpilledNow increased
-	// in each of this many most-recent windows. Default 4.
-	SpillGrowthWindows int
-
-	// StallWindows is the recent span scanned for stall recurrence;
-	// StallRecurrence is the episode count within it that fires.
-	// Defaults 5 and 2. A currently-stalled core (StalledCores > 0 in
-	// the newest sample) fires immediately regardless.
-	StallWindows    int
-	StallRecurrence int
-
 	// TargetQueueDelay, when positive, turns on the MaxQueuedEvents
 	// recommendation (see RecommendMaxQueued). Default off.
 	TargetQueueDelay time.Duration
 }
 
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.DriftFactor == 0 {
-		c.DriftFactor = 4
-	}
-	if c.DriftFloor == 0 {
-		c.DriftFloor = 2 * time.Millisecond
-	}
-	if c.BaselineWindows == 0 {
-		c.BaselineWindows = 30
-	}
-	if c.MinBaselineWindows == 0 {
-		c.MinBaselineWindows = 3
-	}
-	if c.ImbalanceFactor == 0 {
-		c.ImbalanceFactor = 8
-	}
-	if c.ImbalanceFloor == 0 {
-		c.ImbalanceFloor = 1000
-	}
-	if c.SpillGrowthWindows == 0 {
-		c.SpillGrowthWindows = 4
-	}
-	if c.StallWindows == 0 {
-		c.StallWindows = 5
-	}
-	if c.StallRecurrence == 0 {
-		c.StallRecurrence = 2
-	}
-	return c
-}
-
-// Anomaly is one detector firing: the kind, a human-readable detail,
-// and the observed value vs the limit it crossed (unit depends on the
-// kind — nanoseconds for drift, events/sec for imbalance, windows for
-// growth, episodes for stalls).
+// Anomaly is one health detector firing: the kind (see the Anomaly*
+// constants), a human-readable detail, and the observed value vs the
+// limit it crossed (unit depends on the kind — nanoseconds for drift,
+// events/sec for imbalance, windows for growth, episodes for stalls).
 type Anomaly struct {
-	Kind      string  `json:"kind"`
-	Detail    string  `json:"detail"`
-	Value     float64 `json:"value"`
-	Limit     float64 `json:"limit"`
-	WallNanos int64   `json:"wall_nanos"`
+	Kind   string    `json:"kind"`
+	Detail string    `json:"detail"`
+	Value  float64   `json:"value"`
+	Limit  float64   `json:"limit"`
+	At     time.Time `json:"at"`
 }
 
-// HealthReport is one evaluation of the detectors over the retained
-// time series. Healthy means no anomaly is currently firing; it says
-// nothing about the past (the runtime keeps the cumulative episode
-// count separately).
+// HealthReport is a runtime's self-assessment and the document
+// /debug/health serves. EvaluateHealth fills the verdict (Healthy,
+// Windows, Anomalies, RecommendedMaxQueued) from the retained time
+// series; the runtime adds what only it knows (Enabled, the cumulative
+// TotalAnomalies and Incidents). Healthy means no detector is firing
+// right now; it says nothing about the past. With the collector
+// disabled (ObsInterval 0) the report is Healthy with Enabled false.
 type HealthReport struct {
-	Healthy   bool      `json:"healthy"`
-	Windows   int       `json:"windows"`
-	Anomalies []Anomaly `json:"anomalies,omitempty"`
+	Enabled bool `json:"enabled"`
+	Healthy bool `json:"healthy"`
+	// Windows is how many derived windows the detectors saw.
+	Windows int `json:"windows"`
+	// TotalAnomalies counts fresh anomaly episodes since Start (the
+	// mely_anomalies_total counter).
+	TotalAnomalies int64 `json:"total_anomalies"`
 	// RecommendedMaxQueued is the adaptive-bounds stepping stone: the
 	// MaxQueuedEvents that would hold queue delay near
 	// HealthConfig.TargetQueueDelay at the observed drain rate
 	// (Little's law). 0 when no target is set or the window is idle.
 	// Recommendation only — nothing enforces it yet.
-	RecommendedMaxQueued int64 `json:"recommended_max_queued,omitempty"`
+	RecommendedMaxQueued int64 `json:"recommended_max_queued"`
+	// Incidents counts captured incident bundles (Config.IncidentDir).
+	Incidents int64     `json:"incidents"`
+	Anomalies []Anomaly `json:"anomalies,omitempty"`
 }
 
 // RecommendMaxQueued is the adaptive-bounds recommendation math,
@@ -153,7 +95,6 @@ func RecommendMaxQueued(eventsPerSec float64, target time.Duration) int64 {
 // now. Pure function of its inputs: the runtime's collector owns
 // episode accounting and hook dispatch.
 func EvaluateHealth(samples []TSSample, cfg HealthConfig) HealthReport {
-	cfg = cfg.withDefaults()
 	points := DerivePoints(samples)
 	rep := HealthReport{Healthy: true, Windows: len(points)}
 	if len(points) == 0 {
@@ -161,16 +102,16 @@ func EvaluateHealth(samples []TSSample, cfg HealthConfig) HealthReport {
 	}
 	cur := &points[len(points)-1]
 
-	if a, ok := detectDrift(points, cfg); ok {
+	if a, ok := detectDrift(points); ok {
 		rep.Anomalies = append(rep.Anomalies, a)
 	}
-	if a, ok := detectImbalance(cur, cfg); ok {
+	if a, ok := detectImbalance(cur); ok {
 		rep.Anomalies = append(rep.Anomalies, a)
 	}
-	if a, ok := detectSpillGrowth(points, cfg); ok {
+	if a, ok := detectSpillGrowth(points); ok {
 		rep.Anomalies = append(rep.Anomalies, a)
 	}
-	if a, ok := detectStalls(points, cfg); ok {
+	if a, ok := detectStalls(points); ok {
 		rep.Anomalies = append(rep.Anomalies, a)
 	}
 	rep.Healthy = len(rep.Anomalies) == 0
@@ -180,16 +121,29 @@ func EvaluateHealth(samples []TSSample, cfg HealthConfig) HealthReport {
 	return rep
 }
 
+// Queue-delay drift fires when the current window's p99 exceeds
+// driftFactor x the median p99 of up to driftBaselineWindows trailing
+// windows, of which at least driftMinBaseline saw traffic. A factor of 4
+// is two histogram buckets — below that is resolution noise. Drift
+// below driftFloor never fires, however large the ratio: an idle
+// runtime jumping 500ns -> 4us is not an anomaly.
+const (
+	driftFactor          = 4.0
+	driftFloor           = 2 * time.Millisecond
+	driftBaselineWindows = 30
+	driftMinBaseline     = 3
+)
+
 // detectDrift compares the newest window's queue-delay p99 against the
 // median p99 of the trailing windows that saw traffic.
-func detectDrift(points []TSPoint, cfg HealthConfig) (Anomaly, bool) {
+func detectDrift(points []TSPoint) (Anomaly, bool) {
 	cur := &points[len(points)-1]
-	if cur.QDelayP99Nanos == 0 || time.Duration(cur.QDelayP99Nanos) < cfg.DriftFloor {
+	if cur.QDelayP99Nanos == 0 || time.Duration(cur.QDelayP99Nanos) < driftFloor {
 		return Anomaly{}, false
 	}
 	trailing := points[:len(points)-1]
-	if len(trailing) > cfg.BaselineWindows {
-		trailing = trailing[len(trailing)-cfg.BaselineWindows:]
+	if len(trailing) > driftBaselineWindows {
+		trailing = trailing[len(trailing)-driftBaselineWindows:]
 	}
 	var base []int64
 	for i := range trailing {
@@ -197,35 +151,44 @@ func detectDrift(points []TSPoint, cfg HealthConfig) (Anomaly, bool) {
 			base = append(base, trailing[i].QDelayP99Nanos)
 		}
 	}
-	if len(base) < cfg.MinBaselineWindows {
+	if len(base) < driftMinBaseline {
 		return Anomaly{}, false
 	}
 	baseline := medianInt64(base)
-	limit := float64(baseline) * cfg.DriftFactor
+	limit := float64(baseline) * driftFactor
 	if float64(cur.QDelayP99Nanos) <= limit {
 		return Anomaly{}, false
 	}
 	return Anomaly{
 		Kind: AnomalyQueueDelayDrift,
 		Detail: fmt.Sprintf("queue-delay p99 %v vs trailing median %v (factor %.1f)",
-			time.Duration(cur.QDelayP99Nanos), time.Duration(baseline), cfg.DriftFactor),
-		Value:     float64(cur.QDelayP99Nanos),
-		Limit:     limit,
-		WallNanos: cur.WallNanos,
+			time.Duration(cur.QDelayP99Nanos), time.Duration(baseline), driftFactor),
+		Value: float64(cur.QDelayP99Nanos),
+		Limit: limit,
+		At:    time.Unix(0, cur.WallNanos),
 	}, true
 }
 
-// imbalanceMinEvents is the evidence steal imbalance needs besides its
-// rate floor: the hottest core's failed steals + backoff parks counted
-// in the window itself. Rates are counts over the window length, so in
-// a millisecond window (a short ObsInterval, or a late collector tick
+// Steal imbalance fires when the hottest core's failed-steal+backoff
+// rate exceeds imbalanceFactor x the mean of the other cores (plus one,
+// so a single noisy core over an idle fleet still needs real volume)
+// and imbalanceFloor events/sec in absolute terms.
+//
+// imbalanceMinEvents is the evidence it needs besides the rate floor:
+// the hottest core's failed steals + backoff parks counted in the
+// window itself. Rates are counts over the window length, so in a
+// millisecond window (a short ObsInterval, or a late collector tick
 // followed by a punctual one) two events on one core and a 500µs park
 // on the other read as thousands per second against zero.
-const imbalanceMinEvents = 32
+const (
+	imbalanceFactor    = 8.0
+	imbalanceFloor     = 1000.0
+	imbalanceMinEvents = 32
+)
 
 // detectImbalance checks the newest window's per-core failed-steal +
 // backoff-park rates for one core towering over the rest.
-func detectImbalance(cur *TSPoint, cfg HealthConfig) (Anomaly, bool) {
+func detectImbalance(cur *TSPoint) (Anomaly, bool) {
 	if len(cur.Cores) < 2 {
 		return Anomaly{}, false
 	}
@@ -237,11 +200,11 @@ func detectImbalance(cur *TSPoint, cfg HealthConfig) (Anomaly, bool) {
 			maxRate, maxCore = r, i
 		}
 	}
-	if maxRate < cfg.ImbalanceFloor || maxRate*cur.WindowSeconds < imbalanceMinEvents {
+	if maxRate < imbalanceFloor || maxRate*cur.WindowSeconds < imbalanceMinEvents {
 		return Anomaly{}, false
 	}
 	others := (sum - maxRate) / float64(len(cur.Cores)-1)
-	limit := cfg.ImbalanceFactor * (others + 1)
+	limit := imbalanceFactor * (others + 1)
 	if maxRate <= limit {
 		return Anomaly{}, false
 	}
@@ -249,19 +212,23 @@ func detectImbalance(cur *TSPoint, cfg HealthConfig) (Anomaly, bool) {
 		Kind: AnomalyStealImbalance,
 		Detail: fmt.Sprintf("core %d failed-steal/backoff rate %.0f/s vs %.0f/s mean elsewhere",
 			maxCore, maxRate, others),
-		Value:     maxRate,
-		Limit:     limit,
-		WallNanos: cur.WallNanos,
+		Value: maxRate,
+		Limit: limit,
+		At:    time.Unix(0, cur.WallNanos),
 	}, true
 }
 
+// spillGrowthWindows is how many most-recent windows SpilledNow must
+// have increased in, one after the other, for spill growth to fire.
+const spillGrowthWindows = 4
+
 // detectSpillGrowth fires on a monotonically growing disk backlog
-// across the most recent SpillGrowthWindows windows.
-func detectSpillGrowth(points []TSPoint, cfg HealthConfig) (Anomaly, bool) {
-	if len(points) < cfg.SpillGrowthWindows {
+// across the most recent spillGrowthWindows windows.
+func detectSpillGrowth(points []TSPoint) (Anomaly, bool) {
+	if len(points) < spillGrowthWindows {
 		return Anomaly{}, false
 	}
-	recent := points[len(points)-cfg.SpillGrowthWindows:]
+	recent := points[len(points)-spillGrowthWindows:]
 	prev := int64(-1)
 	for i := range recent {
 		if prev >= 0 && recent[i].SpilledNow <= prev {
@@ -275,29 +242,37 @@ func detectSpillGrowth(points []TSPoint, cfg HealthConfig) (Anomaly, bool) {
 	return Anomaly{
 		Kind: AnomalySpillGrowth,
 		Detail: fmt.Sprintf("spill backlog grew %d consecutive windows to %d events on disk",
-			cfg.SpillGrowthWindows, cur.SpilledNow),
-		Value:     float64(cur.SpilledNow),
-		Limit:     float64(cfg.SpillGrowthWindows),
-		WallNanos: cur.WallNanos,
+			spillGrowthWindows, cur.SpilledNow),
+		Value: float64(cur.SpilledNow),
+		Limit: float64(spillGrowthWindows),
+		At:    time.Unix(0, cur.WallNanos),
 	}, true
 }
 
+// stallWindows is the recent span scanned for stall recurrence and
+// stallRecurrence the episode count within it that fires. A
+// currently-stalled core fires immediately regardless.
+const (
+	stallWindows    = 5
+	stallRecurrence = 2
+)
+
 // detectStalls fires when a core is stalled right now, or when stall
-// episodes reached StallRecurrence across the last StallWindows.
-func detectStalls(points []TSPoint, cfg HealthConfig) (Anomaly, bool) {
+// episodes reached stallRecurrence across the last stallWindows.
+func detectStalls(points []TSPoint) (Anomaly, bool) {
 	cur := &points[len(points)-1]
 	if cur.StalledCores > 0 {
 		return Anomaly{
-			Kind:      AnomalyStallRecurrence,
-			Detail:    fmt.Sprintf("%d core(s) currently stalled past the watchdog threshold", cur.StalledCores),
-			Value:     float64(cur.StalledCores),
-			Limit:     0,
-			WallNanos: cur.WallNanos,
+			Kind:   AnomalyStallRecurrence,
+			Detail: fmt.Sprintf("%d core(s) currently stalled past the watchdog threshold", cur.StalledCores),
+			Value:  float64(cur.StalledCores),
+			Limit:  0,
+			At:     time.Unix(0, cur.WallNanos),
 		}, true
 	}
 	recent := points
-	if len(recent) > cfg.StallWindows {
-		recent = recent[len(recent)-cfg.StallWindows:]
+	if len(recent) > stallWindows {
+		recent = recent[len(recent)-stallWindows:]
 	}
 	var episodes int64
 	for i := range recent {
@@ -305,21 +280,21 @@ func detectStalls(points []TSPoint, cfg HealthConfig) (Anomaly, bool) {
 			episodes += recent[i].Stalls
 		}
 	}
-	if episodes < int64(cfg.StallRecurrence) {
+	if episodes < stallRecurrence {
 		return Anomaly{}, false
 	}
 	return Anomaly{
 		Kind: AnomalyStallRecurrence,
 		Detail: fmt.Sprintf("%d stall episodes across the last %d windows",
 			episodes, len(recent)),
-		Value:     float64(episodes),
-		Limit:     float64(cfg.StallRecurrence),
-		WallNanos: cur.WallNanos,
+		Value: float64(episodes),
+		Limit: stallRecurrence,
+		At:    time.Unix(0, cur.WallNanos),
 	}, true
 }
 
 func medianInt64(v []int64) int64 {
-	// Insertion sort: baselines are <= BaselineWindows entries.
+	// Insertion sort: baselines are <= driftBaselineWindows entries.
 	for i := 1; i < len(v); i++ {
 		for j := i; j > 0 && v[j-1] > v[j]; j-- {
 			v[j-1], v[j] = v[j], v[j-1]

@@ -1,8 +1,9 @@
-// Package obs is the live-runtime observability toolkit: sampled
-// power-of-two latency histograms, the per-core flight-recorder ring,
-// Chrome trace-event emission for live runs, Prometheus text-format
-// exposition helpers, and the /metrics + /debug mux the demo servers
-// mount on a side listener.
+// Package obs is the observability toolkit: sampled power-of-two
+// latency histograms, the bounds of the fixed-bucket ones, the per-core
+// flight-recorder ring, Chrome trace-event emission for live and
+// simulated runs, Prometheus text-format exposition helpers, the
+// time-series ring with its health detectors, and the /metrics + /debug
+// mux the demo servers mount on a side listener.
 //
 // The package is deliberately free of any dependency on the runtime
 // itself: the root mely package imports obs for its hot-path primitives
@@ -14,6 +15,7 @@ package obs
 import (
 	"math"
 	"math/bits"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -112,4 +114,58 @@ func Quantile(counts *[NumLatencyBuckets]int64, q float64) time.Duration {
 		}
 	}
 	return time.Duration(LatencyUpperNanos(NumLatencyBuckets - 1))
+}
+
+// Bounds is the shape of a fixed-bucket histogram: five ascending
+// inclusive upper bounds, hence six buckets, the last unbounded. The
+// one value bins an observation (Bucket) and labels the rendered
+// series (Uppers), so the two cannot drift apart.
+type Bounds [5]int64
+
+// The runtime's four fixed-bucket histograms. Stats documents the
+// fields they shape; WriteMetrics renders their `le` labels from here.
+var (
+	// StealBatchBounds bins a steal by the colors it migrated
+	// (CoreStats.StealBatchHist).
+	StealBatchBounds = Bounds{1, 2, 4, 8, 16}
+	// TimerLagBounds bins a firing's lag behind its deadline, in
+	// nanoseconds (CoreStats.TimerLagHist).
+	TimerLagBounds = Bounds{100_000, 1_000_000, 2_000_000, 10_000_000, 100_000_000}
+	// PollBatchBounds bins a poll wakeup by the readiness events it
+	// harvested (Stats.PollBatchHist; internal/netpoll bins with it).
+	PollBatchBounds = Bounds{1, 4, 16, 64, 256}
+	// SpillDepthBounds bins a spilled record by its color's on-disk
+	// depth after the append (Stats.SpillDepthHist).
+	SpillDepthBounds = Bounds{16, 64, 256, 1024, 4096}
+)
+
+// Bucket is the index of the first bound v does not exceed, len(b)
+// past the last.
+func (b *Bounds) Bucket(v int64) int {
+	for i, upper := range b {
+		if v <= upper {
+			return i
+		}
+	}
+	return len(b)
+}
+
+// Legend labels the six buckets for a log line — "≤1,≤4,≤16,≤64,≤256,>256"
+// — rendering each bound with show.
+func (b *Bounds) Legend(show func(int64) string) string {
+	var sb strings.Builder
+	for _, upper := range b {
+		sb.WriteString("≤" + show(upper) + ",")
+	}
+	return sb.String() + ">" + show(b[len(b)-1])
+}
+
+// Uppers renders the bounds as a histogram's `le` values, each divided
+// by unit (1 for counts, 1e9 for nanosecond bounds shown in seconds).
+func (b *Bounds) Uppers(unit float64) []float64 {
+	uppers := make([]float64, len(b))
+	for i, upper := range b {
+		uppers[i] = float64(upper) / unit
+	}
+	return uppers
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"expvar"
 	"fmt"
 	"io"
@@ -62,27 +63,24 @@ func NewMux(cfg MuxConfig) *http.ServeMux {
 			w.Write(body)
 		})
 	}
-	if cfg.Trace != nil {
-		mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, req *http.Request) {
+	serveJSON := func(path string, render func(io.Writer) error) {
+		if render == nil {
+			return
+		}
+		mux.HandleFunc(path, func(w http.ResponseWriter, req *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			if err := cfg.Trace(w); err != nil {
+			if err := render(w); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		})
 	}
-	if cfg.TimeSeries != nil {
-		mux.HandleFunc("/debug/timeseries", func(w http.ResponseWriter, req *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			if err := cfg.TimeSeries(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-	}
+	serveJSON("/debug/trace", cfg.Trace)
+	serveJSON("/debug/timeseries", cfg.TimeSeries)
 	if cfg.Health != nil {
 		mux.HandleFunc("/debug/health", func(w http.ResponseWriter, req *http.Request) {
 			// Buffer the body: the status line depends on the verdict.
-			var sink byteSink
-			healthy, err := cfg.Health(&sink)
+			var body bytes.Buffer
+			healthy, err := cfg.Health(&body)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
@@ -91,7 +89,7 @@ func NewMux(cfg MuxConfig) *http.ServeMux {
 			if !healthy {
 				w.WriteHeader(http.StatusServiceUnavailable)
 			}
-			w.Write(sink.b)
+			w.Write(body.Bytes())
 		})
 	}
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, req *http.Request) {
@@ -142,24 +140,17 @@ type scrapeCache struct {
 	body []byte
 }
 
-type byteSink struct{ b []byte }
-
-func (s *byteSink) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
-}
-
 func (c *scrapeCache) get() ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.ttl > 0 && c.body != nil && time.Since(c.at) < c.ttl {
 		return c.body, nil
 	}
-	var sink byteSink
-	if err := c.render(&sink); err != nil {
+	var body bytes.Buffer
+	if err := c.render(&body); err != nil {
 		return nil, err
 	}
-	c.body = sink.b
+	c.body = body.Bytes()
 	c.at = time.Now()
 	return c.body, nil
 }

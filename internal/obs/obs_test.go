@@ -128,7 +128,8 @@ func TestWriteChromeValidJSON(t *testing.T) {
 	aux.Append(KindPollWake, 3200, 0, 0, 8)
 
 	var buf bytes.Buffer
-	err := WriteChrome(&buf, []*Ring{core0, nil}, aux, ChromeConfig{
+	tracks := []Track{{"core 0", core0.Snapshot(nil)}, {"io/spill", aux.Snapshot(nil)}}
+	err := WriteChrome(&buf, tracks, ChromeConfig{
 		HandlerName: func(id uint32) string {
 			if id == 2 {
 				return "request"

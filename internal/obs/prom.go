@@ -65,11 +65,7 @@ func (m *MetricsWriter) Histogram(name, labels string, uppers []float64, counts 
 		}
 		m.printf("%s_bucket{%s%sle=\"%s\"} %d\n", name, labels, sep, le, cum)
 	}
-	m.printf("%s_sum", name)
-	if labels != "" {
-		m.printf("{%s}", labels)
-	}
-	m.printf(" %s\n", formatFloat(sumSeconds))
+	m.Sample(name+"_sum", labels, sumSeconds)
 	m.printf("%s_count", name)
 	if labels != "" {
 		m.printf("{%s}", labels)
@@ -123,8 +119,9 @@ func seriesName(key string) string {
 	return key
 }
 
-// labelValue extracts one label's value from a series key, or "".
-func labelValue(key, label string) string {
+// LabelValue extracts one label's value from a series key as
+// ParseExposition renders it (`name{k="v",k2="v2"}`), or "".
+func LabelValue(key, label string) string {
 	i := strings.IndexByte(key, '{')
 	if i < 0 {
 		return ""
@@ -161,7 +158,7 @@ func HistogramQuantile(samples map[string]float64, name string, q float64) (seco
 		if seriesName(key) != name+"_bucket" {
 			continue
 		}
-		le := labelValue(key, "le")
+		le := LabelValue(key, "le")
 		if le == "" {
 			continue
 		}
@@ -170,8 +167,8 @@ func HistogramQuantile(samples map[string]float64, name string, q float64) (seco
 			bound = math.Inf(1)
 		} else {
 			f, err := strconv.ParseFloat(le, 64)
-			if err != nil {
-				continue
+			if err != nil || math.IsNaN(f) {
+				continue // a NaN bound orders nowhere: not a bucket
 			}
 			bound = f
 		}

@@ -19,7 +19,8 @@ const (
 	KindExec
 	// KindSteal: a steal batch completed. Ts is the probe start, Dur
 	// the whole steal (probe + transfer), Arg the victim core, N the
-	// number of colors taken.
+	// number of colors taken. N == 0 is a probe round that found
+	// nothing (only the simulator records those).
 	KindSteal
 	// KindReHome: an expired lease moved a color back to its home
 	// core. Arg is the color, N the home core.

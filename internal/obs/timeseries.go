@@ -103,12 +103,6 @@ func NewTimeSeries(history, cores int, interval time.Duration) *TimeSeries {
 	return ts
 }
 
-// Interval is the configured sampling period.
-func (ts *TimeSeries) Interval() time.Duration { return ts.interval }
-
-// History is the ring capacity in samples.
-func (ts *TimeSeries) History() int { return len(ts.slots) }
-
 // Len is the number of samples currently retained.
 func (ts *TimeSeries) Len() int {
 	ts.mu.Lock()
@@ -131,13 +125,22 @@ func (ts *TimeSeries) Append(s *TSSample) {
 // Snapshot appends deep copies of the retained samples, oldest first,
 // to dst and returns the result. The copies do not alias ring memory.
 func (ts *TimeSeries) Snapshot(dst []TSSample) []TSSample {
+	return ts.Tail(len(ts.slots), dst)
+}
+
+// Tail is Snapshot limited to the newest n samples: Tail(2, nil) is the
+// last window, the pair DerivePoints turns into the mely_*_rate gauges.
+func (ts *TimeSeries) Tail(n int, dst []TSSample) []TSSample {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	start := ts.head - ts.n
+	if n > ts.n {
+		n = ts.n
+	}
+	start := ts.head - n
 	if start < 0 {
 		start += len(ts.slots)
 	}
-	for i := 0; i < ts.n; i++ {
+	for i := 0; i < n; i++ {
 		slot := &ts.slots[(start+i)%len(ts.slots)]
 		s := *slot
 		s.Cores = append([]TSCore(nil), slot.Cores...)
@@ -296,56 +299,4 @@ func (ts *TimeSeries) WriteJSON(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(dump)
-}
-
-// TSRates is the most recent window's derived rates, the values behind
-// the mely_*_rate gauges on /metrics. Valid is false until the ring
-// holds two samples.
-type TSRates struct {
-	Valid             bool
-	WindowSeconds     float64
-	EventsPerSec      float64
-	PostsPerSec       float64
-	StealsPerSec      float64
-	SpillEventsPerSec float64
-	SpillBytesPerSec  float64
-	QDelayP99         time.Duration
-	ExecP99           time.Duration
-}
-
-// LastRates derives TSRates from the two newest samples.
-func (ts *TimeSeries) LastRates() TSRates {
-	ts.mu.Lock()
-	if ts.n < 2 {
-		ts.mu.Unlock()
-		return TSRates{}
-	}
-	last := (ts.head - 1 + len(ts.slots)) % len(ts.slots)
-	prevIdx := (last - 1 + len(ts.slots)) % len(ts.slots)
-	cur, prev := ts.slots[last], ts.slots[prevIdx]
-	cur.Cores, prev.Cores = nil, nil // scalars only; no aliasing outside the lock
-	ts.mu.Unlock()
-
-	secs := float64(cur.MonoNanos-prev.MonoNanos) / 1e9
-	if secs <= 0 {
-		return TSRates{}
-	}
-	rate := func(c, p int64) float64 {
-		d := c - p
-		if d < 0 {
-			d = 0
-		}
-		return float64(d) / secs
-	}
-	return TSRates{
-		Valid:             true,
-		WindowSeconds:     secs,
-		EventsPerSec:      rate(cur.Events, prev.Events),
-		PostsPerSec:       rate(cur.Posts, prev.Posts),
-		StealsPerSec:      rate(cur.Steals, prev.Steals),
-		SpillEventsPerSec: rate(cur.SpilledEvents, prev.SpilledEvents),
-		SpillBytesPerSec:  rate(cur.SpilledBytes, prev.SpilledBytes),
-		QDelayP99:         time.Duration(windowQuantile(&cur.QDelay, &prev.QDelay, 0.99)),
-		ExecP99:           time.Duration(windowQuantile(&cur.Exec, &prev.Exec, 0.99)),
-	}
 }

@@ -197,22 +197,35 @@ func TestTimeSeriesWriteJSON(t *testing.T) {
 	}
 }
 
-func TestLastRates(t *testing.T) {
-	ts := NewTimeSeries(8, 1, time.Second)
-	if ts.LastRates().Valid {
-		t.Fatal("LastRates valid with <2 samples")
+// TestTailLastWindow: the newest two samples derive the last window
+// (the mely_*_rate gauges' source) wherever the ring's head stands, and
+// fewer than two derive nothing.
+func TestTailLastWindow(t *testing.T) {
+	ts := NewTimeSeries(4, 1, time.Second)
+	if pts := DerivePoints(ts.Tail(2, nil)); len(pts) != 0 {
+		t.Fatalf("empty ring derived %d points", len(pts))
 	}
 	a := sampleAt(0, 0, 1)
 	ts.Append(&a)
-	b := sampleAt(1e9, 2500, 1)
-	b.SpilledBytes = 1 << 20
-	ts.Append(&b)
-	r := ts.LastRates()
-	if !r.Valid {
-		t.Fatal("LastRates not valid with 2 samples")
+	if pts := DerivePoints(ts.Tail(2, nil)); len(pts) != 0 {
+		t.Fatalf("one sample derived %d points", len(pts))
 	}
-	if r.EventsPerSec != 2500 || r.SpillBytesPerSec != float64(1<<20) {
-		t.Fatalf("rates = %v events/s, %v bytes/s; want 2500, %d",
-			r.EventsPerSec, r.SpillBytesPerSec, 1<<20)
+	// Six more appends wrap the four-slot ring.
+	for i := int64(1); i <= 6; i++ {
+		s := sampleAt(i*1e9, i*i*100, 1)
+		s.SpilledBytes = i << 20
+		ts.Append(&s)
+	}
+	tail := ts.Tail(2, nil)
+	if len(tail) != 2 || tail[0].MonoNanos != 5e9 || tail[1].MonoNanos != 6e9 {
+		t.Fatalf("Tail(2) = %+v, want the samples at 5s and 6s", tail)
+	}
+	pts := DerivePoints(tail)
+	if len(pts) != 1 || pts[0].EventsPerSec != 1100 || pts[0].SpillBytesPerSec != float64(1<<20) {
+		t.Fatalf("last window = %+v; want 1100 events/s, %d bytes/s", pts, 1<<20)
+	}
+	all := DerivePoints(ts.Snapshot(nil))
+	if last := all[len(all)-1]; last.EventsPerSec != pts[0].EventsPerSec || last.WallNanos != pts[0].WallNanos {
+		t.Fatalf("Tail's window %+v is not Snapshot's last %+v", pts[0], last)
 	}
 }

@@ -15,6 +15,20 @@ import "sync/atomic"
 // sample contributes 1/2^ewmaShift. 1/8 follows common RTT estimators.
 const ewmaShift = 3
 
+// ewmaStep moves the estimate old toward sample by 1/2^ewmaShift of the
+// gap, and by one when the gap is too small for the shift to see, so
+// the estimate always reaches a stable sample.
+func ewmaStep(old, sample int64) int64 {
+	next := old + (sample-old)>>ewmaShift
+	if next == old && sample != old {
+		if sample > old {
+			return old + 1
+		}
+		return old - 1
+	}
+	return next
+}
+
 // HandlerProfile tracks the estimated execution time of one handler in
 // cycles. Reads and updates are lock-free so cores can update profiles
 // concurrently in the real runtime; the simulator uses them
@@ -49,19 +63,9 @@ func (p *HandlerProfile) Observe(cycles int64) {
 	}
 	for {
 		old := p.estCycles.Load()
-		var next int64
-		if old == 0 {
-			next = cycles
-		} else {
-			next = old + (cycles-old)>>ewmaShift
-			if next == old && cycles != old {
-				// Ensure progress for small deltas.
-				if cycles > old {
-					next = old + 1
-				} else {
-					next = old - 1
-				}
-			}
+		next := cycles // the first sample is the estimate
+		if old != 0 {
+			next = ewmaStep(old, cycles)
 		}
 		if p.estCycles.CompareAndSwap(old, next) {
 			return
@@ -101,15 +105,7 @@ func (m *StealCostMonitor) Observe(cycles int64) {
 	}
 	for {
 		old := m.est.Load()
-		next := old + (cycles-old)>>ewmaShift
-		if next == old && cycles != old {
-			if cycles > old {
-				next = old + 1
-			} else {
-				next = old - 1
-			}
-		}
-		if m.est.CompareAndSwap(old, next) {
+		if m.est.CompareAndSwap(old, ewmaStep(old, cycles)) {
 			return
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -415,8 +414,8 @@ func runLive(s *Spec, opt Options) (*Record, error) {
 		total.StealAttempts += t.StealAttempts
 		total.Steals += t.Steals
 		total.StolenColors += t.StolenColors
-		mergeLatency(&qdHist, t.QueueDelayHist)
-		mergeLatency(&etHist, t.ExecTimeHist)
+		qdHist.Merge(t.QueueDelayHist)
+		etHist.Merge(t.ExecTimeHist)
 		shed += ls.shed()
 		if ls.sws != nil {
 			served += ls.sws.Served()
@@ -606,7 +605,7 @@ func runSFSLoad(ctx context.Context, ls *liveServer, ld *LoadSpec, d time.Durati
 
 	var (
 		requests, errCount, connects atomic.Int64
-		lat                          latRecorder
+		lat                          loadgen.LatencyRecorder
 		wg                           sync.WaitGroup
 	)
 	think := mustDuration(ld.Think)
@@ -615,7 +614,7 @@ func runSFSLoad(ctx context.Context, ls *liveServer, ld *LoadSpec, d time.Durati
 		go func() {
 			defer wg.Done()
 			var samples []time.Duration
-			defer func() { lat.add(samples) }()
+			defer func() { lat.Add(samples) }()
 			for loadCtx.Err() == nil && time.Now().Before(deadline) {
 				c, err := sfs.Dial(ls.addr, ls.psk)
 				if err != nil {
@@ -660,40 +659,8 @@ func runSFSLoad(ctx context.Context, ls *liveServer, ld *LoadSpec, d time.Durati
 		Connects: connects.Load(),
 		Elapsed:  d,
 	}
-	res.LatencyP50, res.LatencyP99 = lat.percentiles()
+	res.LatencyP50, res.LatencyP99 = lat.Percentiles()
 	return res, nil
-}
-
-// latRecorder accumulates sfs request latencies across client
-// goroutines (the sws path reuses loadgen's internal recorder).
-type latRecorder struct {
-	mu      sync.Mutex
-	samples []time.Duration
-}
-
-func (l *latRecorder) add(batch []time.Duration) {
-	if len(batch) == 0 {
-		return
-	}
-	l.mu.Lock()
-	l.samples = append(l.samples, batch...)
-	l.mu.Unlock()
-}
-
-// percentiles returns the P50 and P99 of the recorded samples.
-func (l *latRecorder) percentiles() (p50, p99 time.Duration) {
-	if len(l.samples) == 0 {
-		return 0, 0
-	}
-	sort.Slice(l.samples, func(i, j int) bool { return l.samples[i] < l.samples[j] })
-	at := func(p float64) time.Duration {
-		idx := int(float64(len(l.samples))*p/100) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		return l.samples[idx]
-	}
-	return at(50), at(99)
 }
 
 // evalLiveSLOs evaluates the live SLO blocks against the measured
@@ -844,18 +811,11 @@ func (s *Spec) wantsHealthSLO() bool {
 	return false
 }
 
-// liveHealthReport is the slice of the /debug/health document the
-// gates read.
-type liveHealthReport struct {
-	Healthy        bool  `json:"healthy"`
-	TotalAnomalies int64 `json:"total_anomalies"`
-}
-
 // scrapeHealth GETs one server's /debug/health: the parsed report plus
 // the endpoint's binary verdict (200 = healthy, 503 = anomalies
 // firing) — the same contract a production load balancer consumes.
-func scrapeHealth(addr string) (liveHealthReport, bool, error) {
-	var rep liveHealthReport
+func scrapeHealth(addr string) (obs.HealthReport, bool, error) {
+	var rep obs.HealthReport
 	resp, err := http.Get("http://" + addr + "/debug/health")
 	if err != nil {
 		return rep, false, err
@@ -899,15 +859,6 @@ func scrapeFlowChains(addr string) (depth int, complete bool, err error) {
 	}
 	busiest := idx.BusiestTrace()
 	return depth, busiest == 0 || idx.Connected(busiest), nil
-}
-
-// mergeLatency folds one server's latency snapshot into a fleet-wide
-// aggregate.
-func mergeLatency(dst *mely.LatencySnapshot, src mely.LatencySnapshot) {
-	for b := range src.Buckets {
-		dst.Buckets[b] += src.Buckets[b]
-	}
-	dst.Sum += src.Sum
 }
 
 // scrapeQueueDelayP99 GETs one server's /metrics and extracts the

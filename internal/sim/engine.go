@@ -33,6 +33,7 @@ import (
 	"github.com/melyruntime/mely/internal/cachesim"
 	"github.com/melyruntime/mely/internal/equeue"
 	"github.com/melyruntime/mely/internal/metrics"
+	"github.com/melyruntime/mely/internal/obs"
 	"github.com/melyruntime/mely/internal/policy"
 	"github.com/melyruntime/mely/internal/profile"
 	"github.com/melyruntime/mely/internal/topology"
@@ -61,28 +62,6 @@ type HandlerOpts struct {
 	AutoPenalty bool
 }
 
-// TraceKind classifies a trace span.
-type TraceKind int
-
-const (
-	// TraceExec is a handler execution span.
-	TraceExec TraceKind = iota + 1
-	// TraceSteal is a successful steal transaction.
-	TraceSteal
-	// TraceFailedSteal is a steal attempt that found nothing.
-	TraceFailedSteal
-)
-
-// TraceEvent describes one span of a core's virtual timeline.
-type TraceEvent struct {
-	Kind       TraceKind
-	Core       int
-	Start, End int64 // virtual cycles
-	Color      equeue.Color
-	Handler    string // handler name (exec) or victim description (steal)
-	Stolen     bool   // exec: the event had been migrated
-}
-
 // Config configures an Engine.
 type Config struct {
 	Topology *topology.Topology
@@ -90,9 +69,14 @@ type Config struct {
 	Params   Params
 	Seed     int64
 
-	// Trace, when non-nil, receives a span for every handler execution
-	// and steal attempt. Keep it fast; it runs inline.
-	Trace func(TraceEvent)
+	// Trace, when non-nil, receives the runtime's flight-recorder
+	// record for every handler execution (KindExec: Arg the color, N
+	// the handler id, StolenFlag set on a migrated event) and every
+	// steal round (KindSteal: Arg the victim, N the colors taken; N == 0
+	// for a round that found nothing) on the given core's timeline, with
+	// cycles converted to nanoseconds at Params.CyclesPerSecond — what
+	// obs.WriteChrome renders. Keep it fast; it runs inline.
+	Trace func(core int, ev obs.Event)
 
 	// OnQuiescent runs when no events remain anywhere (after clocks
 	// sync). Returning false ends the run. Nil means quiescence ends
@@ -284,7 +268,27 @@ func (e *Engine) HandlerProfile(h equeue.HandlerID) *profile.HandlerProfile {
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // SetTrace installs (or replaces) the trace hook; see Config.Trace.
-func (e *Engine) SetTrace(fn func(TraceEvent)) { e.cfg.Trace = fn }
+func (e *Engine) SetTrace(fn func(core int, ev obs.Event)) { e.cfg.Trace = fn }
+
+// HandlerName is the name h was registered under ("" when unknown),
+// the label obs.ChromeConfig resolves a traced handler id to.
+func (e *Engine) HandlerName(h equeue.HandlerID) string {
+	if int(h) < len(e.handlers) {
+		return e.handlers[h].name
+	}
+	return ""
+}
+
+// trace hands the hook one record spanning [start, end) cycles of c's
+// timeline. The duration is the difference of the converted stamps, so
+// spans that abut in cycles abut in nanoseconds.
+func (e *Engine) trace(c *core, k obs.Kind, start, end int64, arg uint64, n uint32) {
+	nanos := func(cycles int64) int64 {
+		return int64(float64(cycles) * 1e9 / e.params.CyclesPerSecond)
+	}
+	ts := nanos(start)
+	e.cfg.Trace(c.id, obs.Event{Kind: k, Ts: ts, Dur: nanos(end) - ts, Arg: arg, N: n})
+}
 
 // NewDataID allocates a fresh data-set identity for the cache model.
 func (e *Engine) NewDataID() uint64 {
@@ -472,15 +476,11 @@ func (e *Engine) startOne(c *core) {
 	c.executing = ev
 	c.stats.BusyCycles += c.clock - start
 	if e.cfg.Trace != nil {
-		e.cfg.Trace(TraceEvent{
-			Kind:    TraceExec,
-			Core:    c.id,
-			Start:   start,
-			End:     c.clock,
-			Color:   ev.Color,
-			Handler: e.handlers[ev.Handler].name,
-			Stolen:  ev.Stolen,
-		})
+		n := uint32(ev.Handler)
+		if ev.Stolen {
+			n |= obs.StolenFlag
+		}
+		e.trace(c, obs.KindExec, start, c.clock, uint64(ev.Color), n)
 	}
 }
 
@@ -574,18 +574,7 @@ func (e *Engine) stealAttempt(c *core) bool {
 		// worthiness threshold balloon under load.
 		e.stealMon.Observe(dt - waited)
 		if e.cfg.Trace != nil {
-			what := fmt.Sprintf("steal from core %d", vid)
-			if n := len(set.Colors); n > 1 {
-				what = fmt.Sprintf("steal %d colors from core %d", n, vid)
-			}
-			e.cfg.Trace(TraceEvent{
-				Kind:    TraceSteal,
-				Core:    c.id,
-				Start:   t0,
-				End:     c.clock,
-				Color:   set.Colors[0],
-				Handler: what,
-			})
+			e.trace(c, obs.KindSteal, t0, c.clock, uint64(vid), uint32(len(set.Colors)))
 		}
 		return true
 	}
@@ -595,12 +584,7 @@ func (e *Engine) stealAttempt(c *core) bool {
 	c.stats.FailedStealCycles += dt
 	c.stats.BusyCycles += dt
 	if e.cfg.Trace != nil && dt > 0 {
-		e.cfg.Trace(TraceEvent{
-			Kind:  TraceFailedSteal,
-			Core:  c.id,
-			Start: t0,
-			End:   c.clock,
-		})
+		e.trace(c, obs.KindSteal, t0, c.clock, 0, 0)
 	}
 	return false
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/melyruntime/mely/internal/equeue"
+	"github.com/melyruntime/mely/internal/obs"
 	"github.com/melyruntime/mely/internal/policy"
 	"github.com/melyruntime/mely/internal/topology"
 )
@@ -360,6 +361,66 @@ func TestStolenTimeAccounting(t *testing.T) {
 	}
 	if tot.StolenExecCycles < tot.StolenEvents*30_000 {
 		t.Errorf("stolen exec cycles %d < %d events * cost", tot.StolenExecCycles, tot.StolenEvents)
+	}
+}
+
+// TestTraceRecordsMatchMetrics: the trace hook's flight-recorder
+// records are the run's counters one by one — an exec record per event
+// (StolenFlag on the migrated ones, handler id and color intact), a
+// KindSteal record per steal carrying its victim and color count, an
+// N == 0 record per fruitless round — stamped in nanoseconds at
+// Params.CyclesPerSecond and serial on each core's timeline.
+func TestTraceRecordsMatchMetrics(t *testing.T) {
+	eng := newEngine(t, policy.MelyBaseWS(), nil)
+	h := eng.Register("work", func(ctx *Ctx, ev *equeue.Event) {}, HandlerOpts{})
+	eng.Seed(func(ctx *Ctx) {
+		for i := 0; i < 100; i++ {
+			ctx.PostTo(0, Ev{Handler: h, Color: equeue.Color(i + 1), Cost: 30_000})
+		}
+	})
+	var exec, stolen, steals, colors, failed int64
+	var lastEnd [8]int64
+	eng.SetTrace(func(core int, ev obs.Event) {
+		if ev.Ts < lastEnd[core] || ev.Dur < 0 {
+			t.Fatalf("core %d: record %+v starts before %d ns, the end of the one before", core, ev, lastEnd[core])
+		}
+		lastEnd[core] = ev.Ts + ev.Dur
+		switch {
+		case ev.Kind == obs.KindExec:
+			exec++
+			if ev.N&^obs.StolenFlag != uint32(h) || ev.Arg < 1 || ev.Arg > 100 {
+				t.Fatalf("exec record %+v: want handler %d, a color in 1..100", ev, h)
+			}
+			if ev.N&obs.StolenFlag != 0 {
+				stolen++
+			}
+			// 30 000 cycles at 2.33 GHz, plus the cache model's share.
+			if ev.Dur < 12_875 {
+				t.Fatalf("exec record %+v shorter than its 30k-cycle cost in ns", ev)
+			}
+		case ev.Kind == obs.KindSteal && ev.N > 0:
+			steals++
+			colors += int64(ev.N)
+			if ev.Arg == uint64(core) || ev.Arg > 7 {
+				t.Fatalf("steal record %+v on core %d: victim must be another core", ev, core)
+			}
+		case ev.Kind == obs.KindSteal:
+			failed++
+		default:
+			t.Fatalf("unexpected record %+v", ev)
+		}
+	})
+	eng.RunUntil(3_000_000_000)
+	tot := eng.Metrics(1).Total()
+	if exec != tot.Events || stolen != tot.StolenEvents || steals != tot.Steals || colors != tot.StolenColors {
+		t.Fatalf("records: %d exec (%d stolen), %d steals of %d colors; metrics: %d (%d), %d of %d",
+			exec, stolen, steals, colors, tot.Events, tot.StolenEvents, tot.Steals, tot.StolenColors)
+	}
+	if steals == 0 || stolen == 0 || failed == 0 || failed > tot.FailedSteals {
+		t.Fatalf("%d steals, %d stolen execs, %d failed rounds (metrics count %d)", steals, stolen, failed, tot.FailedSteals)
+	}
+	if eng.HandlerName(h) != "work" || eng.HandlerName(h+1) != "" {
+		t.Fatalf("HandlerName = %q, %q", eng.HandlerName(h), eng.HandlerName(h+1))
 	}
 }
 

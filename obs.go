@@ -170,16 +170,19 @@ func clampUint32(v int64) int64 {
 
 // DumpTrace renders the flight recorder — every core's ring plus the
 // auxiliary track — as a Chrome trace-event JSON array (the format
-// internal/trace emits for simulator runs): open the dump in Perfetto
+// melytrace writes for simulator runs): open the dump in Perfetto
 // or chrome://tracing to see executions, steal batches, lease
 // re-homes, spills, reloads, timer firings, and poll wakeups on a
 // per-core timeline. Cheap and safe while the runtime runs; records
 // overwritten mid-dump are dropped. With Config.TraceRing negative the
 // dump is an empty array.
 func (r *Runtime) DumpTrace(w io.Writer) error {
-	rings := make([]*obs.Ring, len(r.cores))
-	for i, c := range r.cores {
-		rings[i] = c.ring
+	var tracks []obs.Track
+	if r.traceOn {
+		for i, c := range r.cores {
+			tracks = append(tracks, obs.Track{Name: "core " + strconv.Itoa(i), Events: c.ring.Snapshot(nil)})
+		}
+		tracks = append(tracks, obs.Track{Name: "io/spill", Events: r.ringAux.Snapshot(nil)})
 	}
 	hs := *r.handlers.Load()
 	cfg := obs.ChromeConfig{HandlerName: func(id uint32) string {
@@ -188,7 +191,7 @@ func (r *Runtime) DumpTrace(w io.Writer) error {
 		}
 		return ""
 	}}
-	return obs.WriteChrome(w, rings, r.ringAux, cfg)
+	return obs.WriteChrome(w, tracks, cfg)
 }
 
 // stallStackBytes bounds the goroutine dump captured per stall episode.
@@ -353,7 +356,7 @@ func (r *Runtime) WriteMetrics(w io.Writer) error {
 	// sum is exact (StolenColors), the count is Steals.
 	m.Family("mely_steal_batch_colors", "histogram",
 		"Colors migrated per successful steal, per core.")
-	stealUppers := []float64{1, 2, 4, 8, 16}
+	stealUppers := obs.StealBatchBounds.Uppers(1)
 	for i, c := range s.Cores {
 		m.Histogram("mely_steal_batch_colors", coreLabel(i),
 			stealUppers, c.StealBatchHist[:], float64(c.StolenColors))
@@ -364,7 +367,7 @@ func (r *Runtime) WriteMetrics(w io.Writer) error {
 	// exact at bucket resolution).
 	m.Family("mely_timer_lag_seconds", "histogram",
 		"Timer firing lag (harvest minus deadline), per core; _sum not tracked (0).")
-	timerUppers := []float64{100e-6, 1e-3, 2e-3, 10e-3, 100e-3}
+	timerUppers := obs.TimerLagBounds.Uppers(1e9)
 	for i, c := range s.Cores {
 		m.Histogram("mely_timer_lag_seconds", coreLabel(i),
 			timerUppers, c.TimerLagHist[:], 0)
@@ -428,7 +431,7 @@ func (r *Runtime) WriteMetrics(w io.Writer) error {
 	m.Family("mely_poll_batch_events", "histogram",
 		"Readiness events harvested per poll wakeup.")
 	m.Histogram("mely_poll_batch_events", "",
-		[]float64{1, 4, 16, 64, 256}, s.PollBatchHist[:], float64(s.PollEvents))
+		obs.PollBatchBounds.Uppers(1), s.PollBatchHist[:], float64(s.PollEvents))
 	single("mely_write_stalls_total", "counter",
 		"Writes queued on kernel backpressure.", float64(s.WriteStalls))
 	single("mely_read_pauses_total", "counter",
@@ -453,7 +456,7 @@ func (r *Runtime) WriteMetrics(w io.Writer) error {
 	m.Family("mely_spill_depth_records", "histogram",
 		"Per-color disk depth observed at each spill append; _sum not tracked (0).")
 	m.Histogram("mely_spill_depth_records", "",
-		[]float64{16, 64, 256, 1024, 4096}, s.SpillDepthHist[:], 0)
+		obs.SpillDepthBounds.Uppers(1), s.SpillDepthHist[:], 0)
 	single("mely_spill_syncs_total", "counter",
 		"msync/fsync durability points issued by the spill store.", float64(s.SpillSyncs))
 	single("mely_recovered_events_total", "counter",
@@ -465,7 +468,11 @@ func (r *Runtime) WriteMetrics(w io.Writer) error {
 	// is armed (Config.ObsInterval > 0) so a process either always or
 	// never exposes them — scrapers see a stable series set.
 	if col := r.collector; col != nil {
-		rates := col.ring.LastRates()
+		// The last window: zero until the ring holds two samples.
+		var rates obs.TSPoint
+		if pts := obs.DerivePoints(col.ring.Tail(2, nil)); len(pts) > 0 {
+			rates = pts[0]
+		}
 		single("mely_events_rate", "gauge",
 			"Events executed per second over the last collector window.",
 			rates.EventsPerSec)
@@ -483,7 +490,7 @@ func (r *Runtime) WriteMetrics(w io.Writer) error {
 			rates.SpillBytesPerSec)
 		single("mely_queue_delay_window_p99_seconds", "gauge",
 			"Queue-delay p99 of the last collector window (sampled).",
-			rates.QDelayP99.Seconds())
+			time.Duration(rates.QDelayP99Nanos).Seconds())
 		rep := r.Health()
 		hv := 0.0
 		if rep.Healthy {

@@ -1322,7 +1322,7 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 		}
 		c.stats.steals.Add(1)
 		c.stats.stolenColors.Add(int64(len(colors)))
-		c.stats.batchHist[stealBatchBucket(len(colors))].Add(1)
+		c.stats.batchHist[obs.StealBatchBounds.Bucket(int64(len(colors)))].Add(1)
 		if !r.topo.SharesCache(c.id, vid) {
 			c.stats.remoteSteals.Add(1)
 		}

@@ -46,8 +46,9 @@ func (l LatencySnapshot) Quantile(q float64) time.Duration {
 	return obs.Quantile(&l.Buckets, q)
 }
 
-// merge folds another snapshot into l.
-func (l *LatencySnapshot) merge(o LatencySnapshot) {
+// Merge folds another snapshot into l: two cores' histograms into a
+// runtime's, two runtimes' into a fleet's.
+func (l *LatencySnapshot) Merge(o LatencySnapshot) {
 	for b := range l.Buckets {
 		l.Buckets[b] += o.Buckets[b]
 	}
@@ -78,76 +79,18 @@ func (c ColorDelay) Mean() time.Duration {
 // queue-delay attribution table (CoreStats.TopColorDelays).
 const ColorTopK = 8
 
-// StealBatchBuckets is the length of the steal batch-size histogram in
-// CoreStats.StealBatchHist; see that field for the bucket boundaries.
-const StealBatchBuckets = 6
-
-// stealBatchBucket maps a steal's color count to its histogram bucket:
-// 1, 2, 3–4, 5–8, 9–16, ≥17.
-func stealBatchBucket(n int) int {
-	switch {
-	case n <= 1:
-		return 0
-	case n == 2:
-		return 1
-	case n <= 4:
-		return 2
-	case n <= 8:
-		return 3
-	case n <= 16:
-		return 4
-	default:
-		return 5
-	}
-}
-
-// TimerLagBuckets is the length of the firing-lag histogram in
-// CoreStats.TimerLagHist; see that field for the bucket boundaries.
-const TimerLagBuckets = 6
-
-// timerLagBucket maps a firing lag (harvest time minus deadline) to its
-// histogram bucket: ≤100µs, ≤1ms, ≤2ms, ≤10ms, ≤100ms, >100ms.
-func timerLagBucket(lagNanos int64) int {
-	switch {
-	case lagNanos <= 100_000:
-		return 0
-	case lagNanos <= 1_000_000:
-		return 1
-	case lagNanos <= 2_000_000:
-		return 2
-	case lagNanos <= 10_000_000:
-		return 3
-	case lagNanos <= 100_000_000:
-		return 4
-	default:
-		return 5
-	}
-}
-
-// PollBatchBuckets is the length of the poll batch-size histogram in
-// Stats.PollBatchHist; see that field for the bucket boundaries.
-const PollBatchBuckets = 6
-
-// PollBatchBucket maps a poll wakeup's harvested-event count to its
-// histogram bucket: ≤1, 2–4, 5–16, 17–64, 65–256, >256. Exported so
-// readiness backends (internal/netpoll) bin with the same boundaries
-// Stats reports.
-func PollBatchBucket(n int) int {
-	switch {
-	case n <= 1:
-		return 0
-	case n <= 4:
-		return 1
-	case n <= 16:
-		return 2
-	case n <= 64:
-		return 3
-	case n <= 256:
-		return 4
-	default:
-		return 5
-	}
-}
+// StealBatchBuckets, TimerLagBuckets, PollBatchBuckets and
+// SpillDepthBuckets are the lengths of CoreStats.StealBatchHist,
+// CoreStats.TimerLagHist, Stats.PollBatchHist and Stats.SpillDepthHist.
+// Each histogram's boundaries are declared once, in internal/obs
+// (StealBatchBounds, TimerLagBounds, PollBatchBounds, SpillDepthBounds):
+// the value that bins an observation also labels the rendered series.
+const (
+	StealBatchBuckets = len(obs.StealBatchBounds) + 1
+	TimerLagBuckets   = len(obs.TimerLagBounds) + 1
+	PollBatchBuckets  = len(obs.PollBatchBounds) + 1
+	SpillDepthBuckets = len(obs.SpillDepthBounds) + 1
+)
 
 // PollSample is one readiness-event source's counter snapshot (see
 // Runtime.AddPollSource). Network backends that own their poll loop —
@@ -159,8 +102,8 @@ type PollSample struct {
 	// amortization factor of the batch harvest.
 	Wakeups int64
 	Events  int64
-	// BatchHist bins the events-per-wakeup batch sizes (see
-	// PollBatchBucket for the boundaries).
+	// BatchHist bins the events-per-wakeup batch sizes (the boundaries
+	// are Stats.PollBatchHist's).
 	BatchHist [PollBatchBuckets]int64
 	// WriteStalls counts writes that filled the kernel buffer and fell
 	// back to the pending-write queue (drained on writability under the
@@ -208,8 +151,8 @@ type CoreStats struct {
 	// StolenColors counts colors migrated here by this core's steals:
 	// equal to Steals under the single-color protocol, larger when
 	// batch stealing migrates several colors per attempt.
-	// StealBatchHist is the batch-size histogram of those steals, with
-	// buckets 1, 2, 3–4, 5–8, 9–16, ≥17 colors.
+	// StealBatchHist is the batch-size histogram of those steals
+	// (buckets: obs.StealBatchBounds).
 	StolenColors   int64
 	StealBatchHist [StealBatchBuckets]int64
 	// Parks counts idle sleeps; BackoffParks the subset shortened by
@@ -235,9 +178,9 @@ type CoreStats struct {
 	// executing, plus the continuations that handler chain appended.
 	Queued int
 	// TimersFired counts timers this core's wheel expired; TimerLagHist
-	// is the firing-lag histogram (harvest time minus deadline) with
-	// buckets ≤100µs, ≤1ms, ≤2ms, ≤10ms, ≤100ms, >100ms — the structural
-	// floor is Config.TimerTick plus the park latency of an idle core.
+	// is the firing-lag histogram (harvest time minus deadline; buckets:
+	// obs.TimerLagBounds) — the structural floor is Config.TimerTick
+	// plus the park latency of an idle core.
 	TimersFired  int64
 	TimerLagHist [TimerLagBuckets]int64
 	// TimersPending is the instantaneous number of armed timers on this
@@ -284,7 +227,7 @@ func (c CoreStats) MeanStealBatch() float64 {
 //	Cores[i].StolenEvents     counter    migrated events executed here
 //	Cores[i].StolenTime       counter    their handler time ("stolen time")
 //	Cores[i].StolenColors     counter    colors migrated here by steals
-//	Cores[i].StealBatchHist   histogram  colors per steal: 1,2,3–4,5–8,9–16,≥17
+//	Cores[i].StealBatchHist   histogram  colors per steal (obs.StealBatchBounds)
 //	Cores[i].Parks            counter    idle sleeps
 //	Cores[i].BackoffParks     counter    parks shortened by steal backoff
 //	Cores[i].PostedHere       counter    enqueues landing on this core
@@ -294,7 +237,7 @@ func (c CoreStats) MeanStealBatch() float64 {
 //	Cores[i].Stalls           counter    stall-watchdog episodes on this core
 //	Cores[i].Queued           gauge      instantaneous core queue length
 //	Cores[i].TimersFired      counter    timers expired by this core's wheel
-//	Cores[i].TimerLagHist     histogram  firing lag: ≤100µs,≤1ms,≤2ms,≤10ms,≤100ms,>100ms
+//	Cores[i].TimerLagHist     histogram  firing lag (obs.TimerLagBounds)
 //	Cores[i].TimersPending    gauge      armed timers on this core's wheel
 //	Cores[i].QueueDelayHist   histogram  sampled post→execute delay (power-of-two)
 //	Cores[i].ExecTimeHist     histogram  sampled handler time (power-of-two)
@@ -306,7 +249,7 @@ func (c CoreStats) MeanStealBatch() float64 {
 //	TimersCanceled            counter    firings averted by Cancel
 //	PollWakeups               counter    poll wait returns (all sources)
 //	PollEvents                counter    readiness events harvested
-//	PollBatchHist             histogram  events/wakeup: ≤1,2–4,5–16,17–64,65–256,>256
+//	PollBatchHist             histogram  events per wakeup (obs.PollBatchBounds)
 //	WriteStalls               counter    writes queued on kernel backpressure
 //	ReadPauses                counter    read pauses on saturated data colors
 //	QueuedEvents              gauge      in-memory queued events, runtime-wide
@@ -320,7 +263,7 @@ func (c CoreStats) MeanStealBatch() float64 {
 //	SpillErrors               counter    spill fallbacks (unencodable payload
 //	                                     or disk failure; event kept in memory,
 //	                                     or — reload failure only — dropped)
-//	SpillDepthHist            histogram  disk depth at spill: ≤16,≤64,≤256,≤1k,≤4k,>4k
+//	SpillDepthHist            histogram  disk depth at spill (obs.SpillDepthBounds)
 //	SpillSyncs                counter    msync/fsync durability points issued by
 //	                                     the spill store (Config.SpillSync)
 //	RecoveredEvents           counter    spilled events recovered from surviving
@@ -351,8 +294,8 @@ type Stats struct {
 	// PollWakeups, PollEvents, PollBatchHist, WriteStalls, and
 	// ReadPauses aggregate every registered readiness source
 	// (Runtime.AddPollSource): poll wait returns, events harvested, the
-	// events-per-wakeup histogram (buckets ≤1, 2–4, 5–16, 17–64,
-	// 65–256, >256), writes that hit kernel backpressure and were
+	// events-per-wakeup histogram (buckets: obs.PollBatchBounds),
+	// writes that hit kernel backpressure and were
 	// queued for EPOLLOUT-driven draining, and reads paused because the
 	// connection's data color was saturated. All zero when no source is
 	// registered (e.g. the pump backend without overload bounds).
@@ -372,8 +315,8 @@ type Stats struct {
 	// BlockedPosts count the Reject and Block policies' interventions;
 	// SpillErrors counts spill fallbacks (unencodable payloads and disk
 	// failures); SpillDepthHist bins each spilled record's observed
-	// per-color disk depth (buckets ≤16, ≤64, ≤256, ≤1024, ≤4096,
-	// >4096) — the distribution of how deep the tails run.
+	// per-color disk depth (buckets: obs.SpillDepthBounds) — the
+	// distribution of how deep the tails run.
 	QueuedEvents   int64
 	SpilledEvents  int64
 	SpilledBytes   int64
@@ -516,8 +459,8 @@ func (s Stats) Total() CoreStats {
 			t.TimerLagHist[b] += c.TimerLagHist[b]
 		}
 		t.TimersPending += c.TimersPending
-		t.QueueDelayHist.merge(c.QueueDelayHist)
-		t.ExecTimeHist.merge(c.ExecTimeHist)
+		t.QueueDelayHist.Merge(c.QueueDelayHist)
+		t.ExecTimeHist.Merge(c.ExecTimeHist)
 		t.TopColorDelays = append(t.TopColorDelays, c.TopColorDelays...)
 	}
 	t.TopColorDelays = mergeColorDelays(t.TopColorDelays)
