@@ -1,6 +1,6 @@
 package obs
 
-import "sync/atomic"
+import "github.com/melyruntime/mely/internal/spinlock"
 
 // Kind tags a flight-recorder record with the runtime action it
 // captured. Values are stable — they appear in dumped traces and in
@@ -8,7 +8,7 @@ import "sync/atomic"
 type Kind uint8
 
 const (
-	// KindNone marks an empty or invalidated slot.
+	// KindNone is the zero Kind: no record carries it.
 	KindNone Kind = iota
 	// KindPost: an event was accepted into a core's queue. Ts is the
 	// post timestamp, Arg the color, N the handler id.
@@ -71,9 +71,10 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Event is a decoded flight-recorder record. Ts and Dur are
-// nanoseconds relative to the runtime's epoch. Trace/Span/Parent are
-// the causal-flow identifiers (zero on records of untraced actions).
+// Event is one flight-recorder record, as a Ring stores it and as
+// Snapshot returns it. Ts and Dur are nanoseconds relative to the
+// runtime's epoch. Trace/Span/Parent are the causal-flow identifiers
+// (zero on records of untraced actions).
 type Event struct {
 	Ts     int64
 	Dur    int64
@@ -85,31 +86,27 @@ type Event struct {
 	Kind   Kind
 }
 
-// slot holds one record as independent atomics. Appends under a
-// concurrent Snapshot can tear across fields; the meta word is
-// invalidated first and written last so a torn read usually surfaces as
-// KindNone and gets skipped. The residual window (reader loads meta,
-// writer laps the whole ring, reader loads fields) only mixes two valid
-// records' fields — tolerable for a flight recorder, and filtered
-// further by the decode-time sanity checks in chrome.go.
-type slot struct {
-	ts     atomic.Int64
-	dur    atomic.Int64
-	arg    atomic.Uint64
-	trace  atomic.Uint64
-	span   atomic.Uint64
-	parent atomic.Uint64
-	meta   atomic.Uint64 // kind | uint64(n)<<8
-}
+// snapChunk bounds the slots Snapshot copies out per hold of the ring's
+// lock: a dump delays the ring's writers by one chunk at a time (about
+// 3.5 KB moved, a fraction of a microsecond), whatever the ring's size.
+const snapChunk = 64
 
-// Ring is a fixed-size lock-free flight-recorder buffer. Appends are a
-// fetch-add plus a handful of atomic stores — cheap enough to leave on
-// in production. One Ring belongs to one core (plus one shared auxiliary
-// ring for off-core actions: spill, reload, poll wakeups).
+// Ring is a fixed-size flight-recorder buffer: one lock, a write
+// position and the records, overwritten oldest-first. An append is the
+// lock, seven plain words and the unlock — cheap enough to leave on in
+// production. One Ring belongs to one core (plus one shared auxiliary
+// ring for off-core actions: spill, reload, poll wakeups), so the lock is
+// nearly always its worker's own.
+//
+// Lock order: a ring's lock is a leaf. A post record (notePosted) and a
+// re-home record (deliverLocked) are appended while holding a core lock,
+// so the order is core lock, then ring lock, never the reverse; Snapshot,
+// and with it DumpTrace, takes ring locks only, one at a time.
 type Ring struct {
+	mu    spinlock.Lock
 	mask  uint64
-	pos   atomic.Uint64
-	slots []slot
+	pos   uint64  // records ever appended; the next goes to slots[pos&mask]
+	slots []Event // guarded, like pos, by mu
 }
 
 // NewRing returns a ring holding size records, rounded up to a power
@@ -119,7 +116,7 @@ func NewRing(size int) *Ring {
 	for n < size {
 		n <<= 1
 	}
-	return &Ring{mask: uint64(n - 1), slots: make([]slot, n)}
+	return &Ring{mask: uint64(n - 1), slots: make([]Event, n)}
 }
 
 // Cap is the ring's slot count.
@@ -133,54 +130,40 @@ func (r *Ring) Append(k Kind, ts, dur int64, arg uint64, n uint32) {
 
 // AppendFlow is Append carrying the causal-flow identifiers: the
 // record's trace id, its own span id, and the span that caused it
-// (zero when unknown). The ids ride the same invalidate-first meta
-// protocol as the other fields, so a torn read still surfaces as
-// KindNone and is skipped.
+// (zero when unknown).
 func (r *Ring) AppendFlow(k Kind, ts, dur int64, arg uint64, n uint32, trace, span, parent uint64) {
-	s := &r.slots[(r.pos.Add(1)-1)&r.mask]
-	s.meta.Store(0)
-	s.ts.Store(ts)
-	s.dur.Store(dur)
-	s.arg.Store(arg)
-	s.trace.Store(trace)
-	s.span.Store(span)
-	s.parent.Store(parent)
-	s.meta.Store(uint64(k) | uint64(n)<<8)
+	r.mu.Lock()
+	s := &r.slots[r.pos&r.mask]
+	s.Ts, s.Dur, s.Arg, s.Trace, s.Span, s.Parent, s.N, s.Kind = ts, dur, arg, trace, span, parent, n, k
+	r.pos++
+	r.mu.Unlock()
 }
 
-// Snapshot decodes the ring's current contents oldest-first, appending
-// to dst. Records being overwritten mid-read are dropped; see slot.
+// Snapshot appends to dst, oldest first, the records the ring held when
+// it was called: exactly what was appended, at most Cap of them. It
+// copies them out a chunk per hold of the lock, so writers keep
+// appending meanwhile; records they overwrite before the copy reaches
+// them are skipped, records they add are not part of the snapshot.
 func (r *Ring) Snapshot(dst []Event) []Event {
-	end := r.pos.Load()
+	var buf [snapChunk]Event
 	n := uint64(len(r.slots))
-	start := uint64(0)
-	if end > n {
-		start = end - n
+	r.mu.Lock()
+	end := r.pos
+	for next := uint64(0); ; {
+		// Records older than pos-n are overwritten: before the first
+		// chunk, or by writers since the last one.
+		next = max(next, r.pos-min(r.pos, n))
+		if next >= end {
+			break
+		}
+		// A chunk stops at the end of slots, so it is one contiguous copy.
+		i := next & r.mask
+		c := copy(buf[:], r.slots[i:min(n, i+end-next)])
+		next += uint64(c)
+		r.mu.Unlock()
+		dst = append(dst, buf[:c]...)
+		r.mu.Lock()
 	}
-	for i := start; i < end; i++ {
-		s := &r.slots[i&r.mask]
-		m := s.meta.Load()
-		k := Kind(m & 0xff)
-		if k == KindNone || k >= numKinds {
-			continue
-		}
-		ev := Event{
-			Ts:     s.ts.Load(),
-			Dur:    s.dur.Load(),
-			Arg:    s.arg.Load(),
-			Trace:  s.trace.Load(),
-			Span:   s.span.Load(),
-			Parent: s.parent.Load(),
-			N:      uint32(m >> 8),
-			Kind:   k,
-		}
-		if s.meta.Load() != m {
-			continue
-		}
-		if ev.Ts < 0 || ev.Dur < 0 {
-			continue
-		}
-		dst = append(dst, ev)
-	}
+	r.mu.Unlock()
 	return dst
 }

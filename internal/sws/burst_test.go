@@ -146,6 +146,11 @@ func TestBurstLeavesInOneWrite(t *testing.T) {
 		var log eventLog
 		srv := startServerCfg(t, Config{Files: files, Backend: backend}, log.record)
 		conn := dialBurst(t, srv)
+		// Accept runs under the listener's color, the reads under the
+		// connection's: without this barrier where "accept" falls in
+		// the log is a cross-color scheduling accident (see
+		// waitAccepts in sws_test.go).
+		waitUntil(t, "accept", func() bool { return len(log.with("accept")) == 1 })
 
 		var burst string
 		var want [][]byte

@@ -125,7 +125,8 @@ func (r *Runtime) observeExec(c *rcore, ev *equeue.Event, startRel, elapsed int6
 		}
 		// The exec record carries the causal ids: chains are
 		// reconstructed from exec records alone (posts are sampled),
-		// so this is the one per-event flow cost — three atomic stores.
+		// so this is the one per-event flow cost — three of the record's
+		// seven words.
 		c.ring.AppendFlow(obs.KindExec, startRel, elapsed, uint64(ev.Color), n,
 			ev.TraceID, ev.SpanID, ev.ParentSpan)
 	}
@@ -173,9 +174,10 @@ func clampUint32(v int64) int64 {
 // melytrace writes for simulator runs): open the dump in Perfetto
 // or chrome://tracing to see executions, steal batches, lease
 // re-homes, spills, reloads, timer firings, and poll wakeups on a
-// per-core timeline. Cheap and safe while the runtime runs; records
-// overwritten mid-dump are dropped. With Config.TraceRing negative the
-// dump is an empty array.
+// per-core timeline. Safe while the runtime runs: each ring is copied
+// out a chunk per hold of its lock (obs.Ring.Snapshot), so no worker
+// waits on the dump for longer than that; records overwritten mid-dump
+// are skipped. With Config.TraceRing negative the dump is an empty array.
 func (r *Runtime) DumpTrace(w io.Writer) error {
 	var tracks []obs.Track
 	if r.traceOn {
