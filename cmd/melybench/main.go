@@ -1,6 +1,7 @@
 // Command melybench regenerates every table and figure of "Efficient
 // Workstealing for Multicore Event-Driven Systems" (ICDCS 2010) on the
-// simulated platform, plus the ablation studies listed in DESIGN.md.
+// simulated platform, plus the ablation and extension studies
+// (docs/measurement.md says what measures what).
 //
 // Usage:
 //
@@ -10,9 +11,9 @@
 //	melybench -list             # experiment inventory
 //
 // The CI benchmark-regression gate runs the deterministic gate suite
-// (unbalanced + penalty workloads, single-color and batched stealing),
-// writes the measurements as JSON, and fails when throughput drops
-// more than 10% against a committed baseline:
+// (the specs under scenarios/), writes the measurements as JSON, and
+// fails when throughput drops more than 10% against a committed
+// baseline:
 //
 //	melybench -quick -gate-out BENCH_PR2.json -gate-against BENCH_baseline.json
 //	melybench -quick -gate-out BENCH_baseline.json   # refresh the baseline
@@ -38,6 +39,7 @@ import (
 	"time"
 
 	"github.com/melyruntime/mely/internal/bench"
+	"github.com/melyruntime/mely/internal/obs"
 	"github.com/melyruntime/mely/internal/scenario"
 )
 
@@ -67,8 +69,9 @@ func run() error {
 	if *topoCheck != "" {
 		return runTopologyCheck(*topoCheck)
 	}
+	opt := scenario.Options{Quick: *quick, Seed: *seed}
 	if *topology != "" || *topologyDir != "" {
-		return runTopology(*topology, *topologyDir, *scenarioOut, *gateOut, *gateAgainst, *quick, *seed)
+		return runTopology(*topology, *topologyDir, *scenarioOut, *gateOut, *gateAgainst, opt)
 	}
 
 	if *list {
@@ -77,13 +80,14 @@ func run() error {
 			fmt.Printf("  %-18s %s\n", e.ID, e.Title)
 		}
 		fmt.Println("\ngate scenarios (-gate-out / -gate-against):")
-		for _, s := range bench.GateScenarios() {
-			fmt.Printf("  %s\n", s)
+		for _, s := range scenario.Builtins() {
+			for _, pol := range s.Sim.Policies {
+				fmt.Printf("  %s/%s\n", s.Name, pol)
+			}
 		}
 		return nil
 	}
 
-	opt := bench.Options{Quick: *quick, Seed: *seed}
 	if *gateOut != "" || *gateAgainst != "" {
 		return runGate(opt, *gateOut, *gateAgainst)
 	}
@@ -174,7 +178,7 @@ func runTopologyCheck(root string) error {
 // runTopology runs one spec file or a directory of them, prints the
 // records, writes per-scenario artifacts, and optionally gates the
 // emitted records against a baseline.
-func runTopology(file, dir, outDir, gateOut, gateAgainst string, quick bool, seed int64) error {
+func runTopology(file, dir, outDir, gateOut, gateAgainst string, opt scenario.Options) error {
 	var files []string
 	if file != "" {
 		files = append(files, file)
@@ -189,7 +193,6 @@ func runTopology(file, dir, outDir, gateOut, gateAgainst string, quick bool, see
 	if len(files) == 0 {
 		return fmt.Errorf("no topology specs found")
 	}
-	opt := scenario.Options{Seed: seed, Quick: quick}
 	var recs []scenario.Record
 	var failures []string
 	for _, path := range files {
@@ -225,47 +228,14 @@ func runTopology(file, dir, outDir, gateOut, gateAgainst string, quick bool, see
 				return err
 			}
 			artifact := filepath.Join(outDir, spec.Name+".json")
-			f, err := os.Create(artifact)
-			if err != nil {
-				return err
-			}
-			if err := res.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := obs.DumpToFile(artifact, res.WriteJSON); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "[scenario artifact written to %s]\n", artifact)
 		}
 	}
-	result := bench.GateFromRecords(seed, quick, recs)
-	if gateOut != "" {
-		f, err := os.Create(gateOut)
-		if err != nil {
-			return err
-		}
-		if err := result.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "[gate results written to %s]\n", gateOut)
-	}
-	if gateAgainst != "" {
-		baseline, err := bench.LoadGate(gateAgainst)
-		if err != nil {
-			return err
-		}
-		if violations := bench.CompareGate(baseline, result, bench.GateTolerance); len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintln(os.Stderr, "REGRESSION:", v)
-			}
-			return fmt.Errorf("benchmark gate failed: %d regression(s) against %s", len(violations), gateAgainst)
-		}
-		fmt.Fprintf(os.Stderr, "[gate passed against %s]\n", gateAgainst)
+	if err := finishGate(bench.GateFromRecords(opt.Seed, opt.Quick, recs), gateOut, gateAgainst); err != nil {
+		return err
 	}
 	if len(failures) > 0 {
 		for _, f := range failures {
@@ -276,9 +246,9 @@ func runTopology(file, dir, outDir, gateOut, gateAgainst string, quick bool, see
 	return nil
 }
 
-// runGate measures the gate suite, optionally writes the JSON artifact,
-// and optionally enforces the regression threshold against a baseline.
-func runGate(opt bench.Options, outPath, againstPath string) error {
+// runGate measures the gate suite from the builtin specs and finishes
+// it like a -topology-dir run of the same files.
+func runGate(opt scenario.Options, outPath, againstPath string) error {
 	start := time.Now()
 	result, err := bench.GateSuite(opt)
 	if err != nil {
@@ -289,16 +259,14 @@ func runGate(opt bench.Options, outPath, againstPath string) error {
 			e.Experiment, e.Config, e.KEventsPerSecond, e.StealAttempts, e.Steals, e.StolenColors)
 	}
 	fmt.Fprintf(os.Stderr, "[gate suite done in %v]\n", time.Since(start).Round(time.Millisecond))
+	return finishGate(result, outPath, againstPath)
+}
+
+// finishGate optionally writes the gate result as a JSON artifact and
+// optionally enforces the regression threshold against a baseline.
+func finishGate(result *bench.GateResult, outPath, againstPath string) error {
 	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		if err := result.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := obs.DumpToFile(outPath, result.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "[gate results written to %s]\n", outPath)

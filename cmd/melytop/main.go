@@ -109,38 +109,23 @@ type view struct {
 	samples map[string]float64
 }
 
-var client = &http.Client{Timeout: 2 * time.Second}
-
-func get(addr, path string) (body []byte, status int, err error) {
-	resp, err := client.Get("http://" + addr + path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	body, err = io.ReadAll(resp.Body)
-	return body, resp.StatusCode, err
-}
-
 // fetch scrapes one server's three documents. /metrics is required;
 // the health and timeseries endpoints degrade gracefully (older
 // servers, or ones without -obs-interval).
 func fetch(addr string) (*view, error) {
 	v := &view{addr: addr, healthy: true}
-	raw, status, err := get(addr, "/metrics")
+	raw, _, err := obs.Fetch("http://" + addr + "/metrics")
 	if err != nil {
 		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("/metrics: HTTP %d", status)
 	}
 	if v.samples, err = obs.ParseExposition(string(raw)); err != nil {
 		return nil, err
 	}
-	if raw, status, err = get(addr, "/debug/health"); err == nil {
+	if raw, status, err := obs.Fetch("http://"+addr+"/debug/health", http.StatusOK, http.StatusServiceUnavailable); err == nil {
 		v.healthy = status == http.StatusOK
 		_ = json.Unmarshal(raw, &v.health)
 	}
-	if raw, _, err = get(addr, "/debug/timeseries"); err == nil {
+	if raw, _, err = obs.Fetch("http://" + addr + "/debug/timeseries"); err == nil {
 		_ = json.Unmarshal(raw, &v.dump)
 	}
 	return v, nil

@@ -6,14 +6,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/melyruntime/mely/internal/sfs"
+	"github.com/melyruntime/mely/internal/loadgen"
 )
 
 func main() {
@@ -37,39 +36,23 @@ func run() error {
 		return fmt.Errorf("a -psk is required")
 	}
 
-	var (
-		wg    sync.WaitGroup
-		bytes atomic.Int64
-		fails atomic.Int64
-	)
-	start := time.Now()
-	for i := 0; i < *clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := sfs.Dial(*addr, []byte(*psk))
-			if err != nil {
-				fails.Add(1)
-				return
-			}
-			defer c.Close()
-			c.SetChunk(uint32(*chunkKB) << 10)
-			c.SetReadAhead(*ahead)
-			data, err := c.ReadFile("/data", *fileMB<<20)
-			if err != nil {
-				fails.Add(1)
-				return
-			}
-			bytes.Add(int64(len(data)))
-		}()
+	res, err := loadgen.RunSFS(context.Background(), loadgen.SFSConfig{
+		Addr:      *addr,
+		PSK:       []byte(*psk),
+		Clients:   *clients,
+		Path:      "/data",
+		FileBytes: *fileMB << 20,
+		Chunk:     *chunkKB << 10,
+		ReadAhead: *ahead,
+	})
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if n := fails.Load(); n > 0 {
-		return fmt.Errorf("%d of %d clients failed", n, *clients)
+	if res.Errors > 0 {
+		return fmt.Errorf("%d of %d clients failed", res.Errors, *clients)
 	}
-	mb := float64(bytes.Load()) / (1 << 20)
+	mb := float64(res.BytesRead) / (1 << 20)
 	fmt.Printf("clients=%d read=%.0f MiB elapsed=%v throughput=%.1f MB/s\n",
-		*clients, mb, elapsed.Round(time.Millisecond), mb/elapsed.Seconds())
+		*clients, mb, res.Elapsed.Round(time.Millisecond), mb/res.Elapsed.Seconds())
 	return nil
 }

@@ -24,8 +24,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -112,17 +110,9 @@ func run() error {
 // server-side view can be re-analyzed offline (melytrace
 // -metrics-diff, ad-hoc grepping) long after the server is gone.
 func scrapeMetrics(url, out, suffix string) (map[string]float64, error) {
-	resp, err := http.Get(url)
+	body, _, err := obs.Fetch(url)
 	if err != nil {
 		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
 	if out != "" {
 		if err := os.WriteFile(out+"."+suffix, body, 0o644); err != nil {

@@ -187,7 +187,7 @@ type Config struct {
 	ObsInterval time.Duration
 	// ObsHistory is the time-series ring's capacity in samples
 	// (default 240 — four minutes of history at the 1s interval). The
-	// ring's memory is allocated once at Start and bounded by
+	// ring's memory is allocated once, by New, and bounded by
 	// ObsHistory x the fixed per-sample size; nothing grows with
 	// uptime.
 	ObsHistory int

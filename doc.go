@@ -250,7 +250,8 @@
 // The simulated counterpart of this runtime (internal/sim) executes the
 // same queue structures and policies on a modeled 8-core machine and
 // regenerates every table and figure of the paper: see cmd/melybench
-// and EXPERIMENTS.md. (The simulator keeps the paper's color%ncores
+// and docs/measurement.md, which says how a table is regenerated and
+// how a scenario is written. (The simulator keeps the paper's color%ncores
 // placement; the runtime's default placement is the 64-bit mix.)
 // A one-page map of every layer — public API, scheduling core, spill
 // and timer subsystems, netpoll backends, servers, and the scenario

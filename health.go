@@ -44,8 +44,8 @@ type (
 )
 
 // tsCollector is the per-runtime collector state: the ring, the health
-// configuration, and the episode bookkeeping. Built by Start when
-// Config.ObsInterval > 0.
+// configuration, and the episode bookkeeping. Built by New when
+// Config.ObsInterval > 0; Start launches the loop that feeds it.
 type tsCollector struct {
 	ring     *obs.TimeSeries
 	interval time.Duration

@@ -6,18 +6,18 @@ import (
 	"github.com/melyruntime/mely/internal/equeue"
 	"github.com/melyruntime/mely/internal/metrics"
 	"github.com/melyruntime/mely/internal/policy"
+	"github.com/melyruntime/mely/internal/scenario"
 	"github.com/melyruntime/mely/internal/sim"
 	"github.com/melyruntime/mely/internal/topology"
 	"github.com/melyruntime/mely/internal/workload"
 )
 
-// AblateBatch sweeps Mely's batch threshold (section IV-A fixes it to
+// ablateBatch sweeps Mely's batch threshold (section IV-A fixes it to
 // 10) on a starvation-sensitive workload: one color with a deep backlog
 // shares a core with many single-event colors. The threshold bounds how
 // long the hot color monopolizes the core, which shows up as the mean
 // completion time of the small colors' events.
-func AblateBatch(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+func ablateBatch(opt scenario.Options) (*Report, error) {
 	r := &Report{
 		ID:      "Ablation: batch threshold",
 		Title:   "Batch threshold vs small-color latency (hot color + 100 small colors, one core)",
@@ -51,7 +51,7 @@ func AblateBatch(opt Options) (*Report, error) {
 // runBatchStarvation measures the mean completion time of single-event
 // colors queued behind a hot color's backlog on one core (no stealing,
 // so the threshold is the only fairness mechanism).
-func runBatchStarvation(opt Options, params sim.Params, hotEvents, smallColors int) (meanLatency, hotKEvents float64, err error) {
+func runBatchStarvation(opt scenario.Options, params sim.Params, hotEvents, smallColors int) (meanLatency, hotKEvents float64, err error) {
 	var (
 		eng       *sim.Engine
 		hot, cold equeue.HandlerID
@@ -93,13 +93,12 @@ func runBatchStarvation(opt Options, params sim.Params, hotEvents, smallColors i
 	return sumDone / float64(nDone), float64(hotEvents) / hotSeconds / 1000, nil
 }
 
-// AblateIntervals sweeps the StealingQueue's partial-ordering
+// ablateIntervals sweeps the StealingQueue's partial-ordering
 // granularity (section IV-B uses three time-left intervals to balance
 // insertion and lookup costs). The workload gives core 0 colors whose
 // cumulative costs span three orders of magnitude, so interval count
 // controls how well thieves pick the richest colors first.
-func AblateIntervals(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+func ablateIntervals(opt scenario.Options) (*Report, error) {
 	r := &Report{
 		ID:      "Ablation: stealing-queue intervals",
 		Title:   "Time-left interval count on a skewed-color workload",
@@ -129,7 +128,7 @@ func AblateIntervals(opt Options) (*Report, error) {
 
 // runSkewedColors builds rounds of colors whose backlogs range from one
 // event to hundreds, all registered on core 0.
-func runSkewedColors(opt Options, params sim.Params, pol policy.Config) (*metrics.Run, error) {
+func runSkewedColors(opt scenario.Options, params sim.Params, pol policy.Config) (*metrics.Run, error) {
 	const colors = 48
 	var (
 		eng  *sim.Engine
@@ -167,11 +166,11 @@ func runSkewedColors(opt Options, params sim.Params, pol policy.Config) (*metric
 			ctx.Post(sim.Ev{Handler: feed, Color: ev.Color, Data: next + batch})
 		}
 	}, sim.HandlerOpts{})
-	warm, win := opt.windows(20_000_000, 200_000_000)
-	return measureBuilt(eng, warm, win), nil
+	warm, win := opt.Windows(20_000_000, paperWindow)
+	return sim.Measure(eng, warm, win), nil
 }
 
-// AblateBatchSteal measures batch stealing — not a paper mode; the
+// ablateBatchSteal measures batch stealing — not a paper mode; the
 // paper's protocol migrates exactly one color per steal — on the
 // skewed-color workload, where core 0 keeps regrowing a deep field of
 // worthy colors: the same time-left policy with batching off
@@ -179,8 +178,7 @@ func runSkewedColors(opt Options, params sim.Params, pol policy.Config) (*metric
 // at two caps. Steal attempts, successes, and colors-per-steal expose
 // the amortization directly: batches move the same work in fewer,
 // slightly longer critical sections.
-func AblateBatchSteal(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+func ablateBatchSteal(opt scenario.Options) (*Report, error) {
 	r := &Report{
 		ID:      "Ablation: batch stealing",
 		Title:   "Single-color vs batched steals (skewed colors, time-left WS)",
@@ -218,10 +216,9 @@ func AblateBatchSteal(opt Options) (*Report, error) {
 	return r, nil
 }
 
-// AblateHeuristics runs every heuristic combination over the three
+// ablateHeuristics runs every heuristic combination over the three
 // microbenchmarks — the contribution matrix behind section V-B.
-func AblateHeuristics(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+func ablateHeuristics(opt scenario.Options) (*Report, error) {
 	r := &Report{
 		ID:      "Ablation: heuristics",
 		Title:   "Heuristic combinations, KEvents/s per microbenchmark",
@@ -237,99 +234,86 @@ func AblateHeuristics(opt Options) (*Report, error) {
 		policy.MelyWS(),
 	}
 	for _, pol := range configs {
-		u, err := opt.measureUnbalanced(pol)
-		if err != nil {
-			return nil, err
+		row := []string{pol.String()}
+		for _, name := range []string{"unbalanced", "penalty", "cacheeff"} {
+			run, err := scenario.MeasureSim(workloadSpec(name), pol, opt)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, f0(run.KEventsPerSecond()))
 		}
-		p, err := opt.measurePenalty(pol)
-		if err != nil {
-			return nil, err
-		}
-		c, err := opt.measureCacheEfficient(pol)
-		if err != nil {
-			return nil, err
-		}
-		r.AddRow(pol.String(), f0(u.KEventsPerSecond()), f0(p.KEventsPerSecond()), f0(c.KEventsPerSecond()))
+		r.AddRow(row...)
 	}
 	return r, nil
 }
 
-// DynamicProfile evaluates section VII's future work: deriving the
+// dynamicProfile evaluates section VII's future work: deriving the
 // time-left annotations from online profiling instead of programmer
 // annotations. A single handler whose events have bimodal costs (the
 // unbalanced mix) defeats per-handler averages; splitting the handlers
 // restores the heuristic.
-func DynamicProfile(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+func dynamicProfile(opt scenario.Options) (*Report, error) {
 	r := &Report{
 		ID:      "Future work: dynamic annotations",
 		Title:   "Exact annotations vs learned per-handler estimates (unbalanced, time-left WS)",
 		Columns: []string{"Annotation mode", "KEvents/s", "Steals"},
 	}
-	warm, win := opt.windows(50_000_000, 500_000_000)
-	spec := opt.unbalancedSpec()
-
-	// Exact per-event annotations (the paper's mode).
-	eng, err := workload.BuildUnbalanced(opt.Topology, policy.MelyTimeLeftWS(), opt.Params, opt.Seed, spec)
-	if err != nil {
-		return nil, err
+	rows := []struct {
+		name string
+		spec workload.UnbalancedSpec
+	}{
+		// Exact per-event annotations (the paper's mode).
+		{"exact (paper)", workload.UnbalancedSpec{}},
+		// Learned estimates, one handler for all events: the EWMA
+		// smears short and long events together.
+		{"learned, single handler", workload.UnbalancedSpec{LearnedEstimates: true}},
+		// Learned estimates with the short/long work split into two
+		// handlers: per-handler averages become accurate again.
+		{"learned, split handlers", workload.UnbalancedSpec{LearnedEstimates: true, SplitHandlers: true}},
 	}
-	run := measureBuilt(eng, warm, win)
-	r.AddRow("exact (paper)", f0(run.KEventsPerSecond()), f0(float64(run.Total().Steals)))
-
-	// Learned estimates, one handler for all events: the EWMA smears
-	// short and long events together.
-	eng, err = buildUnbalancedDynamic(opt.Topology, policy.MelyTimeLeftWS(), opt.Params, opt.Seed, spec, false)
-	if err != nil {
-		return nil, err
+	for _, row := range rows {
+		spec := workloadSpec("unbalanced")
+		spec.Sim.Unbalanced = &row.spec
+		run, err := scenario.MeasureSim(spec, policy.MelyTimeLeftWS(), opt)
+		if err != nil {
+			return nil, err
+		}
+		r.AddRow(row.name, f0(run.KEventsPerSecond()), f0(float64(run.Total().Steals)))
 	}
-	run = measureBuilt(eng, warm, win)
-	r.AddRow("learned, single handler", f0(run.KEventsPerSecond()), f0(float64(run.Total().Steals)))
-
-	// Learned estimates with the short/long work split into two
-	// handlers: per-handler averages become accurate again.
-	eng, err = buildUnbalancedDynamic(opt.Topology, policy.MelyTimeLeftWS(), opt.Params, opt.Seed, spec, true)
-	if err != nil {
-		return nil, err
-	}
-	run = measureBuilt(eng, warm, win)
-	r.AddRow("learned, split handlers", f0(run.KEventsPerSecond()), f0(float64(run.Total().Steals)))
 
 	r.AddNote("dynamic profiling works when handlers have stable costs (the paper's stated assumption);")
 	r.AddNote("a bimodal handler defeats the per-handler average and suppresses or misdirects stealing")
 	return r, nil
 }
 
-// DynamicPenalty evaluates the other half of section VII's future work:
+// dynamicPenalty evaluates the other half of section VII's future work:
 // deriving ws_penalty from monitored memory usage (footprint and
 // data-set longevity per handler) instead of programmer annotations.
-func DynamicPenalty(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+func dynamicPenalty(opt scenario.Options) (*Report, error) {
 	r := &Report{
 		ID:      "Future work: dynamic penalties",
 		Title:   "Manual vs monitored ws_penalty (penalty microbenchmark)",
 		Columns: []string{"Annotation mode", "KEvents/s", "L2 misses/event"},
 	}
-	spec := opt.penaltySpec()
 	// Make B events worthy by processing time alone, so only the
 	// penalty (manual or monitored) can exclude them.
-	spec.BCost = 8_000
-	warm, win := opt.windows(20_000_000, 200_000_000)
+	const bCost = 8_000
 	rows := []struct {
 		name string
 		pol  policy.Config
 		spec workload.PenaltySpec
 	}{
-		{"no penalty (time-left only)", policy.MelyTimeLeftWS(), spec},
-		{"manual 1000 (paper)", policy.MelyPenaltyWS(), spec},
-		{"monitored (auto)", policy.MelyPenaltyWS(), func() workload.PenaltySpec { s := spec; s.AutoPenalty = true; return s }()},
+		{"no penalty (time-left only)", policy.MelyTimeLeftWS(), workload.PenaltySpec{BCost: bCost}},
+		{"manual 1000 (paper)", policy.MelyPenaltyWS(), workload.PenaltySpec{BCost: bCost}},
+		{"monitored (auto)", policy.MelyPenaltyWS(), workload.PenaltySpec{BCost: bCost, AutoPenalty: true}},
 	}
 	for _, row := range rows {
-		eng, err := workload.BuildPenalty(opt.Topology, row.pol, opt.Params, opt.Seed, row.spec)
+		spec := workloadSpec("penalty")
+		spec.Sim.Penalty = &row.spec
+		run, err := scenario.MeasureSim(spec, row.pol, opt)
 		if err != nil {
 			return nil, err
 		}
-		run := measureBuilt(eng, warm, win)
 		r.AddRow(row.name, f0(run.KEventsPerSecond()), f1(run.L2MissesPerEvent()))
 	}
 	r.AddNote("the monitored penalty reproduces the manual annotation's behaviour exactly — steal-induced")
@@ -337,105 +321,33 @@ func DynamicPenalty(opt Options) (*Report, error) {
 	return r, nil
 }
 
-// buildUnbalancedDynamic is the unbalanced benchmark with learned
-// (EWMA) handler estimates instead of exact per-event annotations.
-func buildUnbalancedDynamic(topo *topology.Topology, pol policy.Config, params sim.Params, seed int64, spec workload.UnbalancedSpec, split bool) (*sim.Engine, error) {
-	var (
-		eng       *sim.Engine
-		workShort equeue.HandlerID
-		workLong  equeue.HandlerID
-		feed      equeue.HandlerID
-	)
-	if spec.EventsPerRound == 0 {
-		spec.EventsPerRound = 50_000
-	}
-	if spec.ShortCost == 0 {
-		spec.ShortCost = 100
-	}
-	if spec.LongMin == 0 {
-		spec.LongMin = 10_000
-	}
-	if spec.LongMax == 0 {
-		spec.LongMax = 50_000
-	}
-	if spec.ShortPermille == 0 {
-		spec.ShortPermille = 980
-	}
-	cfg := sim.Config{
-		Topology: topo,
-		Policy:   pol,
-		Params:   params,
-		Seed:     seed,
-		OnQuiescent: func(ctx *sim.Ctx) bool {
-			ctx.PostTo(0, sim.Ev{Handler: feed, Color: equeue.DefaultColor, Data: 0})
-			return true
-		},
-	}
-	var err error
-	eng, err = sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	noop := func(ctx *sim.Ctx, ev *equeue.Event) {}
-	workShort = eng.Register("work-short", noop, sim.HandlerOpts{DynamicEstimate: true})
-	if split {
-		workLong = eng.Register("work-long", noop, sim.HandlerOpts{DynamicEstimate: true})
-	} else {
-		workLong = workShort
-	}
-	feed = eng.Register("register", func(ctx *sim.Ctx, ev *equeue.Event) {
-		const batch = 64
-		rng := ctx.Rand()
-		next := ev.Data.(int)
-		for i := next; i < spec.EventsPerRound && i < next+batch; i++ {
-			h, cost := workShort, spec.ShortCost
-			if rng.Intn(1000) >= spec.ShortPermille {
-				h = workLong
-				cost = spec.LongMin + rng.Int63n(spec.LongMax-spec.LongMin+1)
-			}
-			ctx.PostTo(0, sim.Ev{Handler: h, Color: equeue.Color(i%65535 + 1), Cost: cost})
-		}
-		if next+batch < spec.EventsPerRound {
-			ctx.Post(sim.Ev{Handler: feed, Color: ev.Color, Data: next + batch})
-		}
-	}, sim.HandlerOpts{})
-	return eng, nil
-}
-
-// AMD16Locality re-runs the locality experiment (Table VI) on the
+// amd16Locality re-runs the locality experiment (Table VI) on the
 // 16-core AMD topology of section III-A — four packages of four cores
 // sharing an L3 — showing the heuristic generalizes beyond the paper's
 // evaluation machine: steal victims three hops away cost more, so the
 // ordered victim set matters even more than on the Xeon.
-func AMD16Locality(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+func amd16Locality(opt scenario.Options) (*Report, error) {
 	opt.Topology = topology.AMD16Core()
 	r := &Report{
 		ID:      "Extension: AMD 16-core",
 		Title:   "Locality-aware stealing on 4x4-core AMD (cache efficient)",
 		Columns: []string{"Configuration", "KEvents/s", "L2 misses/event", "remote steals"},
 	}
-	for _, pol := range []policy.Config{
-		policy.Mely(), policy.MelyBaseWS(), policy.MelyLocalityWS(), policy.MelyWS(),
-	} {
-		run, err := opt.measureCacheEfficient(pol)
-		if err != nil {
-			return nil, err
-		}
-		r.AddRow(pol.Label(), f0(run.KEventsPerSecond()), f1(run.L2MissesPerEvent()),
-			f0(float64(run.Total().RemoteSteals)))
-	}
+	pols := []policy.Config{policy.Mely(), policy.MelyBaseWS(), policy.MelyLocalityWS(), policy.MelyWS()}
+	err := r.measureRows(workloadSpec("cacheeff"), opt, pols, func(pol policy.Config, run *metrics.Run) []string {
+		return []string{pol.Label(), f0(run.KEventsPerSecond()), f1(run.L2MissesPerEvent()),
+			f0(float64(run.Total().RemoteSteals))}
+	})
 	r.AddNote("the paper evaluates on the 8-core Xeon; this extension checks the heuristics on the")
 	r.AddNote("16-core AMD hierarchy it describes (private L2s, quad-shared L3, NUMA between quads)")
-	return r, nil
+	return r, err
 }
 
-// Stability quantifies run-to-run variance across seeds, the analogue
+// stability quantifies run-to-run variance across seeds, the analogue
 // of the paper's "for all benchmarks, we observe standard deviations
 // below 1%": the throughput of each microbenchmark configuration over
 // several seeds, reported as mean ± relative standard deviation.
-func Stability(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+func stability(opt scenario.Options) (*Report, error) {
 	r := &Report{
 		ID:      "Stability",
 		Title:   "Throughput across seeds (mean KEvents/s, relative stddev)",
@@ -445,17 +357,18 @@ func Stability(opt Options) (*Report, error) {
 	if opt.Quick {
 		reps = 3
 	}
+	unbalanced, cacheEff := workloadSpec("unbalanced"), workloadSpec("cacheeff")
 	for _, pol := range []policy.Config{policy.Mely(), policy.MelyBaseWS(), policy.MelyWS()} {
 		var unb, ce metrics.Series
 		for rep := 0; rep < reps; rep++ {
 			o := opt
 			o.Seed = opt.Seed + int64(rep)
-			u, err := o.measureUnbalanced(pol)
+			u, err := scenario.MeasureSim(unbalanced, pol, o)
 			if err != nil {
 				return nil, err
 			}
 			unb.Observe(u.KEventsPerSecond())
-			c, err := o.measureCacheEfficient(pol)
+			c, err := scenario.MeasureSim(cacheEff, pol, o)
 			if err != nil {
 				return nil, err
 			}

@@ -3,18 +3,25 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"github.com/melyruntime/mely/internal/policy"
+	"github.com/melyruntime/mely/internal/scenario"
 )
 
-// TestAllExperimentsQuick smoke-runs every experiment in quick mode and
-// checks the reports are well-formed. Shape assertions live with the
-// models; here we guarantee the harness itself regenerates everything.
+// TestAllExperimentsQuick runs every experiment in quick mode, checks
+// the reports are well-formed, and holds all 21 of them, printed as
+// `melybench -quick -all` prints them, to testdata/all_quick.golden —
+// captured before the reports moved onto internal/scenario, so
+// "byte-identical" is this test and not a manual diff. Shape assertions
+// live with the models.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
+	var all strings.Builder
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
-			report, err := e.Run(Options{Quick: true})
+			report, err := e.Run(scenario.Options{Quick: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -33,7 +40,59 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if !strings.Contains(b.String(), report.ID) {
 				t.Error("rendered report must carry its ID")
 			}
+			all.WriteString(b.String())
 		})
+	}
+	checkGolden(t, "all_quick.golden", all.String())
+}
+
+// TestGateRowsAreTableRows: a gate record and a table cell of one
+// workload and policy are one measurement. For the two paper workloads
+// the gate runs, the KEvents/s of each scenario.Run record formats to
+// the cell the paper tables print for that policy — it fails the day
+// internal/bench grows a measurement path of its own again.
+func TestGateRowsAreTableRows(t *testing.T) {
+	opt := scenario.Options{Quick: true}
+	matched := 0
+	for name, tables := range map[string][]string{
+		"unbalanced": {"table3", "table4"},
+		"penalty":    {"table5"},
+	} {
+		cells := make(map[string]string) // policy label -> KEvents/s cell
+		for _, id := range tables {
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			report, err := e.Run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range report.Rows {
+				cells[row[0]] = row[1]
+			}
+		}
+		res, err := scenario.Run(workloadSpec(name), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range res.Records {
+			pol, err := policy.Parse(rec.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell, ok := cells[pol.Label()]
+			if !ok {
+				continue // a gate-only configuration (batch stealing)
+			}
+			matched++
+			if got := f0(rec.KEventsPerSecond); got != cell {
+				t.Errorf("%s/%s: gate record %s KEvents/s, table cell %s", name, rec.Config, got, cell)
+			}
+		}
+	}
+	if matched < 4 {
+		t.Errorf("only %d gate records have a table row; the comparison is vacuous", matched)
 	}
 }
 

@@ -3,50 +3,51 @@ package bench
 import (
 	"github.com/melyruntime/mely/internal/compare"
 	"github.com/melyruntime/mely/internal/policy"
+	"github.com/melyruntime/mely/internal/scenario"
 	"github.com/melyruntime/mely/internal/sfsmodel"
+	"github.com/melyruntime/mely/internal/sim"
 	"github.com/melyruntime/mely/internal/swsmodel"
 )
 
 // clientSweep is the x-axis of Figures 4 and 7.
-func (o Options) clientSweep() []int {
+func clientSweep(o scenario.Options) []int {
 	if o.Quick {
 		return []int{400, 1200, 2000}
 	}
 	return []int{200, 400, 600, 800, 1000, 1200, 1400, 1600, 1800, 2000}
 }
 
-func (o Options) measureSFS(pol policy.Config) (float64, error) {
+func measureSFS(o scenario.Options, pol policy.Config) (float64, error) {
 	eng, err := sfsmodel.Build(o.Topology, pol, o.Params, o.Seed, sfsmodel.Spec{})
 	if err != nil {
 		return 0, err
 	}
-	warm, win := o.windows(100_000_000, 400_000_000)
+	warm, win := o.Windows(100_000_000, 400_000_000)
 	if o.Quick {
 		// SFS pipelines need a longer fill than the default quick
 		// scaling provides.
 		warm, win = 50_000_000, 150_000_000
 	}
-	return sfsmodel.MBPerSecond(measureBuilt(eng, warm, win)), nil
+	return sfsmodel.MBPerSecond(sim.Measure(eng, warm, win)), nil
 }
 
-func (o Options) measureSWS(pol policy.Config, clients int, ncopy bool) (float64, error) {
+func measureSWS(o scenario.Options, pol policy.Config, clients int, ncopy bool) (float64, error) {
 	eng, err := swsmodel.Build(o.Topology, pol, o.Params, o.Seed,
 		swsmodel.Spec{Clients: clients, NCopy: ncopy})
 	if err != nil {
 		return 0, err
 	}
-	warm, win := o.windows(50_000_000, 200_000_000)
+	warm, win := o.Windows(50_000_000, paperWindow)
 	if o.Quick {
 		// Keep several injector waves inside the window.
 		warm, win = 30_000_000, 90_000_000
 	}
-	return swsmodel.KRequestsPerSecond(measureBuilt(eng, warm, win)), nil
+	return swsmodel.KRequestsPerSecond(sim.Measure(eng, warm, win)), nil
 }
 
-// Fig3 reproduces Figure 3: SFS throughput with and without the
+// fig3 reproduces Figure 3: SFS throughput with and without the
 // Libasync-smp workstealing (paper: ~85 vs ~115 MB/s, +35%).
-func Fig3(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+func fig3(opt scenario.Options) (*Report, error) {
 	r := &Report{
 		ID:      "Figure 3",
 		Title:   "SFS file server, Libasync-smp with and without workstealing",
@@ -54,7 +55,7 @@ func Fig3(opt Options) (*Report, error) {
 	}
 	paper := map[string]string{"Libasync-smp": "~85", "Libasync-smp - WS": "~115"}
 	for _, pol := range []policy.Config{policy.Libasync(), policy.LibasyncWS()} {
-		mb, err := opt.measureSFS(pol)
+		mb, err := measureSFS(opt, pol)
 		if err != nil {
 			return nil, err
 		}
@@ -63,21 +64,20 @@ func Fig3(opt Options) (*Report, error) {
 	return r, nil
 }
 
-// Fig4 reproduces Figure 4: SWS throughput against the number of
+// fig4 reproduces Figure 4: SWS throughput against the number of
 // clients, Libasync-smp with and without workstealing.
-func Fig4(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+func fig4(opt scenario.Options) (*Report, error) {
 	r := &Report{
 		ID:      "Figure 4",
 		Title:   "SWS Web server vs clients (KRequests/s)",
 		Columns: []string{"Clients", "Libasync-smp", "Libasync-smp - WS"},
 	}
-	for _, n := range opt.clientSweep() {
-		la, err := opt.measureSWS(policy.Libasync(), n, false)
+	for _, n := range clientSweep(opt) {
+		la, err := measureSWS(opt, policy.Libasync(), n, false)
 		if err != nil {
 			return nil, err
 		}
-		laWS, err := opt.measureSWS(policy.LibasyncWS(), n, false)
+		laWS, err := measureSWS(opt, policy.LibasyncWS(), n, false)
 		if err != nil {
 			return nil, err
 		}
@@ -87,10 +87,9 @@ func Fig4(opt Options) (*Report, error) {
 	return r, nil
 }
 
-// Fig7 reproduces Figure 7: SWS under every runtime, plus the µserver
+// fig7 reproduces Figure 7: SWS under every runtime, plus the µserver
 // N-copy and Apache-like baselines.
-func Fig7(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+func fig7(opt scenario.Options) (*Report, error) {
 	r := &Report{
 		ID:    "Figure 7",
 		Title: "SWS Web server across runtimes (KRequests/s)",
@@ -100,20 +99,20 @@ func Fig7(opt Options) (*Report, error) {
 	threaded := compare.DefaultThreadedSpec()
 	threaded.Cores = opt.Topology.NumCores()
 	threaded.CyclesPerSecond = opt.Params.CyclesPerSecond
-	for _, n := range opt.clientSweep() {
-		melyWS, err := opt.measureSWS(policy.MelyWS(), n, false)
+	for _, n := range clientSweep(opt) {
+		melyWS, err := measureSWS(opt, policy.MelyWS(), n, false)
 		if err != nil {
 			return nil, err
 		}
-		ncopy, err := opt.measureSWS(policy.Mely(), n, true)
+		ncopy, err := measureSWS(opt, policy.Mely(), n, true)
 		if err != nil {
 			return nil, err
 		}
-		la, err := opt.measureSWS(policy.Libasync(), n, false)
+		la, err := measureSWS(opt, policy.Libasync(), n, false)
 		if err != nil {
 			return nil, err
 		}
-		laWS, err := opt.measureSWS(policy.LibasyncWS(), n, false)
+		laWS, err := measureSWS(opt, policy.LibasyncWS(), n, false)
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +120,7 @@ func Fig7(opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		mely, err := opt.measureSWS(policy.Mely(), n, false)
+		mely, err := measureSWS(opt, policy.Mely(), n, false)
 		if err != nil {
 			return nil, err
 		}
@@ -132,9 +131,8 @@ func Fig7(opt Options) (*Report, error) {
 	return r, nil
 }
 
-// Fig8 reproduces Figure 8: SFS across runtimes.
-func Fig8(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+// fig8 reproduces Figure 8: SFS across runtimes.
+func fig8(opt scenario.Options) (*Report, error) {
 	r := &Report{
 		ID:      "Figure 8",
 		Title:   "SFS file server across runtimes",
@@ -146,7 +144,7 @@ func Fig8(opt Options) (*Report, error) {
 		"Mely - WS":         "~115 (similar to Libasync-smp - WS)",
 	}
 	for _, pol := range []policy.Config{policy.Libasync(), policy.LibasyncWS(), policy.MelyWS()} {
-		mb, err := opt.measureSFS(pol)
+		mb, err := measureSFS(opt, pol)
 		if err != nil {
 			return nil, err
 		}

@@ -39,36 +39,23 @@ type GateResult struct {
 	Entries []GateEntry `json:"entries"`
 }
 
-// GateScenarios lists the gate suite's experiment/config pairs, for
-// melybench -list. The suite is defined by scenario.Builtins(): the
-// steal-relevant rows of the unbalanced and penalty microbenchmarks,
-// the batched steal protocol the paper tables deliberately exclude,
-// the deadline-driven timer workload, the C10K-style connscale
-// workload, the overload workload (which additionally asserts zero
-// event loss through the spillq disk store, so the gate fails on a
-// correctness regression there, not just a throughput one), and the
-// fault-injected overload-slowdisk variant.
-func GateScenarios() []string {
-	var out []string
-	for _, s := range scenario.Builtins() {
-		for _, pol := range s.Sim.Policies {
-			out = append(out, s.Name+"/"+pol)
-		}
-	}
-	return out
-}
-
 // GateSuite measures every gate configuration by running the builtin
-// scenario specs — the exact same code path `melybench -topology-dir
-// scenarios` takes with the committed spec files. The simulator is
+// scenario specs (scenario.Builtins: the steal-relevant rows of the
+// unbalanced and penalty microbenchmarks, batched stealing, the timer
+// and connscale workloads, and overload with its slow-disk and
+// crash-recovery variants, which assert zero event loss through the
+// spillq disk store, so the gate fails on a correctness regression
+// there, not just a throughput one) — the exact same code path
+// `melybench -topology-dir scenarios` takes with the committed spec
+// files. The simulator is
 // deterministic, so for a fixed seed and size the entries are exact:
 // any drift against a committed baseline is a code change, not noise —
 // which is what lets a 10% gate run on shared CI runners at all.
-func GateSuite(opt Options) (*GateResult, error) {
-	opt = opt.withDefaults()
+func GateSuite(opt scenario.Options) (*GateResult, error) {
+	opt = opt.WithDefaults()
 	var recs []scenario.Record
 	for _, s := range scenario.Builtins() {
-		res, err := scenario.Run(s, opt.scenarioOptions())
+		res, err := scenario.Run(s, opt)
 		if err != nil {
 			return nil, fmt.Errorf("bench: scenario %s: %w", s.Name, err)
 		}

@@ -5,6 +5,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"github.com/melyruntime/mely/internal/scenario"
 )
 
 func writeFile(path string, data []byte) error {
@@ -12,7 +14,7 @@ func writeFile(path string, data []byte) error {
 }
 
 func TestGateSuiteDeterministic(t *testing.T) {
-	opt := Options{Quick: true, Seed: 42}
+	opt := scenario.Options{Quick: true, Seed: 42}
 	a, err := GateSuite(opt)
 	if err != nil {
 		t.Fatal(err)

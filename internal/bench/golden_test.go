@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/melyruntime/mely/internal/scenario"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden files from this run")
@@ -16,7 +18,7 @@ var paperTables = []string{"table1", "table3", "table4", "table5", "table6"}
 
 // renderPaperTables runs the paper's tables and returns them exactly as
 // melybench prints them.
-func renderPaperTables(t *testing.T, opt Options) string {
+func renderPaperTables(t *testing.T, opt scenario.Options) string {
 	t.Helper()
 	var b strings.Builder
 	for _, id := range paperTables {
@@ -60,8 +62,8 @@ func checkGolden(t *testing.T, name, got string) {
 // gate's scenarios never run the list layout, so a change to the steal
 // routine can pass the gate and still move Table III.
 func TestPaperTablesQuickGolden(t *testing.T) {
-	got := renderPaperTables(t, Options{Quick: true})
-	if again := renderPaperTables(t, Options{Quick: true}); again != got {
+	got := renderPaperTables(t, scenario.Options{Quick: true})
+	if again := renderPaperTables(t, scenario.Options{Quick: true}); again != got {
 		t.Fatal("quick tables differ between two runs with one seed")
 	}
 	checkGolden(t, "paper_tables_quick.golden", got)
@@ -72,5 +74,5 @@ func TestPaperTablesFullGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size tables take several seconds")
 	}
-	checkGolden(t, "paper_tables_full.golden", renderPaperTables(t, Options{}))
+	checkGolden(t, "paper_tables_full.golden", renderPaperTables(t, scenario.Options{}))
 }

@@ -1,8 +1,11 @@
-// Package bench regenerates every table and figure of the paper's
-// evaluation (section V) on the simulator, plus the ablation studies
-// DESIGN.md calls out. Each experiment produces a Report that prints as
-// an aligned text table with the paper's reference values alongside the
-// measured ones, so the shape comparison is immediate.
+// Package bench lays out every table and figure of the paper's
+// evaluation (section V), plus the ablation and extension studies, as
+// reports over internal/scenario: a workload is described, sized and
+// measured there (docs/measurement.md), and what this package adds is
+// the columns, the rows' policies, the paper's reference values beside
+// the measured ones, and the notes. Each experiment produces a Report
+// that prints as an aligned text table, so the shape comparison is
+// immediate.
 package bench
 
 import (

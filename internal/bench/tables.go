@@ -3,67 +3,16 @@ package bench
 import (
 	"github.com/melyruntime/mely/internal/metrics"
 	"github.com/melyruntime/mely/internal/policy"
+	"github.com/melyruntime/mely/internal/scenario"
 	"github.com/melyruntime/mely/internal/sfsmodel"
+	"github.com/melyruntime/mely/internal/sim"
 	"github.com/melyruntime/mely/internal/swsmodel"
-	"github.com/melyruntime/mely/internal/workload"
 )
 
-func (o Options) unbalancedSpec() workload.UnbalancedSpec {
-	spec := workload.UnbalancedSpec{}
-	if o.Quick {
-		spec.EventsPerRound = 2000
-	}
-	return spec // zero value = the paper's 50 000 events/round
-}
-
-func (o Options) penaltySpec() workload.PenaltySpec {
-	spec := workload.PenaltySpec{}
-	if o.Quick {
-		spec.NumA = 64
-	}
-	return spec // zero value = 512 A events
-}
-
-func (o Options) cacheEfficientSpec() workload.CacheEfficientSpec {
-	spec := workload.CacheEfficientSpec{}
-	if o.Quick {
-		spec.APerCore = 20
-	}
-	return spec // zero value = one hundred A events per producer core
-}
-
-func (o Options) measureUnbalanced(pol policy.Config) (*metrics.Run, error) {
-	eng, err := workload.BuildUnbalanced(o.Topology, pol, o.Params, o.Seed, o.unbalancedSpec())
-	if err != nil {
-		return nil, err
-	}
-	warm, win := o.windows(50_000_000, 500_000_000)
-	return measureBuilt(eng, warm, win), nil
-}
-
-func (o Options) measurePenalty(pol policy.Config) (*metrics.Run, error) {
-	eng, err := workload.BuildPenalty(o.Topology, pol, o.Params, o.Seed, o.penaltySpec())
-	if err != nil {
-		return nil, err
-	}
-	warm, win := o.windows(20_000_000, 200_000_000)
-	return measureBuilt(eng, warm, win), nil
-}
-
-func (o Options) measureCacheEfficient(pol policy.Config) (*metrics.Run, error) {
-	eng, err := workload.BuildCacheEfficient(o.Topology, pol, o.Params, o.Seed, o.cacheEfficientSpec())
-	if err != nil {
-		return nil, err
-	}
-	warm, win := o.windows(20_000_000, 200_000_000)
-	return measureBuilt(eng, warm, win), nil
-}
-
-// Table1 reproduces Table I: the average time spent to steal a set of
+// table1 reproduces Table I: the average time spent to steal a set of
 // events and the average processing time of the stolen set, for SFS and
 // the SWS Web server under Libasync-smp's workstealing.
-func Table1(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+func table1(opt scenario.Options) (*Report, error) {
 	r := &Report{
 		ID:    "Table I",
 		Title: "Stealing time vs stolen time (Libasync-smp - WS)",
@@ -78,26 +27,25 @@ func Table1(opt Options) (*Report, error) {
 	// No warmup here: SFS's 16 persistent colors are rebalanced by a
 	// burst of steals early on and ownership then stays put, so the
 	// steals to measure are the early ones.
-	_, sfsWin := opt.windows(0, 400_000_000)
-	sfsRun := measureBuilt(sfsEng, 1, sfsWin)
+	_, sfsWin := opt.Windows(0, 400_000_000)
+	sfsRun := sim.Measure(sfsEng, 1, sfsWin)
 	r.AddRow("SFS", f0(sfsRun.StealCostCycles()), f0(sfsRun.StolenTimeCycles()), "4.8K", "1200K")
 
 	swsEng, err := swsmodel.Build(opt.Topology, policy.LibasyncWS(), opt.Params, opt.Seed, swsmodel.Spec{Clients: 2000})
 	if err != nil {
 		return nil, err
 	}
-	warm, win := opt.windows(50_000_000, 200_000_000)
-	swsRun := measureBuilt(swsEng, warm, win)
+	warm, win := opt.Windows(50_000_000, paperWindow)
+	swsRun := sim.Measure(swsEng, warm, win)
 	r.AddRow("Web server", f0(swsRun.StealCostCycles()), f0(swsRun.StolenTimeCycles()), "197K", "20K")
 
 	r.AddNote("SFS steals are cheap (short queues, coarse handlers); Web-server steals scan deep queues.")
 	return r, nil
 }
 
-// Table2 reproduces Table II: the memory access latencies of the
+// table2 reproduces Table II: the memory access latencies of the
 // modeled machine. Run cmd/memlat to measure the host's real hierarchy.
-func Table2(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+func table2(opt scenario.Options) (*Report, error) {
 	c := opt.Params.Cache
 	r := &Report{
 		ID:      "Table II",
@@ -112,10 +60,9 @@ func Table2(opt Options) (*Report, error) {
 	return r, nil
 }
 
-// Table3 reproduces Table III: the impact of the base workstealing on
+// table3 reproduces Table III: the impact of the base workstealing on
 // the unbalanced microbenchmark for both runtimes.
-func Table3(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+func table3(opt scenario.Options) (*Report, error) {
 	r := &Report{
 		ID:    "Table III",
 		Title: "Impact of the base workstealing (unbalanced)",
@@ -128,27 +75,21 @@ func Table3(opt Options) (*Report, error) {
 		"Mely":              "1265",
 		"Mely - base WS":    "1195",
 	}
-	for _, pol := range []policy.Config{
-		policy.Libasync(), policy.LibasyncWS(), policy.Mely(), policy.MelyBaseWS(),
-	} {
-		run, err := opt.measureUnbalanced(pol)
-		if err != nil {
-			return nil, err
-		}
+	pols := []policy.Config{policy.Libasync(), policy.LibasyncWS(), policy.Mely(), policy.MelyBaseWS()}
+	err := r.measureRows(workloadSpec("unbalanced"), opt, pols, func(pol policy.Config, run *metrics.Run) []string {
 		cost := "-"
 		if run.Total().Steals > 0 {
 			cost = f0(run.StealCostCycles())
 		}
 		name := pol.Label()
-		r.AddRow(name, f0(run.KEventsPerSecond()), f2(run.LockingTimePercent())+"%", cost, paper[name])
-	}
+		return []string{name, f0(run.KEventsPerSecond()), f2(run.LockingTimePercent()) + "%", cost, paper[name]}
+	})
 	r.AddNote("paper WS costs: Libasync-smp 28329 cycles, Mely base 2261 cycles")
-	return r, nil
+	return r, err
 }
 
-// Table4 reproduces Table IV: the impact of the time-left heuristic.
-func Table4(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+// table4 reproduces Table IV: the impact of the time-left heuristic.
+func table4(opt scenario.Options) (*Report, error) {
 	r := &Report{
 		ID:    "Table IV",
 		Title: "Impact of the time-left heuristic (unbalanced)",
@@ -161,79 +102,60 @@ func Table4(opt Options) (*Report, error) {
 		"Mely - base WS":       {"1195", "445"},
 		"Mely - time-aware WS": {"2042", "49987"},
 	}
-	for _, pol := range []policy.Config{
-		policy.Libasync(), policy.LibasyncWS(), policy.MelyBaseWS(), policy.MelyTimeLeftWS(),
-	} {
-		run, err := opt.measureUnbalanced(pol)
-		if err != nil {
-			return nil, err
-		}
+	pols := []policy.Config{policy.Libasync(), policy.LibasyncWS(), policy.MelyBaseWS(), policy.MelyTimeLeftWS()}
+	err := r.measureRows(workloadSpec("unbalanced"), opt, pols, func(pol policy.Config, run *metrics.Run) []string {
 		stolen := "-"
 		if run.Total().Steals > 0 {
 			stolen = f0(run.StolenTimeCycles())
 		}
 		name := pol.Label()
-		p := paper[name]
-		r.AddRow(name, f0(run.KEventsPerSecond()), stolen, p[0], p[1])
-	}
-	return r, nil
+		return []string{name, f0(run.KEventsPerSecond()), stolen, paper[name][0], paper[name][1]}
+	})
+	return r, err
 }
 
-// Table5 reproduces Table V: the impact of penalty-aware stealing.
-func Table5(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+// missCells is the row Tables V and VI share: throughput and L2 misses
+// per event beside the paper's two values.
+func missCells(paper map[string][2]string) func(policy.Config, *metrics.Run) []string {
+	return func(pol policy.Config, run *metrics.Run) []string {
+		name := pol.Label()
+		return []string{name, f0(run.KEventsPerSecond()), f1(run.L2MissesPerEvent()), paper[name][0], paper[name][1]}
+	}
+}
+
+// table5 reproduces Table V: the impact of penalty-aware stealing.
+func table5(opt scenario.Options) (*Report, error) {
 	r := &Report{
 		ID:    "Table V",
 		Title: "Impact of the penalty-aware stealing (penalty)",
 		Columns: []string{"Configuration", "KEvents/s", "L2 misses/event",
 			"paper KEv/s", "paper misses"},
 	}
-	paper := map[string][2]string{
+	pols := []policy.Config{policy.Libasync(), policy.LibasyncWS(), policy.MelyBaseWS(), policy.MelyPenaltyWS()}
+	err := r.measureRows(workloadSpec("penalty"), opt, pols, missCells(map[string][2]string{
 		"Libasync-smp":            {"1103", "29"},
 		"Libasync-smp - WS":       {"190", "167K"},
 		"Mely - base WS":          {"1386", "42K"},
 		"Mely - penalty-aware WS": {"2122", "2K"},
-	}
-	for _, pol := range []policy.Config{
-		policy.Libasync(), policy.LibasyncWS(), policy.MelyBaseWS(), policy.MelyPenaltyWS(),
-	} {
-		run, err := opt.measurePenalty(pol)
-		if err != nil {
-			return nil, err
-		}
-		name := pol.Label()
-		p := paper[name]
-		r.AddRow(name, f0(run.KEventsPerSecond()), f1(run.L2MissesPerEvent()), p[0], p[1])
-	}
+	}))
 	r.AddNote("absolute miss counts depend on the cache model granularity; compare ratios between rows")
-	return r, nil
+	return r, err
 }
 
-// Table6 reproduces Table VI: the impact of locality-aware stealing.
-func Table6(opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+// table6 reproduces Table VI: the impact of locality-aware stealing.
+func table6(opt scenario.Options) (*Report, error) {
 	r := &Report{
 		ID:    "Table VI",
 		Title: "Impact of the locality-aware stealing (cache efficient)",
 		Columns: []string{"Configuration", "KEvents/s", "L2 misses/event",
 			"paper KEv/s", "paper misses"},
 	}
-	paper := map[string][2]string{
+	pols := []policy.Config{policy.Libasync(), policy.LibasyncWS(), policy.MelyBaseWS(), policy.MelyLocalityWS()}
+	err := r.measureRows(workloadSpec("cacheeff"), opt, pols, missCells(map[string][2]string{
 		"Libasync-smp":             {"1156", "0"},
 		"Libasync-smp - WS":        {"1497", "13"},
 		"Mely - base WS":           {"1426", "12"},
 		"Mely - locality-aware WS": {"1869", "2"},
-	}
-	for _, pol := range []policy.Config{
-		policy.Libasync(), policy.LibasyncWS(), policy.MelyBaseWS(), policy.MelyLocalityWS(),
-	} {
-		run, err := opt.measureCacheEfficient(pol)
-		if err != nil {
-			return nil, err
-		}
-		name := pol.Label()
-		p := paper[name]
-		r.AddRow(name, f0(run.KEventsPerSecond()), f1(run.L2MissesPerEvent()), p[0], p[1])
-	}
-	return r, nil
+	}))
+	return r, err
 }

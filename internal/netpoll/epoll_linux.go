@@ -96,7 +96,7 @@ type pollShard struct {
 
 	wakeups   atomic.Int64
 	harvested atomic.Int64
-	batchHist [mely.PollBatchBuckets]atomic.Int64
+	batchHist obs.Counts
 }
 
 // epollConn is the per-connection state of the epoll backend. The
@@ -180,9 +180,7 @@ func (be *epollBackend) sample() mely.PollSample {
 	for _, sh := range be.shards {
 		s.Wakeups += sh.wakeups.Load()
 		s.Events += sh.harvested.Load()
-		for b := range s.BatchHist {
-			s.BatchHist[b] += sh.batchHist[b].Load()
-		}
+		sh.batchHist.AddTo(&s.BatchHist)
 	}
 	s.WriteStalls = be.writeStalls.Load()
 	s.ReadPauses = be.readPauses.Load()
@@ -244,7 +242,7 @@ func (sh *pollShard) run() {
 		if n > 0 {
 			sh.wakeups.Add(1)
 			sh.harvested.Add(int64(n))
-			sh.batchHist[obs.PollBatchBounds.Bucket(int64(n))].Add(1)
+			sh.batchHist.Observe(&obs.PollBatchBounds, int64(n))
 			sh.be.s.cfg.Runtime.TracePollWakeup(n)
 		}
 

@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"time"
 )
 
 // DebugServer is the optional observability side listener servers mount
@@ -36,6 +38,34 @@ func (d *DebugServer) Addr() string { return d.ln.Addr().String() }
 
 // Close stops the listener; in-flight scrapes are abandoned.
 func (d *DebugServer) Close() error { return d.srv.Close() }
+
+// scrapeClient bounds a scrape: an unreachable or wedged server fails a
+// melytop frame or a scenario gate instead of hanging it.
+var scrapeClient = &http.Client{Timeout: 5 * time.Second}
+
+// Fetch GETs url, an endpoint of a server's side listener, and returns
+// the body and the status code. A status outside accept (200 alone when
+// none is given) is an error, so no scraper parses an error page:
+// /debug/health answers 200 when healthy and 503 with the same report
+// while anomalies fire, everything else is 200 or broken.
+func Fetch(url string, accept ...int) (body []byte, status int, err error) {
+	resp, err := scrapeClient.Get(url)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer resp.Body.Close()
+	if len(accept) == 0 {
+		accept = []int{http.StatusOK}
+	}
+	if !slices.Contains(accept, resp.StatusCode) {
+		return nil, resp.StatusCode, fmt.Errorf("GET %s: %s", url, resp.Status)
+	}
+	body, err = io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, resp.StatusCode, fmt.Errorf("GET %s: %w", url, err)
+	}
+	return body, resp.StatusCode, nil
+}
 
 // DumpToFile writes one dump (e.g. Runtime.DumpTrace) to path,
 // truncating any previous dump there.

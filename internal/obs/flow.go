@@ -214,11 +214,30 @@ func (idx *FlowIndex) BusiestTrace() uint64 {
 
 // CriticalPath is the chain from the trace's root to the span that
 // finished last — the hops that bound the trace's end-to-end latency.
-// Returned root-first; empty when the trace is unknown.
+// Returned root-first; empty when the trace is unknown. Timestamps are
+// whole microseconds, so a span can end in the tick an ancestor ends
+// in: of two equal ends the deeper span finished last (it ended after
+// its ancestor began), and of two equally deep ones the lower span id
+// wins, so that the answer does not depend on the order of the dump.
 func (idx *FlowIndex) CriticalPath(trace uint64) []*FlowSpan {
+	depth := func(s *FlowSpan) (d int) {
+		for p := idx.Spans[s.Parent]; p != nil && d < len(idx.Spans); p = idx.Spans[p.Parent] {
+			d++
+		}
+		return d
+	}
+	after := func(a, b *FlowSpan) bool {
+		if a.End != b.End {
+			return a.End > b.End
+		}
+		if da, db := depth(a), depth(b); da != db {
+			return da > db
+		}
+		return a.Span < b.Span
+	}
 	var last *FlowSpan
 	for _, s := range idx.Traces[trace] {
-		if last == nil || s.End > last.End {
+		if last == nil || after(s, last) {
 			last = s
 		}
 	}

@@ -139,6 +139,26 @@ var (
 	SpillDepthBounds = Bounds{16, 64, 256, 1024, 4096}
 )
 
+// NumBuckets is the bucket count of a histogram shaped by a Bounds.
+const NumBuckets = len(Bounds{}) + 1
+
+// Counts is the counter half of such a histogram: one atomic word per
+// bucket and nothing beside them — the footprint of the plain
+// [NumBuckets]atomic.Int64 a hot struct would otherwise declare, so
+// putting one there moves no neighbouring field.
+type Counts [NumBuckets]atomic.Int64
+
+// Observe counts v into the bucket b bins it in.
+func (c *Counts) Observe(b *Bounds, v int64) { c[b.Bucket(v)].Add(1) }
+
+// AddTo adds the counts to a snapshot: into a zero one it is the load,
+// into a running one the merge of several counters (netpoll's shards).
+func (c *Counts) AddTo(snap *[NumBuckets]int64) {
+	for i := range c {
+		snap[i] += c[i].Load()
+	}
+}
+
 // Bucket is the index of the first bound v does not exceed, len(b)
 // past the last.
 func (b *Bounds) Bucket(v int64) int {

@@ -324,3 +324,32 @@ func TestRingSnapshotRacesWrap(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestCriticalPathTies: dump timestamps are whole microseconds, so a
+// leaf can end in the tick its ancestor ends in. The path then runs to
+// the leaf — the descendant finished last — whatever order the dump
+// lists the spans in, and equally deep spans tie toward the lower id.
+func TestCriticalPathTies(t *testing.T) {
+	root := &FlowSpan{Trace: 1, Span: 10, Start: 0, End: 9}
+	mid := &FlowSpan{Trace: 1, Span: 11, Parent: 10, Start: 2, End: 9}
+	leaf := &FlowSpan{Trace: 1, Span: 12, Parent: 11, Start: 5, End: 9}
+	twin := &FlowSpan{Trace: 1, Span: 13, Parent: 11, Start: 6, End: 9}
+	early := &FlowSpan{Trace: 1, Span: 14, Parent: 12, Start: 7, End: 8}
+	spans := []*FlowSpan{root, mid, leaf, twin, early}
+	for rot := range spans {
+		idx := &FlowIndex{Spans: map[uint64]*FlowSpan{}, Traces: map[uint64][]*FlowSpan{}}
+		for i := range spans {
+			s := spans[(i+rot)%len(spans)]
+			idx.Spans[s.Span] = s
+			idx.Traces[1] = append(idx.Traces[1], s)
+		}
+		path := idx.CriticalPath(1)
+		if len(path) != 3 || path[0] != root || path[1] != mid || path[2] != leaf {
+			var ids []uint64
+			for _, s := range path {
+				ids = append(ids, s.Span)
+			}
+			t.Errorf("dump order rotated by %d: critical path %v, want [10 11 12]", rot, ids)
+		}
+	}
+}

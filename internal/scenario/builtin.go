@@ -19,29 +19,31 @@ var gateOrder = []string{
 // Builtins returns the canonical gate scenarios, in gate-entry order,
 // parsed from the spec files under scenarios/ (embedded in the binary) —
 // the same files `melybench -topology-dir scenarios` loads, which is what
-// makes that run and the code-driven bench.GateSuite one suite.
+// makes that run and bench.GateSuite one suite.
 func Builtins() []*Spec {
 	specs := make([]*Spec, len(gateOrder))
 	for i, name := range gateOrder {
-		data, err := scenarios.Files.ReadFile(name + ".yaml")
-		if err == nil {
-			specs[i], err = Parse(data, false)
-		}
+		spec, err := Builtin(name)
 		if err != nil {
 			// A committed gate spec that does not parse is a bug in the
 			// tree (TestBuiltinsValidate), not an input error.
-			panic(fmt.Sprintf("scenario: builtin %s: %v", name, err))
+			panic(err)
 		}
+		specs[i] = spec
 	}
 	return specs
 }
 
-// Builtin returns one canonical scenario by name.
+// Builtin returns a fresh copy of one canonical scenario by name (its
+// file's name: TestScenarioFilesMatchBuiltins holds the two equal).
 func Builtin(name string) (*Spec, error) {
-	for _, s := range Builtins() {
-		if s.Name == name {
-			return s, nil
-		}
+	data, err := scenarios.Files.ReadFile(name + ".yaml")
+	if err != nil {
+		return nil, fmt.Errorf("scenario: no builtin scenario %q", name)
 	}
-	return nil, fmt.Errorf("scenario: no builtin scenario %q", name)
+	spec, err := Parse(data, false)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: builtin %s: %w", name, err)
+	}
+	return spec, nil
 }

@@ -1,15 +1,15 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -358,6 +358,15 @@ func runLive(s *Spec, opt Options) (*Record, error) {
 		}()
 	}
 
+	// stop ends the run-wide goroutines (faults, health poller, heap
+	// sampler) and waits for them.
+	stop := func() {
+		cancelRun()
+		runFaults.Wait()
+		healthWG.Wait()
+		samplerWG.Wait()
+	}
+
 	var measured loadAgg
 	var sawMeasure bool
 	for i := range s.Phases {
@@ -369,9 +378,7 @@ func runLive(s *Spec, opt Options) (*Record, error) {
 		cancelPhase()
 		phFaults.Wait()
 		if err != nil {
-			cancelRun()
-			runFaults.Wait()
-			samplerWG.Wait()
+			stop()
 			return nil, fmt.Errorf("%s: phase %q: %w", s.Name, ph.Name, err)
 		}
 		if ph.Measure {
@@ -387,10 +394,7 @@ func runLive(s *Spec, opt Options) (*Record, error) {
 		for name, ls := range servers {
 			h, healthy, err := scrapeHealth(ls.dbg.Addr())
 			if err != nil {
-				cancelRun()
-				runFaults.Wait()
-				healthWG.Wait()
-				samplerWG.Wait()
+				stop()
 				return nil, fmt.Errorf("%s: server %q: %w", s.Name, name, err)
 			}
 			health.healthyNow = health.healthyNow && healthy
@@ -398,10 +402,7 @@ func runLive(s *Spec, opt Options) (*Record, error) {
 			health.anomalies += h.TotalAnomalies
 		}
 	}
-	cancelRun()
-	runFaults.Wait()
-	healthWG.Wait()
-	samplerWG.Wait()
+	stop()
 	if !sawMeasure {
 		return nil, fmt.Errorf("%s: %w: no measure phase ran", s.Name, ErrBadPhase)
 	}
@@ -474,8 +475,8 @@ func runLive(s *Spec, opt Options) (*Record, error) {
 			"connects": float64(measured.connects),
 			"served":   float64(served),
 			"shed":     float64(shed),
-			"p50_ms":   float64(measured.p50) / float64(time.Millisecond),
-			"p99_ms":   float64(measured.p99) / float64(time.Millisecond),
+			"p50_ms":   millis(measured.p50),
+			"p99_ms":   millis(measured.p99),
 			"rss_mb":   rssMB,
 		},
 	}
@@ -483,32 +484,25 @@ func runLive(s *Spec, opt Options) (*Record, error) {
 	// zero when sampling is off or nothing was sampled). These land in
 	// melybench -scenario-out next to the client-side percentiles.
 	if qdHist.Count() > 0 {
-		rec.Payload["queue_delay_p50_ms"] = float64(qdHist.Quantile(0.50)) / float64(time.Millisecond)
-		rec.Payload["queue_delay_p99_ms"] = float64(qdHist.Quantile(0.99)) / float64(time.Millisecond)
+		rec.Payload["queue_delay_p50_ms"] = millis(qdHist.Quantile(0.50))
+		rec.Payload["queue_delay_p99_ms"] = millis(qdHist.Quantile(0.99))
 	}
 	if etHist.Count() > 0 {
-		rec.Payload["exec_p50_ms"] = float64(etHist.Quantile(0.50)) / float64(time.Millisecond)
-		rec.Payload["exec_p99_ms"] = float64(etHist.Quantile(0.99)) / float64(time.Millisecond)
+		rec.Payload["exec_p50_ms"] = millis(etHist.Quantile(0.50))
+		rec.Payload["exec_p99_ms"] = millis(etHist.Quantile(0.99))
 	}
 	if s.wantsTraceSLO() {
 		rec.Payload["chain_depth"] = float64(chainDepth)
 	}
 	if s.wantsHealthSLO() {
 		rec.Payload["anomalies"] = float64(health.anomalies)
+		rec.Payload["saw_unhealthy"] = 0
 		if health.sawUnhealthy {
 			rec.Payload["saw_unhealthy"] = 1
-		} else {
-			rec.Payload["saw_unhealthy"] = 0
 		}
 	}
 	rec.SLOs = s.evalLiveSLOs(rec, measured, rssMB, scrapedQD, chainDepth, chainOK, health)
-	for _, slo := range rec.SLOs {
-		if !slo.Pass {
-			return rec, fmt.Errorf("%s: SLO %s on phase %q violated: %g (limit %g)",
-				s.Name, slo.Check, slo.Phase, slo.Value, slo.Limit)
-		}
-	}
-	return rec, nil
+	return rec, violation(s.Name, rec.SLOs)
 }
 
 // runPhaseLoads drives every load attached to the phase (explicitly by
@@ -595,73 +589,24 @@ func runHTTPLoad(ctx context.Context, ls *liveServer, ld *LoadSpec, d time.Durat
 }
 
 // runSFSLoad drives one sfs load generator: closed-loop clients each
-// reading /data whole-file over one persistent connection, multio
-// style. Shed READs (ErrOverloaded) count as errors but do not abort
-// the client — the SLO block decides how many are acceptable.
+// reading /data whole-file over one persistent connection. Shed READs
+// count as errors — the SLO block decides how many are acceptable.
 func runSFSLoad(ctx context.Context, ls *liveServer, ld *LoadSpec, d time.Duration) (loadgen.Result, error) {
-	loadCtx, cancel := context.WithTimeout(ctx, d)
-	defer cancel()
-	deadline, _ := loadCtx.Deadline()
-
-	var (
-		requests, errCount, connects atomic.Int64
-		lat                          loadgen.LatencyRecorder
-		wg                           sync.WaitGroup
-	)
-	think := mustDuration(ld.Think)
-	for i := 0; i < ld.Clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var samples []time.Duration
-			defer func() { lat.Add(samples) }()
-			for loadCtx.Err() == nil && time.Now().Before(deadline) {
-				c, err := sfs.Dial(ls.addr, ls.psk)
-				if err != nil {
-					if loadCtx.Err() == nil && time.Now().Before(deadline) {
-						errCount.Add(1)
-					}
-					return
-				}
-				connects.Add(1)
-				if ld.Chunk > 0 {
-					c.SetChunk(uint32(ld.Chunk))
-				}
-				if ld.ReadAhead > 0 {
-					c.SetReadAhead(ld.ReadAhead)
-				}
-				for loadCtx.Err() == nil && time.Now().Before(deadline) {
-					began := time.Now()
-					_, err := c.ReadFile("/data", ls.fileBytes)
-					if err != nil {
-						if loadCtx.Err() == nil && time.Now().Before(deadline) {
-							errCount.Add(1)
-						}
-						if !errors.Is(err, sfs.ErrOverloaded) {
-							break // reconnect on hard failure
-						}
-						continue
-					}
-					requests.Add(1)
-					samples = append(samples, time.Since(began))
-					if think > 0 {
-						time.Sleep(think)
-					}
-				}
-				c.Close()
-			}
-		}()
-	}
-	wg.Wait()
-	res := loadgen.Result{
-		Requests: requests.Load(),
-		Errors:   errCount.Load(),
-		Connects: connects.Load(),
-		Elapsed:  d,
-	}
-	res.LatencyP50, res.LatencyP99 = lat.Percentiles()
-	return res, nil
+	return loadgen.RunSFS(ctx, loadgen.SFSConfig{
+		Addr:      ls.addr,
+		PSK:       ls.psk,
+		Clients:   ld.Clients,
+		Path:      "/data",
+		FileBytes: ls.fileBytes,
+		Chunk:     ld.Chunk,
+		ReadAhead: ld.ReadAhead,
+		Duration:  d,
+		ThinkTime: mustDuration(ld.Think),
+	})
 }
+
+// millis is d in the unit the records carry durations in.
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // evalLiveSLOs evaluates the live SLO blocks against the measured
 // aggregate. SLOs attach to phases for readability, but the metrics all
@@ -669,97 +614,58 @@ func runSFSLoad(ctx context.Context, ls *liveServer, ld *LoadSpec, d time.Durati
 // whole run (RSS).
 func (s *Spec) evalLiveSLOs(rec *Record, m loadAgg, rssMB float64, scrapedQD time.Duration, chainDepth int, chainOK bool, health healthView) []SLOResult {
 	var out []SLOResult
+	flag := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
 	for _, slo := range s.SLOs {
+		check := func(name string, limit, value float64, pass bool) {
+			out = append(out, SLOResult{Phase: slo.Phase, Check: name, Limit: limit, Value: value, Pass: pass})
+		}
 		if slo.MinKEventsPerSec > 0 {
-			out = append(out, SLOResult{
-				Phase: slo.Phase, Check: "min_kevents_per_sec",
-				Limit: slo.MinKEventsPerSec, Value: rec.KEventsPerSecond,
-				Pass: rec.KEventsPerSecond >= slo.MinKEventsPerSec,
-			})
+			check("min_kevents_per_sec", slo.MinKEventsPerSec, rec.KEventsPerSecond,
+				rec.KEventsPerSecond >= slo.MinKEventsPerSec)
 		}
 		if slo.MaxP99 != "" {
 			limit := mustDuration(slo.MaxP99)
-			out = append(out, SLOResult{
-				Phase: slo.Phase, Check: "max_p99",
-				Limit: float64(limit) / float64(time.Millisecond),
-				Value: float64(m.p99) / float64(time.Millisecond),
-				Pass:  m.p99 <= limit,
-			})
+			check("max_p99", millis(limit), millis(m.p99), m.p99 <= limit)
 		}
 		if slo.MaxErrorRatePct > 0 {
 			pct := 0.0
 			if total := m.requests + m.errors; total > 0 {
 				pct = float64(m.errors) / float64(total) * 100
 			}
-			out = append(out, SLOResult{
-				Phase: slo.Phase, Check: "max_error_rate_pct",
-				Limit: slo.MaxErrorRatePct, Value: pct,
-				Pass: pct <= slo.MaxErrorRatePct,
-			})
+			check("max_error_rate_pct", slo.MaxErrorRatePct, pct, pct <= slo.MaxErrorRatePct)
 		}
 		if slo.MaxRSSMB > 0 {
-			out = append(out, SLOResult{
-				Phase: slo.Phase, Check: "max_rss_mb",
-				Limit: float64(slo.MaxRSSMB), Value: rssMB,
-				Pass: rssMB <= float64(slo.MaxRSSMB),
-			})
+			check("max_rss_mb", float64(slo.MaxRSSMB), rssMB, rssMB <= float64(slo.MaxRSSMB))
 		}
 		if slo.MaxQueueDelayP99 != "" {
 			limit := mustDuration(slo.MaxQueueDelayP99)
-			out = append(out, SLOResult{
-				Phase: slo.Phase, Check: "max_queue_delay_p99",
-				Limit: float64(limit) / float64(time.Millisecond),
-				Value: float64(scrapedQD) / float64(time.Millisecond),
-				Pass:  scrapedQD <= limit,
-			})
+			check("max_queue_delay_p99", millis(limit), millis(scrapedQD), scrapedQD <= limit)
 		}
 		if slo.MaxChainDepth > 0 {
-			out = append(out, SLOResult{
-				Phase: slo.Phase, Check: "max_chain_depth",
-				Limit: float64(slo.MaxChainDepth), Value: float64(chainDepth),
-				Pass: chainDepth <= slo.MaxChainDepth,
-			})
+			check("max_chain_depth", float64(slo.MaxChainDepth), float64(chainDepth), chainDepth <= slo.MaxChainDepth)
 		}
 		if slo.ChainComplete {
-			v := 0.0
-			if chainOK {
-				v = 1
-			}
-			out = append(out, SLOResult{
-				Phase: slo.Phase, Check: "chain_complete",
-				Limit: 1, Value: v, Pass: chainOK,
-			})
+			check("chain_complete", 1, flag(chainOK), chainOK)
 		}
 		if slo.HealthOK != nil {
 			// Value 1 = the fleet stayed healthy on every poll AND at
 			// exit; limit is the asserted state, so health_ok: false is
 			// the detection gate of fault-injection scenarios.
-			observed := 0.0
-			if !health.sawUnhealthy && health.healthyNow {
-				observed = 1
-			}
-			want := 0.0
-			if *slo.HealthOK {
-				want = 1
-			}
-			out = append(out, SLOResult{
-				Phase: slo.Phase, Check: "health_ok",
-				Limit: want, Value: observed, Pass: observed == want,
-			})
+			stayedHealthy := !health.sawUnhealthy && health.healthyNow
+			check("health_ok", flag(*slo.HealthOK), flag(stayedHealthy), stayedHealthy == *slo.HealthOK)
 		}
 		if slo.MaxAnomalies != nil {
-			out = append(out, SLOResult{
-				Phase: slo.Phase, Check: "max_anomalies",
-				Limit: float64(*slo.MaxAnomalies), Value: float64(health.anomalies),
-				Pass: health.anomalies <= int64(*slo.MaxAnomalies),
-			})
+			check("max_anomalies", float64(*slo.MaxAnomalies), float64(health.anomalies),
+				health.anomalies <= int64(*slo.MaxAnomalies))
 		}
 		if slo.MinAnomalies > 0 {
-			out = append(out, SLOResult{
-				Phase: slo.Phase, Check: "min_anomalies",
-				Limit: float64(slo.MinAnomalies), Value: float64(health.anomalies),
-				Pass: health.anomalies >= int64(slo.MinAnomalies),
-			})
+			check("min_anomalies", float64(slo.MinAnomalies), float64(health.anomalies),
+				health.anomalies >= int64(slo.MinAnomalies))
 		}
 	}
 	return out
@@ -778,24 +684,14 @@ type healthView struct {
 // scrape (the servers then mount debug listeners and sample every
 // event).
 func (s *Spec) wantsMetricsSLO() bool {
-	for i := range s.SLOs {
-		if s.SLOs[i].MaxQueueDelayP99 != "" {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(s.SLOs, func(slo SLOSpec) bool { return slo.MaxQueueDelayP99 != "" })
 }
 
 // wantsTraceSLO reports whether any SLO gates on a flight-recorder
 // dump (max_chain_depth / chain_complete): the servers then mount
 // debug listeners so the gate can scrape /debug/trace.
 func (s *Spec) wantsTraceSLO() bool {
-	for i := range s.SLOs {
-		if s.SLOs[i].MaxChainDepth > 0 || s.SLOs[i].ChainComplete {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(s.SLOs, func(slo SLOSpec) bool { return slo.MaxChainDepth > 0 || slo.ChainComplete })
 }
 
 // wantsHealthSLO reports whether any SLO gates on the health engine
@@ -803,12 +699,9 @@ func (s *Spec) wantsTraceSLO() bool {
 // their timeseries collectors and mount debug listeners so the gate
 // polls the real /debug/health endpoint.
 func (s *Spec) wantsHealthSLO() bool {
-	for i := range s.SLOs {
-		if s.SLOs[i].HealthOK != nil || s.SLOs[i].MaxAnomalies != nil || s.SLOs[i].MinAnomalies > 0 {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(s.SLOs, func(slo SLOSpec) bool {
+		return slo.HealthOK != nil || slo.MaxAnomalies != nil || slo.MinAnomalies > 0
+	})
 }
 
 // scrapeHealth GETs one server's /debug/health: the parsed report plus
@@ -816,24 +709,14 @@ func (s *Spec) wantsHealthSLO() bool {
 // firing) — the same contract a production load balancer consumes.
 func scrapeHealth(addr string) (obs.HealthReport, bool, error) {
 	var rep obs.HealthReport
-	resp, err := http.Get("http://" + addr + "/debug/health")
+	body, status, err := obs.Fetch("http://"+addr+"/debug/health", http.StatusOK, http.StatusServiceUnavailable)
+	if err == nil {
+		err = json.Unmarshal(body, &rep)
+	}
 	if err != nil {
-		return rep, false, err
+		return rep, false, fmt.Errorf("health scrape: %w", err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return rep, false, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusServiceUnavailable:
-	default:
-		return rep, false, fmt.Errorf("health scrape %s: %s", addr, resp.Status)
-	}
-	if err := json.Unmarshal(body, &rep); err != nil {
-		return rep, false, fmt.Errorf("health scrape %s: %w", addr, err)
-	}
-	return rep, resp.StatusCode == http.StatusOK, nil
+	return rep, status == http.StatusOK, nil
 }
 
 // scrapeFlowChains GETs one server's /debug/trace, rebuilds the causal
@@ -842,15 +725,11 @@ func scrapeHealth(addr string) (obs.HealthReport, bool, error) {
 // and trivially complete — the SLO gates on load having run, not on
 // the recorder surviving idle.
 func scrapeFlowChains(addr string) (depth int, complete bool, err error) {
-	resp, err := http.Get("http://" + addr + "/debug/trace")
+	body, _, err := obs.Fetch("http://" + addr + "/debug/trace")
 	if err != nil {
-		return 0, false, err
+		return 0, false, fmt.Errorf("trace scrape: %w", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, false, fmt.Errorf("trace scrape %s: %s", addr, resp.Status)
-	}
-	idx, err := obs.ParseFlowDump(resp.Body)
+	idx, err := obs.ParseFlowDump(bytes.NewReader(body))
 	if err != nil {
 		return 0, false, fmt.Errorf("trace scrape %s: %w", addr, err)
 	}
@@ -867,17 +746,9 @@ func scrapeFlowChains(addr string) (depth int, complete bool, err error) {
 // only if the histogram rendered at all; a missing histogram is an
 // error — the gate must not silently pass on a broken exposition.
 func scrapeQueueDelayP99(addr string) (time.Duration, error) {
-	resp, err := http.Get("http://" + addr + "/metrics")
+	body, _, err := obs.Fetch("http://" + addr + "/metrics")
 	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("scrape %s: %s", addr, resp.Status)
+		return 0, fmt.Errorf("scrape: %w", err)
 	}
 	samples, err := obs.ParseExposition(string(body))
 	if err != nil {

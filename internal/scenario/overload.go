@@ -1,13 +1,13 @@
 package scenario
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"os"
 
 	"github.com/melyruntime/mely/internal/equeue"
 	"github.com/melyruntime/mely/internal/metrics"
-	"github.com/melyruntime/mely/internal/policy"
 	"github.com/melyruntime/mely/internal/sim"
 	"github.com/melyruntime/mely/internal/spillq"
 )
@@ -24,8 +24,7 @@ import (
 // bound never exceeded, and a full drain after the burst. All work
 // colors hash to core 0 (the Libasync placement skew), so workstealing
 // configurations additionally exercise "spilled colors stay stealable".
-// (Moved from internal/bench, which now shims through here; the
-// spill-disk-latency fault charges extra cycles per append and per
+// (The spill-disk-latency fault charges extra cycles per append and per
 // reload batch — a deterministic model of a slow spill disk.)
 const (
 	spillAppendCycles  = 300    // charged per spilled record (batched append)
@@ -53,39 +52,22 @@ func DefaultOverloadParams() OverloadParams {
 }
 
 func (s *Spec) overloadParams() OverloadParams {
-	p := DefaultOverloadParams()
-	o := s.Sim.Overload
-	if o == nil {
-		return p
+	var o OverloadParams
+	if s.Sim.Overload != nil {
+		o = *s.Sim.Overload
 	}
-	if o.Bound != 0 {
-		p.Bound = o.Bound
-		p.LowWater = o.Bound / 2
+	d := DefaultOverloadParams()
+	p := OverloadParams{
+		Bound:     cmp.Or(o.Bound, d.Bound),
+		ReloadMax: cmp.Or(o.ReloadMax, d.ReloadMax),
+		Colors:    cmp.Or(o.Colors, d.Colors),
+		Tick:      cmp.Or(o.Tick, d.Tick),
+		PerTick:   cmp.Or(o.PerTick, d.PerTick),
+		Ticks:     cmp.Or(o.Ticks, d.Ticks),
+		WorkCost:  cmp.Or(o.WorkCost, d.WorkCost),
+		ProdCost:  cmp.Or(o.ProdCost, d.ProdCost),
 	}
-	if o.LowWater != 0 {
-		p.LowWater = o.LowWater
-	}
-	if o.ReloadMax != 0 {
-		p.ReloadMax = o.ReloadMax
-	}
-	if o.Colors != 0 {
-		p.Colors = o.Colors
-	}
-	if o.Tick != 0 {
-		p.Tick = o.Tick
-	}
-	if o.PerTick != 0 {
-		p.PerTick = o.PerTick
-	}
-	if o.Ticks != 0 {
-		p.Ticks = o.Ticks
-	}
-	if o.WorkCost != 0 {
-		p.WorkCost = o.WorkCost
-	}
-	if o.ProdCost != 0 {
-		p.ProdCost = o.ProdCost
-	}
+	p.LowWater = cmp.Or(o.LowWater, p.Bound/2)
 	return p
 }
 
@@ -173,18 +155,14 @@ func (st *overloadState) crashRestart(ctx *sim.Ctx) {
 
 // buildOverload wires the skewed open-loop producer, the bounded
 // admission model, and the spill store.
-func buildOverload(p OverloadParams, pol policy.Config, opt Options, store *spillq.Store, faults simFaults) (*sim.Engine, *overloadState, error) {
+func buildOverload(p OverloadParams, r *simRun, store *spillq.Store) (*sim.Engine, *overloadState, error) {
+	faults := &r.faults
 	ticks := p.Ticks
-	if opt.Quick {
+	if r.opt.Quick {
 		ticks = p.Ticks / overloadQuickDiv
 	}
-	ncores := opt.Topology.NumCores()
-	eng, err := sim.New(sim.Config{
-		Topology: opt.Topology,
-		Policy:   pol,
-		Params:   opt.Params,
-		Seed:     opt.Seed,
-	})
+	ncores := r.opt.Topology.NumCores()
+	eng, err := r.engine()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -301,13 +279,8 @@ func buildOverload(p OverloadParams, pol policy.Config, opt Options, store *spil
 		}
 	}
 
-	nth := 0
 	work = eng.Register("overload-work", func(ctx *sim.Ctx, ev *equeue.Event) {
-		if faults.handlerExtra > 0 {
-			if nth++; nth%faults.handlerNth == 0 {
-				ctx.Charge(faults.handlerExtra)
-			}
-		}
+		faults.slowHandler(ctx)
 		c := ev.Color
 		cs := st.color(c)
 		// FIFO across the spill boundary: each color's sequence numbers
@@ -373,19 +346,19 @@ func buildOverload(p OverloadParams, pol policy.Config, opt Options, store *spil
 // full quiescence and enforces the subsystem's contract. The returned
 // metrics cover the standard measurement window; the assertions cover
 // the whole run.
-func measureOverload(s *Spec, pol policy.Config, opt Options, warm, win int64, drain bool, faults simFaults) (*metrics.Run, *overloadState, error) {
-	p := s.overloadParams()
+func measureOverload(r *simRun) (*metrics.Run, *overloadState, error) {
+	p := r.spec.overloadParams()
 	dir, err := os.MkdirTemp("", "melybench-overload-")
 	if err != nil {
 		return nil, nil, err
 	}
 	defer os.RemoveAll(dir)
-	store, err := spillq.Open(dir, overloadStoreOptions(faults))
+	store, err := spillq.Open(dir, overloadStoreOptions(r.faults))
 	if err != nil {
 		return nil, nil, err
 	}
 
-	eng, st, err := buildOverload(p, pol, opt, store, faults)
+	eng, st, err := buildOverload(p, r, store)
 	if err != nil {
 		store.Close()
 		return nil, nil, err
@@ -394,13 +367,13 @@ func measureOverload(s *Spec, pol policy.Config, opt Options, warm, win int64, d
 	// st.store mid-run, abandoning the original (the crash), so closing
 	// the captured handle would touch a recovered-out-from-under store.
 	defer func() { st.store.Close() }()
-	run := sim.Measure(eng, warm, win)
+	run := sim.Measure(eng, r.warm, r.win)
 
 	// Drain to completion: the producer has a finite burst, so the
 	// engine quiesces once every spilled event has reloaded and
-	// executed. The builtin gate scenarios always declare the drain
-	// phase; it is spelled out in the spec rather than implied.
-	if drain {
+	// executed. The gate scenarios always declare the drain phase; it
+	// is spelled out in the spec rather than implied.
+	if r.drain {
 		const drainHorizon = int64(1) << 40
 		eng.RunUntil(drainHorizon)
 	}
@@ -408,7 +381,7 @@ func measureOverload(s *Spec, pol policy.Config, opt Options, warm, win int64, d
 	if st.err != nil {
 		return nil, nil, fmt.Errorf("overload invariant: %w", st.err)
 	}
-	if drain {
+	if r.drain {
 		if st.consumed != st.produced {
 			return nil, nil, fmt.Errorf("overload lost events: produced %d, consumed %d (spilled %d, reloaded %d)",
 				st.produced, st.consumed, st.spilled, st.reloaded)

@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,5 +52,50 @@ func TestBuiltinsValidate(t *testing.T) {
 		if err := b.Validate(); err != nil {
 			t.Errorf("builtin %s: %v", b.Name, err)
 		}
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/specs.golden from this run")
+
+// TestSpecFilesDecodeGolden pins what every committed spec file decodes
+// to: testdata/specs.golden was captured before the paper workloads'
+// parameter blocks became the internal/workload specs themselves, so a
+// tag that drifts from the key it replaced (or a default that moves into
+// the decoded value) shows up as a diff here, not as a moved gate number.
+func TestSpecFilesDecodeGolden(t *testing.T) {
+	root := filepath.Join("..", "..", "scenarios")
+	var got strings.Builder
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".yaml" {
+			return err
+		}
+		spec, err := Load(path)
+		if err != nil {
+			return err
+		}
+		doc, err := json.MarshalIndent(spec, "", "  ")
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		fmt.Fprintf(&got, "# %s\n%s\n", filepath.ToSlash(rel), doc)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "specs.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("a spec file decodes differently (-update only for an intended change)\n--- got\n%s--- want\n%s", got.String(), want)
 	}
 }

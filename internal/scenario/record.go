@@ -10,8 +10,8 @@ const RecordSchema = 1
 
 // Record is one gate-comparable measurement: a scenario run under one
 // configuration. Experiment/Config key it exactly like a
-// bench.GateEntry, so topology-emitted records gate against
-// BENCH_baseline.json the same way hand-written scenarios do.
+// bench.GateEntry, which is how records gate against
+// BENCH_baseline.json.
 type Record struct {
 	Scenario   string `json:"scenario"`
 	Experiment string `json:"experiment"`

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 
 	"github.com/melyruntime/mely/internal/equeue"
@@ -11,19 +12,23 @@ import (
 	"github.com/melyruntime/mely/internal/workload"
 )
 
-// Options configures a scenario run. The defaults match internal/bench:
-// the paper's 8-core Xeon E5410, the calibrated cost model, seed 42.
+// Options configures a run of the harness, for a scenario spec and for
+// an internal/bench report alike.
 type Options struct {
+	// Topology defaults to the paper's 8-core Xeon E5410.
 	Topology *topology.Topology
-	Params   sim.Params
-	Seed     int64
-	// Quick shrinks workloads and windows exactly like the hand-written
-	// bench paths: phase cycles divide by 10, and each workload's
-	// population shrinks by its documented quick rule.
+	// Params defaults to the calibrated cost model.
+	Params sim.Params
+	// Seed makes runs reproducible (default 42, the gate baseline's).
+	Seed int64
+	// Quick shrinks workloads and windows for tests and smoke runs:
+	// cycle windows divide by ten (Windows) and each workload's
+	// population shrinks by the quick rule of its registry entry.
 	Quick bool
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults resolves the zero fields to their documented defaults.
+func (o Options) WithDefaults() Options {
 	if o.Topology == nil {
 		o.Topology = topology.IntelXeonE5410()
 	}
@@ -36,6 +41,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Windows scales a full-size (warm-up, measure) horizon in cycles to
+// the run's size.
+func (o Options) Windows(warm, win int64) (int64, int64) {
+	if o.Quick {
+		return warm / 10, win / 10
+	}
+	return warm, win
+}
+
 // simFaults is the deterministic sim fault plan derived from a spec:
 // pure cycle perturbations, so a faulted scenario stays exactly
 // reproducible and gate-comparable.
@@ -43,6 +57,7 @@ type simFaults struct {
 	spillExtra   int64 // per spill append and per reload batch
 	handlerExtra int64 // added to every nth work event
 	handlerNth   int
+	handlerSeen  int // work events so far (slowHandler's counter)
 	restartAt    int // crash+recover the spill store at this spill count
 }
 
@@ -54,10 +69,7 @@ func (s *Spec) simFaultPlan() simFaults {
 			f.spillExtra += fault.ExtraCycles
 		case "slow-handler":
 			f.handlerExtra += fault.ExtraCycles
-			f.handlerNth = fault.EveryNth
-			if f.handlerNth <= 0 {
-				f.handlerNth = 1
-			}
+			f.handlerNth = max(fault.EveryNth, 1)
 		case "spill-crash-restart":
 			f.restartAt = fault.AtSpilled
 		}
@@ -65,26 +77,108 @@ func (s *Spec) simFaultPlan() simFaults {
 	return f
 }
 
-// simWindows resolves the phase list to the (warmup, window) horizon in
-// cycles, plus whether a drain phase follows. Warmup is the sum of all
-// phases before the measure window; quick mode divides by 10 like
-// bench.Options.windows.
-func (s *Spec) simWindows(quick bool) (warm, win int64, drain bool) {
-	for _, p := range s.Phases {
-		switch {
-		case p.Measure:
-			win = p.Cycles
-		case p.Drain:
-			drain = true
-		case win == 0:
-			warm += p.Cycles
+// slowHandler charges the slow-handler fault to every nth work event.
+func (f *simFaults) slowHandler(ctx *sim.Ctx) {
+	if f.handlerExtra > 0 {
+		if f.handlerSeen++; f.handlerSeen%f.handlerNth == 0 {
+			ctx.Charge(f.handlerExtra)
 		}
 	}
-	if quick {
-		warm /= 10
-		win /= 10
+}
+
+// simRun is one measurement's inputs: a spec, one policy, the resolved
+// options, and what the spec's phases and faults come to.
+type simRun struct {
+	spec      *Spec
+	pol       policy.Config
+	opt       Options
+	warm, win int64 // cycles before and inside the measure phase, scaled
+	drain     bool  // a drain phase follows the window
+	faults    simFaults
+}
+
+// engine is a bare simulator for the run's policy, topology and seed.
+func (r *simRun) engine() (*sim.Engine, error) {
+	return sim.New(sim.Config{Topology: r.opt.Topology, Policy: r.pol, Params: r.opt.Params, Seed: r.opt.Seed})
+}
+
+// simWorkload is one workload the sim engine can run. The registry
+// below is the one place a workload's name (the spec's sim.workload and
+// the key of its parameter block), its quick rule and its measurement
+// meet: Validate, Run and every internal/bench report go through it.
+type simWorkload struct {
+	// set reports whether a spec carries this workload's parameter
+	// block, negative (nil = it cannot) whether that block holds a
+	// negative count.
+	set, negative func(*SimSpec) bool
+	// measure builds the workload and runs warm-up and window. Only
+	// overload returns its admission state, for the spill SLOs.
+	measure func(*simRun) (*metrics.Run, *overloadState, error)
+}
+
+var workloads = map[string]simWorkload{
+	"unbalanced": paperWorkload(
+		func(ss *SimSpec) *workload.UnbalancedSpec { return ss.Unbalanced },
+		func(u *workload.UnbalancedSpec) { u.EventsPerRound = cmp.Or(u.EventsPerRound, 2000) },
+		workload.BuildUnbalanced),
+	"penalty": paperWorkload(
+		func(ss *SimSpec) *workload.PenaltySpec { return ss.Penalty },
+		func(p *workload.PenaltySpec) { p.NumA = cmp.Or(p.NumA, 64) },
+		workload.BuildPenalty),
+	"cacheeff": paperWorkload(
+		func(ss *SimSpec) *workload.CacheEfficientSpec { return ss.CacheEff },
+		func(c *workload.CacheEfficientSpec) { c.APerCore = cmp.Or(c.APerCore, 20) },
+		workload.BuildCacheEfficient),
+	"timer": {
+		set: func(ss *SimSpec) bool { return ss.Timer != nil },
+		negative: func(ss *SimSpec) bool {
+			t := ss.Timer
+			return t.Clients < 0 || t.WorkCost < 0 || t.ThinkCost < 0 || t.ThinkSpan < 0
+		},
+		measure: measureTimer,
+	},
+	"connscale": {
+		set: func(ss *SimSpec) bool { return ss.ConnScale != nil },
+		negative: func(ss *SimSpec) bool {
+			c := ss.ConnScale
+			return c.Conns < 0 || c.WorkCost < 0 || c.ThinkCost < 0 || c.ThinkSpan < 0
+		},
+		measure: measureConnScale,
+	},
+	"overload": {
+		set: func(ss *SimSpec) bool { return ss.Overload != nil },
+		negative: func(ss *SimSpec) bool {
+			o := ss.Overload
+			return o.Bound < 0 || o.LowWater < 0 || o.ReloadMax < 0 || o.Colors < 0 || o.Tick < 0 ||
+				o.PerTick < 0 || o.Ticks < 0 || o.WorkCost < 0 || o.ProdCost < 0
+		},
+		measure: measureOverload,
+	},
+}
+
+// paperWorkload is the registry entry of one of the paper's three
+// microbenchmarks: block finds its workload.*Spec in a spec (nil = the
+// paper's values), quick shrinks the population a spec left at its
+// default, build is the internal/workload constructor.
+func paperWorkload[S any](block func(*SimSpec) *S, quick func(*S),
+	build func(*topology.Topology, policy.Config, sim.Params, int64, S) (*sim.Engine, error)) simWorkload {
+	return simWorkload{
+		set: func(ss *SimSpec) bool { return block(ss) != nil },
+		measure: func(r *simRun) (*metrics.Run, *overloadState, error) {
+			var spec S
+			if b := block(r.spec.Sim); b != nil {
+				spec = *b
+			}
+			if r.opt.Quick {
+				quick(&spec)
+			}
+			eng, err := build(r.opt.Topology, r.pol, r.opt.Params, r.opt.Seed, spec)
+			if err != nil {
+				return nil, nil, err
+			}
+			return sim.Measure(eng, r.warm, r.win), nil, nil
+		},
 	}
-	return warm, win, drain
 }
 
 // Run materializes the scenario and measures every configuration,
@@ -93,7 +187,7 @@ func (s *Spec) simWindows(quick bool) (warm, win int64, drain bool) {
 // still carries every record measured (including the failed SLO
 // evaluations) so artifacts can be written for diagnosis.
 func Run(s *Spec, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if s.Seed != 0 {
 		opt.Seed = s.Seed
 	}
@@ -119,7 +213,7 @@ func Run(s *Spec, opt Options) (*Result, error) {
 			return res, fmt.Errorf("%s/%s: %w", s.Name, polName, err)
 		}
 		t := run.Total()
-		rec := Record{
+		res.Records = append(res.Records, Record{
 			Scenario:         s.Name,
 			Experiment:       s.Name,
 			Config:           pol.String(),
@@ -130,78 +224,65 @@ func Run(s *Spec, opt Options) (*Result, error) {
 			StolenColors:     t.StolenColors,
 			Payload:          run.Payload,
 			SLOs:             slos,
-		}
-		res.Records = append(res.Records, rec)
-		for _, slo := range slos {
-			if !slo.Pass && sloErr == nil {
-				sloErr = fmt.Errorf("%s/%s: SLO %s on phase %q violated: %g (limit %g)",
-					s.Name, polName, slo.Check, slo.Phase, slo.Value, slo.Limit)
-			}
+		})
+		if sloErr == nil {
+			sloErr = violation(s.Name+"/"+polName, slos)
 		}
 	}
 	return res, sloErr
 }
 
-// MeasureSim measures one policy of a sim scenario — the entry point
-// the internal/bench shims use, so the hand-written measurement paths
-// and the spec-driven ones are the same code. SLO violations are
-// returned as an error.
-func MeasureSim(s *Spec, pol policy.Config, opt Options) (*metrics.Run, error) {
-	run, slos, err := measureSim(s, pol, opt.withDefaults())
-	if err != nil {
-		return nil, err
-	}
+// violation is the error of the first failed SLO check, nil when all
+// passed.
+func violation(who string, slos []SLOResult) error {
 	for _, slo := range slos {
 		if !slo.Pass {
-			return nil, fmt.Errorf("%s: SLO %s on phase %q violated: %g (limit %g)",
-				s.Name, slo.Check, slo.Phase, slo.Value, slo.Limit)
+			return fmt.Errorf("%s: SLO %s on phase %q violated: %g (limit %g)",
+				who, slo.Check, slo.Phase, slo.Value, slo.Limit)
 		}
+	}
+	return nil
+}
+
+// MeasureSim measures a sim scenario's workload, at the size and over
+// the window the spec gives, under one policy of the caller's choosing:
+// a row of an internal/bench report is measured by the code that
+// measures a gate record, whatever policies the spec itself lists. SLO
+// violations are returned as an error.
+func MeasureSim(s *Spec, pol policy.Config, opt Options) (*metrics.Run, error) {
+	run, slos, err := measureSim(s, pol, opt.WithDefaults())
+	if err == nil {
+		err = violation(s.Name, slos)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return run, nil
 }
 
 func measureSim(s *Spec, pol policy.Config, opt Options) (*metrics.Run, []SLOResult, error) {
-	warm, win, drain := s.simWindows(opt.Quick)
-	faults := s.simFaultPlan()
-	var (
-		run *metrics.Run
-		ost *overloadState
-		err error
-	)
-	switch s.Sim.Workload {
-	case "unbalanced":
-		run, err = measureWorkload(opt, pol, warm, win, func() (*sim.Engine, error) {
-			return workload.BuildUnbalanced(opt.Topology, pol, opt.Params, opt.Seed, s.unbalancedSpec(opt.Quick))
-		})
-	case "penalty":
-		run, err = measureWorkload(opt, pol, warm, win, func() (*sim.Engine, error) {
-			return workload.BuildPenalty(opt.Topology, pol, opt.Params, opt.Seed, s.penaltySpec(opt.Quick))
-		})
-	case "cacheeff":
-		run, err = measureWorkload(opt, pol, warm, win, func() (*sim.Engine, error) {
-			return workload.BuildCacheEfficient(opt.Topology, pol, opt.Params, opt.Seed, s.cacheEffSpec(opt.Quick))
-		})
-	case "timer":
-		run, err = measureTimer(s, pol, opt, warm, win, faults)
-	case "connscale":
-		run, err = measureConnScale(s, pol, opt, warm, win, faults)
-	case "overload":
-		run, ost, err = measureOverload(s, pol, opt, warm, win, drain, faults)
-	default:
-		err = fmt.Errorf("%w: %q", ErrUnknownWorkload, s.Sim.Workload)
+	w, ok := workloads[s.Sim.Workload]
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownWorkload, s.Sim.Workload)
 	}
+	r := &simRun{spec: s, pol: pol, opt: opt, faults: s.simFaultPlan()}
+	// Warm-up is every phase before the measure window.
+	for _, p := range s.Phases {
+		switch {
+		case p.Measure:
+			r.win = p.Cycles
+		case p.Drain:
+			r.drain = true
+		case r.win == 0:
+			r.warm += p.Cycles
+		}
+	}
+	r.warm, r.win = opt.Windows(r.warm, r.win)
+	run, ost, err := w.measure(r)
 	if err != nil {
 		return nil, nil, err
 	}
 	return run, s.evalSimSLOs(run, ost), nil
-}
-
-func measureWorkload(opt Options, pol policy.Config, warm, win int64, build func() (*sim.Engine, error)) (*metrics.Run, error) {
-	eng, err := build()
-	if err != nil {
-		return nil, err
-	}
-	return sim.Measure(eng, warm, win), nil
 }
 
 // evalSimSLOs evaluates the declared SLO blocks against the measured
@@ -209,230 +290,108 @@ func measureWorkload(opt Options, pol policy.Config, warm, win int64, build func
 func (s *Spec) evalSimSLOs(run *metrics.Run, ost *overloadState) []SLOResult {
 	var out []SLOResult
 	for _, slo := range s.SLOs {
+		check := func(name string, limit, value float64, pass bool) {
+			out = append(out, SLOResult{Phase: slo.Phase, Check: name, Limit: limit, Value: value, Pass: pass})
+		}
 		if slo.MinKEventsPerSec > 0 {
 			v := run.KEventsPerSecond()
-			out = append(out, SLOResult{
-				Phase: slo.Phase, Check: "min_kevents_per_sec",
-				Limit: slo.MinKEventsPerSec, Value: v, Pass: v >= slo.MinKEventsPerSec,
-			})
+			check("min_kevents_per_sec", slo.MinKEventsPerSec, v, v >= slo.MinKEventsPerSec)
 		}
 		if slo.ZeroLoss && ost != nil {
 			lost := float64(ost.produced-ost.consumed) + float64(ost.spilled-ost.reloaded) +
 				float64(ost.inMem)
-			out = append(out, SLOResult{
-				Phase: slo.Phase, Check: "zero_loss",
-				Limit: 0, Value: lost, Pass: lost == 0,
-			})
+			check("zero_loss", 0, lost, lost == 0)
 		}
 		if slo.MaxInMem > 0 && ost != nil {
-			out = append(out, SLOResult{
-				Phase: slo.Phase, Check: "max_inmem",
-				Limit: float64(slo.MaxInMem), Value: float64(ost.maxInMem),
-				Pass: ost.maxInMem <= slo.MaxInMem,
-			})
+			check("max_inmem", float64(slo.MaxInMem), float64(ost.maxInMem), ost.maxInMem <= slo.MaxInMem)
 		}
 	}
 	return out
 }
 
-// Per-workload parameter resolution. Quick mode applies the same
-// shrinks the hand-written bench paths used (population overrides only
-// when the spec leaves the knob at its default), so a quick spec run is
-// bit-identical to the quick gate suite.
-
-func (s *Spec) unbalancedSpec(quick bool) workload.UnbalancedSpec {
-	var spec workload.UnbalancedSpec
-	if p := s.Sim.Unbalanced; p != nil {
-		spec = workload.UnbalancedSpec{
-			EventsPerRound: p.EventsPerRound,
-			ShortCost:      p.ShortCost,
-			LongMin:        p.LongMin,
-			LongMax:        p.LongMax,
-			ShortPermille:  p.ShortPermille,
-		}
-	}
-	if quick && spec.EventsPerRound == 0 {
-		spec.EventsPerRound = 2000
-	}
-	return spec
+// thinkLoop is the shape the timer and connscale workloads share: a
+// closed loop of clients, one color each, that think between requests
+// and re-arrive as timed events (ctx.PostAfter).
+type thinkLoop struct {
+	handler                        string
+	clients                        int
+	workCost, thinkCost, thinkSpan int64
+	// color homes client i; firstArrival staggers its first request.
+	color        func(i int) equeue.Color
+	firstArrival func(i int) int64
 }
 
-func (s *Spec) penaltySpec(quick bool) workload.PenaltySpec {
-	var spec workload.PenaltySpec
-	if p := s.Sim.Penalty; p != nil {
-		spec = workload.PenaltySpec{
-			NumA:       p.NumA,
-			ArrayBytes: p.ArrayBytes,
-			ChunkBytes: p.ChunkBytes,
-			ACost:      p.ACost,
-			BCost:      p.BCost,
-			BPenalty:   p.BPenalty,
-		}
-	}
-	if quick && spec.NumA == 0 {
-		spec.NumA = 64
-	}
-	return spec
-}
-
-func (s *Spec) cacheEffSpec(quick bool) workload.CacheEfficientSpec {
-	var spec workload.CacheEfficientSpec
-	if p := s.Sim.CacheEff; p != nil {
-		spec = workload.CacheEfficientSpec{
-			APerCore:   p.APerCore,
-			ArrayBytes: p.ArrayBytes,
-			ACost:      p.ACost,
-			SortCost:   p.SortCost,
-			SyncCost:   p.SyncCost,
-			MergeCost:  p.MergeCost,
-		}
-	}
-	if quick && spec.APerCore == 0 {
-		spec.APerCore = 20
-	}
-	return spec
-}
-
-// DefaultTimerParams returns the timer workload's paper-shaped
-// defaults: 48 closed-loop clients, 20k-cycle requests, 150k±100k-cycle
-// think pauses.
-func DefaultTimerParams() TimerParams {
-	return TimerParams{Clients: 48, WorkCost: 20_000, ThinkCost: 150_000, ThinkSpan: 100_000}
-}
-
-const timerQuickScale = 4
-
-func (s *Spec) timerParams() TimerParams {
-	p := DefaultTimerParams()
-	if t := s.Sim.Timer; t != nil {
-		if t.Clients != 0 {
-			p.Clients = t.Clients
-		}
-		if t.WorkCost != 0 {
-			p.WorkCost = t.WorkCost
-		}
-		if t.ThinkCost != 0 {
-			p.ThinkCost = t.ThinkCost
-		}
-		if t.ThinkSpan != 0 {
-			p.ThinkSpan = t.ThinkSpan
-		}
-	}
-	return p
-}
-
-// measureTimer wires the deadline-driven closed loop: clients that
-// think, then re-arrive as timed events (ctx.PostAfter), every color
-// hashing to core 0 so workstealing is what spreads the load. Moved
-// verbatim from internal/bench (which now shims through here).
-func measureTimer(s *Spec, pol policy.Config, opt Options, warm, win int64, faults simFaults) (*metrics.Run, error) {
-	p := s.timerParams()
-	clients := p.Clients
-	if opt.Quick {
-		clients = p.Clients / timerQuickScale * 3 // keep >1 core of load
-	}
-	ncores := opt.Topology.NumCores()
-	var work equeue.HandlerID
-	eng, err := sim.New(sim.Config{
-		Topology: opt.Topology,
-		Policy:   pol,
-		Params:   opt.Params,
-		Seed:     opt.Seed,
-	})
+func (l thinkLoop) measure(r *simRun) (*metrics.Run, *overloadState, error) {
+	eng, err := r.engine()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	nth := 0
-	work = eng.Register("timer-work", func(ctx *sim.Ctx, ev *equeue.Event) {
-		if faults.handlerExtra > 0 {
-			if nth++; nth%faults.handlerNth == 0 {
-				ctx.Charge(faults.handlerExtra)
-			}
-		}
+	var work equeue.HandlerID
+	work = eng.Register(l.handler, func(ctx *sim.Ctx, ev *equeue.Event) {
+		r.faults.slowHandler(ctx)
 		// The client thinks, then its next request arrives by deadline.
-		delay := p.ThinkCost + ctx.Rand().Int63n(p.ThinkSpan)
-		ctx.PostAfter(delay, sim.Ev{Handler: work, Color: ev.Color, Cost: p.WorkCost})
+		delay := l.thinkCost + ctx.Rand().Int63n(l.thinkSpan)
+		ctx.PostAfter(delay, sim.Ev{Handler: work, Color: ev.Color, Cost: l.workCost})
 	}, sim.HandlerOpts{})
 	eng.Seed(func(ctx *sim.Ctx) {
-		for i := 0; i < clients; i++ {
-			// Colors ≡ 0 (mod ncores): every client homes on core 0
-			// under the simulator's paper placement.
-			color := equeue.Color((i + 1) * ncores)
-			// Stagger the first arrivals across one think interval
-			// (the divisor is the unscaled population, like the
-			// hand-written constant was).
-			delay := int64(i) * (p.ThinkCost / int64(p.Clients))
-			ctx.PostAfter(delay, sim.Ev{Handler: work, Color: color, Cost: p.WorkCost})
+		for i := 0; i < l.clients; i++ {
+			ctx.PostAfter(l.firstArrival(i), sim.Ev{Handler: work, Color: l.color(i), Cost: l.workCost})
 		}
 	})
-	return sim.Measure(eng, warm, win), nil
+	return sim.Measure(eng, r.warm, r.win), nil, nil
 }
 
-// DefaultConnScaleParams returns the C10K workload's defaults: 10k
-// mostly-idle connection colors, 5k-cycle requests, 2M±1M-cycle pauses.
-func DefaultConnScaleParams() ConnScaleParams {
-	return ConnScaleParams{Conns: 10_000, WorkCost: 5_000, ThinkCost: 2_000_000, ThinkSpan: 1_000_000}
+// measureTimer is the deadline-driven closed loop: 48 clients,
+// 20k-cycle requests, 150k±100k-cycle think pauses, every color homed
+// on core 0 so that workstealing is what spreads the load.
+func measureTimer(r *simRun) (*metrics.Run, *overloadState, error) {
+	var t TimerParams
+	if r.spec.Sim.Timer != nil {
+		t = *r.spec.Sim.Timer
+	}
+	l := thinkLoop{
+		handler:   "timer-work",
+		clients:   cmp.Or(t.Clients, 48),
+		workCost:  cmp.Or(t.WorkCost, 20_000),
+		thinkCost: cmp.Or(t.ThinkCost, 150_000),
+		thinkSpan: cmp.Or(t.ThinkSpan, 100_000),
+	}
+	// First arrivals stagger across one think interval of the unscaled
+	// population.
+	step := l.thinkCost / int64(l.clients)
+	l.firstArrival = func(i int) int64 { return int64(i) * step }
+	if r.opt.Quick {
+		l.clients = l.clients / 4 * 3 // keep more than one core of load
+	}
+	// Colors ≡ 0 (mod ncores) home on core 0 under the simulator's
+	// paper placement.
+	ncores := r.opt.Topology.NumCores()
+	l.color = func(i int) equeue.Color { return equeue.Color((i + 1) * ncores) }
+	return l.measure(r)
 }
 
-const connScaleQuickScale = 4
-
-func (s *Spec) connScaleParams() ConnScaleParams {
-	p := DefaultConnScaleParams()
-	if c := s.Sim.ConnScale; c != nil {
-		if c.Conns != 0 {
-			p.Conns = c.Conns
-		}
-		if c.WorkCost != 0 {
-			p.WorkCost = c.WorkCost
-		}
-		if c.ThinkCost != 0 {
-			p.ThinkCost = c.ThinkCost
-		}
-		if c.ThinkSpan != 0 {
-			p.ThinkSpan = c.ThinkSpan
-		}
+// measureConnScale is the C10K shape: 10k mostly-idle connection
+// colors, 5k-cycle requests, 2M±1M-cycle pauses, of which only a sliver
+// is active at any instant.
+func measureConnScale(r *simRun) (*metrics.Run, *overloadState, error) {
+	var c ConnScaleParams
+	if r.spec.Sim.ConnScale != nil {
+		c = *r.spec.Sim.ConnScale
 	}
-	return p
-}
-
-// measureConnScale wires the mostly-idle closed loop: a huge color
-// population of which only a sliver is active at any instant. Moved
-// verbatim from internal/bench (which now shims through here).
-func measureConnScale(s *Spec, pol policy.Config, opt Options, warm, win int64, faults simFaults) (*metrics.Run, error) {
-	p := s.connScaleParams()
-	conns := p.Conns
-	if opt.Quick {
-		conns = p.Conns / connScaleQuickScale
+	l := thinkLoop{
+		handler:   "connscale-work",
+		clients:   cmp.Or(c.Conns, 10_000),
+		workCost:  cmp.Or(c.WorkCost, 5_000),
+		thinkCost: cmp.Or(c.ThinkCost, 2_000_000),
+		thinkSpan: cmp.Or(c.ThinkSpan, 1_000_000),
+		// Sequential colors spread across all cores (the paper's
+		// color%ncores placement), like connection ids in the real
+		// servers.
+		color: func(i int) equeue.Color { return equeue.Color(i + 2) },
 	}
-	var work equeue.HandlerID
-	eng, err := sim.New(sim.Config{
-		Topology: opt.Topology,
-		Policy:   pol,
-		Params:   opt.Params,
-		Seed:     opt.Seed,
-	})
-	if err != nil {
-		return nil, err
+	l.firstArrival = func(i int) int64 { return int64(i) % l.thinkCost }
+	if r.opt.Quick {
+		l.clients /= 4
 	}
-	nth := 0
-	work = eng.Register("connscale-work", func(ctx *sim.Ctx, ev *equeue.Event) {
-		if faults.handlerExtra > 0 {
-			if nth++; nth%faults.handlerNth == 0 {
-				ctx.Charge(faults.handlerExtra)
-			}
-		}
-		delay := p.ThinkCost + ctx.Rand().Int63n(p.ThinkSpan)
-		ctx.PostAfter(delay, sim.Ev{Handler: work, Color: ev.Color, Cost: p.WorkCost})
-	}, sim.HandlerOpts{})
-	eng.Seed(func(ctx *sim.Ctx) {
-		for i := 0; i < conns; i++ {
-			// Sequential colors spread across all cores (the paper's
-			// color%ncores placement), like connection ids in the real
-			// servers. First arrivals stagger across one think pause.
-			color := equeue.Color(i + 2)
-			delay := int64(i) % p.ThinkCost
-			ctx.PostAfter(delay, sim.Ev{Handler: work, Color: color, Cost: p.WorkCost})
-		}
-	})
-	return sim.Measure(eng, warm, win), nil
+	return l.measure(r)
 }

@@ -5,11 +5,11 @@
 // measured configuration.
 //
 // Two engines share the spec language. The "sim" engine runs a workload
-// on the deterministic discrete-event simulator — the five benchmark
-// gate scenarios (unbalanced, penalty, timer, connscale, overload) are
-// expressed this way, and internal/bench's hand-written measurement
-// paths are now thin shims over the builtin specs, so a spec file and
-// its Go twin produce bit-identical results. The "live" engine builds
+// on the deterministic discrete-event simulator: the benchmark gate's
+// scenarios (scenarios/*.yaml) are expressed this way, and the rows of
+// internal/bench's tables are measured through the same specs
+// (MeasureSim), so a table cell and a gate record of one workload and
+// policy are one number. The "live" engine builds
 // real sws/sfs servers on the mely runtime, drives them with
 // internal/loadgen clients over loopback TCP, and checks wall-clock
 // SLOs (p99 latency, error rate, max RSS).
@@ -21,6 +21,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"github.com/melyruntime/mely/internal/workload"
 )
 
 // Spec is one parsed scenario. The zero value of every optional field
@@ -57,10 +59,12 @@ type Spec struct {
 
 // SimSpec selects a simulator workload and the policies to measure.
 // Exactly one parameter block — the one matching Workload — may be set;
-// a nil block means the paper-calibrated defaults.
+// a nil block means the paper-calibrated defaults. The paper's three
+// microbenchmarks are parameterized by their internal/workload specs
+// themselves.
 type SimSpec struct {
 	// Workload is one of unbalanced, penalty, cacheeff, timer,
-	// connscale, overload.
+	// connscale, overload (the registry in sim.go).
 	Workload string `json:"workload"`
 	// Policies are paper-style configuration names (policy.Parse):
 	// "mely", "mely-baseWS", "mely+timeleft-WS",
@@ -68,58 +72,30 @@ type SimSpec struct {
 	// policy.
 	Policies []string `json:"policies"`
 
-	Unbalanced *UnbalancedParams `json:"unbalanced,omitempty"`
-	Penalty    *PenaltyParams    `json:"penalty,omitempty"`
-	CacheEff   *CacheEffParams   `json:"cacheeff,omitempty"`
-	Timer      *TimerParams      `json:"timer,omitempty"`
-	ConnScale  *ConnScaleParams  `json:"connscale,omitempty"`
-	Overload   *OverloadParams   `json:"overload,omitempty"`
+	Unbalanced *workload.UnbalancedSpec     `json:"unbalanced,omitempty"`
+	Penalty    *workload.PenaltySpec        `json:"penalty,omitempty"`
+	CacheEff   *workload.CacheEfficientSpec `json:"cacheeff,omitempty"`
+	Timer      *TimerParams                 `json:"timer,omitempty"`
+	ConnScale  *ConnScaleParams             `json:"connscale,omitempty"`
+	Overload   *OverloadParams              `json:"overload,omitempty"`
 }
 
-// UnbalancedParams mirrors workload.UnbalancedSpec (zero = paper value).
-type UnbalancedParams struct {
-	EventsPerRound int   `json:"events_per_round,omitempty"`
-	ShortCost      int64 `json:"short_cost,omitempty"`
-	LongMin        int64 `json:"long_min,omitempty"`
-	LongMax        int64 `json:"long_max,omitempty"`
-	ShortPermille  int   `json:"short_permille,omitempty"`
-}
-
-// PenaltyParams mirrors workload.PenaltySpec (zero = paper value).
-type PenaltyParams struct {
-	NumA       int   `json:"num_a,omitempty"`
-	ArrayBytes int64 `json:"array_bytes,omitempty"`
-	ChunkBytes int64 `json:"chunk_bytes,omitempty"`
-	ACost      int64 `json:"a_cost,omitempty"`
-	BCost      int64 `json:"b_cost,omitempty"`
-	BPenalty   int32 `json:"b_penalty,omitempty"`
-}
-
-// CacheEffParams mirrors workload.CacheEfficientSpec (zero = paper value).
-type CacheEffParams struct {
-	APerCore   int   `json:"a_per_core,omitempty"`
-	ArrayBytes int64 `json:"array_bytes,omitempty"`
-	ACost      int64 `json:"a_cost,omitempty"`
-	SortCost   int64 `json:"sort_cost,omitempty"`
-	SyncCost   int64 `json:"sync_cost,omitempty"`
-	MergeCost  int64 `json:"merge_cost,omitempty"`
-}
-
-// TimerParams parameterizes the deadline-driven closed loop.
+// TimerParams parameterizes the deadline-driven closed loop (zero =
+// the default measureTimer documents).
 type TimerParams struct {
-	// Clients is the closed-loop client count (default 48; under
-	// -quick the harness scales it to Clients/4*3, keeping more than
-	// one core of offered load).
+	// Clients is the closed-loop client count (under -quick the harness
+	// scales it to Clients/4*3).
 	Clients   int   `json:"clients,omitempty"`
 	WorkCost  int64 `json:"work_cost,omitempty"`
 	ThinkCost int64 `json:"think_cost,omitempty"`
 	ThinkSpan int64 `json:"think_span,omitempty"`
 }
 
-// ConnScaleParams parameterizes the C10K-style mostly-idle loop.
+// ConnScaleParams parameterizes the C10K-style mostly-idle loop (zero =
+// the default measureConnScale documents).
 type ConnScaleParams struct {
-	// Conns is the connection-color population (default 10000; under
-	// -quick the harness divides it by 4).
+	// Conns is the connection-color population (under -quick the
+	// harness divides it by 4).
 	Conns     int   `json:"conns,omitempty"`
 	WorkCost  int64 `json:"work_cost,omitempty"`
 	ThinkCost int64 `json:"think_cost,omitempty"`
@@ -235,7 +211,7 @@ type LoadSpec struct {
 type PhaseSpec struct {
 	Name string `json:"name"`
 	// Cycles is the phase length in virtual cycles (sim; divided by 10
-	// under -quick, matching the hand-written windows).
+	// under -quick, Options.Windows).
 	Cycles int64 `json:"cycles,omitempty"`
 	// Duration is the phase length in wall-clock time (live; divided
 	// by 4 under -quick).

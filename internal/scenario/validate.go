@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/melyruntime/mely"
+	"github.com/melyruntime/mely/internal/netpoll"
 	"github.com/melyruntime/mely/internal/policy"
 )
 
@@ -72,11 +73,6 @@ func (e *FieldError) Error() string {
 func (e *FieldError) Unwrap() error { return e.Err }
 
 var nameRe = regexp.MustCompile(`^[a-z0-9][a-z0-9._-]*$`)
-
-var simWorkloads = map[string]bool{
-	"unbalanced": true, "penalty": true, "cacheeff": true,
-	"timer": true, "connscale": true, "overload": true,
-}
 
 // Validate checks the spec's internal consistency. All failures are
 // collected (errors.Join), each an *FieldError wrapping a typed
@@ -145,7 +141,7 @@ func (s *Spec) validateSim(fail func(string, error, string, ...any), phases map[
 	if len(s.Servers) != 0 || len(s.Loads) != 0 {
 		fail("servers", ErrBadSpec, "sim scenarios declare workloads, not servers/loads")
 	}
-	if !simWorkloads[s.Sim.Workload] {
+	if _, ok := workloads[s.Sim.Workload]; !ok {
 		fail("sim.workload", ErrUnknownWorkload, "%q", s.Sim.Workload)
 	}
 	if len(s.Sim.Policies) == 0 {
@@ -157,28 +153,16 @@ func (s *Spec) validateSim(fail func(string, error, string, ...any), phases map[
 		}
 	}
 	// Exactly the parameter block matching the workload may be set.
-	blocks := map[string]bool{
-		"unbalanced": s.Sim.Unbalanced != nil,
-		"penalty":    s.Sim.Penalty != nil,
-		"cacheeff":   s.Sim.CacheEff != nil,
-		"timer":      s.Sim.Timer != nil,
-		"connscale":  s.Sim.ConnScale != nil,
-		"overload":   s.Sim.Overload != nil,
-	}
-	for kind, set := range blocks {
-		if set && kind != s.Sim.Workload {
+	for kind, w := range workloads {
+		if !w.set(s.Sim) {
+			continue
+		}
+		if kind != s.Sim.Workload {
 			fail("sim."+kind, ErrBadSpec, "parameter block does not match workload %q", s.Sim.Workload)
 		}
-	}
-	if t := s.Sim.Timer; t != nil && (t.Clients < 0 || t.WorkCost < 0 || t.ThinkCost < 0 || t.ThinkSpan < 0) {
-		fail("sim.timer", ErrNegativeCount, "timer parameters must be non-negative")
-	}
-	if c := s.Sim.ConnScale; c != nil && (c.Conns < 0 || c.WorkCost < 0 || c.ThinkCost < 0 || c.ThinkSpan < 0) {
-		fail("sim.connscale", ErrNegativeCount, "connscale parameters must be non-negative")
-	}
-	if o := s.Sim.Overload; o != nil && (o.Bound < 0 || o.LowWater < 0 || o.ReloadMax < 0 ||
-		o.Colors < 0 || o.Tick < 0 || o.PerTick < 0 || o.Ticks < 0 || o.WorkCost < 0 || o.ProdCost < 0) {
-		fail("sim.overload", ErrNegativeCount, "overload parameters must be non-negative")
+		if w.negative != nil && w.negative(s.Sim) {
+			fail("sim."+kind, ErrNegativeCount, "%s parameters must be non-negative", kind)
+		}
 	}
 
 	seenMeasure := false
@@ -209,9 +193,6 @@ func (s *Spec) validateSim(fail func(string, error, string, ...any), phases map[
 	_ = phases
 }
 
-var liveBackends = map[string]bool{"": true, "auto": true, "epoll": true, "pumps": true}
-var overloadPolicies = map[string]bool{"": true, "reject": true, "block": true, "spill": true}
-
 func (s *Spec) validateLive(fail func(string, error, string, ...any), phases map[string]*PhaseSpec) {
 	if s.Sim != nil {
 		fail("sim", ErrBadSpec, "engine live takes servers/loads, not a sim block")
@@ -235,11 +216,11 @@ func (s *Spec) validateLive(fail func(string, error, string, ...any), phases map
 		default:
 			fail(field+".kind", ErrUnknownServerKind, "%q (want sws or sfs)", sv.Kind)
 		}
-		if !liveBackends[sv.Backend] {
-			fail(field+".backend", ErrUnknownBackend, "%q (want auto, epoll, or pumps)", sv.Backend)
+		if _, err := netpoll.ParseBackend(sv.Backend); err != nil {
+			fail(field+".backend", ErrUnknownBackend, "%v", err)
 		}
-		if !overloadPolicies[sv.Overload] {
-			fail(field+".overload", ErrUnknownBackend, "%q (want reject, block, or spill)", sv.Overload)
+		if _, err := mely.ParseOverloadPolicy(sv.Overload); err != nil {
+			fail(field+".overload", ErrUnknownBackend, "%v", err)
 		}
 		if _, err := mely.ParsePolicy(sv.Policy); err != nil {
 			fail(field+".policy", ErrUnknownPolicy, "%v", err)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"github.com/melyruntime/mely/internal/workload"
 )
 
 // minimal valid documents the malformed cases below are derived from.
@@ -62,6 +64,32 @@ func TestValidateMalformed(t *testing.T) {
 			name: "unknown top-level field",
 			doc:  validSimDoc + "bogus_knob: 7\n",
 			want: ErrBadSpec,
+		},
+		{
+			// The paper workloads' blocks decode straight into their
+			// internal/workload specs: a key those do not tag is as
+			// unknown as any other, ...
+			name: "unknown key in a workload block",
+			doc:  strings.Replace(validSimDoc, "  policies: [mely]", "  policies: [mely]\n  unbalanced:\n    events_per_rnd: 7", 1),
+			want: ErrBadSpec,
+		},
+		{
+			// ... and so is a spec field the ablations set from Go only.
+			name: "untagged workload spec field",
+			doc:  strings.Replace(validSimDoc, "  policies: [mely]", "  policies: [mely]\n  unbalanced:\n    LearnedEstimates: true", 1),
+			want: ErrBadSpec,
+		},
+		{
+			name:  "parameter block of another workload",
+			doc:   strings.Replace(validSimDoc, "  policies: [mely]", "  policies: [mely]\n  penalty:\n    num_a: 8", 1),
+			want:  ErrBadSpec,
+			field: "sim.penalty",
+		},
+		{
+			name:  "negative workload parameter",
+			doc:   strings.Replace(strings.Replace(validSimDoc, "workload: unbalanced", "workload: timer", 1), "  policies: [mely]", "  policies: [mely]\n  timer:\n    clients: -1", 1),
+			want:  ErrNegativeCount,
+			field: "sim.timer",
 		},
 		{
 			name:  "bad scenario name",
@@ -333,5 +361,46 @@ loads:`, 1),
 				t.Fatalf("no FieldError at %q in:\n%v", tc.field, err)
 			}
 		})
+	}
+}
+
+// TestPaperWorkloadBlockKeys pins the spec keys of the three paper
+// workloads' parameter blocks, which are the json tags of the
+// internal/workload specs: no committed spec file sets one, so the
+// decoded-spec golden cannot see a renamed key.
+func TestPaperWorkloadBlockKeys(t *testing.T) {
+	block := func(name, keys string) string {
+		doc := strings.Replace(validSimDoc, "workload: unbalanced", "workload: "+name, 1)
+		return strings.Replace(doc, "  policies: [mely]", "  policies: [mely]\n  "+name+":\n"+keys, 1)
+	}
+	tests := []struct {
+		doc  string
+		got  func(*SimSpec) any
+		want any
+	}{
+		{
+			block("unbalanced", "    events_per_round: 1\n    short_cost: 2\n    long_min: 3\n    long_max: 4\n    short_permille: 5\n"),
+			func(s *SimSpec) any { return *s.Unbalanced },
+			workload.UnbalancedSpec{EventsPerRound: 1, ShortCost: 2, LongMin: 3, LongMax: 4, ShortPermille: 5},
+		},
+		{
+			block("penalty", "    num_a: 1\n    array_bytes: 2\n    chunk_bytes: 3\n    a_cost: 4\n    b_cost: 5\n    b_penalty: 6\n"),
+			func(s *SimSpec) any { return *s.Penalty },
+			workload.PenaltySpec{NumA: 1, ArrayBytes: 2, ChunkBytes: 3, ACost: 4, BCost: 5, BPenalty: 6},
+		},
+		{
+			block("cacheeff", "    a_per_core: 1\n    array_bytes: 2\n    a_cost: 3\n    sort_cost: 4\n    sync_cost: 5\n    merge_cost: 6\n"),
+			func(s *SimSpec) any { return *s.CacheEff },
+			workload.CacheEfficientSpec{APerCore: 1, ArrayBytes: 2, ACost: 3, SortCost: 4, SyncCost: 5, MergeCost: 6},
+		},
+	}
+	for _, tc := range tests {
+		spec, err := Parse([]byte(tc.doc), false)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, tc.doc)
+		}
+		if got := tc.got(spec.Sim); got != tc.want {
+			t.Errorf("decoded %+v, want %+v", got, tc.want)
+		}
 	}
 }

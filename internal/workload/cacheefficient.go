@@ -9,23 +9,24 @@ import (
 
 // CacheEfficientSpec parameterizes the cache efficient microbenchmark
 // (section V-B g): a fork/join merge sort whose halves should be sorted
-// near the core that allocated the array.
+// near the core that allocated the array. The json tags are the keys of
+// a scenario spec's sim.cacheeff block.
 type CacheEfficientSpec struct {
 	// APerCore is the number of A events registered, at each round, on
 	// one core of every core pair (paper: one hundred).
-	APerCore int
+	APerCore int `json:"a_per_core,omitempty"`
 	// ArrayBytes is the array allocated by each A ("fitting in their
 	// cache").
-	ArrayBytes int64
+	ArrayBytes int64 `json:"array_bytes,omitempty"`
 	// ACost is A's processing time (allocate + initialize).
-	ACost int64
+	ACost int64 `json:"a_cost,omitempty"`
 	// SortCost is the processing time of each B (sorting half the
 	// array).
-	SortCost int64
+	SortCost int64 `json:"sort_cost,omitempty"`
 	// SyncCost is the processing time of each C synchronization event.
-	SyncCost int64
+	SyncCost int64 `json:"sync_cost,omitempty"`
 	// MergeCost is the final merge step's processing time.
-	MergeCost int64
+	MergeCost int64 `json:"merge_cost,omitempty"`
 }
 
 func (s *CacheEfficientSpec) defaults() {

@@ -7,24 +7,27 @@ import (
 	"github.com/melyruntime/mely/internal/topology"
 )
 
-// PenaltySpec parameterizes the penalty microbenchmark (section V-B f).
+// PenaltySpec parameterizes the penalty microbenchmark (section V-B f);
+// the json tags are the keys of a scenario spec's sim.penalty block.
 type PenaltySpec struct {
 	// NumA is the number of type-A events registered on the first core
 	// at each round, each with its own color.
-	NumA int
+	NumA int `json:"num_a,omitempty"`
 	// ArrayBytes is the size of the array each A event allocates
 	// ("fitting in the core cache").
-	ArrayBytes int64
+	ArrayBytes int64 `json:"array_bytes,omitempty"`
 	// ChunkBytes is the slice of the parent array each B event
 	// accesses before registering the next B of the chain.
-	ChunkBytes int64
+	ChunkBytes int64 `json:"chunk_bytes,omitempty"`
 	// ACost/BCost are the handler processing times.
-	ACost, BCost int64
+	ACost int64 `json:"a_cost,omitempty"`
+	BCost int64 `json:"b_cost,omitempty"`
 	// BPenalty is the workstealing penalty of B events (paper: 1000).
-	BPenalty int32
+	BPenalty int32 `json:"b_penalty,omitempty"`
 	// AutoPenalty replaces the manual annotations with penalties
-	// derived from monitored memory usage (section VII future work).
-	AutoPenalty bool
+	// derived from monitored memory usage (section VII future work; no
+	// spec key sets it).
+	AutoPenalty bool `json:"-"`
 }
 
 func (s *PenaltySpec) defaults() {

@@ -112,10 +112,21 @@ func TestObsBoundsBinLikeTheSwitches(t *testing.T) {
 		for _, b := range tc.bounds {
 			values = append(values, b-1, b, b+1)
 		}
+		// The counter half counts each value where Bucket bins it, and
+		// adds into a snapshot: twice over is the merge of two counters.
+		var counts obs.Counts
+		var want, snap [obs.NumBuckets]int64
 		for _, v := range values {
 			if got, want := tc.bounds.Bucket(v), tc.ref(v); got != want {
 				t.Errorf("%s: Bucket(%d) = %d, the switch said %d", tc.name, v, got, want)
 			}
+			counts.Observe(tc.bounds, v)
+			want[tc.ref(v)] += 2
+		}
+		counts.AddTo(&snap)
+		counts.AddTo(&snap)
+		if snap != want {
+			t.Errorf("%s: counted %v, want %v", tc.name, snap, want)
 		}
 		// == on float64: the `le` label is the shortest decimal that
 		// round-trips, so an equal double is an equal label.
@@ -132,8 +143,9 @@ func TestObsBoundsBinLikeTheSwitches(t *testing.T) {
 	if want := "≤100µs,≤1ms,≤2ms,≤10ms,≤100ms,>100ms"; lag != want {
 		t.Errorf("timer-lag legend %q, want %q", lag, want)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = obs.TimerLagBounds.Bucket(1_500_000) }); n != 0 {
-		t.Errorf("Bucket allocates %v times per call; it runs once per fired timer", n)
+	var fired obs.Counts
+	if n := testing.AllocsPerRun(100, func() { fired.Observe(&obs.TimerLagBounds, 1_500_000) }); n != 0 {
+		t.Errorf("Observe allocates %v times per call; it runs once per fired timer", n)
 	}
 }
 

@@ -261,7 +261,7 @@ type admission struct {
 	rejected  atomic.Int64
 	blocked   atomic.Int64
 	spillErrs atomic.Int64
-	depthHist [SpillDepthBuckets]atomic.Int64
+	depthHist obs.Counts
 
 	closeOnce sync.Once
 	closeErr  error
@@ -878,7 +878,7 @@ func (a *admission) appendRecord(c *rcore, color equeue.Color, rec spillq.Record
 		return err
 	}
 	a.spilled.Add(1)
-	a.depthHist[obs.SpillDepthBounds.Bucket(st.disk)].Add(1)
+	a.depthHist.Observe(&obs.SpillDepthBounds, st.disk)
 	a.r.traceAuxFlow(obs.KindSpill, 0, uint64(color), uint32(clampUint32(st.disk)), rec.TraceID, rec.SpanID, rec.ParentSpan)
 	disk, cost := st.disk, st.diskCost
 	var doReload bool

@@ -102,7 +102,7 @@ type rstats struct {
 	stolenEvents     atomic.Int64
 	stolenExecNanos  atomic.Int64
 	stolenColors     atomic.Int64
-	batchHist        [StealBatchBuckets]atomic.Int64
+	batchHist        obs.Counts
 	backoffParks     atomic.Int64
 	parks            atomic.Int64
 	postedHere       atomic.Int64
@@ -111,7 +111,7 @@ type rstats struct {
 	panics           atomic.Int64
 	stalls           atomic.Int64
 	timersFired      atomic.Int64
-	timerLagHist     [TimerLagBuckets]atomic.Int64
+	timerLagHist     obs.Counts
 	// Sampled latency histograms (Config.ObsSampleRate): queue delay
 	// (post→execute) and handler execution time.
 	qdelayHist   obs.Hist
@@ -1322,7 +1322,7 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 		}
 		c.stats.steals.Add(1)
 		c.stats.stolenColors.Add(int64(len(colors)))
-		c.stats.batchHist[obs.StealBatchBounds.Bucket(int64(len(colors)))].Add(1)
+		c.stats.batchHist.Observe(&obs.StealBatchBounds, int64(len(colors)))
 		if !r.topo.SharesCache(c.id, vid) {
 			c.stats.remoteSteals.Add(1)
 		}

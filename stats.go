@@ -116,13 +116,18 @@ type PollSample struct {
 	ReadPauses int64
 }
 
+// addBuckets folds one fixed-bucket histogram snapshot into another.
+func addBuckets(dst, src *[obs.NumBuckets]int64) {
+	for b := range dst {
+		dst[b] += src[b]
+	}
+}
+
 // add folds another sample into s.
 func (s *PollSample) add(o PollSample) {
 	s.Wakeups += o.Wakeups
 	s.Events += o.Events
-	for b := range s.BatchHist {
-		s.BatchHist[b] += o.BatchHist[b]
-	}
+	addBuckets(&s.BatchHist, &o.BatchHist)
 	s.WriteStalls += o.WriteStalls
 	s.ReadPauses += o.ReadPauses
 }
@@ -379,9 +384,7 @@ func (r *Runtime) Stats() Stats {
 			s.RecoveredEvents = a.store.Recovered()
 			s.TornRecords = a.store.Torn()
 		}
-		for b := range s.SpillDepthHist {
-			s.SpillDepthHist[b] = a.depthHist[b].Load()
-		}
+		a.depthHist.AddTo(&s.SpillDepthHist)
 	}
 	for i, c := range r.cores {
 		cs := CoreStats{
@@ -406,12 +409,8 @@ func (r *Runtime) Stats() Stats {
 			TimersFired:      c.stats.timersFired.Load(),
 			TimersPending:    c.wheel.Len(),
 		}
-		for b := range cs.StealBatchHist {
-			cs.StealBatchHist[b] = c.stats.batchHist[b].Load()
-		}
-		for b := range cs.TimerLagHist {
-			cs.TimerLagHist[b] = c.stats.timerLagHist[b].Load()
-		}
+		c.stats.batchHist.AddTo(&cs.StealBatchHist)
+		c.stats.timerLagHist.AddTo(&cs.TimerLagHist)
 		cs.QueueDelayHist.Sum = time.Duration(c.stats.qdelayHist.Load(&cs.QueueDelayHist.Buckets))
 		cs.ExecTimeHist.Sum = time.Duration(c.stats.execTimeHist.Load(&cs.ExecTimeHist.Buckets))
 		cs.TopColorDelays = c.colorDelays.snapshot()
@@ -443,9 +442,7 @@ func (s Stats) Total() CoreStats {
 		t.StolenEvents += c.StolenEvents
 		t.StolenTime += c.StolenTime
 		t.StolenColors += c.StolenColors
-		for b := range c.StealBatchHist {
-			t.StealBatchHist[b] += c.StealBatchHist[b]
-		}
+		addBuckets(&t.StealBatchHist, &c.StealBatchHist)
 		t.Parks += c.Parks
 		t.BackoffParks += c.BackoffParks
 		t.PostedHere += c.PostedHere
@@ -455,9 +452,7 @@ func (s Stats) Total() CoreStats {
 		t.Stalls += c.Stalls
 		t.Queued += c.Queued
 		t.TimersFired += c.TimersFired
-		for b := range c.TimerLagHist {
-			t.TimerLagHist[b] += c.TimerLagHist[b]
-		}
+		addBuckets(&t.TimerLagHist, &c.TimerLagHist)
 		t.TimersPending += c.TimersPending
 		t.QueueDelayHist.Merge(c.QueueDelayHist)
 		t.ExecTimeHist.Merge(c.ExecTimeHist)

@@ -177,7 +177,7 @@ func (r *Runtime) harvestTimers(c *rcore) int {
 func (r *Runtime) fireTimer(c *rcore, e *timerwheel.Entry, now int64) {
 	lag := now - e.When
 	c.stats.timersFired.Add(1)
-	c.stats.timerLagHist[obs.TimerLagBounds.Bucket(lag)].Add(1)
+	c.stats.timerLagHist.Observe(&obs.TimerLagBounds, lag)
 
 	// The handler id was validated at arm time and handlers never
 	// unregister. The fired event inherits the arming span's lineage

@@ -160,7 +160,7 @@ func TestFlowMultiHopChain(t *testing.T) {
 	}
 
 	// The dump must reconstruct the same chain: connected, depth 5,
-	// critical path running the full length to the leaf.
+	// five hops from root to leaf.
 	var buf bytes.Buffer
 	if err := r.DumpTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -179,13 +179,26 @@ func TestFlowMultiHopChain(t *testing.T) {
 		t.Errorf("Roots(%#x) = %+v, want exactly the ingress span %#x",
 			trace, roots, ids.span["ingress"])
 	}
-	path := idx.CriticalPath(trace)
-	if len(path) != 5 {
-		t.Fatalf("CriticalPath length = %d, want 5", len(path))
+	// The five hops, leaf to root through the dump's parent links.
+	hop := idx.Spans[ids.span["leaf"]]
+	for i := len(chain) - 1; i >= 0; i-- {
+		if hop == nil || hop.Span != ids.span[chain[i]] || hop.Handler != chain[i] {
+			t.Fatalf("hop %d of the dumped chain is %+v, want %s span %#x", i, hop, chain[i], ids.span[chain[i]])
+		}
+		hop = idx.Spans[hop.Parent]
 	}
-	if last := path[len(path)-1]; last.Span != ids.span["leaf"] || last.Handler != "leaf" {
-		t.Errorf("critical path ends at %q span %#x, want leaf span %#x",
-			last.Handler, last.Span, ids.span["leaf"])
+	// The critical path is that chain up to whichever span finished
+	// last: leaf, or spillhop when leaf (core 1) ran to its end before
+	// the handler that posted it (core 0) returned.
+	path := idx.CriticalPath(trace)
+	if len(path) < 4 || len(path) > 5 {
+		t.Fatalf("CriticalPath length = %d, want 4 or 5", len(path))
+	}
+	for i, s := range path {
+		if s.Span != ids.span[chain[i]] {
+			t.Errorf("critical path hop %d is %q span %#x, want %s span %#x",
+				i, s.Handler, s.Span, chain[i], ids.span[chain[i]])
+		}
 	}
 	for _, s := range path {
 		if idx.QueueDelayMicros(s) < 0 {
