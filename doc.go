@@ -173,10 +173,10 @@
 // the color drains below its low-water mark and the backlog reloads in
 // strict FIFO order — so per-color ordering holds across the disk
 // boundary and memory stays at the bound no matter how deep the
-// backlog runs. Spilled colors stay visible to workstealing (the
-// on-disk backlog counts toward steal worthiness) and a stolen color's
-// disk tail follows it to the thief, because reloads deliver through
-// the same ownership lease as any post. Payloads must be
+// backlog runs. Spilled colors stay visible to workstealing (a thief
+// takes what is queued in memory) and a stolen color's disk tail
+// follows it to the thief, because reloads deliver through the same
+// ownership lease as any post. Payloads must be
 // self-contained values ([]byte, string, integers, bool, float64,
 // nil); events with pointerful payloads fall back to in-memory
 // delivery and count in SpillErrors.

@@ -440,7 +440,6 @@ func TestHotFieldLayout(t *testing.T) {
 			{"runCQ", unsafe.Offsetof(c.runCQ), unsafe.Sizeof(c.runCQ)},
 			{"qlen", unsafe.Offsetof(c.qlen), unsafe.Sizeof(c.qlen)},
 			{"stealLen", unsafe.Offsetof(c.stealLen), unsafe.Sizeof(c.stealLen)},
-			{"diskLen", unsafe.Offsetof(c.diskLen), unsafe.Sizeof(c.diskLen)},
 		})
 	var r Runtime
 	disjoint("Runtime, written per event against read per event",

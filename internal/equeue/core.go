@@ -144,38 +144,16 @@ func (q *Core) PopNext() (e *Event, emptied *ColorQueue) {
 	return q.mely.PopNext()
 }
 
-// SpillBacklogTotal reports the summed on-disk backlog mirrored for the
-// colors queued here.
-func (q *Core) SpillBacklogTotal() int {
-	if q.list != nil {
-		return q.list.SpillBacklogTotal()
-	}
-	return q.mely.SpillBacklogTotal()
-}
-
-// SetSpillBacklog records color c's on-disk backlog mirror, n events of
-// the given penalty-weighted cost. cq is c's tabled ColorQueue; on the Mely
-// layout a color without one has nothing to carry the mirror and is left
-// alone (the next spill activity re-syncs it).
-func (q *Core) SetSpillBacklog(c Color, cq *ColorQueue, n int, cost int64) {
-	if q.list != nil {
-		q.list.SetSpillBacklog(c, n)
-	} else if cq != nil {
-		q.mely.SetSpillBacklog(cq, n, cost)
-	}
-}
-
 // StealSet is what one steal transaction moves from a victim Core to the
 // thief's: the chosen colors, each with all its queued events (the
 // detached ColorQueue itself on the Mely layout, an extracted EventSet on
-// the list layout) and its spill-backlog mirror. A thief reuses one.
+// the list layout). A thief reuses one.
 type StealSet struct {
 	// Colors are the stolen colors, in the order they were chosen.
 	Colors []Color
 
-	cqs     []*ColorQueue // Mely layout, by color
-	sets    []EventSet    // list layout, by color
-	spilled []int         // list layout: the mirrors (a ColorQueue carries its own)
+	cqs  []*ColorQueue // Mely layout, by color
+	sets []EventSet    // list layout, by color
 }
 
 // Queue returns the ColorQueue holding the events of Colors[i], for the
@@ -210,11 +188,6 @@ func (q *Core) Detach(worthy bool, budget int, s *StealSet) (w StealWork) {
 		var scanned int
 		s.sets, scanned = q.list.ExtractColorSet(s.Colors, s.sets)
 		w.Scanned += scanned
-		s.spilled = s.spilled[:0]
-		for _, c := range s.Colors {
-			s.spilled = append(s.spilled, q.list.SpillBacklog(c))
-			q.list.SetSpillBacklog(c, 0)
-		}
 		return w
 	}
 	if worthy {
@@ -238,10 +211,9 @@ func (q *Core) Detach(worthy bool, budget int, s *StealSet) (w StealWork) {
 // for each color is the platform's.
 func (q *Core) Adopt(s *StealSet) (linked int) {
 	if q.list != nil {
-		for i, c := range s.Colors {
+		for i := range s.Colors {
 			s.sets[i].MarkStolen()
 			q.list.AppendSet(s.sets[i])
-			q.list.SetSpillBacklog(c, s.spilled[i])
 		}
 		return 0
 	}

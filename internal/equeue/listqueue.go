@@ -17,28 +17,11 @@ type ListQueue struct {
 
 	// pending counts events per color currently in this queue.
 	pending map[Color]int
-	// cumCost is the penalty-weighted pending processing time per color,
-	// used only when the Mely heuristics are (artificially) applied to
-	// the list layout; the base algorithm ignores it.
-	cumCost map[Color]int64
-
-	// spilled mirrors each color's on-disk backlog (events the overload
-	// layer moved to the spill store); spilledTotal is its sum. The
-	// steal choice weighs colors by their effective size — in-memory
-	// pending plus spilled tail — so a victim whose fat colors live on
-	// disk is not misread as holding only trivia. Nil until the runtime
-	// first calls SetSpillBacklog; every path below is unchanged while
-	// it stays nil (the simulator's regenerated tables depend on that).
-	spilled      map[Color]int
-	spilledTotal int
 }
 
 // NewListQueue returns an empty Libasync-smp style queue.
 func NewListQueue() *ListQueue {
-	return &ListQueue{
-		pending: make(map[Color]int),
-		cumCost: make(map[Color]int64),
-	}
+	return &ListQueue{pending: make(map[Color]int)}
 }
 
 // Len reports the number of queued events.
@@ -49,44 +32,6 @@ func (q *ListQueue) DistinctColors() int { return len(q.pending) }
 
 // Pending reports the number of queued events of color c.
 func (q *ListQueue) Pending(c Color) int { return q.pending[c] }
-
-// PendingCost reports the penalty-weighted queued processing time of c.
-func (q *ListQueue) PendingCost(c Color) int64 { return q.cumCost[c] }
-
-// SetSpillBacklog records color c's on-disk backlog mirror. Advisory:
-// the runtime refreshes it on every spill append and reload; steal
-// choices use it to weigh colors by their whole size (memory head plus
-// disk tail).
-func (q *ListQueue) SetSpillBacklog(c Color, n int) {
-	if q.spilled == nil {
-		if n == 0 {
-			return
-		}
-		q.spilled = make(map[Color]int)
-	}
-	q.spilledTotal += n - q.spilled[c]
-	if n == 0 {
-		delete(q.spilled, c)
-	} else {
-		q.spilled[c] = n
-	}
-}
-
-// SpillBacklog reports the mirrored on-disk backlog of color c.
-func (q *ListQueue) SpillBacklog(c Color) int { return q.spilled[c] }
-
-// SpillBacklogTotal reports the summed mirrored on-disk backlog across
-// every color. O(1); zero while spill is not in use.
-func (q *ListQueue) SpillBacklogTotal() int { return q.spilledTotal }
-
-// effectivePending is the steal choice's view of a color's size: the
-// in-memory pending count plus the mirrored spilled tail.
-func (q *ListQueue) effectivePending(c Color) int {
-	if q.spilled == nil {
-		return q.pending[c]
-	}
-	return q.pending[c] + q.spilled[c]
-}
 
 // FirstColor reports the color of the head event, if any.
 func (q *ListQueue) FirstColor() (Color, bool) {
@@ -108,7 +53,6 @@ func (q *ListQueue) PushBack(e *Event) {
 	q.tail = e
 	q.count++
 	q.pending[e.Color]++
-	q.cumCost[e.Color] += e.WeightedCost()
 }
 
 // PopFront removes and returns the head event, or nil if empty.
@@ -139,11 +83,6 @@ func (q *ListQueue) unlink(e *Event) {
 	} else {
 		delete(q.pending, e.Color)
 	}
-	if c := q.cumCost[e.Color] - e.WeightedCost(); c > 0 {
-		q.cumCost[e.Color] = c
-	} else {
-		delete(q.cumCost, e.Color)
-	}
 }
 
 // ChooseColorsToSteal implements the Libasync-smp choose_colors_to_steal
@@ -171,13 +110,13 @@ func (q *ListQueue) ChooseColorsToSteal(running Color, hasRunning bool, max int,
 	if max > len(q.pending)-keep {
 		max = len(q.pending) - keep
 	}
-	half := (q.count + q.spilledTotal) / 2
+	half := q.count / 2
 	buf = buf[:0]
 	for e := q.head; e != nil && len(buf) < max; e = e.next {
 		if hasRunning && e.Color == running {
 			continue
 		}
-		if q.effectivePending(e.Color) > half && q.count > 1 {
+		if q.pending[e.Color] > half && q.count > 1 {
 			continue
 		}
 		dup := false

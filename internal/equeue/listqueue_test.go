@@ -55,25 +55,6 @@ func TestListQueuePendingCounts(t *testing.T) {
 	}
 }
 
-func TestListQueuePendingCost(t *testing.T) {
-	q := NewListQueue()
-	e := ev(5, 1000)
-	e.Penalty = 10
-	q.PushBack(e)
-	if got := q.PendingCost(5); got != 100 {
-		t.Errorf("PendingCost with penalty 10 = %d, want 100", got)
-	}
-	q.PushBack(ev(5, 50))
-	if got := q.PendingCost(5); got != 150 {
-		t.Errorf("PendingCost = %d, want 150", got)
-	}
-	q.PopFront()
-	q.PopFront()
-	if got := q.PendingCost(5); got != 0 {
-		t.Errorf("drained PendingCost = %d, want 0", got)
-	}
-}
-
 // chooseOne is choose_colors_to_steal at the paper's budget of one color.
 func chooseOne(q *ListQueue, running Color, hasRunning bool) (c Color, ok bool, scanned int) {
 	colors, scanned := q.ChooseColorsToSteal(running, hasRunning, 1, nil)

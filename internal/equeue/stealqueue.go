@@ -81,7 +81,7 @@ func (s *StealingQueue) Interval(cumCost int64) int {
 // reclassify moves cq into the interval matching its current cumCost,
 // inserting or removing it as needed. O(1).
 func (s *StealingQueue) reclassify(cq *ColorQueue) {
-	want := s.Interval(cq.cumCost + cq.spilledCost)
+	want := s.Interval(cq.cumCost)
 	if want == cq.interval {
 		return
 	}

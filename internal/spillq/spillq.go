@@ -219,8 +219,7 @@ type chain struct {
 	mu      sync.Mutex
 	segs    []*segment
 	nextSeq uint64
-	depth   int   // unconsumed records across all segments
-	cost    int64 // summed Record.Cost of unconsumed records
+	depth   int // unconsumed records across all segments
 }
 
 // Store is a directory of per-color segment chains.
@@ -321,7 +320,6 @@ func (s *Store) recoverSegment(path, name string) error {
 
 	// Scan records from the consumed offset to the first invalid one.
 	var recs []Record
-	var cost int64
 	off := consumed
 	torn := false
 	for off < size {
@@ -334,7 +332,6 @@ func (s *Store) recoverSegment(path, name string) error {
 		}
 		rec.Payload = nil // headers only; payloads stay on disk
 		recs = append(recs, rec)
-		cost += rec.Cost
 		off += n
 	}
 	m.close()
@@ -367,7 +364,6 @@ func (s *Store) recoverSegment(path, name string) error {
 	}
 	c.segs = append(c.segs, seg)
 	c.depth += len(recs)
-	c.cost += cost
 	if seq >= c.nextSeq {
 		c.nextSeq = seq + 1
 	}
@@ -591,7 +587,6 @@ func (s *Store) Append(color uint64, recs []Record) error {
 		tail.count++
 		tail.dirty = true
 		c.depth++
-		c.cost += rec.Cost
 		s.total.Add(1)
 		s.appended.Add(need)
 		if s.opts.Sync != SyncAlways {
@@ -641,9 +636,6 @@ func (c *chain) openTail() *segment {
 // durable records keep serving, the next append writes from the
 // durable offset.
 func (s *Store) rollbackTail(c *chain, tail *segment, lost []Record, cause error) error {
-	for i := range lost {
-		c.cost -= lost[i].Cost
-	}
 	c.depth -= len(lost)
 	s.total.Add(int64(-len(lost)))
 	if tail != nil && tail.size > tail.durSize {
@@ -777,9 +769,6 @@ func (s *Store) Reload(color uint64, max int, dst []Record) ([]Record, error) {
 			return dst, err
 		}
 		c.depth -= take
-		for i := len(dst) - take; i < len(dst); i++ {
-			c.cost -= dst[i].Cost
-		}
 		s.total.Add(int64(-take))
 		max -= take
 		if head.read < head.count {
@@ -870,20 +859,6 @@ func (s *Store) Depth(color uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.depth
-}
-
-// Cost reports the summed Record.Cost of one color's unconsumed
-// records (the worthiness mirror's currency).
-func (s *Store) Cost(color uint64) int64 {
-	s.mu.Lock()
-	c := s.colors[color]
-	s.mu.Unlock()
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cost
 }
 
 // TotalDepth reports the unconsumed records across every color.

@@ -174,7 +174,7 @@ func (r *Runtime) Saturated(color Color) bool {
 		s := a.shard(equeue.Color(color))
 		s.mu.Lock()
 		st := s.colors[equeue.Color(color)]
-		sat := st != nil && (st.spilling ||
+		sat := st != nil && (st.spilling() ||
 			(a.maxPerColor > 0 && st.mem >= a.maxPerColor))
 		s.mu.Unlock()
 		return sat
@@ -186,8 +186,8 @@ func (r *Runtime) Saturated(color Color) bool {
 type admRoute int
 
 const (
-	routeMemory admRoute = iota // deliver to the in-memory queues (reserved)
-	routeDisk                   // append to the color's spill tail
+	routeMemory admRoute = iota // deliver to the in-memory queues (slot reserved)
+	routeDisk                   // append to the color's spill tail (slot reserved)
 )
 
 // admShardCount stripes the per-color admission state (power of two).
@@ -206,13 +206,12 @@ type admShard struct {
 // colorAdm is one color's admission state. All fields are guarded by
 // the owning shard's mutex.
 type colorAdm struct {
-	mem      int64 // in-memory queued events of this color
-	disk     int64 // spilled records not yet reloaded
-	diskCost int64 // penalty-weighted cost of those records (mirror)
-	// spilling marks the color's tail as living on disk: every new post
-	// of the color routes to disk until the backlog fully reloads, which
-	// is what keeps per-color FIFO across the spill boundary.
-	spilling bool
+	mem int64 // in-memory queued events of this color
+	// disk counts the color's spilled events not yet reloaded, each from
+	// the moment admit routes it to disk — a reservation: its record
+	// reaches the store afterwards (appendRecord) — until reload brings
+	// it back or forceMemory takes the slot to memory.
+	disk int64
 	// reloading serializes reloads of one color (at most one worker or
 	// poster drains a color's disk tail at a time).
 	reloading bool
@@ -221,6 +220,12 @@ type colorAdm struct {
 	// that frees headroom picks starved colors back up.
 	starved bool
 }
+
+// spilling reports whether the color's tail lives on disk: every new post
+// of the color routes to disk until the backlog has fully reloaded AND
+// been delivered, which is what keeps per-color FIFO across the spill
+// boundary.
+func (st *colorAdm) spilling() bool { return st.disk > 0 || st.reloading }
 
 // admission is the overload-control layer: queue-bound accounting,
 // the Reject/Block/Spill policy machinery, and the bridge to the
@@ -250,10 +255,9 @@ type admission struct {
 	starvedQ  []equeue.Color
 	starvedN  atomic.Int32
 
-	// Block-policy gate: waiters subscribe to blockCh and every
-	// completion that could open space closes it.
-	blockMu      sync.Mutex
-	blockCh      chan struct{}
+	// Block-policy gate: waiters subscribe to it and every completion
+	// that could open space opens it.
+	block        gate
 	blockWaiters atomic.Int32
 
 	spilled   atomic.Int64
@@ -309,24 +313,14 @@ func newAdmission(r *Runtime, cfg Config) (*admission, error) {
 			Recover: cfg.SpillRecover,
 		}
 		// Recovery: the store replays surviving record headers during
-		// Open (per-color FIFO order); aggregate them per color here,
-		// then adopt each backlog below — after the store is wired —
-		// so the colors start out spilling with the right disk depth
-		// and weighted cost, and reloading begins immediately.
-		type recAgg struct{ n, cost int64 }
-		var backlogs map[equeue.Color]*recAgg
+		// Open (per-color FIFO order); count them per color here, then
+		// adopt each backlog below — after the store is wired — so the
+		// colors start out spilling with the right disk depth, and
+		// reloading begins immediately.
+		var backlogs map[equeue.Color]int64
 		if cfg.SpillRecover {
-			backlogs = make(map[equeue.Color]*recAgg)
-			opts.OnRecover = func(rec spillq.Record) {
-				color := equeue.Color(rec.Color)
-				ag := backlogs[color]
-				if ag == nil {
-					ag = &recAgg{}
-					backlogs[color] = ag
-				}
-				ag.n++
-				ag.cost += weightedSpillCost(rec.Cost, rec.Penalty)
-			}
+			backlogs = make(map[equeue.Color]int64)
+			opts.OnRecover = func(rec spillq.Record) { backlogs[equeue.Color(rec.Color)]++ }
 		}
 		store, err := spillq.Open(dir, opts)
 		if err != nil {
@@ -336,8 +330,8 @@ func newAdmission(r *Runtime, cfg Config) (*admission, error) {
 			return nil, fmt.Errorf("mely: %w", err)
 		}
 		a.store = store
-		for color, ag := range backlogs {
-			a.adoptRecovered(color, ag.n, ag.cost)
+		for color, n := range backlogs {
+			a.adoptRecovered(color, n)
 		}
 	}
 	return a, nil
@@ -346,22 +340,19 @@ func newAdmission(r *Runtime, cfg Config) (*admission, error) {
 // adoptRecovered publishes one color's crash-recovered disk backlog
 // into the admission state: the color starts out spilling (new posts
 // route to disk behind the backlog, preserving per-color FIFO across
-// the restart), the records count as pending work, the steal-worthiness
-// mirror sees the disk cost, and the reload machinery starts pulling
-// the backlog into memory immediately — recovered events need no
-// triggering execution, they flow in under the normal headroom-bounded
-// batches (leftovers park as starved and drain on completions).
-func (a *admission) adoptRecovered(color equeue.Color, n, cost int64) {
+// the restart), the records count as pending work, and the reload
+// machinery starts pulling the backlog into memory immediately —
+// recovered events need no triggering execution, they flow in under the
+// normal headroom-bounded batches (leftovers park as starved and drain
+// on completions).
+func (a *admission) adoptRecovered(color equeue.Color, n int64) {
 	a.r.pending.Add(n)
 	s := a.shard(color)
 	s.mu.Lock()
 	st := s.state(color)
 	st.disk += n
-	st.diskCost += cost
-	st.spilling = true
 	st.reloading = true
 	s.mu.Unlock()
-	a.r.syncSpillMirror(color, n, cost)
 	a.reload(nil, color)
 }
 
@@ -369,7 +360,7 @@ func (a *admission) adoptRecovered(color equeue.Color, n, cost int64) {
 // Idempotent; called from Stop after the workers have exited.
 func (a *admission) close() {
 	a.closeOnce.Do(func() {
-		a.wakeBlocked()
+		a.block.open()
 		if a.store != nil {
 			a.closeErr = a.store.Close()
 			if a.ownDir {
@@ -405,11 +396,14 @@ func (s *admShard) state(color equeue.Color) *colorAdm {
 	return st
 }
 
-// admit is the admission decision for one event about to be posted.
-// routeMemory means the event was reserved against the bounds (the
-// caller must enqueue it); routeDisk means the caller must append it
-// to the color's spill tail instead. external distinguishes edge posts
-// from handler/timer continuations (see OverloadPolicy).
+// admit is the admission decision for one event about to be posted, and
+// a reservation either way. routeMemory means the event holds a slot
+// against the bounds (the caller must enqueue it); routeDisk means it
+// holds a slot of its color's disk tail — the color is spilling from
+// here on — and the caller must spill it (Runtime.spill), which appends
+// it there or, failing that, takes the slot to memory (forceMemory).
+// external distinguishes edge posts from handler/timer continuations
+// (see OverloadPolicy).
 func (a *admission) admit(ctx context.Context, color equeue.Color, external bool) (admRoute, error) {
 	countedBlock := false
 	for {
@@ -434,10 +428,9 @@ func (a *admission) admit(ctx context.Context, color equeue.Color, external bool
 		s := a.shard(color)
 		s.mu.Lock()
 		st := s.colors[color]
-		spilling := st != nil && st.spilling
 		overColor := a.maxPerColor > 0 && st != nil && st.mem >= a.maxPerColor
-		if a.policy == OverloadSpill && (spilling || overColor) {
-			st.spilling = true // either test found the color's state
+		if a.policy == OverloadSpill && st != nil && (overColor || st.spilling()) {
+			st.disk++
 			s.mu.Unlock()
 			return routeDisk, nil
 		}
@@ -464,7 +457,7 @@ func (a *admission) admit(ctx context.Context, color equeue.Color, external bool
 		// shards cannot jointly overshoot the bound.
 		if a.claimGlobal(1) == 0 {
 			if a.policy == OverloadSpill {
-				s.state(color).spilling = true
+				s.state(color).disk++
 				s.mu.Unlock()
 				return routeDisk, nil
 			}
@@ -523,27 +516,20 @@ func (a *admission) claimGlobal(want int64) int64 {
 	}
 }
 
-// forceMemory reserves an event against the gauges without a bound
-// check: the fallback when a spill-routed event turns out not to be
-// encodable (or the store fails) and losing it would be worse than
-// overshooting the bound. A color whose admission marked it spilling
-// but whose overflow cannot actually reach the disk must not stay
-// flagged: with no disk backlog there is no reload to ever clear it,
-// and a permanently "spilling" color reads as saturated forever
-// (pausing its connection's reads for good). The flag is re-derived
-// here from the real disk depth.
+// forceMemory takes a disk-routed event's slot to memory without a bound
+// check: the fallback when the event turns out not to be encodable (or
+// the store fails) and losing it would be worse than overshooting the
+// bound. Giving the disk slot back is what stops a color whose overflow
+// cannot reach the disk from reading as spilling — and so as saturated,
+// pausing its connection's reads — with no reload ever to end it.
 func (a *admission) forceMemory(color equeue.Color) {
 	a.queued.Add(1)
-	if a.trackColors {
-		s := a.shard(color)
-		s.mu.Lock()
-		st := s.state(color)
-		st.mem++
-		if st.spilling && st.disk == 0 && !st.reloading {
-			st.spilling = false
-		}
-		s.mu.Unlock()
-	}
+	s := a.shard(color)
+	s.mu.Lock()
+	st := s.state(color)
+	st.disk--
+	st.mem++
+	s.mu.Unlock()
 }
 
 // waitBelow blocks until check passes, the runtime stops, or ctx ends.
@@ -551,13 +537,7 @@ func (a *admission) forceMemory(color equeue.Color) {
 func (a *admission) waitBelow(ctx context.Context, check func() bool) error {
 	a.blockWaiters.Add(1)
 	defer a.blockWaiters.Add(-1)
-	a.blockMu.Lock()
-	ch := a.blockCh
-	if ch == nil {
-		ch = make(chan struct{})
-		a.blockCh = ch
-	}
-	a.blockMu.Unlock()
+	ch := a.block.subscribe()
 	// Re-check after subscribing: a completion between the caller's
 	// bound check and the subscription has already closed ch or is
 	// observable here — either way the wake cannot be missed.
@@ -576,35 +556,22 @@ func (a *admission) waitBelow(ctx context.Context, check func() bool) error {
 	}
 }
 
-// wakeBlocked releases every Block-policy waiter to re-try admission.
-func (a *admission) wakeBlocked() {
-	a.blockMu.Lock()
-	if a.blockCh != nil {
-		close(a.blockCh)
-		a.blockCh = nil
-	}
-	a.blockMu.Unlock()
-}
-
 // noteExec accounts one executed event leaving the in-memory queues:
-// the gauge decrement, the Block-policy wake, the low-water reload
+// the gauge decrements, the Block-policy wake, the low-water reload
 // trigger for its color, and the starved-color pickup that runs on any
 // completion once global headroom exists. Called by the workers after
 // every handler execution on a bounded runtime; c is the calling
 // worker's core (reloaded events are built on it, see eventFromRecord).
 func (a *admission) noteExec(c *rcore, color equeue.Color) {
 	a.queued.Add(-1)
-	if a.blockWaiters.Load() > 0 {
-		a.wakeBlocked()
-	}
+	var doReload bool
 	if a.trackColors {
-		var doReload bool
 		s := a.shard(color)
 		s.mu.Lock()
 		if st := s.colors[color]; st != nil {
 			st.mem--
 			switch {
-			case st.spilling && !st.reloading && st.disk > 0 && st.mem <= a.lowWater:
+			case !st.reloading && st.disk > 0 && st.mem <= a.lowWater:
 				if a.headroom() {
 					st.reloading = true
 					doReload = true
@@ -615,27 +582,23 @@ func (a *admission) noteExec(c *rcore, color equeue.Color) {
 					// pickup by whichever completion frees headroom.
 					a.markStarvedLocked(st, color)
 				}
-			case st.spilling && st.disk == 0 && !st.reloading:
-				// Safety net: a spilling flag with no disk backlog has
-				// no reload left to clear it (spill fallbacks and append
-				// failures can leave this state); clear it here so the
-				// color does not read as saturated forever. An append
-				// between admission and the store (microseconds) simply
-				// re-marks it.
-				st.spilling = false
-				if st.mem == 0 {
-					delete(s.colors, color)
-				}
-			case !st.spilling && st.mem == 0 && st.disk == 0:
+			case !st.spilling() && st.mem == 0:
 				// Fully idle: drop the entry so the maps track the
 				// working set, not the color keyspace.
 				delete(s.colors, color)
 			}
 		}
 		s.mu.Unlock()
-		if doReload {
-			a.reload(c, color)
-		}
+	}
+	// Only now, with both gauges lowered: a waiter at the per-color bound
+	// woken ahead of st.mem-- finds the color still full and sleeps on a
+	// fresh subscription, which — if this was the last completion —
+	// nothing would ever open.
+	if a.blockWaiters.Load() > 0 {
+		a.block.open()
+	}
+	if doReload {
+		a.reload(c, color)
 	}
 	if a.starvedN.Load() > 0 && a.headroom() {
 		a.reloadStarved(c)
@@ -695,77 +658,43 @@ func (a *admission) reloadStarved(c *rcore) {
 // reload drains one color's disk tail back into the in-memory queues:
 // headroom-bounded batches, FIFO order, delivered through the normal
 // ownership lease path — so a reloaded tail follows its color wherever
-// a steal moved it. The caller must have set st.reloading; reload
-// clears it on every exit path — and never before its own batch has
-// been enqueued: both st.spilling and st.reloading stay set through
-// the enqueue loop, so a concurrent post cannot slip into memory ahead
-// of older spilled events (the flags only drop once the tail is truly
+// a steal moved it. The caller must have set st.reloading, which also
+// pins the color's entry; reload clears it at its one exit — and never
+// before its own batch has been enqueued: the color reads as spilling
+// through the enqueue loop, so a concurrent post cannot slip into memory
+// ahead of older spilled events (it stops only once the tail is truly
 // empty AND delivered). Disk reads happen outside the shard mutex —
-// st.reloading serializes readers per color, and appenders reserve
-// st.disk before touching the store, so a read can at worst come up
+// st.reloading serializes readers per color, and admit reserves st.disk
+// before the record reaches the store, so a read can at worst come up
 // short (an append in flight), never inconsistent. c is the core whose
 // worker is calling, nil when the caller is no worker.
 func (a *admission) reload(c *rcore, color equeue.Color) {
 	var buf []spillq.Record
-	for {
-		s := a.shard(color)
-		s.mu.Lock()
-		st := s.colors[color]
-		if st == nil {
-			s.mu.Unlock()
-			return
-		}
-		if st.disk == 0 {
-			st.spilling = false
-			st.reloading = false
-			if st.mem == 0 {
-				delete(s.colors, color)
-			}
-			s.mu.Unlock()
-			a.r.syncSpillMirror(color, 0, 0)
-			return
-		}
-		want := int64(reloadBatchRecords)
-		if want > st.disk {
-			want = st.disk
-		}
+	full := false // the global bound had no slot to reload into
+	s := a.shard(color)
+	s.mu.Lock()
+	st := s.colors[color]
+	for st.disk > 0 {
+		want := min(int64(reloadBatchRecords), st.disk)
 		if a.maxPerColor > 0 {
-			head := a.maxPerColor - st.mem
-			if head <= 0 {
-				// The color refilled (posters raced the reload); the next
-				// completion of this color re-triggers.
-				st.reloading = false
-				s.mu.Unlock()
-				return
-			}
-			if want > head {
-				want = head
-			}
+			// Nothing, if the color refilled (posters raced the reload):
+			// its next completion re-triggers.
+			want = min(want, a.maxPerColor-st.mem)
 		}
 		// Claim the global slots CAS-strictly before touching the store,
 		// so concurrent reloads and posters cannot jointly push memory
 		// past the bound; unused claims are released after the read.
 		claimed := a.claimGlobal(want)
 		if claimed == 0 {
-			st.reloading = false
-			if st.mem == 0 {
-				a.markStarvedLocked(st, color)
-			}
-			s.mu.Unlock()
-			// Close the race with a completion that freed headroom
-			// between our check and the starved mark (atomics are
-			// sequentially consistent: either it saw the mark, or we
-			// see its decrement here).
-			if a.starvedN.Load() > 0 && a.headroom() {
-				a.reloadStarved(c)
-			}
-			return
+			full = want > 0
+			break
 		}
 		s.mu.Unlock()
 
 		// Disk read without the shard lock (Saturated and noteExec must
 		// not wait out an I/O): st.reloading keeps this color's reads
-		// exclusive.
+		// exclusive. landed tells whether any append beat the read.
+		landed := a.spilled.Load()
 		var err error
 		buf, err = a.store.Reload(uint64(color), int(claimed), buf[:0])
 		n := int64(len(buf))
@@ -774,50 +703,33 @@ func (a *admission) reload(c *rcore, color equeue.Color) {
 		}
 
 		s.mu.Lock()
-		if err != nil && n == 0 {
-			// The disk tail is unreadable (I/O error or store closed
-			// mid-shutdown). The records cannot be recovered: account
-			// them as lost so Drain does not wait forever, and surface
-			// the failure in SpillErrors.
-			a.spillErrs.Add(1)
-			lost := st.disk
-			st.disk, st.diskCost = 0, 0
-			st.spilling, st.reloading = false, false
-			s.mu.Unlock()
-			a.r.pending.Add(-lost)
-			a.r.syncSpillMirror(color, 0, 0)
-			if lost > 0 && a.r.pending.Load() == 0 && a.r.drainWaiters.Load() > 0 {
-				a.r.wakeDrainers()
-			}
-			return
-		}
 		if n == 0 {
-			// An appender reserved st.disk but its store write is still
-			// in flight; it re-triggers the reload itself once the
-			// record lands.
-			st.reloading = false
-			if st.mem == 0 {
-				a.markStarvedLocked(st, color)
+			if err != nil {
+				// The disk tail is unreadable (I/O error or store closed
+				// mid-shutdown). The records cannot be recovered: account
+				// them as lost so Drain does not wait forever, and surface
+				// the failure in SpillErrors.
+				a.spillErrs.Add(1)
+				if a.r.pending.Add(-st.disk) == 0 && a.r.drainWaiters.Load() > 0 {
+					a.r.drained.open()
+				}
+				st.disk = 0
+			} else if a.spilled.Load() != landed {
+				// Something landed since the read, maybe ours, and its
+				// poster found us reloading and left it to us: read again.
+				continue
 			}
-			s.mu.Unlock()
-			return
-		}
-		var cost int64
-		for i := range buf {
-			cost += weightedSpillCost(buf[i].Cost, buf[i].Penalty)
+			// Else an admitted event holds st.disk while its store write
+			// is still in flight; its poster re-triggers the reload
+			// itself once the record lands (appendRecord).
+			break
 		}
 		st.disk -= n
-		st.diskCost -= cost
-		if st.disk == 0 || st.diskCost < 0 {
-			st.diskCost = 0
-		}
 		st.mem += n // the matching global slots were claimed above
-		diskAfter, costAfter := st.disk, st.diskCost
 		s.mu.Unlock()
 
-		// Enqueue with spilling/reloading still set: posts of this color
-		// keep routing behind the tail until this batch is in the
-		// queues.
+		// Enqueue with reloading still set: posts of this color keep
+		// routing behind the tail until this batch is in the queues.
 		a.reloaded.Add(n)
 		a.r.traceAux(obs.KindReload, 0, uint64(color), uint32(clampUint32(n)))
 		var lone idSource
@@ -825,62 +737,53 @@ func (a *admission) reload(c *rcore, color equeue.Color) {
 		for i := range buf {
 			a.r.enqueue(a.r.eventFromRecord(c, ids, &buf[i]))
 		}
-		a.r.syncSpillMirror(color, diskAfter, costAfter)
 
 		// Go around while the color sits at its low-water mark with a
-		// tail left, and once more to retire a tail that is empty.
+		// tail left.
 		s.mu.Lock()
-		if st.disk > 0 && st.mem > a.lowWater {
-			st.reloading = false
-			s.mu.Unlock()
-			return
+		if st.mem > a.lowWater {
+			break
 		}
-		s.mu.Unlock()
+	}
+	st.reloading = false
+	if st.mem == 0 {
+		if st.disk > 0 {
+			// No execution of this color will come to re-trigger.
+			a.markStarvedLocked(st, color)
+		} else {
+			delete(s.colors, color)
+		}
+	}
+	s.mu.Unlock()
+	// Close the race with a completion that freed headroom between the
+	// failed claim and the starved mark (atomics are sequentially
+	// consistent: either it saw the mark, or we see its decrement here).
+	if full && a.starvedN.Load() > 0 && a.headroom() {
+		a.reloadStarved(c)
 	}
 }
 
 // appendRecord moves one admitted-to-disk event onto its color's spill
-// tail. The disk slot is reserved under the shard lock BEFORE the
-// store write and the write itself happens outside it (the shard lock
-// is on the Saturated/noteExec fast paths; holding it across an I/O
-// would stall the epoll reactors and every worker sharing the shard) —
-// a reload racing the in-flight write sees st.disk > 0 with the store
-// still short, comes up empty, and defers back to us: the post-append
-// section below re-triggers the reload, so a record landing on a color
-// whose memory already drained is never stranded. c is the core whose
-// worker is calling, nil when the caller is no worker.
+// tail. admit reserved the disk slot under the shard lock; the store
+// write happens outside it (the shard lock is on the Saturated/noteExec
+// fast paths; holding it across an I/O would stall the epoll reactors
+// and every worker sharing the shard) — a reload racing the in-flight
+// write sees st.disk > 0 with the store still short, comes up empty, and
+// defers back to us: the section after the append re-triggers the
+// reload, so a record landing on a color whose memory already drained is
+// never stranded. On an error the record never landed and the slot is
+// still the caller's to give back. c is the core whose worker is
+// calling, nil when the caller is no worker.
 func (a *admission) appendRecord(c *rcore, color equeue.Color, rec spillq.Record) error {
-	w := weightedSpillCost(rec.Cost, rec.Penalty)
-	s := a.shard(color)
-	s.mu.Lock()
-	st := s.state(color)
-	st.spilling = true
-	st.disk++
-	st.diskCost += w
-	s.mu.Unlock()
-
-	err := a.store.Append(uint64(color), []spillq.Record{rec})
-
-	s.mu.Lock()
-	if err != nil {
-		// The record never landed: release the reserved slot, and drop
-		// the spilling flag if this reservation was all that held it
-		// (the caller delivers the event in memory instead).
-		st.disk--
-		st.diskCost -= w
-		if st.disk == 0 {
-			st.diskCost = 0
-			if !st.reloading {
-				st.spilling = false
-			}
-		}
-		s.mu.Unlock()
+	if err := a.store.Append(uint64(color), []spillq.Record{rec}); err != nil {
 		return err
 	}
 	a.spilled.Add(1)
+	s := a.shard(color)
+	s.mu.Lock()
+	st := s.state(color)
 	a.depthHist.Observe(&obs.SpillDepthBounds, st.disk)
 	a.r.traceAuxFlow(obs.KindSpill, 0, uint64(color), uint32(clampUint32(st.disk)), rec.TraceID, rec.SpanID, rec.ParentSpan)
-	disk, cost := st.disk, st.diskCost
 	var doReload bool
 	if st.mem == 0 && !st.reloading {
 		if a.headroom() {
@@ -891,17 +794,10 @@ func (a *admission) appendRecord(c *rcore, color equeue.Color, rec spillq.Record
 		}
 	}
 	s.mu.Unlock()
-	a.r.syncSpillMirror(color, disk, cost)
 	if doReload {
 		a.reload(c, color)
 	}
 	return nil
-}
-
-// weightedSpillCost is equeue.Event.WeightedCost for a spilled record:
-// the penalty-weighted cost the steal worthiness accounting uses.
-func weightedSpillCost(cost int64, penalty int32) int64 {
-	return (&equeue.Event{Cost: cost, Penalty: penalty}).WeightedCost()
 }
 
 // spill moves a stamped, disk-routed event onto its color's spill tail.
@@ -964,29 +860,6 @@ func (r *Runtime) eventFromRecord(c *rcore, ids *idSource, rec *spillq.Record) *
 		ev.PostNanos = r.now()
 	}
 	return ev
-}
-
-// syncSpillMirror publishes a color's on-disk backlog (count and
-// weighted cost) into the queue structures so steal decisions weigh
-// the whole color. Best effort: the mirror re-syncs on every spill
-// append and reload, so a race with a concurrent steal only leaves it
-// stale until the next spill activity.
-func (r *Runtime) syncSpillMirror(color equeue.Color, n int64, cost int64) {
-	for tries := 0; tries < 4; tries++ {
-		owner := r.table.OwnerHint(color)
-		c := r.cores[owner]
-		c.lock.Lock()
-		if r.table.Owner(color) != owner {
-			c.lock.Unlock()
-			continue // stolen between resolution and lock; retry
-		}
-		if cq := r.table.Queue(color); cq != inTransitMarker {
-			c.SetSpillBacklog(color, cq, int(n), cost)
-		}
-		c.syncDiskLen()
-		c.lock.Unlock()
-		return
-	}
 }
 
 // Spill payload encoding: the compact tagged binary format for

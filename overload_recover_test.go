@@ -110,6 +110,7 @@ func TestSpillRecoverAcrossRuntimes(t *testing.T) {
 	if s2.SpilledNow != 0 {
 		t.Fatalf("SpilledNow = %d after drain, want 0", s2.SpilledNow)
 	}
+	assertAdmissionEmpty(t, rt2)
 }
 
 // TestSpillRecoverValidation pins the config contract: recovery

@@ -193,6 +193,85 @@ func TestOverloadBlockStopReleases(t *testing.T) {
 	}
 }
 
+// TestOverloadBlockWakeFollowsDecrement: a completion wakes Block-policy
+// waiters only after it has lowered the color's own count. A waiter at
+// the per-color bound woken ahead of st.mem-- finds the color still full,
+// subscribes afresh and sleeps — and if that completion was the last one,
+// nothing ever opens the new channel: Post hangs until Stop. Driven by
+// hand on a never-started runtime: the test stands where that waiter's
+// re-check would, holding the color's shard lock, so noteExec's decrement
+// cannot have happened while it is held.
+func TestOverloadBlockWakeFollowsDecrement(t *testing.T) {
+	r := newRuntime(t, Config{Cores: 1, MaxQueuedPerColor: 1, OverloadPolicy: OverloadBlock})
+	defer r.Close()
+	h := r.Register("work", func(*Ctx) {})
+	const color = 7
+	if err := r.Post(h, color, nil); err != nil { // the color is at its bound
+		t.Fatal(err)
+	}
+	a := r.adm
+	s := a.shard(color)
+	s.mu.Lock()
+	a.blockWaiters.Add(1)
+	defer a.blockWaiters.Add(-1)
+	woken := a.block.subscribe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		a.noteExec(r.cores[0], color)
+	}()
+	select {
+	case <-woken:
+		s.mu.Unlock()
+		t.Fatal("waiters woken before the color's count dropped: a waiter at the per-color bound re-checks, finds it full and sleeps for good")
+	case <-time.After(50 * time.Millisecond):
+	}
+	s.mu.Unlock()
+	select {
+	case <-woken:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the completion never woke the waiters")
+	}
+	s.mu.Lock()
+	if st := s.colors[color]; st != nil && st.mem != 0 {
+		t.Errorf("woken with st.mem = %d, want the color below its bound", st.mem)
+	}
+	s.mu.Unlock()
+	<-done
+}
+
+// opaque is a payload that cannot cross the disk boundary.
+type opaque struct{ n int }
+
+// assertAdmissionEmpty checks, after a final Drain, that every
+// reservation admit handed out was given back: no color keeps admission
+// state (a leaked disk slot would leave it reading as spilling, and so
+// saturated, for good), no memory slot is held, no color waits for
+// headroom and the store holds no record.
+func assertAdmissionEmpty(t *testing.T, r *Runtime) {
+	t.Helper()
+	a := r.adm
+	for i := range a.shards {
+		s := &a.shards[i]
+		s.mu.Lock()
+		for color, st := range s.colors {
+			t.Errorf("color %d keeps admission state after the drain: %+v", color, *st)
+		}
+		s.mu.Unlock()
+	}
+	if q := a.queued.Load(); q != 0 {
+		t.Errorf("queued = %d after the drain, want 0", q)
+	}
+	a.starvedMu.Lock()
+	if len(a.starvedQ) != 0 {
+		t.Errorf("starved colors after the drain: %v", a.starvedQ)
+	}
+	a.starvedMu.Unlock()
+	if d := a.store.TotalDepth(); d != 0 {
+		t.Errorf("store depth = %d after the drain, want 0", d)
+	}
+}
+
 // TestOverloadSpillZeroLossBoundedDrain is the acceptance test of the
 // spill subsystem: a sustained overload run (producer far outpacing
 // the consumer past MaxQueuedEvents) under OverloadSpill must hold the
@@ -277,6 +356,7 @@ func TestOverloadSpillZeroLossBoundedDrain(t *testing.T) {
 	if s.SpillErrors != 0 {
 		t.Fatalf("SpillErrors = %d, want 0 (all payloads encodable)", s.SpillErrors)
 	}
+	assertAdmissionEmpty(t, r)
 	t.Logf("spilled=%d reloaded=%d maxQueued=%d depthHist=%v",
 		s.SpilledEvents, s.ReloadedEvents, maxQueued, s.SpillDepthHist)
 
@@ -345,6 +425,7 @@ func TestOverloadSpillStealInterplay(t *testing.T) {
 	if s.SpilledEvents == 0 {
 		t.Fatal("expected spilling under a 32-event bound")
 	}
+	assertAdmissionEmpty(t, r)
 	t.Logf("spilled=%d reloaded=%d stolenEvents=%d", s.SpilledEvents, s.ReloadedEvents, stolen.Load())
 }
 
@@ -352,7 +433,6 @@ func TestOverloadSpillStealInterplay(t *testing.T) {
 // the disk boundary fall back to in-memory delivery (counted, never
 // lost).
 func TestOverloadSpillUnencodablePayload(t *testing.T) {
-	type opaque struct{ n int }
 	r := newRuntime(t, Config{
 		Cores:           1,
 		MaxQueuedEvents: 2,
@@ -398,7 +478,6 @@ func TestOverloadSpillUnencodablePayload(t *testing.T) {
 // SpillErrors, counted once in Pending and QueuedEvents, the color not
 // left reading as spilling, and Drain exact.
 func TestSpillFallbackWithoutCore(t *testing.T) {
-	type opaque struct{ n int }
 	for _, tc := range []struct {
 		name    string
 		payload any
@@ -434,8 +513,9 @@ func TestSpillFallbackWithoutCore(t *testing.T) {
 				t.Fatalf("Drain returned with %d of 3 events run, pending %d", ran.Load(), r.pending.Load())
 			}
 			if r.Saturated(1) {
-				t.Fatal("color still reads saturated: the spilling flag outlived a backlog that never reached the disk")
+				t.Fatal("color still reads saturated: its disk slot outlived an event that never reached the disk")
 			}
+			assertAdmissionEmpty(t, r)
 		})
 	}
 }
@@ -462,46 +542,58 @@ func TestOverloadSpillCrashOrphanCleanup(t *testing.T) {
 
 // TestOverloadSpillTimerRouting: timer firings of a spilling color join
 // the disk tail (FIFO discipline) instead of jumping its queue, and
-// nothing is lost.
+// nothing is lost. A firing is admission's second caller: one whose
+// payload cannot cross the disk boundary gives its disk slot back like a
+// post does and runs from memory, exactly once.
 func TestOverloadSpillTimerRouting(t *testing.T) {
-	r := newRuntime(t, Config{
-		Cores:           1,
-		MaxQueuedEvents: 4,
-		OverloadPolicy:  OverloadSpill,
-	})
-	defer r.Close()
-	var fired, worked atomic.Int64
-	hWork := r.Register("work", func(ctx *Ctx) {
-		worked.Add(1)
-		time.Sleep(50 * time.Microsecond)
-	})
-	hTimer := r.Register("tick", func(ctx *Ctx) { fired.Add(1) })
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
-	const color = 5
-	for i := 0; i < 200; i++ {
-		if err := r.Post(hWork, color, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := r.PostAfter(hTimer, color, time.Millisecond, nil); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := r.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if worked.Load() != 200 || fired.Load() != 1 {
-		t.Fatalf("worked=%d fired=%d, want 200/1", worked.Load(), fired.Load())
+	for _, tc := range []struct {
+		name      string
+		payload   any
+		spillErrs int64
+	}{
+		{"encodable", nil, 0},
+		{"unencodable", &opaque{1}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRuntime(t, Config{
+				Cores:           1,
+				MaxQueuedEvents: 4,
+				OverloadPolicy:  OverloadSpill,
+			})
+			defer r.Close()
+			var fired, worked atomic.Int64
+			hWork := r.Register("work", func(ctx *Ctx) {
+				worked.Add(1)
+				time.Sleep(50 * time.Microsecond)
+			})
+			hTimer := r.Register("tick", func(ctx *Ctx) { fired.Add(1) })
+			if err := r.Start(); err != nil {
+				t.Fatal(err)
+			}
+			const color = 5
+			for i := 0; i < 200; i++ {
+				if err := r.Post(hWork, color, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := r.PostAfter(hTimer, color, time.Millisecond, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			drain(t, r)
+			if worked.Load() != 200 || fired.Load() != 1 || r.pending.Load() != 0 {
+				t.Fatalf("worked=%d fired=%d pending=%d, want 200/1/0", worked.Load(), fired.Load(), r.pending.Load())
+			}
+			if got := r.Stats().SpillErrors; got != tc.spillErrs {
+				t.Fatalf("SpillErrors = %d, want %d", got, tc.spillErrs)
+			}
+			assertAdmissionEmpty(t, r)
+		})
 	}
 }
 
 // TestOverloadSpillRaceStress hammers a small bound from many posters
 // over overlapping colors — the -race exercise of the spill/reload
-// protocol (admission shard state, store, mirror sync, reload-enqueue
-// vs steals).
+// protocol (admission shard state, store, reload-enqueue vs steals).
 func TestOverloadSpillRaceStress(t *testing.T) {
 	const (
 		posters   = 8
@@ -563,6 +655,7 @@ func TestOverloadSpillRaceStress(t *testing.T) {
 	if s.ReloadedEvents != s.SpilledEvents {
 		t.Fatalf("reloaded %d != spilled %d", s.ReloadedEvents, s.SpilledEvents)
 	}
+	assertAdmissionEmpty(t, r)
 }
 
 // TestUnboundedRuntimeHasNoAdmission: the zero-config fast path must

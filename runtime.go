@@ -143,10 +143,10 @@ type rcore struct {
 	// running color's private run is in neither, see run).
 	qlen     atomic.Int32
 	stealLen atomic.Int32
-	// diskLen mirrors the summed spill backlog of the colors linked on
-	// this core, so thieves rank victims by effective depth (memory
-	// head plus disk tail) without locking. Stays 0 while spill is off.
-	diskLen atomic.Int32
+	// Padding: every field from wake on stays at the offset, and so on the
+	// cache line, it was measured at (TestHotFieldLayout pins which
+	// fields may share a line, not where the lines fall).
+	_ [8]byte
 
 	wake chan struct{}
 
@@ -160,8 +160,10 @@ type rcore struct {
 	victimBuf []int
 	lenBuf    []int
 	// stealSet is the steal set of this worker's attempts, reused across
-	// them (worker-owned).
+	// them (worker-owned); the padding behind it is there for the same
+	// reason as the one above.
 	stealSet equeue.StealSet
+	_        [24]byte
 	// timerBuf is the timer harvest buffer (worker-owned).
 	timerBuf []*timerwheel.Entry
 	// Stall-watchdog progress stamps, written by the worker around each
@@ -320,7 +322,7 @@ type Runtime struct {
 	incidents    atomic.Int64
 
 	// pending counts posted-but-not-completed events (Drain). Drain
-	// waiters subscribe to drainCh; workers close it when pending hits
+	// waiters subscribe to drained; workers open it when pending hits
 	// zero, so an idle drain costs nothing (no polling). drainWaiters
 	// keeps the zero-crossing check off the execute hot path when
 	// nobody is draining. Every poster and worker writes pending: it
@@ -328,8 +330,34 @@ type Runtime struct {
 	// cache lines of stopped, stealMon, handlers or epoch.
 	pending      atomic.Int64
 	drainWaiters atomic.Int32
-	drainMu      sync.Mutex
-	drainCh      chan struct{}
+	drained      gate
+}
+
+// gate is a close-a-channel broadcast: a waiter subscribes, re-checks
+// its condition and only then sleeps on the channel, so an open after
+// the subscription cannot be missed; open releases every subscriber,
+// and the next one starts a fresh channel.
+type gate struct {
+	mu sync.Mutex
+	ch chan struct{}
+}
+
+func (g *gate) subscribe() <-chan struct{} {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.ch == nil {
+		g.ch = make(chan struct{})
+	}
+	return g.ch
+}
+
+func (g *gate) open() {
+	g.mu.Lock()
+	if g.ch != nil {
+		close(g.ch)
+		g.ch = nil
+	}
+	g.mu.Unlock()
 }
 
 // AddPollSource registers a readiness-event source whose sample is
@@ -495,13 +523,13 @@ func (r *Runtime) Stop() {
 		if r.adm != nil {
 			r.adm.close()
 		}
-		r.wakeDrainers() // queued events (if any) will never complete
+		r.drained.open() // queued events (if any) will never complete
 		return
 	}
 	if r.adm != nil {
 		// Posters blocked under OverloadBlock must observe the stop now
 		// (they re-check stopped on wake), not after the workers exit.
-		r.adm.wakeBlocked()
+		r.adm.block.open()
 	}
 	if r.stallStop != nil {
 		r.stallStopOnce.Do(func() { close(r.stallStop) })
@@ -523,7 +551,7 @@ func (r *Runtime) Stop() {
 	}
 	// Events still queued were dropped and will never complete: release
 	// Drain waiters so they observe the stop instead of hanging.
-	r.wakeDrainers()
+	r.drained.open()
 }
 
 // Close shuts the runtime down immediately and idempotently: it is Stop
@@ -568,13 +596,7 @@ func (r *Runtime) Drain(ctx context.Context) error {
 	r.drainWaiters.Add(1)
 	defer r.drainWaiters.Add(-1)
 	for {
-		r.drainMu.Lock()
-		ch := r.drainCh
-		if ch == nil {
-			ch = make(chan struct{})
-			r.drainCh = ch
-		}
-		r.drainMu.Unlock()
+		ch := r.drained.subscribe()
 		// Re-check after subscribing: a zero crossing before this point
 		// either already closed ch or is ordered before this load.
 		if r.pending.Load() == 0 {
@@ -591,16 +613,6 @@ func (r *Runtime) Drain(ctx context.Context) error {
 		case <-ch:
 		}
 	}
-}
-
-// wakeDrainers releases every Drain waiter (pending reached zero).
-func (r *Runtime) wakeDrainers() {
-	r.drainMu.Lock()
-	if r.drainCh != nil {
-		close(r.drainCh)
-		r.drainCh = nil
-	}
-	r.drainMu.Unlock()
 }
 
 // Post registers an event for handler h under the given color. It is
@@ -1160,7 +1172,7 @@ func (r *Runtime) execute(c *rcore, ev *equeue.Event, start int64) (end int64) {
 	// An event that handed its pending count to a continuation (see post)
 	// has none left to give back.
 	if !handedOn && r.pending.Add(-1) == 0 && r.drainWaiters.Load() > 0 {
-		r.wakeDrainers()
+		r.drained.open()
 	}
 	return end
 }
@@ -1195,20 +1207,10 @@ func runHandler(entry *handlerEntry, ctx *Ctx, stats *rstats) {
 }
 
 // syncLens refreshes the unlocked mirrors thieves screen and rank victims
-// by — qlen, stealLen, diskLen — from the queues. Caller holds c.lock.
+// by — qlen, stealLen — from the queues. Caller holds c.lock.
 func (c *rcore) syncLens() {
 	c.qlen.Store(int32(c.Len()))
 	c.stealLen.Store(int32(c.WorthyColors()))
-	c.syncDiskLen()
-}
-
-// syncDiskLen refreshes the unlocked spill-backlog mirror from the
-// queue aggregate. Caller holds c.lock. Guarded so runs without spill
-// never pay the atomic store (the aggregate and the mirror both stay 0).
-func (c *rcore) syncDiskLen() {
-	if t := c.SpillBacklogTotal(); t != 0 || c.diskLen.Load() != 0 {
-		c.diskLen.Store(int32(t))
-	}
 }
 
 // clearRunning marks the worker as not executing (before stealing or
@@ -1238,12 +1240,8 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 	c.stats.stealAttempts.Add(1)
 	start := r.now()
 
-	// Rank victims by effective depth: in-memory events plus the
-	// mirrored spill backlog of the colors linked there, so a victim
-	// whose fat colors live on disk is not misread as lightly loaded.
-	// diskLen is 0 whenever spill is off, leaving the ranking unchanged.
 	for i, v := range r.cores {
-		c.lenBuf[i] = int(v.qlen.Load()) + int(v.diskLen.Load())
+		c.lenBuf[i] = int(v.qlen.Load())
 	}
 	order := r.pol.VictimOrder(c.id, c.lenBuf, r.topo, c.victimBuf)
 	set := &c.stealSet
