@@ -1,6 +1,8 @@
 package mely
 
 import (
+	"math"
+
 	"github.com/melyruntime/mely/internal/equeue"
 )
 
@@ -14,12 +16,15 @@ type BatchEvent struct {
 // PostBatch posts a batch of events amortizing the per-event delivery
 // work: events are materialized in one slab, each distinct color's
 // owner is resolved once, the batch is grouped by owning core, and
-// every group is delivered under a single acquisition of that core's
-// lock with one wakeup per core instead of one per event. This is the
-// hot-path producer API for servers that accumulate work (a network
-// pump draining a readiness list, a pipeline stage emitting fan-out) —
-// see BenchmarkRuntimePostBatch for the 64-event/8-core acceptance
-// numbers.
+// every group is handed over under a single acquisition of that core's
+// lock with one wakeup per core instead of one per event. While every
+// color is at its home core, a group of several events is not even
+// filed under that lock: it is spliced onto the core's arrivals in O(1)
+// per event, and the owner files it into its color queues on its own
+// CPU at its next pop. This is the hot-path producer API for servers
+// that accumulate work (a network pump draining a readiness list, a
+// pipeline stage emitting fan-out) — see BenchmarkRuntimePostBatch for
+// the 64-event/8-core acceptance numbers.
 //
 // Semantics match per-event Post exactly: events of one color are
 // delivered in batch order and the ownership lease protocol (steal
@@ -96,11 +101,17 @@ func (r *Runtime) postBatch(batch []BatchEvent, from *Ctx, external bool) error 
 	// (grouping by Hash is deterministic, so one color still cannot
 	// split across groups). One atomic load, checked once per batch.
 	allHome := !r.table.AnyDeviated()
+	// An event costlier on its own than a steal makes its color worth one
+	// (time-left): a group handed over unfiled counts such events into
+	// the owner's stealLen, so that thieves still look there.
+	worth := int64(math.MaxInt64)
+	if r.pol.TimeLeft {
+		worth = max(r.stealMon.Estimate(), 1)
+	}
 	for i, be := range batch {
 		if be.Handler.id != lastID {
 			if entry, err = lookupHandler(hs, be.Handler); err != nil {
-				r.scratch.Put(s)
-				return err
+				return err // s is dropped: its chains hold the slab
 			}
 			lastID = be.Handler.id
 		}
@@ -109,8 +120,8 @@ func (r *Runtime) postBatch(batch []BatchEvent, from *Ctx, external bool) error 
 		r.stamp(ev, ids, entry, be.Color, be.Data, ptrace, pspan)
 		ev.Slab = true
 
-		// Group by owning core without moving events: per-core index
-		// chains in batch order. The owner is resolved once per
+		// Group by owning core: per-core chains of the events
+		// themselves, in batch order. The owner is resolved once per
 		// DISTINCT color — never twice — so the events of one color
 		// always land in the same group and cannot be reordered by a
 		// steal racing the resolution pass (a second read could
@@ -126,13 +137,13 @@ func (r *Runtime) postBatch(batch []BatchEvent, from *Ctx, external bool) error 
 				s.insert(be.Color, o)
 			}
 		}
-		s.next[i] = -1
-		if s.heads[o] < 0 {
-			s.heads[o] = int32(i)
-		} else {
-			s.next[s.tails[o]] = int32(i)
+		g := &s.groups[o]
+		g.ch.Push(ev)
+		g.n++
+		if ev.WeightedCost() > worth {
+			g.worthy++
 		}
-		s.tails[o] = int32(i)
+		g.sampled = g.sampled || ev.PostNanos != 0
 	}
 	r.pending.Add(int64(n))
 
@@ -141,9 +152,9 @@ func (r *Runtime) postBatch(batch []BatchEvent, from *Ctx, external bool) error 
 	// delivery fall back to the per-event retry loop afterwards, in
 	// batch order.
 	var retries []*equeue.Event
-	for core, head := range s.heads {
-		if head >= 0 {
-			retries = r.deliverGroup(core, slab, s.next, head, retries)
+	for core := range s.groups {
+		if g := &s.groups[core]; g.n > 0 {
+			retries = r.deliverGroup(core, g, allHome, retries)
 		}
 	}
 	r.scratch.Put(s)
@@ -154,14 +165,12 @@ func (r *Runtime) postBatch(batch []BatchEvent, from *Ctx, external bool) error 
 }
 
 // batchScratch is the reusable working memory of one PostBatch call:
-// the per-core chain heads/tails, the next-index links, and a small
-// generation-stamped open-addressing table memoizing color→owner for
-// the resolution pass (a map costs ~3x as much per event). Pooled per
-// runtime; safe because each call takes one exclusively.
+// the per-core groups, and a small generation-stamped open-addressing
+// table memoizing color→owner for the resolution pass (a map costs ~3x
+// as much per event). Pooled per runtime; safe because each call takes
+// one exclusively.
 type batchScratch struct {
-	next  []int32
-	heads []int32
-	tails []int32
+	groups []batchGroup
 
 	slotColor []Color
 	slotOwner []int32
@@ -170,19 +179,22 @@ type batchScratch struct {
 	mask      uint32
 }
 
+// batchGroup is one core's share of a batch: its events chained in batch
+// order, how many, how many are each worth a steal (see postBatch), and
+// whether any is sampled for latency.
+type batchGroup struct {
+	ch      equeue.Chain
+	n       int32
+	worthy  int32
+	sampled bool
+}
+
 func (s *batchScratch) prepare(n, ncores int) {
-	if cap(s.next) < n {
-		s.next = make([]int32, n)
+	if len(s.groups) != ncores {
+		s.groups = make([]batchGroup, ncores)
 	}
-	s.next = s.next[:n]
-	if cap(s.heads) < ncores {
-		s.heads = make([]int32, ncores)
-		s.tails = make([]int32, ncores)
-	}
-	s.heads = s.heads[:ncores]
-	s.tails = s.tails[:ncores]
-	for i := range s.heads {
-		s.heads[i] = -1
+	for i := range s.groups {
+		s.groups[i] = batchGroup{}
 	}
 	// Size the memo at >= 2n slots (power of two) so probes stay short.
 	want := 16
@@ -233,13 +245,30 @@ func (s *batchScratch) insert(c Color, owner int32) {
 	}
 }
 
-// deliverGroup pushes a same-owner chain of events onto core owner
-// under one lock acquisition, returning the events that must be
-// re-routed (appended to retries) because their color's lease moved.
-// Each delivery step is deliverLocked — the same lease state machine
-// the per-event path runs.
-func (r *Runtime) deliverGroup(owner int, slab []equeue.Event, next []int32, head int32, retries []*equeue.Event) []*equeue.Event {
+// deliverGroup hands a same-owner group of events to core owner under
+// one lock acquisition. hashed says the batch was grouped by hash, every
+// color resolved to its home (see postBatch).
+//
+// A hashed group of more than one event, on a runtime where still no
+// color is away from home or in transit, is spliced: the events join the
+// owner's arrivals as they are, and the owner — or whoever next takes its
+// lock to decide per color — files them (spliceGroup, rcore.arrivals).
+// Only a hashed group may: an owner resolved from the table may be a
+// lease that has since expired, and its color is then homed elsewhere.
+// Every other group is filed here, per event, through deliverLocked — the
+// same lease state machine the per-event path runs — after the owner's
+// arrivals, returning the events that must be re-routed (appended to
+// retries) because their color's lease moved.
+func (r *Runtime) deliverGroup(owner int, g *batchGroup, hashed bool, retries []*equeue.Event) []*equeue.Event {
 	c := r.cores[owner]
+	c.lock.Lock()
+	if hashed && g.n > 1 && !r.table.AnyDeviated() {
+		r.spliceGroup(c, g)
+		c.lock.Unlock()
+		c.unpark()
+		return retries
+	}
+	r.fileArrivals(c)
 	delivered := 0
 	// One-entry positive cache: chains interleave colors, but
 	// same-color bursts are common and each table check is a stripe
@@ -257,12 +286,7 @@ func (r *Runtime) deliverGroup(owner int, slab []equeue.Event, next []int32, hea
 		// per-color batch order. Rarely non-empty; linear scan.
 		failed []equeue.Color
 	)
-	c.lock.Lock()
-	if r.pol.TimeLeft {
-		c.Mely().SetStealCost(r.stealMon.Estimate())
-	}
-	for i := head; i >= 0; i = next[i] {
-		ev := &slab[i]
+	for ev := g.ch.Pop(); ev != nil; ev = g.ch.Pop() {
 		if haveColor && ev.Color == lastCol {
 			if c.Push(lastCQ, ev) {
 				c.stats.colorQueueChurns.Add(1)
@@ -300,6 +324,34 @@ func (r *Runtime) deliverGroup(owner int, slab []equeue.Event, next []int32, hea
 		c.unpark()
 	}
 	return retries
+}
+
+// spliceGroup is the splice path of deliverGroup: O(1) per event under
+// c.lock, which the caller holds, and no color-table stripe, no map and
+// no ColorQueue. The group's events are appended to c's arrivals in one
+// step and counted where a delivery counts: qlen (and stealLen for each
+// event worth a steal on its own), Stats.PostedHere, BatchedEvents, and
+// a sampled event's post record. A group that holds the running color
+// closes its private run, exactly as its delivery into runCQ would
+// (deliverLocked): the handler's later continuations queue behind it.
+func (r *Runtime) spliceGroup(c *rcore, g *batchGroup) {
+	running := c.runCQ != nil && c.runOpen.Load()
+	if running || (g.sampled && c.ring != nil) {
+		for ev := g.ch.Front(); ev != nil; ev = g.ch.Next(ev) {
+			if running && ev.Color == c.runCQ.Color() {
+				c.runOpen.Store(false)
+				running = false
+			}
+			c.recordPost(ev)
+		}
+	}
+	c.arrivals.Splice(&g.ch)
+	c.qlen.Add(g.n)
+	if g.worthy > 0 {
+		c.stealLen.Add(g.worthy)
+	}
+	c.stats.postedHere.Add(int64(g.n))
+	c.stats.batchedEvents.Add(int64(g.n))
 }
 
 // PostBatch posts a batch from inside a handler (see Runtime.PostBatch).

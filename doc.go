@@ -19,7 +19,7 @@
 //	})
 //	go rt.Run(ctx)                      // Start, then drain+stop when ctx ends
 //	echo.Post(mely.Color(42), "hello")  // one event
-//	rt.PostBatch([]mely.BatchEvent{     // a batch: one lock hop per core
+//	rt.PostBatch([]mely.BatchEvent{     // a batch: one short lock hold per core
 //		echo.Event(7, "a"), echo.Event(8, "b"),
 //	})
 //
@@ -30,9 +30,11 @@
 //     the payload without a type assertion.
 //   - Posting: Post delivers one event to the core owning its color.
 //     PostBatch amortizes delivery — it groups a caller batch by owning
-//     core and delivers each group under a single lock acquisition with
-//     a single wakeup, which is how pumps and fan-out stages should
-//     post (see BenchmarkRuntimePostBatch for the measured gap).
+//     core and hands each group over under a single lock acquisition
+//     with a single wakeup; while every color is at home, a group is
+//     spliced onto the core's arrivals in O(1) per event and the owner
+//     files it at its next pop. This is how pumps and fan-out stages
+//     should post (see BenchmarkRuntimePostBatch for the measured gap).
 //     Both fail with ErrStopped after shutdown.
 //   - Lifecycle: Start/Drain/Stop remain for manual control; Run(ctx)
 //     packages the common daemon shape (start, block until the context

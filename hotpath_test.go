@@ -440,6 +440,7 @@ func TestHotFieldLayout(t *testing.T) {
 			{"runCQ", unsafe.Offsetof(c.runCQ), unsafe.Sizeof(c.runCQ)},
 			{"qlen", unsafe.Offsetof(c.qlen), unsafe.Sizeof(c.qlen)},
 			{"stealLen", unsafe.Offsetof(c.stealLen), unsafe.Sizeof(c.stealLen)},
+			{"arrivals", unsafe.Offsetof(c.arrivals), unsafe.Sizeof(c.arrivals)},
 		})
 	var r Runtime
 	disjoint("Runtime, written per event against read per event",

@@ -160,12 +160,30 @@ func TestBeginMigrationBatchPublishesAll(t *testing.T) {
 			t.Fatalf("color %d queue is not the in-transit marker", c)
 		}
 	}
-	// Migrating back to the hash home erases the deviation entries.
+	// Adoption ends each color's transit; migrating back to the hash home
+	// erases the deviation entries.
 	for _, c := range colors {
+		table.EndMigration(c, nil)
 		table.SetOwner(c, table.Hash(c))
-		table.SetQueue(c, nil)
 	}
 	if table.AnyDeviated() {
 		t.Fatal("deviation count leaked after re-homing")
+	}
+
+	// A color stolen back to its home has no owner entry while it is in
+	// transit; the transit count alone keeps AnyDeviated true until the
+	// thief adopts it.
+	var home Color = 1
+	for table.Hash(home) != thief {
+		home++
+	}
+	table.SetOwner(home, 0) // leased away
+	table.BeginMigrationBatch([]Color{home}, thief, marker)
+	if owner, _ := table.OwnerAndQueue(home); owner != thief || !table.AnyDeviated() {
+		t.Fatalf("in transit home: owner %d, AnyDeviated %v; want %d, true", owner, table.AnyDeviated(), thief)
+	}
+	table.EndMigration(home, nil)
+	if table.AnyDeviated() {
+		t.Fatal("AnyDeviated after the adoption of a color that went home")
 	}
 }

@@ -29,9 +29,13 @@ type ColorTable struct {
 	// modulo placement instead (the tables it regenerates depend on the
 	// exact Libasync-smp placement over the 64K color space).
 	place func(Color) int
-	// deviated counts owner entries across all shards. When zero, every
-	// color is at its hash home, so batch owner resolution is pure math
-	// — one atomic load amortized over a whole batch.
+	// deviated counts owner entries across all shards plus the colors in
+	// transit (BeginMigrationBatch to EndMigration). When zero, every
+	// color is at its hash home and settled there, so batch owner
+	// resolution is pure math — one atomic load amortized over a whole
+	// batch. A color stolen back to its home erases its owner entry
+	// before it is adopted: only the transit count keeps it from reading
+	// as settled in that window.
 	deviated atomic.Int64
 	shards   [numShards]tableShard
 }
@@ -167,9 +171,10 @@ func (t *ColorTable) setOwnerLocked(s *tableShard, c Color, core int) {
 }
 
 // AnyDeviated reports whether any color anywhere is currently owned
-// away from its hash home. False means Owner == Hash for every color —
-// the steady state between steals — which batch posting exploits to
-// resolve a whole batch's owners without touching a single stripe.
+// away from its hash home or in transit between cores. False means Owner
+// == Hash for every color and no steal is mid-way — the steady state
+// between steals — which batch posting exploits to resolve a whole
+// batch's owners without touching a single stripe.
 func (t *ColorTable) AnyDeviated() bool { return t.deviated.Load() != 0 }
 
 // BeginMigrationBatch publishes a steal: for every color the thief
@@ -182,9 +187,13 @@ func (t *ColorTable) AnyDeviated() bool { return t.deviated.Load() != 0 }
 // amortization of batch stealing. The batch as a whole is not atomic,
 // which is fine: each color's queue was already detached under the
 // victim's lock, so a poster observing color i migrated and color j not
-// yet simply retries j against the victim until its turn lands. Called
-// under the victim's core lock.
+// yet simply retries j against the victim until its turn lands. Every
+// color counts in transit, and so in AnyDeviated, until the thief's
+// EndMigration. Called under the victim's core lock.
 func (t *ColorTable) BeginMigrationBatch(colors []Color, thief int, marker *ColorQueue) {
+	// In transit first: a color going home erases its owner entry below,
+	// and the count must not touch zero in between.
+	t.deviated.Add(int64(len(colors)))
 	// One pass per distinct stripe: the first color of a stripe
 	// publishes every later color sharing it. A 256-bit stamp marks
 	// handled stripes, keeping the dedup O(1) per color — this runs
@@ -208,6 +217,15 @@ func (t *ColorTable) BeginMigrationBatch(colors []Color, thief int, marker *Colo
 		}
 		s.mu.Unlock()
 	}
+}
+
+// EndMigration is the thief's adoption of c, one color of a
+// BeginMigrationBatch: cq becomes its queue (nil erases the entry, as
+// SetQueue does) and c leaves transit. Called under the thief's core
+// lock.
+func (t *ColorTable) EndMigration(c Color, cq *ColorQueue) {
+	t.SetQueue(c, cq)
+	t.deviated.Add(-1)
 }
 
 // OwnerAndQueue returns the current owner and live queue of c in one

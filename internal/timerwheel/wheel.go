@@ -93,9 +93,18 @@ type Entry struct {
 
 // NewEntry returns an armed, unlinked entry; Add links it into a wheel.
 func NewEntry(color equeue.Color, handler int32, data any, when, period int64) *Entry {
-	e := &Entry{When: when, Period: period, Color: color, Handler: handler, Data: data}
-	e.level = -2
+	e := new(Entry)
+	e.Init(color, handler, data, when, period)
 	return e
+}
+
+// Init makes e, a zero Entry, what NewEntry returns: a platform that
+// embeds the entry in its own timer handle arms it without a second
+// allocation.
+func (e *Entry) Init(color equeue.Color, handler int32, data any, when, period int64) {
+	e.When, e.Period = when, period
+	e.Color, e.Handler, e.Data = color, handler, data
+	e.level = -2
 }
 
 // State exposes the entry's lifecycle state (tests and introspection).

@@ -38,8 +38,9 @@ type prEvent struct {
 // event workloads (perf/events.go) into a seeded mix of every way an
 // event can reach a running color: inside one handler ctx.Post(X) then
 // rt.Post(X) (the later, slow-path post must not be overtaken by a still
-// later continuation), ctx.PostBatch and ctx.PostAfter onto the running
-// color, external posters mixing Post and PostBatch groups, every color
+// later continuation), ctx.PostBatch, rt.PostBatch (a group spliced onto
+// the core's arrivals) and ctx.PostAfter onto the running color,
+// external posters mixing Post and PostBatch groups, every color
 // homed on core 0 so that the other cores work only by stealing, and
 // Drain callers throughout. Every (poster, color) pair must see its
 // events in the order they were sent, every event exactly once, and
@@ -150,6 +151,16 @@ func privateRunOrder(t *testing.T, seed int64, cores int, pol Policy) {
 					{Handler: hEvent, Color: colors[x], Data: mk(x, x, 0)},
 					{Handler: hEvent, Color: colors[other], Data: mk(x, other, 0)},
 					{Handler: hEvent, Color: colors[x], Data: mk(x, x, 0)},
+				}))
+				check(ctx.Post(hEvent, colors[x], mk(x, x, 0)))
+			}
+			if rng.Intn(4) == 0 {
+				// The same from the external API: a group for the running
+				// color's core, handed over unfiled when nothing is
+				// deviated, that the continuation after it must follow.
+				check(r.PostBatch([]BatchEvent{
+					{Handler: hEvent, Color: colors[x], Data: mk(x, x, 0)},
+					{Handler: hEvent, Color: colors[other], Data: mk(x, other, 0)},
 				}))
 				check(ctx.Post(hEvent, colors[x], mk(x, x, 0)))
 			}

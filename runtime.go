@@ -140,13 +140,24 @@ type rcore struct {
 	runCQ *equeue.ColorQueue
 
 	// qlen/stealLen mirror queue sizes for unlocked victim screening (the
-	// running color's private run is in neither, see run).
+	// running color's private run is in neither, see run). qlen counts the
+	// arrivals too, and stealLen each arrival worth a steal on its own.
 	qlen     atomic.Int32
 	stealLen atomic.Int32
-	// Padding: every field from wake on stays at the offset, and so on the
-	// cache line, it was measured at (TestHotFieldLayout pins which
+
+	// arrivals are the events a PostBatch handed to this core without
+	// filing them (spliceGroup): still linked as the batch built them, in
+	// post order, behind everything queued here. Whoever takes lock to
+	// decide anything per color files them first, through deliverLocked
+	// (lockFiled), so they join the queues in order and before any later
+	// delivery. Filing cannot fail: a group splices only when no color
+	// anywhere is away from its home or in transit, so each arrival's
+	// color is homed here and owned here; such a color can move only under
+	// this lock, and every mover files first. Guarded by lock; one word,
+	// where padding kept every field from wake on at the offset, and so on
+	// the cache line, it was measured at (TestHotFieldLayout pins which
 	// fields may share a line, not where the lines fall).
-	_ [8]byte
+	arrivals equeue.Chain
 
 	wake chan struct{}
 
@@ -196,8 +207,9 @@ type rcore struct {
 	// runOpen lets the running handler append its own continuations to
 	// run (Runtime.post): true only while runCQ has been empty since the
 	// pop, so that an event appended to run precedes nothing delivered
-	// before it. Stored under lock — by popLocal, and by deliverLocked
-	// when it pushes into runCQ — and loaded by the worker without it.
+	// before it. Stored under lock — by popLocal, by deliverLocked when
+	// it pushes into runCQ, and by spliceGroup when the group holds the
+	// running color — and loaded by the worker without it.
 	runOpen atomic.Bool
 
 	// Posting state of this core's worker. Only the worker touches it, so
@@ -828,10 +840,7 @@ func (r *Runtime) enqueue(ev *equeue.Event) {
 		}
 		owner := r.table.OwnerHint(ev.Color)
 		c := r.cores[owner]
-		c.lock.Lock()
-		if r.pol.TimeLeft {
-			c.Mely().SetStealCost(r.stealMon.Estimate())
-		}
+		r.lockFiled(c)
 		if _, ok := r.deliverLocked(c, owner, ev); !ok {
 			// Stolen between the read and the lock, or the lease just
 			// expired (deliverLocked re-homed it): resolve again.
@@ -850,21 +859,49 @@ func (r *Runtime) enqueue(ev *equeue.Event) {
 // and, for an event sampled for latency, the flight recorder's post record.
 func (c *rcore) notePosted(ev *equeue.Event) {
 	c.stats.postedHere.Add(1)
+	c.recordPost(ev)
+}
+
+// recordPost writes the flight recorder's post record of an event sampled
+// for latency.
+func (c *rcore) recordPost(ev *equeue.Event) {
 	if ev.PostNanos != 0 && c.ring != nil {
 		c.ring.AppendFlow(obs.KindPost, ev.PostNanos, 0, uint64(ev.Color), uint32(ev.Handler),
 			ev.TraceID, ev.SpanID, ev.ParentSpan)
 	}
 }
 
+// lockFiled takes c.lock for a holder that decides anything per color:
+// it refreshes the time-left steal cost and files c's arrivals first
+// (fileArrivals), so that what it finds queued is everything posted to c.
+func (r *Runtime) lockFiled(c *rcore) {
+	c.lock.Lock()
+	r.fileArrivals(c)
+}
+
+// fileArrivals is lockFiled's work under a lock its caller already holds.
+// Each arrival goes through deliverLocked like any delivery; it cannot be
+// refused (see rcore.arrivals), and one that was would be a protocol bug.
+func (r *Runtime) fileArrivals(c *rcore) {
+	if r.pol.TimeLeft {
+		c.Mely().SetStealCost(r.stealMon.Estimate())
+	}
+	for ev := c.arrivals.Pop(); ev != nil; ev = c.arrivals.Pop() {
+		if _, ok := r.deliverLocked(c, c.id, ev); !ok {
+			panic("mely: an arrival's color left its home core before it was filed")
+		}
+	}
+}
+
 // deliverLocked is the single lease-protocol delivery step, shared by
-// the per-event path (enqueue) and the batch path (deliverGroup). The
-// caller holds c.lock and resolved owner == c.id for ev's color. It
-// re-checks ownership against the table (except for a continuation of
-// the running color, which cannot have moved), applies the lease re-home
-// rule, and pushes on success, returning the ColorQueue pushed to (nil
-// for the list layout). ok=false means the color moved — stolen away,
-// or its expired lease was just re-homed here — and the caller must
-// re-route the event.
+// the per-event path (enqueue), the batch path (deliverGroup) and the
+// filing of arrivals (fileArrivals). The caller holds c.lock and
+// resolved owner == c.id for ev's color. It re-checks ownership against
+// the table (except for a continuation of the running color, which
+// cannot have moved), applies the lease re-home rule, and pushes on
+// success, returning the ColorQueue pushed to (nil for the list layout).
+// ok=false means the color moved — stolen away, or its expired lease was
+// just re-homed here — and the caller must re-route the event.
 func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) (*equeue.ColorQueue, bool) {
 	m := c.Mely() // called directly on this path: it runs once per event
 	if cq := c.runCQ; cq != nil && cq.Color() == ev.Color {
@@ -1049,14 +1086,11 @@ func (c *rcore) unpark() {
 // running color for thieves. On the Mely layout it also detaches the
 // rest of the color's batch into c.run (see runColor).
 func (r *Runtime) popLocal(c *rcore) *equeue.Event {
-	c.lock.Lock()
+	r.lockFiled(c)
 	var ev *equeue.Event
 	if m := c.Mely(); m == nil {
 		ev, _ = c.PopNext()
 	} else {
-		if r.pol.TimeLeft {
-			m.SetStealCost(r.stealMon.Estimate())
-		}
 		r.retireRunCQ(c)
 		ev, c.runCQ = m.PopNextFrom()
 		open := false
@@ -1089,7 +1123,7 @@ func (r *Runtime) runColor(c *rcore, ev *equeue.Event) {
 	end := r.execute(c, ev, 0)
 	for c.run != nil && c.run.Len() > 0 && !r.stopped.Load() {
 		if c.runLeft <= 0 && c.qlen.Load() > 0 {
-			c.lock.Lock()
+			r.lockFiled(c)
 			if c.Mely().PushFrontRun(c.runCQ, c.run) {
 				c.stats.colorQueueChurns.Add(1)
 			}
@@ -1207,7 +1241,8 @@ func runHandler(entry *handlerEntry, ctx *Ctx, stats *rstats) {
 }
 
 // syncLens refreshes the unlocked mirrors thieves screen and rank victims
-// by — qlen, stealLen — from the queues. Caller holds c.lock.
+// by — qlen, stealLen — from the queues. Caller holds c.lock and has
+// filed the arrivals (lockFiled), which the queues then hold.
 func (c *rcore) syncLens() {
 	c.qlen.Store(int32(c.Len()))
 	c.stealLen.Store(int32(c.WorthyColors()))
@@ -1263,56 +1298,11 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 			}
 		}
 
-		// One victim-lock critical section selects and detaches the
-		// whole steal set (a single color when the budget is one) and
-		// publishes every lease in one table pass.
-		v.lock.Lock()
-		set.Colors = set.Colors[:0]
-		if r.pol.CanBeStolen(&v.Core) {
-			if r.pol.TimeLeft {
-				v.Mely().SetStealCost(r.stealMon.Estimate())
-			}
-			r.pol.SelectStealSet(&v.Core, set)
-		}
-		colors := set.Colors
-		if len(colors) > 0 {
-			// Ownership moves under the victim's lock; posters that
-			// race will retry against our core. The transit marker
-			// keeps each color "live" until adoption so the lease
-			// logic cannot re-home it mid-migration. Owner and marker
-			// are published in one stripe acquisition per color — and
-			// colors sharing a stripe share one acquisition — because
-			// a two-step publish would expose a detached queue to
-			// posters that already see the new owner.
-			r.table.BeginMigrationBatch(colors, c.id, inTransitMarker)
-			v.syncLens()
-		}
-		v.lock.Unlock()
-		if len(colors) == 0 {
+		if !r.detachSet(v, c.id, set) {
 			continue
 		}
-
-		// Migrate the whole set into our own queue under one self-lock
-		// hold. Between BeginMigrationBatch and here the table holds the
-		// in-transit marker for every stolen color and every delivery
-		// backs off (deliverLocked), so the markers are necessarily still
-		// in place: no poster can have installed a queue over one, and no
-		// second thief can have found anything of these colors to steal.
-		// Tabling each color's queue (nil on the list layout) retires it.
-		c.lock.Lock()
-		for i, color := range colors {
-			if existing := r.table.Queue(color); existing != nil && existing != inTransitMarker {
-				// Defense in depth: unreachable under the protocol
-				// above, but if a queue ever did appear during
-				// transit, merging oldest-first is the safe recovery.
-				c.MergeStolen(set, i, existing)
-				continue
-			}
-			r.table.SetQueue(color, set.Queue(i))
-		}
-		c.Adopt(set)
-		c.syncLens()
-		c.lock.Unlock()
+		r.adoptSet(c, set)
+		colors := set.Colors
 
 		dt := r.now() - start
 		if c.ring != nil {
@@ -1347,6 +1337,57 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 		r.decayStealCost()
 	}
 	return false
+}
+
+// detachSet is the victim's half of a steal, one critical section under
+// v.lock: it files v's arrivals, selects and detaches the whole steal
+// set (a single color when the budget is one) and publishes every lease
+// in one table pass. It reports whether it took anything.
+func (r *Runtime) detachSet(v *rcore, thief int, set *equeue.StealSet) bool {
+	r.lockFiled(v)
+	set.Colors = set.Colors[:0]
+	if r.pol.CanBeStolen(&v.Core) {
+		r.pol.SelectStealSet(&v.Core, set)
+	}
+	if len(set.Colors) > 0 {
+		// Ownership moves under the victim's lock; posters that race will
+		// retry against the thief. The transit marker keeps each color
+		// "live" until adoption so the lease logic cannot re-home it
+		// mid-migration. Owner and marker are published in one stripe
+		// acquisition per color — and colors sharing a stripe share one
+		// acquisition — because a two-step publish would expose a
+		// detached queue to posters that already see the new owner.
+		r.table.BeginMigrationBatch(set.Colors, thief, inTransitMarker)
+	}
+	v.syncLens() // the filing alone may have moved stealLen
+	v.lock.Unlock()
+	return len(set.Colors) > 0
+}
+
+// adoptSet is the thief's half of a steal: it migrates the whole set into
+// c's queue under one hold of c.lock. Between BeginMigrationBatch and
+// here the table holds the in-transit marker for every stolen color and
+// every delivery backs off (deliverLocked), so the markers are
+// necessarily still in place: no poster can have installed a queue over
+// one, and no second thief can have found anything of these colors to
+// steal. Tabling each color's queue (nil on the list layout) retires the
+// marker and ends the color's transit.
+func (r *Runtime) adoptSet(c *rcore, set *equeue.StealSet) {
+	r.lockFiled(c)
+	for i, color := range set.Colors {
+		if existing := r.table.Queue(color); existing != nil && existing != inTransitMarker {
+			// Defense in depth: unreachable under the protocol above, but
+			// if a queue ever did appear during transit, merging
+			// oldest-first is the safe recovery.
+			c.MergeStolen(set, i, existing)
+			r.table.EndMigration(color, existing)
+			continue
+		}
+		r.table.EndMigration(color, set.Queue(i))
+	}
+	c.Adopt(set)
+	c.syncLens()
+	c.lock.Unlock()
 }
 
 // stealSampleClamp bounds a measured steal fed to the monitor to this

@@ -177,10 +177,12 @@ type CoreStats struct {
 	// Stalls counts stall-watchdog episodes on this core: handlers that
 	// executed past Config.StallThreshold (0 with the watchdog off).
 	Stalls int64
-	// Queued is the instantaneous queue length. On the Mely layout it
-	// leaves out the running color's private run: the at most
-	// BatchThreshold-1 events the worker detached behind the one it is
-	// executing, plus the continuations that handler chain appended.
+	// Queued is the instantaneous queue length, counting the events a
+	// PostBatch handed over that are not filed yet (the core's
+	// arrivals). On the Mely layout it leaves out the running color's
+	// private run: the at most BatchThreshold-1 events the worker
+	// detached behind the one it is executing, plus the continuations
+	// that handler chain appended.
 	Queued int
 	// TimersFired counts timers this core's wheel expired; TimerLagHist
 	// is the firing-lag histogram (harvest time minus deadline; buckets:

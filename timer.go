@@ -27,7 +27,9 @@ import (
 // two events) and its event crosses cores.
 type Timer struct {
 	r *Runtime
-	e *timerwheel.Entry
+	// e is the wheel's entry, embedded so that arming allocates once. The
+	// wheel links it by address: a Timer is never copied.
+	e timerwheel.Entry
 }
 
 // Cancel stops the timer. It returns true when a scheduled firing was
@@ -129,10 +131,11 @@ func (r *Runtime) postTimer(h Handler, color Color, when, period int64, data any
 	if err != nil {
 		return nil, err
 	}
-	e := timerwheel.NewEntry(equeue.Color(color), int32(entry.id), data, when, period)
-	e.TraceID, e.SpanID = ptrace, pspan
-	r.armTimer(e)
-	return &Timer{r: r, e: e}, nil
+	t := &Timer{r: r}
+	t.e.Init(equeue.Color(color), int32(entry.id), data, when, period)
+	t.e.TraceID, t.e.SpanID = ptrace, pspan
+	r.armTimer(&t.e)
+	return t, nil
 }
 
 // armTimer links an entry onto the wheel of its color's current owner,
