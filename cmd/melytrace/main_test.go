@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -66,6 +67,13 @@ func TestRunFlowReconstructsChain(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("chain never completed")
+	}
+	// The leaf's exec record is written after its handler returns: wait
+	// for the chain to retire before dumping, not only to run.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := rt.Drain(ctx); err != nil {
+		t.Fatal(err)
 	}
 
 	path := filepath.Join(t.TempDir(), "flight.json")

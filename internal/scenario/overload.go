@@ -6,25 +6,26 @@ import (
 	"fmt"
 	"os"
 
+	"github.com/melyruntime/mely/internal/admission"
 	"github.com/melyruntime/mely/internal/equeue"
 	"github.com/melyruntime/mely/internal/metrics"
 	"github.com/melyruntime/mely/internal/sim"
 	"github.com/melyruntime/mely/internal/spillq"
 )
 
-// The overload workload reproduces the bounded-queue spill protocol of
-// the real runtime (mely.OverloadSpill) on the deterministic simulated
-// platform: an open-loop producer posts work at twice the whole
-// machine's service rate, a MaxQueuedEvents-style bound caps the
+// The overload workload runs the runtime's bounded-queue spill protocol
+// (internal/admission, mely.OverloadSpill's layer) on the deterministic
+// simulated platform: an open-loop producer posts work at twice the
+// whole machine's service rate, a MaxQueuedEvents-style bound caps the
 // in-memory queues, and the overflow spills — through the real
-// internal/spillq segment store, on real disk — reloading in FIFO
-// order as the queues drain below the low-water mark. The measurement
-// asserts the subsystem's contract, not just its throughput: zero
-// event loss, per-color FIFO across the disk boundary, the in-memory
-// bound never exceeded, and a full drain after the burst. All work
-// colors hash to core 0 (the Libasync placement skew), so workstealing
-// configurations additionally exercise "spilled colors stay stealable".
-// (The spill-disk-latency fault charges extra cycles per append and per
+// internal/spillq segment store, on real disk — reloading in FIFO order
+// as colours drain below the low-water mark. The workload is the layer's
+// host: it produces, executes and audits, and the layer decides. The
+// measurement asserts the subsystem's contract, not just its throughput:
+// zero event loss, per-color FIFO across the disk boundary, the
+// in-memory bound never exceeded, and a full drain after the burst. All
+// work colors hash to core 0 (the Libasync placement skew). (The
+// spill-disk-latency fault charges extra cycles per append and per
 // reload batch — a deterministic model of a slow spill disk.)
 const (
 	spillAppendCycles  = 300    // charged per spilled record (batched append)
@@ -39,15 +40,13 @@ const (
 // events per 100k-cycle tick (2x the 8-core service rate).
 func DefaultOverloadParams() OverloadParams {
 	return OverloadParams{
-		Bound:     1024,
-		LowWater:  512,
-		ReloadMax: 256,
-		Colors:    8,
-		Tick:      100_000,
-		PerTick:   160,
-		Ticks:     100,
-		WorkCost:  10_000,
-		ProdCost:  5_000,
+		Bound:    1024,
+		Colors:   8,
+		Tick:     100_000,
+		PerTick:  160,
+		Ticks:    100,
+		WorkCost: 10_000,
+		ProdCost: 5_000,
 	}
 }
 
@@ -57,54 +56,49 @@ func (s *Spec) overloadParams() OverloadParams {
 		o = *s.Sim.Overload
 	}
 	d := DefaultOverloadParams()
-	p := OverloadParams{
-		Bound:     cmp.Or(o.Bound, d.Bound),
-		ReloadMax: cmp.Or(o.ReloadMax, d.ReloadMax),
-		Colors:    cmp.Or(o.Colors, d.Colors),
-		Tick:      cmp.Or(o.Tick, d.Tick),
-		PerTick:   cmp.Or(o.PerTick, d.PerTick),
-		Ticks:     cmp.Or(o.Ticks, d.Ticks),
-		WorkCost:  cmp.Or(o.WorkCost, d.WorkCost),
-		ProdCost:  cmp.Or(o.ProdCost, d.ProdCost),
+	return OverloadParams{
+		Bound:    cmp.Or(o.Bound, d.Bound),
+		Colors:   cmp.Or(o.Colors, d.Colors),
+		Tick:     cmp.Or(o.Tick, d.Tick),
+		PerTick:  cmp.Or(o.PerTick, d.PerTick),
+		Ticks:    cmp.Or(o.Ticks, d.Ticks),
+		WorkCost: cmp.Or(o.WorkCost, d.WorkCost),
+		ProdCost: cmp.Or(o.ProdCost, d.ProdCost),
 	}
-	p.LowWater = cmp.Or(o.LowWater, p.Bound/2)
-	return p
 }
 
-// overloadColorState is one color's modeled admission state.
-type overloadColorState struct {
-	mem      int // in-memory events of this color
-	disk     int // spilled records not yet reloaded
-	last     int // last executed sequence (FIFO check); -1 initially
-	spilling bool
-	starved  bool
-}
-
-// overloadState is the modeled admission layer (the workload-level
-// mirror of mely's admission struct, single-threaded in virtual time).
+// overloadState is the overload workload: the admission layer's host in
+// virtual time (single-threaded, so the layer's locks never contend) and
+// the audit of what the layer promises.
 type overloadState struct {
-	store     *spillq.Store
-	colors    map[equeue.Color]*overloadColorState
-	starved   []equeue.Color
-	inMem     int
-	maxInMem  int
+	layer     *admission.Layer[*sim.Ctx]
+	faults    *simFaults
+	last      map[equeue.Color]int // last executed sequence per color (FIFO check)
+	maxInMem  int64
 	produced  int
 	consumed  int
-	spilled   int
-	reloaded  int
-	restartAt int // spill-crash-restart fault: crash at this spill count
 	restarted bool
 	recovered int // records the post-crash recovery rebuilt
 	err       error
 }
 
-func (st *overloadState) color(c equeue.Color) *overloadColorState {
-	cs := st.colors[c]
-	if cs == nil {
-		cs = &overloadColorState{last: -1}
-		st.colors[c] = cs
+func (st *overloadState) Stopped() bool { return false }
+
+// Deliver charges a reload batch and posts its records back as work.
+func (st *overloadState) Deliver(ctx *sim.Ctx, color equeue.Color, recs []spillq.Record) {
+	ctx.Charge(reloadBatchCycles + st.faults.spillExtra + int64(len(recs))*reloadRecCycles)
+	st.noteInMem()
+	for _, rec := range recs {
+		seq := int(binary.LittleEndian.Uint64(rec.Payload))
+		ctx.Post(sim.Ev{Handler: equeue.HandlerID(rec.Handler), Color: color, Cost: rec.Cost, Data: seq})
 	}
-	return cs
+}
+
+func (st *overloadState) Lost(n int64) { st.fail("reload lost %d records", n) }
+
+// noteInMem tracks the in-memory peak the bound SLO checks.
+func (st *overloadState) noteInMem() {
+	st.maxInMem = max(st.maxInMem, st.layer.Stats().Queued)
 }
 
 func (st *overloadState) fail(format string, args ...any) {
@@ -127,34 +121,32 @@ func overloadStoreOptions(faults simFaults) spillq.Options {
 // crashRestart models a process crash at the spill boundary: the live
 // store is abandoned exactly as a killed process would leave it — no
 // Close, no final sync beyond what SyncAlways already forced — and a
-// fresh store recovers the directory. The model then audits recovery
-// against its own accounting: every record it believes is on disk must
-// come back, per color, before the run continues on the new store.
-func (st *overloadState) crashRestart(ctx *sim.Ctx) {
+// fresh store recovers the directory: every record the old one holds
+// must come back, per color, before the run continues on the new one.
+func (st *overloadState) crashRestart(ctx *sim.Ctx, colors []equeue.Color) {
 	st.restarted = true
-	opts := overloadStoreOptions(simFaults{restartAt: st.restartAt})
+	old := st.layer.Store()
+	opts := overloadStoreOptions(*st.faults)
 	opts.OnRecover = func(spillq.Record) { st.recovered++ }
-	fresh, err := spillq.Open(st.store.Dir(), opts)
+	fresh, err := spillq.Open(old.Dir(), opts)
 	if err != nil {
 		st.fail("crash-restart reopen: %v", err)
 		return
 	}
-	st.store = fresh
-	wantDisk := 0
-	for c, cs := range st.colors {
-		wantDisk += cs.disk
-		if got := fresh.Depth(uint64(c)); got != cs.disk {
-			st.fail("crash-restart: color %d recovered depth %d, model expects %d", c, got, cs.disk)
+	st.layer.SetStore(fresh)
+	for _, c := range colors {
+		if got, want := fresh.Depth(uint64(c)), old.Depth(uint64(c)); got != want {
+			st.fail("crash-restart: color %d recovered depth %d, the crashed store held %d", c, got, want)
 		}
 	}
-	if st.recovered != wantDisk {
-		st.fail("crash-restart: recovered %d records, model expects %d on disk", st.recovered, wantDisk)
+	if int64(st.recovered) != old.TotalDepth() {
+		st.fail("crash-restart: recovered %d records, the crashed store held %d", st.recovered, old.TotalDepth())
 	}
 	ctx.Charge(spillRestartCycles)
 }
 
-// buildOverload wires the skewed open-loop producer, the bounded
-// admission model, and the spill store.
+// buildOverload wires the skewed open-loop producer to the admission
+// layer over the spill store.
 func buildOverload(p OverloadParams, r *simRun, store *spillq.Store) (*sim.Engine, *overloadState, error) {
 	faults := &r.faults
 	ticks := p.Ticks
@@ -166,11 +158,12 @@ func buildOverload(p OverloadParams, r *simRun, store *spillq.Store) (*sim.Engin
 	if err != nil {
 		return nil, nil, err
 	}
-	st := &overloadState{
-		store:     store,
-		colors:    make(map[equeue.Color]*overloadColorState),
-		restartAt: faults.restartAt,
-	}
+	st := &overloadState{faults: faults, last: make(map[equeue.Color]int)}
+	st.layer = admission.New[*sim.Ctx](st, admission.Config{
+		Policy:   admission.Spill,
+		MaxTotal: int64(p.Bound),
+		Store:    store,
+	})
 
 	var work, produce equeue.HandlerID
 
@@ -184,139 +177,56 @@ func buildOverload(p OverloadParams, r *simRun, store *spillq.Store) (*sim.Engin
 		}
 		return equeue.Color((slot + 1) * ncores)
 	}
+	colors := make([]equeue.Color, p.Colors)
+	for i := range colors {
+		colors[i] = equeue.Color((i + 1) * ncores)
+	}
 
-	var seqBuf [8]byte
-	spillOne := func(ctx *sim.Ctx, c equeue.Color, seq int) {
-		cs := st.color(c)
-		cs.spilling = true
-		binary.LittleEndian.PutUint64(seqBuf[:], uint64(seq))
+	postOne := func(ctx *sim.Ctx, seq int) {
+		c := workColor(seq)
+		st.produced++
+		route, err := st.layer.Admit(nil, c, false)
+		if err != nil {
+			st.fail("admit: %v", err)
+			return
+		}
+		if route == admission.Memory {
+			st.noteInMem()
+			ctx.Post(sim.Ev{Handler: work, Color: c, Cost: p.WorkCost, Data: seq})
+			return
+		}
 		rec := spillq.Record{
 			Handler: int32(work),
 			Color:   uint64(c),
 			Cost:    p.WorkCost,
 			Penalty: 1,
 			Tag:     1,
-			Payload: append([]byte(nil), seqBuf[:]...),
+			Payload: binary.LittleEndian.AppendUint64(nil, uint64(seq)),
 		}
-		if err := st.store.Append(uint64(c), []spillq.Record{rec}); err != nil {
+		ctx.Charge(spillAppendCycles + faults.spillExtra)
+		if _, err := st.layer.Append(ctx, c, rec); err != nil {
 			st.fail("spill append: %v", err)
 			return
 		}
-		cs.disk++
-		st.spilled++
-		ctx.Charge(spillAppendCycles + faults.spillExtra)
-		if st.restartAt > 0 && !st.restarted && st.spilled >= st.restartAt {
-			st.crashRestart(ctx)
-			if st.err != nil {
-				return
-			}
-		}
-		if cs.mem == 0 && !cs.starved {
-			// Nothing of this color in memory: no execution will ever
-			// trigger its reload, so queue it for starved pickup.
-			cs.starved = true
-			st.starved = append(st.starved, c)
-		}
-	}
-
-	postOne := func(ctx *sim.Ctx, seq int) {
-		c := workColor(seq)
-		cs := st.color(c)
-		st.produced++
-		if cs.spilling || st.inMem >= p.Bound {
-			spillOne(ctx, c, seq)
-			return
-		}
-		cs.mem++
-		st.inMem++
-		if st.inMem > st.maxInMem {
-			st.maxInMem = st.inMem
-		}
-		ctx.Post(sim.Ev{Handler: work, Color: c, Cost: p.WorkCost, Data: seq})
-	}
-
-	reloadColor := func(ctx *sim.Ctx, c equeue.Color) {
-		cs := st.color(c)
-		for cs.disk > 0 {
-			max := p.Bound - st.inMem
-			if max <= 0 {
-				if cs.mem == 0 && !cs.starved {
-					cs.starved = true
-					st.starved = append(st.starved, c)
-				}
-				return
-			}
-			if max > p.ReloadMax {
-				max = p.ReloadMax
-			}
-			recs, err := st.store.Reload(uint64(c), max, nil)
-			if err != nil {
-				st.fail("reload: %v", err)
-				return
-			}
-			if len(recs) == 0 {
-				st.fail("reload returned nothing with disk=%d for color %d", cs.disk, c)
-				return
-			}
-			ctx.Charge(reloadBatchCycles + faults.spillExtra + int64(len(recs))*reloadRecCycles)
-			for _, rec := range recs {
-				seq := int(binary.LittleEndian.Uint64(rec.Payload))
-				cs.mem++
-				st.inMem++
-				if st.inMem > st.maxInMem {
-					st.maxInMem = st.inMem
-				}
-				ctx.Post(sim.Ev{Handler: equeue.HandlerID(rec.Handler), Color: c, Cost: rec.Cost, Data: seq})
-			}
-			cs.disk -= len(recs)
-			st.reloaded += len(recs)
-			if st.inMem > p.LowWater {
-				break
-			}
-		}
-		if cs.disk == 0 {
-			cs.spilling = false
+		if faults.restartAt > 0 && !st.restarted && st.layer.Stats().Spilled >= int64(faults.restartAt) {
+			st.crashRestart(ctx, colors)
 		}
 	}
 
 	work = eng.Register("overload-work", func(ctx *sim.Ctx, ev *equeue.Event) {
 		faults.slowHandler(ctx)
 		c := ev.Color
-		cs := st.color(c)
 		// FIFO across the spill boundary: each color's sequence numbers
 		// (strictly increasing per color at posting time) must arrive in
 		// posting order — memory head before disk tail.
-		if seq := ev.Data.(int); seq <= cs.last {
-			st.fail("color %d executed seq %d after %d (FIFO broken)", c, seq, cs.last)
+		last, ok := st.last[c]
+		if seq := ev.Data.(int); ok && seq <= last {
+			st.fail("color %d executed seq %d after %d (FIFO broken)", c, seq, last)
 		} else {
-			cs.last = seq
+			st.last[c] = seq
 		}
-		cs.mem--
-		st.inMem--
 		st.consumed++
-		if cs.spilling && cs.disk > 0 && st.inMem <= p.LowWater {
-			reloadColor(ctx, c)
-		} else if cs.spilling && cs.disk == 0 {
-			cs.spilling = false
-		}
-		if cs.spilling && cs.disk > 0 && cs.mem == 0 && !cs.starved {
-			// Memory empty above the low-water mark: nothing of this
-			// color will execute again, so only starved pickup (below,
-			// on other colors' completions) can revive its disk tail.
-			cs.starved = true
-			st.starved = append(st.starved, c)
-		}
-		// Starved pickup: any completion with headroom revives a color
-		// whose whole backlog lives on disk.
-		for len(st.starved) > 0 && st.inMem < p.Bound {
-			sc := st.starved[0]
-			st.starved = st.starved[1:]
-			scs := st.color(sc)
-			scs.starved = false
-			if scs.disk > 0 {
-				reloadColor(ctx, sc)
-			}
-		}
+		st.layer.Executed(ctx, c)
 	}, sim.HandlerOpts{})
 
 	ticksDone := 0
@@ -364,9 +274,10 @@ func measureOverload(r *simRun) (*metrics.Run, *overloadState, error) {
 		return nil, nil, err
 	}
 	// Close whatever store the run ends on: a crash-restart fault swaps
-	// st.store mid-run, abandoning the original (the crash), so closing
-	// the captured handle would touch a recovered-out-from-under store.
-	defer func() { st.store.Close() }()
+	// the layer's store mid-run, abandoning the original (the crash), so
+	// closing the captured handle would touch a recovered-out-from-under
+	// store.
+	defer func() { st.layer.Store().Close() }()
 	run := sim.Measure(eng, r.warm, r.win)
 
 	// Drain to completion: the producer has a finite burst, so the
@@ -381,31 +292,32 @@ func measureOverload(r *simRun) (*metrics.Run, *overloadState, error) {
 	if st.err != nil {
 		return nil, nil, fmt.Errorf("overload invariant: %w", st.err)
 	}
+	ls := st.layer.Stats()
 	if r.drain {
 		if st.consumed != st.produced {
 			return nil, nil, fmt.Errorf("overload lost events: produced %d, consumed %d (spilled %d, reloaded %d)",
-				st.produced, st.consumed, st.spilled, st.reloaded)
+				st.produced, st.consumed, ls.Spilled, ls.Reloaded)
 		}
-		if st.reloaded != st.spilled {
-			return nil, nil, fmt.Errorf("overload spill imbalance: spilled %d, reloaded %d", st.spilled, st.reloaded)
+		if ls.Reloaded != ls.Spilled {
+			return nil, nil, fmt.Errorf("overload spill imbalance: spilled %d, reloaded %d", ls.Spilled, ls.Reloaded)
 		}
-		if st.spilled == 0 {
+		if ls.Spilled == 0 {
 			return nil, nil, fmt.Errorf("overload never spilled: the producer no longer exceeds the bound")
 		}
-		if st.inMem != 0 || st.store.TotalDepth() != 0 {
-			return nil, nil, fmt.Errorf("overload did not drain: inMem=%d disk=%d", st.inMem, st.store.TotalDepth())
+		if err := st.layer.CheckEmpty(); err != nil {
+			return nil, nil, fmt.Errorf("overload did not drain: %w", err)
 		}
 	}
-	if st.maxInMem > p.Bound {
+	if st.maxInMem > int64(p.Bound) {
 		return nil, nil, fmt.Errorf("overload bound violated: %d in memory, bound %d", st.maxInMem, p.Bound)
 	}
-	if st.restartAt > 0 && !st.restarted {
+	if r.faults.restartAt > 0 && !st.restarted {
 		return nil, nil, fmt.Errorf("overload crash-restart never fired: only %d records spilled, fault armed at %d",
-			st.spilled, st.restartAt)
+			ls.Spilled, r.faults.restartAt)
 	}
 	run.Payload["overload_produced"] = float64(st.produced)
-	run.Payload["overload_spilled"] = float64(st.spilled)
-	run.Payload["overload_reloaded"] = float64(st.reloaded)
+	run.Payload["overload_spilled"] = float64(ls.Spilled)
+	run.Payload["overload_reloaded"] = float64(ls.Reloaded)
 	run.Payload["overload_max_inmem"] = float64(st.maxInMem)
 	if st.restarted {
 		run.Payload["overload_recovered"] = float64(st.recovered)

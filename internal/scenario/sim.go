@@ -149,7 +149,7 @@ var workloads = map[string]simWorkload{
 		set: func(ss *SimSpec) bool { return ss.Overload != nil },
 		negative: func(ss *SimSpec) bool {
 			o := ss.Overload
-			return o.Bound < 0 || o.LowWater < 0 || o.ReloadMax < 0 || o.Colors < 0 || o.Tick < 0 ||
+			return o.Bound < 0 || o.Colors < 0 || o.Tick < 0 ||
 				o.PerTick < 0 || o.Ticks < 0 || o.WorkCost < 0 || o.ProdCost < 0
 		},
 		measure: measureOverload,
@@ -298,12 +298,12 @@ func (s *Spec) evalSimSLOs(run *metrics.Run, ost *overloadState) []SLOResult {
 			check("min_kevents_per_sec", slo.MinKEventsPerSec, v, v >= slo.MinKEventsPerSec)
 		}
 		if slo.ZeroLoss && ost != nil {
-			lost := float64(ost.produced-ost.consumed) + float64(ost.spilled-ost.reloaded) +
-				float64(ost.inMem)
+			ls := ost.layer.Stats()
+			lost := float64(ost.produced-ost.consumed) + float64(ls.Spilled-ls.Reloaded) + float64(ls.Queued)
 			check("zero_loss", 0, lost, lost == 0)
 		}
 		if slo.MaxInMem > 0 && ost != nil {
-			check("max_inmem", float64(slo.MaxInMem), float64(ost.maxInMem), ost.maxInMem <= slo.MaxInMem)
+			check("max_inmem", float64(slo.MaxInMem), float64(ost.maxInMem), ost.maxInMem <= int64(slo.MaxInMem))
 		}
 	}
 	return out

@@ -104,12 +104,9 @@ type ConnScaleParams struct {
 
 // OverloadParams parameterizes the bounded-queue spill workload.
 type OverloadParams struct {
-	// Bound models MaxQueuedEvents (default 1024).
+	// Bound models MaxQueuedEvents (default 1024); the reload threshold
+	// and batch size follow from it as they do in the runtime.
 	Bound int `json:"bound,omitempty"`
-	// LowWater is the reload threshold (default Bound/2).
-	LowWater int `json:"low_water,omitempty"`
-	// ReloadMax caps records per reload batch (default 256).
-	ReloadMax int `json:"reload_max,omitempty"`
 	// Colors is the skewed work-color count (default 8).
 	Colors int `json:"colors,omitempty"`
 	// Tick is the producer period in cycles (default 100000).

@@ -558,13 +558,13 @@ func (s *Store) Append(color uint64, recs []Record) error {
 		rec := &recs[i]
 		tail, err := s.tailSegment(color, c)
 		if err != nil {
-			return s.rollbackTail(c, c.openTail(), recs[pendingStart:i], err)
+			return s.rollbackTail(c, c.openTail(), i-pendingStart, err)
 		}
 		need := int64(recHeaderBytes + len(rec.Payload))
 		if tail.size+need > tail.m.size {
 			grown := (tail.size + need + growChunk - 1) / growChunk * growChunk
 			if err := tail.m.grow(grown); err != nil {
-				return s.rollbackTail(c, tail, recs[pendingStart:i], fmt.Errorf("spillq: %w", err))
+				return s.rollbackTail(c, tail, i-pendingStart, fmt.Errorf("spillq: %w", err))
 			}
 		}
 		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(rec.Payload)))
@@ -597,7 +597,7 @@ func (s *Store) Append(color uint64, recs []Record) error {
 		}
 		if tail.size >= int64(s.opts.SegmentBytes) {
 			if err := s.sealSegment(tail); err != nil {
-				return s.rollbackTail(c, tail, recs[pendingStart:i+1], err)
+				return s.rollbackTail(c, tail, i+1-pendingStart, err)
 			}
 			pendingStart = i + 1
 		}
@@ -606,7 +606,7 @@ func (s *Store) Append(color uint64, recs []Record) error {
 		switch s.opts.Sync {
 		case SyncAlways:
 			if err := s.syncSegment(tail); err != nil {
-				return s.rollbackTail(c, tail, recs[pendingStart:], err)
+				return s.rollbackTail(c, tail, len(recs)-pendingStart, err)
 			}
 		case SyncInterval:
 			if now := time.Now(); now.Sub(tail.lastSync) >= s.opts.SyncEvery {
@@ -629,15 +629,15 @@ func (c *chain) openTail() *segment {
 	return nil
 }
 
-// rollbackTail undoes the accounting and on-disk bytes for records a
-// failed durability point left unconfirmed, restoring the segment to
-// its durable prefix. The rolled-back range is zeroed so recovery sees
-// a clean tail, never the phantom records. The chain stays usable:
-// durable records keep serving, the next append writes from the
-// durable offset.
-func (s *Store) rollbackTail(c *chain, tail *segment, lost []Record, cause error) error {
-	c.depth -= len(lost)
-	s.total.Add(int64(-len(lost)))
+// rollbackTail undoes the accounting and on-disk bytes for the lost
+// records a failed durability point left unconfirmed, restoring the
+// segment to its durable prefix. The rolled-back range is zeroed so
+// recovery sees a clean tail, never the phantom records. The chain
+// stays usable: durable records keep serving, the next append writes
+// from the durable offset.
+func (s *Store) rollbackTail(c *chain, tail *segment, lost int, cause error) error {
+	c.depth -= lost
+	s.total.Add(int64(-lost))
 	if tail != nil && tail.size > tail.durSize {
 		tail.m.zeroRange(tail.durSize, tail.size-tail.durSize)
 		tail.size, tail.count = tail.durSize, tail.durCount

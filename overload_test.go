@@ -193,82 +193,15 @@ func TestOverloadBlockStopReleases(t *testing.T) {
 	}
 }
 
-// TestOverloadBlockWakeFollowsDecrement: a completion wakes Block-policy
-// waiters only after it has lowered the color's own count. A waiter at
-// the per-color bound woken ahead of st.mem-- finds the color still full,
-// subscribes afresh and sleeps — and if that completion was the last one,
-// nothing ever opens the new channel: Post hangs until Stop. Driven by
-// hand on a never-started runtime: the test stands where that waiter's
-// re-check would, holding the color's shard lock, so noteExec's decrement
-// cannot have happened while it is held.
-func TestOverloadBlockWakeFollowsDecrement(t *testing.T) {
-	r := newRuntime(t, Config{Cores: 1, MaxQueuedPerColor: 1, OverloadPolicy: OverloadBlock})
-	defer r.Close()
-	h := r.Register("work", func(*Ctx) {})
-	const color = 7
-	if err := r.Post(h, color, nil); err != nil { // the color is at its bound
-		t.Fatal(err)
-	}
-	a := r.adm
-	s := a.shard(color)
-	s.mu.Lock()
-	a.blockWaiters.Add(1)
-	defer a.blockWaiters.Add(-1)
-	woken := a.block.subscribe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		a.noteExec(r.cores[0], color)
-	}()
-	select {
-	case <-woken:
-		s.mu.Unlock()
-		t.Fatal("waiters woken before the color's count dropped: a waiter at the per-color bound re-checks, finds it full and sleeps for good")
-	case <-time.After(50 * time.Millisecond):
-	}
-	s.mu.Unlock()
-	select {
-	case <-woken:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the completion never woke the waiters")
-	}
-	s.mu.Lock()
-	if st := s.colors[color]; st != nil && st.mem != 0 {
-		t.Errorf("woken with st.mem = %d, want the color below its bound", st.mem)
-	}
-	s.mu.Unlock()
-	<-done
-}
-
 // opaque is a payload that cannot cross the disk boundary.
 type opaque struct{ n int }
 
-// assertAdmissionEmpty checks, after a final Drain, that every
-// reservation admit handed out was given back: no color keeps admission
-// state (a leaked disk slot would leave it reading as spilling, and so
-// saturated, for good), no memory slot is held, no color waits for
-// headroom and the store holds no record.
+// assertAdmissionEmpty checks, after a final Drain, that the admission
+// layer holds nothing (admission.Layer.CheckEmpty).
 func assertAdmissionEmpty(t *testing.T, r *Runtime) {
 	t.Helper()
-	a := r.adm
-	for i := range a.shards {
-		s := &a.shards[i]
-		s.mu.Lock()
-		for color, st := range s.colors {
-			t.Errorf("color %d keeps admission state after the drain: %+v", color, *st)
-		}
-		s.mu.Unlock()
-	}
-	if q := a.queued.Load(); q != 0 {
-		t.Errorf("queued = %d after the drain, want 0", q)
-	}
-	a.starvedMu.Lock()
-	if len(a.starvedQ) != 0 {
-		t.Errorf("starved colors after the drain: %v", a.starvedQ)
-	}
-	a.starvedMu.Unlock()
-	if d := a.store.TotalDepth(); d != 0 {
-		t.Errorf("store depth = %d after the drain, want 0", d)
+	if err := r.adm.CheckEmpty(); err != nil {
+		t.Errorf("after the drain: %v", err)
 	}
 }
 
@@ -484,7 +417,7 @@ func TestSpillFallbackWithoutCore(t *testing.T) {
 		breakIt func(r *Runtime)
 	}{
 		{"unencodable payload", &opaque{1}, func(*Runtime) {}},
-		{"store append fails", 1, func(r *Runtime) { r.adm.store.Close() }},
+		{"store append fails", 1, func(r *Runtime) { r.adm.Store().Close() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRuntime(t, Config{Cores: 1, MaxQueuedEvents: 2, OverloadPolicy: OverloadSpill})

@@ -2,13 +2,13 @@ package mely
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/melyruntime/mely/internal/admission"
 	"github.com/melyruntime/mely/internal/affinity"
 	"github.com/melyruntime/mely/internal/equeue"
 	"github.com/melyruntime/mely/internal/obs"
@@ -22,7 +22,7 @@ import (
 // ErrStopped is returned by Post and PostBatch once the runtime has
 // stopped (Stop, Close, or the end of Run). Producers race shutdown by
 // design — drain loops and pumps test for it with errors.Is.
-var ErrStopped = errors.New("mely: runtime stopped")
+var ErrStopped = admission.ErrStopped
 
 // Handler identifies a registered event handler. The zero value is
 // invalid (Post rejects it), so optional handler fields can be left
@@ -289,7 +289,7 @@ type Runtime struct {
 	// adm is the overload-control layer (queue bounds, Reject/Block/
 	// Spill admission, the spillq bridge). Nil on unbounded runtimes,
 	// which therefore pay nothing on the posting hot path.
-	adm *admission
+	adm *overload
 
 	// Live observability (see obs.go): obsMask selects one in
 	// Config.ObsSampleRate posts for latency sampling (obsOn false
@@ -342,34 +342,7 @@ type Runtime struct {
 	// cache lines of stopped, stealMon, handlers or epoch.
 	pending      atomic.Int64
 	drainWaiters atomic.Int32
-	drained      gate
-}
-
-// gate is a close-a-channel broadcast: a waiter subscribes, re-checks
-// its condition and only then sleeps on the channel, so an open after
-// the subscription cannot be missed; open releases every subscriber,
-// and the next one starts a fresh channel.
-type gate struct {
-	mu sync.Mutex
-	ch chan struct{}
-}
-
-func (g *gate) subscribe() <-chan struct{} {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.ch == nil {
-		g.ch = make(chan struct{})
-	}
-	return g.ch
-}
-
-func (g *gate) open() {
-	g.mu.Lock()
-	if g.ch != nil {
-		close(g.ch)
-		g.ch = nil
-	}
-	g.mu.Unlock()
+	drained      admission.Gate
 }
 
 // AddPollSource registers a readiness-event source whose sample is
@@ -535,13 +508,13 @@ func (r *Runtime) Stop() {
 		if r.adm != nil {
 			r.adm.close()
 		}
-		r.drained.open() // queued events (if any) will never complete
+		r.drained.Open() // queued events (if any) will never complete
 		return
 	}
 	if r.adm != nil {
 		// Posters blocked under OverloadBlock must observe the stop now
 		// (they re-check stopped on wake), not after the workers exit.
-		r.adm.block.open()
+		r.adm.Wake()
 	}
 	if r.stallStop != nil {
 		r.stallStopOnce.Do(func() { close(r.stallStop) })
@@ -563,7 +536,7 @@ func (r *Runtime) Stop() {
 	}
 	// Events still queued were dropped and will never complete: release
 	// Drain waiters so they observe the stop instead of hanging.
-	r.drained.open()
+	r.drained.Open()
 }
 
 // Close shuts the runtime down immediately and idempotently: it is Stop
@@ -608,7 +581,7 @@ func (r *Runtime) Drain(ctx context.Context) error {
 	r.drainWaiters.Add(1)
 	defer r.drainWaiters.Add(-1)
 	for {
-		ch := r.drained.subscribe()
+		ch := r.drained.Subscribe()
 		// Re-check after subscribing: a zero crossing before this point
 		// either already closed ch or is ordered before this load.
 		if r.pending.Load() == 0 {
@@ -662,7 +635,7 @@ func (r *Runtime) post(ctx context.Context, from *Ctx, h Handler, color Color, d
 	c, ptrace, pspan := from.origin()
 	var lone idSource
 	ids := r.idsOn(c, 1, &lone)
-	if route == routeDisk {
+	if route == admission.Disk {
 		// Stamped like any other post, but on the stack: the record goes
 		// to the color's disk tail and no event leaves the pool.
 		var ev equeue.Event
@@ -711,12 +684,12 @@ func unknownHandlerError(h Handler) error {
 	return fmt.Errorf("mely: unknown handler %d", h.id)
 }
 
-// routeFor is the admission step (admission.admit). An unbounded runtime
-// has no admission layer and sends everything to memory. It inlines in
-// this shape, just under the budget.
-func (r *Runtime) routeFor(ctx context.Context, color equeue.Color, external bool) (route admRoute, err error) {
+// routeFor is the admission step (admission.Layer.Admit). An unbounded
+// runtime has no admission layer and sends everything to memory. It
+// inlines in this shape, just under the budget.
+func (r *Runtime) routeFor(ctx context.Context, color equeue.Color, external bool) (route admission.Route, err error) {
 	if r.adm != nil {
-		route, err = r.adm.admit(ctx, color, external)
+		route, err = r.adm.Admit(ctx, color, external)
 	}
 	return route, err
 }
@@ -1133,7 +1106,7 @@ func (r *Runtime) runColor(c *rcore, ev *equeue.Event) {
 		}
 		c.runLeft--
 		if r.harvestTimers(c) > 0 || r.adm != nil {
-			end = 0 // a firing, or noteExec's reload, ran since that stamp
+			end = 0 // a firing, or Executed's reload, ran since that stamp
 		}
 		end = r.execute(c, c.run.Drain(), end)
 	}
@@ -1201,12 +1174,12 @@ func (r *Runtime) execute(c *rcore, ev *equeue.Event, start int64) (end int64) {
 		// low-water mark pulls the next batch back from disk. Runs
 		// before the pending decrement so Drain cannot observe zero
 		// while this color still has a disk tail to reload.
-		a.noteExec(c, color)
+		a.Executed(c, color)
 	}
 	// An event that handed its pending count to a continuation (see post)
 	// has none left to give back.
 	if !handedOn && r.pending.Add(-1) == 0 && r.drainWaiters.Load() > 0 {
-		r.drained.open()
+		r.drained.Open()
 	}
 	return end
 }

@@ -373,18 +373,19 @@ func (r *Runtime) Stats() Stats {
 	s.WriteStalls = poll.WriteStalls
 	s.ReadPauses = poll.ReadPauses
 	if a := r.adm; a != nil {
-		s.QueuedEvents = a.queued.Load()
-		s.SpilledEvents = a.spilled.Load()
-		s.ReloadedEvents = a.reloaded.Load()
-		s.RejectedPosts = a.rejected.Load()
-		s.BlockedPosts = a.blocked.Load()
-		s.SpillErrors = a.spillErrs.Load()
-		if a.store != nil {
-			s.SpilledNow = a.store.TotalDepth()
-			s.SpilledBytes = a.store.AppendedBytes()
-			s.SpillSyncs = a.store.Syncs()
-			s.RecoveredEvents = a.store.Recovered()
-			s.TornRecords = a.store.Torn()
+		as := a.Stats()
+		s.QueuedEvents = as.Queued
+		s.SpilledEvents = as.Spilled
+		s.ReloadedEvents = as.Reloaded
+		s.RejectedPosts = as.Rejected
+		s.BlockedPosts = as.Blocked
+		s.SpillErrors = as.Errors
+		if store := a.Store(); store != nil {
+			s.SpilledNow = store.TotalDepth()
+			s.SpilledBytes = store.AppendedBytes()
+			s.SpillSyncs = store.Syncs()
+			s.RecoveredEvents = store.Recovered()
+			s.TornRecords = store.Torn()
 		}
 		a.depthHist.AddTo(&s.SpillDepthHist)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"github.com/melyruntime/mely/internal/admission"
 	"github.com/melyruntime/mely/internal/equeue"
 	"github.com/melyruntime/mely/internal/obs"
 	"github.com/melyruntime/mely/internal/timerwheel"
@@ -198,7 +199,7 @@ func (r *Runtime) fireTimer(c *rcore, e *timerwheel.Entry, now int64) {
 	// Timer firings are internal continuations: never rejected or
 	// blocked, but a spilling color's FIFO discipline still routes the
 	// event to the disk tail.
-	if route, _ := r.routeFor(nil, ev.Color, false); route == routeDisk {
+	if route, _ := r.routeFor(nil, ev.Color, false); route == admission.Disk {
 		r.spill(c, ev)
 		*ev = equeue.Event{}
 		r.recycleEvent(c, ev)

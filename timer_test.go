@@ -362,9 +362,20 @@ func TestTimersFireAcrossSteal(t *testing.T) {
 func TestTimersAcrossReHome(t *testing.T) {
 	r := startRuntime(t, Config{Cores: 2, Policy: PolicyMelyWS, TimerTick: time.Millisecond})
 	release := make(chan struct{})
+	// A failed wait must not leave the blocker holding Stop forever.
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
 	hBlock := r.Register("block", func(ctx *Ctx) { <-release })
 	hWork := r.Register("work", func(ctx *Ctx) { time.Sleep(200 * time.Microsecond) },
 		WithCostEstimate(5*time.Millisecond))
+	// Unannotated, so never worth a steal: the idle thief cannot take the
+	// color straight back from its home before the owner is read.
+	hPoke := r.Register("poke", func(ctx *Ctx) {})
 	var fired atomic.Int64
 	hTimer := r.Register("timer", func(ctx *Ctx) { fired.Add(1) })
 
@@ -385,7 +396,7 @@ func TestTimersAcrossReHome(t *testing.T) {
 		return r.table.Owner(equeue.Color(migrant)) == 1
 	})
 	// Let the thief drain the color, then post again: the delivery sees
-	// the expired lease and re-homes the color.
+	// the expired lease and re-homes the color, behind the blocker.
 	waitFor(t, 10*time.Second, "the migrant color to drain on the thief", func() bool {
 		c := r.cores[1]
 		c.lock.Lock()
@@ -393,7 +404,7 @@ func TestTimersAcrossReHome(t *testing.T) {
 		c.lock.Unlock()
 		return !live && r.table.Queue(equeue.Color(migrant)) == nil
 	})
-	if err := r.Post(hWork, migrant, 0); err != nil {
+	if err := r.Post(hPoke, migrant, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, "the color to re-home", func() bool {
