@@ -45,7 +45,7 @@ func TestArrivalStealFilesFirst(t *testing.T) {
 	if err := r.PostBatch([]BatchEvent{{heavy, colB, "b0"}, {heavy, colB, "b1"}}); err != nil {
 		t.Fatal(err)
 	}
-	if victim.arrivals.Empty() {
+	if victim.arrivals.Front() == nil {
 		t.Fatal("the group was filed under the poster's lock, not spliced")
 	}
 	if q, s := victim.qlen.Load(), victim.stealLen.Load(); q != 5 || s == 0 {
@@ -54,7 +54,7 @@ func TestArrivalStealFilesFirst(t *testing.T) {
 	if !r.stealOnce(thief) {
 		t.Fatal("the thief took nothing from a victim with a worthy color in its arrivals")
 	}
-	if !victim.arrivals.Empty() {
+	if victim.arrivals.Front() != nil {
 		t.Error("the thief left the victim's arrivals unfiled")
 	}
 	if got := r.table.Owner(equeue.Color(colB)); got != 1 {
@@ -132,40 +132,91 @@ func TestArrivalTransitBlocksSplice(t *testing.T) {
 	}
 }
 
-// TestArrivalOnlyHashedGroupsSplice: a batch resolved while a color was
-// leased away groups that color with its lessee; if the lease expires
-// before the group is delivered, nothing is deviated any more, yet the
-// group must not be spliced — its color is homed elsewhere and filing it
-// there would fail. It is delivered per event and the color's event
-// re-routes home. Fails, with the filing panic, if a group resolved
-// through the table may splice.
-func TestArrivalOnlyHashedGroupsSplice(t *testing.T) {
-	r := newRuntime(t, Config{Cores: 2, Policy: PolicyMelyWS})
+// TestLeaseEndsAtDrain: a color stolen away from its hash core goes home
+// at the pop that finds it drained on the thief, not at its next delivery,
+// so no owner entry outlives its color and the next batch homed on the
+// victim is spliced again. Fails if popLocal does not end the lease (drop
+// the endLease call).
+func TestLeaseEndsAtDrain(t *testing.T) {
+	bothLayouts(t, func(t *testing.T, pol Policy) {
+		r := newRuntime(t, Config{Cores: 2, Policy: pol, MaxStealColors: 1})
+		defer r.Stop()
+		victim, thief := r.cores[0], r.cores[1]
+		cs := colorsOn(r, 0, 2)
+		var log []string
+		h := r.Register("log", logTo(&log), WithCostEstimate(time.Millisecond))
+		for _, col := range cs {
+			for _, d := range []string{"0", "1"} {
+				if err := r.Post(h, col, d); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		set := &thief.stealSet
+		if !r.detachSet(victim, thief.id, set) {
+			t.Fatal("setup: nothing was detached from core 0")
+		}
+		r.adoptSet(thief, set)
+		stolen := set.Colors[0]
+		if got := r.table.Owner(stolen); got != 1 {
+			t.Fatalf("setup: the stolen color is owned by core %d, want 1", got)
+		}
+		for driveCore(r, thief) {
+		}
+		if got := r.table.Owner(stolen); got != 0 {
+			t.Fatalf("the drained color is owned by core %d, want its home 0", got)
+		}
+		if r.table.AnyDeviated() {
+			t.Fatal("AnyDeviated after the only stolen color drained")
+		}
+		if err := r.PostBatch([]BatchEvent{{h, cs[0], "b"}, {h, cs[1], "b"}}); err != nil {
+			t.Fatal(err)
+		}
+		if victim.arrivals.Front() == nil {
+			t.Fatal("the batch was filed under the poster's lock, not spliced")
+		}
+		for driveCore(r, victim) {
+		}
+		if len(log) != 6 || r.pending.Load() != 0 {
+			t.Errorf("executed %v, %d pending; want 6 executions, none pending", log, r.pending.Load())
+		}
+	})
+}
+
+// TestArrivalLeasedColorRetries: a batch groups every color by its hash
+// core, so an event of a color leased away — stolen, still queued on its
+// thief — lands in its home core's group. That group must not be spliced
+// while the color is deviated: it is delivered per event, the color's event
+// is found leased and re-routed to the lessee, behind the stolen one. Fails
+// if a group may splice while a color is leased away (drop deliverGroup's
+// AnyDeviated check).
+func TestArrivalLeasedColorRetries(t *testing.T) {
+	r := newRuntime(t, Config{Cores: 2, Policy: PolicyMelyBaseWS, MaxStealColors: 1})
 	defer r.Stop()
-	lessee := r.cores[1]
-	colX, colW := colorsOn(r, 0, 1)[0], colorsOn(r, 1, 1)[0]
+	home, lessee := r.cores[0], r.cores[1]
+	cs := colorsOn(r, 0, 3)
+	colX, colY, colZ := cs[0], cs[1], cs[2]
 	var log []string
 	h := r.Register("log", logTo(&log))
-	r.table.SetOwner(equeue.Color(colX), 1) // a past steal; X drained there
-	lessee.lock.Lock()
-	done := make(chan error, 1)
-	go func() { done <- r.PostBatch([]BatchEvent{{h, colX, "x"}, {h, colW, "w"}}) }()
-	// Resolved (pending is counted after the resolution pass) and waiting
-	// for the lessee's lock: the lease expires under it, as deliverLocked
-	// re-homes a drained color.
-	for r.pending.Load() != 2 {
-		time.Sleep(10 * time.Microsecond)
+	for _, e := range []BatchEvent{{h, colX, "x0"}, {h, colZ, "z0"}} {
+		if err := r.Post(e.Handler, e.Color, e.Data); err != nil {
+			t.Fatal(err)
+		}
 	}
-	r.table.SetOwner(equeue.Color(colX), 0)
-	lessee.lock.Unlock()
-	if err := <-done; err != nil {
+	if !r.stealOnce(lessee) || r.table.Owner(equeue.Color(colX)) != 1 {
+		t.Fatal("setup: X was not stolen to core 1")
+	}
+	if err := r.PostBatch([]BatchEvent{{h, colX, "x1"}, {h, colY, "y1"}}); err != nil {
 		t.Fatal(err)
 	}
-	for driveCore(r, r.cores[0]) {
+	if home.arrivals.Front() != nil {
+		t.Fatal("a group holding a leased color was spliced")
+	}
+	for driveCore(r, home) {
 	}
 	for driveCore(r, lessee) {
 	}
-	if got, want := fmt.Sprint(log), "[x@0 w@1]"; got != want {
+	if got, want := fmt.Sprint(log), "[z0@0 y1@0 x0@1 x1@1]"; got != want {
 		t.Errorf("executed %s, want %s", got, want)
 	}
 }
@@ -192,7 +243,7 @@ func TestArrivalClosesPrivateRun(t *testing.T) {
 		if err := r.PostBatch([]BatchEvent{{hA, 1, "a1"}, {hB, 2, "b0"}}); err != nil {
 			t.Error(err)
 		}
-		if c.arrivals.Empty() {
+		if c.arrivals.Front() == nil {
 			t.Error("the group was not spliced")
 		}
 		if err := ctx.Post(hA, 1, "a2"); err != nil {
@@ -224,7 +275,7 @@ func TestArrivalPostBatchThenPostFIFO(t *testing.T) {
 	if err := r.PostBatch([]BatchEvent{{h, colA, 1}, {h, colB, "b"}, {h, colA, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if c.arrivals.Empty() {
+	if c.arrivals.Front() == nil {
 		t.Fatal("setup: the group was not spliced")
 	}
 	if err := r.Post(h, colA, 3); err != nil {
@@ -268,7 +319,7 @@ func TestArrivalStatsAndDrain(t *testing.T) {
 		}
 	}
 	check("spliced", 10, 6)
-	if r.cores[0].arrivals.Empty() || r.cores[1].arrivals.Empty() {
+	if r.cores[0].arrivals.Front() == nil || r.cores[1].arrivals.Front() == nil {
 		t.Fatal("setup: a group was not spliced")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)

@@ -14,25 +14,24 @@ type BatchEvent struct {
 }
 
 // PostBatch posts a batch of events amortizing the per-event delivery
-// work: events are materialized in one slab, each distinct color's
-// owner is resolved once, the batch is grouped by owning core, and
-// every group is handed over under a single acquisition of that core's
-// lock with one wakeup per core instead of one per event. While every
-// color is at its home core, a group of several events is not even
-// filed under that lock: it is spliced onto the core's arrivals in O(1)
-// per event, and the owner files it into its color queues on its own
-// CPU at its next pop. This is the hot-path producer API for servers
-// that accumulate work (a network pump draining a readiness list, a
-// pipeline stage emitting fan-out) — see BenchmarkRuntimePostBatch for
-// the 64-event/8-core acceptance numbers.
+// work: events are materialized in one slab, the batch is grouped by
+// each color's hash core, and every group is handed over under a single
+// acquisition of that core's lock with one wakeup per core instead of
+// one per event. While every color is at its home core, a group of
+// several events is not even filed under that lock: it is spliced onto
+// the core's arrivals in O(1) per event, and the owner files it into its
+// color queues on its own CPU at its next pop. This is the hot-path
+// producer API for servers that accumulate work (a network pump draining
+// a readiness list, a pipeline stage emitting fan-out) — see
+// BenchmarkRuntimePostBatch for the 64-event/8-core acceptance numbers.
 //
 // Semantics match per-event Post exactly: events of one color are
-// delivered in batch order and the ownership lease protocol (steal
-// retry, re-home on drain) is honored per event. Ordering between
-// different colors of one batch is unspecified, as it already is
-// between concurrent posters. If any entry names an unknown handler the
-// whole batch is rejected before anything is enqueued. After shutdown
-// PostBatch fails with ErrStopped.
+// delivered in batch order and the ownership lease protocol is honored
+// per event — an event of a color leased away from its hash core is
+// re-routed to the lessee. Ordering between different colors of one
+// batch is unspecified, as it already is between concurrent posters. If
+// any entry names an unknown handler the whole batch is rejected before
+// anything is enqueued. After shutdown PostBatch fails with ErrStopped.
 //
 // On a bounded runtime (Config.MaxQueuedEvents and friends) admission
 // applies per event: an ErrOverloaded rejection or a Block-policy wait
@@ -90,17 +89,12 @@ func (r *Runtime) postBatch(batch []BatchEvent, from *Ctx, external bool) error 
 		err    error
 	)
 	s := r.scratch.Get().(*batchScratch)
-	s.prepare(n, len(r.cores))
+	s.prepare(len(r.cores))
 	// Outside a handler, one atomic each for the whole batch reserves its
 	// sample ticks and its span ids.
 	c, ptrace, pspan := from.origin()
 	var lone idSource
 	ids := r.idsOn(c, n, &lone)
-	// With no color deviated anywhere, Owner == Hash for every color:
-	// resolution is pure math and the color→owner memo is unnecessary
-	// (grouping by Hash is deterministic, so one color still cannot
-	// split across groups). One atomic load, checked once per batch.
-	allHome := !r.table.AnyDeviated()
 	// An event costlier on its own than a steal makes its color worth one
 	// (time-left): a group handed over unfiled counts such events into
 	// the owner's stealLen, so that thieves still look there.
@@ -120,24 +114,11 @@ func (r *Runtime) postBatch(batch []BatchEvent, from *Ctx, external bool) error 
 		r.stamp(ev, ids, entry, be.Color, be.Data, ptrace, pspan)
 		ev.Slab = true
 
-		// Group by owning core: per-core chains of the events
-		// themselves, in batch order. The owner is resolved once per
-		// DISTINCT color — never twice — so the events of one color
-		// always land in the same group and cannot be reordered by a
-		// steal racing the resolution pass (a second read could
-		// disagree with the first and split the color across groups).
-		var o int32
-		if allHome {
-			o = int32(r.table.Hash(ev.Color))
-		} else {
-			var ok bool
-			o, ok = s.lookup(be.Color)
-			if !ok {
-				o = int32(r.table.OwnerHint(ev.Color))
-				s.insert(be.Color, o)
-			}
-		}
-		g := &s.groups[o]
+		// Group by hash core: per-core chains of the events themselves,
+		// in batch order. The hash is pure math and deterministic, so the
+		// events of one color always land in the same group; the owner
+		// entries of the few colors leased away are met at delivery.
+		g := &s.groups[r.table.Hash(ev.Color)]
 		g.ch.Push(ev)
 		g.n++
 		if ev.WeightedCost() > worth {
@@ -148,13 +129,12 @@ func (r *Runtime) postBatch(batch []BatchEvent, from *Ctx, external bool) error 
 	r.pending.Add(int64(n))
 
 	// Deliver each core's group under one lock acquisition. Events
-	// whose color moved (stolen or re-homed) between resolution and
-	// delivery fall back to the per-event retry loop afterwards, in
-	// batch order.
+	// whose color is leased away or in transit fall back to the
+	// per-event retry loop afterwards, in batch order.
 	var retries []*equeue.Event
 	for core := range s.groups {
 		if g := &s.groups[core]; g.n > 0 {
-			retries = r.deliverGroup(core, g, allHome, retries)
+			retries = r.deliverGroup(core, g, retries)
 		}
 	}
 	r.scratch.Put(s)
@@ -165,18 +145,10 @@ func (r *Runtime) postBatch(batch []BatchEvent, from *Ctx, external bool) error 
 }
 
 // batchScratch is the reusable working memory of one PostBatch call:
-// the per-core groups, and a small generation-stamped open-addressing
-// table memoizing color→owner for the resolution pass (a map costs ~3x
-// as much per event). Pooled per runtime; safe because each call takes
+// the per-core groups. Pooled per runtime; safe because each call takes
 // one exclusively.
 type batchScratch struct {
 	groups []batchGroup
-
-	slotColor []Color
-	slotOwner []int32
-	slotGen   []uint32
-	gen       uint32
-	mask      uint32
 }
 
 // batchGroup is one core's share of a batch: its events chained in batch
@@ -189,80 +161,30 @@ type batchGroup struct {
 	sampled bool
 }
 
-func (s *batchScratch) prepare(n, ncores int) {
+func (s *batchScratch) prepare(ncores int) {
 	if len(s.groups) != ncores {
 		s.groups = make([]batchGroup, ncores)
 	}
 	for i := range s.groups {
 		s.groups[i] = batchGroup{}
 	}
-	// Size the memo at >= 2n slots (power of two) so probes stay short.
-	want := 16
-	for want < 2*n {
-		want *= 2
-	}
-	if len(s.slotColor) < want {
-		s.slotColor = make([]Color, want)
-		s.slotOwner = make([]int32, want)
-		s.slotGen = make([]uint32, want)
-		s.gen = 0
-	}
-	s.mask = uint32(len(s.slotColor) - 1)
-	s.gen++
-	if s.gen == 0 { // generation wrapped: stamp everything stale
-		for i := range s.slotGen {
-			s.slotGen[i] = 0
-		}
-		s.gen = 1
-	}
 }
 
-func (s *batchScratch) slot(c Color) uint32 {
-	// Fibonacci hashing over the high bits; colors are arbitrary 64-bit
-	// values, often sequential.
-	return uint32((uint64(c)*0x9E3779B97F4A7C15)>>33) & s.mask
-}
-
-func (s *batchScratch) lookup(c Color) (int32, bool) {
-	for i := s.slot(c); ; i = (i + 1) & s.mask {
-		if s.slotGen[i] != s.gen {
-			return 0, false
-		}
-		if s.slotColor[i] == c {
-			return s.slotOwner[i], true
-		}
-	}
-}
-
-func (s *batchScratch) insert(c Color, owner int32) {
-	for i := s.slot(c); ; i = (i + 1) & s.mask {
-		if s.slotGen[i] != s.gen {
-			s.slotGen[i] = s.gen
-			s.slotColor[i] = c
-			s.slotOwner[i] = owner
-			return
-		}
-	}
-}
-
-// deliverGroup hands a same-owner group of events to core owner under
-// one lock acquisition. hashed says the batch was grouped by hash, every
-// color resolved to its home (see postBatch).
+// deliverGroup hands a group of events homed on core owner to it under
+// one lock acquisition.
 //
-// A hashed group of more than one event, on a runtime where still no
-// color is away from home or in transit, is spliced: the events join the
-// owner's arrivals as they are, and the owner — or whoever next takes its
-// lock to decide per color — files them (spliceGroup, rcore.arrivals).
-// Only a hashed group may: an owner resolved from the table may be a
-// lease that has since expired, and its color is then homed elsewhere.
-// Every other group is filed here, per event, through deliverLocked — the
-// same lease state machine the per-event path runs — after the owner's
+// A group of more than one event, on a runtime where no color is away
+// from home or in transit, is spliced: the events join the owner's
+// arrivals as they are, and the owner — or whoever next takes its lock
+// to decide per color — files them (spliceGroup, rcore.arrivals). Every
+// other group is filed here, per event, through deliverLocked — the same
+// lease state machine the per-event path runs — after the owner's
 // arrivals, returning the events that must be re-routed (appended to
-// retries) because their color's lease moved.
-func (r *Runtime) deliverGroup(owner int, g *batchGroup, hashed bool, retries []*equeue.Event) []*equeue.Event {
+// retries) because their color is leased away or in transit.
+func (r *Runtime) deliverGroup(owner int, g *batchGroup, retries []*equeue.Event) []*equeue.Event {
 	c := r.cores[owner]
 	c.lock.Lock()
-	if hashed && g.n > 1 && !r.table.AnyDeviated() {
+	if g.n > 1 && !r.table.AnyDeviated() {
 		r.spliceGroup(c, g)
 		c.lock.Unlock()
 		c.unpark()

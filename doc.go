@@ -47,10 +47,12 @@
 // on Linux when Config.Pin is set) drains a per-core queue of colored
 // events. A sharded, lock-striped color table maps each live color to
 // its owning core — colors hash onto cores with a 64-bit mix, and
-// ownership moves only while a steal holds the color away from home
-// (the lease re-homes once the color drains). Load is balanced by
-// workstealing: an idle core inspects victims and migrates a whole
-// color. The stealing policy is the paper's contribution and is
+// ownership moves only while a steal holds the color away from home: the
+// lease ends, and the color is homed on its hash core again, as soon as
+// the color drains on the thief — nothing of it queued, nothing running
+// — so the table holds only the stolen colors still at work. Load is
+// balanced by workstealing: an idle core inspects victims and migrates a
+// whole color. The stealing policy is the paper's contribution and is
 // selectable via Config.Policy:
 //
 //   - PolicyMelyWS (default): Mely's per-color queues with the
@@ -107,7 +109,7 @@
 //
 // Timers are color-serialized, not color-affine: an entry is armed on
 // the wheel of the core that owns its color and fires from that wheel —
-// a steal or a lease re-home moves the color's queue, never its timers.
+// a steal or a lease's end moves the color's queue, never its timers.
 // A firing is delivered through the same ownership lease protocol as a
 // Post, to the color's owner at that moment, so the serialization
 // guarantee holds no matter where the entry sits.

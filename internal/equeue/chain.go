@@ -9,9 +9,6 @@ package equeue
 // Pop it first. A Chain carries no lock.
 type Chain struct{ tail *Event }
 
-// Empty reports whether the chain holds no event.
-func (ch *Chain) Empty() bool { return ch.tail == nil }
-
 // Push appends e.
 func (ch *Chain) Push(e *Event) {
 	if ch.tail == nil {

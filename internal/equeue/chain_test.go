@@ -21,7 +21,7 @@ func TestChainFIFO(t *testing.T) {
 		return fmt.Sprint(s)
 	}
 	var a, b, empty Chain
-	if !a.Empty() || a.Pop() != nil || a.Front() != nil {
+	if a.Pop() != nil || a.Front() != nil {
 		t.Fatal("a zero Chain is not empty")
 	}
 	a.Push(&evs[0])
@@ -31,7 +31,7 @@ func TestChainFIFO(t *testing.T) {
 	}
 	a.Splice(&empty)
 	a.Splice(&b)
-	if !b.Empty() {
+	if b.Front() != nil {
 		t.Fatal("Splice left its source non-empty")
 	}
 	b.Splice(&a) // into an empty chain
@@ -54,7 +54,7 @@ func TestChainFIFO(t *testing.T) {
 	if got := fmt.Sprint(popped); got != "[0 1 2 3 4 5 6]" {
 		t.Fatalf("popped %s, want [0 1 2 3 4 5 6]", got)
 	}
-	if !b.Empty() {
+	if b.Front() != nil {
 		t.Fatal("chain not empty after popping everything")
 	}
 }

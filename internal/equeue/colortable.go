@@ -31,11 +31,11 @@ type ColorTable struct {
 	place func(Color) int
 	// deviated counts owner entries across all shards plus the colors in
 	// transit (BeginMigrationBatch to EndMigration). When zero, every
-	// color is at its hash home and settled there, so batch owner
-	// resolution is pure math — one atomic load amortized over a whole
-	// batch. A color stolen back to its home erases its owner entry
-	// before it is adopted: only the transit count keeps it from reading
-	// as settled in that window.
+	// color is at its hash home and settled there — the runtime's
+	// condition for splicing a batch unfiled onto its hash core. A color
+	// stolen back to its home erases its owner entry before it is
+	// adopted: only the transit count keeps it from reading as settled
+	// in that window.
 	deviated atomic.Int64
 	shards   [numShards]tableShard
 }
@@ -172,9 +172,10 @@ func (t *ColorTable) setOwnerLocked(s *tableShard, c Color, core int) {
 
 // AnyDeviated reports whether any color anywhere is currently owned
 // away from its hash home or in transit between cores. False means Owner
-// == Hash for every color and no steal is mid-way — the steady state
-// between steals — which batch posting exploits to resolve a whole
-// batch's owners without touching a single stripe.
+// == Hash for every color and no steal is mid-way, which the runtime
+// reads under a core's lock before it splices a batch there unfiled.
+// With leases ending when their colors drain, that is the state between
+// steals, not only before the first.
 func (t *ColorTable) AnyDeviated() bool { return t.deviated.Load() != 0 }
 
 // BeginMigrationBatch publishes a steal: for every color the thief

@@ -22,8 +22,8 @@ const (
 	// number of colors taken. N == 0 is a probe round that found
 	// nothing (only the simulator records those).
 	KindSteal
-	// KindReHome: an expired lease moved a color back to its home
-	// core. Arg is the color, N the home core.
+	// KindReHome: a lease ended — a stolen color drained away from home
+	// and went back to its home core. Arg is the color, N the home core.
 	KindReHome
 	// KindSpill: an event was spilled to disk. Arg is the color, N the
 	// on-disk depth after the append.

@@ -123,20 +123,21 @@ type rcore struct {
 	lock spinlock.Lock
 
 	// The event queue, in the policy's layout, and the running color;
-	// guarded by lock. The running color stays set between events and is
-	// cleared when the worker demonstrably stops executing — stealing or
-	// parking — mirroring the simulator.
+	// guarded by lock. Only popLocal changes the running color: it stays
+	// set between events and is cleared by the pop that finds nothing,
+	// before the worker steals or parks — mirroring the simulator.
 	equeue.Core
 
 	// runCQ is the ColorQueue the running color's event was popped from
 	// (Mely layout; nil when nothing runs). A thief never takes the
-	// running color and its lease cannot expire, so until the next pop
-	// this queue is the color's tabled queue on this core — the public
-	// part of the color, where everyone but its worker delivers, without
-	// a color-table round trip (deliverLocked). That holds for a queue
-	// the pop emptied as well: it stays tabled while the run lasts, and
-	// the next popLocal (or clearRunning) retires it if nothing re-linked
-	// it. Non-nil only while a color is running; guarded by lock.
+	// running color and its lease ends only once it stops running
+	// (endLease), so until the next pop this queue is the color's tabled
+	// queue on this core — the public part of the color, where everyone
+	// but its worker delivers, without a color-table round trip
+	// (deliverLocked). That holds for a queue the pop emptied as well: it
+	// stays tabled while the run lasts, and the next popLocal retires it
+	// if nothing re-linked it. Non-nil only while a color is running;
+	// guarded by lock.
 	runCQ *equeue.ColorQueue
 
 	// qlen/stealLen mirror queue sizes for unlocked victim screening (the
@@ -798,11 +799,11 @@ func (r *Runtime) recycleEvent(c *rcore, ev *equeue.Event) {
 }
 
 // enqueue delivers an event to the current owner of its color,
-// retrying when a concurrent steal moves the color. Ownership is a
-// lease: when a stolen color has fully drained on its current owner
-// (no pending events, not executing), it re-homes to its hash core —
-// the same semantics as the simulator, and the reason load waves
-// re-create the hash placement the paper measures against.
+// retrying when a concurrent steal or a lease's end moves the color.
+// Ownership is a lease: a stolen color goes back to its hash core as
+// soon as it has fully drained on its current owner (endLease) — the
+// paper's color table, and the reason load waves re-create the hash
+// placement the paper measures against.
 func (r *Runtime) enqueue(ev *equeue.Event) {
 	for tries := 0; ; tries++ {
 		if tries > 1 {
@@ -815,8 +816,8 @@ func (r *Runtime) enqueue(ev *equeue.Event) {
 		c := r.cores[owner]
 		r.lockFiled(c)
 		if _, ok := r.deliverLocked(c, owner, ev); !ok {
-			// Stolen between the read and the lock, or the lease just
-			// expired (deliverLocked re-homed it): resolve again.
+			// Stolen or re-homed between the read and the lock, or in
+			// transit: resolve again.
 			c.lock.Unlock()
 			continue
 		}
@@ -871,10 +872,10 @@ func (r *Runtime) fileArrivals(c *rcore) {
 // filing of arrivals (fileArrivals). The caller holds c.lock and
 // resolved owner == c.id for ev's color. It re-checks ownership against
 // the table (except for a continuation of the running color, which
-// cannot have moved), applies the lease re-home rule, and pushes on
-// success, returning the ColorQueue pushed to (nil for the list layout).
-// ok=false means the color moved — stolen away, or its expired lease was
-// just re-homed here — and the caller must re-route the event.
+// cannot have moved) and pushes on success, returning the ColorQueue
+// pushed to (nil for the list layout). ok=false means the color moved —
+// stolen away, re-homed by its lease's end, or in transit — and the
+// caller must re-route the event.
 func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) (*equeue.ColorQueue, bool) {
 	m := c.Mely() // called directly on this path: it runs once per event
 	if cq := c.runCQ; cq != nil && cq.Color() == ev.Color {
@@ -920,25 +921,12 @@ func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) (*equeue.
 		return cq, true
 	}
 	// Away-from-home (leased) delivery: re-check owner and fetch the
-	// queue in one hop, then apply the lease re-home rule.
+	// queue in one hop. A lease lasts only while its color is live here
+	// (endLease), so the color still owned here has events queued here,
+	// in its tabled queue on the Mely layout.
 	curOwner, cq := r.table.OwnerAndQueue(ev.Color)
-	if curOwner != owner {
-		return nil, false
-	}
-	if cq == inTransitMarker {
-		return nil, false // in transit: wait for adoption (see above)
-	}
-	if !c.ColorLive(ev.Color, cq) {
-		// Lease expired: re-home; the caller retries at home.
-		r.table.SetOwner(ev.Color, home)
-		if c.ring != nil {
-			c.ring.Append(obs.KindReHome, r.now(), 0, uint64(ev.Color), uint32(home))
-		}
-		return nil, false
-	}
-	if cq == nil && m != nil {
-		cq = m.NewColorQueue(ev.Color)
-		r.table.SetQueue(ev.Color, cq)
+	if curOwner != owner || cq == inTransitMarker {
+		return nil, false // moved, or in transit: wait for adoption (see above)
 	}
 	if c.Push(cq, ev) {
 		c.stats.colorQueueChurns.Add(1)
@@ -1010,7 +998,6 @@ func (r *Runtime) worker(c *rcore) {
 // park puts the worker to sleep for at most d, or until a wake token
 // arrives.
 func (r *Runtime) park(c *rcore, d time.Duration) {
-	r.clearRunning(c)
 	// A wake token may already be buffered: a post landed after our last
 	// queue scan (every unpark sends unconditionally, so the token
 	// cannot be missed the way a parked-flag handshake could if unpark
@@ -1055,8 +1042,10 @@ func (c *rcore) unpark() {
 	}
 }
 
-// popLocal dequeues the next event of c's queue, maintaining the
-// running color for thieves. On the Mely layout it also detaches the
+// popLocal dequeues the next event of c's queue and is the one place the
+// running color changes: it becomes the popped event's, or none when the
+// queue is empty. A color that stops running here ends its lease in the
+// same hold (endLease). On the Mely layout popLocal also detaches the
 // rest of the color's batch into c.run (see runColor).
 func (r *Runtime) popLocal(c *rcore) *equeue.Event {
 	r.lockFiled(c)
@@ -1077,11 +1066,32 @@ func (r *Runtime) popLocal(c *rcore) *equeue.Event {
 		c.runOpen.Store(open)
 	}
 	c.syncLens()
+	if prev, ok := c.RunningColor(); ok && (ev == nil || ev.Color != prev) {
+		c.ClearRunning()
+		r.endLease(c, prev)
+	}
 	if ev != nil {
 		c.SetRunning(ev.Color)
 	}
 	c.lock.Unlock()
 	return ev
+}
+
+// endLease sends color, which just stopped running on c, back to its hash
+// core if it ran here away from home and nothing of it is left here: its
+// owner entry is erased, so that an owner entry always names a live color
+// or one in transit. Caller holds c.lock and has retired the color's
+// queue if the run drained it (retireRunCQ), so no poster can find that
+// queue once the color is home.
+func (r *Runtime) endLease(c *rcore, color equeue.Color) {
+	home := r.table.Hash(color)
+	if home == c.id || c.ColorLive(color, r.table.Queue(color)) {
+		return
+	}
+	r.table.SetOwner(color, home)
+	if c.ring != nil {
+		c.ring.Append(obs.KindReHome, r.now(), 0, uint64(color), uint32(home))
+	}
 }
 
 // runColor executes ev and then the running color's private run: the
@@ -1221,15 +1231,6 @@ func (c *rcore) syncLens() {
 	c.stealLen.Store(int32(c.WorthyColors()))
 }
 
-// clearRunning marks the worker as not executing (before stealing or
-// parking) so its last color becomes stealable again.
-func (r *Runtime) clearRunning(c *rcore) {
-	c.lock.Lock()
-	c.ClearRunning()
-	r.retireRunCQ(c) // only valid while its color runs
-	c.lock.Unlock()
-}
-
 // retireRunCQ forgets the running color's cached queue; one that its
 // last pop drained and no continuation re-linked also leaves the color
 // table and returns to the pool. Caller holds c.lock.
@@ -1244,7 +1245,6 @@ func (r *Runtime) retireRunCQ(c *rcore) {
 // stealOnce runs one pass of the workstealing algorithm (Figure 2 plus
 // the configured heuristics) and reports whether work was migrated.
 func (r *Runtime) stealOnce(c *rcore) bool {
-	r.clearRunning(c)
 	c.stats.stealAttempts.Add(1)
 	start := r.now()
 

@@ -420,25 +420,45 @@ func TestHandlerPanicContained(t *testing.T) {
 }
 
 func TestOwnershipLeaseRevertsOnDrain(t *testing.T) {
-	// White-box: after a color drains on a non-home core, the next post
-	// must land back on its hash core.
-	r := newRuntime(t, Config{Cores: 4, Policy: PolicyMelyWS})
-	h := r.Register("w", func(ctx *Ctx) {})
-	col := colorsOn(r, 2, 1)[0] // hash home: core 2
-	// Simulate a past steal: core 1 owns the (drained) color.
-	r.table.SetOwner(equeue.Color(col), 1)
-	if err := r.Post(h, col, nil); err != nil {
+	// White-box, on a runtime that was never started: a stolen color
+	// keeps its lease while it runs on the thief and goes back to its
+	// hash core at the pop that finds it drained there, so the next post
+	// lands on the hash core.
+	r := newRuntime(t, Config{Cores: 4, Policy: PolicyMelyWS, MaxStealColors: 1})
+	defer r.Stop()
+	h := r.Register("w", func(ctx *Ctx) {}, WithCostEstimate(time.Millisecond))
+	for _, col := range colorsOn(r, 2, 2) { // hash home: core 2
+		if err := r.Post(h, col, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	home, lessee := r.cores[2], r.cores[1]
+	set := &lessee.stealSet
+	if !r.detachSet(home, lessee.id, set) {
+		t.Fatal("setup: nothing was detached from core 2")
+	}
+	r.adoptSet(lessee, set)
+	col := set.Colors[0]
+	if !driveCore(r, lessee) {
+		t.Fatal("the lessee found nothing to run")
+	}
+	if got := r.table.Owner(col); got != 1 {
+		t.Fatalf("color owned by core %d while it runs on its lessee, want 1", got)
+	}
+	if driveCore(r, lessee) {
+		t.Fatal("the lessee ran more than the stolen event")
+	}
+	if got := r.table.Owner(col); got != 2 {
+		t.Fatalf("drained color owned by core %d, want hash home 2", got)
+	}
+	if err := r.Post(h, Color(col), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.table.Owner(equeue.Color(col)); got != 2 {
-		t.Fatalf("drained color owned by core %d after post, want hash home 2", got)
-	}
-	c := r.cores[2]
-	c.lock.Lock()
-	qlen := c.Mely().Len()
-	c.lock.Unlock()
-	if qlen != 1 {
-		t.Fatalf("event not queued on the hash core (len=%d)", qlen)
+	home.lock.Lock()
+	qlen := home.Mely().Len()
+	home.lock.Unlock()
+	if qlen != 2 {
+		t.Fatalf("event not queued on the hash core (len=%d, want 2)", qlen)
 	}
 }
 

@@ -356,9 +356,9 @@ func TestTimersFireAcrossSteal(t *testing.T) {
 }
 
 // TestTimersAcrossReHome exercises the full lease cycle end to end:
-// a color is stolen away, drains on the thief, and a later post
-// re-homes it — while it still has an armed timer, which must fire
-// exactly once.
+// a color is stolen away, drains on the thief, which ends its lease, and
+// a later post lands at home — while it still has an armed timer, which
+// must fire exactly once.
 func TestTimersAcrossReHome(t *testing.T) {
 	r := startRuntime(t, Config{Cores: 2, Policy: PolicyMelyWS, TimerTick: time.Millisecond})
 	release := make(chan struct{})
@@ -395,8 +395,8 @@ func TestTimersAcrossReHome(t *testing.T) {
 	waitFor(t, 10*time.Second, "the migrant color to be stolen", func() bool {
 		return r.table.Owner(equeue.Color(migrant)) == 1
 	})
-	// Let the thief drain the color, then post again: the delivery sees
-	// the expired lease and re-homes the color, behind the blocker.
+	// Let the thief drain the color, which ends its lease, then post
+	// again: the post goes home, behind the blocker.
 	waitFor(t, 10*time.Second, "the migrant color to drain on the thief", func() bool {
 		c := r.cores[1]
 		c.lock.Lock()

@@ -83,6 +83,22 @@ func TestNoLostWakeups(t *testing.T) {
 			firedOn := make(chan int, 1)
 			hFired := r.Register("fired", func(ctx *Ctx) { firedOn <- ctx.CoreID() })
 			hWork := r.Register("work", func(ctx *Ctx) {}, WithCostEstimate(5*time.Millisecond))
+			const after = 30 * time.Millisecond
+			armed := make(chan struct{}, 1)
+			hArm := r.Register("arm", func(ctx *Ctx) {
+				if ctx.CoreID() != 0 {
+					t.Errorf("the migrant color ran on core %d, want its thief, core 0", ctx.CoreID())
+				}
+				if _, err := ctx.PostAfter(hFired, ctx.Color(), after, nil); err != nil {
+					t.Error(err)
+				}
+				// Core 0 blocks next, long before the timer is due: its
+				// worker pops the blocker right after this handler.
+				if err := ctx.Post(hBlock, on0[0], nil); err != nil {
+					t.Error(err)
+				}
+				armed <- struct{}{}
+			}, WithCostEstimate(5*time.Millisecond))
 			var hHop Handler
 			hHop = r.Register("hop", func(ctx *Ctx) {
 				left := ctx.Data().(int)
@@ -137,9 +153,10 @@ func TestNoLostWakeups(t *testing.T) {
 			// A steal moves queues, not timers: a timer fires from the
 			// wheel it was armed on and its event must wake the color's
 			// owner like any post. Core 0 steals migrant (homed on core 1)
-			// from a blocked core 1, then blocks itself, and the timer is
-			// armed under that lease: on core 0's wheel.
-			blocker0, blocker1, migrant, bystander := on0[0], on1[0], on1[1], on1[2]
+			// from a blocked core 1 and, running it under that lease, arms
+			// the timer: on core 0's wheel. Then the color drains on core
+			// 0, its lease ends there, and core 0 blocks on on0[0].
+			blocker1, migrant, bystander := on1[0], on1[1], on1[2]
 			if err := r.Post(hBlock, blocker1, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -151,31 +168,27 @@ func TestNoLostWakeups(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for j := 0; j < 4; j++ {
+			for j := 0; j < 3; j++ {
 				if err := r.Post(hWork, migrant, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
-			steals := r.Stats().Cores[0].Steals
+			if err := r.Post(hArm, migrant, nil); err != nil {
+				t.Fatal(err)
+			}
+			timersFired := r.Stats().Total().TimersFired
 			if err := r.Post(hOnce, on0[1], nil); err != nil { // wakes the thief-to-be
 				t.Fatal(err)
 			}
 			await(t, done, "post to the idle core")
-			waitFor(t, 10*time.Second, "core 0 to steal the migrant color", func() bool {
-				return r.Stats().Cores[0].Steals > steals && r.table.Owner(equeue.Color(migrant)) == 0
-			})
-			if err := r.Post(hBlock, blocker0, nil); err != nil {
-				t.Fatal(err)
-			}
+			await(t, armed, "core 0 to steal the migrant color and arm the timer")
 			await(t, blocked, "core 0 to block")
-			const after = 30 * time.Millisecond
-			timersFired := r.Stats().Total().TimersFired
-			if _, err := r.PostAfter(hFired, migrant, after, nil); err != nil {
-				t.Fatal(err)
-			}
 			if st := r.Stats(); st.Cores[0].TimersPending != 1 || st.Cores[1].TimersPending != 0 {
 				t.Fatalf("timer armed on wheels %d/%d, want 1/0",
 					st.Cores[0].TimersPending, st.Cores[1].TimersPending)
+			}
+			if got := r.table.Owner(equeue.Color(migrant)); got != 1 {
+				t.Fatalf("the drained migrant color is owned by core %d, want its home, core 1", got)
 			}
 			// Core 1 drains what is left and parks for an hour, its own
 			// wheel empty, straight through the deadline: the timer waits
@@ -186,9 +199,8 @@ func TestNoLostWakeups(t *testing.T) {
 			if n := r.Stats().Total().TimersFired; n != timersFired {
 				t.Fatalf("%d timers fired while the arming core was blocked", n-timersFired)
 			}
-			// Core 0 harvests the timer; the delivery finds the lease
-			// expired and re-homes the color. Only enqueue's unpark can
-			// wake core 1 for it.
+			// Core 0 harvests the timer and delivers its event to the
+			// color's home. Only enqueue's unpark can wake core 1 for it.
 			unblock(0)
 			select {
 			case core := <-firedOn:
