@@ -75,9 +75,11 @@ func TestArrivalStealFilesFirst(t *testing.T) {
 // TestArrivalTransitBlocksSplice: while a color is in transit to its home
 // core — stolen back, its owner entry already erased, not yet adopted — a
 // batch holding it must not be spliced there: filing would meet the transit
-// marker. The group is delivered per event instead, the color's event
-// waits out the transit, and it runs behind the stolen one. Fails, with the
-// filing panic, if the table does not count colors in transit.
+// marker. The group is posted per event instead: Y lands, the color's event
+// waits out the transit in enqueue, and it runs behind the stolen one.
+// Fails, with the filing panic, if the table does not count colors in
+// transit or if a group may splice while one is (drop spliceGroup's
+// AnyDeviated check).
 func TestArrivalTransitBlocksSplice(t *testing.T) {
 	r := newRuntime(t, Config{Cores: 2, Policy: PolicyMelyBaseWS, MaxStealColors: 1})
 	defer r.Stop()
@@ -112,7 +114,9 @@ func TestArrivalTransitBlocksSplice(t *testing.T) {
 		t.Fatal("X in transit home: want owner 0 and AnyDeviated")
 	}
 	done := make(chan error, 1)
-	go func() { done <- r.PostBatch([]BatchEvent{{h, colX, "x1"}, {h, colY, "y1"}}) }()
+	// Y goes first: X's event holds up the rest of its group until the
+	// adoption below, which waits for Y to land.
+	go func() { done <- r.PostBatch([]BatchEvent{{h, colY, "y1"}, {h, colX, "x1"}}) }()
 	for home.qlen.Load() == 0 {
 		time.Sleep(10 * time.Microsecond)
 	}
@@ -186,16 +190,20 @@ func TestLeaseEndsAtDrain(t *testing.T) {
 // TestArrivalLeasedColorRetries: a batch groups every color by its hash
 // core, so an event of a color leased away — stolen, still queued on its
 // thief — lands in its home core's group. That group must not be spliced
-// while the color is deviated: it is delivered per event, the color's event
-// is found leased and re-routed to the lessee, behind the stolen one. Fails
-// if a group may splice while a color is leased away (drop deliverGroup's
-// AnyDeviated check).
+// while the color is deviated: it is posted per event, the color's event
+// goes to the lessee, behind the stolen one, and the home color's events
+// run in batch order. A one-event group is posted per event too. Each
+// event counts into PostedHere and BatchedEvents of the core it lands on.
+// Fails if a group may splice while a color is leased away (drop
+// spliceGroup's AnyDeviated check) or if the per-event leg does not count
+// BatchedEvents.
 func TestArrivalLeasedColorRetries(t *testing.T) {
 	r := newRuntime(t, Config{Cores: 2, Policy: PolicyMelyBaseWS, MaxStealColors: 1})
 	defer r.Stop()
 	home, lessee := r.cores[0], r.cores[1]
 	cs := colorsOn(r, 0, 3)
 	colX, colY, colZ := cs[0], cs[1], cs[2]
+	colW := colorsOn(r, 1, 1)[0]
 	var log []string
 	h := r.Register("log", logTo(&log))
 	for _, e := range []BatchEvent{{h, colX, "x0"}, {h, colZ, "z0"}} {
@@ -206,17 +214,29 @@ func TestArrivalLeasedColorRetries(t *testing.T) {
 	if !r.stealOnce(lessee) || r.table.Owner(equeue.Color(colX)) != 1 {
 		t.Fatal("setup: X was not stolen to core 1")
 	}
-	if err := r.PostBatch([]BatchEvent{{h, colX, "x1"}, {h, colY, "y1"}}); err != nil {
+	before := r.Stats().Cores
+	// Core 0's group holds X, Y and Y; core 1's group is W alone.
+	batch := []BatchEvent{{h, colX, "x1"}, {h, colY, "y1"}, {h, colW, "w1"}, {h, colY, "y2"}}
+	if err := r.PostBatch(batch); err != nil {
 		t.Fatal(err)
 	}
 	if home.arrivals.Front() != nil {
 		t.Fatal("a group holding a leased color was spliced")
 	}
+	// Core 0 receives y1 and y2; core 1 receives x1, leased to it, and w1.
+	after := r.Stats().Cores
+	for i := range after {
+		posted := after[i].PostedHere - before[i].PostedHere
+		batched := after[i].BatchedEvents - before[i].BatchedEvents
+		if posted != 2 || batched != 2 {
+			t.Errorf("core %d: the batch added %d PostedHere and %d BatchedEvents, want 2 and 2", i, posted, batched)
+		}
+	}
 	for driveCore(r, home) {
 	}
 	for driveCore(r, lessee) {
 	}
-	if got, want := fmt.Sprint(log), "[z0@0 y1@0 x0@1 x1@1]"; got != want {
+	if got, want := fmt.Sprint(log), "[z0@0 y1@0 y2@0 x0@1 x1@1 w1@1]"; got != want {
 		t.Errorf("executed %s, want %s", got, want)
 	}
 }
@@ -262,8 +282,8 @@ func TestArrivalClosesPrivateRun(t *testing.T) {
 
 // TestArrivalPostBatchThenPostFIFO: one goroutine posting one color by
 // PostBatch, then Post, then a spliced batch and a single-event batch (which
-// is delivered per event) sees the color run in that order. Fails if
-// enqueue, or deliverGroup's per-event path, delivers before filing the
+// is posted per event) sees the color run in that order. Fails if enqueue,
+// which Post and the per-event leg share, delivers before filing the
 // arrivals.
 func TestArrivalPostBatchThenPostFIFO(t *testing.T) {
 	r := newRuntime(t, Config{Cores: 1, Policy: PolicyMely})

@@ -14,24 +14,28 @@ type BatchEvent struct {
 }
 
 // PostBatch posts a batch of events amortizing the per-event delivery
-// work: events are materialized in one slab, the batch is grouped by
-// each color's hash core, and every group is handed over under a single
-// acquisition of that core's lock with one wakeup per core instead of
-// one per event. While every color is at its home core, a group of
-// several events is not even filed under that lock: it is spliced onto
-// the core's arrivals in O(1) per event, and the owner files it into its
-// color queues on its own CPU at its next pop. This is the hot-path
-// producer API for servers that accumulate work (a network pump draining
-// a readiness list, a pipeline stage emitting fan-out) — see
-// BenchmarkRuntimePostBatch for the 64-event/8-core acceptance numbers.
+// work: events are materialized in one slab and the batch is grouped by
+// each color's hash core. While every color is at its home core, a group
+// of several events is handed over whole: it is spliced onto the core's
+// arrivals in O(1) per event under a single acquisition of that core's
+// lock, with one wakeup per core instead of one per event, and the owner
+// files it into its color queues on its own CPU at its next pop. Any
+// other group — a single event, or any group while a color is away from
+// home or in transit — is posted one event at a time, as Post does. This
+// is the hot-path producer API for servers that accumulate work (a
+// network pump draining a readiness list, a pipeline stage emitting
+// fan-out) — see BenchmarkRuntimePostBatch for the 64-event/8-core
+// acceptance numbers.
 //
 // Semantics match per-event Post exactly: events of one color are
 // delivered in batch order and the ownership lease protocol is honored
-// per event — an event of a color leased away from its hash core is
-// re-routed to the lessee. Ordering between different colors of one
-// batch is unspecified, as it already is between concurrent posters. If
-// any entry names an unknown handler the whole batch is rejected before
-// anything is enqueued. After shutdown PostBatch fails with ErrStopped.
+// per event — an event of a color leased away from its hash core goes to
+// the lessee, and one whose color is in transit holds up the later
+// events of its group until the thief has adopted it, as a Post of that
+// color would wait. Ordering between different colors of one batch is
+// unspecified, as it already is between concurrent posters. If any entry
+// names an unknown handler the whole batch is rejected before anything is
+// enqueued. After shutdown PostBatch fails with ErrStopped.
 //
 // On a bounded runtime (Config.MaxQueuedEvents and friends) admission
 // applies per event: an ErrOverloaded rejection or a Block-policy wait
@@ -128,19 +132,20 @@ func (r *Runtime) postBatch(batch []BatchEvent, from *Ctx, external bool) error 
 	}
 	r.pending.Add(int64(n))
 
-	// Deliver each core's group under one lock acquisition. Events
-	// whose color is leased away or in transit fall back to the
-	// per-event retry loop afterwards, in batch order.
-	var retries []*equeue.Event
+	// Each core's group is handed over whole, or else posted like Post,
+	// one event at a time in batch order: an event whose color is leased
+	// away goes to the lessee, and one in transit holds up the rest of its
+	// group while enqueue waits out the migration.
 	for core := range s.groups {
-		if g := &s.groups[core]; g.n > 0 {
-			retries = r.deliverGroup(core, g, retries)
+		g := &s.groups[core]
+		if g.n == 0 || r.spliceGroup(r.cores[core], g) {
+			continue
+		}
+		for ev := g.ch.Pop(); ev != nil; ev = g.ch.Pop() {
+			r.enqueue(ev).stats.batchedEvents.Add(1)
 		}
 	}
 	r.scratch.Put(s)
-	for _, ev := range retries {
-		r.enqueue(ev)
-	}
 	return nil
 }
 
@@ -170,93 +175,28 @@ func (s *batchScratch) prepare(ncores int) {
 	}
 }
 
-// deliverGroup hands a group of events homed on core owner to it under
-// one lock acquisition.
-//
-// A group of more than one event, on a runtime where no color is away
-// from home or in transit, is spliced: the events join the owner's
-// arrivals as they are, and the owner — or whoever next takes its lock
-// to decide per color — files them (spliceGroup, rcore.arrivals). Every
-// other group is filed here, per event, through deliverLocked — the same
-// lease state machine the per-event path runs — after the owner's
-// arrivals, returning the events that must be re-routed (appended to
-// retries) because their color is leased away or in transit.
-func (r *Runtime) deliverGroup(owner int, g *batchGroup, retries []*equeue.Event) []*equeue.Event {
-	c := r.cores[owner]
+// spliceGroup hands a group of two or more events over to c whole while
+// no color anywhere is away from home or in transit: O(1) per event under
+// one hold of c.lock, and no color-table stripe, no map and no
+// ColorQueue. The events join c's arrivals as they are, and the owner —
+// or whoever next takes its lock to decide per color — files them
+// (lockFiled, rcore.arrivals). They are counted where a delivery counts:
+// qlen (and stealLen for each event worth a steal on its own),
+// Stats.PostedHere, BatchedEvents, and a sampled event's post record. A
+// group that holds the running color closes its private run, exactly as
+// its delivery into runCQ would (deliverLocked): the handler's later
+// continuations queue behind it. It reports false, having handed over
+// nothing, for a one-event group (without taking the lock) or a deviated
+// table; postBatch then posts the group's events one at a time.
+func (r *Runtime) spliceGroup(c *rcore, g *batchGroup) bool {
+	if g.n < 2 {
+		return false
+	}
 	c.lock.Lock()
-	if g.n > 1 && !r.table.AnyDeviated() {
-		r.spliceGroup(c, g)
+	if r.table.AnyDeviated() {
 		c.lock.Unlock()
-		c.unpark()
-		return retries
+		return false
 	}
-	r.fileArrivals(c)
-	delivered := 0
-	// One-entry positive cache: chains interleave colors, but
-	// same-color bursts are common and each table check is a stripe
-	// hop. Caching only successes is safe — while we hold c.lock a
-	// delivered color cannot be stolen or drained, so a re-check would
-	// succeed again; it is purely a cost.
-	var (
-		lastCol   equeue.Color
-		lastCQ    *equeue.ColorQueue
-		haveColor bool
-		// failed colors, by contrast, MUST divert all their later
-		// events: a concurrent re-home (made under the leased core's
-		// lock, not ours) could make a fresh check pass for a later
-		// event while an earlier one still waits in retries — breaking
-		// per-color batch order. Rarely non-empty; linear scan.
-		failed []equeue.Color
-	)
-	for ev := g.ch.Pop(); ev != nil; ev = g.ch.Pop() {
-		if haveColor && ev.Color == lastCol {
-			if c.Push(lastCQ, ev) {
-				c.stats.colorQueueChurns.Add(1)
-			}
-		} else {
-			diverted := false
-			for _, f := range failed {
-				if f == ev.Color {
-					diverted = true
-					break
-				}
-			}
-			if diverted {
-				retries = append(retries, ev)
-				continue
-			}
-			cq, ok := r.deliverLocked(c, owner, ev)
-			if !ok {
-				haveColor = false
-				failed = append(failed, ev.Color)
-				retries = append(retries, ev)
-				continue
-			}
-			lastCol, lastCQ, haveColor = ev.Color, cq, true
-		}
-		c.notePosted(ev)
-		delivered++
-	}
-	c.syncLens()
-	if delivered > 0 {
-		c.stats.batchedEvents.Add(int64(delivered))
-	}
-	c.lock.Unlock()
-	if delivered > 0 {
-		c.unpark()
-	}
-	return retries
-}
-
-// spliceGroup is the splice path of deliverGroup: O(1) per event under
-// c.lock, which the caller holds, and no color-table stripe, no map and
-// no ColorQueue. The group's events are appended to c's arrivals in one
-// step and counted where a delivery counts: qlen (and stealLen for each
-// event worth a steal on its own), Stats.PostedHere, BatchedEvents, and
-// a sampled event's post record. A group that holds the running color
-// closes its private run, exactly as its delivery into runCQ would
-// (deliverLocked): the handler's later continuations queue behind it.
-func (r *Runtime) spliceGroup(c *rcore, g *batchGroup) {
 	running := c.runCQ != nil && c.runOpen.Load()
 	if running || (g.sampled && c.ring != nil) {
 		for ev := g.ch.Front(); ev != nil; ev = g.ch.Next(ev) {
@@ -274,6 +214,9 @@ func (r *Runtime) spliceGroup(c *rcore, g *batchGroup) {
 	}
 	c.stats.postedHere.Add(int64(g.n))
 	c.stats.batchedEvents.Add(int64(g.n))
+	c.lock.Unlock()
+	c.unpark()
+	return true
 }
 
 // PostBatch posts a batch from inside a handler (see Runtime.PostBatch).

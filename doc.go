@@ -29,12 +29,14 @@
 //     layers a generically typed handler over it whose TypedCtx exposes
 //     the payload without a type assertion.
 //   - Posting: Post delivers one event to the core owning its color.
-//     PostBatch amortizes delivery — it groups a caller batch by owning
-//     core and hands each group over under a single lock acquisition
-//     with a single wakeup; while every color is at home, a group is
-//     spliced onto the core's arrivals in O(1) per event and the owner
-//     files it at its next pop. This is how pumps and fan-out stages
-//     should post (see BenchmarkRuntimePostBatch for the measured gap).
+//     PostBatch amortizes delivery — it groups a caller batch by hash
+//     core, and while every color is at home it hands each group of
+//     several events over whole: spliced onto the core's arrivals in
+//     O(1) per event under a single lock acquisition with a single
+//     wakeup, and filed by the owner at its next pop. Any other group is
+//     posted one event at a time, as Post does. This is how pumps and
+//     fan-out stages should post (see BenchmarkRuntimePostBatch for the
+//     measured gap).
 //     Both fail with ErrStopped after shutdown.
 //   - Lifecycle: Start/Drain/Stop remain for manual control; Run(ctx)
 //     packages the common daemon shape (start, block until the context

@@ -54,9 +54,6 @@ func (s *StealingQueue) numLevels() int {
 	return s.levels
 }
 
-// StealCost reports the current worthiness threshold.
-func (s *StealingQueue) StealCost() int64 { return s.stealCost }
-
 // Interval reports which interval a cumulative cost falls into, or -1 if
 // the color is not worthy (cumCost does not exceed the steal cost).
 func (s *StealingQueue) Interval(cumCost int64) int {

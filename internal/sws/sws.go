@@ -117,7 +117,7 @@ type Server struct {
 	stallEvery   int64
 	stallCount   atomic.Int64
 
-	accepted     atomic.Int64 // bookkeeping under color 1; atomic for reads
+	accepted     atomic.Int64 // Figure 6's client count, kept by Accept and DecClientAccepted
 	served       atomic.Int64
 	idleClosed   atomic.Int64
 	overloadShed atomic.Int64
@@ -493,9 +493,6 @@ func (s *Server) IdleClosed() int64 { return s.idleClosed.Load() }
 // OverloadShed reports the number of requests answered 503 by the
 // ShedOverload load shedder.
 func (s *Server) OverloadShed() int64 { return s.overloadShed.Load() }
-
-// Accepted reports the number of currently admitted clients.
-func (s *Server) Accepted() int64 { return s.accepted.Load() }
 
 // Addr reports the listen address (valid after Serve).
 func (s *Server) Addr() net.Addr { return s.srv.Addr() }

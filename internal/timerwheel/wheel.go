@@ -189,10 +189,6 @@ func (e *Entry) Reschedule(when int64) (ok, earlier bool) {
 	}
 }
 
-// BeginFire is the platform's harvest handshake for entries obtained
-// outside Advance (Advance performs it itself); exported for tests.
-func (e *Entry) BeginFire() bool { return e.state.CompareAndSwap(StateArmed, StateFiring) }
-
 // FinishFire retires a harvested one-shot entry.
 func (e *Entry) FinishFire() { e.state.CompareAndSwap(StateFiring, StateFired) }
 
@@ -265,9 +261,6 @@ func New(tick time.Duration, levels int) *Wheel {
 
 // Tick reports the wheel granularity in nanoseconds.
 func (w *Wheel) Tick() int64 { return w.tick }
-
-// Levels reports the hierarchy depth.
-func (w *Wheel) Levels() int { return w.levels }
 
 // Len reports the number of linked entries (including canceled entries
 // not yet reaped).

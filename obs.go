@@ -334,7 +334,7 @@ func (r *Runtime) WriteMetrics(w io.Writer) error {
 		func(c CoreStats) float64 { return float64(c.BackoffParks) })
 	counter("mely_posted_here_total", "Enqueues landing on this core.",
 		func(c CoreStats) float64 { return float64(c.PostedHere) })
-	counter("mely_batched_events_total", "Events delivered through PostBatch core groups.",
+	counter("mely_batched_events_total", "Events delivered by unbounded PostBatch calls, spliced or posted per event.",
 		func(c CoreStats) float64 { return float64(c.BatchedEvents) })
 	counter("mely_color_queue_churns_total", "ColorQueue link/unlink pairs.",
 		func(c CoreStats) float64 { return float64(c.ColorQueueChurns) })

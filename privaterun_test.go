@@ -224,8 +224,9 @@ func privateRunOrder(t *testing.T, seed int64, cores int, pol Policy) {
 				for n := 0; n < extPosts; {
 					a, b := rng.Intn(nColors), rng.Intn(nColors)
 					if rng.Intn(3) == 0 {
-						// A group with same-color bursts, so deliverGroup's
-						// one-entry cache pushes into a running color.
+						// A group with same-color bursts: spliced whole, or,
+						// while a color is away, posted per event, possibly
+						// into the running color.
 						var batch []BatchEvent
 						for _, c := range []int{a, a, b, a, b, b} {
 							batch = append(batch, BatchEvent{Handler: hEvent, Color: colors[c], Data: mk(p, c, 0)})

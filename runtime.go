@@ -803,8 +803,9 @@ func (r *Runtime) recycleEvent(c *rcore, ev *equeue.Event) {
 // Ownership is a lease: a stolen color goes back to its hash core as
 // soon as it has fully drained on its current owner (endLease) — the
 // paper's color table, and the reason load waves re-create the hash
-// placement the paper measures against.
-func (r *Runtime) enqueue(ev *equeue.Event) {
+// placement the paper measures against. It returns the core the event
+// was delivered to.
+func (r *Runtime) enqueue(ev *equeue.Event) *rcore {
 	for tries := 0; ; tries++ {
 		if tries > 1 {
 			// More than one retry means we are waiting on another
@@ -815,7 +816,7 @@ func (r *Runtime) enqueue(ev *equeue.Event) {
 		owner := r.table.OwnerHint(ev.Color)
 		c := r.cores[owner]
 		r.lockFiled(c)
-		if _, ok := r.deliverLocked(c, owner, ev); !ok {
+		if !r.deliverLocked(c, owner, ev) {
 			// Stolen or re-homed between the read and the lock, or in
 			// transit: resolve again.
 			c.lock.Unlock()
@@ -825,7 +826,7 @@ func (r *Runtime) enqueue(ev *equeue.Event) {
 		c.notePosted(ev)
 		c.lock.Unlock()
 		c.unpark()
-		return
+		return c
 	}
 }
 
@@ -846,37 +847,30 @@ func (c *rcore) recordPost(ev *equeue.Event) {
 }
 
 // lockFiled takes c.lock for a holder that decides anything per color:
-// it refreshes the time-left steal cost and files c's arrivals first
-// (fileArrivals), so that what it finds queued is everything posted to c.
+// it refreshes the time-left steal cost and files c's arrivals first, so
+// that what it finds queued is everything posted to c. Each arrival goes
+// through deliverLocked like any delivery; it cannot be refused (see
+// rcore.arrivals), and one that was would be a protocol bug.
 func (r *Runtime) lockFiled(c *rcore) {
 	c.lock.Lock()
-	r.fileArrivals(c)
-}
-
-// fileArrivals is lockFiled's work under a lock its caller already holds.
-// Each arrival goes through deliverLocked like any delivery; it cannot be
-// refused (see rcore.arrivals), and one that was would be a protocol bug.
-func (r *Runtime) fileArrivals(c *rcore) {
 	if r.pol.TimeLeft {
 		c.Mely().SetStealCost(r.stealMon.Estimate())
 	}
 	for ev := c.arrivals.Pop(); ev != nil; ev = c.arrivals.Pop() {
-		if _, ok := r.deliverLocked(c, c.id, ev); !ok {
+		if !r.deliverLocked(c, c.id, ev) {
 			panic("mely: an arrival's color left its home core before it was filed")
 		}
 	}
 }
 
 // deliverLocked is the single lease-protocol delivery step, shared by
-// the per-event path (enqueue), the batch path (deliverGroup) and the
-// filing of arrivals (fileArrivals). The caller holds c.lock and
-// resolved owner == c.id for ev's color. It re-checks ownership against
-// the table (except for a continuation of the running color, which
-// cannot have moved) and pushes on success, returning the ColorQueue
-// pushed to (nil for the list layout). ok=false means the color moved —
-// stolen away, re-homed by its lease's end, or in transit — and the
-// caller must re-route the event.
-func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) (*equeue.ColorQueue, bool) {
+// the per-event path (enqueue) and the filing of arrivals (lockFiled).
+// The caller holds c.lock and resolved owner == c.id for ev's color. It
+// re-checks ownership against the table (except for a continuation of
+// the running color, which cannot have moved) and pushes on success.
+// false means the color moved — stolen away, re-homed by its lease's
+// end, or in transit — and the caller must re-route the event.
+func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) bool {
 	m := c.Mely() // called directly on this path: it runs once per event
 	if cq := c.runCQ; cq != nil && cq.Color() == ev.Color {
 		// The running color continues itself: no ownership re-check is
@@ -887,7 +881,7 @@ func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) (*equeue.
 		if m.Push(cq, ev) {
 			c.stats.colorQueueChurns.Add(1)
 		}
-		return cq, true
+		return true
 	}
 	home := r.table.Hash(ev.Color)
 	if owner == home {
@@ -895,10 +889,10 @@ func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) (*equeue.
 		// ownership and installs the queue (see DeliverHome).
 		if m == nil { // the list layout tables no queues
 			if cq, _, ok := r.table.DeliverHome(ev.Color, nil); !ok || cq == inTransitMarker {
-				return nil, false // stolen, or in transit: wait it out
+				return false // stolen, or in transit: wait it out
 			}
 			c.Push(nil, ev)
-			return nil, true
+			return true
 		}
 		fresh := m.NewColorQueue(ev.Color)
 		cq, installed, ok := r.table.DeliverHome(ev.Color, fresh)
@@ -910,7 +904,7 @@ func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) (*equeue.
 			// stealable before the first thief lands, letting a second
 			// steal interleave and split the color across two cores.
 			m.ReleaseColorQueue(fresh)
-			return nil, false
+			return false
 		}
 		if !installed {
 			m.ReleaseColorQueue(fresh)
@@ -918,7 +912,7 @@ func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) (*equeue.
 		if m.Push(cq, ev) {
 			c.stats.colorQueueChurns.Add(1)
 		}
-		return cq, true
+		return true
 	}
 	// Away-from-home (leased) delivery: re-check owner and fetch the
 	// queue in one hop. A lease lasts only while its color is live here
@@ -926,12 +920,12 @@ func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) (*equeue.
 	// in its tabled queue on the Mely layout.
 	curOwner, cq := r.table.OwnerAndQueue(ev.Color)
 	if curOwner != owner || cq == inTransitMarker {
-		return nil, false // moved, or in transit: wait for adoption (see above)
+		return false // moved, or in transit: wait for adoption (see above)
 	}
 	if c.Push(cq, ev) {
 		c.stats.colorQueueChurns.Add(1)
 	}
-	return cq, true
+	return true
 }
 
 // worker is the per-core scheduling loop. It is an ordinary goroutine,

@@ -163,8 +163,8 @@ type CoreStats struct {
 	// Parks counts idle sleeps; BackoffParks the subset shortened by
 	// the steal-throttling backoff (10µs doubling up to 500µs);
 	// PostedHere counts enqueues landing on this core; BatchedEvents
-	// counts the subset delivered through PostBatch's
-	// one-lock-per-core path; ColorQueueChurns counts ColorQueue
+	// counts the subset an unbounded PostBatch delivered, whether its
+	// group was spliced whole or posted per event; ColorQueueChurns counts ColorQueue
 	// link/unlink pairs (the short-lived color overhead of section
 	// V-C1).
 	Parks            int64
@@ -238,7 +238,7 @@ func (c CoreStats) MeanStealBatch() float64 {
 //	Cores[i].Parks            counter    idle sleeps
 //	Cores[i].BackoffParks     counter    parks shortened by steal backoff
 //	Cores[i].PostedHere       counter    enqueues landing on this core
-//	Cores[i].BatchedEvents    counter    subset delivered via PostBatch groups
+//	Cores[i].BatchedEvents    counter    subset delivered by an unbounded PostBatch
 //	Cores[i].ColorQueueChurns counter    ColorQueue link/unlink pairs
 //	Cores[i].Panics           counter    handler panics contained
 //	Cores[i].Stalls           counter    stall-watchdog episodes on this core
