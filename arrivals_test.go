@@ -29,7 +29,7 @@ func logTo(log *[]string) HandlerFunc {
 // not stealable) or if a splice leaves stealLen alone (the time-left screen
 // then skips the victim).
 func TestArrivalStealFilesFirst(t *testing.T) {
-	r := newRuntime(t, Config{Cores: 2, Policy: PolicyMelyWS, MaxStealColors: 1})
+	r := newRuntime(t, Config{Cores: 2, Policy: PolicyMelyWS, maxStealColors: 1})
 	defer r.Stop()
 	victim, thief := r.cores[0], r.cores[1]
 	cs := colorsOn(r, 0, 2)
@@ -81,7 +81,7 @@ func TestArrivalStealFilesFirst(t *testing.T) {
 // transit or if a group may splice while one is (drop spliceGroup's
 // AnyDeviated check).
 func TestArrivalTransitBlocksSplice(t *testing.T) {
-	r := newRuntime(t, Config{Cores: 2, Policy: PolicyMelyBaseWS, MaxStealColors: 1})
+	r := newRuntime(t, Config{Cores: 2, Policy: PolicyMelyBaseWS, maxStealColors: 1})
 	defer r.Stop()
 	home, lessee := r.cores[0], r.cores[1]
 	cs := colorsOn(r, 0, 3)
@@ -143,7 +143,7 @@ func TestArrivalTransitBlocksSplice(t *testing.T) {
 // the endLease call).
 func TestLeaseEndsAtDrain(t *testing.T) {
 	bothLayouts(t, func(t *testing.T, pol Policy) {
-		r := newRuntime(t, Config{Cores: 2, Policy: pol, MaxStealColors: 1})
+		r := newRuntime(t, Config{Cores: 2, Policy: pol, maxStealColors: 1})
 		defer r.Stop()
 		victim, thief := r.cores[0], r.cores[1]
 		cs := colorsOn(r, 0, 2)
@@ -198,7 +198,7 @@ func TestLeaseEndsAtDrain(t *testing.T) {
 // spliceGroup's AnyDeviated check) or if the per-event leg does not count
 // BatchedEvents.
 func TestArrivalLeasedColorRetries(t *testing.T) {
-	r := newRuntime(t, Config{Cores: 2, Policy: PolicyMelyBaseWS, MaxStealColors: 1})
+	r := newRuntime(t, Config{Cores: 2, Policy: PolicyMelyBaseWS, maxStealColors: 1})
 	defer r.Stop()
 	home, lessee := r.cores[0], r.cores[1]
 	cs := colorsOn(r, 0, 3)
@@ -246,7 +246,7 @@ func TestArrivalLeasedColorRetries(t *testing.T) {
 // next continuation queues behind the group's event instead of riding the
 // run ahead of it. Fails if the splice leaves runOpen set.
 func TestArrivalClosesPrivateRun(t *testing.T) {
-	r := newRuntime(t, Config{Cores: 1, Policy: PolicyMely, BatchThreshold: 4})
+	r := newRuntime(t, Config{Cores: 1, Policy: PolicyMely, batchThreshold: 4})
 	defer r.Stop()
 	c := r.cores[0]
 	var log []string

@@ -373,7 +373,7 @@ func BenchmarkChainTwoCores(b *testing.B) {
 // waits for quiescence; colors re-home once drained, so every wave
 // re-creates the imbalance — the paper's "Web server keeps stealing
 // forever" shape. Sub-benchmarks compare the paper's single-color
-// protocol (MaxStealColors=1) against batched stealing (the default):
+// protocol (maxStealColors 1) against batched stealing (the default):
 // the batch path must sustain at least 1.2x the single-color
 // steal-path throughput (the CI smoke run only checks it executes;
 // compare events/s across the two sub-benchmarks on a quiet host).
@@ -383,7 +383,7 @@ func BenchmarkUnbalancedSteal(b *testing.B) {
 		eventsPerColor = 4
 	)
 	run := func(b *testing.B, maxStealColors int) {
-		r, err := New(Config{Cores: 8, MaxStealColors: maxStealColors})
+		r, err := New(Config{Cores: 8, maxStealColors: maxStealColors})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -513,7 +513,7 @@ var metricsSink *metrics.Run
 // execution. The arm-only rate is reported separately by
 // BenchmarkTimerWheelArmCancel in internal/timerwheel.
 func BenchmarkRuntimeTimers(b *testing.B) {
-	r, err := New(Config{Cores: 2, TimerTick: time.Millisecond})
+	r, err := New(Config{Cores: 2, timerTick: time.Millisecond})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,11 +24,11 @@ const DefaultColor Color = 0
 // Policy selects the queue layout and workstealing algorithm, matching
 // the configurations evaluated in the paper. Batch stealing is
 // orthogonal to the policy choice: the runtime applies it on top of
-// EVERY stealing policy by default — including the Libasync-smp
-// baselines, whose original protocol moved one color per steal — so
-// set MaxStealColors to 1 when reproducing a paper configuration
-// faithfully. (The simulator, which regenerates the paper's tables,
-// keeps batching off unless a policy.Config enables it.)
+// every stealing policy — including the Libasync-smp baselines, whose
+// original protocol moved one color per steal. The paper's protocol,
+// one color per steal, is the simulator's (internal/sim), which
+// regenerates the paper's tables; its ablate-batchsteal experiment
+// compares the two.
 type Policy int
 
 const (
@@ -97,14 +97,16 @@ type Config struct {
 	// Pin buys cache locality under sustained load and pays for it in
 	// wake-up latency on a mostly idle server.
 	Pin bool
-	// BatchThreshold caps consecutive same-color events on a core
-	// (default 10, the paper's setting). Only meaningful for Mely
-	// layouts.
-	BatchThreshold int
+	// The six fields below are constants to users of the package, fixed
+	// by withDefaults; they are fields so tests can make a park last an
+	// hour or 50µs, a private run end sooner, a timer tick finer, or a
+	// steal take one color.
+	//
+	// batchThreshold caps consecutive same-color events on a core (10,
+	// the paper's setting). Only meaningful for Mely layouts.
+	batchThreshold int
 	// stealCostSeed seeds the steal-cost estimate before the runtime
-	// has measured real steals (2µs). It, parkTimeout and stealBackoff
-	// are constants to users of the package; they are fields so tests can
-	// make a park last an hour, or 50µs.
+	// has measured real steals (2µs).
 	stealCostSeed time.Duration
 	// parkTimeout is the longest sleep of a worker that found neither
 	// local work nor anything to steal (500µs). A parked worker wakes on
@@ -114,31 +116,26 @@ type Config struct {
 	// timeout (with stealBackoff beneath it) is the interval at which an
 	// idle worker re-probes its neighbors for something to steal.
 	parkTimeout time.Duration
-	// MaxStealColors caps how many colors one steal attempt migrates.
-	// Batch stealing takes up to half the victim's stealable colors in
-	// a single victim-lock critical section, amortizing the per-color
-	// lock, table, and wakeup costs. 0 applies the default cap (8);
-	// 1 restores the paper's single-color steal protocol; larger
-	// values raise the cap, up to policy.MaxStealColorsLimit (64) —
-	// the whole batch detaches under one victim-lock hold, so the cap
-	// bounds that critical section.
-	MaxStealColors int
+	// maxStealColors caps how many colors one steal attempt migrates
+	// (policy.DefaultMaxStealColors): a steal takes up to half the
+	// victim's stealable colors in a single victim-lock critical
+	// section, amortizing the per-color lock, table, and wakeup costs.
+	// 1 is the paper's single-color steal protocol.
+	maxStealColors int
 	// stealBackoff is the initial pause (10µs) of the exponential
 	// backoff a worker applies when consecutive steal probes find
 	// nothing: each further fruitless round doubles the pause up to
 	// parkTimeout, and any success resets it — throttling steal storms
 	// when many cores go idle together.
 	stealBackoff time.Duration
-	// TimerTick is the granularity of the per-core timing wheels behind
-	// PostAfter/PostAt/PostEvery (default 1ms): timers fire on the next
-	// tick at or after their deadline, so the tick bounds the structural
-	// firing lag. Finer ticks buy resolution at the cost of more wheel
-	// positions to walk on an idle core. The wheels are four levels
-	// deep (timerwheel.DefaultLevels), each level multiplying the
-	// horizon by 64: 1ms ticks cover ~4.7 hours before deadlines park in
-	// the top level and pay extra cascades (still correct, just
-	// costlier).
-	TimerTick time.Duration
+	// timerTick is the granularity of the per-core timing wheels behind
+	// PostAfter/PostAt/PostEvery (1ms): timers fire on the next tick at
+	// or after their deadline, so the tick bounds the structural firing
+	// lag. The wheels are four levels deep (timerwheel.DefaultLevels),
+	// each level multiplying the horizon by 64: 1ms ticks cover ~4.7
+	// hours before deadlines park in the top level and pay extra
+	// cascades (still correct, just costlier).
+	timerTick time.Duration
 
 	// ObsSampleRate is the live-observability sampling period: one in
 	// every ObsSampleRate posted events carries a timestamp from post to
@@ -180,10 +177,10 @@ type Config struct {
 	// fixed-memory ring of ObsHistory samples, derives per-window rates
 	// and latency quantiles (/debug/timeseries, the mely_*_rate
 	// gauges), and runs the health detectors over the window
-	// (Runtime.Health, /debug/health, the OnAnomaly hook). 0 (the
-	// default) disables all of it — a bare runtime pays nothing, not
-	// even the ring's memory. Intervals under 1ms are rejected; 1s is
-	// the conventional production setting.
+	// (Runtime.Health, /debug/health). 0 (the default) disables all of
+	// it — a bare runtime pays nothing, not even the ring's memory.
+	// Intervals under 1ms are rejected; 1s is the conventional
+	// production setting.
 	ObsInterval time.Duration
 	// ObsHistory is the time-series ring's capacity in samples
 	// (default 240 — four minutes of history at the 1s interval). The
@@ -199,13 +196,6 @@ type Config struct {
 	// mely_recommended_max_queued gauge. Recommendation only — nothing
 	// enforces it yet.
 	TargetQueueDelay time.Duration
-	// OnAnomaly, when set, is called from the collector goroutine each
-	// time a fresh anomaly episode begins — a detector firing that was
-	// not firing at the previous evaluation. The report passed in is
-	// the full current health report. When OnAnomaly is nil and
-	// IncidentDir is set, the default action captures an incident
-	// bundle instead.
-	OnAnomaly func(HealthReport)
 	// IncidentDir arms profile-on-anomaly: when non-empty, fresh
 	// anomaly episodes (and stall-watchdog episodes) capture a bounded
 	// evidence bundle — CPU profile, flight-recorder trace, timeseries
@@ -266,8 +256,8 @@ func (c Config) withDefaults() Config {
 	if c.Policy == 0 {
 		c.Policy = PolicyMelyWS
 	}
-	if c.BatchThreshold == 0 {
-		c.BatchThreshold = 10
+	if c.batchThreshold == 0 {
+		c.batchThreshold = 10
 	}
 	if c.stealCostSeed == 0 {
 		c.stealCostSeed = 2 * time.Microsecond
@@ -275,11 +265,14 @@ func (c Config) withDefaults() Config {
 	if c.parkTimeout == 0 {
 		c.parkTimeout = 500 * time.Microsecond
 	}
+	if c.maxStealColors == 0 {
+		c.maxStealColors = policy.DefaultMaxStealColors
+	}
 	if c.stealBackoff == 0 {
 		c.stealBackoff = 10 * time.Microsecond
 	}
-	if c.TimerTick == 0 {
-		c.TimerTick = time.Millisecond
+	if c.timerTick == 0 {
+		c.timerTick = time.Millisecond
 	}
 	if c.ObsSampleRate == 0 {
 		c.ObsSampleRate = 64
@@ -302,22 +295,6 @@ func (c Config) validate() error {
 	}
 	if err := c.Policy.internal().Validate(); err != nil {
 		return fmt.Errorf("mely: invalid policy: %w", err)
-	}
-	if c.BatchThreshold < 0 {
-		return fmt.Errorf("mely: negative batch threshold")
-	}
-	if c.MaxStealColors < 0 {
-		return fmt.Errorf("mely: negative steal batch cap")
-	}
-	if c.MaxStealColors > policy.MaxStealColorsLimit {
-		return fmt.Errorf("mely: steal batch cap %d exceeds limit %d",
-			c.MaxStealColors, policy.MaxStealColorsLimit)
-	}
-	if c.TimerTick < 0 {
-		return fmt.Errorf("mely: negative timer tick")
-	}
-	if c.TimerTick > 0 && c.TimerTick < 10*time.Microsecond {
-		return fmt.Errorf("mely: timer tick %v below the 10µs floor", c.TimerTick)
 	}
 	if c.ObsSampleRate > 1<<30 {
 		return fmt.Errorf("mely: obs sample rate %d too large", c.ObsSampleRate)

@@ -3,6 +3,8 @@ package mely
 import (
 	"strings"
 	"testing"
+
+	"github.com/melyruntime/mely/internal/policy"
 )
 
 func TestDetectTopologyFallback(t *testing.T) {
@@ -73,8 +75,7 @@ func TestParsePolicy(t *testing.T) {
 }
 
 func TestZeroPolicyDefaultsToMelyWS(t *testing.T) {
-	// The full heuristic set plus batch stealing (the v2 default; set
-	// MaxStealColors to 1 for the paper's single-color protocol).
+	// The full heuristic set plus batch stealing.
 	r, err := New(Config{Cores: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -85,12 +86,12 @@ func TestZeroPolicyDefaultsToMelyWS(t *testing.T) {
 }
 
 func TestSingleColorStealOptOut(t *testing.T) {
-	r, err := New(Config{Cores: 1, MaxStealColors: 1})
+	r, err := New(Config{Cores: 1, maxStealColors: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.pol.BatchSteal {
-		t.Fatal("MaxStealColors=1 must disable batch stealing")
+	if r.pol.MaxStealColors != 1 {
+		t.Fatalf("steal cap = %d, want 1: a single-color steal", r.pol.MaxStealColors)
 	}
 	if r.pol.String() != "mely+locality+timeleft+penalty-WS" {
 		t.Fatalf("single-color policy = %s", r.pol)
@@ -99,24 +100,10 @@ func TestSingleColorStealOptOut(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.Cores <= 0 || cfg.BatchThreshold != 10 ||
+	if cfg.Cores <= 0 || cfg.batchThreshold != 10 ||
 		cfg.stealCostSeed <= 0 || cfg.parkTimeout <= 0 ||
-		cfg.stealBackoff <= 0 || cfg.TimerTick <= 0 {
+		cfg.maxStealColors != policy.DefaultMaxStealColors ||
+		cfg.stealBackoff <= 0 || cfg.timerTick <= 0 {
 		t.Fatalf("defaults incomplete: %+v", cfg)
-	}
-}
-
-func TestConfigRejectsNegativeStealCap(t *testing.T) {
-	if _, err := New(Config{Cores: 1, MaxStealColors: -1}); err == nil {
-		t.Fatal("negative MaxStealColors must be rejected")
-	}
-}
-
-func TestConfigRejectsBadTimerKnobs(t *testing.T) {
-	if _, err := New(Config{Cores: 1, TimerTick: -1}); err == nil {
-		t.Fatal("negative TimerTick must be rejected")
-	}
-	if _, err := New(Config{Cores: 1, TimerTick: 1}); err == nil {
-		t.Fatal("sub-floor TimerTick must be rejected")
 	}
 }

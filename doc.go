@@ -79,16 +79,17 @@
 // lock it, can_be_stolen, detach a set of colors, publish their leases,
 // lock ourselves, adopt the set. How many colors the set may hold is its
 // budget. The paper's protocol migrates exactly one color per successful
-// attempt — budget 1; this runtime's default budget is up to half the
-// victim's stealable colors — worthy ones first under the time-left
-// heuristic — capped by Config.MaxStealColors (default 8), all inside
-// the single victim-lock critical section, the color leases published in
-// one pass over the color table's stripes. The fixed steal costs (victim
-// lock transfer, can_be_stolen, migration setup) are then paid once per
-// batch instead of once per color, the steal-side mirror of PostBatch;
-// set MaxStealColors to 1 for the paper's single-color protocol. Stats
-// exposes the accounting: StolenColors, the per-steal batch-size
-// histogram (StealBatchHist), and the attempt/success counters.
+// attempt — budget 1; this runtime's budget is up to half the victim's
+// stealable colors — worthy ones first under the time-left heuristic —
+// capped at 8 (policy.DefaultMaxStealColors), all inside the single
+// victim-lock critical section, the color leases published in one pass
+// over the color table's stripes. The fixed steal costs (victim lock
+// transfer, can_be_stolen, migration setup) are then paid once per
+// batch instead of once per color, the steal-side mirror of PostBatch.
+// The paper's single-color protocol is the simulator's (internal/sim),
+// which regenerates its tables. Stats exposes the accounting:
+// StolenColors, the per-steal batch-size histogram (StealBatchHist), and
+// the attempt/success counters.
 //
 // # Timers
 //
@@ -104,8 +105,8 @@
 // Timers live on per-core hierarchical timing wheels (internal/
 // timerwheel): arming, Cancel, and Reset are O(1); expiry is a batch
 // harvest folded into the worker loop, and a parked worker sleeps only
-// until min(park timeout, its wheel's next deadline). Config.TimerTick
-// (default 1ms) is the granularity — timers fire on the first tick at
+// until min(park timeout, its wheel's next deadline). A fixed 1ms tick
+// is the granularity — timers fire on the first tick at
 // or after their deadline; the hierarchy is four levels of 64 slots,
 // and deadlines beyond its horizon cascade, so any duration is legal.
 //
@@ -136,8 +137,8 @@
 // anywhere else, and connection count never drives goroutine count:
 // ten thousand idle connections cost O(shards) goroutines. Writes go
 // through Conn.Send, which gives real backpressure — bytes the kernel
-// buffer rejects are queued per connection (bounded by
-// MaxPendingWriteBytes) and drained on EPOLLOUT under the
+// buffer rejects are queued per connection (bounded by a 4 MiB
+// budget) and drained on EPOLLOUT under the
 // connection's color, with WriteStalls counting the stalls. Conn.Sendv
 // is Send for several buffers in one writev(2), which is how sws
 // answers a pipelined burst with one system call. On other
@@ -245,10 +246,10 @@
 // delivered to the color not even the core's spinlock is taken (on the
 // Mely layout the worker detaches the running color's batch when it pops
 // and works it, with the continuations appended meanwhile, as a private
-// run of at most BatchThreshold events while other work is queued). An
-// execution reads the monotonic clock twice — once straight off the run —
-// and profile, stall stamp, latency sample and flight recorder all use
-// those readings. docs/architecture.md has the way in step by step, the
+// run of at most 10 events, the paper's batch threshold, while other
+// work is queued). An execution reads the monotonic clock twice — once
+// straight off the run — and profile, stall stamp, latency sample and
+// flight recorder all use those readings. docs/architecture.md has the way in step by step, the
 // shared writes per posting path, and why Drain stays exact and the
 // private run keeps per-color order; BenchmarkChainTwoCores is the
 // two-second reading of this path.

@@ -18,12 +18,11 @@ import (
 
 // This file is the self-monitoring layer (Config.ObsInterval): the
 // collector goroutine that snapshots Stats into the obs.TimeSeries
-// ring, the health engine's episode accounting and OnAnomaly dispatch,
-// and profile-on-anomaly incident capture (Config.IncidentDir). The
-// detectors themselves are pure functions in internal/obs
-// (obs.EvaluateHealth); this layer owns the state that must live with
-// the runtime — what was firing last evaluation, the cumulative
-// episode count, and the capture rate limit.
+// ring, the health engine's episode accounting, and profile-on-anomaly
+// incident capture (Config.IncidentDir). The detectors themselves are
+// pure functions in internal/obs (obs.EvaluateHealth); this layer owns
+// the state that must live with the runtime — what was firing last
+// evaluation, the cumulative episode count, and the capture rate limit.
 
 // Anomaly kind strings, re-exported so callers can switch on
 // HealthReport.Anomalies without importing internal packages.
@@ -37,7 +36,7 @@ const (
 // Anomaly is one health detector firing and HealthReport the runtime's
 // self-assessment, re-evaluated every ObsInterval by the collector and
 // served on /debug/health: the declarations are internal/obs's, aliased
-// so callers can name what Health, OnAnomaly and the endpoint hand them.
+// so callers can name what Health and the endpoint hand them.
 type (
 	Anomaly      = obs.Anomaly
 	HealthReport = obs.HealthReport
@@ -109,7 +108,7 @@ func (r *Runtime) collectTick(col *tsCollector) {
 
 // evaluateHealth runs the detectors over the ring and owns the
 // episode accounting: a kind that was not firing at the previous
-// evaluation is a fresh episode — counted once, dispatched once.
+// evaluation is a fresh episode — counted once, captured once.
 func (r *Runtime) evaluateHealth(col *tsCollector) {
 	rep := obs.EvaluateHealth(col.ring.Snapshot(nil), col.cfg)
 
@@ -133,10 +132,6 @@ func (r *Runtime) evaluateHealth(col *tsCollector) {
 		return
 	}
 	col.anomalies.Add(int64(len(fresh)))
-	if hook := r.cfg.OnAnomaly; hook != nil {
-		hook(r.Health())
-		return
-	}
 	if r.cfg.IncidentDir != "" {
 		// Hand the capture the report it fired under: a transient
 		// anomaly (a rate detector flapping back under its threshold)

@@ -88,7 +88,11 @@ type colorState struct {
 	// disk counts spilled events not yet reloaded, each from the moment
 	// Admit routes it to disk (its record lands later, in Append) until
 	// a reload brings it back or ForceMemory takes it to memory.
-	disk      int64
+	disk int64
+	// landing counts the disk slots whose Append has not returned: their
+	// records may not be on the store yet, and they are their posters'
+	// to land or take to memory, never a failed reload's to write off.
+	landing   int64
 	reloading bool // one caller at a time drains the disk tail
 	starved   bool // queued for starved pickup (see kickLocked)
 }
@@ -262,6 +266,7 @@ func (l *Layer[C]) Admit(ctx context.Context, color equeue.Color, external bool)
 		overColor := l.maxPerColor > 0 && st != nil && st.mem >= l.maxPerColor
 		if l.policy == Spill && st != nil && (overColor || st.spilling()) {
 			st.disk++
+			st.landing++
 			s.mu.Unlock()
 			return Disk, nil
 		}
@@ -288,7 +293,9 @@ func (l *Layer[C]) Admit(ctx context.Context, color equeue.Color, external bool)
 		// shards cannot jointly overshoot the bound.
 		if l.claimGlobal(1) == 0 {
 			if l.policy == Spill {
-				s.state(color).disk++
+				st := s.state(color)
+				st.disk++
+				st.landing++
 				s.mu.Unlock()
 				return Disk, nil
 			}
@@ -356,6 +363,7 @@ func (l *Layer[C]) ForceMemory(color equeue.Color) {
 	s.mu.Lock()
 	st := s.state(color)
 	st.disk--
+	st.landing--
 	st.mem++
 	s.mu.Unlock()
 }
@@ -528,10 +536,17 @@ func (l *Layer[C]) reload(c C, color equeue.Color) {
 		if n == 0 {
 			if err != nil {
 				// Unreadable (I/O error, or the store closed at shutdown):
-				// the host writes the tail off.
+				// the host writes off what landed. The slots still
+				// landing stay counted: each poster lands its record or
+				// takes the slot to memory. (An Append between its store
+				// write and its re-lock still counts as landing, though
+				// this reload may have read its record: the difference
+				// can be negative.)
 				l.errs.Add(1)
-				l.host.Lost(st.disk)
-				st.disk = 0
+				if lost := st.disk - st.landing; lost > 0 {
+					l.host.Lost(lost)
+					st.disk = st.landing
+				}
 			} else if l.spilled.Load() != landed {
 				// Something landed since the read, maybe ours, and its
 				// poster found us reloading and left it to us: read again.
@@ -585,6 +600,7 @@ func (l *Layer[C]) Append(c C, color equeue.Color, rec spillq.Record) (depth int
 	s := l.shard(color)
 	s.mu.Lock()
 	st := s.state(color)
+	st.landing--
 	depth = st.disk
 	doReload := st.mem == 0 && !st.reloading && l.kickLocked(st, color)
 	s.mu.Unlock()

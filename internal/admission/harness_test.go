@@ -281,8 +281,8 @@ func (h *harness) check() {
 		if h.store != nil {
 			depth = int64(h.store.Depth(uint64(c)))
 		}
-		if st.disk != depth+flight {
-			h.fail("color %d: disk %d, store depth %d + %d in flight", c, st.disk, depth, flight)
+		if st.disk != depth+flight || st.landing != flight {
+			h.fail("color %d: disk %d, landing %d, store depth %d + %d in flight", c, st.disk, st.landing, depth, flight)
 		}
 		if st.mem != int64(len(h.mem[c])) {
 			h.fail("color %d: mem %d, model holds %d", c, st.mem, len(h.mem[c]))

@@ -186,7 +186,6 @@ func ablateBatchSteal(opt scenario.Options) (*Report, error) {
 	}
 	batched := func(limit int) policy.Config {
 		p := policy.MelyTimeLeftWS()
-		p.BatchSteal = true
 		p.MaxStealColors = limit
 		return p
 	}

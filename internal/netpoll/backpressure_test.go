@@ -63,7 +63,7 @@ func testReadBackpressure(t *testing.T, backend Backend) {
 		OnAccept:     onAccept,
 		AcceptColor:  1,
 		OnData:       onData,
-		ReadBufBytes: 1024, // small reads: many pump iterations per flood
+		readBufBytes: 1024, // small reads: many pump iterations per flood
 		Backend:      backend,
 		PollerShards: 1,
 	})

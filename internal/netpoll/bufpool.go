@@ -1,60 +1,35 @@
 package netpoll
 
-import (
-	"runtime"
-	"sync"
-)
-
-// defaultPollerShards is the epoll backend's default reactor count.
-func defaultPollerShards() int {
-	return runtime.NumCPU()
-}
+import "sync"
 
 // The read-buffer pool recycles Message backing arrays instead of
 // allocating one per read. sync.Pool keeps its free lists per-P
 // (per-core caches with a work-stealing overflow), so on the hot path
 // a reactor shard or read pump gets back a buffer that was released by
 // a handler on the same core — the same locality argument the paper
-// makes for colored queues, applied to buffer memory.
-//
-// Buffers come in power-of-four size classes so a pool hit wastes at
-// most 4x memory; reads are issued at the configured ReadBufBytes and
-// served by the smallest class that fits it.
-var readBufClasses = [...]int{4 << 10, 16 << 10, 64 << 10, 256 << 10}
+// makes for colored queues, applied to buffer memory. Every read is
+// issued at readBufSize; a smaller one (tests) is a pool buffer cut
+// short, and a larger one is allocated afresh.
+const readBufSize = 16 << 10
 
-var readBufPools [len(readBufClasses)]sync.Pool
+var readBufPool sync.Pool
 
-// readBufClass returns the class index for a requested size, or -1
-// when the request exceeds every class (callers then allocate afresh).
-func readBufClass(size int) int {
-	for i, c := range readBufClasses {
-		if size <= c {
-			return i
-		}
-	}
-	return -1
-}
-
-// getReadBuf returns a buffer of length size (capacity is the class
-// size).
+// getReadBuf returns a buffer of length size (capacity readBufSize
+// unless size exceeds it).
 func getReadBuf(size int) []byte {
-	cls := readBufClass(size)
-	if cls < 0 {
+	if size > readBufSize {
 		return make([]byte, size)
 	}
-	if v := readBufPools[cls].Get(); v != nil {
+	if v := readBufPool.Get(); v != nil {
 		return v.([]byte)[:size]
 	}
-	return make([]byte, size, readBufClasses[cls])
+	return make([]byte, size, readBufSize)
 }
 
 // putReadBuf returns a buffer obtained from getReadBuf. Foreign
-// buffers (capacity matching no class) are dropped for the GC.
+// buffers (any other capacity) are dropped for the GC.
 func putReadBuf(buf []byte) {
-	for i, c := range readBufClasses {
-		if cap(buf) == c {
-			readBufPools[i].Put(buf[:c]) //nolint:staticcheck // slice header allocation is amortized by the pool
-			return
-		}
+	if cap(buf) == readBufSize {
+		readBufPool.Put(buf[:readBufSize]) //nolint:staticcheck // slice header allocation is amortized by the pool
 	}
 }

@@ -2,45 +2,28 @@ package netpoll
 
 import "testing"
 
-func TestReadBufClassSelection(t *testing.T) {
-	for _, tt := range []struct {
-		size      int
-		wantCap   int
-		wantClass int
-	}{
-		{1, 4 << 10, 0},
-		{4 << 10, 4 << 10, 0},
-		{4<<10 + 1, 16 << 10, 1},
-		{16 << 10, 16 << 10, 1},
-		{64 << 10, 64 << 10, 2},
-		{256 << 10, 256 << 10, 3},
-	} {
-		if got := readBufClass(tt.size); got != tt.wantClass {
-			t.Errorf("readBufClass(%d) = %d, want %d", tt.size, got, tt.wantClass)
-		}
-		buf := getReadBuf(tt.size)
-		if len(buf) != tt.size || cap(buf) != tt.wantCap {
+func TestReadBufPool(t *testing.T) {
+	for _, size := range []int{1, 1024, readBufSize} {
+		buf := getReadBuf(size)
+		if len(buf) != size || cap(buf) != readBufSize {
 			t.Errorf("getReadBuf(%d) len=%d cap=%d, want len=%d cap=%d",
-				tt.size, len(buf), cap(buf), tt.size, tt.wantCap)
+				size, len(buf), cap(buf), size, readBufSize)
 		}
 		putReadBuf(buf)
 	}
 }
 
 func TestReadBufOversizedFallsBack(t *testing.T) {
-	const huge = 1 << 20
-	if cls := readBufClass(huge); cls != -1 {
-		t.Fatalf("class for %d = %d, want -1", huge, cls)
-	}
+	const huge = readBufSize + 1
 	buf := getReadBuf(huge)
-	if len(buf) != huge {
-		t.Fatalf("len = %d", len(buf))
+	if len(buf) != huge || cap(buf) != huge {
+		t.Fatalf("len = %d cap = %d, want %d fresh bytes", len(buf), cap(buf), huge)
 	}
 	putReadBuf(buf) // must not panic; dropped for the GC
 }
 
 func TestMessageReleaseIsIdempotentPerOwner(t *testing.T) {
-	buf := getReadBuf(16 << 10)
+	buf := getReadBuf(readBufSize)
 	m := &Message{Data: buf[:5], raw: buf}
 	m.Release()
 	if m.Data != nil || m.raw != nil {
@@ -61,7 +44,7 @@ func BenchmarkReadBufPool(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			buf := getReadBuf(16 << 10)
+			buf := getReadBuf(readBufSize)
 			buf[0] = 1
 			putReadBuf(buf)
 		}

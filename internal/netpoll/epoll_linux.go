@@ -431,7 +431,7 @@ func (sh *pollShard) readReady(ec *epollConn, closing bool) {
 				return
 			}
 		}
-		buf := getReadBuf(be.s.cfg.ReadBufBytes)
+		buf := getReadBuf(be.s.cfg.readBufBytes)
 		n, err := epoller.Read(ec.fd, buf)
 		if n > 0 {
 			msg := &Message{Conn: ec.conn, Data: buf[:n], raw: buf}
@@ -523,7 +523,7 @@ func (ec *epollConn) drainLocked() (closeAfter bool) {
 }
 
 // send implements Conn.Send: write what the kernel will take, queue
-// the rest, arm EPOLLOUT. Queued bytes beyond MaxPendingWriteBytes
+// the rest, arm EPOLLOUT. Queued bytes beyond maxPendingWriteBytes
 // mean the peer has stopped reading — the connection is shut down
 // instead of buffering without bound.
 func (ec *epollConn) send(p []byte) error {
@@ -580,7 +580,7 @@ func (ec *epollConn) queueLocked(bufs [][]byte, skip int) (err error, closeAfter
 	for _, b := range bufs {
 		total += len(b)
 	}
-	if total > ec.shard.be.s.cfg.MaxPendingWriteBytes {
+	if total > ec.shard.be.s.cfg.maxPendingWriteBytes {
 		return fmt.Errorf("netpoll: pending-write budget exceeded (%d bytes)", total), true
 	}
 	for _, b := range bufs {

@@ -194,7 +194,7 @@ func looseConn(t *testing.T, budget int) (ec *epollConn, peer int) {
 	if err := p.Add(fds[0], 1, true, false); err != nil {
 		t.Fatal(err)
 	}
-	be := &epollBackend{s: &Server{cfg: Config{MaxPendingWriteBytes: budget}}}
+	be := &epollBackend{s: &Server{cfg: Config{maxPendingWriteBytes: budget}}}
 	sh := &pollShard{be: be, p: p, conns: map[uint64]*epollConn{}}
 	ec = &epollConn{shard: sh, fd: fds[0], token: 1}
 	ec.conn = &Conn{be: ec}

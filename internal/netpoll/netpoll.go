@@ -43,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -142,8 +143,8 @@ func (c *Conn) Color() mely.Color {
 
 // Send writes through the backend. On the epoll backend the write is
 // non-blocking with real backpressure: bytes the kernel buffer cannot
-// take are queued per connection (bounded by
-// Config.MaxPendingWriteBytes) and drained on writability under the
+// take are queued per connection (bounded by a 4 MiB budget) and
+// drained on writability under the
 // connection's color. On the pump backend it is a plain blocking
 // net.Conn write.
 func (c *Conn) Send(p []byte) error {
@@ -159,7 +160,7 @@ func (c *Conn) Send(p []byte) error {
 // pump backend — with no byte copied unless the kernel buffer fills.
 // Backpressure is Send's: on epoll the part the kernel would not take
 // is copied into the pending queue and drained on writability, against
-// the same MaxPendingWriteBytes budget, counted as one write stall.
+// the same pending-write budget, counted as one write stall.
 // Empty elements are skipped. The elements of bufs may be re-sliced by
 // the call (the pump backend consumes them as it writes), so the
 // caller must refill bufs before sending it again; the bytes they point
@@ -256,9 +257,6 @@ type Config struct {
 	// connection's last OnData handler has executed.
 	OnClose mely.Handler
 
-	// ReadBufBytes caps one read (default 16 KiB).
-	ReadBufBytes int
-
 	// MaxConns bounds concurrent connections; excess connections are
 	// closed immediately (the paper's "maximum number of simultaneous
 	// clients"). Zero means unlimited.
@@ -273,11 +271,17 @@ type Config struct {
 	// pump backend.
 	PollerShards int
 
-	// MaxPendingWriteBytes bounds one connection's pending-write queue
-	// on the epoll backend (default 4 MiB). A connection whose peer
-	// stops reading past this budget is shut down rather than buffered
-	// without bound. Ignored by the pump backend (writes block there).
-	MaxPendingWriteBytes int
+	// The two fields below are constants to users of the package, fixed
+	// by Serve; they are fields so tests can make reads small or the
+	// write budget tight.
+	//
+	// readBufBytes caps one read (readBufSize, 16 KiB).
+	readBufBytes int
+	// maxPendingWriteBytes bounds one connection's pending-write queue
+	// on the epoll backend (4 MiB). A connection whose peer stops
+	// reading past this budget is shut down rather than buffered without
+	// bound. Ignored by the pump backend (writes block there).
+	maxPendingWriteBytes int
 }
 
 // Server accepts connections and feeds their activity into the runtime.
@@ -300,14 +304,14 @@ func Serve(ln net.Listener, cfg Config) (*Server, error) {
 	if cfg.Runtime == nil {
 		return nil, errors.New("netpoll: nil runtime")
 	}
-	if cfg.ReadBufBytes <= 0 {
-		cfg.ReadBufBytes = 16 << 10
+	if cfg.readBufBytes <= 0 {
+		cfg.readBufBytes = readBufSize
 	}
 	if cfg.PollerShards <= 0 {
-		cfg.PollerShards = defaultPollerShards()
+		cfg.PollerShards = runtime.NumCPU()
 	}
-	if cfg.MaxPendingWriteBytes <= 0 {
-		cfg.MaxPendingWriteBytes = 4 << 20
+	if cfg.maxPendingWriteBytes <= 0 {
+		cfg.maxPendingWriteBytes = 4 << 20
 	}
 	backend := cfg.Backend
 	if backend == BackendAuto {

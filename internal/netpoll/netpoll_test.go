@@ -553,7 +553,7 @@ func TestPendingWriteBudgetShutsDown(t *testing.T) {
 		AcceptColor:          1,
 		OnData:               onData,
 		Backend:              BackendEpoll,
-		MaxPendingWriteBytes: 256 << 10,
+		maxPendingWriteBytes: 256 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -142,7 +142,7 @@ func (b *pumpBackend) readPump(conn *Conn) {
 				time.Sleep(pumpPauseRecheck)
 			}
 		}
-		buf := getReadBuf(b.s.cfg.ReadBufBytes)
+		buf := getReadBuf(b.s.cfg.readBufBytes)
 		n, err := nc.Read(buf)
 		if n > 0 {
 			if perr := b.s.postData(conn, buf[:n], buf); perr != nil {

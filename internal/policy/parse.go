@@ -10,12 +10,16 @@ import (
 // "libasync-WS", optionally suffixed "+batchsteal") back into a Config.
 // It is what lets declarative scenario specs name policies the same way
 // the gate baseline and the paper's tables do. Matching is exact on the
-// canonical spelling; Parse(c.String()) == c for every valid Config.
+// canonical spelling. Parse(c.String()) == c for each of the Presets,
+// and for each stealing preset with MaxStealColors set to
+// DefaultMaxStealColors, which is what "+batchsteal" parses to: String
+// prints the suffix for any cap above 1, so another cap does not come
+// back.
 func Parse(name string) (Config, error) {
 	orig := name
 	var c Config
 	if rest, ok := strings.CutSuffix(name, "+batchsteal"); ok {
-		c.BatchSteal = true
+		c.MaxStealColors = DefaultMaxStealColors
 		name = rest
 	}
 	switch name {

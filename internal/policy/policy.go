@@ -75,32 +75,24 @@ type Config struct {
 	// to influence choices.
 	PenaltyAware bool
 
-	// BatchSteal raises the budget of one steal attempt (StealBudget)
-	// from one color to up to half the victim's stealable colors, capped
-	// by MaxStealColors — the steal-side analogue of batched posting:
-	// per-color lock, table, and wakeup costs amortize over the batch.
-	// There is one steal routine either way; the paper's protocol, which
-	// migrates exactly one color per steal, is its budget-1 case, so the
-	// preset constructors below all leave this off (and the simulator's
-	// regenerated tables depend on that); the real runtime turns it on
-	// for whichever policy is selected unless mely.Config.MaxStealColors
-	// is 1.
-	BatchSteal bool
-	// MaxStealColors caps the colors one batch steal may migrate
-	// (0 = DefaultMaxStealColors). Only meaningful with BatchSteal.
+	// MaxStealColors is the steal budget: 0 or 1 migrates one color per
+	// steal attempt, the paper's protocol; above 1, a steal takes half
+	// the victim's stealable colors, capped at this value (StealBudget) —
+	// the steal-side analogue of batched posting: per-color lock, table,
+	// and wakeup costs amortize over the batch. There is one steal
+	// routine either way. The preset constructors below all leave it 0
+	// (the simulator's regenerated tables depend on that); the real
+	// runtime sets it to DefaultMaxStealColors for every stealing policy.
 	MaxStealColors int
 }
 
-// DefaultMaxStealColors caps a batch steal when MaxStealColors is 0:
-// large enough to amortize the per-steal overhead, small enough that a
-// thief cannot empty a loaded victim in one swoop.
+// DefaultMaxStealColors is the runtime's steal budget, and what the
+// "+batchsteal" suffix names: large enough to amortize the per-steal
+// overhead, small enough that a thief cannot empty a loaded victim in
+// one swoop. The whole batch is selected, detached, and lease-published
+// inside one victim-lock critical section, so the cap also bounds how
+// long one steal stalls the victim's posters.
 const DefaultMaxStealColors = 8
-
-// MaxStealColorsLimit bounds the configurable batch cap: the whole
-// batch is selected, detached, and lease-published inside one
-// victim-lock critical section, so an unbounded cap would let one
-// steal stall the victim's posters arbitrarily long.
-const MaxStealColorsLimit = 64
 
 // The paper's evaluated configurations.
 
@@ -163,18 +155,8 @@ func (c Config) Validate() error {
 	if c.PenaltyAware && !c.TimeLeft {
 		return fmt.Errorf("policy: penalty-aware builds on time-left")
 	}
-	if c.BatchSteal && c.Steal == StealNone {
+	if c.MaxStealColors > 1 && c.Steal == StealNone {
 		return fmt.Errorf("policy: batch stealing requires stealing")
-	}
-	if c.MaxStealColors < 0 {
-		return fmt.Errorf("policy: negative steal batch cap")
-	}
-	if c.MaxStealColors > MaxStealColorsLimit {
-		return fmt.Errorf("policy: steal batch cap %d exceeds limit %d",
-			c.MaxStealColors, MaxStealColorsLimit)
-	}
-	if c.MaxStealColors > 0 && !c.BatchSteal {
-		return fmt.Errorf("policy: MaxStealColors requires BatchSteal")
 	}
 	return nil
 }
@@ -183,7 +165,7 @@ func (c Config) Validate() error {
 // stealing (not a paper mode) is suffixed.
 func (c Config) String() string {
 	name := c.baseName()
-	if c.BatchSteal {
+	if c.MaxStealColors > 1 {
 		name += "+batchsteal"
 	}
 	return name
@@ -278,20 +260,12 @@ type VictimView interface {
 
 // StealBudget returns how many colors one steal attempt may migrate
 // from a victim currently exposing `stealable` candidate colors (worthy
-// colors under time-left, distinct colors otherwise): one without
-// BatchSteal, else half the candidates — enough to rebalance in O(log)
-// steals while never emptying the victim — capped by MaxStealColors,
-// and always at least one so a stealable victim is never skipped.
+// colors under time-left, distinct colors otherwise): half the
+// candidates — enough to rebalance in O(log) steals while never emptying
+// the victim — capped by MaxStealColors, and always at least one so a
+// stealable victim is never skipped.
 func (c Config) StealBudget(stealable int) int {
-	if !c.BatchSteal {
-		return 1
-	}
-	budget := stealable / 2
-	limit := c.MaxStealColors
-	if limit <= 0 {
-		limit = DefaultMaxStealColors
-	}
-	return max(1, min(budget, limit))
+	return max(1, min(stealable/2, c.MaxStealColors))
 }
 
 // SelectStealSet picks and detaches, into set, the colors one steal

@@ -25,7 +25,7 @@ func TestPresetsValidate(t *testing.T) {
 	}
 	// Outside the table: no index, and the canonical name as label.
 	batch := MelyTimeLeftWS()
-	batch.BatchSteal = true
+	batch.MaxStealColors = DefaultMaxStealColors
 	if Lookup(batch.String()) != -1 || batch.Label() != "mely+timeleft-WS+batchsteal" {
 		t.Errorf("%s: Lookup %d, Label %q", batch, Lookup(batch.String()), batch.Label())
 	}
@@ -260,11 +260,11 @@ func TestStealBudget(t *testing.T) {
 	single := MelyTimeLeftWS()
 	for _, n := range []int{0, 1, 5, 100} {
 		if got := single.StealBudget(n); got != 1 {
-			t.Fatalf("non-batch budget(%d) = %d, want 1", n, got)
+			t.Fatalf("single-color budget(%d) = %d, want 1", n, got)
 		}
 	}
 	batch := MelyTimeLeftWS()
-	batch.BatchSteal = true
+	batch.MaxStealColors = DefaultMaxStealColors
 	tests := []struct{ stealable, want int }{
 		{0, 1}, {1, 1}, {2, 1}, {4, 2}, {10, 5},
 		{16, 8}, {100, DefaultMaxStealColors},
@@ -299,8 +299,8 @@ func TestSelectStealSetNeverTakesRunningOrLastColor(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"timeleft", func() Config { c := MelyTimeLeftWS(); c.BatchSteal = true; return c }()},
-		{"base", func() Config { c := MelyBaseWS(); c.BatchSteal = true; return c }()},
+		{"timeleft", func() Config { c := MelyTimeLeftWS(); c.MaxStealColors = DefaultMaxStealColors; return c }()},
+		{"base", func() Config { c := MelyBaseWS(); c.MaxStealColors = DefaultMaxStealColors; return c }()},
 	} {
 		// Idle victim: the set must leave at least one color behind.
 		var set equeue.StealSet
@@ -339,7 +339,7 @@ func TestSelectStealSetNeverTakesRunningOrLastColor(t *testing.T) {
 
 func TestSelectStealSetHonorsBudget(t *testing.T) {
 	cfg := MelyTimeLeftWS()
-	cfg.BatchSteal = true
+	cfg.MaxStealColors = DefaultMaxStealColors
 	var set equeue.StealSet
 	v := buildVictim(12)
 	w := cfg.SelectStealSet(v, &set)
@@ -352,8 +352,8 @@ func TestSelectStealSetHonorsBudget(t *testing.T) {
 	if v.DistinctColors() != 6 {
 		t.Fatalf("victim keeps %d colors, want 6", v.DistinctColors())
 	}
-	// Without BatchSteal the same call is the paper's single-color steal.
-	cfg.BatchSteal = false
+	// At cap 1 the same call is the paper's single-color steal.
+	cfg.MaxStealColors = 1
 	v = buildVictim(12)
 	cfg.SelectStealSet(v, &set)
 	if len(set.Colors) != 1 {
@@ -363,7 +363,7 @@ func TestSelectStealSetHonorsBudget(t *testing.T) {
 
 func TestSelectStealColorsListLayout(t *testing.T) {
 	cfg := LibasyncWS()
-	cfg.BatchSteal = true
+	cfg.MaxStealColors = DefaultMaxStealColors
 	v := equeue.NewCore(true, 0, 0)
 	for c := 1; c <= 6; c++ {
 		v.Push(nil, &equeue.Event{Color: equeue.Color(c), Cost: 100, Penalty: 1})
@@ -391,29 +391,16 @@ func TestSelectStealColorsListLayout(t *testing.T) {
 
 func TestValidateBatchStealKnobs(t *testing.T) {
 	bad := Mely() // no stealing
-	bad.BatchSteal = true
+	bad.MaxStealColors = DefaultMaxStealColors
 	if err := bad.Validate(); err == nil {
-		t.Error("BatchSteal without stealing must be rejected")
+		t.Error("batch stealing without stealing must be rejected")
 	}
-	neg := MelyWS()
-	neg.BatchSteal = true
-	neg.MaxStealColors = -1
-	if err := neg.Validate(); err == nil {
-		t.Error("negative MaxStealColors must be rejected")
-	}
-	orphan := MelyWS()
-	orphan.MaxStealColors = 4 // without BatchSteal
-	if err := orphan.Validate(); err == nil {
-		t.Error("MaxStealColors without BatchSteal must be rejected")
-	}
-	huge := MelyWS()
-	huge.BatchSteal = true
-	huge.MaxStealColors = MaxStealColorsLimit + 1
-	if err := huge.Validate(); err == nil {
-		t.Error("over-limit MaxStealColors must be rejected")
+	single := Mely()
+	single.MaxStealColors = 1 // one color per steal is no batch
+	if err := single.Validate(); err != nil {
+		t.Errorf("cap 1 without stealing rejected: %v", err)
 	}
 	good := MelyWS()
-	good.BatchSteal = true
 	good.MaxStealColors = 4
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid batch config rejected: %v", err)

@@ -48,7 +48,7 @@ func listenSmallSndbuf(t *testing.T) net.Listener {
 func startStalling(t *testing.T, backend netpoll.Backend) (*Server, map[string][]byte) {
 	t.Helper()
 	files := numberedFiles(4, 16<<10)
-	srv := startServerOn(t, mely.Config{Cores: 2, TimerTick: time.Millisecond},
+	srv := startServerOn(t, mely.Config{Cores: 2},
 		Config{Files: files, Backend: backend}, nil, listenSmallSndbuf(t))
 	return srv, files
 }
@@ -98,9 +98,9 @@ func TestBurstToStalledReader(t *testing.T) {
 }
 
 // TestBurstPastWriteBudgetShutsDown: replies to a client that never
-// reads are not buffered past netpoll's MaxPendingWriteBytes (4 MiB by
-// default) — the connection is shut down, and what did reach the client
-// is an in-order prefix.
+// reads are not buffered past netpoll's pending-write budget (4 MiB) —
+// the connection is shut down, and what did reach the client is an
+// in-order prefix.
 func TestBurstPastWriteBudgetShutsDown(t *testing.T) {
 	// Epoll only: the pending-write budget is that backend's; a pump
 	// write blocks instead.

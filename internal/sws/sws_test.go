@@ -45,7 +45,7 @@ func startServer(t *testing.T, files map[string][]byte, maxClients int) *Server 
 // filled in); trace, when non-nil, is installed before Serve.
 func startServerCfg(t *testing.T, cfg Config, trace func(*netpoll.Conn, string)) *Server {
 	t.Helper()
-	return startServerOn(t, mely.Config{Cores: 2, TimerTick: time.Millisecond}, cfg, trace, nil)
+	return startServerOn(t, mely.Config{Cores: 2}, cfg, trace, nil)
 }
 
 // startServerOn is startServerCfg on a runtime built from rtCfg,

@@ -19,7 +19,7 @@ import (
 // invariant that adds is an ordering one — an event appended to the run
 // must precede nothing that was delivered before it — and it comes with
 // two duties the lock-free loop must not drop: the color still yields
-// after BatchThreshold events, and timers, thieves, Stop and Drain see
+// after batchThreshold events, and timers, thieves, Stop and Drain see
 // what they saw before.
 
 // privateRunSeeds is the fixed seed set CI runs under -race -count=20.
@@ -72,7 +72,7 @@ func privateRunOrder(t *testing.T, seed int64, cores int, pol Policy) {
 		depth     = 40
 		extPosts  = 400 // per external poster and round
 	)
-	r := startRuntime(t, Config{Cores: cores, Policy: pol, BatchThreshold: 4, TimerTick: 50 * time.Microsecond})
+	r := startRuntime(t, Config{Cores: cores, Policy: pol, batchThreshold: 4, timerTick: 50 * time.Microsecond})
 	colors := colorsOn(r, 0, nColors)
 
 	// sent[p][c] is written by poster p only, next[p][c] by the handlers
@@ -302,12 +302,12 @@ func driveCore(r *Runtime, c *rcore) bool {
 
 // TestRunYieldsAfterBatchThreshold: a color that continues itself forever
 // rides its private run, and still another color queued on the core waits
-// for at most BatchThreshold of its executions — counted from the pop when
+// for at most batchThreshold of its executions — counted from the pop when
 // the other color was queued by then, at once when the batch is already
 // spent — and a timer that came due is fired before the next execution.
 func TestRunYieldsAfterBatchThreshold(t *testing.T) {
 	const tick = 20 * time.Microsecond
-	r := newRuntime(t, Config{Cores: 1, Policy: PolicyMely, BatchThreshold: 4, TimerTick: tick})
+	r := newRuntime(t, Config{Cores: 1, Policy: PolicyMely, batchThreshold: 4, timerTick: tick})
 	defer r.Stop()
 	c := r.cores[0]
 	var log []string
@@ -376,7 +376,7 @@ func TestRunYieldsAfterBatchThreshold(t *testing.T) {
 // victim runs something else, the color moves like any other, in order.
 // (One color per steal, so that each steal's choice is forced.)
 func TestStealAroundPrivateRun(t *testing.T) {
-	r := newRuntime(t, Config{Cores: 2, Policy: PolicyMelyBaseWS, BatchThreshold: 4, MaxStealColors: 1})
+	r := newRuntime(t, Config{Cores: 2, Policy: PolicyMelyBaseWS, batchThreshold: 4, maxStealColors: 1})
 	defer r.Stop()
 	victim, thief := r.cores[0], r.cores[1]
 	cs := colorsOn(r, 0, 4)
@@ -457,12 +457,12 @@ func TestStealAroundPrivateRun(t *testing.T) {
 
 // TestSelfRepostingColorStarvesNobody is the live counterpart: one worker,
 // a color that continues itself without end. Colors posted beside it run
-// within BatchThreshold of its executions, a timer still fires, and Stop
+// within batchThreshold of its executions, a timer still fires, and Stop
 // returns although the run never empties, releasing a blocked Drain with
 // ErrStopped.
 func TestSelfRepostingColorStarvesNobody(t *testing.T) {
 	const threshold = 4
-	r := startRuntime(t, Config{Cores: 1, Policy: PolicyMelyWS, BatchThreshold: threshold})
+	r := startRuntime(t, Config{Cores: 1, Policy: PolicyMelyWS, batchThreshold: threshold})
 	var aCount atomic.Int64
 	var hA Handler
 	hA = r.Register("A", func(ctx *Ctx) {
@@ -499,7 +499,7 @@ func TestSelfRepostingColorStarvesNobody(t *testing.T) {
 		}
 		queuedAt := aCount.Load() // B is queued; A's executions from here on are what it waits for
 		if waited := await("a posted color") - queuedAt; waited > threshold {
-			t.Fatalf("post %d: the queued color waited for %d executions of the running one, BatchThreshold is %d", i, waited, threshold)
+			t.Fatalf("post %d: the queued color waited for %d executions of the running one, batchThreshold is %d", i, waited, threshold)
 		}
 	}
 	if _, err := r.PostAfter(hB, 9, time.Millisecond, nil); err != nil {

@@ -248,10 +248,14 @@ var inTransitMarker = new(equeue.ColorQueue)
 // Runtime is the real multicore event-coloring runtime.
 type Runtime struct {
 	cfg Config
-	// lastIncident (see incidentMu) makes up for the 24 bytes Config lost
-	// in PR 18: the fields below stay on the cache lines they were
-	// measured on (see pending for what a shift costs).
+	// lastIncident (see incidentMu) and collector make up for the 32
+	// bytes Config has lost: the fields below stay on the cache lines
+	// they were measured on (see pending for what a shift costs).
 	lastIncident time.Time
+	// collector is the self-monitoring layer (Config.ObsInterval): the
+	// time-series ring + health engine, built by New so readers never
+	// race Start; nil when disabled.
+	collector *tsCollector
 
 	pol   policy.Config
 	topo  *topology.Topology
@@ -320,16 +324,13 @@ type Runtime struct {
 	stallMu        sync.Mutex
 	lastStallStack []byte
 
-	// Self-monitoring (Config.ObsInterval): the time-series ring +
-	// health engine, built by New so readers never race Start; nil
-	// when disabled. The incident fields are profile-on-anomaly's
-	// rate-limit state (Config.IncidentDir), shared by the collector
-	// and the stall watchdog.
-	collector *tsCollector
 	// timersCanceled counts averted firings runtime-wide: written per
 	// Cancel, so it sits on this line of cold fields, off pending's.
 	timersCanceled atomic.Int64
 
+	// The incident fields are profile-on-anomaly's rate-limit state
+	// (Config.IncidentDir), shared by the collector and the stall
+	// watchdog.
 	incidentMu   sync.Mutex
 	incidentBusy bool
 	incidents    atomic.Int64
@@ -381,13 +382,11 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	cfg = cfg.withDefaults()
 	pol := cfg.Policy.internal()
-	if pol.Steal != policy.StealNone && cfg.MaxStealColors != 1 {
-		// Batch stealing is the runtime default (MaxStealColors 1 opts
-		// back into the paper's one-color-per-steal protocol); the
-		// simulator keeps batching off so the paper's tables regenerate
+	if pol.Steal != policy.StealNone {
+		// The runtime steals in batches; the simulator keeps the
+		// presets' one color per steal so the paper's tables regenerate
 		// unchanged.
-		pol.BatchSteal = true
-		pol.MaxStealColors = cfg.MaxStealColors
+		pol.MaxStealColors = cfg.maxStealColors
 	}
 	r := &Runtime{
 		cfg:      cfg,
@@ -419,7 +418,7 @@ func New(cfg Config) (*Runtime, error) {
 		c := &rcore{
 			id:        i,
 			wake:      make(chan struct{}, 1),
-			wheel:     timerwheel.New(cfg.TimerTick, timerwheel.DefaultLevels),
+			wheel:     timerwheel.New(cfg.timerTick, timerwheel.DefaultLevels),
 			victimBuf: make([]int, 0, cfg.Cores),
 			lenBuf:    make([]int, cfg.Cores),
 			free:      make([]*equeue.Event, 0, coreFreeMax),
@@ -428,7 +427,7 @@ func New(cfg Config) (*Runtime, error) {
 		if cfg.TraceRing > 0 {
 			c.ring = obs.NewRing(cfg.TraceRing)
 		}
-		c.Core = equeue.NewCore(pol.Layout == policy.ListLayout, cfg.stealCostSeed.Nanoseconds(), cfg.BatchThreshold)
+		c.Core = equeue.NewCore(pol.Layout == policy.ListLayout, cfg.stealCostSeed.Nanoseconds(), cfg.batchThreshold)
 		c.run = c.NewColorQueue(0) // nil on the list layout: no private run
 		r.cores[i] = c
 	}
@@ -1052,7 +1051,7 @@ func (r *Runtime) popLocal(c *rcore) *equeue.Event {
 		open := false
 		if cq := c.runCQ; cq != nil {
 			m.PopRun(cq, c.run)
-			c.runLeft = r.cfg.BatchThreshold - 1
+			c.runLeft = r.cfg.batchThreshold - 1
 			if open = cq.Len() == 0; open {
 				c.stats.colorQueueChurns.Add(1) // the pop unlinked it
 			}
@@ -1092,7 +1091,7 @@ func (r *Runtime) endLease(c *rcore, color equeue.Color) {
 // events popLocal detached behind ev plus the continuations the handlers
 // append while the run's tail is open (Runtime.post). The run costs no
 // lock round trip; the color still yields as before — due timers are
-// harvested between every two events, and once BatchThreshold events ran
+// harvested between every two events, and once batchThreshold events ran
 // back to back with other work queued on the core, the rest goes back to
 // the front of the color's queue and the core rotates. A stop drops what
 // is left, like everything else still queued.

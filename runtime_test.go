@@ -299,9 +299,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Policy: Policy(99)}); err == nil {
 		t.Fatal("invalid policy must fail")
 	}
-	if _, err := New(Config{BatchThreshold: -5}); err == nil {
-		t.Fatal("negative batch threshold must fail")
-	}
 }
 
 func TestConcurrentPosters(t *testing.T) {
@@ -424,7 +421,7 @@ func TestOwnershipLeaseRevertsOnDrain(t *testing.T) {
 	// keeps its lease while it runs on the thief and goes back to its
 	// hash core at the pop that finds it drained there, so the next post
 	// lands on the hash core.
-	r := newRuntime(t, Config{Cores: 4, Policy: PolicyMelyWS, MaxStealColors: 1})
+	r := newRuntime(t, Config{Cores: 4, Policy: PolicyMelyWS, maxStealColors: 1})
 	defer r.Stop()
 	h := r.Register("w", func(ctx *Ctx) {}, WithCostEstimate(time.Millisecond))
 	for _, col := range colorsOn(r, 2, 2) { // hash home: core 2

@@ -180,14 +180,14 @@ type CoreStats struct {
 	// Queued is the instantaneous queue length, counting the events a
 	// PostBatch handed over that are not filed yet (the core's
 	// arrivals). On the Mely layout it leaves out the running color's
-	// private run: the at most BatchThreshold-1 events the worker
+	// private run: the at most batch-threshold-1 (9) events the worker
 	// detached behind the one it is executing, plus the continuations
 	// that handler chain appended.
 	Queued int
 	// TimersFired counts timers this core's wheel expired; TimerLagHist
 	// is the firing-lag histogram (harvest time minus deadline; buckets:
-	// obs.TimerLagBounds) — the structural floor is Config.TimerTick
-	// plus the park latency of an idle core.
+	// obs.TimerLagBounds) — the structural floor is the wheels' 1ms
+	// tick plus the park latency of an idle core.
 	TimersFired  int64
 	TimerLagHist [TimerLagBuckets]int64
 	// TimersPending is the instantaneous number of armed timers on this

@@ -77,8 +77,8 @@ func (t *Timer) Fired() bool { return t.e.State() == timerwheel.StateFired }
 // PostAfter arms a one-shot timer: after at least d, handler h is
 // posted with the given color and data, exactly as if Post had been
 // called at the deadline — same serialization, same lease routing, same
-// Stats accounting — with firing resolution bounded by
-// Config.TimerTick. It is the runtime-native replacement for
+// Stats accounting — with firing resolution bounded by the wheels'
+// 1ms tick. It is the runtime-native replacement for
 // time.AfterFunc + Post: no goroutine per timer, no allocation per
 // firing, and the expiry handler is color-serialized with every other
 // event of that color. After shutdown it fails with ErrStopped.

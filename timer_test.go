@@ -153,7 +153,7 @@ func TestTimerReset(t *testing.T) {
 // TestTimerCancelRacingExpiry is the exact-once contract under fire:
 // for every timer, exactly one of {handler ran, Cancel returned true}.
 func TestTimerCancelRacingExpiry(t *testing.T) {
-	r := startRuntime(t, Config{Cores: 4, TimerTick: time.Millisecond})
+	r := startRuntime(t, Config{Cores: 4, timerTick: time.Millisecond})
 	const n = 2000
 	ran := make([]atomic.Int32, n)
 	h := r.Register("race", func(ctx *Ctx) {
@@ -207,7 +207,7 @@ func TestTimerCancelRacingExpiry(t *testing.T) {
 // timer callback for color C never runs concurrently with an event of
 // color C — no user locking, ever. Run with -race; steal-heavy config.
 func TestTimerCallbackSerializedWithEvents(t *testing.T) {
-	r := startRuntime(t, Config{Cores: 4, Policy: PolicyMelyWS, TimerTick: time.Millisecond})
+	r := startRuntime(t, Config{Cores: 4, Policy: PolicyMelyWS, timerTick: time.Millisecond})
 	const colors = 8
 	var (
 		inFlight [colors]atomic.Int32
@@ -266,7 +266,7 @@ func TestTimerCallbackSerializedWithEvents(t *testing.T) {
 // wheel, and each fires from it exactly once — delivered to whichever
 // core owns the color then, serialized with the color's other events.
 func TestTimersFireAcrossSteal(t *testing.T) {
-	r := startRuntime(t, Config{Cores: 2, Policy: PolicyMelyWS, TimerTick: time.Millisecond})
+	r := startRuntime(t, Config{Cores: 2, Policy: PolicyMelyWS, timerTick: time.Millisecond})
 	release := make(chan struct{})
 	unblock := sync.OnceFunc(func() { close(release) })
 	defer unblock() // a failed check must not leave Stop waiting on the blocker
@@ -360,7 +360,7 @@ func TestTimersFireAcrossSteal(t *testing.T) {
 // a later post lands at home — while it still has an armed timer, which
 // must fire exactly once.
 func TestTimersAcrossReHome(t *testing.T) {
-	r := startRuntime(t, Config{Cores: 2, Policy: PolicyMelyWS, TimerTick: time.Millisecond})
+	r := startRuntime(t, Config{Cores: 2, Policy: PolicyMelyWS, timerTick: time.Millisecond})
 	release := make(chan struct{})
 	// A failed wait must not leave the blocker holding Stop forever.
 	defer func() {

@@ -60,7 +60,7 @@ func TestNoLostWakeups(t *testing.T) {
 				Policy:       pol,
 				parkTimeout:  time.Hour,
 				stealBackoff: time.Hour,
-				TimerTick:    time.Millisecond,
+				timerTick:    time.Millisecond,
 			})
 			on0, on1 := colorsOn(r, 0, 2), colorsOn(r, 1, 3)
 			done := make(chan struct{}, 1)
@@ -301,7 +301,7 @@ func TestResetWakesOnlyForAnEarlierDeadline(t *testing.T) {
 		Cores:        1,
 		parkTimeout:  time.Hour,
 		stealBackoff: time.Hour,
-		TimerTick:    time.Millisecond,
+		timerTick:    time.Millisecond,
 	})
 	done := make(chan struct{}, 1)
 	h := r.Register("once", func(ctx *Ctx) { done <- struct{}{} })
