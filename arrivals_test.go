@@ -140,7 +140,7 @@ func TestArrivalTransitBlocksSplice(t *testing.T) {
 // at the pop that finds it drained on the thief, not at its next delivery,
 // so no owner entry outlives its color and the next batch homed on the
 // victim is spliced again. Fails if popLocal does not end the lease (drop
-// the endLease call).
+// the StopRunning call, or its owner-entry erase).
 func TestLeaseEndsAtDrain(t *testing.T) {
 	bothLayouts(t, func(t *testing.T, pol Policy) {
 		r := newRuntime(t, Config{Cores: 2, Policy: pol, maxStealColors: 1})

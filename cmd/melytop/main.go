@@ -171,9 +171,6 @@ func render(w io.Writer, v *view, topK int, color bool) {
 			humanCount(last.EventsPerSec), humanCount(last.PostsPerSec),
 			humanCount(last.StealsPerSec), humanBytes(last.SpillBytesPerSec),
 			last.QueuedEvents)
-		if v.health.RecommendedMaxQueued > 0 {
-			fmt.Fprintf(w, "  rec-max-queued %d", v.health.RecommendedMaxQueued)
-		}
 		fmt.Fprintln(w)
 		fmt.Fprintf(w, "  queue-delay p99 %s now %s   exec p99 %s\n",
 			paint(ansiCyan, sparkline(v.dump.Points, 32, func(p *obs.TSPoint) float64 {

@@ -188,14 +188,6 @@ type Config struct {
 	// ObsHistory x the fixed per-sample size; nothing grows with
 	// uptime.
 	ObsHistory int
-	// TargetQueueDelay feeds the adaptive-bounds stepping stone: when
-	// positive (and the collector is armed), the health engine
-	// computes the MaxQueuedEvents that would hold queue delay near
-	// this target at the observed drain rate (Little's law) and
-	// reports it as HealthReport.RecommendedMaxQueued and the
-	// mely_recommended_max_queued gauge. Recommendation only — nothing
-	// enforces it yet.
-	TargetQueueDelay time.Duration
 	// IncidentDir arms profile-on-anomaly: when non-empty, fresh
 	// anomaly episodes (and stall-watchdog episodes) capture a bounded
 	// evidence bundle — CPU profile, flight-recorder trace, timeseries
@@ -317,9 +309,6 @@ func (c Config) validate() error {
 	}
 	if c.ObsHistory < 0 || c.ObsHistory > 1<<20 {
 		return fmt.Errorf("mely: obs history %d out of range [0, %d]", c.ObsHistory, 1<<20)
-	}
-	if c.TargetQueueDelay < 0 {
-		return fmt.Errorf("mely: negative target queue delay")
 	}
 	if c.MaxQueuedEvents < 0 || c.MaxQueuedPerColor < 0 {
 		return fmt.Errorf("mely: negative queue bound")

@@ -42,13 +42,12 @@ type (
 	HealthReport = obs.HealthReport
 )
 
-// tsCollector is the per-runtime collector state: the ring, the health
-// configuration, and the episode bookkeeping. Built by New when
+// tsCollector is the per-runtime collector state: the ring and the
+// episode bookkeeping. Built by New when
 // Config.ObsInterval > 0; Start launches the loop that feeds it.
 type tsCollector struct {
 	ring     *obs.TimeSeries
 	interval time.Duration
-	cfg      obs.HealthConfig
 	stop     chan struct{}
 	stopOnce sync.Once
 
@@ -72,7 +71,6 @@ func newCollector(r *Runtime) *tsCollector {
 	return &tsCollector{
 		ring:     obs.NewTimeSeries(r.cfg.ObsHistory, len(r.cores), r.cfg.ObsInterval),
 		interval: r.cfg.ObsInterval,
-		cfg:      obs.HealthConfig{TargetQueueDelay: r.cfg.TargetQueueDelay},
 		stop:     make(chan struct{}),
 		firing:   make(map[string]bool),
 		scratch:  obs.TSSample{Cores: make([]obs.TSCore, len(r.cores))},
@@ -110,7 +108,7 @@ func (r *Runtime) collectTick(col *tsCollector) {
 // episode accounting: a kind that was not firing at the previous
 // evaluation is a fresh episode — counted once, captured once.
 func (r *Runtime) evaluateHealth(col *tsCollector) {
-	rep := obs.EvaluateHealth(col.ring.Snapshot(nil), col.cfg)
+	rep := obs.EvaluateHealth(col.ring.Snapshot(nil))
 
 	col.mu.Lock()
 	var fresh []string

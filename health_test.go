@@ -121,7 +121,6 @@ func TestCollectorTimeSeries(t *testing.T) {
 	for _, name := range []string{
 		"mely_events_rate", "mely_posts_rate", "mely_steals_rate",
 		"mely_spill_bytes_rate", "mely_health_status", "mely_anomalies_total",
-		"mely_recommended_max_queued",
 	} {
 		if _, ok := samples[name]; !ok {
 			t.Errorf("metrics missing %s", name)
@@ -142,38 +141,6 @@ func TestCollectorTimeSeries(t *testing.T) {
 			t.Fatal(err)
 		}
 		return samples["mely_health_status"] == 1 && samples["mely_events_rate"] > 0
-	})
-}
-
-// TestCollectorRecommendation checks the adaptive-bounds gauge flows
-// from Config.TargetQueueDelay through the collector to Health().
-func TestCollectorRecommendation(t *testing.T) {
-	r := newRuntime(t, Config{
-		Cores:            2,
-		ObsInterval:      2 * time.Millisecond,
-		ObsHistory:       8,
-		TargetQueueDelay: 10 * time.Millisecond,
-	})
-	defer r.Close()
-	h := r.Register("work", func(ctx *Ctx) {})
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	go func() {
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_ = r.Post(h, Color(i%4), nil)
-			time.Sleep(20 * time.Microsecond)
-		}
-	}()
-	defer close(stop)
-	waitFor(t, 5*time.Second, "a recommendation", func() bool {
-		return r.Health().RecommendedMaxQueued > 0
 	})
 }
 

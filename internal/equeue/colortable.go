@@ -50,7 +50,7 @@ type tableShard struct {
 	owner  map[Color]int32
 	queues map[Color]*ColorQueue
 	// deviated counts owner entries (colors away from their hash home),
-	// updated under mu but readable without it: when zero, OwnerHint
+	// updated under mu but readable without it: when zero, Owner
 	// answers from the hash alone and skips the stripe lock entirely —
 	// the common case, since steals are rare relative to posts.
 	deviated atomic.Int32
@@ -109,24 +109,12 @@ func (t *ColorTable) shard(c Color) *tableShard {
 	return &t.shards[mix64(uint64(c))>>32&(numShards-1)]
 }
 
-// Owner returns the core currently owning color c.
+// Owner returns the core currently owning color c, skipping the stripe
+// lock when c's shard holds no deviated colors. The answer is advisory
+// under concurrency: every delivery path re-checks ownership under the
+// owning core's lock, so an owner made stale by a concurrent steal or a
+// lease's end only costs a retry.
 func (t *ColorTable) Owner(c Color) int {
-	s := t.shard(c)
-	s.mu.Lock()
-	o, ok := s.owner[c]
-	s.mu.Unlock()
-	if ok {
-		return int(o)
-	}
-	return t.Hash(c)
-}
-
-// OwnerHint returns the core currently owning color c, skipping the
-// stripe lock when c's shard holds no deviated colors. It is exactly as
-// authoritative as Owner's result — which is to say advisory: every
-// delivery path re-checks ownership under the owning core's lock, so a
-// hint made stale by a concurrent steal only costs a retry.
-func (t *ColorTable) OwnerHint(c Color) int {
 	s := t.shard(c)
 	if s.deviated.Load() == 0 {
 		return t.Hash(c)

@@ -4,8 +4,9 @@ package equeue
 // layouts plus the color it is executing. It is the only place that knows
 // which layout a core runs: the simulator's core and the runtime's both
 // embed it, and whatever must work on either layout (delivery, the victim
-// screen, the steal transaction) goes through its methods. Code that
-// exists on one layout only — the runtime's private run — takes the
+// screen, the steal transaction) goes through its methods. It also holds
+// the lease rule (StopRunning), so both platforms end a lease alike. Code
+// that exists on one layout only — the runtime's private run — takes the
 // CoreQueue from Mely. A Core carries no lock; the platform guards it.
 type Core struct {
 	// Exactly one of list/mely is non-nil.
@@ -83,8 +84,27 @@ func (q *Core) RunningColor() (Color, bool) { return q.running, q.hasRunning }
 // SetRunning records that the core executes an event of color c.
 func (q *Core) SetRunning(c Color) { q.running, q.hasRunning = c, true }
 
-// ClearRunning records that the core is not executing.
-func (q *Core) ClearRunning() { q.hasRunning = false }
+// StopRunning records that core self, this one, no longer executes its
+// running color, and applies the lease rule of the paper's color table:
+// a color that ran here away from its hash home, with nothing of it left
+// here, goes back home — its owner entry in t is erased, so an owner
+// entry always names a live color or one in transit. ok reports that
+// the lease ended, color and home which color went where. Called
+// wherever a core stops running a color, under the core's lock, after
+// any queue the run drained was untabled.
+func (q *Core) StopRunning(t *ColorTable, self int) (color Color, home int, ok bool) {
+	if !q.hasRunning {
+		return 0, 0, false
+	}
+	q.hasRunning = false
+	color = q.running
+	home = t.Hash(color)
+	if home == self || q.ColorLive(color, t.Queue(color)) {
+		return color, home, false
+	}
+	t.SetOwner(color, home)
+	return color, home, true
+}
 
 // ColorLive reports whether color c is running here or has events queued
 // here. cq is c's tabled ColorQueue, nil when it has none — as always on

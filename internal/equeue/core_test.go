@@ -116,12 +116,57 @@ func TestCoreDetachAdoptRoundTrip(t *testing.T) {
 
 				// A victim that fails the budget's floor gives nothing and
 				// leaves the set empty for the caller to test.
-				victim.ClearRunning()
+				victim.StopRunning(table, 0)
 				victim.push(9, 5000)
 				if victim.Detach(worthy, 4, &set); len(set.Colors) != 0 {
 					t.Errorf("took %v, the last color of an idle victim", set.Colors)
 				}
 			})
+		}
+	}
+}
+
+// TestCoreStopRunningEndsLease is the lease rule on both layouts: a color
+// that stops running away from its hash home keeps its owner entry while
+// events of it are left on the core, and loses it once none are; a color
+// at home, or a core running nothing, leaves the table alone.
+func TestCoreStopRunningEndsLease(t *testing.T) {
+	for _, list := range []bool{true, false} {
+		table := NewColorTable(2)
+		f := newCoreFixture(list, table)
+		var c Color = 1
+		for table.Hash(c) != 1 {
+			c++
+		}
+		table.SetOwner(c, 0) // leased to core 0
+		f.push(c, 10)
+		f.push(c, 20)
+
+		if _, _, ok := f.StopRunning(table, 0); ok {
+			t.Fatalf("list=%v: a core running nothing ended a lease", list)
+		}
+		e, emptied := f.PopNext()
+		f.SetRunning(e.Color)
+		if _, _, ok := f.StopRunning(table, 0); ok || table.Owner(c) != 0 {
+			t.Fatalf("list=%v: lease ended with an event of %d left", list, c)
+		}
+		e, emptied = f.PopNext()
+		if emptied != nil {
+			table.SetQueue(c, nil)
+		}
+		f.SetRunning(e.Color)
+		color, home, ok := f.StopRunning(table, 0)
+		if !ok || color != c || home != 1 || table.Owner(c) != 1 || table.AnyDeviated() {
+			t.Fatalf("list=%v: drained lease: (%d, %d, %v), owner %d", list, color, home, ok, table.Owner(c))
+		}
+		if _, ok := f.RunningColor(); ok {
+			t.Fatalf("list=%v: still running after StopRunning", list)
+		}
+
+		// At home nothing changes, drained or not.
+		f.SetRunning(c)
+		if _, _, ok := f.StopRunning(table, 1); ok {
+			t.Fatalf("list=%v: a color at home ended a lease", list)
 		}
 	}
 }

@@ -14,7 +14,10 @@
 // families plus the color being executed. It implements the victim view
 // the steal policy inspects, and it carries the layout-neutral halves of
 // the steal transaction — Detach a StealSet from a victim, Adopt it on the
-// thief — so that neither platform's steal routine tests for a layout.
+// thief — so that neither platform's steal routine tests for a layout. It
+// also holds the lease rule, StopRunning: a color that stops running away
+// from its hash home with nothing of it left goes back home, in both
+// platforms at the same points.
 //
 // The queues carry no locking and no clock: both the discrete-event
 // simulator (internal/sim) and the real runtime (package mely) embed Core

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -27,14 +26,6 @@ const (
 	AnomalyStallRecurrence = "stall-recurrence"
 )
 
-// HealthConfig is what a caller decides about the health engine; the
-// detectors' own thresholds are constants beside each detector.
-type HealthConfig struct {
-	// TargetQueueDelay, when positive, turns on the MaxQueuedEvents
-	// recommendation (see RecommendMaxQueued). Default off.
-	TargetQueueDelay time.Duration
-}
-
 // Anomaly is one health detector firing: the kind (see the Anomaly*
 // constants), a human-readable detail, and the observed value vs the
 // limit it crossed (unit depends on the kind — nanoseconds for drift,
@@ -49,8 +40,7 @@ type Anomaly struct {
 
 // HealthReport is a runtime's self-assessment and the document
 // /debug/health serves. EvaluateHealth fills the verdict (Healthy,
-// Windows, Anomalies, RecommendedMaxQueued) from the retained time
-// series; the runtime adds what only it knows (Enabled, the cumulative
+// Windows, Anomalies) from the retained time series; the runtime adds what only it knows (Enabled, the cumulative
 // TotalAnomalies and Incidents). Healthy means no detector is firing
 // right now; it says nothing about the past. With the collector
 // disabled (ObsInterval 0) the report is Healthy with Enabled false.
@@ -62,39 +52,17 @@ type HealthReport struct {
 	// TotalAnomalies counts fresh anomaly episodes since Start (the
 	// mely_anomalies_total counter).
 	TotalAnomalies int64 `json:"total_anomalies"`
-	// RecommendedMaxQueued is the adaptive-bounds stepping stone: the
-	// MaxQueuedEvents that would hold queue delay near
-	// HealthConfig.TargetQueueDelay at the observed drain rate
-	// (Little's law). 0 when no target is set or the window is idle.
-	// Recommendation only — nothing enforces it yet.
-	RecommendedMaxQueued int64 `json:"recommended_max_queued"`
 	// Incidents counts captured incident bundles (Config.IncidentDir).
 	Incidents int64     `json:"incidents"`
 	Anomalies []Anomaly `json:"anomalies,omitempty"`
 }
 
-// RecommendMaxQueued is the adaptive-bounds recommendation math,
-// isolated for testing: by Little's law a queue drained at
-// eventsPerSec holds its queueing delay at target when the backlog is
-// capped at eventsPerSec x target. Rounded up, floored at 1 so an
-// all-but-idle runtime never recommends an unpostable bound; 0 when
-// either input is unusable.
-func RecommendMaxQueued(eventsPerSec float64, target time.Duration) int64 {
-	if eventsPerSec <= 0 || target <= 0 {
-		return 0
-	}
-	n := int64(math.Ceil(eventsPerSec * target.Seconds()))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // EvaluateHealth runs every detector over the samples (oldest first,
 // as returned by TimeSeries.Snapshot) and reports what is firing right
 // now. Pure function of its inputs: the runtime's collector owns
-// episode accounting and hook dispatch.
-func EvaluateHealth(samples []TSSample, cfg HealthConfig) HealthReport {
+// episode accounting and hook dispatch. The detectors' thresholds are
+// constants beside each detector.
+func EvaluateHealth(samples []TSSample) HealthReport {
 	points := DerivePoints(samples)
 	rep := HealthReport{Healthy: true, Windows: len(points)}
 	if len(points) == 0 {
@@ -115,9 +83,6 @@ func EvaluateHealth(samples []TSSample, cfg HealthConfig) HealthReport {
 		rep.Anomalies = append(rep.Anomalies, a)
 	}
 	rep.Healthy = len(rep.Anomalies) == 0
-	if cfg.TargetQueueDelay > 0 {
-		rep.RecommendedMaxQueued = RecommendMaxQueued(cur.EventsPerSec, cfg.TargetQueueDelay)
-	}
 	return rep
 }
 

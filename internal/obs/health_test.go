@@ -3,7 +3,6 @@ package obs
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // rampSamples builds n+1 samples 1s apart with a steady event rate, so
@@ -47,7 +46,7 @@ func hasKind(rep HealthReport, kind string) bool {
 }
 
 func TestHealthyBaseline(t *testing.T) {
-	rep := EvaluateHealth(rampSamples(20, nil), HealthConfig{})
+	rep := EvaluateHealth(rampSamples(20, nil))
 	if !rep.Healthy {
 		t.Fatalf("steady baseline unhealthy: %v", kinds(rep))
 	}
@@ -57,11 +56,11 @@ func TestHealthyBaseline(t *testing.T) {
 }
 
 func TestHealthEmptyAndSingleSample(t *testing.T) {
-	if rep := EvaluateHealth(nil, HealthConfig{}); !rep.Healthy || rep.Windows != 0 {
+	if rep := EvaluateHealth(nil); !rep.Healthy || rep.Windows != 0 {
 		t.Fatalf("empty series: %+v", rep)
 	}
 	one := rampSamples(0, nil)
-	if rep := EvaluateHealth(one, HealthConfig{}); !rep.Healthy || rep.Windows != 0 {
+	if rep := EvaluateHealth(one); !rep.Healthy || rep.Windows != 0 {
 		t.Fatalf("single sample: %+v", rep)
 	}
 }
@@ -74,7 +73,7 @@ func TestQueueDelayDriftDetector(t *testing.T) {
 			s.QDelay[24] = s.QDelay[6] // += a full window of slow samples
 		}
 	})
-	rep := EvaluateHealth(samples, HealthConfig{})
+	rep := EvaluateHealth(samples)
 	if !hasKind(rep, AnomalyQueueDelayDrift) {
 		t.Fatalf("drift not detected: %v", kinds(rep))
 	}
@@ -98,7 +97,7 @@ func TestQueueDelayDriftDetector(t *testing.T) {
 			s.QDelay[8] = 100 // jump to ~64us, still < 2ms floor
 		}
 	})
-	rep = EvaluateHealth(quiet, HealthConfig{})
+	rep = EvaluateHealth(quiet)
 	if hasKind(rep, AnomalyQueueDelayDrift) {
 		t.Fatalf("sub-floor drift fired: %v", kinds(rep))
 	}
@@ -111,7 +110,7 @@ func TestStealImbalanceDetector(t *testing.T) {
 			s.Cores[0].FailedSteals += 50000
 		}
 	})
-	rep := EvaluateHealth(samples, HealthConfig{})
+	rep := EvaluateHealth(samples)
 	if !hasKind(rep, AnomalyStealImbalance) {
 		t.Fatalf("imbalance not detected: %v", kinds(rep))
 	}
@@ -123,7 +122,7 @@ func TestStealImbalanceDetector(t *testing.T) {
 			s.Cores[1].FailedSteals += 50000
 		}
 	})
-	rep = EvaluateHealth(even, HealthConfig{})
+	rep = EvaluateHealth(even)
 	if hasKind(rep, AnomalyStealImbalance) {
 		t.Fatalf("symmetric failed steals fired imbalance: %v", kinds(rep))
 	}
@@ -134,7 +133,7 @@ func TestStealImbalanceDetector(t *testing.T) {
 			s.Cores[0].FailedSteals += 500
 		}
 	})
-	rep = EvaluateHealth(tiny, HealthConfig{})
+	rep = EvaluateHealth(tiny)
 	if hasKind(rep, AnomalyStealImbalance) {
 		t.Fatalf("sub-floor skew fired imbalance: %v", kinds(rep))
 	}
@@ -148,7 +147,7 @@ func TestStealImbalanceDetector(t *testing.T) {
 			s.Cores[1].FailedSteals = 90
 		}
 	})
-	rep = EvaluateHealth(short, HealthConfig{})
+	rep = EvaluateHealth(short)
 	if hasKind(rep, AnomalyStealImbalance) {
 		t.Fatalf("6 failed steals in a 300µs window fired imbalance: %v", kinds(rep))
 	}
@@ -159,7 +158,7 @@ func TestSpillGrowthDetector(t *testing.T) {
 	samples := rampSamples(10, func(i int, s *TSSample) {
 		s.SpilledNow = int64(i) * 1000
 	})
-	rep := EvaluateHealth(samples, HealthConfig{})
+	rep := EvaluateHealth(samples)
 	if !hasKind(rep, AnomalySpillGrowth) {
 		t.Fatalf("spill growth not detected: %v", kinds(rep))
 	}
@@ -168,7 +167,7 @@ func TestSpillGrowthDetector(t *testing.T) {
 	saw := rampSamples(10, func(i int, s *TSSample) {
 		s.SpilledNow = int64((i % 3) * 1000)
 	})
-	rep = EvaluateHealth(saw, HealthConfig{})
+	rep = EvaluateHealth(saw)
 	if hasKind(rep, AnomalySpillGrowth) {
 		t.Fatalf("sawtooth backlog fired spill growth: %v", kinds(rep))
 	}
@@ -181,7 +180,7 @@ func TestStallDetector(t *testing.T) {
 			s.StalledCores = 1
 		}
 	})
-	rep := EvaluateHealth(now, HealthConfig{})
+	rep := EvaluateHealth(now)
 	if !hasKind(rep, AnomalyStallRecurrence) {
 		t.Fatalf("live stall not detected: %v", kinds(rep))
 	}
@@ -195,7 +194,7 @@ func TestStallDetector(t *testing.T) {
 			s.Stalls = 2
 		}
 	})
-	rep = EvaluateHealth(recur, HealthConfig{})
+	rep = EvaluateHealth(recur)
 	if !hasKind(rep, AnomalyStallRecurrence) {
 		t.Fatalf("stall recurrence not detected: %v", kinds(rep))
 	}
@@ -206,46 +205,8 @@ func TestStallDetector(t *testing.T) {
 			s.Stalls = 1
 		}
 	})
-	rep = EvaluateHealth(lone, HealthConfig{})
+	rep = EvaluateHealth(lone)
 	if hasKind(rep, AnomalyStallRecurrence) {
 		t.Fatalf("single old stall fired recurrence: %v", kinds(rep))
-	}
-}
-
-func TestRecommendMaxQueued(t *testing.T) {
-	cases := []struct {
-		rate   float64
-		target time.Duration
-		want   int64
-	}{
-		// Little's law: N = rate x target.
-		{50000, 10 * time.Millisecond, 500},
-		{100000, time.Millisecond, 100},
-		{333333, 3 * time.Millisecond, 1000},
-		// Rounding up, floored at 1.
-		{10, time.Millisecond, 1},
-		{1500, time.Millisecond, 2},
-		// Unusable inputs.
-		{0, time.Millisecond, 0},
-		{-5, time.Millisecond, 0},
-		{1000, 0, 0},
-		{1000, -time.Second, 0},
-	}
-	for _, c := range cases {
-		if got := RecommendMaxQueued(c.rate, c.target); got != c.want {
-			t.Errorf("RecommendMaxQueued(%v, %v) = %d, want %d", c.rate, c.target, got, c.want)
-		}
-	}
-}
-
-func TestEvaluateHealthRecommendation(t *testing.T) {
-	samples := rampSamples(5, nil) // 10k events/s
-	rep := EvaluateHealth(samples, HealthConfig{TargetQueueDelay: 5 * time.Millisecond})
-	if rep.RecommendedMaxQueued != 50 {
-		t.Fatalf("recommended = %d, want 50 (10k/s x 5ms)", rep.RecommendedMaxQueued)
-	}
-	rep = EvaluateHealth(samples, HealthConfig{})
-	if rep.RecommendedMaxQueued != 0 {
-		t.Fatalf("recommended without target = %d, want 0", rep.RecommendedMaxQueued)
 	}
 }

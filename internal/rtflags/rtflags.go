@@ -43,7 +43,6 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.DurationVar(&c.StallThreshold, "stall-threshold", 0, "flag a handler stuck longer than this: a stall record with the goroutine stack lands in the flight recorder and mely_stalled_cores goes up (0 = watchdog off)")
 	fs.DurationVar(&c.ObsInterval, "obs-interval", 0, "sample a runtime-wide stats snapshot into the fixed-memory timeseries ring this often; arms /debug/timeseries, /debug/health, the mely_*_rate gauges, and the anomaly detectors (0 = off)")
 	fs.IntVar(&c.ObsHistory, "obs-history", 0, "timeseries ring capacity in samples (0 = default 240)")
-	fs.DurationVar(&c.TargetQueueDelay, "target-queue-delay", 0, "queue-delay budget for the adaptive-bounds recommendation, mely_recommended_max_queued; the drift detector does not read it (0 = off)")
 	fs.StringVar(&c.IncidentDir, "incident-dir", "", "capture a bounded incident bundle (CPU profile, trace, health, timeseries) into a timestamped directory here on each fresh anomaly (empty = off; needs -obs-interval)")
 	fs.DurationVar(&c.IncidentMinGap, "incident-min-gap", 0, "minimum spacing between incident captures (0 = default 30s)")
 	return f

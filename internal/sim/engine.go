@@ -399,11 +399,14 @@ func (e *Engine) anyQueued() bool {
 
 // step performs one atomic action for core c.
 //
-// The running color set by processOne deliberately survives the step:
+// The running color set by startOne outlives the steps that execute it:
 // the execution conceptually spans [pop, c.clock), and a thief stepping
 // inside that span must see the color as running (it can never be
-// stolen). The flag is cleared as soon as the core does anything that
-// proves it is not executing — stealing, idling, or quiescing.
+// stolen). The core stops running it where a runtime worker's pop would:
+// at the pop of another color, and once the core finds nothing to pop —
+// before it steals or idles here, in fastForward while the machine waits
+// for timers, and at quiescence. Each of these ends the color's lease if
+// it drained (equeue.Core.StopRunning).
 func (e *Engine) step(c *core) {
 	if c.executing != nil {
 		e.finishOne(c)
@@ -413,7 +416,7 @@ func (e *Engine) step(c *core) {
 		e.startOne(c)
 		return
 	}
-	c.ClearRunning()
+	c.StopRunning(e.table, c.id)
 	if e.pol.Steal != policy.StealNone && e.stealAttempt(c) {
 		return
 	}
@@ -440,6 +443,12 @@ func (e *Engine) startOne(c *core) {
 		e.table.SetQueue(emptied.Color(), nil)
 		c.Mely().ReleaseColorQueue(emptied)
 	}
+	if prev, ok := c.RunningColor(); ok && (ev == nil || ev.Color != prev) {
+		c.StopRunning(e.table, c.id)
+	}
+	if ev != nil {
+		c.SetRunning(ev.Color)
+	}
 	e.lockRelease(c, c, c.clock)
 	if ev == nil {
 		// Raced with a thief that emptied the queue; account the probe.
@@ -452,7 +461,6 @@ func (e *Engine) startOne(c *core) {
 	c.stats.QueueCycles += c.clock - start
 
 	// Execute.
-	c.SetRunning(ev.Color)
 	objSize := ev.DataSize
 	if objSize == 0 {
 		objSize = ev.Footprint
@@ -614,9 +622,10 @@ func (e *Engine) lockRelease(c, target *core, heldFrom int64) {
 	}
 }
 
-// newEvent returns the queued form of ev, a pooled event with handler h's
-// default cost filled in; Est and Penalty are the caller's to set.
-func (e *Engine) newEvent(h *handlerEntry, ev Ev) *equeue.Event {
+// newEvent returns the queued form of ev: a pooled event with its
+// handler's default cost, time-left estimate and ws_penalty filled in.
+func (e *Engine) newEvent(ev Ev) *equeue.Event {
+	h := &e.handlers[ev.Handler]
 	event := e.pool.Get()
 	event.Handler = ev.Handler
 	event.Color = ev.Color
@@ -628,13 +637,6 @@ func (e *Engine) newEvent(h *handlerEntry, ev Ev) *equeue.Event {
 	event.DataSize = ev.DataSize
 	event.DataID = ev.DataID
 	event.Data = ev.Data
-	return event
-}
-
-// post enqueues ev on the owner of its color (or an explicit target).
-func (e *Engine) post(from *core, explicit int, ev Ev) {
-	h := &e.handlers[ev.Handler]
-	event := e.newEvent(h, ev)
 	if h.opts.DynamicEstimate {
 		event.Est = e.profiles.Handler(int(ev.Handler)).Estimate()
 		if event.Est == 0 {
@@ -646,7 +648,12 @@ func (e *Engine) post(from *core, explicit int, ev Ev) {
 		penalty = h.autoPenalty()
 	}
 	event.Penalty = e.pol.EffectivePenalty(penalty)
+	return event
+}
 
+// post enqueues ev on the owner of its color (or an explicit target).
+func (e *Engine) post(from *core, explicit int, ev Ev) {
+	event := e.newEvent(ev)
 	owner := e.resolveOwner(ev.Color, explicit)
 	target := e.cores[owner]
 
@@ -672,36 +679,26 @@ func (e *Engine) post(from *core, explicit int, ev Ev) {
 	target.idle = false
 }
 
-// resolveOwner returns the core a new event of the color must go to.
-//
-// Ownership is a lease, not a permanent assignment: the color table
-// tracks where a color's events currently live, and once a color fully
-// drains (no pending events and not executing) it re-homes to its hash
-// core — the behavior of a pending-events color map, and the reason the
-// paper's Web server keeps stealing forever: every load wave re-creates
-// the hash imbalance and the thieves pay the steal price again.
+// resolveOwner returns the core a new event of the color must go to: its
+// owner, unless explicit (PostTo) pins the color to another core, which
+// it may only while the color is live nowhere. Ownership is a lease that
+// ends when the color drains (equeue.Core.StopRunning), so the owner is
+// the hash home again by the time the color's next event arrives — the
+// reason the paper's Web server keeps stealing forever: every load wave
+// re-creates the hash imbalance and the thieves pay the steal price
+// again.
 func (e *Engine) resolveOwner(col equeue.Color, explicit int) int {
-	owner := e.table.OwnerHint(col) // single-threaded: identical to Owner, skips the stripe lock
-	if explicit >= 0 {
-		if explicit != owner && e.colorLive(col, owner) {
-			panic(fmt.Sprintf(
-				"sim: PostTo(%d) would split live color %d owned by core %d",
-				explicit, col, owner))
-		}
-		e.table.SetOwner(col, explicit)
-		return explicit
+	owner := e.table.Owner(col)
+	if explicit < 0 || explicit == owner {
+		return owner
 	}
-	if home := e.table.Hash(col); owner != home && !e.colorLive(col, owner) {
-		e.table.SetOwner(col, home)
-		return home
+	if e.cores[owner].ColorLive(col, e.table.Queue(col)) {
+		panic(fmt.Sprintf(
+			"sim: PostTo(%d) would split live color %d owned by core %d",
+			explicit, col, owner))
 	}
-	return owner
-}
-
-// colorLive reports whether color c has pending events or is executing
-// on the given owner core.
-func (e *Engine) colorLive(col equeue.Color, owner int) bool {
-	return e.cores[owner].ColorLive(col, e.table.Queue(col))
+	e.table.SetOwner(col, explicit)
+	return explicit
 }
 
 // quiesce synchronizes clocks and invokes the OnQuiescent hook.
@@ -718,7 +715,7 @@ func (e *Engine) quiesce(horizon int64) {
 			c.clock = maxClock
 		}
 		c.idle = true
-		c.ClearRunning()
+		c.StopRunning(e.table, c.id)
 	}
 	if maxClock >= horizon {
 		return // horizon reached; caller decides whether to continue

@@ -11,12 +11,12 @@ import (
 )
 
 // TestRandomWorkloadsInvariants generates random handler graphs and
-// checks the engine's two fundamental invariants under every policy:
-// no event is lost or duplicated, and no two events of one color ever
-// overlap in virtual time. This is the failure-injection net under the
-// calibrated experiments: whatever a workload does — fan-out, chains,
-// reposts to shared colors, data touches, timers — the scheduler must
-// hold these properties.
+// checks the engine's fundamental invariants under every policy: no
+// event is lost or duplicated, no two events of one color ever overlap
+// in virtual time, and the color table holds only live leases. This is
+// the failure-injection net under the calibrated experiments: whatever a
+// workload does — fan-out, chains, reposts to shared colors, data
+// touches, timers — the scheduler must hold these properties.
 func TestRandomWorkloadsInvariants(t *testing.T) {
 	policies := []policy.Config{
 		policy.Libasync(), policy.LibasyncWS(),
@@ -52,6 +52,7 @@ func runRandomWorkload(t *testing.T, pol policy.Config, rng *rand.Rand) {
 		intervals = map[equeue.Color][]span{}
 		handlers  []equeue.HandlerID
 	)
+	const seeds = 120
 	nHandlers := rng.Intn(4) + 2
 	budget := 2000 // total spawn budget across the run
 	for i := 0; i < nHandlers; i++ {
@@ -59,6 +60,7 @@ func runRandomWorkload(t *testing.T, pol policy.Config, rng *rand.Rand) {
 		var h equeue.HandlerID
 		h = eng.Register("rnd", func(ctx *Ctx, ev *equeue.Event) {
 			executed++
+			checkLeases(t, eng, ctx.Core(), ev.Color, seeds)
 			end := ctx.Now()
 			intervals[ev.Color] = append(intervals[ev.Color], span{end - ev.Cost, end})
 			// Random continuation behaviour.
@@ -97,7 +99,6 @@ func runRandomWorkload(t *testing.T, pol policy.Config, rng *rand.Rand) {
 		handlers = append(handlers, h)
 	}
 
-	const seeds = 120
 	eng.Seed(func(ctx *Ctx) {
 		for i := 0; i < seeds; i++ {
 			spawned++
@@ -127,5 +128,29 @@ func runRandomWorkload(t *testing.T, pol policy.Config, rng *rand.Rand) {
 					color, spans[i-1].start, spans[i-1].end, spans[i].start, spans[i].end)
 			}
 		}
+	}
+}
+
+// checkLeases is the color table's invariant, checked from a handler of
+// color on core: the executing core owns the color, and every owner entry
+// (a color owned away from its hash home) names a core the color is live
+// on — its lease ends when it drains there. The workload's colors are
+// 1..24 and 100..100+seeds-1.
+func checkLeases(t *testing.T, eng *Engine, core int, color equeue.Color, seeds int) {
+	t.Helper()
+	if owner := eng.table.Owner(color); owner != core {
+		t.Fatalf("color %d executes on core %d, owned by core %d", color, core, owner)
+	}
+	check := func(c equeue.Color) {
+		owner := eng.table.Owner(c)
+		if owner != eng.table.Hash(c) && !eng.cores[owner].ColorLive(c, eng.table.Queue(c)) {
+			t.Fatalf("owner entry %d -> core %d names a color not live there", c, owner)
+		}
+	}
+	for c := equeue.Color(1); c <= 24; c++ {
+		check(c)
+	}
+	for i := 0; i < seeds; i++ {
+		check(equeue.Color(100 + i))
 	}
 }

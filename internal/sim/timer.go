@@ -70,11 +70,8 @@ func (e *Engine) deliverDue() {
 // is the kernel's side of the fence; the dispatching handler pays the
 // runtime-side cost when it runs).
 func (e *Engine) inject(ev Ev) {
-	h := &e.handlers[ev.Handler]
-	event := e.newEvent(h, ev)
-	event.Penalty = e.pol.EffectivePenalty(h.opts.Penalty)
-
-	owner := e.table.OwnerHint(ev.Color) // single-threaded: identical to Owner, skips the stripe lock
+	event := e.newEvent(ev)
+	owner := e.table.Owner(ev.Color)
 	target := e.cores[owner]
 	target.Push(target.QueueFor(e.table, ev.Color), event)
 	e.pending++
@@ -97,6 +94,9 @@ func (e *Engine) fastForward(horizon int64) {
 			c.stats.IdleCycles += next - c.clock
 			c.clock = next
 		}
+		// Nothing is queued or executing: a worker's pop would have
+		// found its queue empty and ended the run.
+		c.StopRunning(e.table, c.id)
 	}
 	e.deliverDue()
 }

@@ -5,6 +5,7 @@ import (
 
 	"github.com/melyruntime/mely/internal/equeue"
 	"github.com/melyruntime/mely/internal/policy"
+	"github.com/melyruntime/mely/internal/topology"
 )
 
 func TestPostAfterDeliversInOrder(t *testing.T) {
@@ -115,6 +116,38 @@ func TestLeaseOwnershipRevertsOnDrain(t *testing.T) {
 	eng.RunUntil(40_000_000)
 	if ranOn != 1 {
 		t.Fatalf("drained color ran on core %d, want hash home 1", ranOn)
+	}
+}
+
+// TestInjectedEventFollowsLease: a timed event of a color whose lease
+// ended goes to the color's hash home, as a post does. Color 3 is pinned
+// to core 0, away from its home 1 (color%2); its run there re-arms it, and
+// the machine then idles until the timer fires — so the run ends, and the
+// lease with it, in fastForward.
+func TestInjectedEventFollowsLease(t *testing.T) {
+	eng, err := New(Config{
+		Topology: topology.Uniform(2),
+		Policy:   policy.MelyTimeLeftWS(),
+		Params:   DefaultParams(),
+		Seed:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ranOn []int
+	var h equeue.HandlerID
+	h = eng.Register("rearm", func(ctx *Ctx, ev *equeue.Event) {
+		ranOn = append(ranOn, ctx.Core())
+		if len(ranOn) == 1 {
+			ctx.PostAfter(1_000_000, Ev{Handler: h, Color: 3, Cost: 100})
+		}
+	}, HandlerOpts{})
+	eng.Seed(func(ctx *Ctx) {
+		ctx.PostTo(0, Ev{Handler: h, Color: 3, Cost: 100})
+	})
+	eng.RunUntil(10_000_000)
+	if len(ranOn) != 2 || ranOn[0] != 0 || ranOn[1] != 1 {
+		t.Fatalf("runs landed on %v, want [0 1]: the timed event must follow the ended lease home", ranOn)
 	}
 }
 

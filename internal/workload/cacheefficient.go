@@ -78,7 +78,7 @@ func BuildCacheEfficient(topo *topology.Topology, pol policy.Config, params sim.
 	// Color plan per round, reused every round (all colors drain at the
 	// join). The k-th job's colors all hash to its producer core, so a
 	// drained color re-homes there (ownership is a lease; see
-	// sim.Engine.resolveOwner): A and C share ncores*(3k+1)+p, the two
+	// equeue.Core.StopRunning): A and C share ncores*(3k+1)+p, the two
 	// B's get ncores*(3k+2)+p and ncores*(3k+3)+p. Color 0 is the
 	// feeder's.
 	producers := producersOf(topo)

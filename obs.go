@@ -506,9 +506,6 @@ func (r *Runtime) WriteMetrics(w io.Writer) error {
 		single("mely_incidents_total", "counter",
 			"Incident bundles captured by profile-on-anomaly.",
 			float64(rep.Incidents))
-		single("mely_recommended_max_queued", "gauge",
-			"Recommended MaxQueuedEvents for Config.TargetQueueDelay (0 without a target; recommendation only).",
-			float64(rep.RecommendedMaxQueued))
 	}
 
 	return m.Flush()

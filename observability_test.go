@@ -167,11 +167,11 @@ func checkWireGolden(t *testing.T, name string, got []byte) {
 // when none fire — for an unhealthy report, a healthy one and the
 // report of a runtime with no collector.
 func TestDebugHealthGolden(t *testing.T) {
-	r := newRuntime(t, Config{Cores: 2, ObsInterval: time.Hour, TargetQueueDelay: time.Millisecond})
+	r := newRuntime(t, Config{Cores: 2, ObsInterval: time.Hour})
 	defer r.Close()
 	col := r.collector
 	col.report = HealthReport{
-		Healthy: false, Windows: 7, RecommendedMaxQueued: 1500,
+		Healthy: false, Windows: 7,
 		Anomalies: []Anomaly{
 			{Kind: AnomalyQueueDelayDrift, Detail: "queue-delay p99 8.388608ms vs trailing median 1.048576ms (factor 4.0)",
 				Value: 8.388608e6, Limit: 4.194304e6, At: time.Unix(1_700_000_000, 123_456_789).UTC()},

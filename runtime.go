@@ -131,9 +131,9 @@ type rcore struct {
 	// runCQ is the ColorQueue the running color's event was popped from
 	// (Mely layout; nil when nothing runs). A thief never takes the
 	// running color and its lease ends only once it stops running
-	// (endLease), so until the next pop this queue is the color's tabled
-	// queue on this core — the public part of the color, where everyone
-	// but its worker delivers, without a color-table round trip
+	// (StopRunning), so until the next pop this queue is the color's
+	// tabled queue on this core — the public part of the color, where
+	// everyone but its worker delivers, without a color-table round trip
 	// (deliverLocked). That holds for a queue the pop emptied as well: it
 	// stays tabled while the run lasts, and the next popLocal retires it
 	// if nothing re-linked it. Non-nil only while a color is running;
@@ -248,14 +248,17 @@ var inTransitMarker = new(equeue.ColorQueue)
 // Runtime is the real multicore event-coloring runtime.
 type Runtime struct {
 	cfg Config
-	// lastIncident (see incidentMu) and collector make up for the 32
-	// bytes Config has lost: the fields below stay on the cache lines
-	// they were measured on (see pending for what a shift costs).
+	// lastIncident (see incidentMu), collector and stalledCores make up
+	// for the 40 bytes Config has lost: the fields below stay on the
+	// cache lines they were measured on (see pending for what a shift
+	// costs).
 	lastIncident time.Time
 	// collector is the self-monitoring layer (Config.ObsInterval): the
 	// time-series ring + health engine, built by New so readers never
 	// race Start; nil when disabled.
 	collector *tsCollector
+	// stalledCores is the stall watchdog's live gauge (see stallOn).
+	stalledCores atomic.Int32
 
 	pol   policy.Config
 	topo  *topology.Topology
@@ -315,12 +318,11 @@ type Runtime struct {
 
 	// Stall watchdog (Config.StallThreshold): stallOn gates the per-core
 	// progress stamps on the execute path, stallStop ends the watchdog
-	// goroutine, stalledCores is the live gauge, and lastStallStack
-	// holds the most recent episode's full goroutine dump.
+	// goroutine, stalledCores (above) is the live gauge, and
+	// lastStallStack holds the most recent episode's full goroutine dump.
 	stallOn        bool
 	stallStop      chan struct{}
 	stallStopOnce  sync.Once
-	stalledCores   atomic.Int32
 	stallMu        sync.Mutex
 	lastStallStack []byte
 
@@ -800,7 +802,7 @@ func (r *Runtime) recycleEvent(c *rcore, ev *equeue.Event) {
 // enqueue delivers an event to the current owner of its color,
 // retrying when a concurrent steal or a lease's end moves the color.
 // Ownership is a lease: a stolen color goes back to its hash core as
-// soon as it has fully drained on its current owner (endLease) — the
+// soon as it has fully drained on its current owner (StopRunning) — the
 // paper's color table, and the reason load waves re-create the hash
 // placement the paper measures against. It returns the core the event
 // was delivered to.
@@ -812,7 +814,7 @@ func (r *Runtime) enqueue(ev *equeue.Event) *rcore {
 			// can run, especially when GOMAXPROCS < workers+posters.
 			runtime.Gosched()
 		}
-		owner := r.table.OwnerHint(ev.Color)
+		owner := r.table.Owner(ev.Color)
 		c := r.cores[owner]
 		r.lockFiled(c)
 		if !r.deliverLocked(c, owner, ev) {
@@ -915,8 +917,8 @@ func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) bool {
 	}
 	// Away-from-home (leased) delivery: re-check owner and fetch the
 	// queue in one hop. A lease lasts only while its color is live here
-	// (endLease), so the color still owned here has events queued here,
-	// in its tabled queue on the Mely layout.
+	// (StopRunning), so the color still owned here has events queued
+	// here, in its tabled queue on the Mely layout.
 	curOwner, cq := r.table.OwnerAndQueue(ev.Color)
 	if curOwner != owner || cq == inTransitMarker {
 		return false // moved, or in transit: wait for adoption (see above)
@@ -1038,8 +1040,8 @@ func (c *rcore) unpark() {
 // popLocal dequeues the next event of c's queue and is the one place the
 // running color changes: it becomes the popped event's, or none when the
 // queue is empty. A color that stops running here ends its lease in the
-// same hold (endLease). On the Mely layout popLocal also detaches the
-// rest of the color's batch into c.run (see runColor).
+// same hold (equeue.Core.StopRunning). On the Mely layout popLocal also
+// detaches the rest of the color's batch into c.run (see runColor).
 func (r *Runtime) popLocal(c *rcore) *equeue.Event {
 	r.lockFiled(c)
 	var ev *equeue.Event
@@ -1060,31 +1062,17 @@ func (r *Runtime) popLocal(c *rcore) *equeue.Event {
 	}
 	c.syncLens()
 	if prev, ok := c.RunningColor(); ok && (ev == nil || ev.Color != prev) {
-		c.ClearRunning()
-		r.endLease(c, prev)
+		// The drained run's queue is retired above, so no poster can
+		// find it once the color is home.
+		if color, home, ended := c.StopRunning(r.table, c.id); ended && c.ring != nil {
+			c.ring.Append(obs.KindReHome, r.now(), 0, uint64(color), uint32(home))
+		}
 	}
 	if ev != nil {
 		c.SetRunning(ev.Color)
 	}
 	c.lock.Unlock()
 	return ev
-}
-
-// endLease sends color, which just stopped running on c, back to its hash
-// core if it ran here away from home and nothing of it is left here: its
-// owner entry is erased, so that an owner entry always names a live color
-// or one in transit. Caller holds c.lock and has retired the color's
-// queue if the run drained it (retireRunCQ), so no poster can find that
-// queue once the color is home.
-func (r *Runtime) endLease(c *rcore, color equeue.Color) {
-	home := r.table.Hash(color)
-	if home == c.id || c.ColorLive(color, r.table.Queue(color)) {
-		return
-	}
-	r.table.SetOwner(color, home)
-	if c.ring != nil {
-		c.ring.Append(obs.KindReHome, r.now(), 0, uint64(color), uint32(home))
-	}
 }
 
 // runColor executes ev and then the running color's private run: the

@@ -143,7 +143,7 @@ func (r *Runtime) postTimer(h Handler, color Color, when, period int64, data any
 // where it stays until it fires: fireTimer resolves ownership again. A
 // periodic timer re-arms through here, so it follows its color lazily.
 func (r *Runtime) armTimer(e *timerwheel.Entry) {
-	c := r.cores[r.table.OwnerHint(e.Color)]
+	c := r.cores[r.table.Owner(e.Color)]
 	if c.wheel.Add(e) {
 		// The wheel's earliest deadline moved up; a parked owner is
 		// sleeping against the old bound.
