@@ -43,8 +43,8 @@ type (
 )
 
 // tsCollector is the per-runtime collector state: the ring and the
-// episode bookkeeping. Built by New when
-// Config.ObsInterval > 0; Start launches the loop that feeds it.
+// episode bookkeeping. Built by New when Config.ObsInterval > 0; Start
+// launches the loop that feeds it.
 type tsCollector struct {
 	ring     *obs.TimeSeries
 	interval time.Duration

@@ -40,10 +40,11 @@ type Anomaly struct {
 
 // HealthReport is a runtime's self-assessment and the document
 // /debug/health serves. EvaluateHealth fills the verdict (Healthy,
-// Windows, Anomalies) from the retained time series; the runtime adds what only it knows (Enabled, the cumulative
-// TotalAnomalies and Incidents). Healthy means no detector is firing
-// right now; it says nothing about the past. With the collector
-// disabled (ObsInterval 0) the report is Healthy with Enabled false.
+// Windows, Anomalies) from the retained time series; the runtime adds
+// what only it knows (Enabled, the cumulative TotalAnomalies and
+// Incidents). Healthy means no detector is firing right now; it says
+// nothing about the past. With the collector disabled (ObsInterval 0)
+// the report is Healthy with Enabled false.
 type HealthReport struct {
 	Enabled bool `json:"enabled"`
 	Healthy bool `json:"healthy"`
@@ -60,8 +61,8 @@ type HealthReport struct {
 // EvaluateHealth runs every detector over the samples (oldest first,
 // as returned by TimeSeries.Snapshot) and reports what is firing right
 // now. Pure function of its inputs: the runtime's collector owns
-// episode accounting and hook dispatch. The detectors' thresholds are
-// constants beside each detector.
+// episode accounting and incident capture. The detectors' thresholds
+// are constants beside each detector.
 func EvaluateHealth(samples []TSSample) HealthReport {
 	points := DerivePoints(samples)
 	rep := HealthReport{Healthy: true, Windows: len(points)}

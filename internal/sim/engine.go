@@ -426,7 +426,8 @@ func (e *Engine) step(c *core) {
 }
 
 // startOne dequeues one event and charges its execution; the handler
-// body runs at the core's next step (see core.executing).
+// body runs at the core's next step (see core.executing). The core has
+// queued events: step checked, and the engine is single-threaded.
 func (e *Engine) startOne(c *core) {
 	c.idle = false
 	start := c.clock
@@ -443,19 +444,11 @@ func (e *Engine) startOne(c *core) {
 		e.table.SetQueue(emptied.Color(), nil)
 		c.Mely().ReleaseColorQueue(emptied)
 	}
-	if prev, ok := c.RunningColor(); ok && (ev == nil || ev.Color != prev) {
+	if prev, ok := c.RunningColor(); ok && ev.Color != prev {
 		c.StopRunning(e.table, c.id)
 	}
-	if ev != nil {
-		c.SetRunning(ev.Color)
-	}
+	c.SetRunning(ev.Color)
 	e.lockRelease(c, c, c.clock)
-	if ev == nil {
-		// Raced with a thief that emptied the queue; account the probe.
-		c.stats.QueueCycles += c.clock - start
-		c.stats.BusyCycles += c.clock - start
-		return
-	}
 	e.pending--
 	e.queueLen[c.id] = c.Len()
 	c.stats.QueueCycles += c.clock - start
