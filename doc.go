@@ -145,8 +145,11 @@
 // platforms (or with Backend: BackendPumps) the portable pump backend
 // substitutes one goroutine per listener and per connection; event
 // semantics are identical — the sws parity suite asserts equal
-// handler-event traces — only the scaling differs. Stats exposes the
-// harvest efficiency as PollWakeups, PollEvents, and PollBatchHist.
+// handler-event traces — only the scaling differs. Each backend reports
+// what it sees as a call on the runtime (NotePollWakeup, NoteWriteStall,
+// NoteReadPause), and the runtime keeps the counts, so Stats shows the
+// harvest efficiency as PollWakeups, PollEvents, and PollBatchHist, and
+// no count drops when a server closes.
 //
 // # Overload control: bounded queues and disk spill
 //

@@ -213,8 +213,8 @@ func (r *Runtime) healthFrom(rep HealthReport, col *tsCollector) HealthReport {
 }
 
 // WriteHealth renders the current health report as JSON and reports
-// whether the runtime is healthy — the obs.MuxConfig.Health callback
-// behind /debug/health (200 when healthy, 503 when not).
+// whether the runtime is healthy — what the debug mux (obs.Source)
+// serves at /debug/health, 200 when healthy and 503 when not.
 func (r *Runtime) WriteHealth(w io.Writer) (healthy bool, err error) {
 	rep := r.Health()
 	return rep.Healthy, encodeHealth(w, rep)
@@ -229,7 +229,7 @@ func encodeHealth(w io.Writer, rep HealthReport) error {
 }
 
 // WriteTimeSeries renders the retained metrics time series as JSON —
-// the obs.MuxConfig.TimeSeries callback behind /debug/timeseries.
+// what the debug mux (obs.Source) serves at /debug/timeseries.
 // With the collector disabled it renders an empty document.
 func (r *Runtime) WriteTimeSeries(w io.Writer) error {
 	col := r.collector

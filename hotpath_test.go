@@ -454,4 +454,9 @@ func TestHotFieldLayout(t *testing.T) {
 			{"handlers", unsafe.Offsetof(r.handlers), unsafe.Sizeof(r.handlers)},
 			{"epoch", unsafe.Offsetof(r.epoch), unsafe.Sizeof(r.epoch)},
 		})
+	// The poll counters, written on every reactor wakeup, fill the
+	// 128-byte size class so no other object shares their lines.
+	if size := unsafe.Sizeof(pollCounters{}); size != 128 {
+		t.Errorf("pollCounters is %d bytes, want 128", size)
+	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"github.com/melyruntime/mely"
 	"github.com/melyruntime/mely/internal/epoller"
-	"github.com/melyruntime/mely/internal/obs"
 )
 
 // acceptToken is the reserved epoll token for the listening socket on
@@ -42,13 +41,6 @@ type epollBackend struct {
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
-
-	// retire unregisters the poll-stats source on close (folding the
-	// final totals into the runtime's frozen accumulator).
-	retire func()
-
-	writeStalls atomic.Int64
-	readPauses  atomic.Int64
 }
 
 // pausedPollMsec bounds the reactor's wait while any connection is
@@ -93,10 +85,6 @@ type pollShard struct {
 	// the unread bytes sit in the kernel buffer, closing the peer's
 	// TCP window instead of growing the runtime's queues.
 	paused map[uint64]*epollConn
-
-	wakeups   atomic.Int64
-	harvested atomic.Int64
-	batchHist obs.Counts
 }
 
 // epollConn is the per-connection state of the epoll backend. The
@@ -161,11 +149,10 @@ func newEpollBackend(s *Server, ln *net.TCPListener) (*epollBackend, error) {
 	return be, nil
 }
 
-// start registers the backend's handler and stats source and launches
-// the reactors. Infallible; called exactly once by Serve.
+// start registers the backend's handler and launches the reactors.
+// Infallible; called exactly once by Serve.
 func (be *epollBackend) start() {
 	be.hWritable = be.s.cfg.Runtime.Register("netpoll.Writable", be.drainWritable)
-	be.retire = be.s.cfg.Runtime.AddPollSource(be.sample)
 	be.wg.Add(len(be.shards))
 	for _, sh := range be.shards {
 		go sh.run()
@@ -173,19 +160,6 @@ func (be *epollBackend) start() {
 }
 
 func (be *epollBackend) addr() net.Addr { return be.ln.Addr() }
-
-// sample reports the backend's poll counters (see mely.PollSample).
-func (be *epollBackend) sample() mely.PollSample {
-	var s mely.PollSample
-	for _, sh := range be.shards {
-		s.Wakeups += sh.wakeups.Load()
-		s.Events += sh.harvested.Load()
-		sh.batchHist.AddTo(&s.BatchHist)
-	}
-	s.WriteStalls = be.writeStalls.Load()
-	s.ReadPauses = be.readPauses.Load()
-	return s
-}
 
 // close stops accepting, tears down every connection from its owning
 // reactor (posting the ordered OnClose relays), and waits for the
@@ -209,9 +183,6 @@ func (be *epollBackend) close() error {
 	}
 	be.wg.Wait()
 	_ = be.lnFile.Close()
-	// Counters are final now that the reactors have exited: retire the
-	// stats source so the runtime does not retain this backend forever.
-	be.retire()
 	return err
 }
 
@@ -240,10 +211,7 @@ func (sh *pollShard) run() {
 			return
 		}
 		if n > 0 {
-			sh.wakeups.Add(1)
-			sh.harvested.Add(int64(n))
-			sh.batchHist.Observe(&obs.PollBatchBounds, int64(n))
-			sh.be.s.cfg.Runtime.TracePollWakeup(n)
+			sh.be.s.cfg.Runtime.NotePollWakeup(n)
 		}
 
 		// Close requests first: a connection closed by a handler must
@@ -297,7 +265,7 @@ func (sh *pollShard) pauseConn(ec *epollConn) {
 	}
 	if _, already := sh.paused[ec.token]; !already {
 		sh.paused[ec.token] = ec
-		sh.be.readPauses.Add(1)
+		sh.be.s.cfg.Runtime.NoteReadPause()
 	}
 }
 
@@ -575,7 +543,7 @@ func (ec *epollConn) sendLocked(bufs [][]byte) (err error, closeAfter bool) {
 // first EAGAIN and the sends queueing behind an existing backlog fell
 // back to the pending queue.
 func (ec *epollConn) queueLocked(bufs [][]byte, skip int) (err error, closeAfter bool) {
-	ec.shard.be.writeStalls.Add(1)
+	ec.shard.be.s.cfg.Runtime.NoteWriteStall()
 	total := len(ec.pending) - skip
 	for _, b := range bufs {
 		total += len(b)

@@ -176,8 +176,9 @@ func TestShardDistribution(t *testing.T) {
 
 // looseConn is an epollConn over one end of a Unix socketpair, with a
 // poller but no reactor and no server: the test plays both, calling
-// drainLocked where an EPOLLOUT event would. sndbuf shrinks the socket
-// so a few KiB fill it.
+// drainLocked where an EPOLLOUT event would. A never-started runtime
+// takes the stall counts. sndbuf shrinks the socket so a few KiB fill
+// it.
 func looseConn(t *testing.T, budget int) (ec *epollConn, peer int) {
 	t.Helper()
 	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM|syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC, 0)
@@ -194,7 +195,11 @@ func looseConn(t *testing.T, budget int) (ec *epollConn, peer int) {
 	if err := p.Add(fds[0], 1, true, false); err != nil {
 		t.Fatal(err)
 	}
-	be := &epollBackend{s: &Server{cfg: Config{maxPendingWriteBytes: budget}}}
+	rt, err := mely.New(mely.Config{Cores: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := &epollBackend{s: &Server{cfg: Config{Runtime: rt, maxPendingWriteBytes: budget}}}
 	sh := &pollShard{be: be, p: p, conns: map[uint64]*epollConn{}}
 	ec = &epollConn{shard: sh, fd: fds[0], token: 1}
 	ec.conn = &Conn{be: ec}
@@ -272,7 +277,7 @@ func TestSendvShortWrite(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("stream differs: read %d bytes, want %d", len(got), len(want))
 	}
-	if stalls := ec.shard.be.writeStalls.Load(); stalls < 40 {
+	if stalls := ec.shard.be.s.cfg.Runtime.Stats().WriteStalls; stalls < 40 {
 		t.Fatalf("write stalls = %d: the socket buffer never filled, nothing was tested", stalls)
 	}
 }

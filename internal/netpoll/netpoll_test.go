@@ -296,6 +296,76 @@ func TestCloseIsIdempotentAndWaits(t *testing.T) {
 	})
 }
 
+// TestPollCountersOutliveServer: the runtime's poll counts do not drop
+// when the server that reported them closes, and a second server on
+// the same runtime adds to them. A runtime that forgot a closed
+// server's counts (Stats summing only live servers) fails it.
+func TestPollCountersOutliveServer(t *testing.T) {
+	if !EpollSupported() {
+		t.Skip("only the epoll backend counts poll wakeups")
+	}
+	h := startHarness(t, BackendEpoll, 0, nil)
+	echo := func(addr string) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		buf := make([]byte, 4)
+		for range 8 {
+			if _, err := conn.Write([]byte("ping")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(conn, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type counts struct{ wakeups, events int64 }
+	read := func() counts {
+		s := h.rt.Stats()
+		return counts{s.PollWakeups, s.PollEvents}
+	}
+
+	echo(h.srv.Addr().String())
+	served := read()
+	if served.wakeups == 0 || served.events < served.wakeups {
+		t.Fatalf("after 8 echoes: %+v, want wakeups > 0 and events >= wakeups", served)
+	}
+	if err := h.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := read()
+	if closed.wakeups < served.wakeups || closed.events < served.events {
+		t.Fatalf("counts dropped at Close: %+v -> %+v", served, closed)
+	}
+
+	nop := h.rt.Register("nop", func(*mely.Ctx) {})
+	onData := h.rt.Register("echo", func(ctx *mely.Ctx) {
+		msg := ctx.Data().(*Message)
+		if err := msg.Conn.Send(msg.Data); err != nil {
+			msg.Conn.Shutdown()
+		}
+		msg.Release()
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(ln, Config{Runtime: h.rt, OnAccept: nop, AcceptColor: 1, OnData: onData, OnClose: nop, Backend: BackendEpoll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	echo(srv.Addr().String())
+	second := read()
+	if second.wakeups <= closed.wakeups || second.events <= closed.events {
+		t.Fatalf("a second server did not add to the counts: %+v -> %+v", closed, second)
+	}
+}
+
 func TestConnColorSkipsControlColors(t *testing.T) {
 	c := &Conn{ID: 0}
 	if c.Color() < 2 {

@@ -3,10 +3,7 @@ package netpoll
 import (
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"github.com/melyruntime/mely"
 )
 
 // pumpBackend is the portable backend: one accept pump per listener
@@ -22,9 +19,6 @@ type pumpBackend struct {
 	conns  map[*Conn]struct{}
 	closed bool
 
-	readPauses atomic.Int64
-	retire     func()
-
 	wg sync.WaitGroup
 }
 
@@ -35,9 +29,6 @@ const pumpPauseRecheck = 500 * time.Microsecond
 
 func newPumpBackend(s *Server, ln net.Listener) *pumpBackend {
 	b := &pumpBackend{s: s, ln: ln, conns: make(map[*Conn]struct{})}
-	b.retire = s.cfg.Runtime.AddPollSource(func() mely.PollSample {
-		return mely.PollSample{ReadPauses: b.readPauses.Load()}
-	})
 	b.wg.Add(1)
 	go b.acceptPump()
 	return b
@@ -91,7 +82,6 @@ func (b *pumpBackend) close() error {
 		c.Shutdown()
 	}
 	b.wg.Wait()
-	b.retire()
 	return err
 }
 
@@ -137,7 +127,7 @@ func (b *pumpBackend) readPump(conn *Conn) {
 		// TCP window closes) instead of posting into a full queue.
 		// Counted once per pause episode, like the epoll backend.
 		if rt.Saturated(b.s.dataColor(conn)) && !conn.IsClosed() {
-			b.readPauses.Add(1)
+			rt.NoteReadPause()
 			for rt.Saturated(b.s.dataColor(conn)) && !conn.IsClosed() {
 				time.Sleep(pumpPauseRecheck)
 			}

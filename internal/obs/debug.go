@@ -13,22 +13,23 @@ import (
 )
 
 // DebugServer is the optional observability side listener servers mount
-// with -debug-addr: a plain HTTP server running NewMux (so /metrics,
-// /debug/pprof/*, /debug/trace, /debug/vars) on its own socket, kept
-// off the data path and off by default.
+// with -debug-addr: a plain HTTP server running NewMux on its own
+// socket, kept off the data path and off by default.
 type DebugServer struct {
 	ln  net.Listener
 	srv *http.Server
 }
 
-// StartDebugServer listens on addr and serves the observability mux in
-// a background goroutine. Close the returned server to stop it.
-func StartDebugServer(addr string, cfg MuxConfig) (*DebugServer, error) {
+// StartDebugServer listens on addr and serves NewMux(src, minScrape) in
+// a background goroutine — /metrics, /debug/trace, /debug/timeseries,
+// /debug/health, /debug/vars and /debug/pprof/*. Close the returned
+// server to stop it.
+func StartDebugServer(addr string, src Source, minScrape time.Duration) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug listener: %w", err)
 	}
-	d := &DebugServer{ln: ln, srv: &http.Server{Handler: NewMux(cfg)}}
+	d := &DebugServer{ln: ln, srv: &http.Server{Handler: NewMux(src, minScrape)}}
 	go d.srv.Serve(ln) //nolint:errcheck // ErrServerClosed after Close
 	return d, nil
 }

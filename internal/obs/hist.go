@@ -151,8 +151,8 @@ type Counts [NumBuckets]atomic.Int64
 // Observe counts v into the bucket b bins it in.
 func (c *Counts) Observe(b *Bounds, v int64) { c[b.Bucket(v)].Add(1) }
 
-// AddTo adds the counts to a snapshot: into a zero one it is the load,
-// into a running one the merge of several counters (netpoll's shards).
+// AddTo adds the counts into a snapshot; into a zero one it is the
+// load.
 func (c *Counts) AddTo(snap *[NumBuckets]int64) {
 	for i := range c {
 		snap[i] += c[i].Load()

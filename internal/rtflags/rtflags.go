@@ -37,7 +37,7 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&c.SpillDir, "spill-dir", "", "spill segment directory (empty = private temp dir; used by -overload spill)")
 	fs.StringVar(&f.spillSync, "spill-sync", "none", "spill durability policy: none|interval|always")
 	fs.BoolVar(&c.SpillRecover, "spill-recover", false, "recover spilled backlogs from -spill-dir at startup and keep them across restarts (needs -overload spill and an explicit -spill-dir)")
-	fs.StringVar(&f.debugAddr, "debug-addr", "", "serve /metrics, /debug/pprof/*, and /debug/trace on this side address (empty = off)")
+	fs.StringVar(&f.debugAddr, "debug-addr", "", "serve /metrics, /debug/trace, /debug/timeseries, /debug/health, /debug/vars and /debug/pprof/* on this side address (empty = off)")
 	fs.DurationVar(&f.scrapeEvery, "debug-scrape-interval", 250*time.Millisecond, "cache the rendered /metrics payload this long, so aggressive scrapers share one stats snapshot per window (0 = default 250ms, negative = no caching)")
 	fs.StringVar(&f.traceDump, "trace-dump", "", "write the flight-recorder trace (Chrome JSON) to this file at exit and on SIGQUIT, with .health.json and .timeseries.json siblings")
 	fs.DurationVar(&c.StallThreshold, "stall-threshold", 0, "flag a handler stuck longer than this: a stall record with the goroutine stack lands in the flight recorder and mely_stalled_cores goes up (0 = watchdog off)")
@@ -68,11 +68,7 @@ func (f *Flags) New(pol mely.Policy, cmd string) (rt *mely.Runtime, stop func(),
 	}
 	stop = func() { rt.Close() }
 	if f.debugAddr != "" {
-		dbg, err := obs.StartDebugServer(f.debugAddr, obs.MuxConfig{
-			Metrics: rt.WriteMetrics, Trace: rt.DumpTrace,
-			TimeSeries: rt.WriteTimeSeries, Health: rt.WriteHealth,
-			MinScrapeInterval: f.scrapeEvery,
-		})
+		dbg, err := obs.StartDebugServer(f.debugAddr, rt, f.scrapeEvery)
 		if err != nil {
 			rt.Close()
 			return nil, nil, err

@@ -130,14 +130,8 @@ func buildLiveServer(s *Spec, sv *ServerSpec) (*liveServer, error) {
 	}
 	ls := &liveServer{spec: sv, rt: rt}
 	if s.wantsMetricsSLO() || s.wantsTraceSLO() || s.wantsHealthSLO() {
-		ls.dbg, err = obs.StartDebugServer("127.0.0.1:0", obs.MuxConfig{
-			Metrics:    rt.WriteMetrics,
-			Trace:      rt.DumpTrace,
-			TimeSeries: rt.WriteTimeSeries,
-			Health:     rt.WriteHealth,
-			// The gate scrapes exactly once per server; serve it fresh.
-			MinScrapeInterval: -1,
-		})
+		// The gate scrapes exactly once per server; serve it fresh.
+		ls.dbg, err = obs.StartDebugServer("127.0.0.1:0", rt, -1)
 		if err != nil {
 			rt.Close()
 			return nil, err

@@ -5,6 +5,7 @@ import (
 	goruntime "runtime"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"github.com/melyruntime/mely/internal/equeue"
@@ -14,13 +15,17 @@ import (
 
 // This file is the live-observability bridge: the sampled latency
 // instrumentation fed from the hot path (observeExec), the per-color
-// delay attribution, the flight-recorder plumbing (traceAux,
-// TracePollWakeup, DumpTrace), and the Prometheus text exposition
-// (WriteMetrics). The primitives live in internal/obs; servers mount
-// them over HTTP with obs.NewMux:
+// delay attribution, the poll counters readiness backends report into
+// (NotePollWakeup, NoteWriteStall, NoteReadPause), the flight-recorder
+// plumbing (traceAux, DumpTrace), and the Prometheus text exposition
+// (WriteMetrics). The primitives live in internal/obs; a Runtime is an
+// obs.Source, so servers mount all of it over HTTP with obs.NewMux:
 //
-//	mux := obs.NewMux(obs.MuxConfig{Metrics: rt.WriteMetrics, Trace: rt.DumpTrace})
+//	mux := obs.NewMux(rt, 0) // 0: cache /metrics for the default 250ms
 //	go http.Serve(listener, mux)
+
+// A Runtime is what obs.NewMux and obs.StartDebugServer serve.
+var _ obs.Source = (*Runtime)(nil)
 
 // colorDelayEntry is one tracked color's sampled-delay attribution.
 // samples == 0 marks a free slot (color 0 is a valid color).
@@ -149,15 +154,39 @@ func (r *Runtime) traceAuxFlow(k obs.Kind, dur int64, arg uint64, n uint32, trac
 	}
 }
 
-// TracePollWakeup records a poller-shard wakeup that harvested the
-// given number of readiness events on the flight recorder's auxiliary
-// track. Called by readiness backends (internal/netpoll); a no-op when
-// the recorder is off.
-func (r *Runtime) TracePollWakeup(events int) {
+// pollCounters are the counts readiness backends report (see
+// Runtime.poll for where they live and why). The padding makes the
+// allocation 128 bytes, a size class whose objects start on a cache
+// line and share none with another object.
+type pollCounters struct {
+	wakeups, events         atomic.Int64
+	batchHist               obs.Counts
+	writeStalls, readPauses atomic.Int64
+	_                       [48]byte
+}
+
+// NotePollWakeup counts a poller-shard wakeup that harvested the given
+// number of readiness events (Stats.PollWakeups, PollEvents and
+// PollBatchHist) and records it on the flight recorder's auxiliary
+// track. Called by readiness backends (internal/netpoll).
+func (r *Runtime) NotePollWakeup(events int) {
+	p := r.poll
+	p.wakeups.Add(1)
+	p.events.Add(int64(events))
+	p.batchHist.Observe(&obs.PollBatchBounds, int64(events))
 	if r.ringAux != nil {
 		r.ringAux.Append(obs.KindPollWake, r.now(), 0, 0, uint32(clampUint32(int64(events))))
 	}
 }
+
+// NoteWriteStall counts a send that filled the kernel buffer and fell
+// back to the backend's pending-write queue (Stats.WriteStalls).
+func (r *Runtime) NoteWriteStall() { r.poll.writeStalls.Add(1) }
+
+// NoteReadPause counts a connection whose reads a backend paused
+// because its data color is saturated, once per pause episode
+// (Stats.ReadPauses).
+func (r *Runtime) NoteReadPause() { r.poll.readPauses.Add(1) }
 
 func clampUint32(v int64) int64 {
 	if v < 0 {

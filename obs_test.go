@@ -233,7 +233,7 @@ func TestObsMuxServesRuntime(t *testing.T) {
 	defer r.Close()
 	obsStress(t, r, 400)
 
-	mux := obs.NewMux(obs.MuxConfig{Metrics: r.WriteMetrics, Trace: r.DumpTrace})
+	mux := obs.NewMux(r, 0)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 

@@ -285,14 +285,14 @@ type Runtime struct {
 	// epoch anchors the monotonic timer clock (see Runtime.now).
 	epoch time.Time
 
-	// pollSources are readiness-event sources (e.g. netpoll's epoll
-	// backend) whose counters Stats folds into its Poll* fields;
-	// pollRetired accumulates the final totals of retired sources so
-	// Stats stays monotonic after a source shuts down.
-	pollMu      sync.Mutex
-	pollSources map[uint64]func() PollSample
-	pollNextID  uint64
-	pollRetired PollSample
+	// poll holds the readiness backends' counts (NotePollWakeup,
+	// NoteWriteStall, NoteReadPause). A reactor writes them on every
+	// wakeup, so they live in an allocation of their own, off the cache
+	// lines of epoch and the other fields workers read per event; the
+	// padding keeps adm and every field after it on the lines they were
+	// measured on.
+	poll *pollCounters
+	_    [96]byte
 
 	// adm is the overload-control layer (queue bounds, Reject/Block/
 	// Spill admission, the spillq bridge). Nil on unbounded runtimes,
@@ -349,34 +349,6 @@ type Runtime struct {
 	drained      admission.Gate
 }
 
-// AddPollSource registers a readiness-event source whose sample is
-// summed into Stats' PollWakeups/PollEvents/PollBatchHist/WriteStalls.
-// The returned retire function (idempotent) takes one final sample,
-// folds it into the runtime's frozen totals, and drops the live
-// source — call it when the source shuts down, after its counters
-// have gone quiet, so a long-lived runtime cycling many sources does
-// not accumulate dead closures while Stats keeps reporting their
-// lifetime totals.
-func (r *Runtime) AddPollSource(sample func() PollSample) (retire func()) {
-	r.pollMu.Lock()
-	defer r.pollMu.Unlock()
-	if r.pollSources == nil {
-		r.pollSources = make(map[uint64]func() PollSample)
-	}
-	id := r.pollNextID
-	r.pollNextID++
-	r.pollSources[id] = sample
-	return func() {
-		r.pollMu.Lock()
-		defer r.pollMu.Unlock()
-		if _, live := r.pollSources[id]; !live {
-			return
-		}
-		delete(r.pollSources, id)
-		r.pollRetired.add(sample())
-	}
-}
-
 // New builds a runtime; call Start to launch the workers.
 func New(cfg Config) (*Runtime, error) {
 	if err := cfg.validate(); err != nil {
@@ -397,6 +369,7 @@ func New(cfg Config) (*Runtime, error) {
 		table:    equeue.NewColorTable(cfg.Cores),
 		stealMon: profile.NewStealCostMonitor(cfg.stealCostSeed.Nanoseconds()),
 		epoch:    time.Now(),
+		poll:     new(pollCounters),
 	}
 	r.evPool.New = func() any { return &equeue.Event{} }
 	r.scratch.New = func() any { return &batchScratch{} }

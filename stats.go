@@ -92,44 +92,11 @@ const (
 	SpillDepthBuckets = len(obs.SpillDepthBounds) + 1
 )
 
-// PollSample is one readiness-event source's counter snapshot (see
-// Runtime.AddPollSource). Network backends that own their poll loop —
-// netpoll's epoll reactor shards — report through this so Stats shows
-// how efficiently readiness is being harvested.
-type PollSample struct {
-	// Wakeups counts returns from the poll wait; Events counts
-	// readiness events harvested across them. Events/Wakeups is the
-	// amortization factor of the batch harvest.
-	Wakeups int64
-	Events  int64
-	// BatchHist bins the events-per-wakeup batch sizes (the boundaries
-	// are Stats.PollBatchHist's).
-	BatchHist [PollBatchBuckets]int64
-	// WriteStalls counts writes that filled the kernel buffer and fell
-	// back to the pending-write queue (drained on writability under the
-	// connection's color).
-	WriteStalls int64
-	// ReadPauses counts connections whose read readiness was paused
-	// because their data color was saturated (Runtime.Saturated) — the
-	// read-backpressure edge of the overload-control layer; each pause
-	// is counted once per pause episode, not per skipped event.
-	ReadPauses int64
-}
-
 // addBuckets folds one fixed-bucket histogram snapshot into another.
 func addBuckets(dst, src *[obs.NumBuckets]int64) {
 	for b := range dst {
 		dst[b] += src[b]
 	}
-}
-
-// add folds another sample into s.
-func (s *PollSample) add(o PollSample) {
-	s.Wakeups += o.Wakeups
-	s.Events += o.Events
-	addBuckets(&s.BatchHist, &o.BatchHist)
-	s.WriteStalls += o.WriteStalls
-	s.ReadPauses += o.ReadPauses
 }
 
 // CoreStats is a snapshot of one worker's counters.
@@ -299,13 +266,15 @@ type Stats struct {
 	// of the wheel holding the entry).
 	TimersCanceled int64
 	// PollWakeups, PollEvents, PollBatchHist, WriteStalls, and
-	// ReadPauses aggregate every registered readiness source
-	// (Runtime.AddPollSource): poll wait returns, events harvested, the
-	// events-per-wakeup histogram (buckets: obs.PollBatchBounds),
-	// writes that hit kernel backpressure and were
+	// ReadPauses count what every readiness backend on this runtime
+	// (internal/netpoll's servers) reported through NotePollWakeup,
+	// NoteWriteStall and NoteReadPause: poll wait returns, events
+	// harvested, the events-per-wakeup histogram (buckets:
+	// obs.PollBatchBounds), writes that hit kernel backpressure and were
 	// queued for EPOLLOUT-driven draining, and reads paused because the
-	// connection's data color was saturated. All zero when no source is
-	// registered (e.g. the pump backend without overload bounds).
+	// connection's data color was saturated. The runtime owns the counts,
+	// so they outlive the server that reported them. The pump backend
+	// reports only read pauses.
 	PollWakeups   int64
 	PollEvents    int64
 	PollBatchHist [PollBatchBuckets]int64
@@ -357,21 +326,12 @@ func (r *Runtime) Stats() Stats {
 		StalledCores:      int(r.stalledCores.Load()),
 		TimersCanceled:    r.timersCanceled.Load(),
 	}
-	r.pollMu.Lock()
-	poll := r.pollRetired
-	sources := make([]func() PollSample, 0, len(r.pollSources))
-	for _, sample := range r.pollSources {
-		sources = append(sources, sample)
-	}
-	r.pollMu.Unlock()
-	for _, sample := range sources {
-		poll.add(sample())
-	}
-	s.PollWakeups = poll.Wakeups
-	s.PollEvents = poll.Events
-	s.PollBatchHist = poll.BatchHist
-	s.WriteStalls = poll.WriteStalls
-	s.ReadPauses = poll.ReadPauses
+	p := r.poll
+	s.PollWakeups = p.wakeups.Load()
+	s.PollEvents = p.events.Load()
+	p.batchHist.AddTo(&s.PollBatchHist)
+	s.WriteStalls = p.writeStalls.Load()
+	s.ReadPauses = p.readPauses.Load()
 	if a := r.adm; a != nil {
 		as := a.Stats()
 		s.QueuedEvents = as.Queued
