@@ -163,7 +163,7 @@ func TestBeginMigrationBatchPublishesAll(t *testing.T) {
 	// Adoption ends each color's transit; migrating back to the hash home
 	// erases the deviation entries.
 	for _, c := range colors {
-		table.EndMigration(c, nil)
+		table.EndMigration(c, nil, marker)
 		table.SetOwner(c, table.Hash(c))
 	}
 	if table.AnyDeviated() {
@@ -182,8 +182,31 @@ func TestBeginMigrationBatchPublishesAll(t *testing.T) {
 	if owner, _ := table.OwnerAndQueue(home); owner != thief || !table.AnyDeviated() {
 		t.Fatalf("in transit home: owner %d, AnyDeviated %v; want %d, true", owner, table.AnyDeviated(), thief)
 	}
-	table.EndMigration(home, nil)
+	table.EndMigration(home, nil, marker)
 	if table.AnyDeviated() {
 		t.Fatal("AnyDeviated after the adoption of a color that went home")
 	}
+}
+
+// TestEndMigrationAssertsMarker: adoption tables the stolen queue only
+// over the in-transit marker. A queue tabled over it (a delivery that did
+// not back off) is a protocol fault, and EndMigration panics rather than
+// overwrite it.
+func TestEndMigrationAssertsMarker(t *testing.T) {
+	table := NewColorTable(2)
+	marker, stolen := new(ColorQueue), new(ColorQueue)
+	table.BeginMigrationBatch([]Color{7}, 1, marker)
+	table.EndMigration(7, stolen, marker)
+	if table.Queue(7) != stolen || table.AnyDeviated() != (table.Hash(7) != 1) {
+		t.Fatal("adoption did not table the stolen queue and end the transit")
+	}
+
+	table.BeginMigrationBatch([]Color{8}, 1, marker)
+	table.SetQueue(8, new(ColorQueue)) // the fault
+	defer func() {
+		if recover() == nil {
+			t.Fatal("EndMigration tabled over a queue that replaced the marker")
+		}
+	}()
+	table.EndMigration(8, stolen, marker)
 }

@@ -209,11 +209,23 @@ func (t *ColorTable) BeginMigrationBatch(colors []Color, thief int, marker *Colo
 }
 
 // EndMigration is the thief's adoption of c, one color of a
-// BeginMigrationBatch: cq becomes its queue (nil erases the entry, as
-// SetQueue does) and c leaves transit. Called under the thief's core
-// lock.
-func (t *ColorTable) EndMigration(c Color, cq *ColorQueue) {
-	t.SetQueue(c, cq)
+// BeginMigrationBatch given the same marker: cq becomes its queue (nil
+// erases the entry, as SetQueue does) and c leaves transit. Every
+// delivery refuses a marked color, so the slot still holds marker; it
+// panics if it does not. Called under the thief's core lock.
+func (t *ColorTable) EndMigration(c Color, cq, marker *ColorQueue) {
+	s := t.shard(c)
+	s.mu.Lock()
+	if s.queues[c] != marker {
+		s.mu.Unlock()
+		panic("equeue: a queue was tabled over a color in transit")
+	}
+	if cq == nil {
+		delete(s.queues, c)
+	} else {
+		s.queues[c] = cq
+	}
+	s.mu.Unlock()
 	t.deviated.Add(-1)
 }
 

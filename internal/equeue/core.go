@@ -229,7 +229,7 @@ func (q *Core) Detach(worthy bool, budget int, s *StealSet) (w StealWork) {
 // Core put in s into this one, marking the events stolen, and reports how
 // many ColorQueues it linked (none on the list layout). Tabling s.Queue(i)
 // for each color is the platform's.
-func (q *Core) Adopt(s *StealSet) (linked int) {
+func (q *Core) Adopt(s *StealSet) int {
 	if q.list != nil {
 		for i := range s.Colors {
 			s.sets[i].MarkStolen()
@@ -238,24 +238,8 @@ func (q *Core) Adopt(s *StealSet) (linked int) {
 		return 0
 	}
 	for _, cq := range s.cqs {
-		if cq != nil { // nil: merged, see MergeStolen
-			cq.MarkStolen()
-			q.mely.Adopt(cq)
-			linked++
-		}
+		cq.MarkStolen()
+		q.mely.Adopt(cq)
 	}
-	return linked
-}
-
-// MergeStolen is the thief's recovery when it finds existing, a ColorQueue
-// of s.Colors[i], tabled and linked on this core already — which keeping
-// deliveries off a color in transit rules out. The stolen events, the older
-// ones, are marked and spliced in front of existing's, and the color's queue
-// leaves s: Adopt skips it, Queue(i) is nil. Mely layout only.
-func (q *Core) MergeStolen(s *StealSet, i int, existing *ColorQueue) {
-	cq := s.cqs[i]
-	cq.MarkStolen()
-	q.mely.MergeFront(existing, cq)
-	q.mely.ReleaseColorQueue(cq)
-	s.cqs[i] = nil
+	return len(s.cqs)
 }

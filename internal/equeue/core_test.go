@@ -170,51 +170,3 @@ func TestCoreStopRunningEndsLease(t *testing.T) {
 		}
 	}
 }
-
-// TestCoreMergeStolen is the thief-side recovery: a color of the steal set
-// found already queued on the thief is merged oldest-first instead of
-// linked a second time, and Adopt takes the rest of the set as usual.
-func TestCoreMergeStolen(t *testing.T) {
-	table := NewColorTable(2)
-	victim, thief := newCoreFixture(false, table), newCoreFixture(false, table)
-	for i := int64(0); i < 2; i++ {
-		for c := Color(1); c <= 3; c++ {
-			victim.push(c, 1000*int64(c)+i)
-		}
-	}
-	victim.SetRunning(1)
-	var set StealSet
-	if victim.Detach(false, 2, &set); len(set.Colors) != 2 || set.Colors[0] != 2 || set.Colors[1] != 3 {
-		t.Fatalf("detached %v, want colors 2 and 3", set.Colors)
-	}
-	// The fault: while color 2 was in transit a queue of it appeared on
-	// the thief, holding a younger event.
-	dup := thief.NewColorQueue(2)
-	table.SetQueue(2, dup)
-	thief.Push(dup, &Event{Color: 2, Cost: 2002})
-
-	thief.MergeStolen(&set, 0, dup)
-	if set.Queue(0) != nil {
-		t.Fatal("the merged color's queue must leave the set")
-	}
-	if linked := thief.Adopt(&set); linked != 1 {
-		t.Fatalf("linked = %d, want 1 (color 3 only)", linked)
-	}
-	table.SetQueue(3, set.Queue(1))
-	if thief.Len() != 5 || thief.DistinctColors() != 2 {
-		t.Fatalf("thief holds %d events of %d colors, want 5 of 2", thief.Len(), thief.DistinctColors())
-	}
-	next := map[Color]int64{}
-	for e, _ := thief.PopNext(); e != nil; e, _ = thief.PopNext() {
-		if want := 1000*int64(e.Color) + next[e.Color]; e.Cost != want {
-			t.Fatalf("color %d out of order: cost %d, want %d", e.Color, e.Cost, want)
-		}
-		if stolen := e.Cost != 2002; e.Stolen != stolen {
-			t.Fatalf("event %d: stolen = %v, want %v", e.Cost, e.Stolen, stolen)
-		}
-		next[e.Color]++
-	}
-	if next[2] != 3 || next[3] != 2 {
-		t.Fatalf("ran %v, want three events of color 2 and two of color 3", next)
-	}
-}

@@ -418,12 +418,10 @@ func (p *colorQueuePool) put(cq *ColorQueue) {
 	}
 }
 
-// MergeFront splices the events of src (a detached, stolen ColorQueue)
-// in front of dst's events, preserving the stolen events' seniority.
-// The real runtime needs this when a poster re-creates a ColorQueue for
-// a color while its stolen queue is still in transit to the thief: the
-// two queues merge on the thief's core. dst must be linked in q; src
-// must be detached and of the same color.
+// MergeFront splices the events of src, a detached ColorQueue, in front
+// of dst's events, preserving src's seniority (PushFrontRun puts a
+// private run back this way). dst must be linked in q; src must be
+// detached and of the same color.
 func (q *CoreQueue) MergeFront(dst, src *ColorQueue) {
 	if src.color != dst.color {
 		panic("equeue: merging ColorQueues of different colors")

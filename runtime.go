@@ -1294,23 +1294,15 @@ func (r *Runtime) detachSet(v *rcore, thief int, set *equeue.StealSet) bool {
 // adoptSet is the thief's half of a steal: it migrates the whole set into
 // c's queue under one hold of c.lock. Between BeginMigrationBatch and
 // here the table holds the in-transit marker for every stolen color and
-// every delivery backs off (deliverLocked), so the markers are
-// necessarily still in place: no poster can have installed a queue over
-// one, and no second thief can have found anything of these colors to
-// steal. Tabling each color's queue (nil on the list layout) retires the
+// every delivery backs off (deliverLocked), so no poster can have
+// installed a queue over a marker, and no second thief can have found
+// anything of these colors to steal; EndMigration panics if one did.
+// Tabling each color's queue (nil on the list layout) retires the
 // marker and ends the color's transit.
 func (r *Runtime) adoptSet(c *rcore, set *equeue.StealSet) {
 	r.lockFiled(c)
 	for i, color := range set.Colors {
-		if existing := r.table.Queue(color); existing != nil && existing != inTransitMarker {
-			// Defense in depth: unreachable under the protocol above, but
-			// if a queue ever did appear during transit, merging
-			// oldest-first is the safe recovery.
-			c.MergeStolen(set, i, existing)
-			r.table.EndMigration(color, existing)
-			continue
-		}
-		r.table.EndMigration(color, set.Queue(i))
+		r.table.EndMigration(color, set.Queue(i), inTransitMarker)
 	}
 	c.Adopt(set)
 	c.syncLens()
